@@ -182,7 +182,8 @@ core::EdgeMetrics measure_model(const core::DriverOutputModel& m, double vdd) {
 // shifted into absolute deck time (the model's t = 0 is the input 50 %
 // crossing, analytically t_start + slew/2 for a saturated ramp input), a
 // horizon auto-sized exactly like the reference harness, and the
-// dominant-path leaf to measure.
+// dominant-path leaf to measure.  Unless the slot keeps the waveform, the
+// deck ends at its last measured crossing (sim::EdgeStop).
 struct ReplayPlan {
   wave::Pwl source;
   tech::DeckOptions deck;
@@ -191,7 +192,7 @@ struct ReplayPlan {
 };
 
 ReplayPlan plan_far_end_replay(const Request& request, const BatchOptions& options,
-                               const core::DriverOutputModel& model) {
+                               const core::DriverOutputModel& model, double vdd) {
   const net::NetMetrics metrics = request.net.metrics();
   ReplayPlan plan;
   plan.input_time_50 = options.deck.t_start + 0.5 * request.input_slew;
@@ -200,6 +201,7 @@ ReplayPlan plan_far_end_replay(const Request& request, const BatchOptions& optio
                      std::max(1e-9, core::settle_time(request.cell_size, metrics));
   plan.deck.sim.budget = nullptr;
   plan.deck.sim.solver = request.solver;
+  plan.deck.sim.edge_stop.vdd = request.keep_waveforms ? 0.0 : vdd;
   plan.dominant_leaf = metrics.dominant_leaf;
   std::vector<std::pair<double, double>> pts = model.waveform.points();
   for (auto& [t, v] : pts) t += plan.input_time_50;
@@ -233,7 +235,8 @@ Engine::Engine(tech::Technology technology) : technology_(technology) {}
 
 Response Engine::model_or_throw(const Request& request, const BatchOptions& options,
                                 util::ExecTracker* budget, std::size_t slot,
-                                bool run_hook, ReplayCollector* collector) {
+                                bool run_hook, ReplayCollector* collector,
+                                std::size_t* escalations) {
   validate(request);
 
   // Admission screen: reject statically-broken work before any
@@ -272,7 +275,9 @@ Response Engine::model_or_throw(const Request& request, const BatchOptions& opti
   // with the policy cleared.  (No elapsed stamp here: run_slot times the
   // whole attempt ladder and overwrites elapsed_s on every path.)
   if (request.tier != tier::TierPolicy::reference) {
-    Response response = tiered_response(request, options, budget, slot);
+    std::size_t unreported = 0;
+    Response response = tiered_response(request, options, budget, slot,
+                                        escalations ? *escalations : unreported);
     response.diagnostics = std::move(diagnostics);
     return response;
   }
@@ -397,7 +402,8 @@ Response Engine::model_or_throw(const Request& request, const BatchOptions& opti
       // Fail a non-converged model *before* planning or enqueueing its
       // replay, so a slot that fails here leaves nothing behind to patch.
       check_convergence(request, response.model);
-      ReplayPlan plan = plan_far_end_replay(request, options, response.model);
+      ReplayPlan plan =
+          plan_far_end_replay(request, options, response.model, technology_.vdd);
       // Slots with a wall-clock limit or an enabled degrade policy never
       // defer: the deadline/ladder semantics are tied to the slot's own
       // attempt sequence, and deferral would move work past both.
@@ -501,32 +507,35 @@ Response Engine::analytical_response(const Request& request,
 }
 
 Response Engine::tiered_response(const Request& request, const BatchOptions& options,
-                                 util::ExecTracker* budget, std::size_t slot) {
+                                 util::ExecTracker* budget, std::size_t slot,
+                                 std::size_t& escalations) {
   using tier::Tier;
   using tier::TierPolicy;
   const TierPolicy policy = request.tier;
-  std::size_t escalations = 0;
+  escalations = 0;
 
   // One tier of the legacy ladder, served by recursing into model_or_throw
   // with the policy cleared (the preamble — validation, lint, budget check,
   // fault hook — already ran on the outer request).
-  auto serve = [&](bool reference_flag, Tier t, Fidelity f) {
+  auto serve = [&](bool reference_flag, Tier t, Fidelity f,
+                   bool require_convergence) {
     Request inner = request;
     inner.tier = TierPolicy::reference;
     inner.reference = reference_flag;
     inner.lint = LintOptions{};
+    inner.require_convergence = require_convergence;
     Response r = model_or_throw(inner, options, budget, slot, false);
     r.fidelity = f;
     r.tier = t;
-    r.tier_escalations = escalations;
     return r;
   };
 
+  const bool gate = request.require_convergence;
   if (policy == TierPolicy::force_ceff) {
-    return serve(false, Tier::ceff, Fidelity::ceff_model);
+    return serve(false, Tier::ceff, Fidelity::ceff_model, gate);
   }
   if (policy == TierPolicy::force_reference) {
-    return serve(true, Tier::reference, Fidelity::reference);
+    return serve(true, Tier::reference, Fidelity::reference, gate);
   }
 
   // Tier A candidacy: the cheap topology screen first (coupled groups), the
@@ -538,9 +547,7 @@ Response Engine::tiered_response(const Request& request, const BatchOptions& opt
   }
   if (policy == TierPolicy::force_analytical) {
     tier::AnalyticalEstimate estimate;
-    Response a = analytical_response(request, options, &estimate);
-    a.tier_escalations = escalations;
-    return a;
+    return analytical_response(request, options, &estimate);
   }
   if (admission.ok) {
     // A closed form that throws (degenerate fit, stalled table fixed point)
@@ -550,10 +557,7 @@ Response Engine::tiered_response(const Request& request, const BatchOptions& opt
       tier::AnalyticalEstimate estimate;
       Response a = analytical_response(request, options, &estimate);
       admission = tier::admit_analytical(estimate);
-      if (admission.ok) {
-        a.tier_escalations = escalations;
-        return a;
-      }
+      if (admission.ok) return a;
     } catch (const DeadlineError&) {
       throw;
     } catch (const BudgetError&) {
@@ -567,13 +571,17 @@ Response Engine::tiered_response(const Request& request, const BatchOptions& opt
   // agree with itself escalates once more to the transient reference.
   ++escalations;
   if (policy == TierPolicy::fastest) {
-    return serve(false, Tier::ceff, Fidelity::ceff_model);
+    return serve(false, Tier::ceff, Fidelity::ceff_model, gate);
   }
   try {
-    return serve(false, Tier::ceff, Fidelity::ceff_model);
+    return serve(false, Tier::ceff, Fidelity::ceff_model, gate);
   } catch (const ConvergenceError&) {
+    // Tier C answers from its simulated edges (ref_near / ref_far).  The
+    // Ceff model that just failed rides along as a diagnostic, its converged
+    // flags telling, instead of gating the slot: gated, the one experiment
+    // would rethrow the same error after paying for the transient.
     ++escalations;
-    return serve(true, Tier::reference, Fidelity::reference);
+    return serve(true, Tier::reference, Fidelity::reference, false);
   }
 }
 
@@ -588,6 +596,9 @@ Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& o
   std::vector<Attempt> attempts;
   const Fidelity primary =
       request.reference ? Fidelity::reference : Fidelity::ceff_model;
+  // The cascade's escalations on the primary attempt (0 for untiered
+  // slots): a retried or floor answer reports the path the slot took.
+  std::size_t escalations = 0;
 
   auto finish = [&](Response r, Fidelity fidelity, bool degraded) {
     // Tiered slots stamp fidelity + tier inside tiered_response; the policy
@@ -597,6 +608,7 @@ Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& o
       r.tier = fidelity == Fidelity::reference ? tier::Tier::reference
                                                : tier::Tier::ceff;
     }
+    r.tier_escalations = escalations;
     r.degraded = degraded;
     r.attempts = std::move(attempts);
     r.elapsed_s = elapsed();
@@ -614,7 +626,8 @@ Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& o
   util::ExecTracker& tracker = *owned_tracker;
   std::exception_ptr first_error;
   try {
-    Response r = model_or_throw(request, options, &tracker, slot, true, collector);
+    Response r =
+        model_or_throw(request, options, &tracker, slot, true, collector, &escalations);
     if (collector) collector->attach_tracker(slot, owned_tracker);
     return finish(std::move(r), primary, false);
   } catch (...) {
@@ -769,14 +782,16 @@ void Engine::finalize_deferred(ReplayCollector& collector, const BatchOptions& o
           [&](std::size_t i) {
             decks[i] = tech::compile_source_net(jobs[i].source, jobs[i].net,
                                                 jobs[i].deck);
-            sim_opts[i] = tech::sim_options(jobs[i].deck);
+            sim_opts[i] = tech::sim_options(jobs[i].deck, decks[i]);
             sim_opts[i].budget = nullptr;  // per-lane trackers instead
           },
           options.n_threads);
 
   // Group by structural hash, confirmed by the exhaustive bit-compare —
   // near-identical decks (one ULP, one extra edge) never share a matrix.
+  // Each deck is hashed once; a group keeps its head's hash.
   std::vector<std::vector<std::size_t>> groups;
+  std::vector<std::uint64_t> group_hash;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (compile_errors[i]) {
       results[jobs[i].slot] =
@@ -786,19 +801,20 @@ void Engine::finalize_deferred(ReplayCollector& collector, const BatchOptions& o
     const std::uint64_t hash =
         sim::scenario_group_hash(decks[i].netlist, sim_opts[i]);
     bool placed = false;
-    for (std::vector<std::size_t>& group : groups) {
-      const std::size_t head = group.front();
-      if (sim::scenario_group_hash(decks[head].netlist, sim_opts[head]) != hash) {
-        continue;
-      }
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const std::size_t head = groups[g].front();
+      if (group_hash[g] != hash) continue;
       if (!sim::scenario_group_equal(decks[head].netlist, decks[i].netlist)) continue;
       if (!sim::scenario_options_equal(sim_opts[head], sim_opts[i])) continue;
       if (decks[head].probes != decks[i].probes) continue;
-      group.push_back(i);
+      groups[g].push_back(i);
       placed = true;
       break;
     }
-    if (!placed) groups.push_back({i});
+    if (!placed) {
+      groups.push_back({i});
+      group_hash.push_back(hash);
+    }
   }
 
   // Equal-topology groups run as blocks; groups run in parallel across the

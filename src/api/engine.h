@@ -84,11 +84,16 @@ private:
   // retry/fallback attempts skip it.  `collector` (nullable) lets a
   // far_end_replay slot defer its replay transient for group batching;
   // without one the replay runs inline (same results, bitwise).
+  // `escalations` (nullable) receives the cascade's escalation count as it
+  // climbs, so it survives an attempt that throws.
   Response model_or_throw(const Request& request, const BatchOptions& options,
                           util::ExecTracker* budget, std::size_t slot,
-                          bool run_hook, ReplayCollector* collector = nullptr);
+                          bool run_hook, ReplayCollector* collector = nullptr,
+                          std::size_t* escalations = nullptr);
   // The full per-slot policy: arm the budget, attempt, then retry-and-
-  // degrade per Request::degrade.  Never throws for per-scenario failures.
+  // degrade per Request::degrade.  Retried and floor answers keep the
+  // primary attempt's escalation count.  Never throws for per-scenario
+  // failures.
   Outcome<Response> run_slot(const Request& request, const BatchOptions& options,
                              std::size_t slot,
                              ReplayCollector* collector = nullptr);
@@ -104,11 +109,14 @@ private:
   Response moments_only_response(const Request& request, const BatchOptions& options);
   // The multi-fidelity cascade (Request::tier != TierPolicy::reference):
   // routes the slot to Tier A/B/C per tier/router.h, escalating on admission
-  // failure (and, under balanced, on a Tier B convergence failure).  Called
-  // from model_or_throw after validation/lint/budget arming so every tier
-  // shares the same preamble.
+  // failure (and, under balanced, on a Tier B convergence failure, to one
+  // ungated Tier-C experiment that answers from its simulated edges).
+  // Called from model_or_throw after validation/lint/budget arming so every
+  // tier shares the same preamble.  `escalations` counts the escalations
+  // taken so far, also when a tier throws.
   Response tiered_response(const Request& request, const BatchOptions& options,
-                           util::ExecTracker* budget, std::size_t slot);
+                           util::ExecTracker* budget, std::size_t slot,
+                           std::size_t& escalations);
   // Tier A: the closed-form analytical screen (tier/analytical.h) —
   // table lookups only, no fixed point, no transient.  `estimate_out`
   // (nullable) receives the raw estimate so the router can score admission

@@ -248,10 +248,21 @@ struct Response {
 
   // Cascade provenance (Request::tier != TierPolicy::reference): the tier
   // that served the slot and how many escalations the router took to get
-  // there (0 = first choice held).  Non-tiered requests report the legacy
-  // mapping (reference flag ? Tier::reference : Tier::ceff, 0 escalations).
+  // there (0 = first choice held; a retried or degraded answer keeps the
+  // primary attempt's count).  A balanced slot escalated to Tier C answers
+  // from ref_near / ref_far (see answer_near); `model` rides along as a
+  // diagnostic whose converged flags may be false.
+  // Non-tiered requests report the legacy mapping (reference flag ?
+  // Tier::reference : Tier::ceff, 0 escalations).
   tier::Tier tier = tier::Tier::ceff;
   std::size_t tier_escalations = 0;
+
+  // The near-end edge the slot answers with: at reference fidelity the
+  // simulated one (ref_near), else the model's (model_near).  Read this, not
+  // model_near, when reporting one delay and slew per slot.
+  const core::EdgeMetrics& answer_near() const {
+    return fidelity == Fidelity::reference ? ref_near : model_near;
+  }
 
   // Tier A coupled slots: the closed-form charge-sharing upper bound on the
   // quiet-victim crosstalk peak (tier::noise_bound).  Unlike peak_noise this

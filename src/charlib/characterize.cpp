@@ -68,6 +68,8 @@ CharacterizedDriver characterize_driver(const tech::Technology& technology,
             6.0 * rs_estimate * (c_load + cell.output_capacitance(technology));
         deck.t_stop = deck.t_start + slew + std::max(300 * ps, settle);
         deck.dt = 0.25 * ps;
+        // Only the output edge is measured: end the run at its 90 % crossing.
+        deck.sim.edge_stop.vdd = technology.vdd;
 
         double input_t50 = 0.0;
         const wave::Waveform out = tech::simulate_driver_cap_load(

@@ -110,12 +110,19 @@ CoupledExperimentResult run_coupled_experiment(const tech::Technology& technolog
       scenario.group.net_at(scenario.victim).metrics();
   tech::DeckOptions deck = options.deck;
   deck.t_stop = auto_t_stop(scenario, options);
+  // The reference, baseline and replay decks are only measured at their
+  // edges unless waveforms are kept: end those runs at the last measured
+  // crossing.  The noise deck runs `deck`, never stopped, since its peak
+  // needs the whole window.
+  deck.sim.edge_stop = {};
+  tech::DeckOptions measured = deck;
+  measured.sim.edge_stop.vdd = options.keep_waveforms ? 0.0 : technology.vdd;
 
   // Reference: the full coupled system, every net driven.
   {
     const std::vector<tech::NetDrive> drives = build_drives(scenario, true);
     tech::CoupledSimResult ref =
-        tech::simulate_coupled_group(technology, drives, scenario.group, deck);
+        tech::simulate_coupled_group(technology, drives, scenario.group, measured);
     tech::NetSimResult& victim = ref.nets[scenario.victim];
     out.input_time_50 = victim.input_time_50;
     out.solver = victim.solver;
@@ -134,7 +141,7 @@ CoupledExperimentResult run_coupled_experiment(const tech::Technology& technolog
   if (options.include_baseline) {
     const tech::Inverter cell{scenario.driver_size};
     const tech::NetSimResult base = tech::simulate_driver_net(
-        technology, cell, scenario.input_slew, quiet_net, deck);
+        technology, cell, scenario.input_slew, quiet_net, measured);
     const wave::Waveform& far = base.leaves.at(victim_metrics.dominant_leaf);
     out.base_near = measure_edge(base.near_end, technology.vdd, base.input_time_50);
     out.base_far = measure_edge(far, technology.vdd, base.input_time_50);
@@ -190,7 +197,7 @@ CoupledExperimentResult run_coupled_experiment(const tech::Technology& technolog
     for (auto& [t, v] : pts) t += out.input_time_50;
     const wave::Pwl absolute(std::move(pts));
     const tech::NetSimResult replay =
-        tech::simulate_source_net(absolute, miller_net, deck);
+        tech::simulate_source_net(absolute, miller_net, measured);
     const wave::Waveform& far = replay.leaves.at(victim_metrics.dominant_leaf);
     out.model_far = measure_edge(far, technology.vdd, out.input_time_50);
   }

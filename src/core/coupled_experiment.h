@@ -62,7 +62,10 @@ struct CoupledExperimentOptions {
   bool include_baseline = true;  // simulate the quiet-environment victim
   bool include_far_end = true;   // replay the model through the decoupled net
   bool include_noise = true;     // quiet-victim noise simulation
-  bool keep_waveforms = false;   // retain sampled waveforms
+  // Retain sampled waveforms.  Off, the reference, baseline and replay decks
+  // end at their last measured crossing (sim::EdgeStop); the noise deck
+  // always runs the full horizon.  Either way deck.sim.edge_stop is ignored.
+  bool keep_waveforms = false;
   charlib::CharacterizationGrid grid = charlib::CharacterizationGrid::standard();
 };
 

@@ -48,6 +48,10 @@ ExperimentResult run_experiment(const tech::Technology& technology,
   const net::NetMetrics metrics = scenario.net.metrics();
   tech::DeckOptions deck = options.deck;
   deck.t_stop = auto_t_stop(scenario, metrics, options.deck);
+  // Both decks are only measured at their edges unless their waveforms are
+  // kept: end each run at its last measured crossing.  Kept waveforms run
+  // the full horizon, whatever the incoming deck asked for.
+  deck.sim.edge_stop.vdd = options.keep_waveforms ? 0.0 : technology.vdd;
 
   // Reference ("HSPICE") run; the "far end" is the dominant-path leaf.
   const tech::Inverter cell{scenario.driver_size};

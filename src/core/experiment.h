@@ -42,7 +42,10 @@ struct ExperimentOptions {
   DriverModelOptions model;        // paper flow controls
   bool include_one_ramp = true;    // also run the 1-ramp baseline
   bool include_far_end = true;     // replay the model at the far end
-  bool keep_waveforms = false;     // retain sampled waveforms (figure benches)
+  // Retain sampled waveforms (figure benches).  Off, both decks end at their
+  // last measured crossing (sim::EdgeStop); on, they run the full horizon.
+  // Either way deck.sim.edge_stop is ignored.
+  bool keep_waveforms = false;
   // Prepare the far-end replay instead of running it: the result carries the
   // absolute-time source and deck horizon (replay_* fields) so a batching
   // caller can group equal-topology replays and run them as one

@@ -10,6 +10,7 @@
 #include <numeric>
 
 #include "circuit/mna.h"
+#include "sim/edge_watch.h"
 #include "sim/solver_backend.h"
 #include "util/error.h"
 
@@ -154,7 +155,9 @@ bool scenario_options_equal(const TransientOptions& a, const TransientOptions& b
          a.assembly == b.assembly && a.solver == b.solver &&
          a.force_dense == b.force_dense &&
          same_bits(a.debug_cached_stamp_skew, b.debug_cached_stamp_skew) &&
-         a.debug_cached_stamp_nan == b.debug_cached_stamp_nan;
+         a.debug_cached_stamp_nan == b.debug_cached_stamp_nan &&
+         same_bits(a.edge_stop.vdd, b.edge_stop.vdd) &&
+         a.edge_stop.watch == b.edge_stop.watch;
 }
 
 // ----------------------------------------------------------- block engine ---
@@ -165,9 +168,10 @@ namespace {
 // stride W (the initial lane count): value of unknown/device i for lane j
 // lives at [i * W + j].  Active lanes occupy columns 0..A-1; lanes retire
 // from the tail (scenarios are sorted by descending t_stop, so the shortest
-// runs sit at the end) and faulted lanes are removed by a stable left shift
-// of the columns behind them (rare, O(n * k)), which preserves the
-// descending order the tail scan relies on.
+// runs sit at the end), while faulted lanes and lanes the measured-edge stop
+// ends are removed by a stable left shift of the columns behind them (at
+// most once per lane, O(n * k)), which preserves the descending order the
+// tail scan relies on.
 class BlockEngine {
 public:
   BlockEngine(std::span<const BlockScenario> scenarios,
@@ -206,6 +210,14 @@ public:
     for (NodeId p : probes_) {
       probe_pos_.push_back(p == ground ? npos : node_pos_[p]);
     }
+    const bool stop = options.edge_stop.enabled();
+    if (stop) {
+      watch_pos_.reserve(options.edge_stop.watch.size());
+      for (NodeId n : options.edge_stop.watch) {
+        ensure(n < nl0_.node_count(), "simulate: watched node out of range");
+        watch_pos_.push_back(n == ground ? npos : node_pos_[n]);
+      }
+    }
 
     // Longest-running lanes first, stable so equal t_stops keep input order.
     std::vector<std::size_t> order(scenarios.size());
@@ -230,6 +242,7 @@ public:
       lane_budget_.push_back(s.budget);
       results_.emplace_back(probes_,
                             static_cast<std::size_t>(s.t_stop / opt_.dt) + 2);
+      if (stop) lane_watch_.emplace_back(options.edge_stop);
     }
 
     w_ = lane_slot_.size();
@@ -255,6 +268,7 @@ public:
     std::swap(xb_, rhsb_);
     seed_state(a);
     record_active(0.0, a);
+    retire_measured(a);
 
     const double dt = opt_.dt;
     double t = 0.0;
@@ -319,6 +333,7 @@ public:
       advance_state(dt, a);
       t = t_next;
       record_active(t, a);
+      retire_measured(a);
     }
   }
 
@@ -483,6 +498,25 @@ private:
     }
   }
 
+  // Measured-edge stop, decided per lane on the sample just recorded: a lane
+  // whose watched nodes completed their edges ends exactly where the scalar
+  // run would break out of its step loop (final finiteness guard included).
+  void retire_measured(std::size_t& a) {
+    if (lane_watch_.empty()) return;
+    for (std::size_t j = 0; j < a;) {
+      const bool done = lane_watch_[j].observe([&](std::size_t k) {
+        return watch_pos_[k] == npos ? 0.0 : xb_[watch_pos_[k] * w_ + j];
+      });
+      if (!done) {
+        ++j;
+        continue;
+      }
+      finalize(j);
+      remove_lane(j, a);
+      --a;
+    }
+  }
+
   bool lane_finite(std::size_t j) const {
     for (std::size_t i = 0; i < m_; ++i) {
       if (!std::isfinite(xb_[i * w_ + j])) return false;
@@ -554,11 +588,13 @@ private:
     lane_tstop_.pop_back();
     lane_budget_.pop_back();
     results_.pop_back();
+    if (!lane_watch_.empty()) lane_watch_.pop_back();
   }
 
-  // Stable removal of a faulted mid-array lane: shift the columns behind it
-  // left so the descending-t_stop order (and every lane's column index)
-  // stays consistent.  Rare, so the O(n * k) copy is irrelevant.
+  // Stable removal of a faulted or measured mid-array lane: shift the
+  // columns behind it left so the descending-t_stop order (and every lane's
+  // column index) stays consistent.  At most once per lane, so the O(n * k)
+  // copy stays small next to the lane's steps.
   void remove_lane(std::size_t j, std::size_t a) {
     auto shift = [&](std::vector<double>& arr, std::size_t rows) {
       for (std::size_t i = 0; i < rows; ++i) {
@@ -576,6 +612,9 @@ private:
     lane_tstop_.erase(lane_tstop_.begin() + static_cast<std::ptrdiff_t>(j));
     lane_budget_.erase(lane_budget_.begin() + static_cast<std::ptrdiff_t>(j));
     results_.erase(results_.begin() + static_cast<std::ptrdiff_t>(j));
+    if (!lane_watch_.empty()) {
+      lane_watch_.erase(lane_watch_.begin() + static_cast<std::ptrdiff_t>(j));
+    }
   }
 
   const TransientOptions& opt_;
@@ -593,6 +632,7 @@ private:
   std::vector<Pair> ind_nodes_;
   std::vector<std::size_t> vsrc_pos_;
   std::vector<std::size_t> probe_pos_;
+  std::vector<std::size_t> watch_pos_;  // measured-edge stop nodes (npos = ground)
 
   // Active-lane bookkeeping, sorted by descending t_stop.
   std::vector<std::size_t> lane_slot_;
@@ -600,6 +640,7 @@ private:
   std::vector<double> lane_tstop_;
   std::vector<util::ExecTracker*> lane_budget_;
   std::vector<TransientResult> results_;
+  std::vector<detail::EdgeWatch> lane_watch_;  // empty when the stop is off
 
   // SoA blocks with fixed stride w_ (lane j of row i at [i * w_ + j]).
   std::size_t w_ = 0;

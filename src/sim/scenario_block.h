@@ -80,12 +80,15 @@ std::uint64_t scenario_group_hash(const ckt::Netlist& netlist,
 bool scenario_group_equal(const ckt::Netlist& a, const ckt::Netlist& b);
 
 // Option-side confirm: true iff every matrix- or sequence-shaping field
-// matches bitwise (t_stop and budget excluded — those are per-lane).
+// matches bitwise, the measured-edge stop included (t_stop and budget
+// excluded — those are per-lane).
 bool scenario_options_equal(const TransientOptions& a, const TransientOptions& b);
 
 // Runs every scenario from its DC operating point to its own t_stop with
 // one shared factorization per step size, recording `probes` (shared by the
-// group; node ids are identical across group-equal netlists).
+// group; node ids are identical across group-equal netlists).  With
+// options.edge_stop on, each lane also ends at its own measured-edge stop,
+// at the sample where sim::simulate would stop it alone.
 //
 // Requirements (ensure-checked): at least dt > 0, cached assembly, no
 // shared options.budget (use per-lane trackers), linear netlists, and every

@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "circuit/mna.h"
+#include "sim/edge_watch.h"
 #include "sim/solver_backend.h"
 #include "util/error.h"
 #include "util/linalg.h"
@@ -424,9 +425,20 @@ TransientResult simulate(const ckt::Netlist& netlist, const TransientOptions& op
   TransientResult result(std::vector<ckt::NodeId>(probes.begin(), probes.end()),
                          static_cast<std::size_t>(options.t_stop / options.dt) + 2);
   std::vector<double> node_v(netlist.node_count(), 0.0);
+  const std::vector<ckt::NodeId>& watched = options.edge_stop.watch;
+  std::optional<detail::EdgeWatch> watch;
+  if (options.edge_stop.enabled()) {
+    for (ckt::NodeId n : watched) {
+      ensure(n < netlist.node_count(), "simulate: watched node out of range");
+    }
+    watch.emplace(options.edge_stop);
+  }
+  // Records one sample; true once the measured-edge stop has seen every
+  // watched crossing.
   auto record = [&](double t) {
     engine.node_voltages_into(node_v);
     result.record(t, node_v);
+    return watch && watch->observe([&](std::size_t k) { return node_v[watched[k]]; });
   };
   record(0.0);
 
@@ -462,7 +474,7 @@ TransientResult simulate(const ckt::Netlist& netlist, const TransientOptions& op
     }
 
     t = t_next;
-    record(t);
+    if (record(t)) break;
   }
   if (!engine.solution_finite()) {
     throw SingularMatrixError("transient: non-finite solution (singular or "

@@ -51,6 +51,25 @@ SolverKind solver_kind_from_string(std::string_view name);
 // reference for equivalence tests and the factor-once speedup benchmark.
 enum class AssemblyMode { cached, naive };
 
+// Measured-edge stop, for callers that only measure rising edges with
+// wave::measure_rising_edge over [0, vdd] (delay and 10-90 % slew).  The run
+// ends after the first sample at which every watched node has made its first
+// rising crossing of the 10, 50 and 90 % levels, tested with the exact
+// Waveform::first_crossing predicate (wave::crosses) on the levels
+// wave::rising_edge_levels(0, vdd) gives.  Every sample up to the stop comes
+// from the unchanged step sequence, so the stopped waveforms are prefixes of
+// the full-horizon ones and every such measurement on them is bitwise
+// identical; a node that never completes its edge keeps the run going to
+// t_stop.  Off unless vdd > 0 and `watch` is non-empty.  Callers that keep
+// waveforms, or measure anything past the edge (a noise peak, a settled
+// value), leave it off.
+struct EdgeStop {
+  double vdd = 0.0;                 // rail of the measured edge [V]
+  std::vector<ckt::NodeId> watch;   // nodes whose rising edge is measured
+
+  bool enabled() const { return vdd > 0.0 && !watch.empty(); }
+};
+
 struct TransientOptions {
   double t_stop = 1e-9;     // simulation end time [s]
   double dt = 0.1e-12;      // fixed time step [s]
@@ -75,6 +94,9 @@ struct TransientOptions {
   // Linear-solver override: `automatic` applies the selection heuristic (see
   // selected_solver); any other value forces that backend.
   SolverKind solver = SolverKind::automatic;
+  // Ends the run at the watched nodes' last measured crossing (see EdgeStop).
+  // Charged steps stop with it, so a budget meters only the steps run.
+  EdgeStop edge_stop;
   // Deprecated: pre-SolverKind spelling of `solver = SolverKind::dense`.
   // Honored (when `solver` is automatic) so existing tests compile; use the
   // SolverKind override in new code.
@@ -141,7 +163,8 @@ bool uses_banded_solver(const ckt::Netlist& netlist);
 OperatingPoint dc_operating_point(const ckt::Netlist& netlist,
                                   const TransientOptions& options = {});
 
-// Runs a transient from the DC operating point, recording the probed nodes.
+// Runs a transient from the DC operating point, recording the probed nodes,
+// to options.t_stop or to the measured-edge stop (options.edge_stop).
 TransientResult simulate(const ckt::Netlist& netlist, const TransientOptions& options,
                          std::span<const ckt::NodeId> probes);
 

@@ -24,6 +24,15 @@ void add_net_probes(std::vector<ckt::NodeId>& probes, ckt::NodeId out,
   for (const auto& [name, node] : nodes.probes) add_probe(node);
 }
 
+// Watches one net driven to rise for the measured-edge stop: its driving
+// point and every leaf.
+void watch_rising_net(sim::TransientOptions& so, ckt::NodeId out,
+                      const ckt::NetDeckNodes& nodes) {
+  so.edge_stop.watch.push_back(out);
+  so.edge_stop.watch.insert(so.edge_stop.watch.end(), nodes.leaves.begin(),
+                            nodes.leaves.end());
+}
+
 NetSimResult collect_net_result(const sim::TransientResult& res, ckt::NodeId out,
                                 const ckt::NetDeckNodes& nodes,
                                 double input_time_50) {
@@ -44,7 +53,8 @@ NetSimResult run_net_deck(ckt::Netlist& nl, ckt::NodeId out,
                           const DeckOptions& options) {
   std::vector<ckt::NodeId> probes;
   add_net_probes(probes, out, nodes);
-  const sim::TransientOptions so = sim_options(options);
+  sim::TransientOptions so = sim_options(options);
+  watch_rising_net(so, out, nodes);
   const sim::TransientResult res = sim::simulate(nl, so, probes);
   NetSimResult result = collect_net_result(res, out, nodes, input_time_50);
   result.solver = sim::selected_solver(nl, so);
@@ -57,6 +67,14 @@ sim::TransientOptions sim_options(const DeckOptions& options) {
   sim::TransientOptions s = options.sim;
   s.t_stop = options.t_stop;
   s.dt = options.dt;
+  s.edge_stop.watch.clear();
+  return s;
+}
+
+sim::TransientOptions sim_options(const DeckOptions& options,
+                                  const SourceNetDeck& deck) {
+  sim::TransientOptions s = sim_options(options);
+  watch_rising_net(s, deck.out, deck.nodes);
   return s;
 }
 
@@ -108,7 +126,9 @@ wave::Waveform simulate_driver_cap_load(const Technology& tech, const Inverter& 
 
   if (input_time_50 != nullptr) *input_time_50 = options.t_start + 0.5 * input_slew;
   const std::array<ckt::NodeId, 1> probes{out};
-  return sim::simulate(nl, sim_options(options), probes).at(out);
+  sim::TransientOptions so = sim_options(options);
+  so.edge_stop.watch.push_back(out);
+  return sim::simulate(nl, so, probes).at(out);
 }
 
 NetSimResult simulate_driver_net(const Technology& tech, const Inverter& cell,
@@ -126,7 +146,7 @@ NetSimResult simulate_driver_net(const Technology& tech, const Inverter& cell,
 NetSimResult simulate_source_net(const wave::Pwl& source, const net::Net& net,
                                  const DeckOptions& options) {
   SourceNetDeck deck = compile_source_net(source, net, options);
-  const sim::TransientOptions so = sim_options(options);
+  const sim::TransientOptions so = sim_options(options, deck);
   const sim::TransientResult res = sim::simulate(deck.netlist, so, deck.probes);
   NetSimResult result = collect_source_result(deck, res, source);
   result.solver = sim::selected_solver(deck.netlist, so);
@@ -175,10 +195,11 @@ CoupledSimResult simulate_coupled_group(const Technology& tech,
       ckt::append_coupled_group(nl, outs, group, options.segments);
 
   std::vector<ckt::NodeId> probes;
+  sim::TransientOptions so = sim_options(options);
   for (std::size_t k = 0; k < group.size(); ++k) {
     add_net_probes(probes, outs[k], decks.nets[k]);
+    if (drives[k].edge == DriveEdge::rise) watch_rising_net(so, outs[k], decks.nets[k]);
   }
-  const sim::TransientOptions so = sim_options(options);
   const sim::TransientResult res = sim::simulate(nl, so, probes);
   const sim::SolverKind solver = sim::selected_solver(nl, so);
 

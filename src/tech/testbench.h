@@ -46,7 +46,12 @@ struct DeckOptions {
   double dt = 0.25e-12;          // time step [s]
   std::size_t segments = 120;    // ladder discretization per net section
   double c_load_far = 20e-15;    // far-end load used by the legacy line decks [F]
-  sim::TransientOptions sim;     // solver controls (t_stop/dt overridden)
+  // Solver controls (t_stop/dt overridden).  Setting sim.edge_stop.vdd turns
+  // on the measured-edge stop (sim::EdgeStop); each deck then fills
+  // sim.edge_stop.watch with the driving point and the leaves of every net
+  // it drives to rise (the cap-load deck: its output).  The core experiments
+  // and api::Engine overwrite sim.edge_stop from their keep_waveforms switch.
+  sim::TransientOptions sim;
 };
 
 // Simulation of a driver (or source) into a net::Net.
@@ -98,9 +103,15 @@ struct SourceNetDeck {
   std::vector<ckt::NodeId> probes;  // deduplicated probe list for sim::simulate
 };
 
-// The TransientOptions simulate_source_net would hand sim::simulate for this
-// deck (options.sim with t_stop/dt overridden by the deck fields).
+// options.sim with t_stop/dt overridden by the deck fields and no watched
+// nodes (each deck names its own).
 sim::TransientOptions sim_options(const DeckOptions& options);
+
+// The TransientOptions simulate_source_net hands sim::simulate for this
+// compiled deck: sim_options(options) watching the deck's driving point and
+// leaves for the measured-edge stop.
+sim::TransientOptions sim_options(const DeckOptions& options,
+                                  const SourceNetDeck& deck);
 
 // Builds the deck netlist exactly as simulate_source_net does (source first,
 // then the discretized net) without running it.

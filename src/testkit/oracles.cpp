@@ -618,17 +618,18 @@ void expect_wave_bitwise(const wave::Waveform& a, const wave::Waveform& b,
 
 // A far_end_replay slot over `net` — the scenario-batching unit of work.
 // require_convergence stays off so hard random instances fail (identically
-// on both paths) at the replay measurement, not at the model gate.
+// on both paths) at the replay measurement, not at the model gate.  Without
+// kept waveforms the replay ends at its last measured crossing.
 api::Request replay_request(std::string label, const net::Net& net,
                             double cell_size, double input_slew,
-                            sim::SolverKind solver) {
+                            sim::SolverKind solver, bool keep_waveforms) {
   api::Request r;
   r.label = std::move(label);
   r.cell_size = cell_size;
   r.input_slew = input_slew;
   r.net = net;
   r.far_end_replay = true;
-  r.keep_waveforms = true;
+  r.keep_waveforms = keep_waveforms;
   r.require_convergence = false;
   r.solver = solver;
   return r;
@@ -636,9 +637,11 @@ api::Request replay_request(std::string label, const net::Net& net,
 
 // Full bitwise slot identity, far end and waveform included (stricter than
 // check_batch_invariance's near-end compare, which predates the replay path).
+// `waves` off compares the edges alone, for a stopped run against a
+// full-horizon one.
 void expect_identical_replay_slot(const api::Outcome<api::Response>& a,
                                   const api::Outcome<api::Response>& b,
-                                  const std::string& what) {
+                                  const std::string& what, bool waves = true) {
   expect(a.ok() == b.ok(), what + ": ok flags differ");
   if (!a.ok()) {
     expect(a.error().code == b.error().code,
@@ -658,6 +661,7 @@ void expect_identical_replay_slot(const api::Outcome<api::Response>& a,
              dbits(ra.model_far.slew) == dbits(rb.model_far.slew),
          what + ": far-end metrics differ bitwise");
   expect(ra.solver == rb.solver, what + ": replay solvers differ");
+  if (!waves) return;
   expect_wave_bitwise(ra.model_far_wave, rb.model_far_wave,
                       what + ": far-end waveform");
 }
@@ -713,14 +717,14 @@ void check_batched_replay_equivalence(api::Engine& engine, std::uint64_t seed,
     for (std::size_t m = 0; m < members; ++m) {
       requests.push_back(replay_request(
           "replay-eq-" + std::to_string(c) + "-" + std::to_string(m), net, cell,
-          rng.uniform(25 * ps, 300 * ps), solver));
+          rng.uniform(25 * ps, 300 * ps), solver, true));
     }
   }
   {
     Rng net_rng = rng.split();
     const net::Net net = instantiate(random_net_recipe(net_rng));
     requests.push_back(replay_request("replay-eq-singleton", net, rng.pick(kCells),
-                                      rng.uniform(25 * ps, 300 * ps), solver));
+                                      rng.uniform(25 * ps, 300 * ps), solver, true));
   }
 
   api::BatchOptions batched = options;
@@ -730,6 +734,14 @@ void check_batched_replay_equivalence(api::Engine& engine, std::uint64_t seed,
   per_slot.batch_scenarios = false;
   per_slot.n_threads = 1 + static_cast<unsigned>(rng.uniform_index(8));
 
+  // Kept waveforms run every replay to the full horizon; dropped, each
+  // replay ends at its last measured crossing, and its edges must still be
+  // the full-horizon ones bitwise.
+  const bool keep = rng.chance(0.5);
+  const std::vector<api::Request> full = requests;
+  for (api::Request& r : requests) r.keep_waveforms = keep;
+  const std::string mode = keep ? "waveforms kept" : "waveforms dropped";
+
   const std::vector<api::Outcome<api::Response>> a =
       engine.run_batch(requests, batched);
   const std::vector<api::Outcome<api::Response>> b =
@@ -738,8 +750,18 @@ void check_batched_replay_equivalence(api::Engine& engine, std::uint64_t seed,
     expect_identical_replay_slot(
         a[k], b[k],
         "batched-vs-per-slot, slot '" + requests[k].label + "' (" +
-            sim::to_string(solver) + ", " + std::to_string(batched.n_threads) +
-            " vs " + std::to_string(per_slot.n_threads) + " threads)");
+            sim::to_string(solver) + ", " + mode + ", " +
+            std::to_string(batched.n_threads) + " vs " +
+            std::to_string(per_slot.n_threads) + " threads)");
+  }
+  if (keep) return;
+  const std::vector<api::Outcome<api::Response>> c = engine.run_batch(full, per_slot);
+  for (std::size_t k = 0; k < requests.size(); ++k) {
+    expect_identical_replay_slot(
+        a[k], c[k],
+        "stopped-vs-full-horizon, slot '" + requests[k].label + "' (" +
+            sim::to_string(solver) + ")",
+        false);
   }
 }
 
@@ -797,15 +819,8 @@ void check_chaos_replay_group(api::Engine& engine, std::uint64_t seed,
   for (std::size_t k = 0; k < slots; ++k) {
     clean.push_back(replay_request("chaos-replay-" + std::to_string(k), net, cell,
                                    rng.uniform(25 * ps, 300 * ps),
-                                   sim::SolverKind::automatic));
+                                   sim::SolverKind::automatic, true));
   }
-
-  api::BatchOptions base = options;
-  base.batch_scenarios = true;
-  base.n_threads = 1;
-  base.debug_slot_fault = nullptr;
-  const std::vector<api::Outcome<api::Response>> baseline =
-      engine.run_batch(clean, base);
 
   const std::size_t victim = rng.uniform_index(slots);
   constexpr FaultKind kMenu[] = {FaultKind::worker_throw,
@@ -813,6 +828,17 @@ void check_chaos_replay_group(api::Engine& engine, std::uint64_t seed,
                                  FaultKind::step_budget};
   SlotFault fault;
   fault.kind = rng.pick(kMenu);
+  // Dropped waveforms put every lane on the measured-edge stop: the mates
+  // retire at their own last crossing, the victim at its budget.
+  const bool keep = rng.chance(0.5);
+  for (api::Request& r : clean) r.keep_waveforms = keep;
+
+  api::BatchOptions base = options;
+  base.batch_scenarios = true;
+  base.n_threads = 1;
+  base.debug_slot_fault = nullptr;
+  const std::vector<api::Outcome<api::Response>> baseline =
+      engine.run_batch(clean, base);
 
   std::vector<api::Request> faulted = clean;
   switch (fault.kind) {
@@ -824,8 +850,8 @@ void check_chaos_replay_group(api::Engine& engine, std::uint64_t seed,
     case FaultKind::step_budget:
       // Unlike the plain chaos lane (which forces the reference path), this
       // budget meters the *deferred replay*: the victim joins the block and
-      // its lane must be retired inside it.  Any replay horizon runs well
-      // past ten steps.
+      // its lane must be retired inside it.  Any replay runs well past ten
+      // steps before its far end completes, stopped or not.
       faulted[victim].budget.max_transient_steps = 10;
       break;
     default:
@@ -856,7 +882,8 @@ void check_chaos_replay_group(api::Engine& engine, std::uint64_t seed,
       const std::string where = "chaos replay group slot " + std::to_string(k) +
                                 " [" +
                                 (k == victim ? to_string(fault.kind) : "mate") +
-                                ", " + mode + "]";
+                                ", " + mode +
+                                (keep ? ", waveforms kept]" : ", waveforms dropped]");
       if (k != victim) {
         expect_identical_replay_slot(baseline[k], (*run)[k],
                                      where + " vs clean baseline");
@@ -903,6 +930,216 @@ void check_nan_stamp_fault(const net::Net& net, Rng rng,
   expect(caught,
          "NaN-poisoned cached stamp escaped: the simulator returned waveforms "
          "instead of raising SingularMatrixError");
+}
+
+namespace {
+
+// A horizon long enough for the slowest instance to finish its edges: the
+// experiment harness's settle heuristic.
+double settle_horizon(double input_slew, double cell_size, const net::Net& net,
+                      double extra_cap = 0.0) {
+  return 10 * ps + input_slew +
+         std::max(1 * ns, core::settle_time(cell_size, net.metrics(), extra_cap));
+}
+
+// True when `w` crosses all three rising-edge levels of [0, vdd].
+bool completes_edge(const wave::Waveform& w, double vdd) {
+  for (double level : wave::rising_edge_levels(0.0, vdd)) {
+    if (!w.first_crossing(level).has_value()) return false;
+  }
+  return true;
+}
+
+wave::Waveform first_samples(const wave::Waveform& w, std::size_t n) {
+  return wave::Waveform(std::vector<double>(w.times().begin(), w.times().begin() + n),
+                        std::vector<double>(w.values().begin(), w.values().begin() + n));
+}
+
+// One probe of a deck run three ways: with the measured-edge stop on, with
+// it off (to t_stop), and with it on over an unreachable rail.
+struct StopProbe {
+  std::string name;
+  const wave::Waveform* stopped;
+  const wave::Waveform* full;
+  const wave::Waveform* never;
+  bool watched;  // the deck watches this node for the stop
+};
+
+// The sim::EdgeStop contract over one deck's probes: every stopped waveform
+// is a bitwise prefix of the full-horizon one; an unreachable rail runs to
+// t_stop; and when every watched edge completes, the run ends at the first
+// sample holding all of them, with bitwise-equal edge timings.  Otherwise the
+// run is the full-horizon run.
+void expect_stop_contract(const std::vector<StopProbe>& probes, double vdd,
+                          const std::string& what) {
+  bool complete = true;
+  for (const StopProbe& p : probes) {
+    const std::string where = what + " " + p.name;
+    expect(p.stopped->size() <= p.full->size(),
+           where + ": the stopped run outlasts the full-horizon run");
+    for (std::size_t k = 0; k < p.stopped->size(); ++k) {
+      expect(dbits(p.stopped->time(k)) == dbits(p.full->time(k)) &&
+                 dbits(p.stopped->value(k)) == dbits(p.full->value(k)),
+             where + ": stopped sample " + std::to_string(k) +
+                 " differs bitwise from the full-horizon run");
+    }
+    expect_wave_bitwise(*p.never, *p.full, where + ": unreachable-rail run vs full");
+    if (p.watched) complete = complete && completes_edge(*p.full, vdd);
+  }
+  if (!complete) {
+    for (const StopProbe& p : probes) {
+      expect_wave_bitwise(*p.stopped, *p.full,
+                          what + " " + p.name + ": an incomplete edge stopped early");
+    }
+    return;
+  }
+  bool complete_one_sample_earlier = true;
+  for (const StopProbe& p : probes) {
+    if (!p.watched) continue;
+    const std::string where = what + " " + p.name;
+    const wave::EdgeTiming a = wave::measure_rising_edge(*p.stopped, 0.0, vdd);
+    const wave::EdgeTiming b = wave::measure_rising_edge(*p.full, 0.0, vdd);
+    expect(dbits(a.t10) == dbits(b.t10) && dbits(a.t50) == dbits(b.t50) &&
+               dbits(a.t90) == dbits(b.t90),
+           where + ": stopped edge timings differ bitwise from the full-horizon run");
+    complete_one_sample_earlier =
+        complete_one_sample_earlier &&
+        completes_edge(first_samples(*p.stopped, p.stopped->size() - 1), vdd);
+  }
+  expect(!complete_one_sample_earlier,
+         what + ": the run went on past the sample completing every watched edge");
+}
+
+}  // namespace
+
+void check_measured_edge_stop(const net::Net& net, Rng rng,
+                              const OracleOptions& options) {
+  const tech::Technology technology = tech::Technology::cmos180();
+  const double vdd = technology.vdd;
+  const double cell = rng.pick(kCells);
+  const double input_slew = rng.uniform(25 * ps, 300 * ps);
+  const tech::DeckOptions deck =
+      equivalence_deck(options, settle_horizon(input_slew, cell, net));
+  const wave::Pwl ramp = wave::ramp(deck.t_start, input_slew, 0.0, vdd);
+
+  enum class Deck { driver, source, cap_load, block };
+  const Deck kind = static_cast<Deck>(rng.uniform_index(4));
+  if (kind == Deck::block) {
+    // Lanes of one net, each with its own slew and horizon; one may end
+    // before its edge completes.  Every lane must stop exactly where the
+    // scalar engine stops the same deck alone.
+    const std::size_t lanes = 2 + rng.uniform_index(3);
+    const std::size_t short_lane = rng.chance(0.5) ? rng.uniform_index(lanes) : lanes;
+    std::vector<tech::DeckOptions> lane_decks(lanes, deck);
+    std::vector<tech::SourceNetDeck> compiled;
+    compiled.reserve(lanes);
+    std::vector<sim::BlockScenario> scenarios;
+    scenarios.reserve(lanes);
+    for (std::size_t k = 0; k < lanes; ++k) {
+      const double slew = rng.uniform(25 * ps, 300 * ps);
+      lane_decks[k].t_stop = k == short_lane ? deck.t_start + 0.5 * slew
+                                             : settle_horizon(slew, cell, net);
+      lane_decks[k].sim.edge_stop.vdd = vdd;
+      compiled.push_back(tech::compile_source_net(
+          wave::ramp(deck.t_start, slew, 0.0, vdd), net, lane_decks[k]));
+    }
+    for (std::size_t k = 0; k < lanes; ++k) {
+      scenarios.push_back({&compiled[k].netlist, lane_decks[k].t_stop, nullptr});
+    }
+    const std::vector<sim::BlockOutcome> block = sim::simulate_block(
+        scenarios, tech::sim_options(lane_decks[0], compiled[0]), compiled[0].probes);
+    for (std::size_t k = 0; k < lanes; ++k) {
+      const std::string where = "block lane " + std::to_string(k);
+      expect(block[k].result.has_value(), where + " failed");
+      const sim::TransientResult& lane = block[k].result.value();
+      const sim::TransientResult alone =
+          sim::simulate(compiled[k].netlist, tech::sim_options(lane_decks[k], compiled[k]),
+                        compiled[k].probes);
+      for (ckt::NodeId node : compiled[k].probes) {
+        expect_wave_bitwise(lane.at(node), alone.at(node),
+                            where + " vs the stopped scalar run, node " +
+                                std::to_string(node));
+      }
+    }
+    return;
+  }
+
+  auto run = [&](double rail) {
+    tech::DeckOptions d = deck;
+    d.sim.edge_stop.vdd = rail;
+    const tech::Inverter inverter{cell};
+    switch (kind) {
+      case Deck::driver:
+        return tech::simulate_driver_net(technology, inverter, input_slew, net, d);
+      case Deck::source:
+        return tech::simulate_source_net(ramp, net, d);
+      default: {
+        tech::NetSimResult r;
+        r.near_end = tech::simulate_driver_cap_load(technology, inverter, input_slew,
+                                                    net.total_capacitance(), d);
+        return r;
+      }
+    }
+  };
+  const tech::NetSimResult stopped = run(vdd);
+  const tech::NetSimResult full = run(0.0);
+  const tech::NetSimResult never = run(10.0 * vdd);
+
+  std::vector<StopProbe> probes;
+  probes.push_back({"near end", &stopped.near_end, &full.near_end, &never.near_end, true});
+  for (std::size_t k = 0; k < stopped.leaves.size(); ++k) {
+    probes.push_back({"leaf " + std::to_string(k), &stopped.leaves[k], &full.leaves[k],
+                      &never.leaves[k], true});
+  }
+  for (std::size_t k = 0; k < stopped.probes.size(); ++k) {
+    probes.push_back({"probe '" + stopped.probes[k].first + "'", &stopped.probes[k].second,
+                      &full.probes[k].second, &never.probes[k].second, false});
+  }
+  const char* names[] = {"driver deck", "source deck", "cap-load deck"};
+  expect_stop_contract(probes, vdd, names[static_cast<int>(kind)]);
+}
+
+void check_measured_edge_stop(const net::CoupledGroup& group, Rng rng,
+                              const OracleOptions& options) {
+  const tech::Technology technology = tech::Technology::cmos180();
+  const double vdd = technology.vdd;
+  double t_stop = 0.0;
+  std::vector<tech::NetDrive> drives(group.size());
+  for (std::size_t k = 0; k < group.size(); ++k) {
+    drives[k].cell = tech::Inverter{rng.pick(kCells)};
+    drives[k].input_slew = rng.uniform(25 * ps, 200 * ps);
+    const tech::DriveEdge edges[] = {tech::DriveEdge::rise, tech::DriveEdge::fall,
+                                     tech::DriveEdge::hold_low};
+    drives[k].edge = edges[rng.uniform_index(3)];
+    t_stop = std::max(t_stop, settle_horizon(drives[k].input_slew, drives[k].cell.size,
+                                             group.net_at(k),
+                                             group.coupling_capacitance_at(k)));
+  }
+  drives[0].edge = tech::DriveEdge::rise;  // at least one watched net
+
+  auto run = [&](double rail) {
+    tech::DeckOptions d = equivalence_deck(options, t_stop);
+    d.sim.edge_stop.vdd = rail;
+    return tech::simulate_coupled_group(technology, drives, group, d);
+  };
+  const tech::CoupledSimResult stopped = run(vdd);
+  const tech::CoupledSimResult full = run(0.0);
+  const tech::CoupledSimResult never = run(10.0 * vdd);
+
+  std::vector<StopProbe> probes;
+  for (std::size_t k = 0; k < group.size(); ++k) {
+    const std::string net = "'" + group.label_at(k) + "'";
+    const bool rises = drives[k].edge == tech::DriveEdge::rise;
+    const tech::NetSimResult& s = stopped.nets[k];
+    const tech::NetSimResult& f = full.nets[k];
+    const tech::NetSimResult& n = never.nets[k];
+    probes.push_back({net + " near end", &s.near_end, &f.near_end, &n.near_end, rises});
+    for (std::size_t j = 0; j < s.leaves.size(); ++j) {
+      probes.push_back({net + " leaf " + std::to_string(j), &s.leaves[j], &f.leaves[j],
+                        &n.leaves[j], rises});
+    }
+  }
+  expect_stop_contract(probes, vdd, "coupled deck");
 }
 
 void check_group_invariants(const net::CoupledGroup& group, std::size_t victim,

@@ -167,6 +167,9 @@ void check_chaos_batch(api::Engine& engine, std::uint64_t seed,
 // at independently drawn thread counts.  `solver` pins every replay deck to
 // one backend, so forcing each explicit kind in turn marches the whole
 // random-topology family through all three blocked substitution paths.
+// keep_waveforms is drawn per seed: without it every replay ends at its last
+// measured crossing (sim::EdgeStop), and the batched slots must also match a
+// full-horizon per-slot run's edges bitwise.
 void check_batched_replay_equivalence(api::Engine& engine, std::uint64_t seed,
                                       const api::BatchOptions& options,
                                       sim::SolverKind solver);
@@ -188,7 +191,8 @@ void check_adversarial_grouping(std::uint64_t seed, const OracleOptions& options
 // instant_deadline kill the victim before its replay is enqueued (the group
 // runs as N-1 lanes); step_budget lets the victim join the block and die
 // inside it (its lane is retired mid-block) — both shapes must leave the
-// mates' waveforms untouched.
+// mates' waveforms untouched.  keep_waveforms is drawn per seed, so the
+// lanes run with and without the measured-edge stop.
 void check_chaos_replay_group(api::Engine& engine, std::uint64_t seed,
                               const api::BatchOptions& options,
                               std::size_t slots = 4);
@@ -201,6 +205,21 @@ void check_chaos_replay_group(api::Engine& engine, std::uint64_t seed,
 // waveforms.  The unpoisoned deck must simulate cleanly first.
 void check_nan_stamp_fault(const net::Net& net, Rng rng,
                            const OracleOptions& options);
+
+// Measured-edge stop (sim::EdgeStop): runs one deck drawn from `rng` — the
+// driver into the net, a ramp source into it, the driver into a lumped load
+// of the net's capacitance, or a shared-factorization block of source-deck
+// lanes — with the stop on, off (to t_stop), and on over an unreachable
+// rail.  Requires every stopped waveform to be a bitwise prefix of the
+// full-horizon one, the unreachable rail to run to t_stop, and the stop to
+// land on the first sample completing every watched edge, with edge timings
+// bitwise equal to the full-horizon run's.  Block lanes (one of them
+// possibly too short to finish its edge) must equal the stopped scalar run
+// of the same deck bitwise.  The group overload does the same on a coupled
+// deck with every net driven, watching the nets driven to rise.
+void check_measured_edge_stop(const net::Net& net, Rng rng, const OracleOptions& options);
+void check_measured_edge_stop(const net::CoupledGroup& group, Rng rng,
+                              const OracleOptions& options);
 
 }  // namespace rlceff::testkit
 

@@ -41,13 +41,11 @@ std::optional<double> Waveform::first_crossing(double level, bool rising) const 
   for (std::size_t i = 1; i < t_.size(); ++i) {
     const double a = v_[i - 1];
     const double b = v_[i];
-    const bool crossed = rising ? (a < level && b >= level) : (a > level && b <= level);
-    if (crossed) {
-      const double w = (level - a) / (b - a);
-      return t_[i - 1] + w * (t_[i] - t_[i - 1]);
-    }
+    if (!crosses(a, b, level, rising)) continue;
     // Exact hit on a sample moving in the right direction.
-    if (a == level && ((rising && b > a) || (!rising && b < a))) return t_[i - 1];
+    if (a == level) return t_[i - 1];
+    const double w = (level - a) / (b - a);
+    return t_[i - 1] + w * (t_[i] - t_[i - 1]);
   }
   return std::nullopt;
 }
@@ -82,13 +80,18 @@ Waveform Waveform::shifted(double dt) const {
   return Waveform(std::move(t), v_);
 }
 
+std::array<double, 3> rising_edge_levels(double v_from, double v_to) {
+  const double swing = v_to - v_from;
+  return {v_from + 0.1 * swing, v_from + 0.5 * swing, v_from + 0.9 * swing};
+}
+
 EdgeTiming measure_rising_edge(const Waveform& w, double v_from, double v_to) {
   ensure(v_to > v_from, "measure_rising_edge: v_to must exceed v_from");
-  const double swing = v_to - v_from;
+  const std::array<double, 3> levels = rising_edge_levels(v_from, v_to);
   EdgeTiming e;
-  const auto t10 = w.first_crossing(v_from + 0.1 * swing, true);
-  const auto t50 = w.first_crossing(v_from + 0.5 * swing, true);
-  const auto t90 = w.first_crossing(v_from + 0.9 * swing, true);
+  const auto t10 = w.first_crossing(levels[0], true);
+  const auto t50 = w.first_crossing(levels[1], true);
+  const auto t90 = w.first_crossing(levels[2], true);
   ensure(t10.has_value() && t50.has_value() && t90.has_value(),
          "measure_rising_edge: waveform does not complete the transition");
   e.t10 = *t10;

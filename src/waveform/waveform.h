@@ -7,11 +7,21 @@
 #ifndef RLCEFF_WAVEFORM_WAVEFORM_H
 #define RLCEFF_WAVEFORM_WAVEFORM_H
 
+#include <array>
 #include <optional>
 #include <span>
 #include <vector>
 
 namespace rlceff::wave {
+
+// The sample-pair test behind Waveform::first_crossing: true when the
+// segment from value `a` to value `b` holds a crossing of `level` in the
+// given direction (rising: from below to at-or-above), or starts exactly on
+// the level and moves the right way.
+inline bool crosses(double a, double b, double level, bool rising = true) {
+  const bool crossed = rising ? (a < level && b >= level) : (a > level && b <= level);
+  return crossed || (a == level && (rising ? b > a : b < a));
+}
 
 class Waveform {
 public:
@@ -66,6 +76,10 @@ struct EdgeTiming {
   double ramp_transition() const { return (t90 - t10) / 0.8; }
   double transition_10_90() const { return t90 - t10; }
 };
+
+// The 10, 50 and 90 % levels of a rising edge from v_from to v_to, in that
+// order: the levels measure_rising_edge crosses.
+std::array<double, 3> rising_edge_levels(double v_from, double v_to);
 
 // Measures a rising edge from v_from to v_to; throws when the waveform never
 // reaches the 90 % level.

@@ -640,6 +640,37 @@ TEST_F(EngineFixture, BatchedReplayBitwiseMatchesPerSlot) {
   }
 }
 
+TEST_F(EngineFixture, ReplayEdgeStopFollowsKeepWaveformsOnly) {
+  // BatchOptions::deck may arrive with the measured-edge stop on; the Engine
+  // sets it from keep_waveforms alone.  Kept replays stay full length, and a
+  // stopped replay's far edge is bitwise the full-horizon one, batched or
+  // per slot.
+  const std::vector<Request> kept = {replay_request("stop-40", 40 * ps),
+                                     replay_request("stop-160", 160 * ps)};
+  std::vector<Request> dropped = kept;
+  for (Request& r : dropped) r.keep_waveforms = false;
+
+  const std::vector<Outcome<Response>> full = engine_->run_batch(kept, fast_options());
+  for (const bool batch : {true, false}) {
+    BatchOptions asked = fast_options();
+    asked.deck.sim.edge_stop.vdd = engine_->technology().vdd;
+    asked.batch_scenarios = batch;
+    const std::vector<Outcome<Response>> k = engine_->run_batch(kept, asked);
+    const std::vector<Outcome<Response>> d = engine_->run_batch(dropped, asked);
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      ASSERT_TRUE(full[i].ok() && k[i].ok() && d[i].ok()) << kept[i].label;
+      expect_wave_bitwise(full[i].value().model_far_wave, k[i].value().model_far_wave);
+      EXPECT_TRUE(d[i].value().model_far_wave.empty());
+      EXPECT_EQ(api_dbits(full[i].value().model_far.delay),
+                api_dbits(d[i].value().model_far.delay))
+          << kept[i].label;
+      EXPECT_EQ(api_dbits(full[i].value().model_far.slew),
+                api_dbits(d[i].value().model_far.slew))
+          << kept[i].label;
+    }
+  }
+}
+
 TEST_F(EngineFixture, BatchedReplayIsolatesBudgetedSlot) {
   // Slot 1 carries a transient step budget too small for its replay: it must
   // fail with resource_exhausted while its group-mates stay bitwise equal to

@@ -564,5 +564,62 @@ TEST_F(CoupledExperimentFixture, OppositeAggressorPushesOutDelayAndInjectsNoise)
   EXPECT_LT(helped.delay_pushout, 0.0);
 }
 
+TEST_F(CoupledExperimentFixture, IncomingEdgeStopIsOverridden) {
+  // The experiments set the measured-edge stop from keep_waveforms alone: a
+  // caller's deck that turns it on changes nothing.  Kept waveforms run the
+  // full horizon, and so does the noise deck, whose rising aggressors would
+  // otherwise give it edges to stop at.
+  const tech::Technology technology = tech::Technology::cmos180();
+  core::CoupledExperimentCase scenario;
+  scenario.label = "pair";
+  scenario.group = two_lines(120 * ff);
+  scenario.victim = 0;
+  scenario.driver_size = 75.0;
+  scenario.input_slew = 100 * ps;
+  scenario.aggressors.assign(
+      2, {75.0, 100 * ps, core::AggressorSwitching::same_direction});
+
+  core::ExperimentCase plain;
+  plain.label = "plain";
+  plain.driver_size = 75.0;
+  plain.input_slew = 100 * ps;
+  plain.net = short_line();
+
+  for (const bool keep : {true, false}) {
+    SCOPED_TRACE(keep ? "waveforms kept" : "waveforms dropped");
+    core::CoupledExperimentOptions clean = fast_options();
+    clean.keep_waveforms = keep;
+    core::CoupledExperimentOptions asked = clean;
+    asked.deck.sim.edge_stop.vdd = technology.vdd;
+    const core::CoupledExperimentResult a =
+        core::run_coupled_experiment(technology, library(), scenario, clean);
+    const core::CoupledExperimentResult b =
+        core::run_coupled_experiment(technology, library(), scenario, asked);
+    EXPECT_EQ(a.peak_noise, b.peak_noise);
+    EXPECT_EQ(a.ref_far.delay, b.ref_far.delay);
+    EXPECT_EQ(a.base_far.delay, b.base_far.delay);
+    EXPECT_EQ(a.model_far.delay, b.model_far.delay);
+    expect_same_waveform(a.noise_wave, b.noise_wave);
+    expect_same_waveform(a.ref_far_wave, b.ref_far_wave);
+
+    core::ExperimentOptions plain_clean;
+    plain_clean.deck = fast_options().deck;
+    plain_clean.grid = small_grid();
+    plain_clean.include_one_ramp = false;
+    plain_clean.keep_waveforms = keep;
+    core::ExperimentOptions plain_asked = plain_clean;
+    plain_asked.deck.sim.edge_stop.vdd = technology.vdd;
+    const core::ExperimentResult c =
+        core::run_experiment(technology, library(), plain, plain_clean);
+    const core::ExperimentResult d =
+        core::run_experiment(technology, library(), plain, plain_asked);
+    EXPECT_EQ(c.ref_far.delay, d.ref_far.delay);
+    EXPECT_EQ(c.model_far.delay, d.model_far.delay);
+    expect_same_waveform(c.ref_near_wave, d.ref_near_wave);
+    expect_same_waveform(c.ref_far_wave, d.ref_far_wave);
+    expect_same_waveform(c.model_far_wave, d.model_far_wave);
+  }
+}
+
 }  // namespace
 }  // namespace rlceff::net

@@ -567,6 +567,32 @@ TEST(PropertySuite, NanStampGuard) {
   });
 }
 
+// Ending a run at its last measured crossing is an execution strategy, not
+// an estimator: over random nets, coupled groups, cap loads and block lanes,
+// the stopped waveforms must be bitwise prefixes of the full-horizon ones
+// with bitwise-equal edges, and an edge that never completes must run to
+// t_stop.
+TEST(PropertySuite, MeasuredEdgeStop) {
+  run_family("measured_edge_stop", 80, 1, [](std::uint64_t seed) {
+    OracleOptions options;
+    options.solver = g_config.forced_solver;
+    if (Rng(mix_seed(seed, 0x5709)).chance(0.25)) {
+      return run_group_instance(
+          "measured_edge_stop", seed, [options](const GroupRecipe& recipe, Rng rng) {
+            GroupRecipe trimmed = recipe;
+            if (trimmed.members.size() > 2) trimmed.members.resize(2);
+            OracleOptions narrow = options;
+            narrow.segments = 4;
+            check_measured_edge_stop(instantiate(trimmed), rng, narrow);
+          });
+    }
+    return run_net_instance("measured_edge_stop", seed,
+                            [options](const net::Net& net, Rng rng) {
+                              check_measured_edge_stop(net, rng, options);
+                            });
+  });
+}
+
 // TierPolicy::force_ceff must be bitwise-identical to the legacy model-only
 // path on every random request (single nets and coupled groups alike): the
 // tier subsystem is routing, not a new estimator, for Tier B.

@@ -11,16 +11,23 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "api/engine.h"
+#include "core/coupled_experiment.h"
 #include "core/driver_model.h"
+#include "core/experiment.h"
 #include "moments/admittance.h"
 #include "net/coupled.h"
 #include "tech/wire.h"
 #include "test_helpers.h"
+#include "testkit/generate.h"
+#include "testkit/rng.h"
 #include "tier/envelope.h"
 #include "tier/router.h"
+#include "util/budget.h"
 #include "util/units.h"
 
 namespace rlceff::tier {
@@ -308,6 +315,52 @@ TEST_F(TierEngineFixture, ForcedPoliciesPinTheirTier) {
   }
 }
 
+TEST_F(TierEngineFixture, FastestDampedRescueReportsOneEscalation) {
+  // Tier A refuses the inductive net (one escalation) and the over-relaxed
+  // Tier-B fixed point fails to converge.  The damped retry re-enters the
+  // cascade, where Tier A refuses the net again, so the rescued answer is
+  // force_ceff's at the retry damping and reports one escalation.
+  api::Request r = inductive_request("fastest-over-relaxed");
+  r.tier = TierPolicy::fastest;
+  r.model.iteration.damping = 6.0;
+  r.degrade.enabled = true;
+  r.degrade.retry_damping = 1.0;
+  const api::Outcome<api::Response> out = engine_->model(r, fast_options());
+  ASSERT_TRUE(out.ok()) << out.error().message;
+  const api::Response& rescued = out.value();
+  EXPECT_EQ(rescued.tier, Tier::ceff);
+  EXPECT_EQ(rescued.fidelity, api::Fidelity::ceff_model);
+  EXPECT_FALSE(rescued.degraded);
+  EXPECT_EQ(rescued.tier_escalations, 1u);
+  ASSERT_EQ(rescued.attempts.size(), 1u);
+  EXPECT_EQ(rescued.attempts.front().code, api::ErrorCode::convergence_failure);
+
+  api::Request tier_b = inductive_request("force-b-damped");
+  tier_b.tier = TierPolicy::force_ceff;
+  tier_b.model.iteration.damping = 1.0;
+  const api::Outcome<api::Response> direct = engine_->model(tier_b, fast_options());
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(rescued.model_near.delay, direct.value().model_near.delay);
+  EXPECT_EQ(rescued.model_near.slew, direct.value().model_near.slew);
+}
+
+TEST_F(TierEngineFixture, FloorAnswerKeepsEscalations) {
+  // The same non-converging slot without a retry lands on the moments-only
+  // floor, which still reports the escalation the cascade took.
+  api::Request r = inductive_request("fastest-floor");
+  r.tier = TierPolicy::fastest;
+  r.model.iteration.damping = 6.0;
+  r.degrade.enabled = true;
+  r.degrade.retry_damping = 0.0;
+  const api::Outcome<api::Response> out = engine_->model(r, fast_options());
+  ASSERT_TRUE(out.ok()) << out.error().message;
+  EXPECT_EQ(out.value().fidelity, api::Fidelity::moments_only);
+  EXPECT_TRUE(out.value().degraded);
+  EXPECT_EQ(out.value().tier_escalations, 1u);
+  ASSERT_EQ(out.value().attempts.size(), 1u);
+  EXPECT_EQ(out.value().attempts.front().code, api::ErrorCode::convergence_failure);
+}
+
 TEST_F(TierEngineFixture, AnalyticalCeffAgreesWithCeffTier) {
   // Tier A's secant fixed point and Tier B's damped iteration solve the same
   // equation over the same charge model; on a lumped RC net (no ladder
@@ -354,6 +407,128 @@ TEST_F(TierEngineFixture, CoupledAnalyticalReportsNoiseBound) {
   expect_rel_near(engine_->technology().vdd * cc / (cc + cg),
                   out.value().noise_bound, 1e-9);
 }
+
+// ---------------------------------------------------------------------------
+// the fleet tail: Tier C served once, from its simulated edges
+
+// Nets 101, 127, 141 and 195 of the randomized-fleet generator stream, at
+// the balanced fleet's deck fidelity (8 segments, 4 ps).  Their Tier-B fixed
+// point (for the coupled net 101, the quiet baseline's) does not converge,
+// so the balanced cascade escalates them to the transient reference; the
+// Ceff model is then only a diagnostic.
+class TierFleetTail : public ::testing::TestWithParam<std::size_t> {
+protected:
+  static void SetUpTestSuite() {
+    engine_ = new api::Engine(tech::Technology::cmos180());
+  }
+  static void TearDownTestSuite() {
+    delete engine_;
+    engine_ = nullptr;
+  }
+  static api::BatchOptions options() {
+    api::BatchOptions opt;
+    opt.deck.segments = 8;
+    opt.deck.dt = 4 * ps;
+    return opt;
+  }
+  static api::Request fleet_net(std::size_t index) {
+    testkit::Rng rng(testkit::mix_seed(0x20030603ull, 0xF1EE7, index));
+    return testkit::random_request(rng);
+  }
+  // The accepted transient steps of the one Tier-C experiment the Engine
+  // runs for `r` (the request's far-end and noise switches, no kept
+  // waveforms, so with the measured-edge stop), metered by a tracker.
+  static std::int64_t tier_c_steps(const api::Request& r) {
+    util::ExecBudget spec;
+    spec.max_transient_steps = std::numeric_limits<std::int64_t>::max();
+    util::ExecTracker tracker(spec);
+    tech::DeckOptions deck = options().deck;
+    deck.sim.budget = &tracker;
+    deck.sim.solver = r.solver;
+    if (r.coupled()) {
+      core::CoupledExperimentCase scenario;
+      scenario.group = r.group;
+      scenario.victim = r.victim;
+      scenario.driver_size = r.cell_size;
+      scenario.input_slew = r.input_slew;
+      core::AggressorDrive quiet;
+      quiet.switching = core::AggressorSwitching::quiet;
+      scenario.aggressors.assign(r.group.size(), quiet);
+      for (const api::Aggressor& a : r.aggressors) {
+        scenario.aggressors[a.net] = {a.cell_size, a.input_slew, a.switching};
+      }
+      core::CoupledExperimentOptions opt;
+      opt.deck = deck;
+      opt.model = r.model;
+      opt.include_far_end = r.far_end;
+      opt.include_noise = r.noise;
+      core::run_coupled_experiment(engine_->technology(), engine_->library(), scenario,
+                                   opt);
+    } else {
+      core::ExperimentCase scenario;
+      scenario.driver_size = r.cell_size;
+      scenario.input_slew = r.input_slew;
+      scenario.net = r.net;
+      core::ExperimentOptions opt;
+      opt.deck = deck;
+      opt.model = r.model;
+      opt.include_far_end = r.far_end;
+      opt.include_one_ramp = false;
+      core::run_experiment(engine_->technology(), engine_->library(), scenario, opt);
+    }
+    return tracker.steps_used();
+  }
+  static api::Engine* engine_;
+};
+
+api::Engine* TierFleetTail::engine_ = nullptr;
+
+TEST_P(TierFleetTail, BalancedAnswersFromOneTierCExperiment) {
+  api::Request r = fleet_net(GetParam());
+  r.tier = TierPolicy::balanced;
+  r.degrade.enabled = true;
+  auto expect_tier_c = [](const api::Outcome<api::Response>& out) {
+    ASSERT_TRUE(out.ok()) << out.error().message;
+    const api::Response& s = out.value();
+    EXPECT_EQ(s.tier, Tier::reference);
+    EXPECT_EQ(s.fidelity, api::Fidelity::reference);
+    EXPECT_TRUE(s.has_reference);
+    EXPECT_FALSE(s.degraded);
+    EXPECT_EQ(s.tier_escalations, 2u);
+    EXPECT_TRUE(s.attempts.empty());
+    // The answer is the simulated edge, not the diagnostic model's.
+    EXPECT_EQ(&s.answer_near(), &s.ref_near);
+    EXPECT_GT(s.answer_near().slew, 0.0);
+  };
+  expect_tier_c(engine_->model(r, options()));
+
+  // A step budget of exactly one Tier-C experiment suffices; one step less
+  // lands on the moments-only floor, which keeps the escalation path.
+  const std::int64_t steps = tier_c_steps(r);
+  ASSERT_GT(steps, 0);
+  r.budget.max_transient_steps = steps;
+  expect_tier_c(engine_->model(r, options()));
+  r.budget.max_transient_steps = steps - 1;
+  const api::Outcome<api::Response> floor = engine_->model(r, options());
+  ASSERT_TRUE(floor.ok()) << floor.error().message;
+  EXPECT_EQ(floor.value().fidelity, api::Fidelity::moments_only);
+  EXPECT_TRUE(floor.value().degraded);
+  EXPECT_EQ(floor.value().tier_escalations, 2u);
+  ASSERT_EQ(floor.value().attempts.size(), 1u);
+  EXPECT_EQ(floor.value().attempts.front().code, api::ErrorCode::resource_exhausted);
+}
+
+TEST_P(TierFleetTail, ForceReferenceKeepsTheConvergenceGate) {
+  api::Request r = fleet_net(GetParam());
+  r.tier = TierPolicy::force_reference;
+  const api::Outcome<api::Response> out = engine_->model(r, options());
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.error().code, api::ErrorCode::convergence_failure);
+}
+
+INSTANTIATE_TEST_SUITE_P(FleetNets, TierFleetTail,
+                         ::testing::Values(std::size_t{101}, std::size_t{127},
+                                           std::size_t{141}, std::size_t{195}));
 
 }  // namespace
 }  // namespace rlceff::tier

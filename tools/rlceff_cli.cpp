@@ -87,7 +87,9 @@
 //                        Incompatible with --reference (use --tier c).
 //                        --json reports the serving tier and escalation
 //                        count per net plus a per-tier count summary; text
-//                        mode prints the summary as a trailing comment
+//                        mode prints the summary as a trailing comment.
+//                        A net served by Tier C reports its simulated
+//                        delay/slew (api::Response::answer_near)
 //     --far-end          model-only far-end replay: each uncoupled slot
 //                        replays its modeled driver waveform through the net
 //                        and reports the far-end delay/slew (the paper's
@@ -670,11 +672,14 @@ void print_json(const CliOptions& cli, const std::vector<DeckNet>& slots,
       continue;
     }
     const api::Response& r = results[k].value();
+    // --reference documents compare the model (delay_ps) with the simulation
+    // (ref_delay_ps); otherwise delay_ps is the slot's answer, simulated when
+    // the cascade served it from Tier C.
+    const core::EdgeMetrics& near = cli.reference ? r.model_near : r.answer_near();
     std::printf("\"ok\": true, \"model\": \"%s\", \"fidelity\": \"%s\", "
                 "\"degraded\": %s, \"delay_ps\": %.4f, \"slew_ps\": %.4f",
                 kind_name(r.model.kind), api::to_string(r.fidelity),
-                r.degraded ? "true" : "false", r.model_near.delay / ps,
-                r.model_near.slew / ps);
+                r.degraded ? "true" : "false", near.delay / ps, near.slew / ps);
     if (cli.tier != tier::TierPolicy::reference) {
       std::printf(", \"tier\": \"%s\", \"tier_escalations\": %zu",
                   tier::to_string(r.tier), r.tier_escalations);
@@ -1007,8 +1012,8 @@ int main(int argc, char** argv) {
                     r.ref_near.slew / ps);
       } else {
         std::printf("%-12s %-9s %11.2f %11.2f\n", r.label.c_str(),
-                    kind_name(r.model.kind), r.model_near.delay / ps,
-                    r.model_near.slew / ps);
+                    kind_name(r.model.kind), r.answer_near().delay / ps,
+                    r.answer_near().slew / ps);
       }
       if (r.degraded) {
         std::printf("#   %s: degraded to %s after %zu abandoned attempt(s)\n",
