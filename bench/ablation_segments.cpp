@@ -25,11 +25,11 @@ int main() {
     deck.segments = segments;
     deck.dt = 0.25 * ps;
     deck.t_stop = 1.2 * ns;
-    const auto sim = tech::simulate_driver_line(bench::technology(),
-                                                tech::Inverter{100.0}, 100 * ps, wire,
-                                                deck);
+    const auto sim = tech::simulate_driver_net(bench::technology(),
+                                               tech::Inverter{100.0}, 100 * ps,
+                                               tech::line_net(wire, 20 * ff), deck);
     const auto near = wave::measure_rising_edge(sim.near_end, 0.0, vdd);
-    const auto far = wave::measure_rising_edge(sim.far_end, 0.0, vdd);
+    const auto far = wave::measure_rising_edge(sim.leaves.front(), 0.0, vdd);
     const double nd = (near.t50 - sim.input_time_50) / ps;
     const double ns = near.transition_10_90() / ps;
     const double fd = (far.t50 - sim.input_time_50) / ps;

@@ -26,11 +26,13 @@ int main() {
   deck.segments = 160;
   deck.dt = 0.25 * ps;
   deck.t_stop = 0.6e-9;
-  const tech::LineSimResult sim = tech::simulate_driver_line(
-      bench::technology(), tech::Inverter{75.0}, 100 * ps, wire, deck);
+  const tech::NetSimResult sim = tech::simulate_driver_net(
+      bench::technology(), tech::Inverter{75.0}, 100 * ps, tech::line_net(wire, 20 * ff),
+      deck);
+  const wave::Waveform& far_end = sim.leaves.front();
 
   std::printf("\ndriver output waveform ('*' near end, '.' far end):\n");
-  bench::ascii_plot({&sim.near_end, &sim.far_end}, {'*', '.'}, 0.0, 500 * ps, 2.1);
+  bench::ascii_plot({&sim.near_end, &far_end}, {'*', '.'}, 0.0, 500 * ps, 2.1);
 
   // Feature extraction: launch, plateau level, reflection return.
   const double vdd = bench::technology().vdd;
@@ -47,11 +49,11 @@ int main() {
   std::printf("reflection kink             rise %.2f -> %.2f V across 2tf=%.0f ps\n",
               v_before, v_after, 2.0 * tf / ps);
   std::printf("far end starts moving at    %.0f ps           launch + tf = %.0f ps\n",
-              sim.far_end.first_crossing(0.1 * vdd, true).value_or(0.0) / ps,
+              far_end.first_crossing(0.1 * vdd, true).value_or(0.0) / ps,
               (t_launch + tf) / ps);
 
   std::printf("\nsampled series:\n");
-  bench::print_series({&sim.near_end, &sim.far_end}, {"near [V]", "far [V]"}, 0.0,
+  bench::print_series({&sim.near_end, &far_end}, {"near [V]", "far [V]"}, 0.0,
                       500 * ps, 26);
   return 0;
 }

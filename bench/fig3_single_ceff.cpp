@@ -50,8 +50,8 @@ int main() {
   deck.segments = 160;
   deck.dt = 0.25 * ps;
   deck.t_stop = 1.2e-9;
-  const tech::LineSimResult actual = tech::simulate_driver_line(
-      bench::technology(), tech::Inverter{size}, slew, wire, deck);
+  const tech::NetSimResult actual = tech::simulate_driver_net(
+      bench::technology(), tech::Inverter{size}, slew, tech::line_net(wire, c_far), deck);
   const wave::Waveform w_half = tech::simulate_driver_cap_load(
       bench::technology(), tech::Inverter{size}, slew, half.ceff, deck);
   const wave::Waveform w_full = tech::simulate_driver_cap_load(

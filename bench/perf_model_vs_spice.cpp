@@ -224,9 +224,9 @@ void bm_reference_transient(benchmark::State& state) {
   deck.dt = 0.25 * ps;
   deck.t_stop = 1.0 * ns;
   for (auto _ : state) {
-    const auto sim = tech::simulate_driver_line(bench::technology(),
-                                                tech::Inverter{100.0}, 100 * ps,
-                                                wire(), deck);
+    const auto sim = tech::simulate_driver_net(bench::technology(),
+                                               tech::Inverter{100.0}, 100 * ps,
+                                               tech::line_net(wire(), 20 * ff), deck);
     benchmark::DoNotOptimize(sim.near_end.size());
   }
 }
@@ -240,8 +240,9 @@ void bm_far_end_replay_sim(benchmark::State& state) {
   deck.dt = 0.25 * ps;
   deck.t_stop = 1.0 * ns;
   for (auto _ : state) {
-    const auto sim = tech::simulate_source_line(model.waveform, wire(), deck);
-    benchmark::DoNotOptimize(sim.far_end.size());
+    const auto sim =
+        tech::simulate_source_net(model.waveform, tech::line_net(wire(), 20 * ff), deck);
+    benchmark::DoNotOptimize(sim.leaves.front().size());
   }
 }
 BENCHMARK(bm_far_end_replay_sim)->Unit(benchmark::kMillisecond);

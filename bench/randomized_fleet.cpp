@@ -28,9 +28,7 @@
 //
 // Usage: randomized_fleet [--nets N] [--seed S] [--calibrate]
 //        [--envelope-sample K]
-// Writes the "fleet." and "tier." sections of BENCH_perf.json, plus the
-// deprecated stand-alone alias BENCH_random_fleet.json (same metrics, old
-// unprefixed names) for consumers that still read the old file.
+// Writes the "fleet." and "tier." sections of BENCH_perf.json.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -340,19 +338,5 @@ int main(int argc, char** argv) {
       {"envelope_violations", static_cast<double>(envelope_violations), "nets"}};
   bench::update_bench_json("BENCH_perf.json", "perf", "fleet", fleet_metrics);
   bench::update_bench_json("BENCH_perf.json", "perf", "tier", tier_metrics);
-
-  // Deprecated alias: the pre-tiering consumers read these exact names from
-  // this exact file.  Same numbers, frozen schema; new metrics only land in
-  // BENCH_perf.json.
-  bench::write_bench_json(
-      "BENCH_random_fleet.json", "randomized_fleet",
-      {{"fleet_nets", static_cast<double>(n_nets), "nets"},
-       {"fleet_coupled_nets", static_cast<double>(coupled), "nets"},
-       {"fleet_ok_fraction", static_cast<double>(ok) / static_cast<double>(n_nets), ""},
-       {"fleet_nets_per_s", fleet_nets_per_s, "nets/s"},
-       {"fleet_slot_p50_us", 1e6 * p50, "us"},
-       {"fleet_slot_p95_us", 1e6 * p95, "us"},
-       {"fleet_slot_p99_us", 1e6 * p99, "us"},
-       {"fleet_degraded_fraction", degraded_fraction, ""}});
   return 0;
 }

@@ -178,6 +178,39 @@ core::EdgeMetrics measure_model(const core::DriverOutputModel& m, double vdd) {
   return {e.t50, e.transition_10_90()};
 }
 
+struct NoBaseCheck {
+  template <class T>
+  void operator()(const T&) const {}
+};
+
+// The model tiers' coupled flow on the Miller-decoupled victim.  Runs
+// `estimate(net)` on the victim's net with each aggressor's coupling scaled
+// by its Miller factor (nets without an aggressor entry stay quiet at 1x),
+// stores `measure` of that estimate in response.model_near, and sets the
+// modeled delay pushout against the quiet-environment net.  With all-quiet
+// aggressors the Miller net is the quiet net: the pushout is exactly zero
+// and the second run is skipped.  `check_base` sees the quiet-net estimate
+// before its delay is read.  Returns the victim's estimate.
+template <class Estimate, class Measure, class CheckBase = NoBaseCheck>
+auto estimate_miller_decoupled(const Request& request, Response& response,
+                               Estimate estimate, Measure measure,
+                               CheckBase check_base = {}) {
+  std::vector<double> factors(request.group.size(), 1.0);
+  for (const Aggressor& a : request.aggressors) {
+    factors[a.net] = core::miller_factor(a.switching);
+  }
+  auto victim = estimate(request.group.decoupled_net(request.victim, factors));
+  response.model_near = measure(victim);
+  const bool all_quiet =
+      std::all_of(factors.begin(), factors.end(), [](double f) { return f == 1.0; });
+  if (!all_quiet) {
+    const auto base = estimate(request.group.decoupled_net(request.victim));
+    check_base(base);
+    response.delay_pushout_model = response.model_near.delay - measure(base).delay;
+  }
+  return victim;
+}
+
 // The replay deck a model-only far_end_replay slot runs: the modeled PWL
 // shifted into absolute deck time (the model's t = 0 is the input 50 %
 // crossing, analytically t_start + slew/2 for a saturated ramp input), a
@@ -330,31 +363,19 @@ Response Engine::model_or_throw(const Request& request, const BatchOptions& opti
       response.ref_far_wave = std::move(r.ref_far_wave);
     } else {
       // Model-only coupled path: the paper's flow on the Miller-decoupled
-      // victim plus the quiet-environment model for the pushout estimate.
-      // (No core case is built here — the factors come straight from the
-      // aggressor list, nets without an entry staying quiet at 1x.)
+      // victim (no core case is built here).  A non-converged quiet-baseline
+      // model fails the slot like the primary model.
       const charlib::CharacterizedDriver& driver =
           library_.ensure_driver(technology_, request.cell_size, options.grid);
-      std::vector<double> factors(request.group.size(), 1.0);
-      for (const Aggressor& a : request.aggressors) {
-        factors[a.net] = core::miller_factor(a.switching);
-      }
-      response.model = core::model_driver_output(
-          driver, request.input_slew,
-          request.group.decoupled_net(request.victim, factors), model_opt);
-      response.model_near = measure_model(response.model, technology_.vdd);
-      // With all-quiet aggressors the Miller net is the quiet net: the
-      // pushout is exactly zero, no second Ceff run needed.
-      const bool all_quiet = std::all_of(factors.begin(), factors.end(),
-                                         [](double f) { return f == 1.0; });
-      if (!all_quiet) {
-        const core::DriverOutputModel base = core::model_driver_output(
-            driver, request.input_slew,
-            request.group.decoupled_net(request.victim), model_opt);
-        check_convergence(request, base);
-        response.delay_pushout_model =
-            response.model_near.delay - measure_model(base, technology_.vdd).delay;
-      }
+      response.model = estimate_miller_decoupled(
+          request, response,
+          [&](const net::Net& net) {
+            return core::model_driver_output(driver, request.input_slew, net, model_opt);
+          },
+          [&](const core::DriverOutputModel& m) {
+            return measure_model(m, technology_.vdd);
+          },
+          [&](const core::DriverOutputModel& base) { check_convergence(request, base); });
     }
     check_convergence(request, response.model);
     return response;
@@ -439,22 +460,15 @@ Response Engine::moments_only_response(const Request& request,
   response.label = request.label;
   if (request.coupled()) {
     response.has_coupling = true;
-    std::vector<double> factors(request.group.size(), 1.0);
-    for (const Aggressor& a : request.aggressors) {
-      factors[a.net] = core::miller_factor(a.switching);
-    }
-    response.model = core::estimate_driver_output_moments_only(
-        driver, request.input_slew,
-        request.group.decoupled_net(request.victim, factors));
-    response.model_near = measure_model(response.model, technology_.vdd);
-    const bool all_quiet = std::all_of(factors.begin(), factors.end(),
-                                       [](double f) { return f == 1.0; });
-    if (!all_quiet) {
-      const core::DriverOutputModel base = core::estimate_driver_output_moments_only(
-          driver, request.input_slew, request.group.decoupled_net(request.victim));
-      response.delay_pushout_model =
-          response.model_near.delay - measure_model(base, technology_.vdd).delay;
-    }
+    response.model = estimate_miller_decoupled(
+        request, response,
+        [&](const net::Net& net) {
+          return core::estimate_driver_output_moments_only(driver, request.input_slew,
+                                                           net);
+        },
+        [&](const core::DriverOutputModel& m) {
+          return measure_model(m, technology_.vdd);
+        });
   } else {
     response.model = core::estimate_driver_output_moments_only(
         driver, request.input_slew, request.net);
@@ -474,21 +488,14 @@ Response Engine::analytical_response(const Request& request,
   response.tier = tier::Tier::analytical;
   if (request.coupled()) {
     response.has_coupling = true;
-    std::vector<double> factors(request.group.size(), 1.0);
-    for (const Aggressor& a : request.aggressors) {
-      factors[a.net] = core::miller_factor(a.switching);
-    }
-    tier::AnalyticalEstimate estimate = tier::analytical_estimate(
-        driver, request.input_slew,
-        request.group.decoupled_net(request.victim, factors));
-    response.model_near = {estimate.delay, estimate.slew_10_90};
-    const bool all_quiet = std::all_of(factors.begin(), factors.end(),
-                                       [](double f) { return f == 1.0; });
-    if (!all_quiet) {
-      const tier::AnalyticalEstimate base = tier::analytical_estimate(
-          driver, request.input_slew, request.group.decoupled_net(request.victim));
-      response.delay_pushout_model = estimate.delay - base.delay;
-    }
+    tier::AnalyticalEstimate estimate = estimate_miller_decoupled(
+        request, response,
+        [&](const net::Net& net) {
+          return tier::analytical_estimate(driver, request.input_slew, net);
+        },
+        [](const tier::AnalyticalEstimate& e) {
+          return core::EdgeMetrics{e.delay, e.slew_10_90};
+        });
     response.has_noise_bound = true;
     response.noise_bound =
         tier::noise_bound(request.group, request.victim, technology_.vdd);

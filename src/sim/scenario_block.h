@@ -10,13 +10,14 @@
 // time step, with SoA state/waveform storage so the per-step inner loops
 // run contiguously across lanes and vectorize.
 //
-// Bitwise contract: each lane of a block executes exactly the operation
-// sequence of sim::simulate() on that scenario alone — same stamp order,
-// same factorization (of the same matrix), same per-lane solve sequence
-// (util's solve_block replicates even the value-dependent skips per lane),
-// same time accumulation and record points.  Batched waveforms are
-// therefore bitwise-identical to per-slot waveforms, not merely close; the
-// equivalence and property suites assert that across all three backends.
+// Bitwise contract: simulate_block and sim::simulate run one transient
+// stepper (sim/transient.cpp), sim::simulate being its compile-time one-lane
+// instance — same stamp order, same factorization (of the same matrix), the
+// same substitution kernel per backend (templated on the lane count, with
+// even the value-dependent skips taken per lane), same time accumulation and
+// record points.  Batched waveforms are therefore bitwise-identical to
+// per-slot waveforms by construction, not merely close; the equivalence and
+// property suites assert that across all three backends.
 //
 // Grouping safety: callers decide which scenarios may share a factorization
 // with scenario_group_hash() (a cheap bucket key) confirmed by
@@ -49,7 +50,7 @@ namespace rlceff::sim {
 // to every other lane's netlist (same topology and element values; only the
 // voltage-source *waveforms* may differ).  The optional tracker is charged
 // one transient step per accepted step, exactly like TransientOptions::
-// budget in the scalar engine, but failures are confined to this lane.
+// budget in sim::simulate, but failures are confined to this lane.
 struct BlockScenario {
   const ckt::Netlist* netlist = nullptr;
   double t_stop = 0.0;
@@ -57,7 +58,7 @@ struct BlockScenario {
 };
 
 // Per-lane outcome: exactly one of `result` / `error` is set.  The error is
-// whatever the scalar engine would have thrown for that scenario alone
+// whatever sim::simulate would have thrown for that scenario alone
 // (BudgetError, DeadlineError, SingularMatrixError, ...).
 struct BlockOutcome {
   std::optional<TransientResult> result;

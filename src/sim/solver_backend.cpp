@@ -49,7 +49,6 @@ void stamp_conductance(LinearSolver& solver, const ckt::MnaStructure& structure,
 SolverKind resolve_solver_kind(std::size_t n, std::size_t bw, std::size_t nnz,
                                const TransientOptions& options) {
   if (options.solver != SolverKind::automatic) return options.solver;
-  if (options.force_dense) return SolverKind::dense;  // deprecated spelling
   if (bandwidth_is_narrow(n, bw)) return SolverKind::banded;
   if (sparse_is_cheaper(n, nnz)) return SolverKind::sparse;
   return SolverKind::dense;

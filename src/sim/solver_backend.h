@@ -1,14 +1,13 @@
-// Internal solver backends shared by the scalar transient engine
-// (sim/transient.cpp) and the blocked scenario engine (sim/scenario_block.cpp).
+// Internal solver backends of the transient stepper (sim/transient.cpp),
+// which runs both sim::simulate and the blocked sim::simulate_block.
 //
 // This is the factor-once contract in one place: a LinearSolver assembles a
 // "working" matrix, snapshots/restores it at memcpy cost, factors it in
 // place, and then runs allocation-free substitution sweeps — either one RHS
-// at a time (solve_into) or a whole n x k scenario block (solve_block, each
-// lane bitwise-identical to a single-RHS solve).  Keeping both engines on
-// the same backend classes and the same static-stamp sequence is what makes
-// "batched waveforms bitwise-identical to the per-slot path" a structural
-// property instead of a numerical accident.
+// at a time (solve_into) or a whole n x k scenario block (solve_block).
+// Each backend runs both through one substitution kernel templated on the
+// lane count, solve_into being its compile-time one-lane instance, so a
+// lane's result does not depend on how many lanes shared the sweep.
 //
 // Not installed API: everything here lives in sim::detail and may change
 // freely; callers outside src/sim use sim/transient.h and
@@ -106,8 +105,8 @@ private:
 // assembly contract (identical stamp sequence into identical storage) holds
 // bitwise just like the dense/banded backends.  The budget tracker is
 // threaded into factor/solve so one large factorization honors deadlines and
-// cancellation from the inside (null in the blocked engine, whose budgets
-// are per scenario lane).
+// cancellation from the inside (null for scenario blocks, whose budgets are
+// per lane).
 class SparseSolver final : public LinearSolver {
 public:
   SparseSolver(const ckt::MnaStructure& structure, util::ExecTracker* budget)
@@ -151,9 +150,7 @@ std::unique_ptr<LinearSolver> make_solver(const ckt::MnaStructure& structure,
 // inductors and voltage sources.  h <= 0 selects DC (capacitors open,
 // inductors shorted).  `cached_path` gates the property-harness fault hooks
 // (TransientOptions::debug_cached_stamp_*), which poison only the cached
-// assembly path.  The stamp sequence is the bitwise contract shared by the
-// scalar and blocked engines — change it in lockstep with assemble_rhs in
-// both.
+// assembly path.
 void assemble_static_stamps(LinearSolver& solver, const ckt::Netlist& nl,
                             const ckt::MnaStructure& structure, double h,
                             double gmin, const TransientOptions& opt,

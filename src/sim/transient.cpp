@@ -1,17 +1,19 @@
 #include "sim/transient.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <exception>
 #include <limits>
 #include <memory>
-#include <optional>
+#include <numeric>
+#include <type_traits>
 
 #include "circuit/mna.h"
-#include "sim/edge_watch.h"
+#include "sim/scenario_block.h"
 #include "sim/solver_backend.h"
 #include "util/error.h"
-#include "util/linalg.h"
-#include "util/sparse.h"
 
 namespace rlceff::sim {
 
@@ -21,131 +23,340 @@ using ckt::ground;
 using ckt::MnaStructure;
 using ckt::Netlist;
 using ckt::NodeId;
-using detail::LinearSolver;
-using detail::make_solver;
 
-// Dynamic state carried between time steps.
-struct CapacitorState {
-  double v = 0.0;  // voltage across the device at the last accepted step
-  double i = 0.0;  // current through the device at the last accepted step
-};
+constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-struct InductorState {
-  double i = 0.0;  // branch current at the last accepted step
-  double v = 0.0;  // branch voltage at the last accepted step
-};
+// The lane count of the stepper sim::simulate runs, fixed at compile time.
+using OneLane = std::integral_constant<std::size_t, 1>;
 
-struct DynamicState {
-  std::vector<CapacitorState> caps;
-  std::vector<InductorState> inds;
-};
-
-class Engine {
+// The measured-edge stop's crossing tracker (see sim::EdgeStop):
+// Waveform::first_crossing run incrementally.  Fed each recorded sample of
+// the watched nodes, it tracks which of the three edge levels every node has
+// crossed so far.  A level counts as crossed at the first sample pair that
+// first_crossing would report, so once every level of every node is
+// crossed, the recorded prefix already holds each measured crossing.
+class EdgeWatch {
 public:
-  Engine(const Netlist& netlist, const TransientOptions& options)
-      : nl_(netlist),
-        opt_(options),
+  explicit EdgeWatch(const EdgeStop& stop)
+      : levels_(wave::rising_edge_levels(0.0, stop.vdd)),
+        prev_(stop.watch.size(), 0.0),
+        pending_(stop.watch.size(), kAllLevels) {}
+
+  // Feeds one recorded sample: value_of(k) is watched node k's value.
+  // Returns true once every watched node has crossed all three levels.  The
+  // first sample only primes the pair test.
+  template <class ValueOf>
+  bool observe(ValueOf value_of) {
+    bool done = true;
+    for (std::size_t k = 0; k < prev_.size(); ++k) {
+      const double b = value_of(k);
+      if (primed_) {
+        for (std::size_t l = 0; l < levels_.size(); ++l) {
+          const std::uint8_t bit = static_cast<std::uint8_t>(1u << l);
+          if ((pending_[k] & bit) != 0 && wave::crosses(prev_[k], b, levels_[l])) {
+            pending_[k] = static_cast<std::uint8_t>(pending_[k] & ~bit);
+          }
+        }
+      }
+      prev_[k] = b;
+      done = done && pending_[k] == 0;
+    }
+    primed_ = true;
+    return done;
+  }
+
+private:
+  static constexpr std::uint8_t kAllLevels = 0b111;
+
+  std::array<double, 3> levels_;
+  std::vector<double> prev_;           // last sample per watched node
+  std::vector<std::uint8_t> pending_;  // uncrossed levels per watched node
+  bool primed_ = false;
+};
+
+// The one transient stepper behind sim::simulate, simulate_block and
+// dc_operating_point.  It advances lanes — scenarios of one netlist topology
+// that differ only in their source waveforms and horizons — in lockstep from
+// their shared DC operating point.
+//
+// `Lanes` is std::size_t for scenario blocks, or OneLane for sim::simulate
+// and dc_operating_point: there every lane loop collapses to scalar code and
+// the substitution is the backend's one-lane kernel instance (solve_into),
+// so a single deck costs what a dedicated scalar engine would, and a
+// batched lane equals its per-slot run by construction.
+//
+// All per-lane data is SoA with a fixed stride W (the initial lane count):
+// value of unknown/device i for lane j lives at [i * W + j].  Active lanes
+// occupy columns 0..A-1; lanes retire from the tail (they are added by
+// descending t_stop, so the shortest runs sit at the end), while faulted
+// lanes and lanes the measured-edge stop ends are removed by a stable left
+// shift of the columns behind them (at most once per lane, O(n * k)), which
+// preserves the descending order the tail scan relies on.
+//
+// Linear decks under cached assembly solve a step with one factorization
+// per (step size, gmin) and a substitution sweep.  MOSFET decks and
+// AssemblyMode::naive (one lane only) replace that factor-and-substitute
+// with their Newton loop; everything else is shared.
+template <class Lanes>
+class Stepper {
+public:
+  static constexpr bool kOneLane = std::is_same_v<Lanes, OneLane>;
+
+  Stepper(const Netlist& netlist, const TransientOptions& options,
+          std::span<const NodeId> probes)
+      : opt_(options),
+        nl0_(netlist),
         structure_(netlist),
         m_(structure_.unknown_count()),
-        linear_(netlist.mosfets().empty()),
-        cached_(options.assembly == AssemblyMode::cached),
-        solver_(make_solver(structure_, options)),
-        rhs_(m_, 0.0),
-        x_(m_, 0.0),
-        x_new_(m_, 0.0) {
+        newton_(!netlist.mosfets().empty() || options.assembly == AssemblyMode::naive),
+        solver_(detail::make_solver(structure_, options)),
+        probes_(probes.begin(), probes.end()) {
     // Resolve every unknown index once so the per-step loops are pure array
     // indexing (node_index() revalidates its arguments on every call).
-    node_pos_.resize(nl_.node_count(), npos);
-    for (NodeId n = 1; n < nl_.node_count(); ++n) {
-      node_pos_[n] = structure_.node_index(n);
+    std::vector<std::size_t> node_pos(nl0_.node_count(), npos);
+    for (NodeId n = 1; n < nl0_.node_count(); ++n) {
+      node_pos[n] = structure_.node_index(n);
     }
-    cap_pos_.reserve(nl_.capacitors().size());
-    for (const ckt::Capacitor& c : nl_.capacitors()) {
-      cap_pos_.push_back({c.a == ground ? npos : node_pos_[c.a],
-                          c.b == ground ? npos : node_pos_[c.b]});
+    auto pos = [&](NodeId n) { return n == ground ? npos : node_pos[n]; };
+    for (const ckt::Capacitor& c : nl0_.capacitors()) {
+      cap_pos_.push_back({pos(c.a), pos(c.b)});
     }
-    ind_pos_.resize(nl_.inductors().size());
-    for (std::size_t k = 0; k < nl_.inductors().size(); ++k) {
-      ind_pos_[k] = structure_.inductor_index(k);
+    for (std::size_t k = 0; k < nl0_.inductors().size(); ++k) {
+      const ckt::Inductor& l = nl0_.inductors()[k];
+      ind_pos_.push_back(structure_.inductor_index(k));
+      ind_nodes_.push_back({pos(l.a), pos(l.b)});
     }
-    vsrc_pos_.resize(nl_.vsources().size());
-    for (std::size_t k = 0; k < nl_.vsources().size(); ++k) {
-      vsrc_pos_[k] = structure_.vsource_index(k);
+    for (std::size_t k = 0; k < nl0_.vsources().size(); ++k) {
+      vsrc_pos_.push_back(structure_.vsource_index(k));
     }
-    mos_pos_.reserve(nl_.mosfets().size());
-    for (const ckt::Mosfet& mos : nl_.mosfets()) {
-      mos_pos_.push_back({mos.drain == ground ? npos : node_pos_[mos.drain],
-                          mos.gate == ground ? npos : node_pos_[mos.gate],
-                          mos.source == ground ? npos : node_pos_[mos.source]});
+    for (const ckt::Mosfet& mos : nl0_.mosfets()) {
+      mos_pos_.push_back({pos(mos.drain), pos(mos.gate), pos(mos.source)});
+    }
+    for (NodeId p : probes_) probe_pos_.push_back(pos(p));
+    if (options.edge_stop.enabled()) {
+      for (NodeId n : options.edge_stop.watch) {
+        ensure(n < nl0_.node_count(), "simulate: watched node out of range");
+        watch_pos_.push_back(pos(n));
+      }
     }
   }
 
   const MnaStructure& structure() const { return structure_; }
 
-  std::span<const double> solution() const { return x_; }
-
-  double voltage(NodeId n) const { return n == ground ? 0.0 : x_[node_pos_[n]]; }
-
-  double inductor_current(std::size_t k) const { return x_[ind_pos_[k]]; }
-
-  // Copies the node-voltage part of the solution into `out` (indexed by
-  // NodeId, ground stays 0); used by the recording loop without re-resolving
-  // unknown indices.
-  void node_voltages_into(std::span<double> out) const {
-    for (NodeId n = 1; n < nl_.node_count(); ++n) out[n] = x_[node_pos_[n]];
+  // Appends one lane; lanes must arrive in descending t_stop order.  The
+  // tracker is charged one transient step per accepted step of this lane.
+  void add_lane(std::size_t slot, const Netlist* netlist, double t_stop,
+                util::ExecTracker* budget) {
+    lane_slot_.push_back(slot);
+    lane_net_.push_back(netlist);
+    lane_tstop_.push_back(t_stop);
+    lane_budget_.push_back(budget);
+    if (!watch_pos_.empty()) lane_watch_.emplace_back(opt_.edge_stop);
   }
 
-  // Solves one (DC or companion-model) nonlinear system at time `t` with
-  // step `h` (h <= 0 selects DC: capacitors open, inductors shorted) and
-  // leaves the solution in x_ (also the initial Newton guess).
-  void newton(double t, double h, const DynamicState& state, double gmin) {
-    if (linear_ && cached_) {
-      // Factor-once fast path: the companion matrix depends only on (h, gmin),
-      // so a whole fixed-step run is one factorization plus a substitution
-      // sweep per step.  Nothing in here allocates.
-      ensure_factored(h, gmin);
-      assemble_rhs(t, h, state);
-      solver_->solve_into(rhs_);
-      std::swap(x_, rhs_);
-      return;
+  // Sizes the lane blocks and solves every lane's DC operating point
+  // (sources at t = 0, capacitors open, inductors shorted) into the
+  // solution block, which it returns.
+  std::span<const double> solve_dc() {
+    if constexpr (!kOneLane) w_ = lane_slot_.size();
+    xb_.assign(m_ * w_, 0.0);
+    rhsb_.assign(m_ * w_, 0.0);
+    cap_v_.assign(cap_pos_.size() * w_, 0.0);
+    cap_i_.assign(cap_pos_.size() * w_, 0.0);
+    ind_i_.assign(ind_pos_.size() * w_, 0.0);
+    ind_v_.assign(ind_pos_.size() * w_, 0.0);
+    probe_vals_.assign(probes_.size(), 0.0);
+    const std::size_t a = lane_slot_.size();
+    try {
+      solve(0.0, 0.0, opt_.gmin, a);
+    } catch (const ConvergenceError&) {
+      // gmin stepping: solve a heavily damped system first and walk gmin down.
+      for (double gmin = 1e-3; gmin >= opt_.gmin; gmin *= 1e-2) solve(0.0, 0.0, gmin, a);
+      solve(0.0, 0.0, opt_.gmin, a);
     }
+    return xb_;
+  }
 
-    if (cached_) ensure_static(h, gmin);
+  // Runs every lane to its t_stop or its measured-edge stop, leaving each
+  // lane's result or error in out[slot].  Failures of the shared machinery
+  // (a singular group matrix, a Newton failure) throw instead.
+  void run(std::span<BlockOutcome> out) {
+    out_ = out;
+    std::size_t a = lane_slot_.size();
+    if (a == 0) return;
+    for (double t_stop : lane_tstop_) {
+      results_.emplace_back(probes_, static_cast<std::size_t>(t_stop / opt_.dt) + 2);
+    }
+    solve_dc();
+    seed_state(a);
+    record(0.0, a);
+    retire_measured(a);
+
+    const double dt = opt_.dt;
+    double t = 0.0;
+    std::int64_t step = 0;
+    while (a > 0) {
+      // Tail scan: finished lanes retire; a lane within one step of its
+      // horizon takes its shortened final step, on the tail solver while
+      // other lanes keep integrating, in place when it is the last lane.
+      double h = dt;
+      while (a > 0) {
+        const std::size_t j = a - 1;
+        if (t >= lane_tstop_[j] - 1e-21) {
+          finalize(j);
+          remove_lane(j, a);
+          continue;
+        }
+        if (lane_tstop_[j] - t >= dt) break;
+        if (a == 1) {
+          h = lane_tstop_[j] - t;
+          break;
+        }
+        tail_step(j, t);
+        remove_lane(j, a);
+      }
+      if (a == 0) break;
+
+      // Per-lane step accounting, with failures confined to the lane.
+      for (std::size_t j = 0; j < a;) {
+        if (lane_budget_[j]) {
+          try {
+            lane_budget_[j]->charge_transient_steps(1, "transient");
+          } catch (...) {
+            out_[lane_slot_[j]].error = std::current_exception();
+            remove_lane(j, a);
+            continue;
+          }
+        }
+        ++j;
+      }
+      if (a == 0) break;
+
+      const double t_next = t + h;
+      solve(t_next, h, opt_.gmin, a);
+      // Periodic (cheap, amortized) non-finite guard: a NaN/Inf stamp (or a
+      // numerically destroyed factorization) propagates through the whole
+      // solution, and the factor-once path has no convergence check of its
+      // own.
+      if ((++step & 63) == 0) {
+        for (std::size_t j = 0; j < a;) {
+          if (lane_finite(j)) {
+            ++j;
+            continue;
+          }
+          fail_nonfinite(j);
+          remove_lane(j, a);
+        }
+        if (a == 0) break;
+      }
+      advance_state(h, a);
+      t = t_next;
+      record(t, a);
+      retire_measured(a);
+    }
+  }
+
+private:
+  struct Pair {
+    std::size_t a;
+    std::size_t b;
+  };
+
+  struct MosPos {
+    std::size_t drain;
+    std::size_t gate;
+    std::size_t source;
+  };
+
+  // The active lane count as the stepper's lane type.
+  static Lanes lanes(std::size_t a) {
+    if constexpr (kOneLane) {
+      return {};
+    } else {
+      return a;
+    }
+  }
+
+  bool holds(double h, double gmin) const { return h == held_h_ && gmin == held_gmin_; }
+
+  void refactor(detail::LinearSolver& solver, double h, double gmin) {
+    solver.clear();
+    detail::assemble_static_stamps(solver, nl0_, structure_, h, gmin, opt_,
+                                   /*cached_path=*/true);
+    solver.factor();
+  }
+
+  // Solves one step's system at time t with step h (h <= 0: DC) for the
+  // active lanes and leaves the solution in xb_.  The factor-once path
+  // refactors only when (h, gmin) changes: once for DC, once for the regular
+  // step, and once more for a shortened final step.
+  void solve(double t, double h, double gmin, std::size_t a) {
+    if constexpr (kOneLane) {
+      if (newton_) {
+        newton(t, h, gmin);
+        return;
+      }
+    }
+    if (!holds(h, gmin)) {
+      refactor(*solver_, h, gmin);
+      held_h_ = h;
+      held_gmin_ = gmin;
+    }
+    assemble_rhs(t, h, 0, lanes(a));
+    if constexpr (kOneLane) {
+      solver_->solve_into(rhsb_);
+    } else {
+      solver_->solve_block(rhsb_, a, w_);
+    }
+    std::swap(xb_, rhsb_);
+  }
+
+  // Newton-Raphson on the one lane's step system, xb_ holding the iterate
+  // (also the initial guess).  Cached assembly restores the linear stamps
+  // from the static image each iteration and restamps only the MOSFETs;
+  // naive assembly rebuilds and refactors the full matrix.
+  void newton(double t, double h, double gmin) {
+    const bool cached = opt_.assembly == AssemblyMode::cached;
+    if (cached && !holds(h, gmin)) {
+      solver_->clear();
+      detail::assemble_static_stamps(*solver_, nl0_, structure_, h, gmin, opt_,
+                                     /*cached_path=*/true);
+      solver_->save_static();
+      held_h_ = h;
+      held_gmin_ = gmin;
+    }
     const int max_newton = util::capped_iterations(
         opt_.max_newton, opt_.budget ? opt_.budget->spec().max_newton_iter : 0);
     for (int iter = 0; iter < max_newton; ++iter) {
       if (opt_.budget) opt_.budget->check("transient newton");
-      if (cached_) {
-        // Restore the linear stamps by memcpy; only the MOSFET entries and
-        // the RHS are re-stamped below.
+      if (cached) {
         solver_->load_static();
       } else {
         solver_->clear();
-        detail::assemble_static_stamps(*solver_, nl_, structure_, h, gmin, opt_,
-                                       cached_);
+        detail::assemble_static_stamps(*solver_, nl0_, structure_, h, gmin, opt_,
+                                       /*cached_path=*/false);
       }
-      assemble_rhs(t, h, state);
+      assemble_rhs(t, h, 0, OneLane{});
       stamp_mosfets();
       solver_->factor();
-      std::copy(rhs_.begin(), rhs_.end(), x_new_.begin());
-      solver_->solve_into(x_new_);
-      if (linear_) {
-        std::swap(x_, x_new_);
+      solver_->solve_into(rhsb_);
+      if (mos_pos_.empty()) {
+        std::swap(xb_, rhsb_);
         return;
       }
 
       double max_dv = 0.0;
       for (std::size_t k = 0; k < m_; ++k) {
-        max_dv = std::max(max_dv, std::abs(x_new_[k] - x_[k]));
+        max_dv = std::max(max_dv, std::abs(rhsb_[k] - xb_[k]));
       }
       if (max_dv < opt_.v_abstol + opt_.rel_tol * 1.0) {
-        std::swap(x_, x_new_);
+        std::swap(xb_, rhsb_);
         return;
       }
 
       // Damped update keeps the MOSFET linearization inside its trust region.
       const double scale = std::min(1.0, opt_.newton_damping_v / max_dv);
-      for (std::size_t k = 0; k < m_; ++k) x_[k] += scale * (x_new_[k] - x_[k]);
+      for (std::size_t k = 0; k < m_; ++k) xb_[k] += scale * (rhsb_[k] - xb_[k]);
     }
     if (max_newton < opt_.max_newton) {
       throw BudgetError("transient: Newton iteration budget of " +
@@ -154,93 +365,15 @@ public:
     throw ConvergenceError("transient: Newton failed to converge");
   }
 
-  // Non-finite solution guard: a NaN/Inf stamp (or a numerically destroyed
-  // factorization) propagates through the whole solution vector; surface it
-  // as a singular-system failure instead of letting NaN waveforms escape the
-  // linear fast path, which has no convergence check of its own.
-  bool solution_finite() const {
-    for (double v : x_) {
-      if (!std::isfinite(v)) return false;
-    }
-    return true;
-  }
-
-private:
-  // Re-assembles (and for linear circuits factors) the static matrix only
-  // when the step size or gmin changed: once for DC, once for the regular
-  // step, and once more for a shortened final step.
-  void ensure_factored(double h, double gmin) {
-    if (factored_valid_ && h == static_h_ && gmin == static_gmin_) return;
-    solver_->clear();
-    detail::assemble_static_stamps(*solver_, nl_, structure_, h, gmin, opt_,
-                                   cached_);
-    solver_->factor();
-    factored_valid_ = true;
-    static_valid_ = false;
-    static_h_ = h;
-    static_gmin_ = gmin;
-  }
-
-  void ensure_static(double h, double gmin) {
-    if (static_valid_ && h == static_h_ && gmin == static_gmin_) return;
-    solver_->clear();
-    detail::assemble_static_stamps(*solver_, nl_, structure_, h, gmin, opt_,
-                                   cached_);
-    solver_->save_static();
-    static_valid_ = true;
-    factored_valid_ = false;
-    static_h_ = h;
-    static_gmin_ = gmin;
-  }
-
-  // Right-hand side: companion currents and source values.  Changes every
-  // step, never touches the matrix.
-  void assemble_rhs(double t, double h, const DynamicState& state) {
-    std::fill(rhs_.begin(), rhs_.end(), 0.0);
-    const bool dc = h <= 0.0;
-    const bool trap = opt_.integrator == Integrator::trapezoidal;
-
-    if (!dc) {
-      for (std::size_t k = 0; k < nl_.capacitors().size(); ++k) {
-        const CapacitorState& s = state.caps[k];
-        const double geq = (trap ? 2.0 : 1.0) * nl_.capacitors()[k].capacitance / h;
-        const double ieq = geq * s.v + (trap ? s.i : 0.0);
-        // Norton companion: device current = geq * v - ieq, flowing b -> a.
-        const auto [ia, ib] = cap_pos_[k];
-        if (ib != npos) rhs_[ib] -= ieq;
-        if (ia != npos) rhs_[ia] += ieq;
-      }
-    }
-
-    for (std::size_t k = 0; k < nl_.inductors().size(); ++k) {
-      const InductorState& s = state.inds[k];
-      const double req = dc ? 0.0 : (trap ? 2.0 : 1.0) * nl_.inductors()[k].inductance / h;
-      rhs_[ind_pos_[k]] = dc ? 0.0 : (trap ? -s.v - req * s.i : -req * s.i);
-    }
-
-    if (!dc) {
-      // History term of the mutual coupling, mirroring the matrix stamp.
-      for (const ckt::MutualInductor& m : nl_.mutual_inductors()) {
-        const double req = (trap ? 2.0 : 1.0) * m.mutual / h;
-        rhs_[ind_pos_[m.la]] -= req * state.inds[m.lb].i;
-        rhs_[ind_pos_[m.lb]] -= req * state.inds[m.la].i;
-      }
-    }
-
-    for (std::size_t k = 0; k < nl_.vsources().size(); ++k) {
-      rhs_[vsrc_pos_[k]] = nl_.vsources()[k].voltage.value_at(t);
-    }
-  }
-
   // MOSFET linearization around the current Newton iterate: the only stamps
   // that change between iterations (matrix and RHS).
   void stamp_mosfets() {
-    for (std::size_t k = 0; k < nl_.mosfets().size(); ++k) {
-      const ckt::Mosfet& mos = nl_.mosfets()[k];
+    for (std::size_t k = 0; k < mos_pos_.size(); ++k) {
+      const ckt::Mosfet& mos = nl0_.mosfets()[k];
       const auto [pd, pg, ps] = mos_pos_[k];
-      const double vd = pd == npos ? 0.0 : x_[pd];
-      const double vg = pg == npos ? 0.0 : x_[pg];
-      const double vs = ps == npos ? 0.0 : x_[ps];
+      const double vd = pd == npos ? 0.0 : xb_[pd];
+      const double vg = pg == npos ? 0.0 : xb_[pg];
+      const double vs = ps == npos ? 0.0 : xb_[ps];
       const ckt::MosfetEval e =
           mos.is_pmos ? ckt::eval_pmos(mos.params, mos.width, vg - vs, vd - vs)
                       : ckt::eval_nmos(mos.params, mos.width, vg - vs, vd - vs);
@@ -258,63 +391,265 @@ private:
         if (pd != npos) solver_->add(ps, pd, -e.gds);
       }
       // Companion current flows drain -> source.
-      if (pd != npos) rhs_[pd] -= ieq;
-      if (ps != npos) rhs_[ps] += ieq;
+      if (pd != npos) rhsb_[pd] -= ieq;
+      if (ps != npos) rhsb_[ps] += ieq;
     }
   }
 
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  // Right-hand side of lanes [j0, j0 + lanes): companion currents and
+  // source values.  Changes every step, never touches the matrix.
+  // Device-outer, lane-inner, with the same operation sequence in every
+  // lane's column.
+  template <class L>
+  void assemble_rhs(double t, double h, std::size_t j0, L lanes) {
+    std::fill(rhsb_.begin(), rhsb_.end(), 0.0);
+    double* rhs = rhsb_.data() + j0;
+    const bool dc = h <= 0.0;
+    const bool trap = opt_.integrator == Integrator::trapezoidal;
 
-  struct CapPos {
-    std::size_t a;
-    std::size_t b;
-  };
+    if (!dc) {
+      for (std::size_t k = 0; k < cap_pos_.size(); ++k) {
+        const double geq = (trap ? 2.0 : 1.0) * nl0_.capacitors()[k].capacitance / h;
+        const auto [pa, pb] = cap_pos_[k];
+        const double* sv = cap_v_.data() + k * w_ + j0;
+        const double* si = cap_i_.data() + k * w_ + j0;
+        for (std::size_t j = 0; j < lanes; ++j) {
+          // Norton companion: device current = geq * v - ieq, flowing b -> a.
+          const double ieq = geq * sv[j] + (trap ? si[j] : 0.0);
+          if (pb != npos) rhs[pb * w_ + j] -= ieq;
+          if (pa != npos) rhs[pa * w_ + j] += ieq;
+        }
+      }
+    }
 
-  struct MosPos {
-    std::size_t drain;
-    std::size_t gate;
-    std::size_t source;
-  };
+    for (std::size_t k = 0; k < ind_pos_.size(); ++k) {
+      const double req = dc ? 0.0 : (trap ? 2.0 : 1.0) * nl0_.inductors()[k].inductance / h;
+      const double* sv = ind_v_.data() + k * w_ + j0;
+      const double* si = ind_i_.data() + k * w_ + j0;
+      double* row = rhs + ind_pos_[k] * w_;
+      for (std::size_t j = 0; j < lanes; ++j) {
+        row[j] = dc ? 0.0 : (trap ? -sv[j] - req * si[j] : -req * si[j]);
+      }
+    }
 
-  const Netlist& nl_;
+    if (!dc) {
+      // History term of the mutual coupling, mirroring the matrix stamp.
+      for (const ckt::MutualInductor& m : nl0_.mutual_inductors()) {
+        const double req = (trap ? 2.0 : 1.0) * m.mutual / h;
+        double* rowa = rhs + ind_pos_[m.la] * w_;
+        double* rowb = rhs + ind_pos_[m.lb] * w_;
+        const double* ia = ind_i_.data() + m.la * w_ + j0;
+        const double* ib = ind_i_.data() + m.lb * w_ + j0;
+        for (std::size_t j = 0; j < lanes; ++j) rowa[j] -= req * ib[j];
+        for (std::size_t j = 0; j < lanes; ++j) rowb[j] -= req * ia[j];
+      }
+    }
+
+    // The only lane-divergent input: each lane evaluates its own source
+    // waveforms (the matrix never sees them).
+    for (std::size_t k = 0; k < vsrc_pos_.size(); ++k) {
+      double* row = rhs + vsrc_pos_[k] * w_;
+      for (std::size_t j = 0; j < lanes; ++j) {
+        row[j] = lane_net_[j0 + j]->vsources()[k].voltage.value_at(t);
+      }
+    }
+  }
+
+  // Seeds device state from the operating point (capacitor currents and
+  // inductor voltages are zero in steady state).
+  void seed_state(std::size_t a) {
+    const Lanes n = lanes(a);
+    for (std::size_t k = 0; k < cap_pos_.size(); ++k) {
+      const auto [pa, pb] = cap_pos_[k];
+      double* sv = cap_v_.data() + k * w_;
+      for (std::size_t j = 0; j < n; ++j) {
+        const double va = pa == npos ? 0.0 : xb_[pa * w_ + j];
+        const double vb = pb == npos ? 0.0 : xb_[pb * w_ + j];
+        sv[j] = va - vb;
+      }
+    }
+    for (std::size_t k = 0; k < ind_pos_.size(); ++k) {
+      double* si = ind_i_.data() + k * w_;
+      const double* row = xb_.data() + ind_pos_[k] * w_;
+      for (std::size_t j = 0; j < n; ++j) si[j] = row[j];
+    }
+  }
+
+  // Advances the companion-model state to the solution just accepted.
+  void advance_state(double h, std::size_t a) {
+    const Lanes n = lanes(a);
+    const bool trap = opt_.integrator == Integrator::trapezoidal;
+    for (std::size_t k = 0; k < cap_pos_.size(); ++k) {
+      const double geq = (trap ? 2.0 : 1.0) * nl0_.capacitors()[k].capacitance / h;
+      const auto [pa, pb] = cap_pos_[k];
+      double* sv = cap_v_.data() + k * w_;
+      double* si = cap_i_.data() + k * w_;
+      for (std::size_t j = 0; j < n; ++j) {
+        const double va = pa == npos ? 0.0 : xb_[pa * w_ + j];
+        const double vb = pb == npos ? 0.0 : xb_[pb * w_ + j];
+        const double v_new = va - vb;
+        const double i_new =
+            trap ? geq * (v_new - sv[j]) - si[j] : geq * (v_new - sv[j]);
+        sv[j] = v_new;
+        si[j] = i_new;
+      }
+    }
+    for (std::size_t k = 0; k < ind_pos_.size(); ++k) {
+      const auto [pa, pb] = ind_nodes_[k];
+      double* si = ind_i_.data() + k * w_;
+      double* sv = ind_v_.data() + k * w_;
+      const double* row = xb_.data() + ind_pos_[k] * w_;
+      for (std::size_t j = 0; j < n; ++j) {
+        si[j] = row[j];
+        const double va = pa == npos ? 0.0 : xb_[pa * w_ + j];
+        const double vb = pb == npos ? 0.0 : xb_[pb * w_ + j];
+        sv[j] = va - vb;
+      }
+    }
+  }
+
+  void record_lane(std::size_t j, double t) {
+    for (std::size_t p = 0; p < probe_pos_.size(); ++p) {
+      probe_vals_[p] = probe_pos_[p] == npos ? 0.0 : xb_[probe_pos_[p] * w_ + j];
+    }
+    results_[j].record_probe_values(t, probe_vals_);
+  }
+
+  void record(double t, std::size_t a) {
+    const Lanes n = lanes(a);
+    for (std::size_t j = 0; j < n; ++j) record_lane(j, t);
+  }
+
+  // Measured-edge stop, decided per lane on the sample just recorded: a lane
+  // whose watched nodes completed their edges ends here, final finiteness
+  // guard included.
+  void retire_measured(std::size_t& a) {
+    if (lane_watch_.empty()) return;
+    for (std::size_t j = 0; j < a;) {
+      const bool done = lane_watch_[j].observe([&](std::size_t k) {
+        return watch_pos_[k] == npos ? 0.0 : xb_[watch_pos_[k] * w_ + j];
+      });
+      if (!done) {
+        ++j;
+        continue;
+      }
+      finalize(j);
+      remove_lane(j, a);
+    }
+  }
+
+  // Shortened final step (h = t_stop - t < dt) of lane j while other lanes
+  // keep integrating, run on a dedicated tail solver: identical stamps and
+  // the identical factorization algorithm produce the factor an in-place
+  // refactor would, so the lane's last sample is bitwise-identical to a lone
+  // run's.  The solution lands in rhsb_'s column j and is copied into xb_.
+  void tail_step(std::size_t j, double t) {
+    try {
+      if (lane_budget_[j]) lane_budget_[j]->charge_transient_steps(1, "transient");
+      const double h = lane_tstop_[j] - t;
+      if (!tail_) tail_ = detail::make_solver(structure_, opt_);
+      refactor(*tail_, h, opt_.gmin);
+      assemble_rhs(t + h, h, j, OneLane{});
+      tail_->solve_block(std::span<double>(rhsb_).subspan(j), 1, w_);
+      for (std::size_t i = 0; i < m_; ++i) xb_[i * w_ + j] = rhsb_[i * w_ + j];
+      record_lane(j, t + h);
+      finalize(j);
+    } catch (...) {
+      out_[lane_slot_[j]].error = std::current_exception();
+    }
+  }
+
+  bool lane_finite(std::size_t j) const {
+    for (std::size_t i = 0; i < m_; ++i) {
+      if (!std::isfinite(xb_[i * w_ + j])) return false;
+    }
+    return true;
+  }
+
+  void fail_nonfinite(std::size_t j) {
+    out_[lane_slot_[j]].error = std::make_exception_ptr(SingularMatrixError(
+        "transient: non-finite solution (singular or NaN-stamped system)"));
+  }
+
+  // A lane that ended: its result, unless the final finiteness guard fails.
+  void finalize(std::size_t j) {
+    if (!lane_finite(j)) {
+      fail_nonfinite(j);
+      return;
+    }
+    out_[lane_slot_[j]].result = std::move(results_[j]);
+  }
+
+  // Removes active lane j: shifts the columns behind it left so the
+  // descending-t_stop order (and every lane's column index) stays
+  // consistent.  The tail lane shifts nothing.
+  void remove_lane(std::size_t j, std::size_t& a) {
+    auto shift = [&](std::vector<double>& arr, std::size_t rows) {
+      for (std::size_t i = 0; i < rows; ++i) {
+        double* row = arr.data() + i * w_;
+        for (std::size_t c = j; c + 1 < a; ++c) row[c] = row[c + 1];
+      }
+    };
+    if (j + 1 < a) {
+      shift(xb_, m_);
+      shift(cap_v_, cap_pos_.size());
+      shift(cap_i_, cap_pos_.size());
+      shift(ind_i_, ind_pos_.size());
+      shift(ind_v_, ind_pos_.size());
+    }
+    const auto at = static_cast<std::ptrdiff_t>(j);
+    lane_slot_.erase(lane_slot_.begin() + at);
+    lane_net_.erase(lane_net_.begin() + at);
+    lane_tstop_.erase(lane_tstop_.begin() + at);
+    lane_budget_.erase(lane_budget_.begin() + at);
+    results_.erase(results_.begin() + at);
+    if (!lane_watch_.empty()) lane_watch_.erase(lane_watch_.begin() + at);
+    --a;
+  }
+
   const TransientOptions& opt_;
+  const Netlist& nl0_;
   MnaStructure structure_;
   std::size_t m_;
-  bool linear_;
-  bool cached_;
-  std::unique_ptr<LinearSolver> solver_;
+  bool newton_;
+  std::unique_ptr<detail::LinearSolver> solver_;
+  std::unique_ptr<detail::LinearSolver> tail_;
+  std::vector<NodeId> probes_;
+  std::span<BlockOutcome> out_;
 
   // Unknown indices resolved once at construction (npos = ground).
-  std::vector<std::size_t> node_pos_;
-  std::vector<CapPos> cap_pos_;
+  std::vector<Pair> cap_pos_;
   std::vector<std::size_t> ind_pos_;
+  std::vector<Pair> ind_nodes_;
   std::vector<std::size_t> vsrc_pos_;
   std::vector<MosPos> mos_pos_;
+  std::vector<std::size_t> probe_pos_;
+  std::vector<std::size_t> watch_pos_;  // measured-edge stop nodes
 
-  // Preallocated workspaces: the time-step loop never allocates.
-  std::vector<double> rhs_;
-  std::vector<double> x_;
-  std::vector<double> x_new_;
+  // Active-lane bookkeeping, sorted by descending t_stop.
+  std::vector<std::size_t> lane_slot_;
+  std::vector<const Netlist*> lane_net_;
+  std::vector<double> lane_tstop_;
+  std::vector<util::ExecTracker*> lane_budget_;
+  std::vector<TransientResult> results_;
+  std::vector<EdgeWatch> lane_watch_;  // empty when the stop is off
 
-  // Cache key of the static assembly currently held by the solver.
-  double static_h_ = std::numeric_limits<double>::quiet_NaN();
-  double static_gmin_ = std::numeric_limits<double>::quiet_NaN();
-  bool factored_valid_ = false;  // solver holds the factored static matrix
-  bool static_valid_ = false;    // solver holds an unfactored static image
+  // SoA blocks with fixed stride w_ (lane j of row i at [i * w_ + j]).
+  // Preallocated: the time-step loop never allocates.
+  [[no_unique_address]] Lanes w_{};
+  std::vector<double> xb_;    // solution (the Newton iterate on that path)
+  std::vector<double> rhsb_;  // right-hand side, solved in place
+  std::vector<double> cap_v_;
+  std::vector<double> cap_i_;
+  std::vector<double> ind_i_;
+  std::vector<double> ind_v_;
+  std::vector<double> probe_vals_;
+
+  // (h, gmin) of the matrix the solver holds: the factored matrix on the
+  // factor-once path, the saved static image on the cached Newton path.
+  double held_h_ = std::numeric_limits<double>::quiet_NaN();
+  double held_gmin_ = std::numeric_limits<double>::quiet_NaN();
 };
-
-void solve_dc(Engine& engine, const TransientOptions& options,
-              const DynamicState& state) {
-  try {
-    engine.newton(0.0, 0.0, state, options.gmin);
-  } catch (const ConvergenceError&) {
-    // gmin stepping: solve a heavily damped system first and walk gmin down.
-    for (double gmin = 1e-3; gmin >= options.gmin; gmin *= 1e-2) {
-      engine.newton(0.0, 0.0, state, gmin);
-    }
-    engine.newton(0.0, 0.0, state, options.gmin);
-  }
-}
 
 }  // namespace
 
@@ -348,10 +683,6 @@ SolverKind selected_solver(const ckt::Netlist& netlist,
                                      structure.pattern_nonzeros(), options);
 }
 
-bool uses_banded_solver(const ckt::Netlist& netlist) {
-  return selected_solver(netlist) == SolverKind::banded;
-}
-
 TransientResult::TransientResult(std::vector<ckt::NodeId> probes, std::size_t reserve_steps)
     : probes_(std::move(probes)), waves_(probes_.size()) {
   for (wave::Waveform& w : waves_) w.reserve(reserve_steps);
@@ -364,12 +695,6 @@ const wave::Waveform& TransientResult::at(ckt::NodeId node) const {
   throw Error("TransientResult: node was not probed");
 }
 
-void TransientResult::record(double time, std::span<const double> node_voltages) {
-  for (std::size_t k = 0; k < probes_.size(); ++k) {
-    waves_[k].append(time, node_voltages[probes_[k]]);
-  }
-}
-
 void TransientResult::record_probe_values(double time,
                                           std::span<const double> per_probe) {
   for (std::size_t k = 0; k < probes_.size(); ++k) {
@@ -379,24 +704,23 @@ void TransientResult::record_probe_values(double time,
 
 OperatingPoint dc_operating_point(const ckt::Netlist& netlist,
                                   const TransientOptions& options) {
-  Engine engine(netlist, options);
-  DynamicState state{std::vector<CapacitorState>(netlist.capacitors().size()),
-                     std::vector<InductorState>(netlist.inductors().size())};
-  solve_dc(engine, options, state);
-  const std::span<const double> x = engine.solution();
+  Stepper<OneLane> stepper(netlist, options, {});
+  stepper.add_lane(0, &netlist, options.t_stop, options.budget);
+  const std::span<const double> x = stepper.solve_dc();
+  const MnaStructure& structure = stepper.structure();
 
   OperatingPoint op;
   op.node_voltage.resize(netlist.node_count(), 0.0);
   for (ckt::NodeId n = 1; n < netlist.node_count(); ++n) {
-    op.node_voltage[n] = x[engine.structure().node_index(n)];
+    op.node_voltage[n] = x[structure.node_index(n)];
   }
   op.inductor_current.resize(netlist.inductors().size());
   for (std::size_t k = 0; k < netlist.inductors().size(); ++k) {
-    op.inductor_current[k] = x[engine.structure().inductor_index(k)];
+    op.inductor_current[k] = x[structure.inductor_index(k)];
   }
   op.vsource_current.resize(netlist.vsources().size());
   for (std::size_t k = 0; k < netlist.vsources().size(); ++k) {
-    op.vsource_current[k] = x[engine.structure().vsource_index(k)];
+    op.vsource_current[k] = x[structure.vsource_index(k)];
   }
   return op;
 }
@@ -404,83 +728,54 @@ OperatingPoint dc_operating_point(const ckt::Netlist& netlist,
 TransientResult simulate(const ckt::Netlist& netlist, const TransientOptions& options,
                          std::span<const ckt::NodeId> probes) {
   ensure(options.t_stop > 0.0 && options.dt > 0.0, "simulate: bad time range");
-  Engine engine(netlist, options);
+  Stepper<OneLane> stepper(netlist, options, probes);
+  stepper.add_lane(0, &netlist, options.t_stop, options.budget);
+  BlockOutcome out;
+  stepper.run(std::span<BlockOutcome>(&out, 1));
+  if (!out.result) std::rethrow_exception(out.error);
+  return std::move(*out.result);
+}
 
-  DynamicState state{std::vector<CapacitorState>(netlist.capacitors().size()),
-                     std::vector<InductorState>(netlist.inductors().size())};
-  solve_dc(engine, options, state);
-
-  // Seed device state from the operating point (capacitor currents and
-  // inductor voltages are zero in steady state).
-  for (std::size_t k = 0; k < netlist.capacitors().size(); ++k) {
-    const ckt::Capacitor& c = netlist.capacitors()[k];
-    state.caps[k].v = engine.voltage(c.a) - engine.voltage(c.b);
-    state.caps[k].i = 0.0;
+std::vector<BlockOutcome> simulate_block(std::span<const BlockScenario> scenarios,
+                                         const TransientOptions& options,
+                                         std::span<const NodeId> probes) {
+  std::vector<BlockOutcome> out(scenarios.size());
+  if (scenarios.empty()) return out;
+  ensure(options.dt > 0.0, "simulate_block: bad time step");
+  ensure(options.budget == nullptr,
+         "simulate_block: shared budget not supported (use per-lane budgets)");
+  ensure(options.assembly == AssemblyMode::cached,
+         "simulate_block: cached assembly only");
+  const Netlist& nl0 = *scenarios[0].netlist;
+  ensure(nl0.mosfets().empty(), "simulate_block: linear netlists only");
+  for (const BlockScenario& s : scenarios) {
+    ensure(s.netlist != nullptr, "simulate_block: null netlist");
+    ensure(scenario_group_equal(nl0, *s.netlist),
+           "simulate_block: scenarios must be group-equal");
   }
-  for (std::size_t k = 0; k < netlist.inductors().size(); ++k) {
-    state.inds[k].i = engine.inductor_current(k);
-    state.inds[k].v = 0.0;
-  }
 
-  TransientResult result(std::vector<ckt::NodeId>(probes.begin(), probes.end()),
-                         static_cast<std::size_t>(options.t_stop / options.dt) + 2);
-  std::vector<double> node_v(netlist.node_count(), 0.0);
-  const std::vector<ckt::NodeId>& watched = options.edge_stop.watch;
-  std::optional<detail::EdgeWatch> watch;
-  if (options.edge_stop.enabled()) {
-    for (ckt::NodeId n : watched) {
-      ensure(n < netlist.node_count(), "simulate: watched node out of range");
+  Stepper<std::size_t> stepper(nl0, options, probes);
+  // Longest-running lanes first, stable so equal t_stops keep input order.
+  std::vector<std::size_t> order(scenarios.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return scenarios[a].t_stop > scenarios[b].t_stop;
+  });
+  for (std::size_t slot : order) {
+    const BlockScenario& s = scenarios[slot];
+    if (s.t_stop > 0.0) {
+      stepper.add_lane(slot, s.netlist, s.t_stop, s.budget);
+      continue;
     }
-    watch.emplace(options.edge_stop);
-  }
-  // Records one sample; true once the measured-edge stop has seen every
-  // watched crossing.
-  auto record = [&](double t) {
-    engine.node_voltages_into(node_v);
-    result.record(t, node_v);
-    return watch && watch->observe([&](std::size_t k) { return node_v[watched[k]]; });
-  };
-  record(0.0);
-
-  const bool trap = options.integrator == Integrator::trapezoidal;
-  double t = 0.0;
-  std::int64_t step = 0;
-  while (t < options.t_stop - 1e-21) {
-    if (options.budget) options.budget->charge_transient_steps(1, "transient");
-    const double h = std::min(options.dt, options.t_stop - t);
-    const double t_next = t + h;
-    engine.newton(t_next, h, state, options.gmin);
-    // Periodic (cheap, amortized) non-finite guard; see solution_finite().
-    if ((++step & 63) == 0 && !engine.solution_finite()) {
-      throw SingularMatrixError("transient: non-finite solution (singular or "
-                                "NaN-stamped system)");
+    // sim::simulate's precondition, confined to this lane.
+    try {
+      ensure(false, "simulate: bad time range");
+    } catch (...) {
+      out[slot].error = std::current_exception();
     }
-
-    // Advance companion-model state.
-    for (std::size_t k = 0; k < netlist.capacitors().size(); ++k) {
-      const ckt::Capacitor& c = netlist.capacitors()[k];
-      CapacitorState& s = state.caps[k];
-      const double v_new = engine.voltage(c.a) - engine.voltage(c.b);
-      const double geq = (trap ? 2.0 : 1.0) * c.capacitance / h;
-      const double i_new = trap ? geq * (v_new - s.v) - s.i : geq * (v_new - s.v);
-      s.v = v_new;
-      s.i = i_new;
-    }
-    for (std::size_t k = 0; k < netlist.inductors().size(); ++k) {
-      const ckt::Inductor& l = netlist.inductors()[k];
-      InductorState& s = state.inds[k];
-      s.i = engine.inductor_current(k);
-      s.v = engine.voltage(l.a) - engine.voltage(l.b);
-    }
-
-    t = t_next;
-    if (record(t)) break;
   }
-  if (!engine.solution_finite()) {
-    throw SingularMatrixError("transient: non-finite solution (singular or "
-                              "NaN-stamped system)");
-  }
-  return result;
+  stepper.run(out);
+  return out;
 }
 
 }  // namespace rlceff::sim

@@ -97,10 +97,6 @@ struct TransientOptions {
   // Ends the run at the watched nodes' last measured crossing (see EdgeStop).
   // Charged steps stop with it, so a budget meters only the steps run.
   EdgeStop edge_stop;
-  // Deprecated: pre-SolverKind spelling of `solver = SolverKind::dense`.
-  // Honored (when `solver` is automatic) so existing tests compile; use the
-  // SolverKind override in new code.
-  bool force_dense = false;
   // Fault-injection hooks for the property/chaos harnesses (testkit/faults.h
   // generalizes these into keyed per-slot fault plans).  Never set outside
   // tests.
@@ -124,12 +120,8 @@ public:
   const std::vector<ckt::NodeId>& probes() const { return probes_; }
   const wave::Waveform& at(ckt::NodeId node) const;
 
-  void record(double time, std::span<const double> node_voltages);
-
-  // Like record(), but `per_probe` is already in probe order (one value per
-  // probes() entry) instead of indexed by NodeId.  Used by the blocked
-  // scenario engine, whose solution storage is lane-major rather than a full
-  // node-voltage vector.
+  // Appends one sample: `per_probe` holds one value per probes() entry, in
+  // probe order.
   void record_probe_values(double time, std::span<const double> per_probe);
 
 private:
@@ -146,17 +138,12 @@ struct OperatingPoint {
 };
 
 // The backend simulate() will factor this netlist with: the explicit
-// override when `options.solver` is not automatic (force_dense counting as a
-// dense override), otherwise the heuristic — banded while RCM keeps the band
-// narrow, else sparse when the unknown count is large enough that the
-// estimated sparse LU work beats the dense factor, else dense.  Never
-// returns SolverKind::automatic.
+// override when `options.solver` is not automatic, otherwise the heuristic —
+// banded while RCM keeps the band narrow, else sparse when the unknown count
+// is large enough that the estimated sparse LU work beats the dense factor,
+// else dense.  Never returns SolverKind::automatic.
 SolverKind selected_solver(const ckt::Netlist& netlist,
                            const TransientOptions& options = {});
-
-// Deprecated: pre-SolverKind spelling of
-// `selected_solver(netlist) == SolverKind::banded`.
-bool uses_banded_solver(const ckt::Netlist& netlist);
 
 // Solves the DC operating point at t = 0 (sources at their t = 0 values,
 // capacitors open, inductors shorted).
@@ -164,7 +151,10 @@ OperatingPoint dc_operating_point(const ckt::Netlist& netlist,
                                   const TransientOptions& options = {});
 
 // Runs a transient from the DC operating point, recording the probed nodes,
-// to options.t_stop or to the measured-edge stop (options.edge_stop).
+// to options.t_stop or to the measured-edge stop (options.edge_stop).  This
+// is the one-lane instance of the stepper simulate_block runs
+// (sim/scenario_block.h): the same RHS assembly, state advance, recording
+// and guards, with the lane count fixed at one at compile time.
 TransientResult simulate(const ckt::Netlist& netlist, const TransientOptions& options,
                          std::span<const ckt::NodeId> probes);
 

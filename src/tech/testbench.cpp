@@ -213,42 +213,4 @@ CoupledSimResult simulate_coupled_group(const Technology& tech,
   return result;
 }
 
-// ---- legacy adapters -----------------------------------------------------
-
-LineSimResult simulate_driver_line(const Technology& tech, const Inverter& cell,
-                                   double input_slew, const WireParasitics& wire,
-                                   const DeckOptions& options) {
-  NetSimResult r = simulate_driver_net(tech, cell, input_slew,
-                                       line_net(wire, options.c_load_far), options);
-  return {std::move(r.near_end), std::move(r.leaves.front()), r.input_time_50};
-}
-
-LineSimResult simulate_source_line(const wave::Pwl& source, const WireParasitics& wire,
-                                   const DeckOptions& options) {
-  NetSimResult r =
-      simulate_source_net(source, line_net(wire, options.c_load_far), options);
-  return {std::move(r.near_end), std::move(r.leaves.front()), r.input_time_50};
-}
-
-TreeSimResult simulate_driver_tree(const Technology& tech, const Inverter& cell,
-                                   double input_slew, const moments::RlcBranch& net,
-                                   const DeckOptions& options,
-                                   std::size_t segments_per_branch) {
-  DeckOptions o = options;
-  o.segments = segments_per_branch;
-  NetSimResult r =
-      simulate_driver_net(tech, cell, input_slew, net::Net::from_tree(net), o);
-  return {std::move(r.near_end), std::move(r.leaves), r.input_time_50};
-}
-
-TreeSimResult simulate_source_tree(const wave::Pwl& source,
-                                   const moments::RlcBranch& net,
-                                   const DeckOptions& options,
-                                   std::size_t segments_per_branch) {
-  DeckOptions o = options;
-  o.segments = segments_per_branch;
-  NetSimResult r = simulate_source_net(source, net::Net::from_tree(net), o);
-  return {std::move(r.near_end), std::move(r.leaves), r.input_time_50};
-}
-
 }  // namespace rlceff::tech

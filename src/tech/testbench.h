@@ -7,11 +7,9 @@
 //   3. an ideal PWL source driving the same net (replaying a modeled driver
 //      output waveform to validate the sink responses, Fig 6).
 //
-// Decks 2 and 3 take any net::Net — uniform lines, multi-section routes, and
-// branched trees all compile through ckt::append_net.  The legacy
-// WireParasitics / moments::RlcBranch entry points survive as one-line
-// adapters that wrap the corresponding net into a Net first; new code should
-// build a Net and call simulate_driver_net / simulate_source_net.
+// Decks 2 and 3 take any net::Net — uniform lines (tech::line_net),
+// multi-section routes, and branched trees (net::Net::from_tree) all compile
+// through ckt::append_net.
 //
 // The input stimulus is a falling saturated ramp (so the driver output
 // rises), starting after a short DC hold.  All waveforms are returned in
@@ -28,13 +26,11 @@
 
 #include "circuit/builders.h"
 #include "circuit/netlist.h"
-#include "moments/admittance.h"
 #include "net/coupled.h"
 #include "net/net.h"
 #include "sim/transient.h"
 #include "tech/inverter.h"
 #include "tech/technology.h"
-#include "tech/wire.h"
 #include "waveform/pwl.h"
 #include "waveform/waveform.h"
 
@@ -45,7 +41,6 @@ struct DeckOptions {
   double t_stop = 2e-9;          // simulation horizon [s]
   double dt = 0.25e-12;          // time step [s]
   std::size_t segments = 120;    // ladder discretization per net section
-  double c_load_far = 20e-15;    // far-end load used by the legacy line decks [F]
   // Solver controls (t_stop/dt overridden).  Setting sim.edge_stop.vdd turns
   // on the measured-edge stop (sim::EdgeStop); each deck then fills
   // sim.edge_stop.watch with the driving point and the leaves of every net
@@ -153,40 +148,6 @@ CoupledSimResult simulate_coupled_group(const Technology& tech,
                                         std::span<const NetDrive> drives,
                                         const net::CoupledGroup& group,
                                         const DeckOptions& options);
-
-// ---- legacy adapters -----------------------------------------------------
-// Deprecated spellings of decks 2/3 for uniform lines (with
-// options.c_load_far at the far end) and moments::RlcBranch trees.  Each is a
-// thin wrapper over the net::Net entry points above.
-
-struct LineSimResult {
-  wave::Waveform near_end;  // driver output
-  wave::Waveform far_end;
-  double input_time_50 = 0.0;  // 50 % crossing of the input stimulus
-};
-
-LineSimResult simulate_driver_line(const Technology& tech, const Inverter& cell,
-                                   double input_slew, const WireParasitics& wire,
-                                   const DeckOptions& options);
-
-LineSimResult simulate_source_line(const wave::Pwl& source, const WireParasitics& wire,
-                                   const DeckOptions& options);
-
-struct TreeSimResult {
-  wave::Waveform near_end;
-  std::vector<wave::Waveform> leaves;
-  double input_time_50 = 0.0;
-};
-
-TreeSimResult simulate_driver_tree(const Technology& tech, const Inverter& cell,
-                                   double input_slew, const moments::RlcBranch& net,
-                                   const DeckOptions& options,
-                                   std::size_t segments_per_branch = 30);
-
-TreeSimResult simulate_source_tree(const wave::Pwl& source,
-                                   const moments::RlcBranch& net,
-                                   const DeckOptions& options,
-                                   std::size_t segments_per_branch = 30);
 
 }  // namespace rlceff::tech
 

@@ -80,10 +80,6 @@ void check_cached_vs_naive(const net::CoupledGroup& group, Rng rng,
 void check_solver_equivalence(const net::Net& net, Rng rng,
                               const OracleOptions& options);
 
-// Deprecated: two-way predecessor of check_solver_equivalence; now forwards
-// to the three-way oracle.
-void check_banded_vs_dense(const net::Net& net, Rng rng, const OracleOptions& options);
-
 // Drives the net through a series resistor with a saturated ramp and checks
 // (a) every leaf settles on the rail and (b) the integrated source charge
 // equals C_total * Vdd.

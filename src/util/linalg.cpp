@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "util/error.h"
 
@@ -9,6 +10,44 @@ namespace rlceff::util {
 
 namespace {
 constexpr double pivot_floor = 1e-300;
+
+using OneLane = std::integral_constant<std::size_t, 1>;
+
+// The one substitution sweep behind lu_solve_into and lu_solve_block: lane s
+// of unknown i lives at x[i * stride + s].  `Lanes` is std::size_t for
+// blocks or OneLane, the compile-time one-lane instance lu_solve_into runs,
+// whose lane loops collapse to scalar code.  Every lane executes the same
+// operation sequence, so a lane's result is bitwise-identical whichever
+// instance solved it; the __restrict row pointers (distinct rows of x are
+// disjoint) let the block instance's lane loops vectorize.
+template <class Lanes>
+void lu_substitute(const LuFactors& f, double* x, Lanes lanes, Lanes stride) {
+  const std::size_t n = f.lu.rows();
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t p = f.perm[k];
+    double* __restrict xk = x + k * stride;
+    if (p != k) {
+      double* __restrict xp = x + p * stride;
+      for (std::size_t s = 0; s < lanes; ++s) std::swap(xk[s], xp[s]);
+    }
+    for (std::size_t i = k + 1; i < n; ++i) {
+      const double m = f.lu(i, k);
+      double* __restrict xi = x + i * stride;
+      for (std::size_t s = 0; s < lanes; ++s) xi[s] -= m * xk[s];
+    }
+  }
+  for (std::size_t k = n; k-- > 0;) {
+    double* __restrict xk = x + k * stride;
+    for (std::size_t j = k + 1; j < n; ++j) {
+      const double m = f.lu(k, j);
+      const double* __restrict xj = x + j * stride;
+      for (std::size_t s = 0; s < lanes; ++s) xk[s] -= m * xj[s];
+    }
+    const double d = f.lu(k, k);
+    for (std::size_t s = 0; s < lanes; ++s) xk[s] /= d;
+  }
+}
+
 }  // namespace
 
 DenseMatrix::DenseMatrix(std::size_t rows, std::size_t cols)
@@ -65,50 +104,16 @@ std::vector<double> lu_solve(const LuFactors& f, std::span<const double> b) {
 }
 
 void lu_solve_into(const LuFactors& f, std::span<double> x) {
-  const std::size_t n = f.lu.rows();
-  ensure(x.size() == n, "lu_solve: rhs size mismatch");
-
-  for (std::size_t k = 0; k < n; ++k) {
-    std::swap(x[k], x[f.perm[k]]);
-    for (std::size_t i = k + 1; i < n; ++i) x[i] -= f.lu(i, k) * x[k];
-  }
-  for (std::size_t k = n; k-- > 0;) {
-    for (std::size_t j = k + 1; j < n; ++j) x[k] -= f.lu(k, j) * x[j];
-    x[k] /= f.lu(k, k);
-  }
+  ensure(x.size() == f.lu.rows(), "lu_solve: rhs size mismatch");
+  lu_substitute(f, x.data(), OneLane{}, OneLane{});
 }
 
 void lu_solve_block(const LuFactors& f, std::span<double> x, std::size_t lanes,
                     std::size_t stride) {
-  const std::size_t n = f.lu.rows();
   ensure(lanes > 0 && lanes <= stride, "lu_solve_block: bad lane count");
-  ensure(x.size() == n * stride, "lu_solve_block: rhs block size mismatch");
-
-  // __restrict row pointers: distinct rows of x are disjoint, letting the
-  // lane loops vectorize (see BandedMatrix::solve_block).
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t p = f.perm[k];
-    double* __restrict xk = &x[k * stride];
-    if (p != k) {
-      double* __restrict xp = &x[p * stride];
-      for (std::size_t s = 0; s < lanes; ++s) std::swap(xk[s], xp[s]);
-    }
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double m = f.lu(i, k);
-      double* __restrict xi = &x[i * stride];
-      for (std::size_t s = 0; s < lanes; ++s) xi[s] -= m * xk[s];
-    }
-  }
-  for (std::size_t k = n; k-- > 0;) {
-    double* __restrict xk = &x[k * stride];
-    for (std::size_t j = k + 1; j < n; ++j) {
-      const double m = f.lu(k, j);
-      const double* __restrict xj = &x[j * stride];
-      for (std::size_t s = 0; s < lanes; ++s) xk[s] -= m * xj[s];
-    }
-    const double d = f.lu(k, k);
-    for (std::size_t s = 0; s < lanes; ++s) xk[s] /= d;
-  }
+  ensure(x.size() >= f.lu.rows() * stride - (stride - lanes),
+         "lu_solve_block: rhs block size mismatch");
+  lu_substitute(f, x.data(), lanes, stride);
 }
 
 std::vector<double> solve_dense(const DenseMatrix& a, std::span<const double> b) {
@@ -201,56 +206,49 @@ std::vector<double> BandedMatrix::solve(std::span<const double> b) const {
   return x;
 }
 
+// One kernel for both solves, like lu_substitute.
+template <class Lanes>
+void BandedMatrix::substitute(double* x, Lanes lanes, Lanes stride) const {
+  for (std::size_t k = 0; k < n_; ++k) {
+    const std::size_t p = pivot_[k];
+    double* __restrict xk = x + k * stride;
+    if (p != k) {
+      double* __restrict xp = x + p * stride;
+      for (std::size_t s = 0; s < lanes; ++s) std::swap(xk[s], xp[s]);
+    }
+    const std::size_t ilast = std::min(n_ - 1, k + kl_);
+    for (std::size_t i = k + 1; i <= ilast; ++i) {
+      const double m = at(i, k);
+      double* __restrict xi = x + i * stride;
+      for (std::size_t s = 0; s < lanes; ++s) xi[s] -= m * xk[s];
+    }
+  }
+  for (std::size_t k = n_; k-- > 0;) {
+    double* __restrict xk = x + k * stride;
+    const std::size_t jlast = std::min(n_ - 1, k + ku_tot_);
+    for (std::size_t j = k + 1; j <= jlast; ++j) {
+      const double m = at(k, j);
+      const double* __restrict xj = x + j * stride;
+      for (std::size_t s = 0; s < lanes; ++s) xk[s] -= m * xj[s];
+    }
+    const double d = at(k, k);
+    for (std::size_t s = 0; s < lanes; ++s) xk[s] /= d;
+  }
+}
+
 void BandedMatrix::solve_into(std::span<double> x) const {
   ensure(factored_, "BandedMatrix: solve before factor");
   ensure(x.size() == n_, "BandedMatrix: rhs size mismatch");
-
-  for (std::size_t k = 0; k < n_; ++k) {
-    std::swap(x[k], x[pivot_[k]]);
-    const std::size_t ilast = std::min(n_ - 1, k + kl_);
-    for (std::size_t i = k + 1; i <= ilast; ++i) x[i] -= at(i, k) * x[k];
-  }
-  for (std::size_t k = n_; k-- > 0;) {
-    const std::size_t jlast = std::min(n_ - 1, k + ku_tot_);
-    for (std::size_t j = k + 1; j <= jlast; ++j) x[k] -= at(k, j) * x[j];
-    x[k] /= at(k, k);
-  }
+  substitute(x.data(), OneLane{}, OneLane{});
 }
 
 void BandedMatrix::solve_block(std::span<double> x, std::size_t lanes,
                                std::size_t stride) const {
   ensure(factored_, "BandedMatrix: solve before factor");
   ensure(lanes > 0 && lanes <= stride, "BandedMatrix: bad lane count");
-  ensure(x.size() == n_ * stride, "BandedMatrix: rhs block size mismatch");
-
-  // Row pointers are __restrict so the lane loops vectorize: distinct row
-  // indices address disjoint stride-sized rows of x, which the compiler
-  // cannot deduce from the raw spans on its own.
-  for (std::size_t k = 0; k < n_; ++k) {
-    const std::size_t p = pivot_[k];
-    double* __restrict xk = &x[k * stride];
-    if (p != k) {
-      double* __restrict xp = &x[p * stride];
-      for (std::size_t s = 0; s < lanes; ++s) std::swap(xk[s], xp[s]);
-    }
-    const std::size_t ilast = std::min(n_ - 1, k + kl_);
-    for (std::size_t i = k + 1; i <= ilast; ++i) {
-      const double m = at(i, k);
-      double* __restrict xi = &x[i * stride];
-      for (std::size_t s = 0; s < lanes; ++s) xi[s] -= m * xk[s];
-    }
-  }
-  for (std::size_t k = n_; k-- > 0;) {
-    double* __restrict xk = &x[k * stride];
-    const std::size_t jlast = std::min(n_ - 1, k + ku_tot_);
-    for (std::size_t j = k + 1; j <= jlast; ++j) {
-      const double m = at(k, j);
-      const double* __restrict xj = &x[j * stride];
-      for (std::size_t s = 0; s < lanes; ++s) xk[s] -= m * xj[s];
-    }
-    const double d = at(k, k);
-    for (std::size_t s = 0; s < lanes; ++s) xk[s] /= d;
-  }
+  ensure(x.size() >= n_ * stride - (stride - lanes),
+         "BandedMatrix: rhs block size mismatch");
+  substitute(x.data(), lanes, stride);
 }
 
 }  // namespace rlceff::util

@@ -56,11 +56,11 @@ void lu_solve_into(const LuFactors& f, std::span<double> x);
 
 // Blocked multi-RHS solve over one factorization.  `x` is an n x stride
 // row-major block holding `lanes` right-hand sides: lane s of unknown i lives
-// at x[i * stride + s] (lanes <= stride; the extra columns are untouched).
-// Each lane executes exactly the operation sequence of lu_solve_into on that
-// lane alone — same swaps, same elimination order — so every lane's result is
-// bitwise-identical to an independent single-RHS solve, while the inner loops
-// run contiguously across lanes and vectorize.
+// at x[i * stride + s] (lanes <= stride; the extra columns are untouched, and
+// x may start at any column of a wider block).  lu_solve_into is the
+// one-lane instance of the same substitution kernel, so every lane's result
+// is bitwise-identical to an independent single-RHS solve, while the inner
+// loops run contiguously across lanes and vectorize.
 void lu_solve_block(const LuFactors& f, std::span<double> x, std::size_t lanes,
                     std::size_t stride);
 
@@ -105,10 +105,13 @@ public:
 
   // Blocked multi-RHS solve (see lu_solve_block): `lanes` right-hand sides in
   // an n x stride row-major block, each lane bitwise-identical to solve_into
-  // on that lane alone.
+  // on that lane alone (both run one substitution kernel).
   void solve_block(std::span<double> x, std::size_t lanes, std::size_t stride) const;
 
 private:
+  template <class Lanes>
+  void substitute(double* x, Lanes lanes, Lanes stride) const;
+
   double& at(std::size_t r, std::size_t c);
   double at(std::size_t r, std::size_t c) const;
 

@@ -98,18 +98,22 @@ public:
   void solve_into(std::span<double> x, ExecTracker* budget = nullptr) const;
 
   // Blocked multi-RHS solve: `lanes` right-hand sides in an n x stride
-  // row-major block (lane s of unknown i at x[i * stride + s]).  Every lane
-  // runs exactly solve_into's operation sequence — including its skip of
-  // zero-valued pivot entries, replicated per lane — so lane results are
-  // bitwise-identical to independent single-RHS solves.  Grows the block
-  // scratch on first use, allocation-free afterwards; no budget checkpoints
-  // (the scenario-batching caller charges per-lane step budgets instead).
+  // row-major block (lane s of unknown i at x[i * stride + s]; x may start at
+  // any column of a wider block).  solve_into is the one-lane instance of the
+  // same substitution kernel — its skip of zero-valued pivot entries is taken
+  // per lane — so lane results are bitwise-identical to independent
+  // single-RHS solves.  Grows the scratch on first use, allocation-free
+  // afterwards; no budget checkpoints (the scenario-batching caller charges
+  // per-lane step budgets instead).
   void solve_block(std::span<double> x, std::size_t lanes, std::size_t stride) const;
 
   // Fill diagnostics (valid after factor): stored entries of L + U.
   std::size_t factor_nnz() const { return li_.size() + ui_.size(); }
 
 private:
+  template <class Lanes>
+  void substitute(double* x, Lanes lanes, Lanes stride, ExecTracker* budget) const;
+
   std::size_t n_ = 0;
   std::vector<std::size_t> q_;     // column order: factor column k is A column q_[k]
   std::vector<std::size_t> pinv_;  // row i of A is pivot row pinv_[i]
@@ -124,8 +128,7 @@ private:
   std::vector<std::size_t> xi_;            // reach pattern (topological order)
   std::vector<std::size_t> mark_;          // DFS visit stamps
   std::vector<std::size_t> dfs_stack_, dfs_ptr_;
-  mutable std::vector<double> work_;       // permuted rhs during solve
-  mutable std::vector<double> work_block_;  // permuted rhs block (solve_block)
+  mutable std::vector<double> work_;       // permuted rhs (block) during solve
   std::size_t stamp_ = 0;
   bool factored_ = false;
 };

@@ -408,11 +408,11 @@ TEST(DenseFallback, NarrowDeckMatchesBandedWithin1e10) {
     const ckt::NodeId out = nl.node("out");
     nl.add_vsource(out, ckt::ground, wave::Pwl({{0.0, 0.0}, {100 * ps, 1.8}}));
     ckt::append_net(nl, out, net, deck.segments);
-    EXPECT_TRUE(sim::uses_banded_solver(nl));
+    EXPECT_EQ(sim::selected_solver(nl), sim::SolverKind::banded);
   }
 
   tech::DeckOptions dense = deck;
-  dense.sim.force_dense = true;
+  dense.sim.solver = sim::SolverKind::dense;
   const tech::NetSimResult banded =
       tech::simulate_driver_net(technology, cell, 100 * ps, net, deck);
   const tech::NetSimResult forced =
@@ -452,7 +452,7 @@ TEST(DenseFallback, WideCoupledDeckForcesDenseFactorization) {
     froms.push_back(from);
   }
   const ckt::CoupledDeckNodes deck = ckt::append_coupled_group(nl, froms, bus, 2);
-  EXPECT_FALSE(sim::uses_banded_solver(nl));
+  EXPECT_NE(sim::selected_solver(nl), sim::SolverKind::banded);
 
   // The dense path must still agree with itself across assembly modes (both
   // factor the same stamped system).

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -48,9 +49,11 @@ std::vector<double> random_rhs(std::mt19937_64& rng, std::size_t n) {
   return b;
 }
 
+// Each solve test runs a multi-lane block and a one-lane block (lane count
+// 1 at a runtime stride, against the compile-time one-lane solve_into).
 TEST(SolveBlock, DenseLanesBitwiseMatchSingleRhs) {
   std::mt19937_64 rng(0x51ab10c1u);
-  const std::size_t n = 37, lanes = 5, stride = 7;
+  const std::size_t n = 37, stride = 7;
   const auto a = random_matrix(rng, n, n);
   util::DenseMatrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -58,32 +61,35 @@ TEST(SolveBlock, DenseLanesBitwiseMatchSingleRhs) {
   }
   const util::LuFactors f = util::lu_factor(m);
 
-  std::vector<std::vector<double>> rhs;
-  for (std::size_t s = 0; s < lanes; ++s) rhs.push_back(random_rhs(rng, n));
+  for (const std::size_t lanes : {std::size_t{5}, std::size_t{1}}) {
+    std::vector<std::vector<double>> rhs;
+    for (std::size_t s = 0; s < lanes; ++s) rhs.push_back(random_rhs(rng, n));
 
-  std::vector<double> block(n * stride, 0.25);  // padding columns must survive
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t s = 0; s < lanes; ++s) block[i * stride + s] = rhs[s][i];
-  }
-  util::lu_solve_block(f, block, lanes, stride);
-
-  for (std::size_t s = 0; s < lanes; ++s) {
-    std::vector<double> x = rhs[s];
-    util::lu_solve_into(f, x);
+    std::vector<double> block(n * stride, 0.25);  // padding columns must survive
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(dbits(x[i]), dbits(block[i * stride + s])) << "lane " << s;
+      for (std::size_t s = 0; s < lanes; ++s) block[i * stride + s] = rhs[s][i];
     }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t s = lanes; s < stride; ++s) {
-      EXPECT_EQ(block[i * stride + s], 0.25);
+    util::lu_solve_block(f, block, lanes, stride);
+
+    for (std::size_t s = 0; s < lanes; ++s) {
+      std::vector<double> x = rhs[s];
+      util::lu_solve_into(f, x);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(dbits(x[i]), dbits(block[i * stride + s]))
+            << lanes << " lanes, lane " << s;
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t s = lanes; s < stride; ++s) {
+        EXPECT_EQ(block[i * stride + s], 0.25);
+      }
     }
   }
 }
 
 TEST(SolveBlock, BandedLanesBitwiseMatchSingleRhs) {
   std::mt19937_64 rng(0xba4dedu);
-  const std::size_t n = 41, bw = 3, lanes = 6, stride = 6;
+  const std::size_t n = 41, bw = 3, stride = 6;
   const auto a = random_matrix(rng, n, bw);
   util::BandedMatrix m(n, bw, bw);
   for (std::size_t i = 0; i < n; ++i) {
@@ -93,26 +99,29 @@ TEST(SolveBlock, BandedLanesBitwiseMatchSingleRhs) {
   }
   m.factor();
 
-  std::vector<std::vector<double>> rhs;
-  for (std::size_t s = 0; s < lanes; ++s) rhs.push_back(random_rhs(rng, n));
-  std::vector<double> block(n * stride, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t s = 0; s < lanes; ++s) block[i * stride + s] = rhs[s][i];
-  }
-  m.solve_block(block, lanes, stride);
-
-  for (std::size_t s = 0; s < lanes; ++s) {
-    std::vector<double> x = rhs[s];
-    m.solve_into(x);
+  for (const std::size_t lanes : {std::size_t{6}, std::size_t{1}}) {
+    std::vector<std::vector<double>> rhs;
+    for (std::size_t s = 0; s < lanes; ++s) rhs.push_back(random_rhs(rng, n));
+    std::vector<double> block(n * stride, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(dbits(x[i]), dbits(block[i * stride + s])) << "lane " << s;
+      for (std::size_t s = 0; s < lanes; ++s) block[i * stride + s] = rhs[s][i];
+    }
+    m.solve_block(block, lanes, stride);
+
+    for (std::size_t s = 0; s < lanes; ++s) {
+      std::vector<double> x = rhs[s];
+      m.solve_into(x);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(dbits(x[i]), dbits(block[i * stride + s]))
+            << lanes << " lanes, lane " << s;
+      }
     }
   }
 }
 
 TEST(SolveBlock, SparseLanesBitwiseMatchSingleRhs) {
   std::mt19937_64 rng(0x5a2c3e11u);
-  const std::size_t n = 53, bw = 4, lanes = 4, stride = 5;
+  const std::size_t n = 53, bw = 4, stride = 5;
   const auto a = random_matrix(rng, n, bw);
   std::vector<std::pair<std::size_t, std::size_t>> positions;
   for (std::size_t i = 0; i < n; ++i) {
@@ -130,19 +139,22 @@ TEST(SolveBlock, SparseLanesBitwiseMatchSingleRhs) {
   lu.analyze(m);
   lu.factor(m);
 
-  std::vector<std::vector<double>> rhs;
-  for (std::size_t s = 0; s < lanes; ++s) rhs.push_back(random_rhs(rng, n));
-  std::vector<double> block(n * stride, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t s = 0; s < lanes; ++s) block[i * stride + s] = rhs[s][i];
-  }
-  lu.solve_block(block, lanes, stride);
-
-  for (std::size_t s = 0; s < lanes; ++s) {
-    std::vector<double> x = rhs[s];
-    lu.solve_into(x);
+  for (const std::size_t lanes : {std::size_t{4}, std::size_t{1}}) {
+    std::vector<std::vector<double>> rhs;
+    for (std::size_t s = 0; s < lanes; ++s) rhs.push_back(random_rhs(rng, n));
+    std::vector<double> block(n * stride, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(dbits(x[i]), dbits(block[i * stride + s])) << "lane " << s;
+      for (std::size_t s = 0; s < lanes; ++s) block[i * stride + s] = rhs[s][i];
+    }
+    lu.solve_block(block, lanes, stride);
+
+    for (std::size_t s = 0; s < lanes; ++s) {
+      std::vector<double> x = rhs[s];
+      lu.solve_into(x);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(dbits(x[i]), dbits(block[i * stride + s]))
+            << lanes << " lanes, lane " << s;
+      }
     }
   }
 }
@@ -253,8 +265,14 @@ TEST_P(BlockVsScalar, LanesBitwiseMatchPerSlotRuns) {
     sim::TransientOptions scalar_opt = opt;
     scalar_opt.t_stop = t_stops[k];
     const sim::TransientResult ref = sim::simulate(decks[k], scalar_opt, probes);
+    // The same scenario as a one-lane block (its shortened final step
+    // refactors in place instead of on the tail solver).
+    const std::vector<sim::BlockOutcome> alone = sim::simulate_block(
+        std::span<const sim::BlockScenario>(&scenarios[k], 1), opt, probes);
+    ASSERT_TRUE(alone[0].result.has_value()) << "one-lane block " << k;
     for (ckt::NodeId p : probes) {
       expect_bitwise(block[k].result->at(p), ref.at(p), "probe");
+      expect_bitwise(alone[0].result->at(p), ref.at(p), "one-lane probe");
     }
   }
 }

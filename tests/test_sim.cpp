@@ -262,18 +262,11 @@ TEST(SolverSelection, NarrowLadderPicksBandedAndOverridesWin) {
   ckt::append_rlc_ladder(nl, src, 100.0, 1 * nh, 200e-15, 40);
 
   EXPECT_EQ(SolverKind::banded, selected_solver(nl));
-  EXPECT_TRUE(uses_banded_solver(nl));  // deprecated shim, same predicate
 
   TransientOptions opt;
   opt.solver = SolverKind::sparse;
   EXPECT_EQ(SolverKind::sparse, selected_solver(nl, opt));
   opt.solver = SolverKind::dense;
-  EXPECT_EQ(SolverKind::dense, selected_solver(nl, opt));
-
-  // The deprecated force_dense spelling still maps to a dense override, but
-  // an explicit SolverKind beats it.
-  opt.solver = SolverKind::automatic;
-  opt.force_dense = true;
   EXPECT_EQ(SolverKind::dense, selected_solver(nl, opt));
   opt.solver = SolverKind::banded;
   EXPECT_EQ(SolverKind::banded, selected_solver(nl, opt));

@@ -122,8 +122,9 @@ TEST_F(TreeModelFixture, BranchedNetEndToEnd) {
   tech::DeckOptions deck;
   deck.dt = 0.5 * ps;
   deck.t_stop = 2 * ns;
-  const tech::TreeSimResult sim = tech::simulate_driver_tree(
-      *technology_, tech::Inverter{100.0}, 100 * ps, net, deck, 30);
+  deck.segments = 30;
+  const tech::NetSimResult sim = tech::simulate_driver_net(
+      *technology_, tech::Inverter{100.0}, 100 * ps, net::Net::from_tree(net), deck);
   ASSERT_EQ(2u, sim.leaves.size());
 
   const auto near = wave::measure_rising_edge(sim.near_end, 0.0, technology_->vdd);
@@ -155,12 +156,14 @@ TEST_F(TreeModelFixture, ReplayThroughTreeMatchesSinkDelay) {
   tech::DeckOptions deck;
   deck.dt = 0.5 * ps;
   deck.t_stop = 2 * ns;
-  const auto ref = tech::simulate_driver_tree(*technology_, tech::Inverter{100.0},
-                                              100 * ps, net, deck, 30);
+  deck.segments = 30;
+  const net::Net tree = net::Net::from_tree(net);
+  const auto ref = tech::simulate_driver_net(*technology_, tech::Inverter{100.0},
+                                             100 * ps, tree, deck);
   // Replay the modeled waveform (shifted to deck time) through the tree.
   std::vector<std::pair<double, double>> pts = model.waveform.points();
   for (auto& [t, v] : pts) t += ref.input_time_50;
-  const auto replay = tech::simulate_source_tree(wave::Pwl(std::move(pts)), net, deck, 30);
+  const auto replay = tech::simulate_source_net(wave::Pwl(std::move(pts)), tree, deck);
 
   const auto ref_leaf = wave::measure_rising_edge(ref.leaves[0], 0.0, technology_->vdd);
   const auto mod_leaf = wave::measure_rising_edge(replay.leaves[0], 0.0, technology_->vdd);
@@ -204,8 +207,8 @@ TEST_F(TreeModelFixture, ShieldingTailImprovesSlewAccuracy) {
   deck.segments = 60;
   deck.dt = 0.5 * ps;
   deck.t_stop = 4 * ns;
-  const auto sim = tech::simulate_driver_line(*technology_, tech::Inverter{25.0},
-                                              100 * ps, w, deck);
+  const auto sim = tech::simulate_driver_net(*technology_, tech::Inverter{25.0},
+                                             100 * ps, tech::line_net(w, 20 * ff), deck);
   const auto ref = wave::measure_rising_edge(sim.near_end, 0.0, technology_->vdd);
 
   DriverModelOptions with_tail;
