@@ -33,12 +33,18 @@ const tech::WireParasitics& wire() {
 }
 
 // ------------------------------------------------------------------------
-// Factor-once transient engine numbers (BENCH_perf.json).
+// Transient engine numbers (BENCH_perf.json).
 //
 // The linear RLC line is the paper's "HSPICE" reference deck with the driver
 // replaced by an ideal ramp: a purely linear circuit, so the cached engine
 // factors its companion matrix once per run while the naive engine rebuilds
 // and refactors it on every step (the pre-refactor behavior).
+//
+// The driver line puts the inverter back: a MOSFET deck, so both engines
+// run Newton iterations.  The cached engine restores the static image and
+// refactors only the columns from the first MOSFET terminal on (the last
+// few after RCM); the naive engine rebuilds and refactors the whole matrix
+// every iteration.
 
 struct TransientTiming {
   double ns_per_step = 0.0;
@@ -46,6 +52,26 @@ struct TransientTiming {
   std::size_t steps = 0;
   std::size_t unknowns = 0;
 };
+
+// Best of five timed runs (after one warm-up) of a `steps`-step transient.
+template <class Run>
+TransientTiming time_steps(std::size_t steps, Run run) {
+  using clock = std::chrono::steady_clock;
+  double best_s = 1e300;
+  (void)run();  // warm-up
+  for (int rep = 0; rep < 5; ++rep) {
+    const auto t0 = clock::now();
+    const auto samples = run();
+    const auto t1 = clock::now();
+    benchmark::DoNotOptimize(samples);
+    best_s = std::min(best_s, std::chrono::duration<double>(t1 - t0).count());
+  }
+  TransientTiming timing;
+  timing.steps = steps;
+  timing.ns_per_step = best_s * 1e9 / static_cast<double>(steps);
+  timing.steps_per_s = static_cast<double>(steps) / best_s;
+  return timing;
+}
 
 TransientTiming time_linear_line(sim::AssemblyMode mode) {
   ckt::Netlist nl;
@@ -61,23 +87,26 @@ TransientTiming time_linear_line(sim::AssemblyMode mode) {
   opt.assembly = mode;
   const std::array<ckt::NodeId, 1> probes{line.far_end};
 
-  TransientTiming timing;
-  timing.steps = static_cast<std::size_t>(opt.t_stop / opt.dt);
+  TransientTiming timing =
+      time_steps(static_cast<std::size_t>(opt.t_stop / opt.dt),
+                 [&] { return sim::simulate(nl, opt, probes).at(line.far_end).size(); });
   timing.unknowns = ckt::MnaStructure(nl).unknown_count();
-
-  using clock = std::chrono::steady_clock;
-  double best_s = 1e300;
-  (void)sim::simulate(nl, opt, probes);  // warm-up
-  for (int rep = 0; rep < 5; ++rep) {
-    const auto t0 = clock::now();
-    const auto res = sim::simulate(nl, opt, probes);
-    const auto t1 = clock::now();
-    benchmark::DoNotOptimize(res.at(line.far_end).size());
-    best_s = std::min(best_s, std::chrono::duration<double>(t1 - t0).count());
-  }
-  timing.ns_per_step = best_s * 1e9 / static_cast<double>(timing.steps);
-  timing.steps_per_s = static_cast<double>(timing.steps) / best_s;
   return timing;
+}
+
+TransientTiming time_driver_line(sim::AssemblyMode mode) {
+  const tech::Technology technology = tech::Technology::cmos180();
+  const net::Net line = tech::line_net(wire(), 20 * ff);
+  tech::DeckOptions deck;
+  deck.segments = 120;
+  deck.dt = 0.25 * ps;
+  deck.t_stop = 1.0 * ns;
+  deck.sim.assembly = mode;
+  return time_steps(static_cast<std::size_t>(deck.t_stop / deck.dt), [&] {
+    return tech::simulate_driver_net(technology, tech::Inverter{75.0}, 100 * ps, line,
+                                     deck)
+        .near_end.size();
+  });
 }
 
 // Engine batch throughput: the Fig-7 sweep grid (7 lengths x 7 widths x 4
@@ -143,6 +172,9 @@ void emit_perf_json() {
   const TransientTiming cached = time_linear_line(sim::AssemblyMode::cached);
   const TransientTiming naive = time_linear_line(sim::AssemblyMode::naive);
   const double speedup = naive.ns_per_step / cached.ns_per_step;
+  const TransientTiming driver_cached = time_driver_line(sim::AssemblyMode::cached);
+  const TransientTiming driver_naive = time_driver_line(sim::AssemblyMode::naive);
+  const double refactor_speedup = driver_naive.ns_per_step / driver_cached.ns_per_step;
   const BatchTiming batch = time_engine_batch();
 
   // Bench name "perf": BENCH_perf.json is shared with large_topology, which
@@ -157,6 +189,9 @@ void emit_perf_json() {
        {"linear_line_naive_ns_per_step", naive.ns_per_step, "ns/step"},
        {"linear_line_naive_steps_per_s", naive.steps_per_s, "steps/s"},
        {"linear_line_factor_once_speedup", speedup, "x"},
+       {"driver_line_cached_ns_per_step", driver_cached.ns_per_step, "ns/step"},
+       {"driver_line_naive_ns_per_step", driver_naive.ns_per_step, "ns/step"},
+       {"driver_line_refactor_speedup", refactor_speedup, "x"},
        {"engine_batch_nets", static_cast<double>(batch.nets), "count"},
        {"engine_batch_nets_per_s", batch.nets_per_s, "nets/s"}});
 
@@ -168,6 +203,11 @@ void emit_perf_json() {
   std::printf("  naive (refactor per step): %8.1f ns/step  %10.0f steps/s\n",
               naive.ns_per_step, naive.steps_per_s);
   std::printf("  speedup: %.2fx\n", speedup);
+  std::printf("== Newton transient (Inverter 75 + 120-segment line, %zu steps) ==\n",
+              driver_cached.steps);
+  std::printf("  cached (MOSFET columns):   %8.1f ns/step\n", driver_cached.ns_per_step);
+  std::printf("  naive (full refactor):     %8.1f ns/step\n", driver_naive.ns_per_step);
+  std::printf("  speedup: %.2fx\n", refactor_speedup);
   std::printf("== api::Engine model-only batch (Fig-7 grid) ==\n");
   std::printf("  %zu nets: %.0f nets/s  (written to BENCH_perf.json)\n\n",
               batch.nets, batch.nets_per_s);
@@ -257,8 +297,9 @@ int main(int argc, char** argv) {
         "", {"linear_line_unknowns", "linear_line_steps",
              "linear_line_cached_ns_per_step", "linear_line_cached_steps_per_s",
              "linear_line_naive_ns_per_step", "linear_line_naive_steps_per_s",
-             "linear_line_factor_once_speedup", "engine_batch_nets",
-             "engine_batch_nets_per_s"});
+             "linear_line_factor_once_speedup", "driver_line_cached_ns_per_step",
+             "driver_line_naive_ns_per_step", "driver_line_refactor_speedup",
+             "engine_batch_nets", "engine_batch_nets_per_s"});
     return 0;
   }
   emit_perf_json();

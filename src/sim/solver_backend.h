@@ -15,6 +15,7 @@
 #ifndef RLCEFF_SIM_SOLVER_BACKEND_H
 #define RLCEFF_SIM_SOLVER_BACKEND_H
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <optional>
@@ -38,12 +39,20 @@ namespace rlceff::sim::detail {
 // traffic.  solve_block() does the same for `lanes` right-hand sides stored
 // as an n x stride row-major block, with every lane's operation sequence
 // identical to solve_into on that lane alone.
+//
+// save_static(first) also promises that between load_static() and factor()
+// only columns first..n-1 change.  A backend may then, once it has factored
+// a matrix restored from that image in full, restore and refactor only
+// those columns: the banded backend does, and its factors stay bitwise
+// those of a full factorization.  Dense and sparse refactor every column,
+// which meets the same contract.  save_static() and clear() drop the kept
+// columns.
 class LinearSolver {
 public:
   virtual ~LinearSolver() = default;
   virtual void clear() = 0;
   virtual void add(std::size_t r, std::size_t c, double v) = 0;
-  virtual void save_static() = 0;
+  virtual void save_static(std::size_t first) = 0;
   virtual void load_static() = 0;
   virtual void factor() = 0;
   // x holds the rhs on entry and the solution on exit.
@@ -56,15 +65,26 @@ public:
 class BandedSolver final : public LinearSolver {
 public:
   BandedSolver(std::size_t n, std::size_t bw) : n_(n), bw_(bw), a_(n, bw, bw) {}
-  void clear() override { a_.set_zero(); }
+  void clear() override {
+    a_.set_zero();
+    loaded_ = kept_ = false;
+  }
   void add(std::size_t r, std::size_t c, double v) override { a_.add(r, c, v); }
-  void save_static() override {
+  void save_static(std::size_t first) override {
     // Lazy: only the nonlinear cached path pays for the second matrix.
     if (!static_image_) static_image_.emplace(n_, bw_, bw_);
     static_image_->copy_values_from(a_);
+    first_ = std::min(first, n_);
+    loaded_ = kept_ = false;
   }
-  void load_static() override { a_.copy_values_from(*static_image_); }
-  void factor() override { a_.factor(); }
+  void load_static() override {
+    a_.copy_values_from(*static_image_, kept_ ? first_ : 0);
+    loaded_ = true;
+  }
+  void factor() override {
+    a_.factor_from(kept_ ? first_ : 0);
+    kept_ = loaded_;
+  }
   void solve_into(std::span<double> x) override { a_.solve_into(x); }
   void solve_block(std::span<double> x, std::size_t lanes,
                    std::size_t stride) override {
@@ -76,6 +96,9 @@ private:
   std::size_t bw_;
   util::BandedMatrix a_;
   std::optional<util::BandedMatrix> static_image_;
+  std::size_t first_ = 0;  // first column that can change after save_static
+  bool loaded_ = false;    // a_ was restored from static_image_
+  bool kept_ = false;      // a_'s columns before first_ hold the image's factors
 };
 
 class DenseSolver final : public LinearSolver {
@@ -83,7 +106,7 @@ public:
   explicit DenseSolver(std::size_t n) : a_(n, n) {}
   void clear() override { a_.set_zero(); }
   void add(std::size_t r, std::size_t c, double v) override { a_(r, c) += v; }
-  void save_static() override { static_image_ = a_; }
+  void save_static(std::size_t /*first*/) override { static_image_ = a_; }
   void load_static() override { a_ = static_image_; }
   void factor() override { util::lu_factor_into(a_, f_); }
   void solve_into(std::span<double> x) override { util::lu_solve_into(f_, x); }
@@ -115,7 +138,7 @@ public:
   }
   void clear() override { a_.set_zero(); }
   void add(std::size_t r, std::size_t c, double v) override { a_.add(r, c, v); }
-  void save_static() override {
+  void save_static(std::size_t /*first*/) override {
     if (!static_image_) {
       static_image_.emplace(a_);
     } else {

@@ -131,6 +131,8 @@ public:
     }
     for (const ckt::Mosfet& mos : nl0_.mosfets()) {
       mos_pos_.push_back({pos(mos.drain), pos(mos.gate), pos(mos.source)});
+      first_mos_col_ = std::min({first_mos_col_, mos_pos_.back().drain,
+                                 mos_pos_.back().gate, mos_pos_.back().source});
     }
     for (NodeId p : probes_) probe_pos_.push_back(pos(p));
     if (options.edge_stop.enabled()) {
@@ -313,15 +315,17 @@ private:
 
   // Newton-Raphson on the one lane's step system, xb_ holding the iterate
   // (also the initial guess).  Cached assembly restores the linear stamps
-  // from the static image each iteration and restamps only the MOSFETs;
-  // naive assembly rebuilds and refactors the full matrix.
+  // from the static image each iteration and restamps only the MOSFETs, so
+  // only columns from first_mos_col_ on change and the banded backend
+  // refactors just those; naive assembly rebuilds and refactors the full
+  // matrix.
   void newton(double t, double h, double gmin) {
     const bool cached = opt_.assembly == AssemblyMode::cached;
     if (cached && !holds(h, gmin)) {
       solver_->clear();
       detail::assemble_static_stamps(*solver_, nl0_, structure_, h, gmin, opt_,
                                      /*cached_path=*/true);
-      solver_->save_static();
+      solver_->save_static(first_mos_col_);
       held_h_ = h;
       held_gmin_ = gmin;
     }
@@ -623,6 +627,7 @@ private:
   std::vector<Pair> ind_nodes_;
   std::vector<std::size_t> vsrc_pos_;
   std::vector<MosPos> mos_pos_;
+  std::size_t first_mos_col_ = npos;  // smallest MOSFET terminal position
   std::vector<std::size_t> probe_pos_;
   std::vector<std::size_t> watch_pos_;  // measured-edge stop nodes
 

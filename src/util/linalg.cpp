@@ -146,7 +146,7 @@ double BandedMatrix::at(std::size_t r, std::size_t c) const {
 }
 
 void BandedMatrix::add(std::size_t r, std::size_t c, double v) {
-  ensure(!factored_, "BandedMatrix: modifying a factored matrix");
+  ensure(c >= factored_, "BandedMatrix: modifying a factored column");
   ensure(in_band(r, c), "BandedMatrix: entry outside declared band");
   at(r, c) += v;
 }
@@ -158,45 +158,71 @@ double BandedMatrix::get(std::size_t r, std::size_t c) const {
 
 void BandedMatrix::set_zero() {
   std::fill(ab_.begin(), ab_.end(), 0.0);
-  factored_ = false;
+  factored_ = 0;
 }
 
-void BandedMatrix::copy_values_from(const BandedMatrix& other) {
+void BandedMatrix::copy_values_from(const BandedMatrix& other, std::size_t first) {
   ensure(n_ == other.n_ && kl_ == other.kl_ && ku_ == other.ku_,
          "BandedMatrix: copy_values_from shape mismatch");
-  ensure(!other.factored_, "BandedMatrix: copying from a factored matrix");
-  std::copy(other.ab_.begin(), other.ab_.end(), ab_.begin());
-  factored_ = false;
+  ensure(other.factored_ == 0, "BandedMatrix: copying from a factored matrix");
+  ensure(first <= n_, "BandedMatrix: copy_values_from column out of range");
+  const auto off = static_cast<std::ptrdiff_t>(first * ld_);
+  std::copy(other.ab_.begin() + off, other.ab_.end(), ab_.begin() + off);
+  factored_ = std::min(factored_, first);
 }
 
-void BandedMatrix::factor() {
-  ensure(!factored_, "BandedMatrix: already factored");
-  for (std::size_t k = 0; k < n_; ++k) {
+void BandedMatrix::factor() { factor_from(0); }
+
+// Right-looking partial-pivoting LU.  Step k picks the pivot of column k,
+// swaps rows k and the pivot row across columns k..k+ku_tot, stores the
+// multipliers m(i, k) below the diagonal and updates the trailing band,
+// a(i, j) -= m(i, k) * a(k, j), skipping the rows whose multiplier is
+// exactly zero (the sparsity inside the band).
+//
+// A column's factors depend only on its own values and the columns before
+// it, so factor_from(first) keeps columns 0..first-1.  The kept steps whose
+// swaps and updates reach column `first` (k >= first - ku_tot) are replayed
+// on columns first.. from their stored pivots and multipliers, then the
+// elimination continues from step `first`.  Every entry of the recomputed
+// columns gets the same operations in the same ascending-k order as in
+// factor(), so the factors are bitwise identical.
+void BandedMatrix::factor_from(std::size_t first) {
+  ensure(first <= n_ && factored_ == first,
+         "BandedMatrix: factor_from(first) needs the columns before `first` "
+         "factored and the rest not (factor() needs an unfactored matrix)");
+  for (std::size_t k = first > ku_tot_ ? first - ku_tot_ : 0; k < n_; ++k) {
+    const bool kept = k < first;
     const std::size_t ilast = std::min(n_ - 1, k + kl_);
-    std::size_t prow = k;
-    double pmax = std::abs(at(k, k));
-    for (std::size_t i = k + 1; i <= ilast; ++i) {
-      const double v = std::abs(at(i, k));
-      if (v > pmax) {
-        pmax = v;
-        prow = i;
+    const std::size_t jlast = std::min(n_ - 1, k + ku_tot_);
+    if (!kept) {
+      std::size_t prow = k;
+      double pmax = std::abs(at(k, k));
+      for (std::size_t i = k + 1; i <= ilast; ++i) {
+        const double v = std::abs(at(i, k));
+        if (v > pmax) {
+          pmax = v;
+          prow = i;
+        }
+      }
+      if (pmax < pivot_floor) throw SingularMatrixError("BandedMatrix: singular matrix");
+      pivot_[k] = prow;
+    }
+    const std::size_t prow = pivot_[k];
+    if (prow != k) {
+      for (std::size_t j = kept ? first : k; j <= jlast; ++j) {
+        std::swap(at(k, j), at(prow, j));
       }
     }
-    if (pmax < pivot_floor) throw SingularMatrixError("BandedMatrix: singular matrix");
-    pivot_[k] = prow;
-    const std::size_t jlast = std::min(n_ - 1, k + ku_tot_);
-    if (prow != k) {
-      for (std::size_t j = k; j <= jlast; ++j) std::swap(at(k, j), at(prow, j));
-    }
-    const double inv = 1.0 / at(k, k);
+    const double inv = kept ? 1.0 : 1.0 / at(k, k);
+    const std::size_t jfirst = kept ? first : k + 1;
     for (std::size_t i = k + 1; i <= ilast; ++i) {
-      const double m = at(i, k) * inv;
-      at(i, k) = m;
+      double m = at(i, k);
+      if (!kept) at(i, k) = m = m * inv;
       if (m == 0.0) continue;
-      for (std::size_t j = k + 1; j <= jlast; ++j) at(i, j) -= m * at(k, j);
+      for (std::size_t j = jfirst; j <= jlast; ++j) at(i, j) -= m * at(k, j);
     }
   }
-  factored_ = true;
+  factored_ = n_;
 }
 
 std::vector<double> BandedMatrix::solve(std::span<const double> b) const {
@@ -237,14 +263,14 @@ void BandedMatrix::substitute(double* x, Lanes lanes, Lanes stride) const {
 }
 
 void BandedMatrix::solve_into(std::span<double> x) const {
-  ensure(factored_, "BandedMatrix: solve before factor");
+  ensure(factored_ == n_, "BandedMatrix: solve before factor");
   ensure(x.size() == n_, "BandedMatrix: rhs size mismatch");
   substitute(x.data(), OneLane{}, OneLane{});
 }
 
 void BandedMatrix::solve_block(std::span<double> x, std::size_t lanes,
                                std::size_t stride) const {
-  ensure(factored_, "BandedMatrix: solve before factor");
+  ensure(factored_ == n_, "BandedMatrix: solve before factor");
   ensure(lanes > 0 && lanes <= stride, "BandedMatrix: bad lane count");
   ensure(x.size() >= n_ * stride - (stride - lanes),
          "BandedMatrix: rhs block size mismatch");

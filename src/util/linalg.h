@@ -1,9 +1,12 @@
 // Dense and banded linear algebra.
 //
-// The MNA simulator factors one Jacobian per Newton iteration.  For small
-// circuits the dense LU is fine; for discretized transmission lines (hundreds
-// of unknowns, nearly tridiagonal after RCM ordering) the banded LU keeps a
-// transient run at O(n * bandwidth^2) per step.
+// The MNA simulator factors its matrix once per (step size, gmin) for linear
+// circuits, and per Newton iteration for MOSFET circuits.  For small circuits
+// the dense LU is fine; for discretized transmission lines (hundreds of
+// unknowns, nearly tridiagonal after RCM ordering) the banded LU costs
+// O(n * bandwidth^2) per factorization and O(n * bandwidth) per solve, and a
+// Newton iteration refactors only the columns its MOSFET stamps change
+// (BandedMatrix::factor_from).
 #ifndef RLCEFF_UTIL_LINALG_H
 #define RLCEFF_UTIL_LINALG_H
 
@@ -85,17 +88,31 @@ public:
 
   void set_zero();
 
-  // Copies the numeric values of `other` (same n/lower/upper shape, not yet
-  // factored) into this matrix without allocating.  The result is unfactored,
-  // so a cached static assembly can be restored and refactored each Newton
-  // iteration at memcpy cost instead of re-stamping every device.
-  void copy_values_from(const BandedMatrix& other);
+  // Copies the numeric values of columns first..n-1 of `other` (same
+  // n/lower/upper shape, not factored) into this matrix without allocating;
+  // columns before `first` keep what they hold.  Those columns are one
+  // contiguous tail of band storage, so a cached static assembly is restored
+  // each Newton iteration at memcpy cost instead of re-stamping every device.
+  // The copied columns are unfactored.
+  void copy_values_from(const BandedMatrix& other, std::size_t first = 0);
 
   // Factors in place (partial pivoting, fill confined to kl extra
-  // superdiagonals) and solves.  The matrix must have been built with
-  // `upper` at least its true upper bandwidth; factorization uses
-  // ku_total = ku + kl internally.
+  // superdiagonals).  The matrix must have been built with `upper` at least
+  // its true upper bandwidth; factorization uses ku_total = ku + kl
+  // internally.  factor() is factor_from(0).
   void factor();
+
+  // Refactors columns first..n-1 from their current (unfactored) values,
+  // reusing the pivots and multipliers stored in columns 0..first-1 by an
+  // earlier factorization.  Requires exactly those columns to hold factors:
+  // after a factorization, restore columns from `first` on with
+  // copy_values_from(image, first) and change only those columns.  The
+  // result is bitwise the full factorization of the whole matrix, because
+  // a column's factors depend only on its own values and the columns before
+  // it (see the kernel in linalg.cpp).
+  void factor_from(std::size_t first);
+
+  // Solves A x = b with the factored matrix.
   std::vector<double> solve(std::span<const double> b) const;
 
   // In-place solve: x holds b on entry and the solution on exit.  Allocates
@@ -120,7 +137,7 @@ private:
   std::size_t ku_;        // user-declared upper bandwidth
   std::size_t ku_tot_;    // ku_ + kl_ (pivoting fill)
   std::size_t ld_;        // leading dimension of band storage
-  bool factored_ = false;
+  std::size_t factored_ = 0;        // leading columns holding LU factors
   std::vector<double> ab_;          // band storage, column-major in bands
   std::vector<std::size_t> pivot_;  // row swaps applied during factorization
 };

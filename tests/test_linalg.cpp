@@ -3,7 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <random>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "test_helpers.h"
 #include "util/budget.h"
@@ -208,6 +215,280 @@ TEST(BandedLu, PivotingWithinBandWorks) {
   const auto x_band = a.solve(b);
   const auto x_dense = solve_dense(d, b);
   for (std::size_t k = 0; k < m; ++k) expect_rel_near(x_dense[k], x_band[k], 1e-9);
+}
+
+// ---- banded kernel vs the classic right-looking loop -------------------------
+
+// The plain right-looking partial-pivoting band LU, the loop the library ran
+// before factor_from existed, kept here as the bitwise reference: same band
+// storage, same pivot rule, same skip of exactly-zero multipliers.
+struct RightLookingBand {
+  std::size_t n, kl, ku_tot, ld;
+  std::vector<double> ab;
+  std::vector<std::size_t> pivot;
+
+  RightLookingBand(std::size_t n_, std::size_t lower, std::size_t upper)
+      : n(n_), kl(lower), ku_tot(upper + lower), ld(2 * lower + upper + 1),
+        ab(n_ * ld, 0.0), pivot(n_, 0) {}
+
+  double& at(std::size_t r, std::size_t c) { return ab[c * ld + (ku_tot + r - c)]; }
+
+  void factor() {
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t ilast = std::min(n - 1, k + kl);
+      std::size_t prow = k;
+      double pmax = std::abs(at(k, k));
+      for (std::size_t i = k + 1; i <= ilast; ++i) {
+        const double v = std::abs(at(i, k));
+        if (v > pmax) {
+          pmax = v;
+          prow = i;
+        }
+      }
+      if (pmax < 1e-300) throw SingularMatrixError("reference: singular matrix");
+      pivot[k] = prow;
+      const std::size_t jlast = std::min(n - 1, k + ku_tot);
+      if (prow != k) {
+        for (std::size_t j = k; j <= jlast; ++j) std::swap(at(k, j), at(prow, j));
+      }
+      const double inv = 1.0 / at(k, k);
+      for (std::size_t i = k + 1; i <= ilast; ++i) {
+        const double m = at(i, k) * inv;
+        at(i, k) = m;
+        if (m == 0.0) continue;
+        for (std::size_t j = k + 1; j <= jlast; ++j) at(i, j) -= m * at(k, j);
+      }
+    }
+  }
+
+  std::vector<double> solve(std::vector<double> x) {
+    for (std::size_t k = 0; k < n; ++k) {
+      if (pivot[k] != k) std::swap(x[k], x[pivot[k]]);
+      for (std::size_t i = k + 1; i <= std::min(n - 1, k + kl); ++i) x[i] -= at(i, k) * x[k];
+    }
+    for (std::size_t k = n; k-- > 0;) {
+      for (std::size_t j = k + 1; j <= std::min(n - 1, k + ku_tot); ++j) {
+        x[k] -= at(k, j) * x[j];
+      }
+      x[k] /= at(k, k);
+    }
+    return x;
+  }
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// The kernel tests draw from their own generator, reseeded per test, so a
+// test's cases do not depend on which tests ran before it.
+std::mt19937 band_gen;
+
+double draw(double lo, double hi) {
+  return std::uniform_real_distribution<double>(lo, hi)(band_gen);
+}
+
+// A random band with planted exact zeros (zero multipliers), -0.0 entries,
+// and columns whose weak diagonal forces an off-diagonal pivot.
+struct BandCase {
+  std::size_t n, kl, ku;
+  std::vector<std::tuple<std::size_t, std::size_t, double>> entries;
+};
+
+double random_entry() {
+  const double u = draw(0.0, 1.0);
+  if (u < 0.3) return 0.0;
+  if (u < 0.4) return -0.0;
+  return draw(-1.0, 1.0);
+}
+
+BandCase random_band_case(std::size_t n, std::size_t kl, std::size_t ku) {
+  BandCase bc{n, kl, ku, {}};
+  for (std::size_t c = 0; c < n; ++c) {
+    const bool weak = draw(0.0, 1.0) < 0.3;
+    for (std::size_t r = c > ku ? c - ku : 0; r <= std::min(n - 1, c + kl); ++r) {
+      double v = random_entry();
+      if (r == c) v = weak ? 1e-3 * v : v + (v < 0.0 ? -2.0 : 2.0);
+      bc.entries.emplace_back(r, c, v);
+    }
+  }
+  return bc;
+}
+
+void load(BandedMatrix& a, const BandCase& bc) {
+  for (const auto& [r, c, v] : bc.entries) a.add(r, c, v);
+}
+
+void load(RightLookingBand& a, const BandCase& bc) {
+  for (const auto& [r, c, v] : bc.entries) a.at(r, c) += v;
+}
+
+// Factors the reference; false when it is singular.
+bool factors(RightLookingBand& ref) {
+  try {
+    ref.factor();
+    return true;
+  } catch (const SingularMatrixError&) {
+    return false;
+  }
+}
+
+// Every stored entry (the band plus the pivoting fill) and a solve, bitwise.
+void expect_factors_equal(const BandedMatrix& a, RightLookingBand& ref) {
+  const std::size_t n = a.size();
+  for (std::size_t c = 0; c < n; ++c) {
+    for (std::size_t r = c > ref.ku_tot ? c - ref.ku_tot : 0;
+         r <= std::min(n - 1, c + ref.kl); ++r) {
+      ASSERT_EQ(bits(ref.at(r, c)), bits(a.get(r, c))) << "(" << r << ", " << c << ")";
+    }
+  }
+  std::vector<double> b(n);
+  for (double& v : b) v = draw(-2.0, 2.0);
+  const std::vector<double> x_ref = ref.solve(b);
+  const std::vector<double> x = a.solve(b);
+  for (std::size_t k = 0; k < n; ++k) ASSERT_EQ(bits(x_ref[k]), bits(x[k])) << k;
+}
+
+TEST(BandedLu, FactorsBitwiseMatchClassicLoop) {
+  band_gen.seed(1);
+  int off_diagonal_pivots = 0;
+  int zero_multipliers = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto n = static_cast<std::size_t>(draw(1.0, 40.0));
+    const auto kl = static_cast<std::size_t>(draw(0.0, 6.0));
+    const auto ku = trial % 2 == 0 ? kl : static_cast<std::size_t>(draw(0.0, 6.0));
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << " n " << n << " kl " << kl
+                                      << " ku " << ku);
+    const BandCase bc = random_band_case(n, kl, ku);
+    BandedMatrix a(n, kl, ku);
+    RightLookingBand ref(n, kl, ku);
+    load(a, bc);
+    load(ref, bc);
+    if (!factors(ref)) {
+      EXPECT_THROW(a.factor(), SingularMatrixError);
+      continue;
+    }
+    a.factor();
+    expect_factors_equal(a, ref);
+    for (std::size_t k = 0; k < n; ++k) {
+      off_diagonal_pivots += ref.pivot[k] != k;
+      for (std::size_t i = k + 1; i <= std::min(n - 1, k + kl); ++i) {
+        zero_multipliers += ref.at(i, k) == 0.0;
+      }
+    }
+  }
+  // The cases really exercise pivoting and the zero-multiplier skip.
+  EXPECT_GT(off_diagonal_pivots, 100);
+  EXPECT_GT(zero_multipliers, 100);
+}
+
+// Factors `bc`, replaces the values of columns q..n-1 (every row, those
+// above q included) with those of `changed`, refactors from q, and compares
+// with a fresh factorization of the changed matrix.  Returns false when the
+// changed matrix is singular (the refactor must then throw as well).
+bool expect_partial_refactor_matches(const BandCase& bc, const BandCase& changed,
+                                     std::size_t q) {
+  BandedMatrix image(bc.n, bc.kl, bc.ku);
+  load(image, changed);
+  BandedMatrix a(bc.n, bc.kl, bc.ku);
+  load(a, bc);
+  a.factor();
+  a.copy_values_from(image, q);
+  RightLookingBand ref(bc.n, bc.kl, bc.ku);
+  load(ref, changed);
+  if (!factors(ref)) {
+    EXPECT_THROW(a.factor_from(q), SingularMatrixError);
+    return false;
+  }
+  a.factor_from(q);
+  expect_factors_equal(a, ref);
+
+  // The same through restamping: restore the original columns q.. and add
+  // the changes into them.
+  BandedMatrix original(bc.n, bc.kl, bc.ku);
+  load(original, bc);
+  a.copy_values_from(original, q);
+  for (std::size_t k = 0; k < bc.entries.size(); ++k) {
+    const auto& [r, c, v] = changed.entries[k];
+    if (c >= q) a.add(r, c, v - std::get<2>(bc.entries[k]));
+  }
+  a.factor_from(q);
+  RightLookingBand ref2(bc.n, bc.kl, bc.ku);
+  load(ref2, bc);
+  for (std::size_t k = 0; k < bc.entries.size(); ++k) {
+    const auto& [r, c, v] = changed.entries[k];
+    if (c >= q) ref2.at(r, c) += v - std::get<2>(bc.entries[k]);
+  }
+  EXPECT_TRUE(factors(ref2));
+  expect_factors_equal(a, ref2);
+  return true;
+}
+
+// `bc` with the values of columns >= q redrawn.
+BandCase change_columns_from(const BandCase& bc, std::size_t q) {
+  BandCase changed = bc;
+  for (auto& [r, c, v] : changed.entries) {
+    if (c < q) continue;
+    v = random_entry();
+    if (r == c) v += v < 0.0 ? -2.0 : 2.0;
+  }
+  return changed;
+}
+
+TEST(BandedLu, FactorFromMatchesFreshFactorization) {
+  band_gen.seed(2);
+  int compared = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto n = static_cast<std::size_t>(draw(2.0, 30.0));
+    const auto kl = static_cast<std::size_t>(draw(1.0, 5.0));
+    const auto ku = trial % 2 == 0 ? kl : static_cast<std::size_t>(draw(0.0, 5.0));
+    const BandCase bc = random_band_case(n, kl, ku);
+    RightLookingBand probe(n, kl, ku);
+    load(probe, bc);
+    if (!factors(probe)) continue;
+    for (const std::size_t q : {std::size_t{0}, std::size_t{1}, n / 2, n - 1, n}) {
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " n " << n << " kl " << kl
+                                        << " ku " << ku << " q " << q);
+      compared += expect_partial_refactor_matches(bc, change_columns_from(bc, q), q);
+    }
+  }
+  EXPECT_GT(compared, 200);
+}
+
+TEST(BandedLu, FactorFromKeepsPrefixPivotOntoChangedRow) {
+  band_gen.seed(3);
+  // Column q - 1 has a tiny diagonal and pivots onto row q, so the kept
+  // prefix's row swap moves a row of the refactored part.
+  const std::size_t n = 12, bw = 2, q = 6;
+  BandCase bc{n, bw, bw, {}};
+  for (std::size_t c = 0; c < n; ++c) {
+    for (std::size_t r = c > bw ? c - bw : 0; r <= std::min(n - 1, c + bw); ++r) {
+      double v = 0.3 * draw(-1.0, 1.0);
+      if (r == c) v = c == q - 1 ? 1e-6 : 4.0;
+      if (c == q - 1 && r < c) v = 0.0;  // keeps the weak diagonal un-updated
+      if (c == q - 1 && r == q) v = 10.0;
+      bc.entries.emplace_back(r, c, v);
+    }
+  }
+  BandedMatrix a(n, bw, bw);
+  load(a, bc);
+  a.factor();
+  ASSERT_EQ(10.0, a.get(q - 1, q - 1));  // the pivot came from row q
+  EXPECT_TRUE(expect_partial_refactor_matches(bc, change_columns_from(bc, q), q));
+}
+
+TEST(BandedLu, FactorFromRejectsUnfactoredPrefix) {
+  BandedMatrix a(4, 1, 1);
+  for (std::size_t k = 0; k < 4; ++k) a.add(k, k, 2.0);
+  EXPECT_THROW(a.factor_from(2), Error);  // columns 0..1 hold no factors
+  a.factor();
+  EXPECT_THROW(a.add(3, 3, 1.0), Error);  // factored column
+  EXPECT_THROW(a.factor_from(2), Error);  // columns 2..3 were not restored
+  BandedMatrix image(4, 1, 1);
+  for (std::size_t k = 0; k < 4; ++k) image.add(k, k, 2.0);
+  a.copy_values_from(image, 2);
+  EXPECT_THROW(a.add(1, 1, 1.0), Error);  // still factored
+  a.add(3, 3, 1.0);
+  a.factor_from(2);
+  EXPECT_EQ(3.0, a.get(3, 3));
 }
 
 // ---- compressed-sparse LU ---------------------------------------------------
