@@ -6,7 +6,6 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 
 #include "core/coupled_experiment.h"
@@ -19,20 +18,27 @@
 
 namespace rlceff::api {
 
-// One deferred far-end replay: everything needed to compile and run the
-// replay transient after its slot's model already answered.  The job owns a
-// copy of the net (the request span is the caller's; tiered inner requests
-// are stack temporaries) and shares ownership of the slot's ExecTracker so a
-// budget armed at slot start keeps charging the deferred work.
-struct ReplayJob {
-  std::size_t slot = 0;
-  std::string label;
-  net::Net net;
-  wave::Pwl source;             // modeled PWL in absolute deck time
-  tech::DeckOptions deck;       // t_stop sized; sim.solver set; budget unset
+// The replay deck a model-only far_end_replay slot runs: the modeled PWL
+// shifted into absolute deck time (the model's t = 0 is the input 50 %
+// crossing, analytically t_start + slew/2 for a saturated ramp input), a
+// horizon auto-sized exactly like the reference harness, and the
+// dominant-path leaf to measure.  Unless the slot keeps the waveform, the
+// deck ends at its last measured crossing (sim::EdgeStop).
+struct ReplayPlan {
+  wave::Pwl source;         // modeled PWL in absolute deck time
+  tech::DeckOptions deck;   // t_stop sized; sim.solver set; budget unset
   std::size_t dominant_leaf = 0;
   double input_time_50 = 0.0;
-  bool keep_waveforms = false;
+};
+
+// One deferred far-end replay: a slot's plan, run after its model already
+// answered.  The request is the caller's (run_batch's request span outlives
+// finalize_deferred), and the job shares ownership of the slot's ExecTracker
+// so a budget armed at slot start keeps charging the deferred work.
+struct ReplayJob {
+  std::size_t slot = 0;
+  const Request* request = nullptr;
+  ReplayPlan plan;
   std::shared_ptr<util::ExecTracker> tracker;
 };
 
@@ -44,7 +50,7 @@ struct ReplayCollector {
     const std::lock_guard<std::mutex> lock(mutex);
     jobs.push_back(std::move(job));
   }
-  // Hands the slot's tracker to its job once the slot's primary attempt
+  // Hands the slot's tracker to its job once the slot's primary pass
   // committed to the deferred answer.
   void attach_tracker(std::size_t slot, std::shared_ptr<util::ExecTracker> tracker) {
     const std::lock_guard<std::mutex> lock(mutex);
@@ -52,8 +58,8 @@ struct ReplayCollector {
       if (job.slot == slot) job.tracker = std::move(tracker);
     }
   }
-  // Drops a slot's job when the slot failed after enqueueing (e.g. a later
-  // convergence check): a failed slot must not be patched.
+  // Drops a slot's job when the slot failed after enqueueing: a failed slot
+  // must not be patched.
   void discard(std::size_t slot) {
     const std::lock_guard<std::mutex> lock(mutex);
     std::erase_if(jobs, [slot](const ReplayJob& job) { return job.slot == slot; });
@@ -116,11 +122,19 @@ void validate(const Request& r) {
   }
 }
 
-// Runs the request's static-diagnostics pass (Request::lint).  The Eq 9
-// driver context defaults from the request itself: a static Thevenin Rs from
-// the cell size and the input slew standing in for the converged first-ramp
-// time.
-lint::Report run_lint(const Request& request, const tech::Technology& technology) {
+// Admits a request: validation, then its static-diagnostics pass
+// (Request::lint).  The screen rejects statically-broken work before any
+// characterization lookup or solve; the report's findings are returned for
+// the Response, whichever rung ends up answering.  lint_rejected is
+// deliberately not on the degradable-code list: a screened-out request is
+// wrong input, and retrying or degrading it would just re-lint the same net.
+// The Eq 9 driver context defaults from the request itself: a static
+// Thevenin Rs from the cell size and the input slew standing in for the
+// converged first-ramp time.
+std::vector<lint::Diagnostic> admit(const Request& request,
+                                    const tech::Technology& technology) {
+  validate(request);
+  if (!request.lint.screen && !request.lint.report) return {};
   lint::Options checks = request.lint.checks;
   if (!(checks.driver_resistance > 0.0)) {
     checks.driver_resistance =
@@ -130,8 +144,24 @@ lint::Report run_lint(const Request& request, const tech::Technology& technology
   if (checks.tier_policy == tier::TierPolicy::reference) {
     checks.tier_policy = request.tier;
   }
-  return request.coupled() ? lint::lint_group(request.group, checks)
-                           : lint::lint_net(request.net, checks);
+  lint::Report report = request.coupled() ? lint::lint_group(request.group, checks)
+                                          : lint::lint_net(request.net, checks);
+  if (request.lint.screen && !report.diagnostics.empty() &&
+      report.worst() >= request.lint.fail_at) {
+    std::size_t gating = 0;
+    std::string first;
+    for (const lint::Diagnostic& d : report.diagnostics) {
+      if (d.severity < request.lint.fail_at) continue;
+      if (gating++ == 0) first = lint::format(d);
+    }
+    throw LintRejectedError(
+        "api::Engine: request '" + request.label + "': rejected by the lint "
+        "screen (" + std::to_string(gating) + " finding(s) at or above " +
+        lint::to_string(request.lint.fail_at) + "): " + first,
+        std::move(report.diagnostics));
+  }
+  if (!request.lint.report) return {};
+  return std::move(report.diagnostics);
 }
 
 // Maps a coupled api::Request onto the core experiment case: the aggressor
@@ -153,15 +183,16 @@ core::CoupledExperimentCase coupled_case(const Request& r) {
   return scenario;
 }
 
-// The Ceff iterations report non-convergence via their converged flags; the
-// service boundary promotes that to a failure so a silently-unconverged
-// model cannot masquerade as a timing number.
-void check_convergence(const Request& request, const core::DriverOutputModel& m) {
-  if (!request.require_convergence) return;
+// The Ceff iterations report non-convergence via their converged flags; with
+// the convergence gate on, the service boundary promotes that to a failure
+// so a silently-unconverged model cannot masquerade as a timing number.
+void check_convergence(const std::string& label, bool gate,
+                       const core::DriverOutputModel& m) {
+  if (!gate) return;
   auto require = [&](const core::CeffIteration& it, const char* which) {
     if (!it.converged) {
-      throw ConvergenceError("api::Engine: request '" + request.label + "': " +
-                             which + " iteration did not converge within " +
+      throw ConvergenceError("api::Engine: request '" + label + "': " + which +
+                             " iteration did not converge within " +
                              std::to_string(it.iterations) + " iterations");
     }
   };
@@ -183,18 +214,24 @@ struct NoBaseCheck {
   void operator()(const T&) const {}
 };
 
-// The model tiers' coupled flow on the Miller-decoupled victim.  Runs
-// `estimate(net)` on the victim's net with each aggressor's coupling scaled
-// by its Miller factor (nets without an aggressor entry stay quiet at 1x),
-// stores `measure` of that estimate in response.model_near, and sets the
-// modeled delay pushout against the quiet-environment net.  With all-quiet
-// aggressors the Miller net is the quiet net: the pushout is exactly zero
-// and the second run is skipped.  `check_base` sees the quiet-net estimate
-// before its delay is read.  Returns the victim's estimate.
+// The net a model rung (Tier A, Tier B, the floor) estimates.  Runs
+// `estimate(net)`, stores `measure` of that estimate in response.model_near
+// and returns the estimate.  A coupled victim is estimated on its
+// Miller-decoupled net, each aggressor's coupling scaled by its Miller factor
+// (nets without an aggressor entry stay quiet at 1x), and the modeled delay
+// pushout is set against the quiet-environment net.  With all-quiet
+// aggressors the Miller net is the quiet net: the pushout is exactly zero and
+// the second run is skipped.  `check_base` sees the quiet-net estimate before
+// its delay is read.
 template <class Estimate, class Measure, class CheckBase = NoBaseCheck>
-auto estimate_miller_decoupled(const Request& request, Response& response,
-                               Estimate estimate, Measure measure,
-                               CheckBase check_base = {}) {
+auto estimate_served_net(const Request& request, Response& response, Estimate estimate,
+                         Measure measure, CheckBase check_base = {}) {
+  if (!request.coupled()) {
+    auto single = estimate(request.net);
+    response.model_near = measure(single);
+    return single;
+  }
+  response.has_coupling = true;
   std::vector<double> factors(request.group.size(), 1.0);
   for (const Aggressor& a : request.aggressors) {
     factors[a.net] = core::miller_factor(a.switching);
@@ -210,19 +247,6 @@ auto estimate_miller_decoupled(const Request& request, Response& response,
   }
   return victim;
 }
-
-// The replay deck a model-only far_end_replay slot runs: the modeled PWL
-// shifted into absolute deck time (the model's t = 0 is the input 50 %
-// crossing, analytically t_start + slew/2 for a saturated ramp input), a
-// horizon auto-sized exactly like the reference harness, and the
-// dominant-path leaf to measure.  Unless the slot keeps the waveform, the
-// deck ends at its last measured crossing (sim::EdgeStop).
-struct ReplayPlan {
-  wave::Pwl source;
-  tech::DeckOptions deck;
-  std::size_t dominant_leaf = 0;
-  double input_time_50 = 0.0;
-};
 
 ReplayPlan plan_far_end_replay(const Request& request, const BatchOptions& options,
                                const core::DriverOutputModel& model, double vdd) {
@@ -262,219 +286,80 @@ void run_replay_inline(const tech::Technology& technology, const Request& reques
   if (request.keep_waveforms) response.model_far_wave = far;
 }
 
+// The fidelity a tier's rung answers at.
+Fidelity fidelity_of(tier::Tier t) {
+  switch (t) {
+    case tier::Tier::analytical: return Fidelity::analytical;
+    case tier::Tier::ceff: return Fidelity::ceff_model;
+    case tier::Tier::reference: return Fidelity::reference;
+  }
+  return Fidelity::ceff_model;
+}
+
 }  // namespace
 
 Engine::Engine(tech::Technology technology) : technology_(technology) {}
 
-Response Engine::model_or_throw(const Request& request, const BatchOptions& options,
-                                util::ExecTracker* budget, std::size_t slot,
-                                bool run_hook, ReplayCollector* collector,
-                                std::size_t* escalations) {
-  validate(request);
+Response Engine::dispatch(const Request& request, const BatchOptions& options,
+                          const core::DriverModelOptions& model,
+                          util::ExecTracker* budget, Climb& climb) {
+  using tier::TierPolicy;
+  const TierPolicy policy = request.tier;
+  const bool gate = request.require_convergence;
 
-  // Admission screen: reject statically-broken work before any
-  // characterization lookup or solve.  lint_rejected is deliberately not on
-  // the degradable-code list — a screened-out request is wrong input, and
-  // retrying or degrading it would just re-lint the same net.
-  std::vector<lint::Diagnostic> diagnostics;
-  if (request.lint.screen || request.lint.report) {
-    lint::Report report = run_lint(request, technology_);
-    if (request.lint.screen && !report.diagnostics.empty() &&
-        report.worst() >= request.lint.fail_at) {
-      std::size_t gating = 0;
-      std::string first;
-      for (const lint::Diagnostic& d : report.diagnostics) {
-        if (d.severity < request.lint.fail_at) continue;
-        if (gating++ == 0) first = lint::format(d);
-      }
-      throw LintRejectedError(
-          "api::Engine: request '" + request.label + "': rejected by the lint "
-          "screen (" + std::to_string(gating) + " finding(s) at or above " +
-          lint::to_string(request.lint.fail_at) + "): " + first,
-          std::move(report.diagnostics));
+  // Balanced and fastest try Tier A first: the cheap topology screen
+  // (coupled groups), then the estimate-based screen once the estimate
+  // exists.  A closed form that throws (degenerate fit, stalled table fixed
+  // point) is just another refusal: the denser tiers own that net.  Budget
+  // and cancellation faults are not; they abort the slot like anywhere else.
+  tier::Admission admission;
+  if (policy == TierPolicy::balanced || policy == TierPolicy::fastest) {
+    if (request.coupled()) {
+      admission = tier::admit_group_analytical(request.group, request.victim);
     }
-    if (request.lint.report) diagnostics = std::move(report.diagnostics);
-  }
-
-  if (budget) budget->check("api::Engine slot");
-  if (run_hook && options.debug_slot_fault) {
-    util::ExecTracker unbudgeted;
-    options.debug_slot_fault(slot, budget ? *budget : unbudgeted);
-  }
-
-  // Multi-fidelity cascade: a non-default tier policy routes the slot from
-  // here, after the preamble (validation, lint screen, budget check, fault
-  // hook) every tier shares.  The inner attempts recurse into this function
-  // with the policy cleared.  (No elapsed stamp here: run_slot times the
-  // whole attempt ladder and overwrites elapsed_s on every path.)
-  if (request.tier != tier::TierPolicy::reference) {
-    std::size_t unreported = 0;
-    Response response = tiered_response(request, options, budget, slot,
-                                        escalations ? *escalations : unreported);
-    response.diagnostics = std::move(diagnostics);
-    return response;
-  }
-
-  // Thread the armed budget into every layer this slot touches: the Ceff
-  // fixed points (via the model options) and the transient step/Newton loops
-  // (via the deck's TransientOptions).
-  core::DriverModelOptions model_opt = request.model;
-  model_opt.iteration.budget = budget;
-  tech::DeckOptions deck = options.deck;
-  deck.sim.budget = budget;
-  deck.sim.solver = request.solver;
-
-  Response response;
-  response.label = request.label;
-  response.diagnostics = std::move(diagnostics);
-
-  if (request.coupled()) {
-    response.has_coupling = true;
-    if (request.reference) {
-      core::CoupledExperimentOptions opt;
-      opt.deck = deck;
-      opt.grid = options.grid;
-      opt.model = model_opt;
-      opt.include_far_end = request.far_end;
-      opt.include_noise = request.noise;
-      opt.keep_waveforms = request.keep_waveforms;
-
-      core::CoupledExperimentResult r = core::run_coupled_experiment(
-          technology_, library_, coupled_case(request), opt);
-      // The pushout estimate leans on the quiet-baseline model too; a
-      // non-converged baseline must fail the slot like the primary model.
-      check_convergence(request, r.model_base);
-      response.model = std::move(r.model);
-      response.model_near = r.model_near;
-      response.has_reference = true;
-      response.ref_near = r.ref_near;
-      response.ref_far = r.ref_far;
-      response.model_far = r.model_far;
-      response.has_model_far = request.far_end;
-      response.base_near = r.base_near;
-      response.base_far = r.base_far;
-      response.delay_pushout = r.delay_pushout;
-      response.delay_pushout_model = r.delay_pushout_model;
-      response.peak_noise = r.peak_noise;
-      response.input_time_50 = r.input_time_50;
-      response.has_solver = true;
-      response.solver = r.solver;
-      response.ref_near_wave = std::move(r.ref_near_wave);
-      response.ref_far_wave = std::move(r.ref_far_wave);
-    } else {
-      // Model-only coupled path: the paper's flow on the Miller-decoupled
-      // victim (no core case is built here).  A non-converged quiet-baseline
-      // model fails the slot like the primary model.
-      const charlib::CharacterizedDriver& driver =
-          library_.ensure_driver(technology_, request.cell_size, options.grid);
-      response.model = estimate_miller_decoupled(
-          request, response,
-          [&](const net::Net& net) {
-            return core::model_driver_output(driver, request.input_slew, net, model_opt);
-          },
-          [&](const core::DriverOutputModel& m) {
-            return measure_model(m, technology_.vdd);
-          },
-          [&](const core::DriverOutputModel& base) { check_convergence(request, base); });
-    }
-    check_convergence(request, response.model);
-    return response;
-  }
-
-  if (request.reference) {
-    core::ExperimentCase scenario;
-    scenario.label = request.label;
-    scenario.driver_size = request.cell_size;
-    scenario.input_slew = request.input_slew;
-    scenario.net = request.net;
-
-    core::ExperimentOptions opt;
-    opt.deck = deck;
-    opt.grid = options.grid;
-    opt.model = model_opt;
-    opt.include_far_end = request.far_end;
-    opt.include_one_ramp = request.one_ramp_baseline;
-    opt.keep_waveforms = request.keep_waveforms;
-
-    core::ExperimentResult r =
-        core::run_experiment(technology_, library_, scenario, opt);
-    response.model = std::move(r.model);
-    response.model_near = r.model_near;
-    response.has_reference = true;
-    response.ref_near = r.ref_near;
-    response.ref_far = r.ref_far;
-    response.model_far = r.model_far;
-    response.has_model_far = request.far_end;
-    response.one_near = r.one_near;
-    response.one_ramp = std::move(r.one_ramp);
-    response.ref_near_wave = std::move(r.ref_near_wave);
-    response.ref_far_wave = std::move(r.ref_far_wave);
-    response.model_far_wave = std::move(r.model_far_wave);
-    response.input_time_50 = r.input_time_50;
-    response.has_solver = true;
-    response.solver = r.solver;
-  } else {
-    const charlib::CharacterizedDriver& driver =
-        library_.ensure_driver(technology_, request.cell_size, options.grid);
-    response.model = core::model_driver_output(driver, request.input_slew,
-                                               request.net, model_opt);
-    response.model_near = measure_model(response.model, technology_.vdd);
-    if (request.far_end_replay) {
-      // Fail a non-converged model *before* planning or enqueueing its
-      // replay, so a slot that fails here leaves nothing behind to patch.
-      check_convergence(request, response.model);
-      ReplayPlan plan =
-          plan_far_end_replay(request, options, response.model, technology_.vdd);
-      // Slots with a wall-clock limit or an enabled degrade policy never
-      // defer: the deadline/ladder semantics are tied to the slot's own
-      // attempt sequence, and deferral would move work past both.
-      const bool defer = collector != nullptr && !request.degrade.enabled &&
-                         request.budget.wall_limit_s <= 0.0;
-      if (defer) {
-        ReplayJob job;
-        job.slot = slot;
-        job.label = request.label;
-        job.net = request.net;
-        job.source = std::move(plan.source);
-        job.deck = plan.deck;
-        job.dominant_leaf = plan.dominant_leaf;
-        job.input_time_50 = plan.input_time_50;
-        job.keep_waveforms = request.keep_waveforms;
-        collector->add(std::move(job));
-        response.input_time_50 = plan.input_time_50;
-      } else {
-        run_replay_inline(technology_, request, plan, budget, response);
+    if (admission.ok) {
+      try {
+        tier::AnalyticalEstimate estimate;
+        Response a = analytical_response(request, options, &estimate);
+        admission = tier::admit_analytical(estimate);
+        if (admission.ok) return a;
+      } catch (const DeadlineError&) {
+        throw;
+      } catch (const BudgetError&) {
+        throw;
+      } catch (const Error&) {
+        admission = {false, "estimate_failed"};
       }
     }
+    ++climb.escalations;
   }
 
-  check_convergence(request, response.model);
-  return response;
-}
-
-Response Engine::moments_only_response(const Request& request,
-                                       const BatchOptions& options) {
-  const charlib::CharacterizedDriver& driver =
-      library_.ensure_driver(technology_, request.cell_size, options.grid);
-  Response response;
-  response.label = request.label;
-  if (request.coupled()) {
-    response.has_coupling = true;
-    response.model = estimate_miller_decoupled(
-        request, response,
-        [&](const net::Net& net) {
-          return core::estimate_driver_output_moments_only(driver, request.input_slew,
-                                                           net);
-        },
-        [&](const core::DriverOutputModel& m) {
-          return measure_model(m, technology_.vdd);
-        });
-  } else {
-    response.model = core::estimate_driver_output_moments_only(
-        driver, request.input_slew, request.net);
-    response.model_near = measure_model(response.model, technology_.vdd);
+  // The rung the policy table routes to: a refused Tier A lands on Tier B,
+  // the forced policies pin theirs (forced Tier A skips admission, which is
+  // what calibration wants), and TierPolicy::reference follows the
+  // request's reference flag.
+  const tier::Tier routed = tier::route(policy, admission, request.reference);
+  climb.rung = fidelity_of(routed);
+  if (routed == tier::Tier::analytical) return analytical_response(request, options);
+  if (routed == tier::Tier::reference) {
+    return reference_response(request, options, model, gate, budget);
   }
-  return response;
+  if (policy != TierPolicy::balanced) {
+    return ceff_response(request, options, model, gate, budget);
+  }
+  // Under balanced, a Tier B fixed point that cannot agree with itself
+  // escalates once more, to one Tier-C experiment that answers from its
+  // simulated edges (ref_near / ref_far).  The Ceff model that just failed
+  // rides along as a diagnostic, its converged flags telling, instead of
+  // gating the slot: gated, the experiment would rethrow the same error
+  // after paying for the transient.
+  try {
+    return ceff_response(request, options, model, gate, budget);
+  } catch (const ConvergenceError&) {
+    ++climb.escalations;
+    climb.rung = Fidelity::reference;
+    return reference_response(request, options, model, false, budget);
+  }
 }
 
 Response Engine::analytical_response(const Request& request,
@@ -486,110 +371,149 @@ Response Engine::analytical_response(const Request& request,
   response.label = request.label;
   response.fidelity = Fidelity::analytical;
   response.tier = tier::Tier::analytical;
+  tier::AnalyticalEstimate estimate = estimate_served_net(
+      request, response,
+      [&](const net::Net& net) {
+        return tier::analytical_estimate(driver, request.input_slew, net);
+      },
+      [](const tier::AnalyticalEstimate& e) {
+        return core::EdgeMetrics{e.delay, e.slew_10_90};
+      });
   if (request.coupled()) {
-    response.has_coupling = true;
-    tier::AnalyticalEstimate estimate = estimate_miller_decoupled(
-        request, response,
-        [&](const net::Net& net) {
-          return tier::analytical_estimate(driver, request.input_slew, net);
-        },
-        [](const tier::AnalyticalEstimate& e) {
-          return core::EdgeMetrics{e.delay, e.slew_10_90};
-        });
     response.has_noise_bound = true;
     response.noise_bound =
         tier::noise_bound(request.group, request.victim, technology_.vdd);
-    response.model = std::move(estimate.model);
-    if (estimate_out) *estimate_out = std::move(estimate);
-  } else {
-    tier::AnalyticalEstimate estimate =
-        tier::analytical_estimate(driver, request.input_slew, request.net);
-    response.model_near = {estimate.delay, estimate.slew_10_90};
-    // Move, not copy: the waveform's points are the only allocation in the
-    // model and the admission screen only reads the scalar fields.
-    response.model = std::move(estimate.model);
-    if (estimate_out) *estimate_out = std::move(estimate);
   }
+  // Move, not copy: the waveform's points are the only allocation in the
+  // model and the admission screen only reads the scalar fields.
+  response.model = std::move(estimate.model);
+  if (estimate_out) *estimate_out = std::move(estimate);
   return response;
 }
 
-Response Engine::tiered_response(const Request& request, const BatchOptions& options,
-                                 util::ExecTracker* budget, std::size_t slot,
-                                 std::size_t& escalations) {
-  using tier::Tier;
-  using tier::TierPolicy;
-  const TierPolicy policy = request.tier;
-  escalations = 0;
+Response Engine::ceff_response(const Request& request, const BatchOptions& options,
+                               core::DriverModelOptions model, bool gate,
+                               util::ExecTracker* budget) {
+  model.iteration.budget = budget;
+  const charlib::CharacterizedDriver& driver =
+      library_.ensure_driver(technology_, request.cell_size, options.grid);
+  Response response;
+  response.label = request.label;
+  response.fidelity = Fidelity::ceff_model;
+  response.tier = tier::Tier::ceff;
+  // A non-converged quiet-baseline model fails the slot like the primary
+  // model.
+  response.model = estimate_served_net(
+      request, response,
+      [&](const net::Net& net) {
+        return core::model_driver_output(driver, request.input_slew, net, model);
+      },
+      [&](const core::DriverOutputModel& m) {
+        return measure_model(m, technology_.vdd);
+      },
+      [&](const core::DriverOutputModel& base) {
+        check_convergence(request.label, gate, base);
+      });
+  check_convergence(request.label, gate, response.model);
+  return response;
+}
 
-  // One tier of the legacy ladder, served by recursing into model_or_throw
-  // with the policy cleared (the preamble — validation, lint, budget check,
-  // fault hook — already ran on the outer request).
-  auto serve = [&](bool reference_flag, Tier t, Fidelity f,
-                   bool require_convergence) {
-    Request inner = request;
-    inner.tier = TierPolicy::reference;
-    inner.reference = reference_flag;
-    inner.lint = LintOptions{};
-    inner.require_convergence = require_convergence;
-    Response r = model_or_throw(inner, options, budget, slot, false);
-    r.fidelity = f;
-    r.tier = t;
-    return r;
-  };
+Response Engine::reference_response(const Request& request, const BatchOptions& options,
+                                    core::DriverModelOptions model, bool gate,
+                                    util::ExecTracker* budget) {
+  model.iteration.budget = budget;
+  tech::DeckOptions deck = options.deck;
+  deck.sim.budget = budget;
+  deck.sim.solver = request.solver;
 
-  const bool gate = request.require_convergence;
-  if (policy == TierPolicy::force_ceff) {
-    return serve(false, Tier::ceff, Fidelity::ceff_model, gate);
-  }
-  if (policy == TierPolicy::force_reference) {
-    return serve(true, Tier::reference, Fidelity::reference, gate);
-  }
-
-  // Tier A candidacy: the cheap topology screen first (coupled groups), the
-  // estimate-based screen once the estimate exists.  Forced Tier A skips
-  // admission entirely — that is what calibration wants.
-  tier::Admission admission;
+  Response response;
+  response.label = request.label;
+  response.fidelity = Fidelity::reference;
+  response.tier = tier::Tier::reference;
+  response.has_reference = true;
+  response.has_model_far = request.far_end;
+  response.has_solver = true;
   if (request.coupled()) {
-    admission = tier::admit_group_analytical(request.group, request.victim);
-  }
-  if (policy == TierPolicy::force_analytical) {
-    tier::AnalyticalEstimate estimate;
-    return analytical_response(request, options, &estimate);
-  }
-  if (admission.ok) {
-    // A closed form that throws (degenerate fit, stalled table fixed point)
-    // is just another refusal: the denser tiers own that net.  Budget and
-    // cancellation faults are not — they abort the slot like anywhere else.
-    try {
-      tier::AnalyticalEstimate estimate;
-      Response a = analytical_response(request, options, &estimate);
-      admission = tier::admit_analytical(estimate);
-      if (admission.ok) return a;
-    } catch (const DeadlineError&) {
-      throw;
-    } catch (const BudgetError&) {
-      throw;
-    } catch (const Error&) {
-      admission = {false, "estimate_failed"};
-    }
-  }
+    core::CoupledExperimentOptions opt;
+    opt.deck = deck;
+    opt.grid = options.grid;
+    opt.model = model;
+    opt.include_far_end = request.far_end;
+    opt.include_noise = request.noise;
+    opt.keep_waveforms = request.keep_waveforms;
+    core::CoupledExperimentResult r = core::run_coupled_experiment(
+        technology_, library_, coupled_case(request), opt);
+    // The pushout estimate leans on the quiet-baseline model too; a
+    // non-converged baseline must fail the slot like the primary model.
+    check_convergence(request.label, gate, r.model_base);
+    response.has_coupling = true;
+    response.model = std::move(r.model);
+    response.model_near = r.model_near;
+    response.ref_near = r.ref_near;
+    response.ref_far = r.ref_far;
+    response.model_far = r.model_far;
+    response.base_near = r.base_near;
+    response.base_far = r.base_far;
+    response.delay_pushout = r.delay_pushout;
+    response.delay_pushout_model = r.delay_pushout_model;
+    response.peak_noise = r.peak_noise;
+    response.input_time_50 = r.input_time_50;
+    response.solver = r.solver;
+    response.ref_near_wave = std::move(r.ref_near_wave);
+    response.ref_far_wave = std::move(r.ref_far_wave);
+  } else {
+    core::ExperimentCase scenario;
+    scenario.label = request.label;
+    scenario.driver_size = request.cell_size;
+    scenario.input_slew = request.input_slew;
+    scenario.net = request.net;
 
-  // Escalation A -> B; under balanced, a Tier B fixed point that cannot
-  // agree with itself escalates once more to the transient reference.
-  ++escalations;
-  if (policy == TierPolicy::fastest) {
-    return serve(false, Tier::ceff, Fidelity::ceff_model, gate);
+    core::ExperimentOptions opt;
+    opt.deck = deck;
+    opt.grid = options.grid;
+    opt.model = model;
+    opt.include_far_end = request.far_end;
+    opt.include_one_ramp = request.one_ramp_baseline;
+    opt.keep_waveforms = request.keep_waveforms;
+
+    core::ExperimentResult r =
+        core::run_experiment(technology_, library_, scenario, opt);
+    response.model = std::move(r.model);
+    response.model_near = r.model_near;
+    response.ref_near = r.ref_near;
+    response.ref_far = r.ref_far;
+    response.model_far = r.model_far;
+    response.one_near = r.one_near;
+    response.one_ramp = std::move(r.one_ramp);
+    response.ref_near_wave = std::move(r.ref_near_wave);
+    response.ref_far_wave = std::move(r.ref_far_wave);
+    response.model_far_wave = std::move(r.model_far_wave);
+    response.input_time_50 = r.input_time_50;
+    response.solver = r.solver;
   }
-  try {
-    return serve(false, Tier::ceff, Fidelity::ceff_model, gate);
-  } catch (const ConvergenceError&) {
-    // Tier C answers from its simulated edges (ref_near / ref_far).  The
-    // Ceff model that just failed rides along as a diagnostic, its converged
-    // flags telling, instead of gating the slot: gated, the one experiment
-    // would rethrow the same error after paying for the transient.
-    ++escalations;
-    return serve(true, Tier::reference, Fidelity::reference, false);
-  }
+  check_convergence(request.label, gate, response.model);
+  return response;
+}
+
+Response Engine::moments_only_response(const Request& request,
+                                       const BatchOptions& options) {
+  const charlib::CharacterizedDriver& driver =
+      library_.ensure_driver(technology_, request.cell_size, options.grid);
+  Response response;
+  response.label = request.label;
+  response.fidelity = Fidelity::moments_only;
+  // tier::Tier has no floor rung yet: the floor answers as Tier B.
+  response.tier = tier::Tier::ceff;
+  response.model = estimate_served_net(
+      request, response,
+      [&](const net::Net& net) {
+        return core::estimate_driver_output_moments_only(driver, request.input_slew,
+                                                         net);
+      },
+      [&](const core::DriverOutputModel& m) {
+        return measure_model(m, technology_.vdd);
+      });
+  return response;
 }
 
 Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& options,
@@ -600,22 +524,20 @@ Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& o
         .count();
   };
 
+  // Heap-owned tracker: a deferred replay charges this slot's budget after
+  // run_slot returns, so the collector shares ownership with the job.
+  const auto owned_tracker = std::make_shared<util::ExecTracker>(request.budget);
+  util::ExecTracker& tracker = *owned_tracker;
+  // Every pass starts on the rung its policy routes to first.  Retried and
+  // degraded answers report the primary pass's escalations.
+  const Climb start{fidelity_of(tier::route(request.tier, {}, request.reference))};
+  Climb climb = start;
+  std::vector<lint::Diagnostic> diagnostics;
   std::vector<Attempt> attempts;
-  const Fidelity primary =
-      request.reference ? Fidelity::reference : Fidelity::ceff_model;
-  // The cascade's escalations on the primary attempt (0 for untiered
-  // slots): a retried or floor answer reports the path the slot took.
-  std::size_t escalations = 0;
 
-  auto finish = [&](Response r, Fidelity fidelity, bool degraded) {
-    // Tiered slots stamp fidelity + tier inside tiered_response; the policy
-    // only overrides them when a degraded fallback actually answered.
-    if (request.tier == tier::TierPolicy::reference || degraded) {
-      r.fidelity = fidelity;
-      r.tier = fidelity == Fidelity::reference ? tier::Tier::reference
-                                               : tier::Tier::ceff;
-    }
-    r.tier_escalations = escalations;
+  auto finish = [&](Response r, bool degraded) {
+    r.diagnostics = std::move(diagnostics);
+    r.tier_escalations = climb.escalations;
     r.degraded = degraded;
     r.attempts = std::move(attempts);
     r.elapsed_s = elapsed();
@@ -627,16 +549,35 @@ Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& o
     return Outcome<Response>(std::move(info));
   };
 
-  // Heap-owned tracker: a deferred replay charges this slot's budget after
-  // run_slot returns, so the collector shares ownership with the job.
-  const auto owned_tracker = std::make_shared<util::ExecTracker>(request.budget);
-  util::ExecTracker& tracker = *owned_tracker;
+  // One pass down the rungs, then the far-end replay a far_end_replay slot
+  // runs on its Tier-B answer.  The replay defers to the collector unless
+  // the slot has a wall-clock limit or an enabled degrade policy: the
+  // deadline and ladder semantics are tied to the slot's own passes, and
+  // deferral would move work past both.
+  const bool defer = collector != nullptr && !request.degrade.enabled &&
+                     request.budget.wall_limit_s <= 0.0;
+  auto run_pass = [&](const core::DriverModelOptions& model, Climb& at) {
+    Response r = dispatch(request, options, model, &tracker, at);
+    if (!request.far_end_replay) return r;
+    ReplayPlan plan = plan_far_end_replay(request, options, r.model, technology_.vdd);
+    if (!defer) {
+      run_replay_inline(technology_, request, plan, &tracker, r);
+      return r;
+    }
+    r.input_time_50 = plan.input_time_50;
+    collector->add({slot, &request, std::move(plan), nullptr});
+    return r;
+  };
+
+  // Admission runs once per slot, then the primary pass.
   std::exception_ptr first_error;
   try {
-    Response r =
-        model_or_throw(request, options, &tracker, slot, true, collector, &escalations);
+    diagnostics = admit(request, technology_);
+    tracker.check("api::Engine slot");
+    if (options.debug_slot_fault) options.debug_slot_fault(slot, tracker);
+    Response r = run_pass(request.model, climb);
     if (collector) collector->attach_tracker(slot, owned_tracker);
-    return finish(std::move(r), primary, false);
+    return finish(std::move(r), false);
   } catch (...) {
     first_error = std::current_exception();
     // A slot that enqueued a replay and then failed must not be patched.
@@ -649,20 +590,21 @@ Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& o
   if (!request.degrade.enabled || request.budget.cancel.cancel_requested()) {
     return fail(first_error);
   }
-  attempts.push_back({primary, first.code, first.message});
+  attempts.push_back({climb.rung, first.code, first.message});
 
-  // Damped retry, same fidelity: a converged retry is an exact answer.
+  // Damped retry: the same dispatch with the damped fixed point.  A
+  // converged retry is an exact answer.
   if (first.code == ErrorCode::convergence_failure &&
       request.degrade.retry_damping > 0.0) {
-    Request damped = request;
-    damped.model.iteration.damping = request.degrade.retry_damping;
+    core::DriverModelOptions damped = request.model;
+    damped.iteration.damping = request.degrade.retry_damping;
+    Climb retry = start;
     try {
-      return finish(model_or_throw(damped, options, &tracker, slot, false),
-                    primary, false);
+      return finish(run_pass(damped, retry), false);
     } catch (...) {
       const ErrorInfo info = describe_failure(std::current_exception(), request.label);
       attempts.push_back(
-          {primary, info.code, std::string("damped retry: ") + info.message});
+          {retry.rung, info.code, std::string("damped retry: ") + info.message});
     }
   }
 
@@ -672,18 +614,15 @@ Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& o
                           last == ErrorCode::convergence_failure;
   if (!degradable) return fail(first_error);
 
-  // Ladder tier 2: a reference request falls back to the table-driven Ceff
-  // model.  The exhausted wall budget is deliberately not re-armed: the
-  // fallback is iteration-capped table math with bounded cost, and raising
-  // the same DeadlineError again would make degradation unreachable.
+  // Ladder tier 2: a reference request falls back to Tier B.  The exhausted
+  // budget is deliberately not re-armed: the fallback is iteration-capped
+  // table math with bounded cost, and raising the same DeadlineError again
+  // would make degradation unreachable.
   if (request.reference) {
-    Request ceff_only = request;
-    ceff_only.reference = false;
-    ceff_only.one_ramp_baseline = false;
-    ceff_only.keep_waveforms = false;
     try {
-      return finish(model_or_throw(ceff_only, options, nullptr, slot, false),
-                    Fidelity::ceff_model, true);
+      return finish(ceff_response(request, options, request.model,
+                                  request.require_convergence, nullptr),
+                    true);
     } catch (...) {
       const ErrorInfo info = describe_failure(std::current_exception(), request.label);
       attempts.push_back({Fidelity::ceff_model, info.code, info.message});
@@ -692,14 +631,11 @@ Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& o
 
   // Ladder floor: the moments-only estimate (cell table at Ctotal) — no
   // iteration, cannot fail to converge.
-  if (request.degrade.moments_floor) {
-    try {
-      return finish(moments_only_response(request, options), Fidelity::moments_only,
-                    true);
-    } catch (...) {
-      // Fall through to report the original failure; the floor itself only
-      // throws for requests broken enough that degradation is meaningless.
-    }
+  try {
+    return finish(moments_only_response(request, options), true);
+  } catch (...) {
+    // Fall through to report the original failure; the floor itself only
+    // throws for requests broken enough that degradation is meaningless.
   }
   return fail(first_error);
 }
@@ -787,9 +723,10 @@ void Engine::finalize_deferred(ReplayCollector& collector, const BatchOptions& o
       sim::run_indexed_sweep_collect(
           jobs.size(),
           [&](std::size_t i) {
-            decks[i] = tech::compile_source_net(jobs[i].source, jobs[i].net,
-                                                jobs[i].deck);
-            sim_opts[i] = tech::sim_options(jobs[i].deck, decks[i]);
+            const ReplayPlan& plan = jobs[i].plan;
+            decks[i] =
+                tech::compile_source_net(plan.source, jobs[i].request->net, plan.deck);
+            sim_opts[i] = tech::sim_options(plan.deck, decks[i]);
             sim_opts[i].budget = nullptr;  // per-lane trackers instead
           },
           options.n_threads);
@@ -801,8 +738,9 @@ void Engine::finalize_deferred(ReplayCollector& collector, const BatchOptions& o
   std::vector<std::uint64_t> group_hash;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (compile_errors[i]) {
-      results[jobs[i].slot] =
-          Outcome<Response>(describe_failure(compile_errors[i], jobs[i].label));
+      const ReplayJob& job = jobs[i];
+      results[job.slot] =
+          Outcome<Response>(describe_failure(compile_errors[i], job.request->label));
       continue;
     }
     const std::uint64_t hash =
@@ -840,7 +778,7 @@ void Engine::finalize_deferred(ReplayCollector& collector, const BatchOptions& o
       lanes.reserve(members.size());
       for (std::size_t i : members) {
         lanes.push_back(
-            {&decks[i].netlist, jobs[i].deck.t_stop, jobs[i].tracker.get()});
+            {&decks[i].netlist, jobs[i].plan.deck.t_stop, jobs[i].tracker.get()});
       }
       try {
         outcomes = sim::simulate_block(lanes, so, decks[head].probes);
@@ -854,7 +792,7 @@ void Engine::finalize_deferred(ReplayCollector& collector, const BatchOptions& o
         sim::BlockOutcome o;
         try {
           sim::TransientOptions lane_opt = so;
-          lane_opt.t_stop = jobs[i].deck.t_stop;
+          lane_opt.t_stop = jobs[i].plan.deck.t_stop;
           lane_opt.budget = jobs[i].tracker.get();
           o.result = sim::simulate(decks[i].netlist, lane_opt, decks[i].probes);
         } catch (...) {
@@ -873,7 +811,7 @@ void Engine::finalize_deferred(ReplayCollector& collector, const BatchOptions& o
       const std::size_t i = members[k];
       const ReplayJob& job = jobs[i];
       if (!outcomes[k].result.has_value()) {
-        ErrorInfo info = describe_failure(outcomes[k].error, job.label);
+        ErrorInfo info = describe_failure(outcomes[k].error, job.request->label);
         info.elapsed_s = results[job.slot].value().elapsed_s + elapsed_share;
         results[job.slot] = Outcome<Response>(std::move(info));
         continue;
@@ -881,13 +819,13 @@ void Engine::finalize_deferred(ReplayCollector& collector, const BatchOptions& o
       // Exactly what run_replay_inline measures, from the blocked result.
       Response& response = results[job.slot].value();
       const wave::Waveform& far =
-          outcomes[k].result->at(decks[i].nodes.leaves.at(job.dominant_leaf));
+          outcomes[k].result->at(decks[i].nodes.leaves.at(job.plan.dominant_leaf));
       response.model_far =
-          core::measure_edge(far, technology_.vdd, job.input_time_50);
+          core::measure_edge(far, technology_.vdd, job.plan.input_time_50);
       response.has_model_far = true;
       response.has_solver = true;
       response.solver = solver;
-      if (job.keep_waveforms) response.model_far_wave = far;
+      if (job.request->keep_waveforms) response.model_far_wave = far;
       response.elapsed_s += elapsed_share;
     }
   };
@@ -897,7 +835,7 @@ void Engine::finalize_deferred(ReplayCollector& collector, const BatchOptions& o
     if (!group_escapes[g]) continue;
     for (std::size_t i : groups[g]) {
       results[jobs[i].slot] =
-          Outcome<Response>(describe_failure(group_escapes[g], jobs[i].label));
+          Outcome<Response>(describe_failure(group_escapes[g], jobs[i].request->label));
     }
   }
 }

@@ -79,24 +79,33 @@ public:
   void save_library(const std::string& path) const;
 
 private:
-  // One attempt at the request as written.  `budget` (nullable) is threaded
-  // into every solver loop; `run_hook` gates the test-only fault hook so
-  // retry/fallback attempts skip it.  `collector` (nullable) lets a
+  // Where one pass down the ladder stands: the rung it is on and the
+  // escalations it took to get there.  Updated as the pass climbs, so both
+  // survive a rung that throws (the attempt trail names that rung).
+  struct Climb {
+    Fidelity rung = Fidelity::ceff_model;
+    std::size_t escalations = 0;
+  };
+
+  // The slot pipeline.  Admits the request once (validation, lint screen,
+  // budget checkpoint, fault hook), makes one pass down its rungs, then
+  // retries and degrades per Request::degrade.  Retried and floor answers
+  // keep the primary pass's escalation count.  `collector` (nullable) lets a
   // far_end_replay slot defer its replay transient for group batching;
-  // without one the replay runs inline (same results, bitwise).
-  // `escalations` (nullable) receives the cascade's escalation count as it
-  // climbs, so it survives an attempt that throws.
-  Response model_or_throw(const Request& request, const BatchOptions& options,
-                          util::ExecTracker* budget, std::size_t slot,
-                          bool run_hook, ReplayCollector* collector = nullptr,
-                          std::size_t* escalations = nullptr);
-  // The full per-slot policy: arm the budget, attempt, then retry-and-
-  // degrade per Request::degrade.  Retried and floor answers keep the
-  // primary attempt's escalation count.  Never throws for per-scenario
-  // failures.
+  // without one the replay runs inline (same results, bitwise).  Never
+  // throws for per-scenario failures.
   Outcome<Response> run_slot(const Request& request, const BatchOptions& options,
                              std::size_t slot,
                              ReplayCollector* collector = nullptr);
+  // One pass down the rungs of the request's policy (tier::route): Tier A
+  // first under balanced and fastest, Tier B when it refuses, and under
+  // balanced one ungated Tier-C experiment when Tier B cannot converge; the
+  // forced policies and TierPolicy::reference go straight to their rung.
+  // `model` carries the pass's Ceff options (the damped retry passes damped
+  // ones) and `budget` (nullable) is threaded into every solver loop.
+  Response dispatch(const Request& request, const BatchOptions& options,
+                    const core::DriverModelOptions& model, util::ExecTracker* budget,
+                    Climb& climb);
   // Runs the collector's deferred replays as shared-factorization blocks
   // (one factor per equal-topology group and step size) and patches the
   // affected slots of `results` — model_far and friends on success, a failed
@@ -104,27 +113,32 @@ private:
   // back to per-lane scalar replays before failing anything.
   void finalize_deferred(ReplayCollector& collector, const BatchOptions& options,
                          std::vector<Outcome<Response>>& results);
-  // The moments_only floor tier (core::estimate_driver_output_moments_only
-  // on the request's — possibly Miller-decoupled — net).
-  Response moments_only_response(const Request& request, const BatchOptions& options);
-  // The multi-fidelity cascade (Request::tier != TierPolicy::reference):
-  // routes the slot to Tier A/B/C per tier/router.h, escalating on admission
-  // failure (and, under balanced, on a Tier B convergence failure, to one
-  // ungated Tier-C experiment that answers from its simulated edges).
-  // Called from model_or_throw after validation/lint/budget arming so every
-  // tier shares the same preamble.  `escalations` counts the escalations
-  // taken so far, also when a tier throws.
-  Response tiered_response(const Request& request, const BatchOptions& options,
-                           util::ExecTracker* budget, std::size_t slot,
-                           std::size_t& escalations);
-  // Tier A: the closed-form analytical screen (tier/analytical.h) —
-  // table lookups only, no fixed point, no transient.  `estimate_out`
-  // (nullable) receives the raw estimate so the router can score admission
-  // without recomputing it.  Its model.waveform is moved into the returned
-  // Response (left empty in the estimate); every scalar admission input
-  // (criteria, ceff1/ceff2, kind, shielding) stays valid.
+
+  // The rungs.  Each stamps its own fidelity and tier; a coupled request is
+  // served on its (Miller-decoupled) victim.
+  //
+  // Tier A: the closed-form analytical screen (tier/analytical.h) — table
+  // lookups only, no fixed point, no transient.  `estimate_out` (nullable)
+  // receives the raw estimate so the dispatch can score admission without
+  // recomputing it.  Its model.waveform is moved into the returned Response
+  // (left empty in the estimate); every scalar admission input (criteria,
+  // ceff1/ceff2, kind, shielding) stays valid.
   Response analytical_response(const Request& request, const BatchOptions& options,
                                tier::AnalyticalEstimate* estimate_out = nullptr);
+  // Tier B (the paper's Ceff flow) and Tier C (the transient reference
+  // experiment, with the Ceff model beside it).  `budget` (nullable) is
+  // threaded into the fixed points of `model` and into the transient loops;
+  // with `gate` on, a non-converged fixed point fails the rung as
+  // convergence_failure.
+  Response ceff_response(const Request& request, const BatchOptions& options,
+                         core::DriverModelOptions model, bool gate,
+                         util::ExecTracker* budget);
+  Response reference_response(const Request& request, const BatchOptions& options,
+                              core::DriverModelOptions model, bool gate,
+                              util::ExecTracker* budget);
+  // The degraded floor: core::estimate_driver_output_moments_only.  Stamped
+  // tier::Tier::ceff, since the tier enum has no floor rung yet.
+  Response moments_only_response(const Request& request, const BatchOptions& options);
   // Distinct cell sizes from `sizes` not yet in the library.
   std::vector<double> collect_missing(std::span<const double> sizes) const;
 

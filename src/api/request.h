@@ -51,8 +51,9 @@ inline const char* to_string(Fidelity f) {
   return "ceff_model";
 }
 
-// One abandoned attempt in a slot's trail: which ladder tier was tried and
-// why it was given up.
+// One abandoned attempt in a slot's trail: the rung that threw and why it
+// was given up.  A slot that fails at admission (e.g. an expired deadline)
+// names the rung its policy routes to first.
 struct Attempt {
   Fidelity fidelity = Fidelity::ceff_model;
   ErrorCode code = ErrorCode::internal_error;
@@ -61,20 +62,22 @@ struct Attempt {
 
 // What the Engine may do when a slot fails, instead of surfacing the error.
 // Default-off: failures stay failed Outcomes (bitwise-identical behavior to
-// a policy-free engine).  With `enabled`:
-//   1. a convergence_failure is retried once with the damped fixed point
-//      (damping = retry_damping); a converged retry is a full-fidelity,
-//      non-degraded answer (the attempt trail records the first try);
+// a policy-free engine).  With `enabled`, the slot's pipeline continues
+// after a failed pass (the request is not admitted again):
+//   1. a convergence_failure is retried once: the same dispatch with the
+//      damped fixed point (damping = retry_damping).  A converged retry is a
+//      full-fidelity, non-degraded answer; the attempt trail records the
+//      first try;
 //   2. deadline/budget exhaustion — or a retry that still fails — walks the
-//      fidelity ladder (reference -> ceff_model -> moments_only), returning
-//      the first tier that completes, flagged Response::degraded.  The
-//      fallback tiers are iteration-capped table math (no transient), so
-//      they add bounded work after an expired deadline.
+//      fidelity ladder, returning the first rung that completes, flagged
+//      Response::degraded: a Request::reference slot falls back to Tier B
+//      (unbudgeted), and every slot then to the moments_only floor.  The
+//      fallbacks are iteration-capped table math (no transient), so they
+//      add bounded work after an expired deadline.
 // Cancelled slots never retry or degrade: nobody is waiting for the answer.
 struct DegradePolicy {
   bool enabled = false;
   double retry_damping = 0.5;  // convergence retry damping; <= 0 skips retry
-  bool moments_floor = true;   // allow the moments_only floor tier
 };
 
 // Static-diagnostics controls for one request (src/lint/): the admission
@@ -166,7 +169,7 @@ struct Request {
   sim::SolverKind solver = sim::SolverKind::automatic;
 
   // Cooperative execution budget for this slot (util/budget.h): wall-clock
-  // deadline, transient step budget, iteration sub-budgets, cancellation.
+  // deadline, transient step budget, cancellation.
   // Default: unlimited.  The engine arms it at slot start and threads it
   // through every step/iteration loop; exhaustion surfaces as
   // deadline_exceeded / resource_exhausted.  Note: cold cell
@@ -232,16 +235,18 @@ struct Response {
   bool has_solver = false;
   sim::SolverKind solver = sim::SolverKind::automatic;
 
-  // Static diagnostics collected by the lint pass (Request::lint.report);
-  // empty when reporting was not requested.
+  // Static diagnostics collected by the lint pass (Request::lint.report),
+  // which runs once when the slot is admitted.  Every answer carries them,
+  // a degraded one included; empty when reporting was not requested.
   std::vector<lint::Diagnostic> diagnostics;
 
   double elapsed_s = 0.0;  // wall time spent on this slot
 
-  // Provenance: which ladder tier produced the numbers, whether that is a
-  // degraded (lower-fidelity) answer, and the abandoned attempts (in order)
-  // that forced it there.  Exact answers have degraded == false and an
-  // attempt trail only when a damped retry rescued a convergence failure.
+  // Provenance: which rung produced the numbers (each rung stamps its own),
+  // whether that is a degraded (lower-fidelity) answer, and the abandoned
+  // attempts (in order) that forced it there, each naming the rung that
+  // threw.  Exact answers have degraded == false and an attempt trail only
+  // when a damped retry rescued a convergence failure.
   Fidelity fidelity = Fidelity::ceff_model;
   bool degraded = false;
   std::vector<Attempt> attempts;
@@ -249,11 +254,12 @@ struct Response {
   // Cascade provenance (Request::tier != TierPolicy::reference): the tier
   // that served the slot and how many escalations the router took to get
   // there (0 = first choice held; a retried or degraded answer keeps the
-  // primary attempt's count).  A balanced slot escalated to Tier C answers
+  // primary pass's count).  A balanced slot escalated to Tier C answers
   // from ref_near / ref_far (see answer_near); `model` rides along as a
   // diagnostic whose converged flags may be false.
   // Non-tiered requests report the legacy mapping (reference flag ?
-  // Tier::reference : Tier::ceff, 0 escalations).
+  // Tier::reference : Tier::ceff, 0 escalations), and the moments_only
+  // floor reports Tier::ceff: tier::Tier has no floor rung yet.
   tier::Tier tier = tier::Tier::ceff;
   std::size_t tier_escalations = 0;
 
@@ -288,11 +294,12 @@ struct BatchOptions {
   // Slots with a wall-clock limit or an enabled degrade policy never defer.
   bool batch_scenarios = true;
   // Test-only fault hook (testkit/faults.h chaos harness): when set, invoked
-  // at the start of every slot's *primary* attempt — after validation,
-  // inside the armed budget — with the slot's batch index and its
-  // ExecTracker.  May throw library errors or sleep in chunks (checkpointing
-  // the tracker) to emulate faulty workers.  Fallback/retry attempts skip
-  // the hook: faults inject at slot entry.  Never set outside tests.
+  // once per slot, at the end of its admission — after validation and the
+  // lint screen, inside the armed budget — with the slot's batch index and
+  // its ExecTracker.  May throw library errors or sleep in chunks
+  // (checkpointing the tracker) to emulate faulty workers.  Faults inject at
+  // slot entry, so retries and fallbacks never see the hook.  Never set
+  // outside tests.
   std::function<void(std::size_t slot, util::ExecTracker& budget)> debug_slot_fault;
 };
 

@@ -108,36 +108,27 @@ double ceff_second_ramp_numeric(const ChargeModel& load, double f, double tr1,
 
 namespace {
 
+// The one Ceff <-> cell-table fixed point: c -> (table) ramp time -> Ceff,
+// from c = Ctotal, with the iterate clamped to [1e-4, upper] * Ctotal.
 CeffIteration run_iteration(const ChargeModel& load, const TransitionFn& transition,
                             const std::function<double(double tr)>& ceff_of_tr,
-                            const CeffIterationOptions& options) {
+                            const CeffIterationOptions& options, double upper) {
   const double c_total = load.admittance().total_capacitance();
-  double last_tr = transition(c_total);
-
   util::FixedPointOptions fp;
   fp.rel_tol = options.rel_tol;
-  fp.max_iter = util::capped_iterations(
-      options.max_iter, options.budget ? options.budget->spec().max_ceff_iter : 0);
+  fp.max_iter = options.max_iter;
   fp.damping = options.damping;
   fp.budget = options.budget;
-  // Keep the table lookup in a sane range.  Note the upper bound is far
-  // above the total capacitance: the *second* ramp's effective capacitance
-  // routinely exceeds Ctotal because its window also absorbs charge the
-  // initial-step window did not deliver.
   fp.lower = 1e-4 * c_total;
-  fp.upper = 20.0 * c_total;
+  fp.upper = upper * c_total;
 
   const util::FixedPointResult r = util::fixed_point(
       [&](double c) {
-        last_tr = transition(c);
-        ensure(last_tr > 0.0, "ceff iteration: table returned non-positive ramp time");
-        return ceff_of_tr(last_tr);
+        const double tr = transition(c);
+        ensure(tr > 0.0, "ceff iteration: table returned non-positive ramp time");
+        return ceff_of_tr(tr);
       },
       c_total, fp);
-  if (!r.converged && fp.max_iter < options.max_iter) {
-    throw BudgetError("ceff iteration: budget of " + std::to_string(fp.max_iter) +
-                      " iterations exhausted");
-  }
 
   CeffIteration out;
   out.ceff = r.x;
@@ -147,13 +138,20 @@ CeffIteration run_iteration(const ChargeModel& load, const TransitionFn& transit
   return out;
 }
 
+// Keeps the table lookup in a sane range.  The upper bound is far above the
+// total capacitance: the *second* ramp's effective capacitance routinely
+// exceeds Ctotal because its window also absorbs charge the initial-step
+// window did not deliver.
+constexpr double kCeffUpper = 20.0;
+
 }  // namespace
 
 CeffIteration iterate_ceff1(const ChargeModel& load, double f,
                             const TransitionFn& transition,
                             const CeffIterationOptions& options) {
   return run_iteration(load, transition,
-                       [&](double tr) { return ceff_first_ramp(load, f, tr); }, options);
+                       [&](double tr) { return ceff_first_ramp(load, f, tr); }, options,
+                       kCeffUpper);
 }
 
 CeffIteration iterate_ceff2(const ChargeModel& load, double f, double tr1,
@@ -161,14 +159,29 @@ CeffIteration iterate_ceff2(const ChargeModel& load, double f, double tr1,
                             const CeffIterationOptions& options) {
   return run_iteration(
       load, transition,
-      [&](double tr) { return ceff_second_ramp(load, f, tr1, tr); }, options);
+      [&](double tr) { return ceff_second_ramp(load, f, tr1, tr); }, options,
+      kCeffUpper);
 }
 
 CeffIteration iterate_ceff_single(const ChargeModel& load,
                                   const TransitionFn& transition,
                                   const CeffIterationOptions& options) {
   return run_iteration(load, transition,
-                       [&](double tr) { return ceff_single(load, tr); }, options);
+                       [&](double tr) { return ceff_single(load, tr); }, options,
+                       kCeffUpper);
+}
+
+CeffIteration iterate_ceff3(const ChargeModel& load, double f2, double t_begin,
+                            const TransitionFn& transition,
+                            const CeffIterationOptions& options) {
+  return run_iteration(
+      load, transition,
+      [&](double tr3) {
+        const double v0 = f2 - t_begin / tr3;
+        return load.window_charge(1.0 / tr3, v0, t_begin, t_begin + (1.0 - f2) * tr3) /
+               (1.0 - f2);
+      },
+      options, 1.0);
 }
 
 }  // namespace rlceff::core

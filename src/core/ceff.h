@@ -17,7 +17,9 @@
 //
 // The iterate_* helpers run the Sec. 4 fixed-point loop against a cell
 // table: Ceff -> (table) ramp time Tr -> Ceff ... starting from the total
-// capacitance.
+// capacitance.  All four windows (Ceff1, Ceff2, the single Ceff and the
+// three-ramp extension's Ceff3) share one loop, util::fixed_point, so a
+// change of solver lands in one place.
 #ifndef RLCEFF_CORE_CEFF_H
 #define RLCEFF_CORE_CEFF_H
 
@@ -58,12 +60,10 @@ struct CeffIteration {
   bool converged = false;
 };
 
-// Iteration ceiling precedence (see util/budget.h): the fixed point runs at
-// most capped_iterations(max_iter, budget->spec().max_ceff_iter,
-// budget->spec().max_solver_iter) iterations, checkpointing the budget each
-// iteration.  A budget-clipped loop that has not converged raises
-// BudgetError; hitting the plain max_iter keeps returning converged = false
-// for the service boundary (api::Engine::check_convergence) to judge.
+// The fixed point runs at most max_iter iterations.  Running out returns
+// converged = false for the service boundary (api::Engine's convergence
+// gate) to judge.  `budget` is checkpointed every iteration (deadline and
+// cancellation, util/budget.h).
 struct CeffIterationOptions {
   double rel_tol = 1e-6;
   int max_iter = util::iter_defaults::ceff;
@@ -89,6 +89,14 @@ CeffIteration iterate_ceff2(const ChargeModel& load, double f, double tr1,
 CeffIteration iterate_ceff_single(const ChargeModel& load,
                                   const TransitionFn& transition,
                                   const CeffIterationOptions& options = {});
+
+// Ablation A3: iterate the third-ramp Ceff over the window
+// [t_begin, t_begin + (1 - f2) * Tr3] of the extended ramp through
+// (t_begin, f2 * Vdd).  Unlike the other windows the iterate is clamped to
+// Ctotal.
+CeffIteration iterate_ceff3(const ChargeModel& load, double f2, double t_begin,
+                            const TransitionFn& transition,
+                            const CeffIterationOptions& options = {});
 
 }  // namespace rlceff::core
 

@@ -138,7 +138,7 @@ CoupledExperimentResult run_coupled_experiment(const tech::Technology& technolog
   // Quiet-environment baseline: the victim alone with every coupling cap
   // grounded at 1x — the delay-pushout anchor.
   const net::Net quiet_net = scenario.group.decoupled_net(scenario.victim);
-  if (options.include_baseline) {
+  {
     const tech::Inverter cell{scenario.driver_size};
     const tech::NetSimResult base = tech::simulate_driver_net(
         technology, cell, scenario.input_slew, quiet_net, measured);

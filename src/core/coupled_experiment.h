@@ -59,7 +59,6 @@ struct CoupledExperimentCase {
 struct CoupledExperimentOptions {
   tech::DeckOptions deck;        // simulator fidelity (t_stop auto-sized)
   DriverModelOptions model;      // paper flow controls
-  bool include_baseline = true;  // simulate the quiet-environment victim
   bool include_far_end = true;   // replay the model through the decoupled net
   bool include_noise = true;     // quiet-victim noise simulation
   // Retain sampled waveforms.  Off, the reference, baseline and replay decks

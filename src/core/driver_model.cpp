@@ -8,7 +8,6 @@
 #include "moments/admittance.h"
 #include "util/error.h"
 #include "util/poly.h"
-#include "util/solve.h"
 
 namespace rlceff::core {
 
@@ -144,8 +143,7 @@ DriverOutputModel run_flow(const charlib::CharacterizedDriver& driver,
     // slowest natural mode of the Rs-plus-load system, which a single ramp
     // misses.  Append the gate-resistor tail unless the mode is too fast to
     // matter.
-    if (options.shielding_tail &&
-        m.ceff1.ceff < options.shielding_threshold * c_total) {
+    if (options.shielding_tail && m.ceff1.ceff < c_total) {
       const double tau = dominant_tail_tau(m.admittance, m.rs);
       if (tau > 0.1 * tr) {
         m.has_shielding_tail = true;
@@ -193,38 +191,9 @@ DriverOutputModel run_flow(const charlib::CharacterizedDriver& driver,
       m.kind = ModelKind::three_ramp;
       const double t_begin2 = m.f * tr1 + flat;
       const double t_end2 = t_begin2 + (m.f2 - m.f) * m.tr2_new;
-      const ChargeModel& q = load;
-      const TransitionFn tr3_of = transition;
       // Third-ramp Ceff: window [t_end2, t_end2 + (1 - f2) * Tr3] of the
       // extended ramp through (t_end2, f2 * Vdd).
-      m.ceff3 = [&] {
-        CeffIterationOptions it = options.iteration;
-        auto ceff_of_tr = [&](double tr3) {
-          const double v0 = m.f2 - t_end2 / tr3;
-          return q.window_charge(1.0 / tr3, v0, t_end2, t_end2 + (1.0 - m.f2) * tr3) /
-                 (1.0 - m.f2);
-        };
-        util::FixedPointOptions fp;
-        fp.rel_tol = it.rel_tol;
-        fp.max_iter = util::capped_iterations(
-            it.max_iter, it.budget ? it.budget->spec().max_ceff_iter : 0);
-        fp.damping = it.damping;
-        fp.lower = 1e-4 * c_total;
-        fp.upper = c_total;
-        fp.budget = it.budget;
-        const util::FixedPointResult r = util::fixed_point(
-            [&](double c) { return ceff_of_tr(tr3_of(c)); }, c_total, fp);
-        if (!r.converged && fp.max_iter < it.max_iter) {
-          throw BudgetError("ceff3 iteration: budget of " +
-                            std::to_string(fp.max_iter) + " iterations exhausted");
-        }
-        CeffIteration out;
-        out.ceff = r.x;
-        out.ramp_time = tr3_of(r.x);
-        out.iterations = r.iterations;
-        out.converged = r.converged;
-        return out;
-      }();
+      m.ceff3 = iterate_ceff3(load, m.f2, t_end2, transition, options.iteration);
       const double tr3 = m.ceff3.ramp_time;
       std::vector<std::pair<double, double>> pts;
       pts.emplace_back(0.0, 0.0);

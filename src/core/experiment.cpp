@@ -76,25 +76,15 @@ ExperimentResult run_experiment(const tech::Technology& technology,
 
   if (options.include_far_end) {
     // Replay the modeled waveform through the net in absolute deck time.
+    // Anchored waveforms begin at 0 V, as the DC operating point needs.
     std::vector<std::pair<double, double>> pts = out.model.waveform.points();
     for (auto& [t, v] : pts) t += ref.input_time_50;
-    // The source must start at 0 V from t = 0 for the DC operating point.
-    if (pts.front().first > 0.0 && pts.front().second == 0.0) {
-      // anchored waveforms always begin at 0 V; nothing to do
-    }
-    wave::Pwl absolute(std::move(pts));
-    if (options.defer_far_end) {
-      out.replay_deferred = true;
-      out.replay_source = std::move(absolute);
-      out.replay_t_stop = deck.t_stop;
-      out.replay_dominant_leaf = metrics.dominant_leaf;
-    } else {
-      tech::NetSimResult replay =
-          tech::simulate_source_net(absolute, scenario.net, deck);
-      const wave::Waveform& replay_far = replay.leaves.at(metrics.dominant_leaf);
-      out.model_far = measure_edge(replay_far, technology.vdd, ref.input_time_50);
-      if (options.keep_waveforms) out.model_far_wave = replay_far;
-    }
+    const wave::Pwl absolute(std::move(pts));
+    const tech::NetSimResult replay =
+        tech::simulate_source_net(absolute, scenario.net, deck);
+    const wave::Waveform& replay_far = replay.leaves.at(metrics.dominant_leaf);
+    out.model_far = measure_edge(replay_far, technology.vdd, ref.input_time_50);
+    if (options.keep_waveforms) out.model_far_wave = replay_far;
   }
 
   if (options.include_one_ramp) {

@@ -46,12 +46,6 @@ struct ExperimentOptions {
   // last measured crossing (sim::EdgeStop); on, they run the full horizon.
   // Either way deck.sim.edge_stop is ignored.
   bool keep_waveforms = false;
-  // Prepare the far-end replay instead of running it: the result carries the
-  // absolute-time source and deck horizon (replay_* fields) so a batching
-  // caller can group equal-topology replays and run them as one
-  // shared-factorization block (api::Engine::run_batch).  Only meaningful
-  // with include_far_end; model_far / model_far_wave stay unset.
-  bool defer_far_end = false;
   // Grid used when a driver has to be characterized (tests shrink this).
   charlib::CharacterizationGrid grid = charlib::CharacterizationGrid::standard();
 };
@@ -76,14 +70,6 @@ struct ExperimentResult {
 
   // Backend that factored the reference deck (never `automatic`).
   sim::SolverKind solver = sim::SolverKind::automatic;
-
-  // Deferred far-end replay (ExperimentOptions::defer_far_end): everything a
-  // batching caller needs to run the replay later — the modeled waveform in
-  // absolute deck time, the auto-sized horizon, and which leaf to measure.
-  bool replay_deferred = false;
-  wave::Pwl replay_source;
-  double replay_t_stop = 0.0;
-  std::size_t replay_dominant_leaf = 0;
 };
 
 // Runs the reference simulation and both models for one case.  The library

@@ -329,9 +329,7 @@ private:
       held_h_ = h;
       held_gmin_ = gmin;
     }
-    const int max_newton = util::capped_iterations(
-        opt_.max_newton, opt_.budget ? opt_.budget->spec().max_newton_iter : 0);
-    for (int iter = 0; iter < max_newton; ++iter) {
+    for (int iter = 0; iter < opt_.max_newton; ++iter) {
       if (opt_.budget) opt_.budget->check("transient newton");
       if (cached) {
         solver_->load_static();
@@ -361,10 +359,6 @@ private:
       // Damped update keeps the MOSFET linearization inside its trust region.
       const double scale = std::min(1.0, opt_.newton_damping_v / max_dv);
       for (std::size_t k = 0; k < m_; ++k) xb_[k] += scale * (rhsb_[k] - xb_[k]);
-    }
-    if (max_newton < opt_.max_newton) {
-      throw BudgetError("transient: Newton iteration budget of " +
-                        std::to_string(max_newton) + " exhausted");
     }
     throw ConvergenceError("transient: Newton failed to converge");
   }

@@ -76,12 +76,9 @@ struct TransientOptions {
   Integrator integrator = Integrator::trapezoidal;
   double gmin = 1e-12;      // conductance to ground at every node [S]
   double v_abstol = 1e-6;   // Newton voltage convergence [V]
-  double i_abstol = 1e-9;   // Newton branch-current convergence [A]
   double rel_tol = 1e-6;
-  // Newton ceiling; precedence per util/budget.h: the loop runs at most
-  // capped_iterations(max_newton, budget->spec().max_newton_iter) iterations
-  // and raises BudgetError (instead of ConvergenceError) when the budget was
-  // the binding cap.
+  // Newton ceiling: a step whose Newton loop runs out of iterations raises
+  // ConvergenceError.
   int max_newton = util::iter_defaults::newton;
   // Cooperative execution budget (see util/budget.h): when set, the step
   // loop charges every accepted time step against max_transient_steps and

@@ -28,7 +28,8 @@ enum class Tier {
 };
 
 // How a Request wants the cascade used.  `reference` is the default and
-// bypasses the cascade entirely — requests behave exactly as they did before
+// routes straight to Tier B or Tier C by the request's reference flag, with
+// no Tier A and no escalation — requests behave exactly as they did before
 // the tier subsystem existed (bitwise, enforced by the property harness).
 enum class TierPolicy {
   reference,         // no routing; Request::reference decides as before

@@ -1,17 +1,10 @@
-// Scalar equation solvers.
+// Scalar fixed-point iteration: the damped loop behind the Ceff <->
+// cell-table iterations of Sections 4.1/4.2.
 //
-// brent() finds a bracketed root; fixed_point() runs the damped iteration
-// used by the Ceff <-> cell-table loops of Sections 4.1/4.2.
-//
-// Iteration ceilings: max_iter defaults come from util/budget.h's
-// iter_defaults so every loop in the library shares one vocabulary.  When
+// The loop runs at most max_iter iterations (default from util/budget.h's
+// iter_defaults, the library's one vocabulary for loop ceilings).  When
 // `budget` is set, each iteration calls ExecTracker::check() (deadline /
-// cancellation) and the loop runs at most
-//   capped_iterations(max_iter, budget->spec().max_solver_iter)
-// iterations.  Precedence when the loop runs dry: if the *budget* was the
-// binding cap the solver raises BudgetError; if the per-call max_iter was
-// binding the historical behavior is kept (brent throws ConvergenceError,
-// fixed_point returns converged = false).
+// cancellation).
 #ifndef RLCEFF_UTIL_SOLVE_H
 #define RLCEFF_UTIL_SOLVE_H
 
@@ -20,17 +13,6 @@
 #include "util/budget.h"
 
 namespace rlceff::util {
-
-struct SolveOptions {
-  double x_tol = 1e-12;
-  double f_tol = 1e-14;
-  int max_iter = iter_defaults::brent;
-  ExecTracker* budget = nullptr;  // optional cooperative budget (see header)
-};
-
-// Root of f on [a, b]; f(a) and f(b) must have opposite signs.
-double brent(const std::function<double(double)>& f, double a, double b,
-             const SolveOptions& opt = {});
 
 struct FixedPointOptions {
   double rel_tol = 1e-9;     // convergence on |x_new - x| / max(|x_new|, floor)
@@ -50,7 +32,6 @@ struct FixedPointResult {
 // Damped fixed-point iteration x <- g(x) starting from x0, clamped to
 // [lower, upper].  Returns the last iterate with a convergence flag rather
 // than throwing: Ceff loops treat slow convergence as "use the last value".
-// (Exception: a binding budget sub-cap raises BudgetError, see above.)
 FixedPointResult fixed_point(const std::function<double(double)>& g, double x0,
                              const FixedPointOptions& opt = {});
 

@@ -422,6 +422,48 @@ TEST_F(EngineFixture, DampedRetryRescuesConvergenceFailure) {
   EXPECT_EQ(ErrorCode::convergence_failure, r.attempts.front().code);
 }
 
+TEST_F(EngineFixture, DegradedAnswerKeepsLintReport) {
+  // The lint pass runs once, at admission, and its findings ride on
+  // whichever rung answers: an instant deadline lands the slot on the
+  // moments-only floor with the exact answer's report.
+  Request req = inductive_request("lint-floor");
+  req.lint.report = true;
+  req.lint.checks = lint::Options{};  // conditioning + model passes
+  const Response exact = engine_->model(req, fast_options()).value();
+  ASSERT_FALSE(exact.diagnostics.empty());
+
+  req.budget.wall_limit_s = 1e-12;
+  req.degrade.enabled = true;
+  const Outcome<Response> floored = engine_->model(req, fast_options());
+  ASSERT_TRUE(floored.ok()) << floored.error().message;
+  EXPECT_TRUE(floored.value().degraded);
+  EXPECT_EQ(Fidelity::moments_only, floored.value().fidelity);
+  const std::vector<lint::Diagnostic>& kept = floored.value().diagnostics;
+  ASSERT_EQ(exact.diagnostics.size(), kept.size());
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(exact.diagnostics[i].code, kept[i].code);
+    EXPECT_EQ(exact.diagnostics[i].message, kept[i].message);
+  }
+}
+
+TEST_F(EngineFixture, FaultHookRunsOncePerSlot) {
+  // Admission (validation, lint screen, fault hook) runs once per slot: a
+  // slot whose primary pass and damped retry both fail to converge, and
+  // that lands on the moments-only floor, meets the hook once.
+  Request req = inductive_request("hook-once");
+  req.model.iteration.damping = 6.0;
+  req.degrade.enabled = true;
+  req.degrade.retry_damping = 5.0;
+  BatchOptions opt = fast_options();
+  std::size_t calls = 0;
+  opt.debug_slot_fault = [&calls](std::size_t, util::ExecTracker&) { ++calls; };
+  const Outcome<Response> floored = engine_->model(req, opt);
+  ASSERT_TRUE(floored.ok()) << floored.error().message;
+  EXPECT_EQ(Fidelity::moments_only, floored.value().fidelity);
+  EXPECT_EQ(2u, floored.value().attempts.size());
+  EXPECT_EQ(1u, calls);
+}
+
 TEST(EngineCache, CharacterizationFailureIsReportedPerSlot) {
   // An unusable grid makes characterization itself throw.  run_batch must
   // not propagate that: every slot needing the size carries the error (and

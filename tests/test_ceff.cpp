@@ -252,5 +252,35 @@ TEST(CeffIteration, SecondRampSelfConsistent) {
   expect_rel_near(it.ceff, ceff_second_ramp(q, 0.65, tr1, transition(it.ceff)), 1e-5);
 }
 
+TEST(CeffIteration, ThirdRampClampedToCtotal) {
+  // The third ramp's window starts where the second ramp ends.  An early
+  // window has a self-consistent fixed point below Ctotal; a late one also
+  // absorbs the charge the earlier ramps left behind, and its iterate is
+  // clamped to Ctotal (the other windows allow 20x Ctotal).
+  const tech::WireParasitics w = *tech::find_paper_wire_case(5.0, 1.6);
+  const util::Series series = moments::distributed_line_admittance(
+      w.resistance, w.inductance, w.capacitance, 20 * ff);
+  const ChargeModel q{RationalAdmittance(series)};
+  const double c_total = q.admittance().total_capacitance();
+  const auto transition = [](double c) { return 20 * ps + c * 60.0; };
+  const double f2 = 0.8;
+  const auto ceff3 = [&](double t_begin, double tr3) {
+    return q.window_charge(1.0 / tr3, f2 - t_begin / tr3, t_begin,
+                           t_begin + (1.0 - f2) * tr3) /
+           (1.0 - f2);
+  };
+
+  const CeffIteration early = iterate_ceff3(q, f2, 60 * ps, transition);
+  EXPECT_TRUE(early.converged);
+  EXPECT_LT(early.ceff, c_total);
+  expect_rel_near(early.ceff, ceff3(60 * ps, transition(early.ceff)), 1e-5);
+  EXPECT_DOUBLE_EQ(transition(early.ceff), early.ramp_time);
+
+  const CeffIteration late = iterate_ceff3(q, f2, 250 * ps, transition);
+  EXPECT_TRUE(late.converged);
+  EXPECT_GT(ceff3(250 * ps, transition(c_total)), c_total);
+  EXPECT_DOUBLE_EQ(c_total, late.ceff);
+}
+
 }  // namespace
 }  // namespace rlceff::core

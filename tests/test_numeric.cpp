@@ -1,4 +1,5 @@
-// Unit tests for quadrature, scalar solvers, and statistics helpers.
+// Unit tests for quadrature, the fixed-point iteration, and statistics
+// helpers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -48,20 +49,6 @@ TEST(Integrate, TinyTimescaleIntegrand) {
   const double got =
       integrate([&](double t) { return std::exp(-t / tau); }, 0.0, 200e-12);
   expect_rel_near(tau * (1.0 - std::exp(-4.0)), got, 1e-9);
-}
-
-TEST(Brent, FindsCosineRoot) {
-  const double root = brent([](double x) { return std::cos(x); }, 0.0, 3.0);
-  EXPECT_NEAR(M_PI / 2.0, root, 1e-10);
-}
-
-TEST(Brent, ThrowsWhenNotBracketed) {
-  EXPECT_THROW(brent([](double x) { return 1.0 + x * x; }, -1.0, 1.0), Error);
-}
-
-TEST(Brent, EndpointRoot) {
-  const double root = brent([](double x) { return x; }, 0.0, 1.0);
-  EXPECT_DOUBLE_EQ(0.0, root);
 }
 
 TEST(FixedPoint, ConvergesOnContraction) {

@@ -317,8 +317,8 @@ TEST_F(TierEngineFixture, ForcedPoliciesPinTheirTier) {
 
 TEST_F(TierEngineFixture, FastestDampedRescueReportsOneEscalation) {
   // Tier A refuses the inductive net (one escalation) and the over-relaxed
-  // Tier-B fixed point fails to converge.  The damped retry re-enters the
-  // cascade, where Tier A refuses the net again, so the rescued answer is
+  // Tier-B fixed point fails to converge.  The damped retry is the same
+  // dispatch, where Tier A refuses the net again, so the rescued answer is
   // force_ceff's at the retry damping and reports one escalation.
   api::Request r = inductive_request("fastest-over-relaxed");
   r.tier = TierPolicy::fastest;
@@ -359,6 +359,36 @@ TEST_F(TierEngineFixture, FloorAnswerKeepsEscalations) {
   EXPECT_EQ(out.value().tier_escalations, 1u);
   ASSERT_EQ(out.value().attempts.size(), 1u);
   EXPECT_EQ(out.value().attempts.front().code, api::ErrorCode::convergence_failure);
+}
+
+TEST_F(TierEngineFixture, AttemptNamesTheRungThatThrew) {
+  // A forced Tier C starved of transient steps degrades to the floor; its
+  // attempt trail names the reference rung, not the Ceff model.
+  api::Request c = rc_request("force-c-starved");
+  c.tier = TierPolicy::force_reference;
+  c.budget.max_transient_steps = 16;
+  c.degrade.enabled = true;
+  const api::Outcome<api::Response> starved = engine_->model(c, fast_options());
+  ASSERT_TRUE(starved.ok()) << starved.error().message;
+  EXPECT_EQ(starved.value().fidelity, api::Fidelity::moments_only);
+  ASSERT_EQ(starved.value().attempts.size(), 1u);
+  EXPECT_EQ(starved.value().attempts.front().fidelity, api::Fidelity::reference);
+  EXPECT_EQ(starved.value().attempts.front().code, api::ErrorCode::resource_exhausted);
+
+  // An over-relaxed Tier B under fastest throws from the Ceff rung, the
+  // primary pass and its damped retry alike.
+  api::Request b = inductive_request("fastest-b-throws");
+  b.tier = TierPolicy::fastest;
+  b.model.iteration.damping = 6.0;
+  b.degrade.enabled = true;
+  b.degrade.retry_damping = 5.0;
+  const api::Outcome<api::Response> floored = engine_->model(b, fast_options());
+  ASSERT_TRUE(floored.ok()) << floored.error().message;
+  ASSERT_EQ(floored.value().attempts.size(), 2u);
+  for (const api::Attempt& a : floored.value().attempts) {
+    EXPECT_EQ(a.fidelity, api::Fidelity::ceff_model);
+    EXPECT_EQ(a.code, api::ErrorCode::convergence_failure);
+  }
 }
 
 TEST_F(TierEngineFixture, AnalyticalCeffAgreesWithCeffTier) {
@@ -516,6 +546,7 @@ TEST_P(TierFleetTail, BalancedAnswersFromOneTierCExperiment) {
   EXPECT_EQ(floor.value().tier_escalations, 2u);
   ASSERT_EQ(floor.value().attempts.size(), 1u);
   EXPECT_EQ(floor.value().attempts.front().code, api::ErrorCode::resource_exhausted);
+  EXPECT_EQ(floor.value().attempts.front().fidelity, api::Fidelity::reference);
 }
 
 TEST_P(TierFleetTail, ForceReferenceKeepsTheConvergenceGate) {
