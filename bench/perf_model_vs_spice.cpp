@@ -6,6 +6,7 @@
 
 #include <array>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "sim/transient.h"
 #include "tech/testbench.h"
 #include "tech/wire.h"
+#include "testkit/alloc_count.h"
 
 using namespace rlceff;
 using namespace rlceff::units;
@@ -112,10 +114,14 @@ TransientTiming time_driver_line(sim::AssemblyMode mode) {
 // Engine batch throughput: the Fig-7 sweep grid (7 lengths x 7 widths x 4
 // slews, one driver) evaluated model-only through api::Engine::run_batch —
 // the "library-based static timing engine" workload the facade serves.  A
-// small on-the-fly characterization grid keeps this CI-friendly.
+// small on-the-fly characterization grid keeps this CI-friendly.  The heap
+// allocations of a timed batch are counted too (this binary replaces the
+// global operator new, testkit/alloc_count.h): unlike nanoseconds, the
+// count is the same on every runner.
 struct BatchTiming {
   std::size_t nets = 0;
   double nets_per_s = 0.0;
+  double allocs_per_net = 0.0;
 };
 
 BatchTiming time_engine_batch() {
@@ -149,11 +155,14 @@ BatchTiming time_engine_batch() {
 
   using clock = std::chrono::steady_clock;
   double best_s = 1e300;
+  std::uint64_t allocations = 0;
   (void)engine.run_batch(requests, opt);  // warm-up
   for (int rep = 0; rep < 3; ++rep) {
+    const std::uint64_t allocations_before = testkit::allocation_count();
     const auto t0 = clock::now();
     const auto results = engine.run_batch(requests, opt);
     const auto t1 = clock::now();
+    allocations = testkit::allocation_count() - allocations_before;
     for (const auto& outcome : results) {
       if (!outcome.ok()) {
         std::fprintf(stderr, "engine batch: unexpected failure [%s]: %s\n",
@@ -165,7 +174,8 @@ BatchTiming time_engine_batch() {
     benchmark::DoNotOptimize(results.size());
     best_s = std::min(best_s, std::chrono::duration<double>(t1 - t0).count());
   }
-  return {requests.size(), static_cast<double>(requests.size()) / best_s};
+  const auto nets = static_cast<double>(requests.size());
+  return {requests.size(), nets / best_s, static_cast<double>(allocations) / nets};
 }
 
 void emit_perf_json() {
@@ -193,7 +203,8 @@ void emit_perf_json() {
        {"driver_line_naive_ns_per_step", driver_naive.ns_per_step, "ns/step"},
        {"driver_line_refactor_speedup", refactor_speedup, "x"},
        {"engine_batch_nets", static_cast<double>(batch.nets), "count"},
-       {"engine_batch_nets_per_s", batch.nets_per_s, "nets/s"}});
+       {"engine_batch_nets_per_s", batch.nets_per_s, "nets/s"},
+       {"engine_batch_allocs_per_net", batch.allocs_per_net, "allocs/net"}});
 
   std::printf("== factor-once transient engine (120-segment RLC line, %zu unknowns, "
               "%zu steps) ==\n",
@@ -209,8 +220,9 @@ void emit_perf_json() {
   std::printf("  naive (full refactor):     %8.1f ns/step\n", driver_naive.ns_per_step);
   std::printf("  speedup: %.2fx\n", refactor_speedup);
   std::printf("== api::Engine model-only batch (Fig-7 grid) ==\n");
-  std::printf("  %zu nets: %.0f nets/s  (written to BENCH_perf.json)\n\n",
-              batch.nets, batch.nets_per_s);
+  std::printf("  %zu nets: %.0f nets/s, %.1f heap allocations per net  (written to "
+              "BENCH_perf.json)\n\n",
+              batch.nets, batch.nets_per_s, batch.allocs_per_net);
   std::fflush(stdout);
 }
 
@@ -299,7 +311,8 @@ int main(int argc, char** argv) {
              "linear_line_naive_ns_per_step", "linear_line_naive_steps_per_s",
              "linear_line_factor_once_speedup", "driver_line_cached_ns_per_step",
              "driver_line_naive_ns_per_step", "driver_line_refactor_speedup",
-             "engine_batch_nets", "engine_batch_nets_per_s"});
+             "engine_batch_nets", "engine_batch_nets_per_s",
+             "engine_batch_allocs_per_net"});
     return 0;
   }
   emit_perf_json();

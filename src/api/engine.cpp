@@ -130,13 +130,14 @@ void validate(const Request& r) {
 // wrong input, and retrying or degrading it would just re-lint the same net.
 // The Eq 9 driver context defaults from the request itself: a static
 // Thevenin Rs from the cell size and the input slew standing in for the
-// converged first-ramp time.
+// converged first-ramp time.  Only the model pass reads it, so the
+// structural-only screen skips the estimate.
 std::vector<lint::Diagnostic> admit(const Request& request,
                                     const tech::Technology& technology) {
   validate(request);
   if (!request.lint.screen && !request.lint.report) return {};
   lint::Options checks = request.lint.checks;
-  if (!(checks.driver_resistance > 0.0)) {
+  if (checks.model && !(checks.driver_resistance > 0.0)) {
     checks.driver_resistance =
         lint::estimate_driver_resistance(technology, request.cell_size);
   }
@@ -214,38 +215,48 @@ struct NoBaseCheck {
   void operator()(const T&) const {}
 };
 
-// The net a model rung (Tier A, Tier B, the floor) estimates.  Runs
-// `estimate(net)`, stores `measure` of that estimate in response.model_near
-// and returns the estimate.  A coupled victim is estimated on its
-// Miller-decoupled net, each aggressor's coupling scaled by its Miller factor
-// (nets without an aggressor entry stay quiet at 1x), and the modeled delay
-// pushout is set against the quiet-environment net.  With all-quiet
-// aggressors the Miller net is the quiet net: the pushout is exactly zero and
-// the second run is skipped.  `check_base` sees the quiet-net estimate before
-// its delay is read.
-template <class Estimate, class Measure, class CheckBase = NoBaseCheck>
-auto estimate_served_net(const Request& request, Response& response, Estimate estimate,
-                         Measure measure, CheckBase check_base = {}) {
-  if (!request.coupled()) {
-    auto single = estimate(request.net);
-    response.model_near = measure(single);
-    return single;
-  }
-  response.has_coupling = true;
+// The net a model rung (Tier A, Tier B, the floor) serves, estimated: the
+// request's own net, or a coupled victim's Miller-decoupled net, each
+// aggressor's coupling scaled by its Miller factor (nets without an
+// aggressor entry stay quiet at 1x).
+template <class Estimate>
+auto estimate_served_net(const Request& request, Estimate estimate) {
+  if (!request.coupled()) return estimate(request.net);
   std::vector<double> factors(request.group.size(), 1.0);
   for (const Aggressor& a : request.aggressors) {
     factors[a.net] = core::miller_factor(a.switching);
   }
-  auto victim = estimate(request.group.decoupled_net(request.victim, factors));
-  response.model_near = measure(victim);
+  return estimate(request.group.decoupled_net(request.victim, factors));
+}
+
+// Stores `measure` of the served net's estimate in response.model_near.  For
+// a coupled victim it also sets the modeled delay pushout against the
+// quiet-environment net.  With all-quiet aggressors the Miller net is the
+// quiet net: the pushout is exactly zero and the second run is skipped.
+// `check_base` sees the quiet-net estimate before its delay is read.
+template <class Served, class Estimate, class Measure, class CheckBase = NoBaseCheck>
+void measure_served_net(const Request& request, Response& response, const Served& served,
+                        Estimate estimate, Measure measure, CheckBase check_base = {}) {
+  response.model_near = measure(served);
+  if (!request.coupled()) return;
+  response.has_coupling = true;
+  // validate() rejects duplicate and out-of-range aggressors, so these are
+  // exactly the nets whose Miller factor differs from 1.
   const bool all_quiet =
-      std::all_of(factors.begin(), factors.end(), [](double f) { return f == 1.0; });
-  if (!all_quiet) {
-    const auto base = estimate(request.group.decoupled_net(request.victim));
-    check_base(base);
-    response.delay_pushout_model = response.model_near.delay - measure(base).delay;
-  }
-  return victim;
+      std::all_of(request.aggressors.begin(), request.aggressors.end(),
+                  [](const Aggressor& a) { return core::miller_factor(a.switching) == 1.0; });
+  if (all_quiet) return;
+  const auto base = estimate(request.group.decoupled_net(request.victim));
+  check_base(base);
+  response.delay_pushout_model = response.model_near.delay - measure(base).delay;
+}
+
+// Tier A's estimate of the served net: everything admission reads.
+tier::AnalyticalEstimate analytical_served(const Request& request,
+                                           const charlib::CharacterizedDriver& driver) {
+  return estimate_served_net(request, [&](const net::Net& net) {
+    return tier::analytical_estimate(driver, request.input_slew, net);
+  });
 }
 
 ReplayPlan plan_far_end_replay(const Request& request, const BatchOptions& options,
@@ -308,10 +319,12 @@ Response Engine::dispatch(const Request& request, const BatchOptions& options,
   const bool gate = request.require_convergence;
 
   // Balanced and fastest try Tier A first: the cheap topology screen
-  // (coupled groups), then the estimate-based screen once the estimate
-  // exists.  A closed form that throws (degenerate fit, stalled table fixed
-  // point) is just another refusal: the denser tiers own that net.  Budget
-  // and cancellation faults are not; they abort the slot like anywhere else.
+  // (coupled groups), then the estimate-based screen on the served net's
+  // estimate, before anything else is built from it.  A refused slot stops
+  // there: no Response, and no quiet-net estimate for a coupled victim.  A
+  // closed form that throws (degenerate fit, stalled table fixed point) is
+  // just another refusal: the denser tiers own that net.  Budget and
+  // cancellation faults are not; they abort the slot like anywhere else.
   tier::Admission admission;
   if (policy == TierPolicy::balanced || policy == TierPolicy::fastest) {
     if (request.coupled()) {
@@ -319,10 +332,11 @@ Response Engine::dispatch(const Request& request, const BatchOptions& options,
     }
     if (admission.ok) {
       try {
-        tier::AnalyticalEstimate estimate;
-        Response a = analytical_response(request, options, &estimate);
-        admission = tier::admit_analytical(estimate);
-        if (admission.ok) return a;
+        const charlib::CharacterizedDriver& driver =
+            library_.ensure_driver(technology_, request.cell_size, options.grid);
+        tier::AnalyticalEstimate served = analytical_served(request, driver);
+        admission = tier::admit_analytical(served);
+        if (admission.ok) return analytical_response(request, driver, served);
       } catch (const DeadlineError&) {
         throw;
       } catch (const BudgetError&) {
@@ -340,7 +354,12 @@ Response Engine::dispatch(const Request& request, const BatchOptions& options,
   // request's reference flag.
   const tier::Tier routed = tier::route(policy, admission, request.reference);
   climb.rung = fidelity_of(routed);
-  if (routed == tier::Tier::analytical) return analytical_response(request, options);
+  if (routed == tier::Tier::analytical) {
+    const charlib::CharacterizedDriver& driver =
+        library_.ensure_driver(technology_, request.cell_size, options.grid);
+    tier::AnalyticalEstimate served = analytical_served(request, driver);
+    return analytical_response(request, driver, served);
+  }
   if (routed == tier::Tier::reference) {
     return reference_response(request, options, model, gate, budget);
   }
@@ -363,16 +382,14 @@ Response Engine::dispatch(const Request& request, const BatchOptions& options,
 }
 
 Response Engine::analytical_response(const Request& request,
-                                     const BatchOptions& options,
-                                     tier::AnalyticalEstimate* estimate_out) {
-  const charlib::CharacterizedDriver& driver =
-      library_.ensure_driver(technology_, request.cell_size, options.grid);
+                                     const charlib::CharacterizedDriver& driver,
+                                     tier::AnalyticalEstimate& served) {
   Response response;
   response.label = request.label;
   response.fidelity = Fidelity::analytical;
   response.tier = tier::Tier::analytical;
-  tier::AnalyticalEstimate estimate = estimate_served_net(
-      request, response,
+  measure_served_net(
+      request, response, served,
       [&](const net::Net& net) {
         return tier::analytical_estimate(driver, request.input_slew, net);
       },
@@ -385,9 +402,8 @@ Response Engine::analytical_response(const Request& request,
         tier::noise_bound(request.group, request.victim, technology_.vdd);
   }
   // Move, not copy: the waveform's points are the only allocation in the
-  // model and the admission screen only reads the scalar fields.
-  response.model = std::move(estimate.model);
-  if (estimate_out) *estimate_out = std::move(estimate);
+  // model.
+  response.model = std::move(served.model);
   return response;
 }
 
@@ -401,13 +417,14 @@ Response Engine::ceff_response(const Request& request, const BatchOptions& optio
   response.label = request.label;
   response.fidelity = Fidelity::ceff_model;
   response.tier = tier::Tier::ceff;
+  const auto estimate = [&](const net::Net& net) {
+    return core::model_driver_output(driver, request.input_slew, net, model);
+  };
+  response.model = estimate_served_net(request, estimate);
   // A non-converged quiet-baseline model fails the slot like the primary
   // model.
-  response.model = estimate_served_net(
-      request, response,
-      [&](const net::Net& net) {
-        return core::model_driver_output(driver, request.input_slew, net, model);
-      },
+  measure_served_net(
+      request, response, response.model, estimate,
       [&](const core::DriverOutputModel& m) {
         return measure_model(m, technology_.vdd);
       },
@@ -504,15 +521,14 @@ Response Engine::moments_only_response(const Request& request,
   response.fidelity = Fidelity::moments_only;
   // tier::Tier has no floor rung yet: the floor answers as Tier B.
   response.tier = tier::Tier::ceff;
-  response.model = estimate_served_net(
-      request, response,
-      [&](const net::Net& net) {
-        return core::estimate_driver_output_moments_only(driver, request.input_slew,
-                                                         net);
-      },
-      [&](const core::DriverOutputModel& m) {
-        return measure_model(m, technology_.vdd);
-      });
+  const auto estimate = [&](const net::Net& net) {
+    return core::estimate_driver_output_moments_only(driver, request.input_slew, net);
+  };
+  response.model = estimate_served_net(request, estimate);
+  measure_served_net(request, response, response.model, estimate,
+                     [&](const core::DriverOutputModel& m) {
+                       return measure_model(m, technology_.vdd);
+                     });
   return response;
 }
 

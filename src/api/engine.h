@@ -118,13 +118,15 @@ private:
   // served on its (Miller-decoupled) victim.
   //
   // Tier A: the closed-form analytical screen (tier/analytical.h) — table
-  // lookups only, no fixed point, no transient.  `estimate_out` (nullable)
-  // receives the raw estimate so the dispatch can score admission without
-  // recomputing it.  Its model.waveform is moved into the returned Response
-  // (left empty in the estimate); every scalar admission input (criteria,
-  // ceff1/ceff2, kind, shielding) stays valid.
-  Response analytical_response(const Request& request, const BatchOptions& options,
-                               tier::AnalyticalEstimate* estimate_out = nullptr);
+  // lookups only, no fixed point, no transient.  The caller first estimates
+  // the served net alone (`served`, the decoupled victim for a coupled
+  // request), because that is all admission reads: the dispatch scores it
+  // before building anything, so a refused slot costs one estimate.  The
+  // answer is built around `served`, whose model is moved into the returned
+  // Response; a coupled victim adds its quiet-net pushout and noise bound.
+  Response analytical_response(const Request& request,
+                               const charlib::CharacterizedDriver& driver,
+                               tier::AnalyticalEstimate& served);
   // Tier B (the paper's Ceff flow) and Tier C (the transient reference
   // experiment, with the Ceff model beside it).  `budget` (nullable) is
   // threaded into the fixed points of `model` and into the transient loops;

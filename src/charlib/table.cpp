@@ -46,12 +46,15 @@ double Table2D::lookup(double row_value, double col_value) const {
   const double wr = weight(rows_, r, row_value);
   const double wc = weight(cols_, c, col_value);
 
+  // segment_index clamps to the edge segments, so all four corners are in
+  // range without at()'s per-read check.
   const std::size_t r1 = rows_.size() == 1 ? r : r + 1;
   const std::size_t c1 = cols_.size() == 1 ? c : c + 1;
-  const double v00 = at(r, c);
-  const double v01 = at(r, c1);
-  const double v10 = at(r1, c);
-  const double v11 = at(r1, c1);
+  const std::size_t n_cols = cols_.size();
+  const double v00 = vals_[r * n_cols + c];
+  const double v01 = vals_[r * n_cols + c1];
+  const double v10 = vals_[r1 * n_cols + c];
+  const double v11 = vals_[r1 * n_cols + c1];
   return v00 * (1.0 - wr) * (1.0 - wc) + v01 * (1.0 - wr) * wc + v10 * wr * (1.0 - wc) +
          v11 * wr * wc;
 }

@@ -109,10 +109,13 @@ double ceff_second_ramp_numeric(const ChargeModel& load, double f, double tr1,
 namespace {
 
 // The one Ceff <-> cell-table fixed point: c -> (table) ramp time -> Ceff,
-// from c = Ctotal, with the iterate clamped to [1e-4, upper] * Ctotal.
+// from c = Ctotal, with the iterate clamped to [1e-4, upper] * Ctotal.  A
+// template over the window's Ceff so a pass makes one indirect call, the
+// table lookup behind `transition`.
+template <class CeffOfTr>
 CeffIteration run_iteration(const ChargeModel& load, const TransitionFn& transition,
-                            const std::function<double(double tr)>& ceff_of_tr,
-                            const CeffIterationOptions& options, double upper) {
+                            const CeffOfTr& ceff_of_tr, const CeffIterationOptions& options,
+                            double upper) {
   const double c_total = load.admittance().total_capacitance();
   util::FixedPointOptions fp;
   fp.rel_tol = options.rel_tol;

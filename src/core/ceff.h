@@ -72,7 +72,8 @@ struct CeffIterationOptions {
 };
 
 // Maps a load capacitance to the driver's ramp-equivalent output transition
-// (a cell-table lookup bound to one input slew).
+// (a cell-table lookup bound to one input slew).  Each fixed-point pass calls
+// it once; it is the only indirect call in the loop.
 using TransitionFn = std::function<double(double c_load)>;
 
 // Sec. 4.1: iterate Ceff1 from Ceff = Ctotal.

@@ -52,11 +52,29 @@ double ChargeModel::step_charge(double v0, double t) const {
   return v0 * (y_.a1() + acc.real());
 }
 
+double ChargeModel::charge_at(double slope, double v0, double t) const {
+  if (t <= 0.0) return 0.0;
+  // The two sums of ramp_charge and step_charge, term for term in the same
+  // order, fed from one exponential per pole.
+  const bool step = v0 != 0.0;
+  Complex ramp_acc = 0.0;
+  Complex step_acc = 0.0;
+  for (int i = 0; i < n_poles_; ++i) {
+    const std::size_t k = static_cast<std::size_t>(i);
+    const Complex e = std::exp(poles_[k] * t);
+    ramp_acc += ramp_residues_[k] * e;
+    if (step) step_acc += step_residues_[k] * e;
+  }
+  const double q_ramp = slope * (y_.a1() * t + ramp_const_ + ramp_acc.real());
+  const double q_step = step ? v0 * (y_.a1() + step_acc.real()) : 0.0;
+  return q_ramp + q_step;
+}
+
 double ChargeModel::window_charge(double slope, double v0, double t_begin,
                                   double t_end) const {
   ensure(t_end >= t_begin, "ChargeModel: window must be ordered");
-  const double q_end = ramp_charge(slope, t_end) + step_charge(v0, t_end);
-  const double q_begin = ramp_charge(slope, t_begin) + step_charge(v0, t_begin);
+  const double q_end = charge_at(slope, v0, t_end);
+  const double q_begin = charge_at(slope, v0, t_begin);
   return q_end - q_begin;
 }
 

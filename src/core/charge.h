@@ -41,10 +41,15 @@ public:
   double step_charge(double v0, double t) const;
 
   // Charge delivered over (t_begin, t_end] by the extended ramp
-  // v(t) = v0 + slope * t.
+  // v(t) = v0 + slope * t.  Bitwise equal to the difference of
+  // ramp_charge + step_charge at the two ends, with each pole's exponential
+  // evaluated once per end for both sums.
   double window_charge(double slope, double v0, double t_begin, double t_end) const;
 
 private:
+  // ramp_charge(slope, t) + step_charge(v0, t), sharing e^{s_i t}.
+  double charge_at(double slope, double v0, double t) const;
+
   moments::RationalAdmittance y_;
   int n_poles_ = 0;
   std::array<util::Complex, 2> poles_{};

@@ -52,13 +52,15 @@ double dominant_tail_tau(const moments::RationalAdmittance& y, double rs) {
 // v_switch = 1 - tau/tr, clamped to [0.5, 0.9] so the 50 % anchor stays on
 // the ramp and degenerate tails stay finite.
 wave::Pwl ramp_with_tail(double tr, double tau, double vdd) {
+  static constexpr double kTailSamples[] = {0.3, 0.7, 1.2, 1.8, 2.6, 3.6, 5.0};
   const double v_switch = std::clamp(1.0 - tau / tr, 0.5, 0.9);
   std::vector<std::pair<double, double>> pts;
+  pts.reserve(std::size(kTailSamples) + 3);
   pts.emplace_back(0.0, 0.0);
   const double t_switch = v_switch * tr;
   pts.emplace_back(t_switch, v_switch * vdd);
   // Sample the exponential densely enough for 10-90 measurements.
-  for (double x : {0.3, 0.7, 1.2, 1.8, 2.6, 3.6, 5.0}) {
+  for (double x : kTailSamples) {
     pts.emplace_back(t_switch + x * tau,
                      vdd - (1.0 - v_switch) * vdd * std::exp(-x));
   }

@@ -51,9 +51,17 @@ void check_probes(const net::Branch& root, const Options& options,
   }
 }
 
+// Visits every section depth-first: a branch's own sections near to far,
+// then its children's.
+template <class Fn>
+void for_each_section(const net::Branch& branch, Fn& fn) {
+  for (const net::Section& s : branch.sections) fn(s);
+  for (const net::Branch& child : branch.children) for_each_section(child, fn);
+}
+
 void collect_sections(const net::Branch& branch, std::vector<net::Section>& out) {
-  out.insert(out.end(), branch.sections.begin(), branch.sections.end());
-  for (const net::Branch& child : branch.children) collect_sections(child, out);
+  auto append = [&out](const net::Section& s) { out.push_back(s); };
+  for_each_section(branch, append);
 }
 
 void collect_loads(const net::Branch& branch, std::vector<double>& out) {
@@ -402,27 +410,20 @@ Report lint_group(const net::CoupledGroup& group, const Options& options) {
     }
   }
 
-  // Coupling caps vs the ground capacitance of the section they load.
-  std::vector<std::vector<double>> section_caps(group.size());
-  std::vector<std::vector<double>> coupling_on(group.size());
-  for (std::size_t k = 0; k < group.size(); ++k) {
-    std::vector<net::Section> sections;
-    collect_sections(group.net_at(k).root(), sections);
-    section_caps[k].reserve(sections.size());
-    for (const net::Section& s : sections) section_caps[k].push_back(s.capacitance);
-    coupling_on[k].assign(sections.size(), 0.0);
-  }
-  for (const net::CouplingCap& cc : group.coupling_caps()) {
-    for (const net::SectionRef& r : {cc.a, cc.b}) {
-      if (r.net < coupling_on.size() && r.section < coupling_on[r.net].size()) {
-        coupling_on[r.net][r.section] += cc.capacitance;
-      }
-    }
-  }
+  // Coupling caps vs the ground capacitance of the section they load.  A
+  // group carries a handful of coupling caps, so each section sums its own
+  // by a scan (in cap order, a side before b side) instead of staging
+  // per-net arrays.
   for (std::size_t n = 0; n < group.size(); ++n) {
-    for (std::size_t s = 0; s < coupling_on[n].size(); ++s) {
-      const double ground = section_caps[n][s];
-      const double coupled = coupling_on[n][s];
+    std::size_t s = 0;
+    auto screen_section = [&](const net::Section& section) {
+      const double ground = section.capacitance;
+      double coupled = 0.0;
+      for (const net::CouplingCap& cc : group.coupling_caps()) {
+        for (const net::SectionRef& r : {cc.a, cc.b}) {
+          if (r.net == n && r.section == s) coupled += cc.capacitance;
+        }
+      }
       if (ground > 0.0 && coupled > options.coupling_ratio_warn * ground) {
         report.diagnostics.push_back(make_diagnostic(
             Code::coupling_dominates_ground,
@@ -432,7 +433,9 @@ Report lint_group(const net::CoupledGroup& group, const Options& options) {
             "crosstalk will dominate this span's response; expect strong "
             "aggressor sensitivity"));
       }
-    }
+      ++s;
+    };
+    for_each_section(group.net_at(n).root(), screen_section);
   }
 
   if (has_error(report.diagnostics)) return report;

@@ -14,28 +14,37 @@ std::string fmt(double v) {
   return buf;
 }
 
-// Branch paths in diagnostics read "root", "root/1", "root/1/0", ...
-std::string child_path(const std::string& parent, std::size_t index) {
-  return parent + "/" + std::to_string(index);
-}
+// A branch's place in the tree: the chain of child indices from the root,
+// held on the walk's call stack.  Diagnostics name it "root", "root/1",
+// "root/1/0", ...; the text is built only when a finding is emitted, so a
+// clean tree is walked without a single allocation.
+struct BranchPath {
+  const BranchPath* parent = nullptr;  // null at the root
+  std::size_t index = 0;               // position among the parent's children
 
-std::string section_path(const std::string& branch_path, std::size_t index) {
-  return "section " + std::to_string(index) + " of branch '" + branch_path + "'";
-}
+  std::string str() const {
+    return parent == nullptr ? std::string("root")
+                             : parent->str() + "/" + std::to_string(index);
+  }
+  std::string branch() const { return "branch '" + str() + "'"; }
+  std::string section(std::size_t k) const {
+    return "section " + std::to_string(k) + " of branch '" + str() + "'";
+  }
+};
 
-void check_section(const net::Section& s, const std::string& branch_path,
-                   std::size_t index, std::vector<Diagnostic>& out) {
-  const std::string where = section_path(branch_path, index);
+void check_section(const net::Section& s, const BranchPath& path, std::size_t index,
+                   std::vector<Diagnostic>& out) {
+  const auto where = [&] { return path.section(index); };
   if (!(std::isfinite(s.resistance) && std::isfinite(s.inductance) &&
         std::isfinite(s.capacitance))) {
-    out.push_back(make_diagnostic(Code::nonfinite_value, where,
+    out.push_back(make_diagnostic(Code::nonfinite_value, where(),
                                   "has non-finite parasitics",
                                   "replace NaN/Inf parasitics with measured values"));
     return;  // value comparisons below are meaningless on NaN
   }
   if (s.inductance < 0.0) {
     out.push_back(make_diagnostic(
-        Code::negative_inductance, where,
+        Code::negative_inductance, where(),
         "has negative inductance (" + fmt(s.inductance) + " H)",
         "inductance must be >= 0; drop the L term for an RC section"));
   }
@@ -44,32 +53,32 @@ void check_section(const net::Section& s, const std::string& branch_path,
     // (this is what ckt::append_rlc_ladder requires to discretize them).
     if (s.resistance <= 0.0) {
       out.push_back(make_diagnostic(
-          Code::nonpositive_resistance, where,
+          Code::nonpositive_resistance, where(),
           "has zero/negative resistance (" + fmt(s.resistance) + " ohm)",
           "distributed wire needs R > 0; use a lumped section for ideal spans"));
     }
     if (s.capacitance <= 0.0) {
       out.push_back(make_diagnostic(
-          Code::nonpositive_capacitance, where,
+          Code::nonpositive_capacitance, where(),
           "has zero/negative capacitance (" + fmt(s.capacitance) + " F)",
           "distributed wire needs C > 0; use a lumped section for ideal spans"));
     }
   } else {
     if (s.resistance < 0.0) {
       out.push_back(make_diagnostic(
-          Code::nonpositive_resistance, where,
+          Code::nonpositive_resistance, where(),
           "has negative resistance (" + fmt(s.resistance) + " ohm)",
           "resistance must be >= 0"));
     }
     if (s.capacitance < 0.0) {
       out.push_back(make_diagnostic(
-          Code::nonpositive_capacitance, where,
+          Code::nonpositive_capacitance, where(),
           "has negative capacitance (" + fmt(s.capacitance) + " F)",
           "capacitance must be >= 0"));
     }
     if (s.resistance == 0.0 && s.inductance == 0.0 && s.capacitance == 0.0) {
       out.push_back(make_diagnostic(
-          Code::zero_section, where, "is a zero-length segment (R = L = C = 0)",
+          Code::zero_section, where(), "is a zero-length segment (R = L = C = 0)",
           "remove the section or give it parasitics"));
     }
   }
@@ -101,42 +110,39 @@ struct ProbeNames {
   }
 };
 
-void check_branch(const net::Branch& branch, const std::string& path,
-                  ProbeNames& probe_names,
-                  std::vector<Diagnostic>& out) {
+// Checks the branch and its subtree; returns the subtree's capacitance
+// (load, then sections, then children, in that order).
+double check_branch(const net::Branch& branch, const BranchPath& path,
+                    ProbeNames& probe_names, std::vector<Diagnostic>& out) {
   // A branch contributing no wire, no fan-out, and no load would compile to
   // a phantom leaf at its parent junction.
   if (branch.sections.empty() && branch.children.empty() && !(branch.c_load > 0.0)) {
     out.push_back(make_diagnostic(
-        Code::empty_branch, "branch '" + path + "'",
+        Code::empty_branch, path.branch(),
         "is empty (no sections, children, or load)",
         "remove the dangling branch or give it sections/children/a load"));
   }
+  double capacitance = branch.c_load;
   for (std::size_t k = 0; k < branch.sections.size(); ++k) {
     check_section(branch.sections[k], path, k, out);
+    capacitance += branch.sections[k].capacitance;
   }
   if (!(std::isfinite(branch.c_load) && branch.c_load >= 0.0)) {
     out.push_back(make_diagnostic(
-        Code::negative_load, "branch '" + path + "'",
+        Code::negative_load, path.branch(),
         "has a negative/non-finite load (" + fmt(branch.c_load) + " F)",
         "receiver loads must be finite and >= 0"));
   }
   if (!branch.probe.empty() && probe_names.seen(branch.probe)) {
     out.push_back(make_diagnostic(
-        Code::duplicate_probe, "branch '" + path + "'",
+        Code::duplicate_probe, path.branch(),
         "duplicate probe name '" + branch.probe + "'",
         "probe names address waveforms and must be unique per net"));
   }
   for (std::size_t k = 0; k < branch.children.size(); ++k) {
-    check_branch(branch.children[k], child_path(path, k), probe_names, out);
+    capacitance += check_branch(branch.children[k], BranchPath{&path, k}, probe_names, out);
   }
-}
-
-double branch_capacitance(const net::Branch& branch) {
-  double c = branch.c_load;
-  for (const net::Section& s : branch.sections) c += s.capacitance;
-  for (const net::Branch& child : branch.children) c += branch_capacitance(child);
-  return c;
+  return capacitance;
 }
 
 }  // namespace
@@ -149,8 +155,7 @@ void check_branch_tree(const net::Branch& root, std::vector<Diagnostic>& out) {
     return;
   }
   ProbeNames probe_names;
-  check_branch(root, "root", probe_names, out);
-  if (!(branch_capacitance(root) > 0.0)) {
+  if (!(check_branch(root, BranchPath{}, probe_names, out) > 0.0)) {
     out.push_back(make_diagnostic(Code::no_capacitance, "",
                                   "net has no capacitance",
                                   "add section capacitance or a receiver load"));

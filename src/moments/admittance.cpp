@@ -51,17 +51,8 @@ Series distributed_section_admittance(double r_total, double l_total, double c_t
   //   Y0 sinh(x)   = s C * sinhc(u),  sinhc(u) = sum u^k / (2k+1)!
   //   Z0 sinh(x)   = (R + s L) * sinhc(u)
   const Series u({0.0, c_total * r_total, c_total * l_total}, order);
-
-  std::vector<double> cosh_coeffs(order, 0.0);
-  std::vector<double> sinhc_coeffs(order, 0.0);
-  double fact = 1.0;  // (2k)! running value
-  for (std::size_t k = 0; k < order; ++k) {
-    if (k > 0) fact *= static_cast<double>(2 * k - 1) * static_cast<double>(2 * k);
-    cosh_coeffs[k] = 1.0 / fact;
-    sinhc_coeffs[k] = 1.0 / (fact * static_cast<double>(2 * k + 1));
-  }
-  const Series cosh_x = Series::compose(cosh_coeffs, u);
-  const Series sinhc_u = Series::compose(sinhc_coeffs, u);
+  const Series cosh_x = Series::compose(line_series_coefficients.cosh, u);
+  const Series sinhc_u = Series::compose(line_series_coefficients.sinhc, u);
 
   const Series s_c({0.0, c_total}, order);        // s * C
   const Series r_plus_sl({r_total, l_total}, order);

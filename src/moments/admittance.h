@@ -12,6 +12,7 @@
 #ifndef RLCEFF_MOMENTS_ADMITTANCE_H
 #define RLCEFF_MOMENTS_ADMITTANCE_H
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -24,6 +25,25 @@ class Net;
 namespace rlceff::moments {
 
 inline constexpr std::size_t default_order = 8;
+
+// Taylor coefficients of the uniform-line expansion in u = x^2, one per term
+// a util::Series holds: cosh(x) = sum u^k / (2k)! and
+// sinhc(u) = sinh(x)/x = sum u^k / (2k+1)!.  One constant table, shared by
+// the admittance and transfer cascades of every section.
+struct LineSeriesCoefficients {
+  std::array<double, util::Series::capacity> cosh{};
+  std::array<double, util::Series::capacity> sinhc{};
+};
+inline constexpr LineSeriesCoefficients line_series_coefficients = [] {
+  LineSeriesCoefficients out;
+  double fact = 1.0;  // (2k)! running value
+  for (std::size_t k = 0; k < util::Series::capacity; ++k) {
+    if (k > 0) fact *= static_cast<double>(2 * k - 1) * static_cast<double>(2 * k);
+    out.cosh[k] = 1.0 / fact;
+    out.sinhc[k] = 1.0 / (fact * static_cast<double>(2 * k + 1));
+  }
+  return out;
+}();
 
 // Admittance series of an N-segment pi-section ladder (same topology as
 // ckt::append_rlc_ladder) with far-end load c_far.

@@ -35,16 +35,8 @@ Series distributed_transfer(double r_total, double l_total, double c_total,
   // V_near = cosh(x) V_far + Z0 sinh(x) I_far with I_far = s c_far V_far, so
   // H = 1 / (cosh(x) + (R + sL) sinhc(u) * s c_far), u = s C (R + sL).
   const Series u({0.0, c_total * r_total, c_total * l_total}, order);
-  std::vector<double> cosh_coeffs(order, 0.0);
-  std::vector<double> sinhc_coeffs(order, 0.0);
-  double fact = 1.0;
-  for (std::size_t k = 0; k < order; ++k) {
-    if (k > 0) fact *= static_cast<double>(2 * k - 1) * static_cast<double>(2 * k);
-    cosh_coeffs[k] = 1.0 / fact;
-    sinhc_coeffs[k] = 1.0 / (fact * static_cast<double>(2 * k + 1));
-  }
-  const Series cosh_x = Series::compose(cosh_coeffs, u);
-  const Series sinhc_u = Series::compose(sinhc_coeffs, u);
+  const Series cosh_x = Series::compose(line_series_coefficients.cosh, u);
+  const Series sinhc_u = Series::compose(line_series_coefficients.sinhc, u);
   const Series z0_sinh = Series({r_total, l_total}, order) * sinhc_u;
   const Series y_load({0.0, c_far}, order);
   return Series::constant(1.0, order) / (cosh_x + z0_sinh * y_load);

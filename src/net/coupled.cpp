@@ -180,9 +180,11 @@ Net CoupledGroup::decoupled_net(std::size_t victim,
   ensure(miller_by_net.size() == nets_.size(),
          "net::CoupledGroup::decoupled_net: need one Miller factor per net");
   for (std::size_t k = 0; k < miller_by_net.size(); ++k) {
-    ensure(std::isfinite(miller_by_net[k]) && miller_by_net[k] >= 0.0,
-           "net::CoupledGroup::decoupled_net: Miller factor for '" + labels_[k] +
-               "' is non-physical (" + fmt(miller_by_net[k]) + ")");
+    if (!(std::isfinite(miller_by_net[k]) && miller_by_net[k] >= 0.0)) {
+      ensure(false, "net::CoupledGroup::decoupled_net: Miller factor for '" +
+                        labels_[k] + "' is non-physical (" + fmt(miller_by_net[k]) +
+                        ")");
+    }
   }
 
   Branch root = nets_[victim].root();

@@ -7,13 +7,15 @@
 
 namespace rlceff::util {
 
-Series::Series(std::size_t n) : c_(n, 0.0) { ensure(n > 0, "series order must be positive"); }
+Series::Series(std::size_t n) : n_(n) {
+  ensure(n > 0, "series order must be positive");
+  ensure(n <= capacity, "series order exceeds Series::capacity");
+}
 
 Series::Series(std::initializer_list<double> coeffs, std::size_t n)
     : Series(std::span<const double>(coeffs.begin(), coeffs.size()), n) {}
 
-Series::Series(std::span<const double> coeffs, std::size_t n) : c_(n, 0.0) {
-  ensure(n > 0, "series order must be positive");
+Series::Series(std::span<const double> coeffs, std::size_t n) : Series(n) {
   const std::size_t m = std::min(n, coeffs.size());
   std::copy_n(coeffs.begin(), m, c_.begin());
 }
@@ -33,24 +35,24 @@ Series Series::variable(std::size_t n) {
 
 Series Series::operator-() const {
   Series out = *this;
-  for (double& v : out.c_) v = -v;
+  for (std::size_t k = 0; k < n_; ++k) out.c_[k] = -out.c_[k];
   return out;
 }
 
 Series& Series::operator+=(const Series& rhs) {
   ensure(size() == rhs.size(), "series order mismatch");
-  for (std::size_t k = 0; k < c_.size(); ++k) c_[k] += rhs.c_[k];
+  for (std::size_t k = 0; k < n_; ++k) c_[k] += rhs.c_[k];
   return *this;
 }
 
 Series& Series::operator-=(const Series& rhs) {
   ensure(size() == rhs.size(), "series order mismatch");
-  for (std::size_t k = 0; k < c_.size(); ++k) c_[k] -= rhs.c_[k];
+  for (std::size_t k = 0; k < n_; ++k) c_[k] -= rhs.c_[k];
   return *this;
 }
 
 Series& Series::operator*=(double k) {
-  for (double& v : c_) v *= k;
+  for (std::size_t i = 0; i < n_; ++i) c_[i] *= k;
   return *this;
 }
 

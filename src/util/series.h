@@ -9,18 +9,28 @@
 // All binary operations require equal truncation orders (moment computations
 // pick one order up front).  Division and sqrt require an invertible leading
 // coefficient.
+//
+// The coefficients live inline, up to Series::capacity terms, so series
+// arithmetic never touches the heap: the moment cascades run once per net,
+// a few hundred operations each.
 #ifndef RLCEFF_UTIL_SERIES_H
 #define RLCEFF_UTIL_SERIES_H
 
+#include <array>
 #include <cstddef>
+#include <initializer_list>
 #include <span>
-#include <vector>
 
 namespace rlceff::util {
 
 class Series {
 public:
-  // Zero series with n coefficients (all O(s^n) terms dropped).
+  // Largest truncation order a Series holds.  Every order in use is at most
+  // moments::default_order (8); a larger n throws.
+  static constexpr std::size_t capacity = 16;
+
+  // Zero series with n coefficients (all O(s^n) terms dropped); 0 < n <=
+  // capacity.
   explicit Series(std::size_t n);
 
   // Series from explicit coefficients, truncated/zero-padded to n terms.
@@ -32,10 +42,10 @@ public:
   // The monomial s + O(s^n); n must be >= 2.
   static Series variable(std::size_t n);
 
-  std::size_t size() const { return c_.size(); }
+  std::size_t size() const { return n_; }
   double operator[](std::size_t k) const { return c_[k]; }
   double& operator[](std::size_t k) { return c_[k]; }
-  std::span<const double> coeffs() const { return c_; }
+  std::span<const double> coeffs() const { return {c_.data(), n_}; }
 
   Series operator-() const;
   Series& operator+=(const Series& rhs);
@@ -67,7 +77,8 @@ public:
   bool almost_equal(const Series& rhs, double tol) const;
 
 private:
-  std::vector<double> c_;
+  std::array<double, capacity> c_{};  // terms at and past n_ stay zero
+  std::size_t n_ = 0;
 };
 
 }  // namespace rlceff::util

@@ -54,8 +54,10 @@ std::size_t SparseMatrix::position(std::size_t r, std::size_t c) const {
   const auto begin = row_ind_.begin() + static_cast<std::ptrdiff_t>(col_ptr_[c]);
   const auto end = row_ind_.begin() + static_cast<std::ptrdiff_t>(col_ptr_[c + 1]);
   const auto it = std::lower_bound(begin, end, r);
-  ensure(it != end && *it == r, "SparseMatrix: (" + std::to_string(r) + ", " +
-                                    std::to_string(c) + ") outside the pattern");
+  if (it == end || *it != r) {
+    ensure(false, "SparseMatrix: (" + std::to_string(r) + ", " + std::to_string(c) +
+                      ") outside the pattern");
+  }
   return static_cast<std::size_t>(it - row_ind_.begin());
 }
 

@@ -78,6 +78,7 @@ Waveform Pwl::sample(double t_begin, double t_end, double dt) const {
 Waveform Pwl::to_waveform(double t_end) const {
   ensure(!points_.empty(), "Pwl: empty");
   Waveform w;
+  w.reserve(points_.size() + 2);  // the breakpoints plus lead-in and tail
   // Lead-in sample so crossings before the first breakpoint are well defined.
   if (points_.front().first > 0.0) w.append(0.0, points_.front().second);
   for (const auto& [t, v] : points_) {

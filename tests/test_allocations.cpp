@@ -1,0 +1,145 @@
+// Allocation guard for the model-only hot path.
+//
+// The moment cascade, the Ceff fixed points, the cell-table lookup and the
+// structural lint screen run once or more per net on every Tier A/B slot;
+// none of them may touch the heap.  This binary replaces the global
+// operator new (testkit/alloc_count.h), so it builds on its own instead of
+// inside rlceff_tests, and every count below is exact and deterministic.
+#include "testkit/alloc_count.h"
+
+#include <gtest/gtest.h>
+
+#include <vector>
+
+#include "charlib/table.h"
+#include "core/ceff.h"
+#include "core/charge.h"
+#include "lint/lint.h"
+#include "moments/admittance.h"
+#include "moments/rational.h"
+#include "net/net.h"
+#include "util/units.h"
+
+namespace rlceff {
+namespace {
+
+using namespace rlceff::units;
+using testkit::count_allocations;
+
+// A clean multi-branch tree: a distributed trunk fanning out to a lumped
+// stub and a two-section distributed branch with a child of its own, every
+// leaf probed.
+net::Net multi_branch_net() {
+  net::Branch leaf;
+  leaf.sections.push_back({30.0, 0.4 * nh, 40 * ff, net::SectionKind::distributed});
+  leaf.c_load = 8 * ff;
+  leaf.probe = "leaf";
+
+  net::Branch routed;
+  routed.sections.push_back({20.0, 0.3 * nh, 60 * ff, net::SectionKind::distributed});
+  routed.sections.push_back({5.0, 0.0, 10 * ff, net::SectionKind::lumped});
+  routed.c_load = 15 * ff;
+  routed.probe = "routed";
+  routed.children.push_back(leaf);
+
+  net::Branch stub;
+  stub.sections.push_back({12.0, 0.1 * nh, 5 * ff, net::SectionKind::lumped});
+  stub.c_load = 20 * ff;
+  stub.probe = "stub";
+
+  net::Branch root;
+  root.sections.push_back({80.0, 2.0 * nh, 400 * ff, net::SectionKind::distributed});
+  root.children.push_back(routed);
+  root.children.push_back(stub);
+  return net::Net(std::move(root));
+}
+
+// A transition table shaped like a characterized driver's (ramp time grows
+// with load and input slew), and the TransitionFn the Ceff flow binds to it.
+charlib::Table2D transition_table() {
+  const std::vector<double> slews{50 * ps, 100 * ps, 200 * ps};
+  const std::vector<double> loads{50 * ff, 200 * ff, 500 * ff, 1 * pf, 2 * pf};
+  std::vector<double> values;
+  for (double slew : slews) {
+    for (double load : loads) values.push_back(0.2 * slew + 180.0 * load + 10 * ps);
+  }
+  return {slews, loads, values};
+}
+
+TEST(Allocations, CounterSeesTheHeap) {
+  EXPECT_GE(count_allocations([] { std::vector<double> v(16, 1.0); }), 1u);
+  EXPECT_EQ(0u, count_allocations([] {}));
+}
+
+TEST(Allocations, NetAdmittanceAllocatesNothing) {
+  const net::Net net = multi_branch_net();
+  util::Series y(moments::default_order);
+  EXPECT_EQ(0u, count_allocations([&] { y = moments::net_admittance(net); }));
+  EXPECT_GT(y[1], 0.0);
+  EXPECT_EQ(0u, count_allocations([&] { y = moments::net_admittance(net, 3); }));
+}
+
+TEST(Allocations, FastNetAdmittanceAllocatesNothingOnceWarm) {
+  // The flattened walk keeps thread-local scratch: the first call on a
+  // thread sizes it, later calls on nets no larger reuse it.
+  const net::Net net = multi_branch_net();
+  util::Series y = moments::fast_net_admittance(net);
+  EXPECT_EQ(0u, count_allocations([&] { y = moments::fast_net_admittance(net); }));
+  EXPECT_GT(y[1], 0.0);
+}
+
+TEST(Allocations, CeffIterationsAllocateNothing) {
+  const net::Net net = multi_branch_net();
+  const core::ChargeModel load{moments::RationalAdmittance(moments::net_admittance(net))};
+  const charlib::Table2D table = transition_table();
+  const core::TransitionFn transition = [&table](double c) {
+    return table.lookup(100 * ps, c);
+  };
+  const double f = 0.6;
+  core::CeffIteration it1;
+  core::CeffIteration it2;
+  core::CeffIteration single;
+  core::CeffIteration it3;
+  EXPECT_EQ(0u, count_allocations([&] { it1 = core::iterate_ceff1(load, f, transition); }));
+  EXPECT_EQ(0u, count_allocations([&] {
+              it2 = core::iterate_ceff2(load, f, it1.ramp_time, transition);
+            }));
+  EXPECT_EQ(0u, count_allocations(
+                    [&] { single = core::iterate_ceff_single(load, transition); }));
+  EXPECT_EQ(0u, count_allocations([&] {
+              it3 = core::iterate_ceff3(load, 0.9, 2.0 * it1.ramp_time, transition);
+            }));
+  EXPECT_GT(it1.iterations, 1);
+  EXPECT_GT(it2.iterations, 1);
+  EXPECT_GT(single.iterations, 1);
+  EXPECT_GT(it3.iterations, 0);
+}
+
+TEST(Allocations, TableLookupAllocatesNothing) {
+  const charlib::Table2D table = transition_table();
+  double sum = 0.0;
+  EXPECT_EQ(0u, count_allocations([&] {
+              // Inside the grid, on its edges and extrapolated past them.
+              for (double slew : {10 * ps, 50 * ps, 130 * ps, 400 * ps}) {
+                for (double load : {1 * ff, 200 * ff, 700 * ff, 5 * pf}) {
+                  sum += table.lookup(slew, load);
+                }
+              }
+            }));
+  EXPECT_GT(sum, 0.0);
+}
+
+TEST(Allocations, StructuralLintOfACleanTreeAllocatesNothing) {
+  const net::Net net = multi_branch_net();
+  lint::Options structural;
+  structural.conditioning = false;
+  structural.model = false;
+  std::size_t findings = 1;
+  EXPECT_EQ(0u, count_allocations([&] {
+              findings = lint::lint_net(net, structural).diagnostics.size();
+            }));
+  EXPECT_EQ(0u, findings);
+}
+
+}  // namespace
+}  // namespace rlceff

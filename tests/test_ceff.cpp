@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/charge.h"
 #include "moments/admittance.h"
@@ -89,6 +91,52 @@ TEST(ChargeModel, WindowChargeIsAdditive) {
   const double split = q.window_charge(1e9, 0.5, 0.0, 150 * ps) +
                        q.window_charge(1e9, 0.5, 150 * ps, 400 * ps);
   expect_rel_near(whole, split, 1e-12);
+}
+
+TEST(ChargeModel, WindowChargeIsBitwiseRampPlusStep) {
+  // window_charge shares each pole's exponential between the ramp and step
+  // sums; the result must be the plain ramp_charge + step_charge difference
+  // bit for bit, over every pole shape and window kind.
+  using rlceff::testing::uniform;
+  for (int trial = 0; trial < 400; ++trial) {
+    const double a1 = uniform(0.1, 2.0) * pf;
+    const double a2 = uniform(-1.0, 1.0) * a1 * 50 * ps;
+    const double a3 = uniform(-1.0, 1.0) * a1 * 50 * ps * 50 * ps;
+    double b1 = 0.0;
+    double b2 = 0.0;
+    switch (trial % 4) {
+      case 0: {  // two real poles
+        const double t1 = uniform(5.0, 200.0) * ps;
+        const double t2 = uniform(5.0, 200.0) * ps;
+        b1 = t1 + t2;
+        b2 = t1 * t2;
+        break;
+      }
+      case 1: {  // complex pair at -sigma +- j omega
+        const double sigma = uniform(1e9, 2e10);
+        const double omega = uniform(1e9, 5e10);
+        b2 = 1.0 / (sigma * sigma + omega * omega);
+        b1 = 2.0 * sigma * b2;
+        break;
+      }
+      case 2:  // one pole
+        b1 = uniform(5.0, 200.0) * ps;
+        break;
+      default:  // pole-free fit
+        break;
+    }
+    const ChargeModel q(RationalAdmittance(a1, a2, a3, b1, b2));
+    const double slope = 1.0 / (uniform(10.0, 500.0) * ps);
+    const double v0 = (trial / 4) % 2 == 0 ? 0.0 : uniform(-0.5, 1.0);
+    const double t_begin = (trial / 8) % 2 == 0 ? 0.0 : uniform(1.0, 300.0) * ps;
+    const double t_end = t_begin + uniform(1.0, 500.0) * ps;
+    const double q_end = q.ramp_charge(slope, t_end) + q.step_charge(v0, t_end);
+    const double q_begin = q.ramp_charge(slope, t_begin) + q.step_charge(v0, t_begin);
+    const double expected = q_end - q_begin;
+    const double got = q.window_charge(slope, v0, t_begin, t_end);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(expected), std::bit_cast<std::uint64_t>(got))
+        << "trial " << trial << ": " << expected << " vs " << got;
+  }
 }
 
 TEST(ChargeModel, RejectsUnstableAdmittance) {

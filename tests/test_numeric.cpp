@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
 #include "test_helpers.h"
 #include "util/error.h"
@@ -84,6 +85,17 @@ TEST(FixedPoint, ReportsNonConvergence) {
   const auto r = fixed_point([](double x) { return x + 1.0; }, 0.0, opt);
   EXPECT_FALSE(r.converged);
   EXPECT_EQ(5, r.iterations);
+}
+
+TEST(FixedPoint, AcceptsStdFunction) {
+  // The loop is a template over its callable; a type-erased one still works
+  // and walks the same iterates as the lambda it wraps.
+  const std::function<double(double)> g = [](double x) { return std::cos(x); };
+  const auto erased = fixed_point(g, 1.0);
+  const auto direct = fixed_point([](double x) { return std::cos(x); }, 1.0);
+  EXPECT_TRUE(erased.converged);
+  EXPECT_EQ(direct.iterations, erased.iterations);
+  EXPECT_EQ(direct.x, erased.x);
 }
 
 TEST(Stats, RelativeErrorAndAggregates) {

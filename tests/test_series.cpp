@@ -71,6 +71,14 @@ TEST(Series, OrderMismatchThrows) {
   EXPECT_THROW(a + b, Error);
 }
 
+TEST(Series, OrderAboveCapacityThrows) {
+  EXPECT_NO_THROW(Series(Series::capacity));
+  EXPECT_THROW(Series(Series::capacity + 1), Error);
+  const std::vector<double> coeffs(Series::capacity + 1, 1.0);
+  EXPECT_THROW(Series(coeffs, Series::capacity + 1), Error);
+  EXPECT_THROW(Series::constant(1.0, 0), Error);
+}
+
 TEST(Series, SqrtRoundTrip) {
   for (int trial = 0; trial < 20; ++trial) {
     Series a = random_series(1.0, true);
