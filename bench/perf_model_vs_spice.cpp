@@ -20,9 +20,12 @@
 #include "moments/admittance.h"
 #include "moments/awe.h"
 #include "sim/transient.h"
+#include "tech/inverter.h"
 #include "tech/testbench.h"
 #include "tech/wire.h"
 #include "testkit/alloc_count.h"
+#include "testkit/generate.h"
+#include "testkit/rng.h"
 
 using namespace rlceff;
 using namespace rlceff::units;
@@ -111,6 +114,64 @@ TransientTiming time_driver_line(sim::AssemblyMode mode) {
   });
 }
 
+// The widest Newton deck the fleet runs: the coupled reference deck of
+// randomized_fleet's net 141 (stream index 141 of its generator, a group of
+// four nets) at fleet_balanced's Tier-C fidelity, 8 segments and 4 ps.
+// That slot is the costliest of the fleet: RCM leaves the deck a
+// half-bandwidth of 23, most of whose slots hold exact zeros, and the
+// cached engine refactors from the first driver column on.  Each net is
+// driven as the reference Tier C runs it: the victim rises, the named
+// aggressors switch, the other nets hold quiet 75X drivers.
+struct CoupledTiming {
+  TransientTiming timing;
+  std::size_t bandwidth = 0;
+};
+
+CoupledTiming time_coupled_driver() {
+  testkit::Rng rng(testkit::mix_seed(0x20030603ull, 0xF1EE7, 141));
+  const api::Request request = testkit::random_request(rng);
+  const net::CoupledGroup& group = request.group;
+  const tech::Technology technology = tech::Technology::cmos180();
+  std::vector<tech::NetDrive> drives(group.size());
+  for (tech::NetDrive& d : drives) d.edge = tech::DriveEdge::hold_low;
+  drives[request.victim] = {tech::Inverter{request.cell_size}, request.input_slew,
+                            tech::DriveEdge::rise};
+  for (const api::Aggressor& a : request.aggressors) {
+    drives[a.net] = {tech::Inverter{a.cell_size}, a.input_slew,
+                     a.switching == core::AggressorSwitching::same_direction
+                         ? tech::DriveEdge::rise
+                     : a.switching == core::AggressorSwitching::opposite
+                         ? tech::DriveEdge::fall
+                         : tech::DriveEdge::hold_low};
+  }
+  tech::DeckOptions deck;
+  deck.segments = 8;
+  deck.dt = 4 * ps;
+  deck.t_stop = 2 * ns;
+
+  CoupledTiming out;
+  out.timing = time_steps(static_cast<std::size_t>(deck.t_stop / deck.dt), [&] {
+    return tech::simulate_coupled_group(technology, drives, group, deck)
+        .nets[request.victim]
+        .near_end.size();
+  });
+  // The same deck with every input held: only the source waveforms differ,
+  // so the MNA structure is the one the timed runs factor.
+  ckt::Netlist skeleton;
+  std::vector<ckt::NodeId> outs;
+  for (std::size_t k = 0; k < group.size(); ++k) {
+    const ckt::NodeId in = skeleton.node("in:" + group.label_at(k));
+    outs.push_back(skeleton.node("out:" + group.label_at(k)));
+    skeleton.add_vsource(in, ckt::ground, wave::Pwl({{0.0, technology.vdd}}));
+    tech::add_inverter(skeleton, technology, drives[k].cell, in, outs.back());
+  }
+  ckt::append_coupled_group(skeleton, outs, group, deck.segments);
+  const ckt::MnaStructure structure(skeleton);
+  out.timing.unknowns = structure.unknown_count();
+  out.bandwidth = structure.bandwidth();
+  return out;
+}
+
 // Engine batch throughput: the Fig-7 sweep grid (7 lengths x 7 widths x 4
 // slews, one driver) evaluated model-only through api::Engine::run_batch —
 // the "library-based static timing engine" workload the facade serves.  A
@@ -185,6 +246,7 @@ void emit_perf_json() {
   const TransientTiming driver_cached = time_driver_line(sim::AssemblyMode::cached);
   const TransientTiming driver_naive = time_driver_line(sim::AssemblyMode::naive);
   const double refactor_speedup = driver_naive.ns_per_step / driver_cached.ns_per_step;
+  const CoupledTiming coupled = time_coupled_driver();
   const BatchTiming batch = time_engine_batch();
 
   // Bench name "perf": BENCH_perf.json is shared with large_topology, which
@@ -202,6 +264,9 @@ void emit_perf_json() {
        {"driver_line_cached_ns_per_step", driver_cached.ns_per_step, "ns/step"},
        {"driver_line_naive_ns_per_step", driver_naive.ns_per_step, "ns/step"},
        {"driver_line_refactor_speedup", refactor_speedup, "x"},
+       {"coupled_driver_unknowns", static_cast<double>(coupled.timing.unknowns), "count"},
+       {"coupled_driver_bandwidth", static_cast<double>(coupled.bandwidth), "count"},
+       {"coupled_driver_cached_ns_per_step", coupled.timing.ns_per_step, "ns/step"},
        {"engine_batch_nets", static_cast<double>(batch.nets), "count"},
        {"engine_batch_nets_per_s", batch.nets_per_s, "nets/s"},
        {"engine_batch_allocs_per_net", batch.allocs_per_net, "allocs/net"}});
@@ -219,6 +284,10 @@ void emit_perf_json() {
   std::printf("  cached (MOSFET columns):   %8.1f ns/step\n", driver_cached.ns_per_step);
   std::printf("  naive (full refactor):     %8.1f ns/step\n", driver_naive.ns_per_step);
   std::printf("  speedup: %.2fx\n", refactor_speedup);
+  std::printf("== Newton transient (coupled deck of fleet net 141, %zu unknowns, "
+              "half-bandwidth %zu, %zu steps) ==\n",
+              coupled.timing.unknowns, coupled.bandwidth, coupled.timing.steps);
+  std::printf("  cached (driver columns):   %8.1f ns/step\n", coupled.timing.ns_per_step);
   std::printf("== api::Engine model-only batch (Fig-7 grid) ==\n");
   std::printf("  %zu nets: %.0f nets/s, %.1f heap allocations per net  (written to "
               "BENCH_perf.json)\n\n",
@@ -311,7 +380,9 @@ int main(int argc, char** argv) {
              "linear_line_naive_ns_per_step", "linear_line_naive_steps_per_s",
              "linear_line_factor_once_speedup", "driver_line_cached_ns_per_step",
              "driver_line_naive_ns_per_step", "driver_line_refactor_speedup",
-             "engine_batch_nets", "engine_batch_nets_per_s",
+             "coupled_driver_unknowns", "coupled_driver_bandwidth",
+             "coupled_driver_cached_ns_per_step", "engine_batch_nets",
+             "engine_batch_nets_per_s",
              "engine_batch_allocs_per_net"});
     return 0;
   }

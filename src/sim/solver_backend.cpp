@@ -11,10 +11,13 @@ using ckt::ground;
 using ckt::NodeId;
 
 // Banded-vs-others predicate: RCM kept the band narrow enough that the
-// banded LU's O(n * bw^2) factor / O(n * bw) solve wins outright.  The
-// absolute cap keeps big decks whose *relative* band happens to be narrow
-// (a bushy clock tree can RCM to bw ~ n / 15) off the band path, where the
-// O(n * bw) storage alone would run to gigabytes; those fall through to the
+// banded LU wins outright.  It stores all O(n * bw) band slots but works on
+// their nonzeros only: a factor is one scan of the band plus an update per
+// (nonzero multiplier, nonzero U entry) pair of each step, and a solve is
+// one multiply-add per stored nonzero of L and U.  The absolute cap keeps
+// big decks whose *relative* band happens to be narrow (a bushy clock tree
+// can RCM to bw ~ n / 15) off the band path, where the O(n * bw) storage
+// and its scan alone would run to gigabytes; those fall through to the
 // sparse/dense choice below.
 bool bandwidth_is_narrow(std::size_t n, std::size_t bw) {
   return bw <= std::min<std::size_t>(512, std::max<std::size_t>(8, n / 4));

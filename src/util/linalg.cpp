@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <type_traits>
 
 #include "util/error.h"
@@ -126,9 +127,13 @@ BandedMatrix::BandedMatrix(std::size_t n, std::size_t lower, std::size_t upper)
       ku_(upper),
       ku_tot_(upper + lower),
       ld_(2 * lower + upper + 1),
+      lw_(n > 0 ? std::min(lower, n - 1) : 0),
+      uw_(n > 0 ? std::min(upper + lower, n - 1) : 0),
       ab_(n * ld_, 0.0),
       pivot_(n, 0) {
   ensure(n > 0, "BandedMatrix: empty matrix");
+  ensure(uw_ <= std::numeric_limits<std::uint16_t>::max(),
+         "BandedMatrix: band too wide for 16-bit packed factor offsets");
 }
 
 bool BandedMatrix::in_band(std::size_t r, std::size_t c) const {
@@ -141,7 +146,7 @@ double& BandedMatrix::at(std::size_t r, std::size_t c) {
   return ab_[c * ld_ + (ku_tot_ + r - c)];
 }
 
-double BandedMatrix::at(std::size_t r, std::size_t c) const {
+const double& BandedMatrix::at(std::size_t r, std::size_t c) const {
   return ab_[c * ld_ + (ku_tot_ + r - c)];
 }
 
@@ -173,27 +178,45 @@ void BandedMatrix::copy_values_from(const BandedMatrix& other, std::size_t first
 
 void BandedMatrix::factor() { factor_from(0); }
 
-// Right-looking partial-pivoting LU.  Step k picks the pivot of column k,
-// swaps rows k and the pivot row across columns k..k+ku_tot, stores the
-// multipliers m(i, k) below the diagonal and updates the trailing band,
-// a(i, j) -= m(i, k) * a(k, j), skipping the rows whose multiplier is
-// exactly zero (the sparsity inside the band).
+// Right-looking partial-pivoting LU over the band's nonzeros.  Step k picks
+// the pivot of column k, swaps rows k and the pivot row across columns
+// k..k+ku_tot and stores the multipliers m(i, k) below the diagonal.  It
+// packs two lists: L, the rows whose multiplier is nonzero, and U, the
+// columns whose entry of row k (now final) is nonzero, with their values.
+// Then it updates only the cross product, a(i, j) -= m(i, k) * a(k, j).
+//
+// For finite matrices this is the full-band loop bit for bit: an entry that
+// is not a stored multiplier is never -0.0 (it starts as +0.0 and receives
+// only add() sums and -= updates), so a skipped update by a +-0.0 product
+// would have left it unchanged.  The updates of one step touch distinct
+// entries, so their order does not matter; each entry still receives its
+// updates in ascending k.
 //
 // A column's factors depend only on its own values and the columns before
-// it, so factor_from(first) keeps columns 0..first-1.  The kept steps whose
-// swaps and updates reach column `first` (k >= first - ku_tot) are replayed
-// on columns first.. from their stored pivots and multipliers, then the
-// elimination continues from step `first`.  Every entry of the recomputed
-// columns gets the same operations in the same ascending-k order as in
-// factor(), so the factors are bitwise identical.
+// it, so factor_from(first) keeps columns 0..first-1 and the L lists of
+// their steps.  The kept steps whose swaps and updates reach column `first`
+// (k >= first - ku_tot) are replayed on columns first.. from their stored
+// pivots and multipliers: each keeps the U entries before `first` and
+// re-packs the rest.  Then the elimination continues from step `first`.
+// Every entry of the recomputed columns gets the same operations in the
+// same ascending-k order as in factor(), so the factors are bitwise
+// identical.
 void BandedMatrix::factor_from(std::size_t first) {
   ensure(first <= n_ && factored_ == first,
          "BandedMatrix: factor_from(first) needs the columns before `first` "
          "factored and the rest not (factor() needs an unfactored matrix)");
+  if (l_count_.empty()) {
+    l_count_.assign(n_, 0);
+    l_off_.assign(n_ * lw_, 0);
+    u_count_.assign(n_, 0);
+    u_off_.assign(n_ * uw_, 0);
+    u_val_.assign(n_ * uw_, 0.0);
+  }
   for (std::size_t k = first > ku_tot_ ? first - ku_tot_ : 0; k < n_; ++k) {
     const bool kept = k < first;
     const std::size_t ilast = std::min(n_ - 1, k + kl_);
     const std::size_t jlast = std::min(n_ - 1, k + ku_tot_);
+    const std::size_t jfirst = kept ? first : k + 1;
     if (!kept) {
       std::size_t prow = k;
       double pmax = std::abs(at(k, k));
@@ -213,14 +236,36 @@ void BandedMatrix::factor_from(std::size_t first) {
         std::swap(at(k, j), at(prow, j));
       }
     }
-    const double inv = kept ? 1.0 : 1.0 / at(k, k);
-    const std::size_t jfirst = kept ? first : k + 1;
-    for (std::size_t i = k + 1; i <= ilast; ++i) {
-      double m = at(i, k);
-      if (!kept) at(i, k) = m = m * inv;
-      if (m == 0.0) continue;
-      for (std::size_t j = jfirst; j <= jlast; ++j) at(i, j) -= m * at(k, j);
+    std::uint16_t* const l_off = l_off_.data() + k * lw_;
+    if (!kept) {
+      const double inv = 1.0 / at(k, k);
+      std::size_t nl = 0;
+      for (std::size_t i = k + 1; i <= ilast; ++i) {
+        const double m = at(i, k) *= inv;
+        if (m != 0.0) l_off[nl++] = static_cast<std::uint16_t>(i - k);
+      }
+      l_count_[k] = static_cast<std::uint16_t>(nl);
     }
+    // U: a kept step keeps its entries before `first`.  The rest of row k is
+    // packed, and each nonzero entry updates its column at the rows of L.
+    // Column c of band storage is contiguous: (&at(k, c))[t] is a(k + t, c).
+    std::uint16_t* const u_off = u_off_.data() + k * uw_;
+    double* const u_val = u_val_.data() + k * uw_;
+    std::size_t nu = 0;
+    if (kept) {
+      while (nu < u_count_[k] && k + u_off[nu] < first) ++nu;
+    }
+    const double* const mult = &at(k, k);
+    const std::size_t nl = l_count_[k];
+    for (std::size_t j = jfirst; j <= jlast; ++j) {
+      double* const col = &at(k, j);
+      const double u = *col;
+      if (u == 0.0) continue;
+      u_off[nu] = static_cast<std::uint16_t>(j - k);
+      u_val[nu++] = u;
+      for (std::size_t s = 0; s < nl; ++s) col[l_off[s]] -= mult[l_off[s]] * u;
+    }
+    u_count_[k] = static_cast<std::uint16_t>(nu);
   }
   factored_ = n_;
 }
@@ -232,7 +277,11 @@ std::vector<double> BandedMatrix::solve(std::span<const double> b) const {
   return x;
 }
 
-// One kernel for both solves, like lu_substitute.
+// One kernel for both solves, like lu_substitute, sweeping the packed lists
+// of factor_from.  A skipped x_i -= m * x_k with m == 0 could only have
+// turned x_i == -0.0 into +0.0, so without a -0.0 in the right-hand side
+// the sweep is the full-band one bit for bit, and with one only the sign of
+// an exactly-zero result can differ, which no measurement reads.
 template <class Lanes>
 void BandedMatrix::substitute(double* x, Lanes lanes, Lanes stride) const {
   for (std::size_t k = 0; k < n_; ++k) {
@@ -242,19 +291,21 @@ void BandedMatrix::substitute(double* x, Lanes lanes, Lanes stride) const {
       double* __restrict xp = x + p * stride;
       for (std::size_t s = 0; s < lanes; ++s) std::swap(xk[s], xp[s]);
     }
-    const std::size_t ilast = std::min(n_ - 1, k + kl_);
-    for (std::size_t i = k + 1; i <= ilast; ++i) {
-      const double m = at(i, k);
-      double* __restrict xi = x + i * stride;
+    const double* const mult = &at(k, k);
+    const std::uint16_t* const l_off = l_off_.data() + k * lw_;
+    for (std::size_t t = 0, nl = l_count_[k]; t < nl; ++t) {
+      const double m = mult[l_off[t]];
+      double* __restrict xi = xk + l_off[t] * stride;
       for (std::size_t s = 0; s < lanes; ++s) xi[s] -= m * xk[s];
     }
   }
   for (std::size_t k = n_; k-- > 0;) {
     double* __restrict xk = x + k * stride;
-    const std::size_t jlast = std::min(n_ - 1, k + ku_tot_);
-    for (std::size_t j = k + 1; j <= jlast; ++j) {
-      const double m = at(k, j);
-      const double* __restrict xj = x + j * stride;
+    const std::uint16_t* const u_off = u_off_.data() + k * uw_;
+    const double* const u_val = u_val_.data() + k * uw_;
+    for (std::size_t t = 0, nu = u_count_[k]; t < nu; ++t) {
+      const double m = u_val[t];
+      const double* __restrict xj = xk + u_off[t] * stride;
       for (std::size_t s = 0; s < lanes; ++s) xk[s] -= m * xj[s];
     }
     const double d = at(k, k);

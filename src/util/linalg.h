@@ -3,14 +3,17 @@
 // The MNA simulator factors its matrix once per (step size, gmin) for linear
 // circuits, and per Newton iteration for MOSFET circuits.  For small circuits
 // the dense LU is fine; for discretized transmission lines (hundreds of
-// unknowns, nearly tridiagonal after RCM ordering) the banded LU costs
-// O(n * bandwidth^2) per factorization and O(n * bandwidth) per solve, and a
-// Newton iteration refactors only the columns its MOSFET stamps change
-// (BandedMatrix::factor_from).
+// unknowns, nearly tridiagonal after RCM ordering) the banded LU works only
+// on the band's nonzeros: a factorization costs the sum over its elimination
+// steps of (nonzero multipliers) x (nonzero U entries) updates plus one scan
+// of the band, a solve costs one multiply-add per stored nonzero of L and U
+// and one division per unknown, and a Newton iteration refactors only the
+// columns its MOSFET stamps change (BandedMatrix::factor_from).
 #ifndef RLCEFF_UTIL_LINALG_H
 #define RLCEFF_UTIL_LINALG_H
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -72,6 +75,15 @@ std::vector<double> solve_dense(const DenseMatrix& a, std::span<const double> b)
 
 // Banded matrix in LAPACK-style band storage with room for pivoting fill.
 // Entry (r, c) is stored when |r - c| is within (lower, upper) bandwidth.
+//
+// Factorization and substitution touch only the band's nonzeros: each
+// elimination step packs its nonzero multipliers and nonzero U entries, and
+// the sweeps run over those lists.  This is exact.  A band entry that is not
+// a multiplier is built by add() sums and -= updates from +0.0, so it is
+// never -0.0, and subtracting a +-0.0 product from it changes nothing: for
+// finite values the factors equal the full-band loop's bit for bit, and so
+// does every solution entry, except that with -0.0 entries in the
+// right-hand side an exactly-zero result may differ in sign.
 class BandedMatrix {
 public:
   // n unknowns with `lower` subdiagonals and `upper` superdiagonals.
@@ -99,7 +111,8 @@ public:
   // Factors in place (partial pivoting, fill confined to kl extra
   // superdiagonals).  The matrix must have been built with `upper` at least
   // its true upper bandwidth; factorization uses ku_total = ku + kl
-  // internally.  factor() is factor_from(0).
+  // internally.  factor() is factor_from(0).  The first factorization of a
+  // matrix sizes its packed factor lists; no later one allocates.
   void factor();
 
   // Refactors columns first..n-1 from their current (unfactored) values,
@@ -116,8 +129,8 @@ public:
   std::vector<double> solve(std::span<const double> b) const;
 
   // In-place solve: x holds b on entry and the solution on exit.  Allocates
-  // nothing, so the per-step cost of a pre-factored system is one O(n * bw)
-  // substitution sweep.
+  // nothing, so the per-step cost of a pre-factored system is one
+  // substitution sweep over the stored nonzeros of L and U.
   void solve_into(std::span<double> x) const;
 
   // Blocked multi-RHS solve (see lu_solve_block): `lanes` right-hand sides in
@@ -130,16 +143,29 @@ private:
   void substitute(double* x, Lanes lanes, Lanes stride) const;
 
   double& at(std::size_t r, std::size_t c);
-  double at(std::size_t r, std::size_t c) const;
+  const double& at(std::size_t r, std::size_t c) const;
 
   std::size_t n_;
   std::size_t kl_;
   std::size_t ku_;        // user-declared upper bandwidth
   std::size_t ku_tot_;    // ku_ + kl_ (pivoting fill)
   std::size_t ld_;        // leading dimension of band storage
+  std::size_t lw_;        // L slot width: min(kl_, n_ - 1)
+  std::size_t uw_;        // U slot width: min(ku_tot_, n_ - 1)
   std::size_t factored_ = 0;        // leading columns holding LU factors
   std::vector<double> ab_;          // band storage, column-major in bands
   std::vector<std::size_t> pivot_;  // row swaps applied during factorization
+
+  // The factors' nonzeros, packed per elimination step k into fixed slots
+  // (empty until the first factorization).  L: rows k + l_off_[k * lw_ + t]
+  // for t < l_count_[k], whose multipliers are read in place from column k.
+  // U: columns k + u_off_[k * uw_ + t] for t < u_count_[k], ascending, with
+  // their values copied to u_val_ (row k of band storage is strided).
+  std::vector<std::uint16_t> l_count_;
+  std::vector<std::uint16_t> l_off_;
+  std::vector<std::uint16_t> u_count_;
+  std::vector<std::uint16_t> u_off_;
+  std::vector<double> u_val_;
 };
 
 }  // namespace rlceff::util

@@ -1,14 +1,17 @@
-// Allocation guard for the model-only hot path.
+// Allocation guard for the model-only hot path and the transient kernel.
 //
 // The moment cascade, the Ceff fixed points, the cell-table lookup and the
 // structural lint screen run once or more per net on every Tier A/B slot;
-// none of them may touch the heap.  This binary replaces the global
-// operator new (testkit/alloc_count.h), so it builds on its own instead of
-// inside rlceff_tests, and every count below is exact and deterministic.
+// the banded LU refactors and solves once or more per transient step.  None
+// of them may touch the heap.  This binary replaces the global operator new
+// (testkit/alloc_count.h), so it builds on its own instead of inside
+// rlceff_tests, and every count below is exact and deterministic.
 #include "testkit/alloc_count.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "charlib/table.h"
@@ -18,6 +21,7 @@
 #include "moments/admittance.h"
 #include "moments/rational.h"
 #include "net/net.h"
+#include "util/linalg.h"
 #include "util/units.h"
 
 namespace rlceff {
@@ -139,6 +143,36 @@ TEST(Allocations, StructuralLintOfACleanTreeAllocatesNothing) {
               findings = lint::lint_net(net, structural).diagnostics.size();
             }));
   EXPECT_EQ(0u, findings);
+}
+
+TEST(Allocations, BandedRefactorAndSolvesAllocateNothingAfterTheFirstFactor) {
+  // A Newton-shaped use: a static image, a first full factorization (which
+  // sizes the packed factor lists), then refactors of the restamped tail
+  // columns and both solves.
+  const std::size_t n = 48, bw = 3, q = 40, lanes = 4, stride = 6;
+  util::BandedMatrix image(n, bw, bw);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = r > bw ? r - bw : 0; c <= std::min(n - 1, r + bw); ++c) {
+      if ((r + 2 * c) % 3 == 0 && r != c) continue;  // exact zeros inside the band
+      image.add(r, c, r == c ? 4.0 : std::sin(static_cast<double>(r + 3 * c)));
+    }
+  }
+  util::BandedMatrix a(n, bw, bw);
+  a.copy_values_from(image);
+  a.factor();
+  std::vector<double> x(n, 1.0);
+  std::vector<double> block(n * stride, 1.0);
+  for (int iter = 0; iter < 3; ++iter) {
+    a.copy_values_from(image, q);
+    a.add(q + 1, q, 0.5 * iter);  // the restamp
+    EXPECT_EQ(0u, count_allocations([&] { a.factor_from(q); }));
+    EXPECT_EQ(0u, count_allocations([&] { a.solve_into(x); }));
+    EXPECT_EQ(0u, count_allocations([&] { a.solve_block(block, lanes, stride); }));
+  }
+  a.copy_values_from(image);
+  EXPECT_EQ(0u, count_allocations([&] { a.factor(); }));
+  EXPECT_TRUE(std::isfinite(x[0]));
+  EXPECT_TRUE(std::isfinite(block[0]));
 }
 
 }  // namespace

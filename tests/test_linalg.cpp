@@ -287,25 +287,32 @@ double draw(double lo, double hi) {
 }
 
 // A random band with planted exact zeros (zero multipliers), -0.0 entries,
-// and columns whose weak diagonal forces an off-diagonal pivot.
+// and columns whose weak diagonal forces an off-diagonal pivot.  `zeros` is
+// the fraction of planted zeros off the diagonal: 0.4 by default, and 0.8
+// for the fill of a real MNA band after RCM (61-86% of its slots hold exact
+// zeros).  The diagonal keeps the default fraction, as an MNA row has a zero
+// diagonal only at a source or inductor branch.
 struct BandCase {
   std::size_t n, kl, ku;
   std::vector<std::tuple<std::size_t, std::size_t, double>> entries;
+  double zeros = 0.4;
 };
 
-double random_entry() {
+// An exact zero with probability `zeros` (a quarter of them -0.0), else
+// uniform in [-1, 1].
+double random_entry(double zeros) {
   const double u = draw(0.0, 1.0);
-  if (u < 0.3) return 0.0;
-  if (u < 0.4) return -0.0;
+  if (u < zeros) return u < 0.75 * zeros ? 0.0 : -0.0;
   return draw(-1.0, 1.0);
 }
 
-BandCase random_band_case(std::size_t n, std::size_t kl, std::size_t ku) {
-  BandCase bc{n, kl, ku, {}};
+BandCase random_band_case(std::size_t n, std::size_t kl, std::size_t ku,
+                          double zeros = 0.4) {
+  BandCase bc{n, kl, ku, {}, zeros};
   for (std::size_t c = 0; c < n; ++c) {
     const bool weak = draw(0.0, 1.0) < 0.3;
     for (std::size_t r = c > ku ? c - ku : 0; r <= std::min(n - 1, c + kl); ++r) {
-      double v = random_entry();
+      double v = random_entry(r == c ? 0.4 : zeros);
       if (r == c) v = weak ? 1e-3 * v : v + (v < 0.0 ? -2.0 : 2.0);
       bc.entries.emplace_back(r, c, v);
     }
@@ -331,7 +338,14 @@ bool factors(RightLookingBand& ref) {
   }
 }
 
-// Every stored entry (the band plus the pivoting fill) and a solve, bitwise.
+// Every stored entry (the band plus the pivoting fill), bitwise, and solves
+// against the reference: solve() and the lanes of one solve_block call at a
+// stride wider than the lane count.  Lane 0 is a random right-hand side,
+// lane 1 the same with planted +0.0 entries, lane 2 with planted -0.0 and
+// +0.0 entries.  The first two must match bit for bit.  With -0.0 in the
+// right-hand side the packed sweep may differ only in the sign of an exactly
+// zero result (see BandedMatrix::substitute), so lane 2 compares under ==
+// and bitwise on every nonzero.
 void expect_factors_equal(const BandedMatrix& a, RightLookingBand& ref) {
   const std::size_t n = a.size();
   for (std::size_t c = 0; c < n; ++c) {
@@ -345,39 +359,75 @@ void expect_factors_equal(const BandedMatrix& a, RightLookingBand& ref) {
   const std::vector<double> x_ref = ref.solve(b);
   const std::vector<double> x = a.solve(b);
   for (std::size_t k = 0; k < n; ++k) ASSERT_EQ(bits(x_ref[k]), bits(x[k])) << k;
+
+  constexpr std::size_t lanes = 3, stride = 5;
+  std::vector<std::vector<double>> rhs(lanes, b);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 3 == 1) rhs[1][i] = 0.0;
+    if (i % 3 != 0) rhs[2][i] = i % 3 == 1 ? -0.0 : 0.0;
+  }
+  std::vector<double> block(n * stride, 0.25);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t s = 0; s < lanes; ++s) block[i * stride + s] = rhs[s][i];
+  }
+  a.solve_block(block, lanes, stride);
+  for (std::size_t s = 0; s < lanes; ++s) {
+    const std::vector<double> lane_ref = ref.solve(rhs[s]);
+    const std::vector<double> lane_one = a.solve(rhs[s]);
+    for (std::size_t k = 0; k < n; ++k) {
+      const double got = block[k * stride + s];
+      ASSERT_EQ(bits(lane_one[k]), bits(got)) << "lane " << s << " unknown " << k;
+      if (s == 2 && got == 0.0) {
+        ASSERT_EQ(0.0, lane_ref[k]) << "lane " << s << " unknown " << k;
+      } else {
+        ASSERT_EQ(bits(lane_ref[k]), bits(got)) << "lane " << s << " unknown " << k;
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t pad = lanes; pad < stride; ++pad) {
+        ASSERT_EQ(0.25, block[i * stride + pad]);
+      }
+    }
+  }
 }
 
 TEST(BandedLu, FactorsBitwiseMatchClassicLoop) {
   band_gen.seed(1);
-  int off_diagonal_pivots = 0;
-  int zero_multipliers = 0;
-  for (int trial = 0; trial < 300; ++trial) {
-    const auto n = static_cast<std::size_t>(draw(1.0, 40.0));
-    const auto kl = static_cast<std::size_t>(draw(0.0, 6.0));
-    const auto ku = trial % 2 == 0 ? kl : static_cast<std::size_t>(draw(0.0, 6.0));
-    SCOPED_TRACE(::testing::Message() << "trial " << trial << " n " << n << " kl " << kl
-                                      << " ku " << ku);
-    const BandCase bc = random_band_case(n, kl, ku);
-    BandedMatrix a(n, kl, ku);
-    RightLookingBand ref(n, kl, ku);
-    load(a, bc);
-    load(ref, bc);
-    if (!factors(ref)) {
-      EXPECT_THROW(a.factor(), SingularMatrixError);
-      continue;
-    }
-    a.factor();
-    expect_factors_equal(a, ref);
-    for (std::size_t k = 0; k < n; ++k) {
-      off_diagonal_pivots += ref.pivot[k] != k;
-      for (std::size_t i = k + 1; i <= std::min(n - 1, k + kl); ++i) {
-        zero_multipliers += ref.at(i, k) == 0.0;
+  // Most sparse cases are singular, so they get more trials.
+  for (const auto& [zeros, trials] : {std::pair{0.4, 300}, std::pair{0.8, 1500}}) {
+    int factored = 0;
+    int off_diagonal_pivots = 0;
+    int zero_multipliers = 0;
+    for (int trial = 0; trial < trials; ++trial) {
+      const auto n = static_cast<std::size_t>(draw(1.0, 40.0));
+      const auto kl = static_cast<std::size_t>(draw(0.0, 6.0));
+      const auto ku = trial % 2 == 0 ? kl : static_cast<std::size_t>(draw(0.0, 6.0));
+      SCOPED_TRACE(::testing::Message() << "zeros " << zeros << " trial " << trial
+                                        << " n " << n << " kl " << kl << " ku " << ku);
+      const BandCase bc = random_band_case(n, kl, ku, zeros);
+      BandedMatrix a(n, kl, ku);
+      RightLookingBand ref(n, kl, ku);
+      load(a, bc);
+      load(ref, bc);
+      if (!factors(ref)) {
+        EXPECT_THROW(a.factor(), SingularMatrixError);
+        continue;
+      }
+      a.factor();
+      expect_factors_equal(a, ref);
+      ++factored;
+      for (std::size_t k = 0; k < n; ++k) {
+        off_diagonal_pivots += ref.pivot[k] != k;
+        for (std::size_t i = k + 1; i <= std::min(n - 1, k + kl); ++i) {
+          zero_multipliers += ref.at(i, k) == 0.0;
+        }
       }
     }
+    // The cases really exercise pivoting and the zero-multiplier skip.
+    EXPECT_GT(factored, 100) << "zeros " << zeros;
+    EXPECT_GT(off_diagonal_pivots, 100) << "zeros " << zeros;
+    EXPECT_GT(zero_multipliers, 100) << "zeros " << zeros;
   }
-  // The cases really exercise pivoting and the zero-multiplier skip.
-  EXPECT_GT(off_diagonal_pivots, 100);
-  EXPECT_GT(zero_multipliers, 100);
 }
 
 // Factors `bc`, replaces the values of columns q..n-1 (every row, those
@@ -427,7 +477,7 @@ BandCase change_columns_from(const BandCase& bc, std::size_t q) {
   BandCase changed = bc;
   for (auto& [r, c, v] : changed.entries) {
     if (c < q) continue;
-    v = random_entry();
+    v = random_entry(bc.zeros);
     if (r == c) v += v < 0.0 ? -2.0 : 2.0;
   }
   return changed;
@@ -435,22 +485,25 @@ BandCase change_columns_from(const BandCase& bc, std::size_t q) {
 
 TEST(BandedLu, FactorFromMatchesFreshFactorization) {
   band_gen.seed(2);
-  int compared = 0;
-  for (int trial = 0; trial < 60; ++trial) {
-    const auto n = static_cast<std::size_t>(draw(2.0, 30.0));
-    const auto kl = static_cast<std::size_t>(draw(1.0, 5.0));
-    const auto ku = trial % 2 == 0 ? kl : static_cast<std::size_t>(draw(0.0, 5.0));
-    const BandCase bc = random_band_case(n, kl, ku);
-    RightLookingBand probe(n, kl, ku);
-    load(probe, bc);
-    if (!factors(probe)) continue;
-    for (const std::size_t q : {std::size_t{0}, std::size_t{1}, n / 2, n - 1, n}) {
-      SCOPED_TRACE(::testing::Message() << "trial " << trial << " n " << n << " kl " << kl
-                                        << " ku " << ku << " q " << q);
-      compared += expect_partial_refactor_matches(bc, change_columns_from(bc, q), q);
+  for (const auto& [zeros, trials] : {std::pair{0.4, 60}, std::pair{0.8, 150}}) {
+    int compared = 0;
+    for (int trial = 0; trial < trials; ++trial) {
+      const auto n = static_cast<std::size_t>(draw(2.0, 30.0));
+      const auto kl = static_cast<std::size_t>(draw(1.0, 5.0));
+      const auto ku = trial % 2 == 0 ? kl : static_cast<std::size_t>(draw(0.0, 5.0));
+      const BandCase bc = random_band_case(n, kl, ku, zeros);
+      RightLookingBand probe(n, kl, ku);
+      load(probe, bc);
+      if (!factors(probe)) continue;
+      for (const std::size_t q : {std::size_t{0}, std::size_t{1}, n / 2, n - 1, n}) {
+        SCOPED_TRACE(::testing::Message() << "zeros " << zeros << " trial " << trial
+                                          << " n " << n << " kl " << kl << " ku " << ku
+                                          << " q " << q);
+        compared += expect_partial_refactor_matches(bc, change_columns_from(bc, q), q);
+      }
     }
+    EXPECT_GT(compared, 200) << "zeros " << zeros;
   }
-  EXPECT_GT(compared, 200);
 }
 
 TEST(BandedLu, FactorFromKeepsPrefixPivotOntoChangedRow) {
