@@ -77,9 +77,9 @@ int main() {
           r.cell_size = size;
           r.input_slew = slew * ps;
           r.net = tech::line_net(wires.extract({l * mm, w * um}), 20 * ff);
-          // The historical sweep uses the last Ceff iterate even when the
-          // fixed point stalls (a handful of borderline cases); keep that
-          // semantics so the Fig-7 statistics stay comparable across PRs.
+          // The historical sweep uses the last Ceff iterate when a fixed
+          // point does not converge; keep that semantics so the Fig-7
+          // statistics stay comparable with earlier runs.
           r.require_convergence = false;
           screen.push_back(std::move(r));
           paper_region.push_back(l >= 3.0 && w >= 1.6 && size >= 75.0);

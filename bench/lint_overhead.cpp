@@ -37,8 +37,8 @@ std::vector<api::Request> fig7_grid() {
         r.cell_size = 100.0;
         r.input_slew = slew * ps;
         r.net = tech::line_net(wires.extract({l * mm, w * um}), 20 * ff);
-        // Same last-iterate semantics as perf_model_vs_spice: a few
-        // borderline grid points stall the Ceff2 fixed point, and a timing
+        // Same last-iterate semantics as perf_model_vs_spice: a Ceff solve
+        // that runs out of its cap must not fail a slot, since a timing
         // denominator over a batch with failed slots would be meaningless.
         r.require_convergence = false;
         requests.push_back(std::move(r));

@@ -205,9 +205,9 @@ BatchTiming time_engine_batch() {
         r.cell_size = 100.0;
         r.input_slew = slew * ps;
         r.net = tech::line_net(wires.extract({l * mm, w * um}), 20 * ff);
-        // Same last-iterate semantics as fig7_scatter: a few borderline grid
-        // points stall the Ceff2 fixed point, and a throughput number over a
-        // batch with failed slots would be meaningless.
+        // Same last-iterate semantics as fig7_scatter: a Ceff solve that
+        // runs out of its cap must not fail a slot, since a throughput
+        // number over a batch with failed slots would be meaningless.
         r.require_convergence = false;
         requests.push_back(std::move(r));
       }

@@ -16,7 +16,10 @@
 //   2. tier A     — the slots the router actually served analytically,
 //                   tiled to a large batch and re-run force_analytical: the
 //                   closed-form throughput claim (>1M nets/s);
-//   3. tier B     — the whole fleet force_ceff: the legacy model-only speed;
+//   3. tier B     — the whole fleet force_ceff: the legacy model-only speed,
+//                   and the Ceff table passes per model (ceff1 + ceff2 +
+//                   ceff3 iterations, as rlcbench's
+//                   core.ceff_iterations_per_call counts them);
 //   4. tier C     — a small force_reference sample at reduced deck fidelity:
 //                   transient nets/s, and the reference numbers behind the
 //                   envelope-violation count the CI gate consumes.
@@ -54,10 +57,14 @@ double seconds_since(clock_type::time_point t0) {
   return std::chrono::duration<double>(clock_type::now() - t0).count();
 }
 
-// Best-of-`reps` wall time for one run_batch call (after one warm-up).
+// Best-of-`reps` wall time for one run_batch call (after one warm-up, whose
+// outcomes land in `warm` when it is given).
 double time_batch(const std::vector<api::Request>& requests,
-                  const api::BatchOptions& options, int reps) {
-  (void)bench::engine().run_batch(requests, options);
+                  const api::BatchOptions& options, int reps,
+                  std::vector<api::Outcome<api::Response>>* warm = nullptr) {
+  std::vector<api::Outcome<api::Response>> first =
+      bench::engine().run_batch(requests, options);
+  if (warm) *warm = std::move(first);
   double best = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     const auto t0 = clock_type::now();
@@ -94,8 +101,8 @@ int main(int argc, char** argv) {
     bench::list_metrics("tier",
                         {"a_hit_rate", "b_hit_rate", "c_hit_rate",
                          "escalations_per_net", "a_nets_per_s", "b_nets_per_s",
-                         "c_nets_per_s", "envelope_checked",
-                         "envelope_violations"});
+                         "b_ceff_passes_per_call", "c_nets_per_s",
+                         "envelope_checked", "envelope_violations"});
     return 0;
   }
   std::size_t n_nets = 256;
@@ -214,8 +221,21 @@ int main(int argc, char** argv) {
   // ---- Pass 3: Tier-B throughput over the whole fleet ------------------
   std::vector<api::Request> forced_b = requests;
   for (api::Request& r : forced_b) r.tier = tier::TierPolicy::force_ceff;
-  const double b_nets_per_s =
-      static_cast<double>(forced_b.size()) / time_batch(forced_b, options, 3);
+  std::vector<api::Outcome<api::Response>> b_outcomes;
+  const double b_nets_per_s = static_cast<double>(forced_b.size()) /
+                              time_batch(forced_b, options, 3, &b_outcomes);
+  std::size_t b_models = 0, b_passes = 0;
+  for (const api::Outcome<api::Response>& o : b_outcomes) {
+    if (!o.ok()) continue;
+    const core::DriverOutputModel& m = o.value().model;
+    int passes = m.ceff1.iterations;
+    if (m.kind != core::ModelKind::one_ramp) passes += m.ceff2.iterations;
+    if (m.kind == core::ModelKind::three_ramp) passes += m.ceff3.iterations;
+    ++b_models;
+    b_passes += static_cast<std::size_t>(passes);
+  }
+  const double b_passes_per_call =
+      b_models ? static_cast<double>(b_passes) / static_cast<double>(b_models) : 0.0;
 
   // ---- Pass 4: Tier-C sample + envelope audit --------------------------
   // The reference pass serves two jobs: transient nets/s on a sample, and
@@ -295,6 +315,8 @@ int main(int argc, char** argv) {
               "B %.0f nets/s, C %.0f nets/s (%zu-net sample)\n",
               a_nets_per_s, a_slots.empty() ? 0 : std::max<std::size_t>(4096, a_slots.size()),
               b_nets_per_s, c_nets_per_s, refs.size());
+  std::printf("  tier B Ceff solver: %.2f table passes per model (%zu models)\n",
+              b_passes_per_call, b_models);
   std::printf("  envelope audit: %zu checked, %zu violations\n",
               envelope_checked, envelope_violations);
 
@@ -333,6 +355,7 @@ int main(int argc, char** argv) {
       {"escalations_per_net", static_cast<double>(escalations) / denom, ""},
       {"a_nets_per_s", a_nets_per_s, "nets/s"},
       {"b_nets_per_s", b_nets_per_s, "nets/s"},
+      {"b_ceff_passes_per_call", b_passes_per_call, "count"},
       {"c_nets_per_s", c_nets_per_s, "nets/s"},
       {"envelope_checked", static_cast<double>(envelope_checked), "nets"},
       {"envelope_violations", static_cast<double>(envelope_violations), "nets"}};

@@ -59,8 +59,8 @@ std::vector<api::Request> fig7_replay_grid() {
       r.net = tech::line_net(wire, spec.load);
       r.far_end_replay = true;
       r.keep_waveforms = true;  // full-waveform bitwise audit below
-      // Same last-iterate semantics as fig7_scatter: a stalled Ceff2 fixed
-      // point on a borderline grid point must not fail the throughput run.
+      // Same last-iterate semantics as fig7_scatter: a Ceff solve that runs
+      // out of its cap must not fail the throughput run.
       r.require_convergence = false;
       requests.push_back(std::move(r));
     }

@@ -312,7 +312,6 @@ Fidelity fidelity_of(tier::Tier t) {
 Engine::Engine(tech::Technology technology) : technology_(technology) {}
 
 Response Engine::dispatch(const Request& request, const BatchOptions& options,
-                          const core::DriverModelOptions& model,
                           util::ExecTracker* budget, Climb& climb) {
   using tier::TierPolicy;
   const TierPolicy policy = request.tier;
@@ -361,23 +360,23 @@ Response Engine::dispatch(const Request& request, const BatchOptions& options,
     return analytical_response(request, driver, served);
   }
   if (routed == tier::Tier::reference) {
-    return reference_response(request, options, model, gate, budget);
+    return reference_response(request, options, gate, budget);
   }
   if (policy != TierPolicy::balanced) {
-    return ceff_response(request, options, model, gate, budget);
+    return ceff_response(request, options, gate, budget);
   }
-  // Under balanced, a Tier B fixed point that cannot agree with itself
-  // escalates once more, to one Tier-C experiment that answers from its
-  // simulated edges (ref_near / ref_far).  The Ceff model that just failed
-  // rides along as a diagnostic, its converged flags telling, instead of
-  // gating the slot: gated, the experiment would rethrow the same error
-  // after paying for the transient.
+  // Under balanced, a Tier B fixed point that did not converge (it ran out
+  // of its max_iter cap) escalates once more, to one Tier-C experiment that
+  // answers from its simulated edges (ref_near / ref_far).  The Ceff model
+  // that just failed rides along as a diagnostic, its converged flags
+  // telling, instead of gating the slot: gated, the experiment would
+  // rethrow the same error after paying for the transient.
   try {
-    return ceff_response(request, options, model, gate, budget);
+    return ceff_response(request, options, gate, budget);
   } catch (const ConvergenceError&) {
     ++climb.escalations;
     climb.rung = Fidelity::reference;
-    return reference_response(request, options, model, false, budget);
+    return reference_response(request, options, false, budget);
   }
 }
 
@@ -408,8 +407,8 @@ Response Engine::analytical_response(const Request& request,
 }
 
 Response Engine::ceff_response(const Request& request, const BatchOptions& options,
-                               core::DriverModelOptions model, bool gate,
-                               util::ExecTracker* budget) {
+                               bool gate, util::ExecTracker* budget) {
+  core::DriverModelOptions model = request.model;
   model.iteration.budget = budget;
   const charlib::CharacterizedDriver& driver =
       library_.ensure_driver(technology_, request.cell_size, options.grid);
@@ -436,8 +435,8 @@ Response Engine::ceff_response(const Request& request, const BatchOptions& optio
 }
 
 Response Engine::reference_response(const Request& request, const BatchOptions& options,
-                                    core::DriverModelOptions model, bool gate,
-                                    util::ExecTracker* budget) {
+                                    bool gate, util::ExecTracker* budget) {
+  core::DriverModelOptions model = request.model;
   model.iteration.budget = budget;
   tech::DeckOptions deck = options.deck;
   deck.sim.budget = budget;
@@ -544,10 +543,9 @@ Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& o
   // run_slot returns, so the collector shares ownership with the job.
   const auto owned_tracker = std::make_shared<util::ExecTracker>(request.budget);
   util::ExecTracker& tracker = *owned_tracker;
-  // Every pass starts on the rung its policy routes to first.  Retried and
-  // degraded answers report the primary pass's escalations.
-  const Climb start{fidelity_of(tier::route(request.tier, {}, request.reference))};
-  Climb climb = start;
+  // The pass starts on the rung its policy routes to first.  Degraded
+  // answers report the pass's escalations.
+  Climb climb{fidelity_of(tier::route(request.tier, {}, request.reference))};
   std::vector<lint::Diagnostic> diagnostics;
   std::vector<Attempt> attempts;
 
@@ -565,33 +563,27 @@ Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& o
     return Outcome<Response>(std::move(info));
   };
 
-  // One pass down the rungs, then the far-end replay a far_end_replay slot
-  // runs on its Tier-B answer.  The replay defers to the collector unless
-  // the slot has a wall-clock limit or an enabled degrade policy: the
-  // deadline and ladder semantics are tied to the slot's own passes, and
-  // deferral would move work past both.
-  const bool defer = collector != nullptr && !request.degrade.enabled &&
-                     request.budget.wall_limit_s <= 0.0;
-  auto run_pass = [&](const core::DriverModelOptions& model, Climb& at) {
-    Response r = dispatch(request, options, model, &tracker, at);
-    if (!request.far_end_replay) return r;
-    ReplayPlan plan = plan_far_end_replay(request, options, r.model, technology_.vdd);
-    if (!defer) {
-      run_replay_inline(technology_, request, plan, &tracker, r);
-      return r;
-    }
-    r.input_time_50 = plan.input_time_50;
-    collector->add({slot, &request, std::move(plan), nullptr});
-    return r;
-  };
-
-  // Admission runs once per slot, then the primary pass.
+  // Admission runs once per slot, then one pass down the rungs and the
+  // far-end replay a far_end_replay slot runs on its Tier-B answer.  The
+  // replay defers to the collector unless the slot has a wall-clock limit or
+  // an enabled degrade policy: the deadline and ladder semantics are tied to
+  // the slot's own pass, and deferral would move work past both.
   std::exception_ptr first_error;
   try {
     diagnostics = admit(request, technology_);
     tracker.check("api::Engine slot");
     if (options.debug_slot_fault) options.debug_slot_fault(slot, tracker);
-    Response r = run_pass(request.model, climb);
+    Response r = dispatch(request, options, &tracker, climb);
+    if (request.far_end_replay) {
+      ReplayPlan plan = plan_far_end_replay(request, options, r.model, technology_.vdd);
+      if (collector != nullptr && !request.degrade.enabled &&
+          request.budget.wall_limit_s <= 0.0) {
+        r.input_time_50 = plan.input_time_50;
+        collector->add({slot, &request, std::move(plan), nullptr});
+      } else {
+        run_replay_inline(technology_, request, plan, &tracker, r);
+      }
+    }
     if (collector) collector->attach_tracker(slot, owned_tracker);
     return finish(std::move(r), false);
   } catch (...) {
@@ -608,26 +600,9 @@ Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& o
   }
   attempts.push_back({climb.rung, first.code, first.message});
 
-  // Damped retry: the same dispatch with the damped fixed point.  A
-  // converged retry is an exact answer.
-  if (first.code == ErrorCode::convergence_failure &&
-      request.degrade.retry_damping > 0.0) {
-    core::DriverModelOptions damped = request.model;
-    damped.iteration.damping = request.degrade.retry_damping;
-    Climb retry = start;
-    try {
-      return finish(run_pass(damped, retry), false);
-    } catch (...) {
-      const ErrorInfo info = describe_failure(std::current_exception(), request.label);
-      attempts.push_back(
-          {retry.rung, info.code, std::string("damped retry: ") + info.message});
-    }
-  }
-
-  const ErrorCode last = attempts.back().code;
-  const bool degradable = last == ErrorCode::deadline_exceeded ||
-                          last == ErrorCode::resource_exhausted ||
-                          last == ErrorCode::convergence_failure;
+  const bool degradable = first.code == ErrorCode::deadline_exceeded ||
+                          first.code == ErrorCode::resource_exhausted ||
+                          first.code == ErrorCode::convergence_failure;
   if (!degradable) return fail(first_error);
 
   // Ladder tier 2: a reference request falls back to Tier B.  The exhausted
@@ -636,9 +611,8 @@ Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& o
   // would make degradation unreachable.
   if (request.reference) {
     try {
-      return finish(ceff_response(request, options, request.model,
-                                  request.require_convergence, nullptr),
-                    true);
+      return finish(
+          ceff_response(request, options, request.require_convergence, nullptr), true);
     } catch (...) {
       const ErrorInfo info = describe_failure(std::current_exception(), request.label);
       attempts.push_back({Fidelity::ceff_model, info.code, info.message});
@@ -689,7 +663,7 @@ std::vector<Outcome<Response>> Engine::run_batch(std::span<const Request> reques
     return nullptr;
   };
 
-  // Fan the slots out with the full per-slot policy (budget arming, retry,
+  // Fan the slots out with the full per-slot policy (budget arming,
   // degradation).  The workers write straight into the pre-sized results
   // vector — an Outcome<Response> is ~1 KB, and routing it through a second
   // staging container costs a full copy round per slot at Tier A rates.

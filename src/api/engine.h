@@ -89,23 +89,22 @@ private:
 
   // The slot pipeline.  Admits the request once (validation, lint screen,
   // budget checkpoint, fault hook), makes one pass down its rungs, then
-  // retries and degrades per Request::degrade.  Retried and floor answers
-  // keep the primary pass's escalation count.  `collector` (nullable) lets a
-  // far_end_replay slot defer its replay transient for group batching;
-  // without one the replay runs inline (same results, bitwise).  Never
-  // throws for per-scenario failures.
+  // degrades per Request::degrade.  Degraded answers keep the pass's
+  // escalation count.  `collector` (nullable) lets a far_end_replay slot
+  // defer its replay transient for group batching; without one the replay
+  // runs inline (same results, bitwise).  Never throws for per-scenario
+  // failures.
   Outcome<Response> run_slot(const Request& request, const BatchOptions& options,
                              std::size_t slot,
                              ReplayCollector* collector = nullptr);
   // One pass down the rungs of the request's policy (tier::route): Tier A
   // first under balanced and fastest, Tier B when it refuses, and under
-  // balanced one ungated Tier-C experiment when Tier B cannot converge; the
-  // forced policies and TierPolicy::reference go straight to their rung.
-  // `model` carries the pass's Ceff options (the damped retry passes damped
-  // ones) and `budget` (nullable) is threaded into every solver loop.
+  // balanced one ungated Tier-C experiment when Tier B does not converge
+  // within its cap; the forced policies and TierPolicy::reference go
+  // straight to their rung.  `budget` (nullable) is threaded into every
+  // solver loop.
   Response dispatch(const Request& request, const BatchOptions& options,
-                    const core::DriverModelOptions& model, util::ExecTracker* budget,
-                    Climb& climb);
+                    util::ExecTracker* budget, Climb& climb);
   // Runs the collector's deferred replays as shared-factorization blocks
   // (one factor per equal-topology group and step size) and patches the
   // affected slots of `results` — model_far and friends on success, a failed
@@ -128,16 +127,14 @@ private:
                                const charlib::CharacterizedDriver& driver,
                                tier::AnalyticalEstimate& served);
   // Tier B (the paper's Ceff flow) and Tier C (the transient reference
-  // experiment, with the Ceff model beside it).  `budget` (nullable) is
-  // threaded into the fixed points of `model` and into the transient loops;
-  // with `gate` on, a non-converged fixed point fails the rung as
-  // convergence_failure.
-  Response ceff_response(const Request& request, const BatchOptions& options,
-                         core::DriverModelOptions model, bool gate,
+  // experiment, with the Ceff model beside it), on the request's Ceff
+  // options.  `budget` (nullable) is threaded into the fixed points and into
+  // the transient loops; with `gate` on, a non-converged fixed point fails
+  // the rung as convergence_failure.
+  Response ceff_response(const Request& request, const BatchOptions& options, bool gate,
                          util::ExecTracker* budget);
   Response reference_response(const Request& request, const BatchOptions& options,
-                              core::DriverModelOptions model, bool gate,
-                              util::ExecTracker* budget);
+                              bool gate, util::ExecTracker* budget);
   // The degraded floor: core::estimate_driver_output_moments_only.  Stamped
   // tier::Tier::ceff, since the tier enum has no floor rung yet.
   Response moments_only_response(const Request& request, const BatchOptions& options);

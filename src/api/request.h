@@ -62,22 +62,21 @@ struct Attempt {
 
 // What the Engine may do when a slot fails, instead of surfacing the error.
 // Default-off: failures stay failed Outcomes (bitwise-identical behavior to
-// a policy-free engine).  With `enabled`, the slot's pipeline continues
-// after a failed pass (the request is not admitted again):
-//   1. a convergence_failure is retried once: the same dispatch with the
-//      damped fixed point (damping = retry_damping).  A converged retry is a
-//      full-fidelity, non-degraded answer; the attempt trail records the
-//      first try;
-//   2. deadline/budget exhaustion — or a retry that still fails — walks the
-//      fidelity ladder, returning the first rung that completes, flagged
-//      Response::degraded: a Request::reference slot falls back to Tier B
-//      (unbudgeted), and every slot then to the moments_only floor.  The
-//      fallbacks are iteration-capped table math (no transient), so they
-//      add bounded work after an expired deadline.
-// Cancelled slots never retry or degrade: nobody is waiting for the answer.
+// a policy-free engine).  With `enabled`, a pass that failed on a
+// convergence_failure (a Ceff solve that ran out of its max_iter cap) or on
+// deadline/budget exhaustion walks the fidelity ladder (the request is not
+// admitted again), returning the first rung that completes, flagged
+// Response::degraded: a Request::reference slot falls back to Tier B
+// (unbudgeted), and every slot then to the moments_only floor.  The
+// fallbacks are iteration-capped table math (no transient), so they add
+// bounded work after an expired deadline.  The attempt trail records the
+// failed pass.  Cancelled slots never degrade: nobody is waiting for the
+// answer.
 struct DegradePolicy {
   bool enabled = false;
-  double retry_damping = 0.5;  // convergence retry damping; <= 0 skips retry
+  // Ignored: a failed pass is not retried.  Declared so code that sets it
+  // still compiles.
+  double retry_damping = 0.5;
 };
 
 // Static-diagnostics controls for one request (src/lint/): the admission
@@ -177,7 +176,7 @@ struct Request {
   // pre-characterize outside the slots); the modeling loops are.
   util::ExecBudget budget;
 
-  // Retry-and-degrade policy (see DegradePolicy above).  Default-off.
+  // Degrade policy (see DegradePolicy above).  Default-off.
   DegradePolicy degrade;
 
   // Static-diagnostics admission screen / report (see LintOptions above).
@@ -245,16 +244,15 @@ struct Response {
   // Provenance: which rung produced the numbers (each rung stamps its own),
   // whether that is a degraded (lower-fidelity) answer, and the abandoned
   // attempts (in order) that forced it there, each naming the rung that
-  // threw.  Exact answers have degraded == false and an attempt trail only
-  // when a damped retry rescued a convergence failure.
+  // threw.  Exact answers have degraded == false and no attempt trail.
   Fidelity fidelity = Fidelity::ceff_model;
   bool degraded = false;
   std::vector<Attempt> attempts;
 
   // Cascade provenance (Request::tier != TierPolicy::reference): the tier
   // that served the slot and how many escalations the router took to get
-  // there (0 = first choice held; a retried or degraded answer keeps the
-  // primary pass's count).  A balanced slot escalated to Tier C answers
+  // there (0 = first choice held; a degraded answer keeps the failed
+  // pass's count).  A balanced slot escalated to Tier C answers
   // from ref_near / ref_far (see answer_near); `model` rides along as a
   // diagnostic whose converged flags may be false.
   // Non-tiered requests report the legacy mapping (reference flag ?

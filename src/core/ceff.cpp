@@ -111,7 +111,9 @@ namespace {
 // The one Ceff <-> cell-table fixed point: c -> (table) ramp time -> Ceff,
 // from c = Ctotal, with the iterate clamped to [1e-4, upper] * Ctotal.  A
 // template over the window's Ceff so a pass makes one indirect call, the
-// table lookup behind `transition`.
+// table lookup behind `transition`.  The solver returns the last point it
+// evaluated, so that pass's ramp time is the answer's; a capped-out start
+// (max_iter = 0) still looks its ramp time up once.
 template <class CeffOfTr>
 CeffIteration run_iteration(const ChargeModel& load, const TransitionFn& transition,
                             const CeffOfTr& ceff_of_tr, const CeffIterationOptions& options,
@@ -120,14 +122,14 @@ CeffIteration run_iteration(const ChargeModel& load, const TransitionFn& transit
   util::FixedPointOptions fp;
   fp.rel_tol = options.rel_tol;
   fp.max_iter = options.max_iter;
-  fp.damping = options.damping;
   fp.budget = options.budget;
   fp.lower = 1e-4 * c_total;
   fp.upper = upper * c_total;
 
+  double tr = 0.0;
   const util::FixedPointResult r = util::fixed_point(
       [&](double c) {
-        const double tr = transition(c);
+        tr = transition(c);
         ensure(tr > 0.0, "ceff iteration: table returned non-positive ramp time");
         return ceff_of_tr(tr);
       },
@@ -135,7 +137,7 @@ CeffIteration run_iteration(const ChargeModel& load, const TransitionFn& transit
 
   CeffIteration out;
   out.ceff = r.x;
-  out.ramp_time = transition(r.x);
+  out.ramp_time = r.iterations > 0 ? tr : transition(r.x);
   out.iterations = r.iterations;
   out.converged = r.converged;
   return out;

@@ -15,11 +15,12 @@
 // retained verbatim for cross-validation; tests prove all paths agree and
 // also match adaptive numerical quadrature of the time-domain current.
 //
-// The iterate_* helpers run the Sec. 4 fixed-point loop against a cell
-// table: Ceff -> (table) ramp time Tr -> Ceff ... starting from the total
-// capacitance.  All four windows (Ceff1, Ceff2, the single Ceff and the
-// three-ramp extension's Ceff3) share one loop, util::fixed_point, so a
-// change of solver lands in one place.
+// The iterate_* helpers find the Sec. 4 fixed point against a cell table:
+// Ceff -> (table) ramp time Tr -> Ceff, starting from the total capacitance.
+// All four windows (Ceff1, Ceff2, the single Ceff and the three-ramp
+// extension's Ceff3) share one solver, util::fixed_point: a safeguarded
+// secant on Ceff(Tr(c)) - c inside the clamp range, which brackets the root
+// before the first table pass.  A solve takes 5 table passes at the median.
 #ifndef RLCEFF_CORE_CEFF_H
 #define RLCEFF_CORE_CEFF_H
 
@@ -56,17 +57,20 @@ double ceff_second_ramp_numeric(const ChargeModel& load, double f, double tr1,
 struct CeffIteration {
   double ceff = 0.0;       // converged effective capacitance [F]
   double ramp_time = 0.0;  // table ramp time at ceff [s]
-  int iterations = 0;
+  int iterations = 0;      // table passes
   bool converged = false;
 };
 
-// The fixed point runs at most max_iter iterations.  Running out returns
+// The solver makes at most max_iter table passes.  Running out returns
 // converged = false for the service boundary (api::Engine's convergence
-// gate) to judge.  `budget` is checkpointed every iteration (deadline and
+// gate) to judge; max_iter = 0 returns Ctotal and its ramp time,
+// unconverged.  `budget` is checkpointed before every pass (deadline and
 // cancellation, util/budget.h).
 struct CeffIterationOptions {
   double rel_tol = 1e-6;
   int max_iter = util::iter_defaults::ceff;
+  // Ignored: the solver has no damping.  Declared so code that sets it
+  // still compiles.
   double damping = 1.0;
   util::ExecTracker* budget = nullptr;  // optional cooperative budget
 };

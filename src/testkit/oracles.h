@@ -88,9 +88,10 @@ void check_charge_conservation(const net::Net& net, Rng rng,
 
 // Runs one request through Engine::model twice (require_convergence on and
 // off) and checks the outcome taxonomy: success implies converged
-// iterations and finite metrics; failure must carry a structured, non
-// internal_error code; the opt-out run must reproduce converged results
-// bitwise.
+// iterations and finite metrics; failure must carry a structured code, and
+// neither internal_error, invalid_request nor convergence_failure (the clamp
+// range of every Ceff solve brackets its root); the opt-out run must
+// reproduce converged results bitwise.
 void check_engine_outcome(api::Engine& engine, const api::Request& request,
                           const api::BatchOptions& options);
 

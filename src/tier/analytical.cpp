@@ -21,10 +21,11 @@ namespace {
 
 // Tier A's fixed-point solver: secant steps on the residual
 // g(c) = Ceff(Tr(c)) - c, started from Ctotal.  The engine's core::iterate_*
-// helpers run a robust damped iteration (10+ table passes at 1e-6); the
-// screen solves the same equation to the table's own accuracy in 2-4
-// evaluations.  `rel_tol` is relative to Ctotal; the second ramp runs
-// looser than the first because tr2 only shapes the skeleton's tail.
+// helpers run a bracketed secant to 1e-6 (5 table passes at the median);
+// the screen solves the same equation, unbracketed, to the table's own
+// accuracy in 2-4 evaluations.  `rel_tol` is relative to Ctotal; the second
+// ramp runs looser than the first because tr2 only shapes the skeleton's
+// tail.
 // Same clamp range as core::run_iteration.
 template <class CeffOfTr>
 core::CeffIteration solve_ceff(const charlib::CharacterizedDriver& driver,

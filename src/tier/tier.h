@@ -33,10 +33,11 @@ enum class Tier {
 // the tier subsystem existed (bitwise, enforced by the property harness).
 enum class TierPolicy {
   reference,         // no routing; Request::reference decides as before
-  balanced,          // cheapest tier whose calibrated envelope admits the
-                     // request; escalates A -> B on the applicability screen
-                     // and B -> C when the Ceff fixed point cannot agree
-                     // with itself (convergence failure)
+  balanced,          // Tier A when its applicability screen admits the
+                     // request, else Tier B; escalates B -> C only when a
+                     // Ceff solve runs out of its max_iter cap (none of
+                     // the first 4096 randomized-fleet nets does).  No
+                     // envelope is consulted
   fastest,           // Tier A when admitted, Tier B otherwise; never C
   force_analytical,  // pin Tier A (testing/calibration; skips admission)
   force_ceff,        // pin Tier B

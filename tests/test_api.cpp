@@ -395,30 +395,28 @@ TEST_F(EngineFixture, DegradeLadderFallsToCeffModelThenMomentsFloor) {
   EXPECT_GE(r3.model_near.delay, plain.model_near.delay - 1e-15);
 }
 
-TEST_F(EngineFixture, DampedRetryRescuesConvergenceFailure) {
-  // An over-relaxed fixed point (damping 6.0) diverges into a bound-clamped oscillation instead of
-  // converging; without a policy that is a convergence_failure.
-  Request req = inductive_request("over-relaxed");
-  req.model.iteration.damping = 6.0;
+TEST_F(EngineFixture, ConvergenceFailureDegradesToTheFloor) {
+  // A zero iteration cap returns every Ceff solve's start unconverged;
+  // without a policy that is a convergence_failure.
+  Request req = inductive_request("capped");
+  req.model.iteration.max_iter = 0;
   const Outcome<Response> plain = engine_->model(req, fast_options());
   ASSERT_FALSE(plain.ok());
   EXPECT_EQ(ErrorCode::convergence_failure, plain.error().code);
 
-  // With the policy, one damped retry converges: a full-fidelity,
-  // non-degraded answer whose attempt trail records the first try.  The
-  // retry damping is pinned to 1.0 — the plain fixed point is known to
-  // converge for this net, while the default 0.5 under-relaxes the Ceff2
-  // iteration past its cap here.
-  Request rescued = req;
-  rescued.degrade.enabled = true;
-  rescued.degrade.retry_damping = 1.0;
-  const Outcome<Response> outcome = engine_->model(rescued, fast_options());
-  ASSERT_TRUE(outcome.ok());
+  // With the policy the slot makes one pass and no retry (retry_damping is
+  // ignored): the moments-only floor answers, degraded, and the attempt
+  // trail records the failed pass.
+  Request floored = req;
+  floored.degrade.enabled = true;
+  floored.degrade.retry_damping = 1.0;
+  const Outcome<Response> outcome = engine_->model(floored, fast_options());
+  ASSERT_TRUE(outcome.ok()) << outcome.error().message;
   const Response& r = outcome.value();
-  EXPECT_FALSE(r.degraded);
-  EXPECT_EQ(Fidelity::ceff_model, r.fidelity);
-  EXPECT_TRUE(r.model.ceff1.converged);
+  EXPECT_TRUE(r.degraded);
+  EXPECT_EQ(Fidelity::moments_only, r.fidelity);
   ASSERT_EQ(1u, r.attempts.size());
+  EXPECT_EQ(Fidelity::ceff_model, r.attempts.front().fidelity);
   EXPECT_EQ(ErrorCode::convergence_failure, r.attempts.front().code);
 }
 
@@ -448,19 +446,18 @@ TEST_F(EngineFixture, DegradedAnswerKeepsLintReport) {
 
 TEST_F(EngineFixture, FaultHookRunsOncePerSlot) {
   // Admission (validation, lint screen, fault hook) runs once per slot: a
-  // slot whose primary pass and damped retry both fail to converge, and
-  // that lands on the moments-only floor, meets the hook once.
+  // slot whose pass fails to converge, and that lands on the moments-only
+  // floor, meets the hook once.
   Request req = inductive_request("hook-once");
-  req.model.iteration.damping = 6.0;
+  req.model.iteration.max_iter = 0;
   req.degrade.enabled = true;
-  req.degrade.retry_damping = 5.0;
   BatchOptions opt = fast_options();
   std::size_t calls = 0;
   opt.debug_slot_fault = [&calls](std::size_t, util::ExecTracker&) { ++calls; };
   const Outcome<Response> floored = engine_->model(req, opt);
   ASSERT_TRUE(floored.ok()) << floored.error().message;
   EXPECT_EQ(Fidelity::moments_only, floored.value().fidelity);
-  EXPECT_EQ(2u, floored.value().attempts.size());
+  EXPECT_EQ(1u, floored.value().attempts.size());
   EXPECT_EQ(1u, calls);
 }
 

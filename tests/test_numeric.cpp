@@ -6,6 +6,7 @@
 #include <functional>
 
 #include "test_helpers.h"
+#include "util/budget.h"
 #include "util/error.h"
 #include "util/integrate.h"
 #include "util/solve.h"
@@ -59,15 +60,110 @@ TEST(FixedPoint, ConvergesOnContraction) {
   EXPECT_NEAR(0.7390851332151607, r.x, 1e-7);
 }
 
-TEST(FixedPoint, DampingStabilizesOscillation) {
-  // g(x) = -1.5 x + 2.5 diverges undamped (slope magnitude > 1) but the
-  // damped iteration converges to the fixed point x = 1.
-  FixedPointOptions opt;
-  opt.damping = 0.5;
-  opt.max_iter = 200;
-  const auto r = fixed_point([](double x) { return -1.5 * x + 2.5; }, 0.0, opt);
+TEST(FixedPoint, ConvergesWherePlainIterationDiverges) {
+  // g(x) = -1.5 x + 2.5 has slope magnitude > 1, so x <- g(x) diverges from
+  // x = 0.  h(x) = g(x) - x is linear: one plain step brackets the root and
+  // the first secant step lands on x = 1.
+  const auto r = fixed_point([](double x) { return -1.5 * x + 2.5; }, 0.0);
   EXPECT_TRUE(r.converged);
-  EXPECT_NEAR(1.0, r.x, 1e-6);
+  EXPECT_LE(r.iterations, 3);
+  EXPECT_NEAR(1.0, r.x, 1e-9);
+}
+
+TEST(FixedPoint, CreepingContractionConvergesInFourPasses) {
+  // g'(x*) = 0.89, as on the fleet nets where x <- g(x) ran out of its
+  // 60-pass cap: from here it needs about 100 passes to reach 1e-6.  In
+  // Ceff units (Ctotal = 1) over the Ceff clamp range.
+  FixedPointOptions opt;
+  opt.rel_tol = 1e-6;
+  opt.max_iter = 60;
+  opt.lower = 1e-4;
+  opt.upper = 20.0;
+  const double root = 0.62;
+  const auto g = [&](double x) { return root + 0.89 * (x - root); };
+  const auto r = fixed_point(g, 1.0, opt);
+  EXPECT_TRUE(r.converged);
+  EXPECT_LE(r.iterations, 4);
+  // The stop rule bounds |g(x) - x| = 0.11 |x - x*|.
+  EXPECT_NEAR(root, r.x, 1e-6 * root / 0.11);
+}
+
+TEST(FixedPoint, NonMonotoneMapConvergesInsideTheBracket) {
+  // Shaped like the Ceff2 map of fleet net 15: from x = 1 the residual
+  // h(x) = g(x) - x first rises and then falls through the root at x = 4,
+  // and g is non-monotone beyond 5.8.  The secant through the first two
+  // iterates points below the lower clamp, where a secant kept only inside
+  // the clamp range stalls.
+  FixedPointOptions opt;
+  opt.rel_tol = 1e-6;
+  opt.max_iter = 60;
+  opt.lower = 1e-4;
+  opt.upper = 20.0;
+  const auto g = [](double x) { return 0.2 + 1.45 * x - 0.125 * x * x; };
+  const auto r = fixed_point(g, 1.0, opt);
+  EXPECT_TRUE(r.converged);
+  EXPECT_NEAR(4.0, r.x, 1e-5);
+  EXPECT_LE(r.iterations, 20);
+}
+
+TEST(FixedPoint, IterationCapsOfZeroAndOne) {
+  // max_iter = 0 evaluates nothing and returns the clamped start,
+  // unconverged; max_iter = 1 evaluates once and returns that point.
+  FixedPointOptions opt;
+  opt.upper = 2.0;
+  int calls = 0;
+  const auto g = [&calls](double x) {
+    ++calls;
+    return std::cos(x);
+  };
+  opt.max_iter = 0;
+  const auto none = fixed_point(g, 5.0, opt);
+  EXPECT_EQ(0, calls);
+  EXPECT_EQ(0, none.iterations);
+  EXPECT_FALSE(none.converged);
+  EXPECT_EQ(2.0, none.x);
+
+  opt.max_iter = 1;
+  const auto one = fixed_point(g, 1.0, opt);
+  EXPECT_EQ(1, calls);
+  EXPECT_EQ(1, one.iterations);
+  EXPECT_FALSE(one.converged);
+  EXPECT_EQ(1.0, one.x);
+  const auto fixed = fixed_point([](double) { return 1.5; }, 1.5, opt);
+  EXPECT_EQ(1, fixed.iterations);
+  EXPECT_TRUE(fixed.converged);
+  EXPECT_EQ(1.5, fixed.x);
+}
+
+TEST(FixedPoint, ChecksTheBudgetOncePerEvaluation) {
+  // A token cancelled during evaluation k stops the solver at the
+  // checkpoint before evaluation k + 1 (k = 0: before the first), and one
+  // cancelled during the last evaluation does not stop it: there is one
+  // checkpoint per evaluation, so as many as `iterations`.
+  const auto g = [](double x) { return std::cos(x); };
+  const FixedPointResult free_run = fixed_point(g, 1.0);
+  ASSERT_TRUE(free_run.converged);
+  for (int k = 0; k <= free_run.iterations; ++k) {
+    ExecBudget spec;
+    spec.cancel = CancelToken::source();
+    if (k == 0) spec.cancel.request_cancel();
+    ExecTracker tracker(spec);
+    FixedPointOptions opt;
+    opt.budget = &tracker;
+    int calls = 0;
+    const auto counted = [&](double x) {
+      if (++calls == k) spec.cancel.request_cancel();
+      return g(x);
+    };
+    if (k < free_run.iterations) {
+      EXPECT_THROW(fixed_point(counted, 1.0, opt), CancelledError) << k;
+    } else {
+      const FixedPointResult r = fixed_point(counted, 1.0, opt);
+      EXPECT_TRUE(r.converged);
+      EXPECT_EQ(free_run.iterations, r.iterations);
+    }
+    EXPECT_EQ(k, calls);
+  }
 }
 
 TEST(FixedPoint, RespectsClamps) {
@@ -77,6 +173,27 @@ TEST(FixedPoint, RespectsClamps) {
   const auto r = fixed_point([](double) { return 10.0; }, 1.0, opt);
   EXPECT_TRUE(r.converged);
   EXPECT_DOUBLE_EQ(2.0, r.x);
+
+  // Ceff3's case: g stays above the upper clamp, so P(x) = upper and the
+  // fixed point is the bound itself.  From the bound it converges in one
+  // pass; from inside, P(x) lands on the bound (an end not yet evaluated)
+  // and the next pass converges there.  The same holds at the lower clamp.
+  opt.rel_tol = 1e-6;
+  opt.lower = 1e-4;
+  opt.upper = 1.0;
+  const auto above = [](double x) { return 1.5 + 0.5 * x; };
+  const auto at_start = fixed_point(above, 1.0, opt);
+  EXPECT_TRUE(at_start.converged);
+  EXPECT_EQ(1, at_start.iterations);
+  EXPECT_EQ(1.0, at_start.x);
+  const auto from_inside = fixed_point(above, 0.3, opt);
+  EXPECT_TRUE(from_inside.converged);
+  EXPECT_EQ(2, from_inside.iterations);
+  EXPECT_EQ(1.0, from_inside.x);
+  const auto at_lower = fixed_point([](double) { return -1.0; }, 1.0, opt);
+  EXPECT_TRUE(at_lower.converged);
+  EXPECT_EQ(2, at_lower.iterations);
+  EXPECT_EQ(1e-4, at_lower.x);
 }
 
 TEST(FixedPoint, ReportsNonConvergence) {

@@ -24,6 +24,7 @@
 #include "tech/wire.h"
 #include "test_helpers.h"
 #include "testkit/generate.h"
+#include "testkit/oracles.h"
 #include "testkit/rng.h"
 #include "tier/envelope.h"
 #include "tier/router.h"
@@ -315,43 +316,37 @@ TEST_F(TierEngineFixture, ForcedPoliciesPinTheirTier) {
   }
 }
 
-TEST_F(TierEngineFixture, FastestDampedRescueReportsOneEscalation) {
-  // Tier A refuses the inductive net (one escalation) and the over-relaxed
-  // Tier-B fixed point fails to converge.  The damped retry is the same
-  // dispatch, where Tier A refuses the net again, so the rescued answer is
-  // force_ceff's at the retry damping and reports one escalation.
-  api::Request r = inductive_request("fastest-over-relaxed");
+TEST_F(TierEngineFixture, FastestTierBAnswerMatchesForceCeff) {
+  // Tier A refuses the inductive net (one escalation) and Tier B answers.
+  // The answer is force_ceff's, bitwise, exact and with no attempt trail.
+  api::Request r = inductive_request("fastest-b");
   r.tier = TierPolicy::fastest;
-  r.model.iteration.damping = 6.0;
   r.degrade.enabled = true;
-  r.degrade.retry_damping = 1.0;
   const api::Outcome<api::Response> out = engine_->model(r, fast_options());
   ASSERT_TRUE(out.ok()) << out.error().message;
-  const api::Response& rescued = out.value();
-  EXPECT_EQ(rescued.tier, Tier::ceff);
-  EXPECT_EQ(rescued.fidelity, api::Fidelity::ceff_model);
-  EXPECT_FALSE(rescued.degraded);
-  EXPECT_EQ(rescued.tier_escalations, 1u);
-  ASSERT_EQ(rescued.attempts.size(), 1u);
-  EXPECT_EQ(rescued.attempts.front().code, api::ErrorCode::convergence_failure);
+  const api::Response& served = out.value();
+  EXPECT_EQ(served.tier, Tier::ceff);
+  EXPECT_EQ(served.fidelity, api::Fidelity::ceff_model);
+  EXPECT_FALSE(served.degraded);
+  EXPECT_EQ(served.tier_escalations, 1u);
+  EXPECT_TRUE(served.attempts.empty());
 
-  api::Request tier_b = inductive_request("force-b-damped");
+  api::Request tier_b = inductive_request("force-b");
   tier_b.tier = TierPolicy::force_ceff;
-  tier_b.model.iteration.damping = 1.0;
   const api::Outcome<api::Response> direct = engine_->model(tier_b, fast_options());
   ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(rescued.model_near.delay, direct.value().model_near.delay);
-  EXPECT_EQ(rescued.model_near.slew, direct.value().model_near.slew);
+  EXPECT_EQ(served.model_near.delay, direct.value().model_near.delay);
+  EXPECT_EQ(served.model_near.slew, direct.value().model_near.slew);
 }
 
 TEST_F(TierEngineFixture, FloorAnswerKeepsEscalations) {
-  // The same non-converging slot without a retry lands on the moments-only
-  // floor, which still reports the escalation the cascade took.
+  // A Tier B capped at zero passes does not converge; the slot lands on the
+  // moments-only floor, which still reports the escalation the cascade
+  // took.
   api::Request r = inductive_request("fastest-floor");
   r.tier = TierPolicy::fastest;
-  r.model.iteration.damping = 6.0;
+  r.model.iteration.max_iter = 0;
   r.degrade.enabled = true;
-  r.degrade.retry_damping = 0.0;
   const api::Outcome<api::Response> out = engine_->model(r, fast_options());
   ASSERT_TRUE(out.ok()) << out.error().message;
   EXPECT_EQ(out.value().fidelity, api::Fidelity::moments_only);
@@ -375,24 +370,20 @@ TEST_F(TierEngineFixture, AttemptNamesTheRungThatThrew) {
   EXPECT_EQ(starved.value().attempts.front().fidelity, api::Fidelity::reference);
   EXPECT_EQ(starved.value().attempts.front().code, api::ErrorCode::resource_exhausted);
 
-  // An over-relaxed Tier B under fastest throws from the Ceff rung, the
-  // primary pass and its damped retry alike.
+  // A capped Tier B under fastest throws from the Ceff rung.
   api::Request b = inductive_request("fastest-b-throws");
   b.tier = TierPolicy::fastest;
-  b.model.iteration.damping = 6.0;
+  b.model.iteration.max_iter = 0;
   b.degrade.enabled = true;
-  b.degrade.retry_damping = 5.0;
   const api::Outcome<api::Response> floored = engine_->model(b, fast_options());
   ASSERT_TRUE(floored.ok()) << floored.error().message;
-  ASSERT_EQ(floored.value().attempts.size(), 2u);
-  for (const api::Attempt& a : floored.value().attempts) {
-    EXPECT_EQ(a.fidelity, api::Fidelity::ceff_model);
-    EXPECT_EQ(a.code, api::ErrorCode::convergence_failure);
-  }
+  ASSERT_EQ(floored.value().attempts.size(), 1u);
+  EXPECT_EQ(floored.value().attempts.front().fidelity, api::Fidelity::ceff_model);
+  EXPECT_EQ(floored.value().attempts.front().code, api::ErrorCode::convergence_failure);
 }
 
 TEST_F(TierEngineFixture, AnalyticalCeffAgreesWithCeffTier) {
-  // Tier A's secant fixed point and Tier B's damped iteration solve the same
+  // Tier A's secant fixed point and Tier B's bracketed secant solve the same
   // equation over the same charge model; on a lumped RC net (no ladder
   // discretization) the converged Ceff and delay must agree closely.
   api::Request a = rc_request("agree-a");
@@ -439,13 +430,16 @@ TEST_F(TierEngineFixture, CoupledAnalyticalReportsNoiseBound) {
 }
 
 // ---------------------------------------------------------------------------
-// the fleet tail: Tier C served once, from its simulated edges
+// the fleet tail: answered at Tier B, and Tier C served once when it fails
 
 // Nets 101, 127, 141 and 195 of the randomized-fleet generator stream, at
-// the balanced fleet's deck fidelity (8 segments, 4 ps).  Their Tier-B fixed
-// point (for the coupled net 101, the quiet baseline's) does not converge,
-// so the balanced cascade escalates them to the transient reference; the
-// Ceff model is then only a diagnostic.
+// the balanced fleet's deck fidelity (8 segments, 4 ps).  A plain Picard
+// iteration crept on their Tier-B fixed points (|g'| 0.85-0.89; for the
+// coupled net 101, the quiet baseline's) until its cap, which sent them to
+// the transient reference.  The bracketed secant converges on them, so
+// balanced answers at Tier B.  A zero iteration cap still fails Tier B on
+// the same nets, and then the cascade escalates to Tier C, where the Ceff
+// model is only a diagnostic.
 class TierFleetTail : public ::testing::TestWithParam<std::size_t> {
 protected:
   static void SetUpTestSuite() {
@@ -513,9 +507,43 @@ protected:
 
 api::Engine* TierFleetTail::engine_ = nullptr;
 
-TEST_P(TierFleetTail, BalancedAnswersFromOneTierCExperiment) {
+TEST_P(TierFleetTail, BalancedAnswersAtTierBInsideItsEnvelope) {
+  // One escalation (Tier A refuses the net) and a converged Tier B: with
+  // the convergence gate on, every Ceff solve of the slot (for net 101 the
+  // quiet baseline's too) converged, or it would have gone on to Tier C.
   api::Request r = fleet_net(GetParam());
   r.tier = TierPolicy::balanced;
+  r.degrade.enabled = true;
+  const api::Outcome<api::Response> out = engine_->model(r, options());
+  ASSERT_TRUE(out.ok()) << out.error().message;
+  const api::Response& b = out.value();
+  EXPECT_EQ(b.tier, Tier::ceff);
+  EXPECT_EQ(b.fidelity, api::Fidelity::ceff_model);
+  EXPECT_FALSE(b.degraded);
+  EXPECT_EQ(b.tier_escalations, 1u);
+  EXPECT_TRUE(b.attempts.empty());
+  EXPECT_TRUE(b.model.ceff1.converged);
+  if (b.model.kind != core::ModelKind::one_ramp) {
+    EXPECT_TRUE(b.model.ceff2.converged);
+  }
+
+  // The Tier-B answer sits inside Tier B's envelope of the Tier-C edge.
+  api::Request c = fleet_net(GetParam());
+  c.tier = TierPolicy::force_reference;
+  const api::Outcome<api::Response> ref = engine_->model(c, options());
+  ASSERT_TRUE(ref.ok()) << ref.error().message;
+  ASSERT_TRUE(ref.value().has_reference);
+  const EnvelopeCheck check = check_envelope(
+      envelope(Tier::ceff, r.coupled()), b.model_near.delay, b.model_near.slew,
+      ref.value().ref_near.delay, ref.value().ref_near.slew);
+  EXPECT_TRUE(check.delay_ok) << b.model_near.delay << " vs " << ref.value().ref_near.delay;
+  EXPECT_TRUE(check.slew_ok) << b.model_near.slew << " vs " << ref.value().ref_near.slew;
+}
+
+TEST_P(TierFleetTail, CappedTierBAnswersFromOneTierCExperiment) {
+  api::Request r = fleet_net(GetParam());
+  r.tier = TierPolicy::balanced;
+  r.model.iteration.max_iter = 0;
   r.degrade.enabled = true;
   auto expect_tier_c = [](const api::Outcome<api::Response>& out) {
     ASSERT_TRUE(out.ok()) << out.error().message;
@@ -552,6 +580,7 @@ TEST_P(TierFleetTail, BalancedAnswersFromOneTierCExperiment) {
 TEST_P(TierFleetTail, ForceReferenceKeepsTheConvergenceGate) {
   api::Request r = fleet_net(GetParam());
   r.tier = TierPolicy::force_reference;
+  r.model.iteration.max_iter = 0;
   const api::Outcome<api::Response> out = engine_->model(r, options());
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.error().code, api::ErrorCode::convergence_failure);
@@ -560,6 +589,60 @@ TEST_P(TierFleetTail, ForceReferenceKeepsTheConvergenceGate) {
 INSTANTIATE_TEST_SUITE_P(FleetNets, TierFleetTail,
                          ::testing::Values(std::size_t{101}, std::size_t{127},
                                            std::size_t{141}, std::size_t{195}));
+
+// The 44 of the first 4096 nets of the same stream on which a plain Picard
+// iteration ran out of its 60-pass cap (the 4 above among them).  Forced to
+// Tier B with the convergence gate on, each converges, and the
+// ceff_convergence oracle holds on it.
+class TierFleetStream : public TierFleetTail {};
+
+TEST_P(TierFleetStream, ForceCeffConverges) {
+  api::Request r = fleet_net(GetParam());
+  r.tier = TierPolicy::force_ceff;
+  ASSERT_TRUE(r.require_convergence);
+  const api::Outcome<api::Response> out = engine_->model(r, options());
+  ASSERT_TRUE(out.ok()) << out.error().message;
+  const core::DriverOutputModel& m = out.value().model;
+  EXPECT_TRUE(m.ceff1.converged);
+  if (m.kind != core::ModelKind::one_ramp) {
+    EXPECT_TRUE(m.ceff2.converged);
+  }
+  if (m.kind == core::ModelKind::three_ramp) {
+    EXPECT_TRUE(m.ceff3.converged);
+  }
+  try {
+    testkit::check_engine_outcome(*engine_, r, options());
+  } catch (const Error& e) {
+    ADD_FAILURE() << e.what();
+  }
+}
+
+// Nets of the same stream whose Ceff2 map is not monotone: from Ctotal the
+// residual first rises, so a secant kept only inside the clamp range, not
+// inside the bracket, steps below the lower clamp and never converges
+// (net 15's map is the shape FixedPoint.NonMonotoneMapConvergesInsideTheBracket
+// models).
+INSTANTIATE_TEST_SUITE_P(NonMonotoneMaps, TierFleetStream,
+                         ::testing::Values(std::size_t{15}, std::size_t{109},
+                                           std::size_t{156}));
+
+INSTANTIATE_TEST_SUITE_P(
+    PicardCapFailures, TierFleetStream,
+    ::testing::Values(std::size_t{101}, std::size_t{127}, std::size_t{141},
+                      std::size_t{195}, std::size_t{277}, std::size_t{520},
+                      std::size_t{606}, std::size_t{705}, std::size_t{775},
+                      std::size_t{938}, std::size_t{1126}, std::size_t{1266},
+                      std::size_t{1475}, std::size_t{1505}, std::size_t{1525},
+                      std::size_t{1529}, std::size_t{1667}, std::size_t{1853},
+                      std::size_t{1894}, std::size_t{1911}, std::size_t{2112},
+                      std::size_t{2347}, std::size_t{2872}, std::size_t{2920},
+                      std::size_t{2957}, std::size_t{2989}, std::size_t{3022},
+                      std::size_t{3074}, std::size_t{3103}, std::size_t{3221},
+                      std::size_t{3239}, std::size_t{3276}, std::size_t{3347},
+                      std::size_t{3353}, std::size_t{3372}, std::size_t{3602},
+                      std::size_t{3630}, std::size_t{3746}, std::size_t{3794},
+                      std::size_t{3853}, std::size_t{3896}, std::size_t{3934},
+                      std::size_t{3987}, std::size_t{4035}));
 
 }  // namespace
 }  // namespace rlceff::tier
