@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
-#include <memory>
-#include <mutex>
 #include <utility>
 
 #include "core/coupled_experiment.h"
@@ -18,12 +16,10 @@
 
 namespace rlceff::api {
 
-// The replay deck a model-only far_end_replay slot runs: the modeled PWL
-// shifted into absolute deck time (the model's t = 0 is the input 50 %
-// crossing, analytically t_start + slew/2 for a saturated ramp input), a
-// horizon auto-sized exactly like the reference harness, and the
-// dominant-path leaf to measure.  Unless the slot keeps the waveform, the
-// deck ends at its last measured crossing (sim::EdgeStop).
+// The replay deck a model-only far_end_replay slot runs: the modeled PWL in
+// absolute deck time, the reference harness's horizon, and the dominant-path
+// leaf to measure.  Unless the slot keeps the waveform, the deck ends at its
+// last measured crossing (sim::EdgeStop).
 struct ReplayPlan {
   wave::Pwl source;         // modeled PWL in absolute deck time
   tech::DeckOptions deck;   // t_stop sized; sim.solver set; budget unset
@@ -31,39 +27,13 @@ struct ReplayPlan {
   double input_time_50 = 0.0;
 };
 
-// One deferred far-end replay: a slot's plan, run after its model already
-// answered.  The request is the caller's (run_batch's request span outlives
-// finalize_deferred), and the job shares ownership of the slot's ExecTracker
-// so a budget armed at slot start keeps charging the deferred work.
+// One deferred far-end replay: an answered slot's plan, run after the sweep
+// on the tracker its pass armed, so the replay keeps charging the slot's
+// budget.
 struct ReplayJob {
   std::size_t slot = 0;
-  const Request* request = nullptr;
+  util::ExecTracker* tracker = nullptr;
   ReplayPlan plan;
-  std::shared_ptr<util::ExecTracker> tracker;
-};
-
-struct ReplayCollector {
-  std::mutex mutex;
-  std::vector<ReplayJob> jobs;
-
-  void add(ReplayJob job) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    jobs.push_back(std::move(job));
-  }
-  // Hands the slot's tracker to its job once the slot's primary pass
-  // committed to the deferred answer.
-  void attach_tracker(std::size_t slot, std::shared_ptr<util::ExecTracker> tracker) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    for (ReplayJob& job : jobs) {
-      if (job.slot == slot) job.tracker = std::move(tracker);
-    }
-  }
-  // Drops a slot's job when the slot failed after enqueueing: a failed slot
-  // must not be patched.
-  void discard(std::size_t slot) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    std::erase_if(jobs, [slot](const ReplayJob& job) { return job.slot == slot; });
-  }
 };
 
 namespace {
@@ -202,14 +172,6 @@ void check_convergence(const std::string& label, bool gate,
   if (m.kind == core::ModelKind::three_ramp) require(m.ceff3, "Ceff3");
 }
 
-// Measures the modeled PWL alone (no deck): the emitted waveform always ends
-// on the rail, so extending it by one step covers every crossing.
-core::EdgeMetrics measure_model(const core::DriverOutputModel& m, double vdd) {
-  const wave::Waveform w = m.waveform.to_waveform(m.waveform.end_time() + 1e-12);
-  const wave::EdgeTiming e = wave::measure_rising_edge(w, 0.0, vdd);
-  return {e.t50, e.transition_10_90()};
-}
-
 struct NoBaseCheck {
   template <class T>
   void operator()(const T&) const {}
@@ -263,38 +225,179 @@ ReplayPlan plan_far_end_replay(const Request& request, const BatchOptions& optio
                                const core::DriverOutputModel& model, double vdd) {
   const net::NetMetrics metrics = request.net.metrics();
   ReplayPlan plan;
+  // The model's t = 0 is the input's 50 % crossing, t_start + slew/2 for the
+  // testbench's saturated ramp input.
   plan.input_time_50 = options.deck.t_start + 0.5 * request.input_slew;
   plan.deck = options.deck;
-  plan.deck.t_stop = options.deck.t_start + request.input_slew +
-                     std::max(1e-9, core::settle_time(request.cell_size, metrics));
+  plan.deck.t_stop = core::settle_horizon(options.deck.t_start, request.input_slew,
+                                          request.cell_size, metrics);
   plan.deck.sim.budget = nullptr;
   plan.deck.sim.solver = request.solver;
   plan.deck.sim.edge_stop.vdd = request.keep_waveforms ? 0.0 : vdd;
   plan.dominant_leaf = metrics.dominant_leaf;
-  std::vector<std::pair<double, double>> pts = model.waveform.points();
-  for (auto& [t, v] : pts) t += plan.input_time_50;
-  plan.source = wave::Pwl(std::move(pts));
+  plan.source = core::deck_time_source(model, plan.input_time_50);
   return plan;
 }
 
-// The per-slot replay path (no collector, degrade enabled, or wall-clock
-// limited): identical construction and measurement to the batched path, so
-// BatchOptions::batch_scenarios on/off is a bitwise no-op on the numbers.
-void run_replay_inline(const tech::Technology& technology, const Request& request,
-                       const ReplayPlan& plan, util::ExecTracker* budget,
-                       Response& response) {
-  tech::DeckOptions deck = plan.deck;
-  deck.sim.budget = budget;
-  const tech::NetSimResult replay =
-      tech::simulate_source_net(plan.source, request.net, deck);
-  const wave::Waveform& far = replay.leaves.at(plan.dominant_leaf);
-  response.model_far =
-      core::measure_edge(far, technology.vdd, plan.input_time_50);
+// Records a replay's far end on the slot's answer: what the inline and the
+// grouped replays both report, so batching is a bitwise no-op on them.
+void record_far_end(Response& response, const ReplayPlan& plan, const wave::Waveform& far,
+                    sim::SolverKind solver, double vdd, bool keep_waveform) {
+  response.model_far = core::measure_edge(far, vdd, plan.input_time_50);
   response.has_model_far = true;
   response.input_time_50 = plan.input_time_50;
   response.has_solver = true;
-  response.solver = replay.solver;
-  if (request.keep_waveforms) response.model_far_wave = far;
+  response.solver = solver;
+  if (keep_waveform) response.model_far_wave = far;
+}
+
+// Whether run_batch defers a slot's far-end replay past the sweep, into the
+// equal-topology blocks.  A wall-clock limit or an enabled degrade policy
+// keeps the replay in the slot's own pass: the deadline and the ladder are
+// tied to that pass, and deferral would move work past both.
+bool defers_replay(const Request& request, const BatchOptions& options) {
+  return request.far_end_replay && options.batch_scenarios && !request.degrade.enabled &&
+         request.budget.wall_limit_s <= 0.0;
+}
+
+// Runs run_batch's deferred replays as shared-factorization blocks (one
+// factor per equal-topology group and step size) and patches their slots of
+// `results`: the far end on success, a failed Outcome for a lane whose
+// replay faulted.  Group machinery failures fall back to per-lane scalar
+// replays before failing anything.
+void run_deferred_replays(const tech::Technology& technology,
+                          std::span<const Request> requests, std::span<ReplayJob> jobs,
+                          const BatchOptions& options,
+                          std::vector<Outcome<Response>>& results) {
+  if (jobs.empty()) return;
+
+  // Plan and compile every deck up front (in parallel — netlist building is
+  // cheap but hundreds of thousand-node ladders add up).  A plan or compile
+  // failure fails just its own slot, with the error the inline replay would
+  // have raised.
+  std::vector<tech::SourceNetDeck> decks(jobs.size());
+  std::vector<sim::TransientOptions> sim_opts(jobs.size());
+  const std::vector<std::exception_ptr> compile_errors =
+      sim::run_indexed_sweep_collect(
+          jobs.size(),
+          [&](std::size_t i) {
+            ReplayJob& job = jobs[i];
+            const Request& request = requests[job.slot];
+            job.plan = plan_far_end_replay(request, options, results[job.slot].value().model,
+                                           technology.vdd);
+            decks[i] = tech::compile_source_net(job.plan.source, request.net, job.plan.deck);
+            sim_opts[i] = tech::sim_options(job.plan.deck, decks[i]);
+          },
+          options.n_threads);
+
+  // A failed lane keeps the time its slot's pass took.
+  const auto fail_slot = [&](std::size_t slot, std::exception_ptr e, double extra_s) {
+    ErrorInfo info = describe_failure(std::move(e), requests[slot].label);
+    info.elapsed_s = results[slot].value().elapsed_s + extra_s;
+    results[slot] = Outcome<Response>(std::move(info));
+  };
+
+  // Group by structural hash, confirmed by the exhaustive bit-compare —
+  // near-identical decks (one ULP, one extra edge) never share a matrix.
+  // Each deck is hashed once; a group keeps its head's hash.
+  std::vector<std::vector<std::size_t>> groups;
+  std::vector<std::uint64_t> group_hash;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (compile_errors[i]) {
+      fail_slot(jobs[i].slot, compile_errors[i], 0.0);
+      continue;
+    }
+    const std::uint64_t hash =
+        sim::scenario_group_hash(decks[i].netlist, sim_opts[i]);
+    bool placed = false;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const std::size_t head = groups[g].front();
+      if (group_hash[g] != hash) continue;
+      if (!sim::scenario_group_equal(decks[head].netlist, decks[i].netlist)) continue;
+      if (!sim::scenario_options_equal(sim_opts[head], sim_opts[i])) continue;
+      if (decks[head].probes != decks[i].probes) continue;
+      groups[g].push_back(i);
+      placed = true;
+      break;
+    }
+    if (!placed) {
+      groups.push_back({i});
+      group_hash.push_back(hash);
+    }
+  }
+
+  // Equal-topology groups run as blocks; groups run in parallel across the
+  // sweep pool (they touch disjoint slots).  A failure of the *shared*
+  // machinery falls back to per-lane scalar replays, so a group-level fault
+  // can never fail a scenario that would have succeeded alone.
+  const auto run_group = [&](std::size_t g) {
+    const std::vector<std::size_t>& members = groups[g];
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::size_t head = members.front();
+    const sim::TransientOptions& so = sim_opts[head];
+
+    std::vector<sim::BlockOutcome> outcomes;
+    if (members.size() > 1) {
+      std::vector<sim::BlockScenario> lanes;
+      lanes.reserve(members.size());
+      for (std::size_t i : members) {
+        lanes.push_back({&decks[i].netlist, jobs[i].plan.deck.t_stop, jobs[i].tracker});
+      }
+      try {
+        outcomes = sim::simulate_block(lanes, so, decks[head].probes);
+      } catch (...) {
+        outcomes.clear();
+      }
+    }
+    if (outcomes.empty()) {
+      // Singleton group, or the shared path refused/failed: scalar per lane.
+      for (std::size_t i : members) {
+        sim::BlockOutcome o;
+        try {
+          sim::TransientOptions lane_opt = so;
+          lane_opt.t_stop = jobs[i].plan.deck.t_stop;
+          lane_opt.budget = jobs[i].tracker;
+          o.result = sim::simulate(decks[i].netlist, lane_opt, decks[i].probes);
+        } catch (...) {
+          o.error = std::current_exception();
+        }
+        outcomes.push_back(std::move(o));
+      }
+    }
+
+    const sim::SolverKind solver = sim::selected_solver(decks[head].netlist, so);
+    const double elapsed_share =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count() /
+        static_cast<double>(members.size());
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      const std::size_t i = members[k];
+      const ReplayJob& job = jobs[i];
+      if (!outcomes[k].result.has_value()) {
+        fail_slot(job.slot, outcomes[k].error, elapsed_share);
+        continue;
+      }
+      try {
+        Response& response = results[job.slot].value();
+        record_far_end(response, job.plan,
+                       outcomes[k].result->at(decks[i].nodes.leaves.at(job.plan.dominant_leaf)),
+                       solver, technology.vdd, requests[job.slot].keep_waveforms);
+        response.elapsed_s += elapsed_share;
+      } catch (...) {
+        fail_slot(job.slot, std::current_exception(), elapsed_share);
+      }
+    }
+  };
+  const std::vector<std::exception_ptr> group_escapes =
+      sim::run_indexed_sweep_collect(groups.size(), run_group, options.n_threads);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (!group_escapes[g]) continue;
+    for (std::size_t i : groups[g]) {
+      const std::size_t slot = jobs[i].slot;
+      results[slot] =
+          Outcome<Response>(describe_failure(group_escapes[g], requests[slot].label));
+    }
+  }
 }
 
 // The fidelity a tier's rung answers at.
@@ -425,7 +528,7 @@ Response Engine::ceff_response(const Request& request, const BatchOptions& optio
   measure_served_net(
       request, response, response.model, estimate,
       [&](const core::DriverOutputModel& m) {
-        return measure_model(m, technology_.vdd);
+        return core::measure_modeled_edge(m, technology_.vdd);
       },
       [&](const core::DriverOutputModel& base) {
         check_convergence(request.label, gate, base);
@@ -526,23 +629,21 @@ Response Engine::moments_only_response(const Request& request,
   response.model = estimate_served_net(request, estimate);
   measure_served_net(request, response, response.model, estimate,
                      [&](const core::DriverOutputModel& m) {
-                       return measure_model(m, technology_.vdd);
+                       return core::measure_modeled_edge(m, technology_.vdd);
                      });
   return response;
 }
 
 Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& options,
-                                   std::size_t slot, ReplayCollector* collector) {
+                                   std::size_t slot, util::ExecTracker& tracker,
+                                   bool defer_replay) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto elapsed = [&] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
         .count();
   };
 
-  // Heap-owned tracker: a deferred replay charges this slot's budget after
-  // run_slot returns, so the collector shares ownership with the job.
-  const auto owned_tracker = std::make_shared<util::ExecTracker>(request.budget);
-  util::ExecTracker& tracker = *owned_tracker;
+  tracker.arm(request.budget);
   // The pass starts on the rung its policy routes to first.  Degraded
   // answers report the pass's escalations.
   Climb climb{fidelity_of(tier::route(request.tier, {}, request.reference))};
@@ -564,32 +665,25 @@ Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& o
   };
 
   // Admission runs once per slot, then one pass down the rungs and the
-  // far-end replay a far_end_replay slot runs on its Tier-B answer.  The
-  // replay defers to the collector unless the slot has a wall-clock limit or
-  // an enabled degrade policy: the deadline and ladder semantics are tied to
-  // the slot's own pass, and deferral would move work past both.
+  // far-end replay a far_end_replay slot runs on its Tier-B answer, unless
+  // run_batch replays it after the sweep.
   std::exception_ptr first_error;
   try {
     diagnostics = admit(request, technology_);
     tracker.check("api::Engine slot");
     if (options.debug_slot_fault) options.debug_slot_fault(slot, tracker);
     Response r = dispatch(request, options, &tracker, climb);
-    if (request.far_end_replay) {
+    if (request.far_end_replay && !defer_replay) {
       ReplayPlan plan = plan_far_end_replay(request, options, r.model, technology_.vdd);
-      if (collector != nullptr && !request.degrade.enabled &&
-          request.budget.wall_limit_s <= 0.0) {
-        r.input_time_50 = plan.input_time_50;
-        collector->add({slot, &request, std::move(plan), nullptr});
-      } else {
-        run_replay_inline(technology_, request, plan, &tracker, r);
-      }
+      plan.deck.sim.budget = &tracker;
+      const tech::NetSimResult replay =
+          tech::simulate_source_net(plan.source, request.net, plan.deck);
+      record_far_end(r, plan, replay.leaves.at(plan.dominant_leaf), replay.solver,
+                     technology_.vdd, request.keep_waveforms);
     }
-    if (collector) collector->attach_tracker(slot, owned_tracker);
     return finish(std::move(r), false);
   } catch (...) {
     first_error = std::current_exception();
-    // A slot that enqueued a replay and then failed must not be patched.
-    if (collector) collector->discard(slot);
   }
   const ErrorInfo first = describe_failure(first_error, request.label);
 
@@ -631,7 +725,8 @@ Outcome<Response> Engine::run_slot(const Request& request, const BatchOptions& o
 }
 
 Outcome<Response> Engine::model(const Request& request, const BatchOptions& options) {
-  return run_slot(request, options, 0);
+  util::ExecTracker tracker;
+  return run_slot(request, options, 0, tracker, false);
 }
 
 std::vector<Outcome<Response>> Engine::run_batch(std::span<const Request> requests,
@@ -663,6 +758,15 @@ std::vector<Outcome<Response>> Engine::run_batch(std::span<const Request> reques
     return nullptr;
   };
 
+  // The slots whose far-end replay runs after the sweep, in slot order, each
+  // with the tracker its pass arms and its deferred replay keeps charging.
+  // Every other slot's tracker lives on its worker's stack.
+  std::vector<std::size_t> deferring;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (defers_replay(requests[i], options)) deferring.push_back(i);
+  }
+  std::vector<util::ExecTracker> trackers(deferring.size());
+
   // Fan the slots out with the full per-slot policy (budget arming,
   // degradation).  The workers write straight into the pre-sized results
   // vector — an Outcome<Response> is ~1 KB, and routing it through a second
@@ -671,8 +775,6 @@ std::vector<Outcome<Response>> Engine::run_batch(std::span<const Request> reques
   // belt-and-braces against anything escaping the policy itself.
   std::vector<Outcome<Response>> results(requests.size(),
                                          Outcome<Response>(ErrorInfo{}));
-  ReplayCollector collector;
-  ReplayCollector* collect = options.batch_scenarios ? &collector : nullptr;
   const std::vector<std::exception_ptr> escapes = sim::run_indexed_sweep_collect(
       requests.size(),
       [&](std::size_t i) {
@@ -681,7 +783,14 @@ std::vector<Outcome<Response>> Engine::run_batch(std::span<const Request> reques
           results[i] = Outcome<Response>(describe_failure(e, r.label));
           return;
         }
-        results[i] = run_slot(r, options, i, collect);
+        const auto d = std::lower_bound(deferring.begin(), deferring.end(), i);
+        if (d != deferring.end() && *d == i) {
+          const auto k = static_cast<std::size_t>(d - deferring.begin());
+          results[i] = run_slot(r, options, i, trackers[k], true);
+          return;
+        }
+        util::ExecTracker tracker;
+        results[i] = run_slot(r, options, i, tracker, false);
       },
       options.n_threads);
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -689,145 +798,14 @@ std::vector<Outcome<Response>> Engine::run_batch(std::span<const Request> reques
       results[i] = Outcome<Response>(describe_failure(escapes[i], requests[i].label));
     }
   }
-  // Deferred far_end_replay transients: group equal-topology decks and run
-  // each group as one shared-factorization multi-RHS block, then patch the
-  // affected slots.  (No-op when nothing deferred.)
-  if (collect) finalize_deferred(collector, options, results);
+
+  // The deferred replays of the slots that answered, in slot order.
+  std::vector<ReplayJob> jobs;
+  for (std::size_t k = 0; k < deferring.size(); ++k) {
+    if (results[deferring[k]].ok()) jobs.push_back({deferring[k], &trackers[k], {}});
+  }
+  run_deferred_replays(technology_, requests, jobs, options, results);
   return results;
-}
-
-void Engine::finalize_deferred(ReplayCollector& collector, const BatchOptions& options,
-                               std::vector<Outcome<Response>>& results) {
-  std::vector<ReplayJob>& jobs = collector.jobs;  // workers are done: no lock
-  // Belt-and-braces: never patch a slot that is no longer a success (e.g. a
-  // sweep escape overwrote it after the job was enqueued).
-  std::erase_if(jobs, [&](const ReplayJob& j) { return !results[j.slot].ok(); });
-  if (jobs.empty()) return;
-
-  // Compile every deck up front (in parallel — netlist building is cheap but
-  // hundreds of thousand-node ladders add up).  A compile failure fails just
-  // its own slot.
-  std::vector<tech::SourceNetDeck> decks(jobs.size());
-  std::vector<sim::TransientOptions> sim_opts(jobs.size());
-  const std::vector<std::exception_ptr> compile_errors =
-      sim::run_indexed_sweep_collect(
-          jobs.size(),
-          [&](std::size_t i) {
-            const ReplayPlan& plan = jobs[i].plan;
-            decks[i] =
-                tech::compile_source_net(plan.source, jobs[i].request->net, plan.deck);
-            sim_opts[i] = tech::sim_options(plan.deck, decks[i]);
-            sim_opts[i].budget = nullptr;  // per-lane trackers instead
-          },
-          options.n_threads);
-
-  // Group by structural hash, confirmed by the exhaustive bit-compare —
-  // near-identical decks (one ULP, one extra edge) never share a matrix.
-  // Each deck is hashed once; a group keeps its head's hash.
-  std::vector<std::vector<std::size_t>> groups;
-  std::vector<std::uint64_t> group_hash;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (compile_errors[i]) {
-      const ReplayJob& job = jobs[i];
-      results[job.slot] =
-          Outcome<Response>(describe_failure(compile_errors[i], job.request->label));
-      continue;
-    }
-    const std::uint64_t hash =
-        sim::scenario_group_hash(decks[i].netlist, sim_opts[i]);
-    bool placed = false;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      const std::size_t head = groups[g].front();
-      if (group_hash[g] != hash) continue;
-      if (!sim::scenario_group_equal(decks[head].netlist, decks[i].netlist)) continue;
-      if (!sim::scenario_options_equal(sim_opts[head], sim_opts[i])) continue;
-      if (decks[head].probes != decks[i].probes) continue;
-      groups[g].push_back(i);
-      placed = true;
-      break;
-    }
-    if (!placed) {
-      groups.push_back({i});
-      group_hash.push_back(hash);
-    }
-  }
-
-  // Equal-topology groups run as blocks; groups run in parallel across the
-  // sweep pool (they touch disjoint slots).  A failure of the *shared*
-  // machinery falls back to per-lane scalar replays, so a group-level fault
-  // can never fail a scenario that would have succeeded alone.
-  const auto run_group = [&](std::size_t g) {
-    const std::vector<std::size_t>& members = groups[g];
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::size_t head = members.front();
-    const sim::TransientOptions& so = sim_opts[head];
-
-    std::vector<sim::BlockOutcome> outcomes;
-    if (members.size() > 1) {
-      std::vector<sim::BlockScenario> lanes;
-      lanes.reserve(members.size());
-      for (std::size_t i : members) {
-        lanes.push_back(
-            {&decks[i].netlist, jobs[i].plan.deck.t_stop, jobs[i].tracker.get()});
-      }
-      try {
-        outcomes = sim::simulate_block(lanes, so, decks[head].probes);
-      } catch (...) {
-        outcomes.clear();
-      }
-    }
-    if (outcomes.empty()) {
-      // Singleton group, or the shared path refused/failed: scalar per lane.
-      for (std::size_t i : members) {
-        sim::BlockOutcome o;
-        try {
-          sim::TransientOptions lane_opt = so;
-          lane_opt.t_stop = jobs[i].plan.deck.t_stop;
-          lane_opt.budget = jobs[i].tracker.get();
-          o.result = sim::simulate(decks[i].netlist, lane_opt, decks[i].probes);
-        } catch (...) {
-          o.error = std::current_exception();
-        }
-        outcomes.push_back(std::move(o));
-      }
-    }
-
-    const sim::SolverKind solver = sim::selected_solver(decks[head].netlist, so);
-    const double elapsed_share =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count() /
-        static_cast<double>(members.size());
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      const std::size_t i = members[k];
-      const ReplayJob& job = jobs[i];
-      if (!outcomes[k].result.has_value()) {
-        ErrorInfo info = describe_failure(outcomes[k].error, job.request->label);
-        info.elapsed_s = results[job.slot].value().elapsed_s + elapsed_share;
-        results[job.slot] = Outcome<Response>(std::move(info));
-        continue;
-      }
-      // Exactly what run_replay_inline measures, from the blocked result.
-      Response& response = results[job.slot].value();
-      const wave::Waveform& far =
-          outcomes[k].result->at(decks[i].nodes.leaves.at(job.plan.dominant_leaf));
-      response.model_far =
-          core::measure_edge(far, technology_.vdd, job.plan.input_time_50);
-      response.has_model_far = true;
-      response.has_solver = true;
-      response.solver = solver;
-      if (job.request->keep_waveforms) response.model_far_wave = far;
-      response.elapsed_s += elapsed_share;
-    }
-  };
-  const std::vector<std::exception_ptr> group_escapes =
-      sim::run_indexed_sweep_collect(groups.size(), run_group, options.n_threads);
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (!group_escapes[g]) continue;
-    for (std::size_t i : groups[g]) {
-      results[jobs[i].slot] =
-          Outcome<Response>(describe_failure(group_escapes[g], jobs[i].request->label));
-    }
-  }
 }
 
 std::vector<double> Engine::collect_missing(std::span<const double> sizes) const {

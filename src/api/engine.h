@@ -32,13 +32,6 @@ struct AnalyticalEstimate;
 
 namespace rlceff::api {
 
-// Deferred-replay staging area for one run_batch call (defined in
-// engine.cpp): far_end_replay slots enqueue their compiled replay here
-// instead of simulating inline; finalize_deferred() then groups
-// equal-topology jobs and runs each group as one shared-factorization
-// multi-RHS block (sim/scenario_block.h).
-struct ReplayCollector;
-
 class Engine {
 public:
   explicit Engine(tech::Technology technology = tech::Technology::cmos180());
@@ -87,16 +80,17 @@ private:
     std::size_t escalations = 0;
   };
 
-  // The slot pipeline.  Admits the request once (validation, lint screen,
-  // budget checkpoint, fault hook), makes one pass down its rungs, then
-  // degrades per Request::degrade.  Degraded answers keep the pass's
-  // escalation count.  `collector` (nullable) lets a far_end_replay slot
-  // defer its replay transient for group batching; without one the replay
-  // runs inline (same results, bitwise).  Never throws for per-scenario
-  // failures.
+  // The slot pipeline.  Arms `tracker` (the caller's) with the request's
+  // budget, admits the request once (validation, lint screen, budget
+  // checkpoint, fault hook), makes one pass down its rungs, then degrades
+  // per Request::degrade.  Degraded answers keep the pass's escalation
+  // count.  A far_end_replay slot replays its answer inline unless
+  // `defer_replay`: then run_batch replays it after the sweep, grouped into
+  // shared-factorization blocks (same results, bitwise), charging the same
+  // tracker.  Never throws for per-scenario failures.
   Outcome<Response> run_slot(const Request& request, const BatchOptions& options,
-                             std::size_t slot,
-                             ReplayCollector* collector = nullptr);
+                             std::size_t slot, util::ExecTracker& tracker,
+                             bool defer_replay);
   // One pass down the rungs of the request's policy (tier::route): Tier A
   // first under balanced and fastest, Tier B when it refuses, and under
   // balanced one ungated Tier-C experiment when Tier B does not converge
@@ -105,24 +99,19 @@ private:
   // solver loop.
   Response dispatch(const Request& request, const BatchOptions& options,
                     util::ExecTracker* budget, Climb& climb);
-  // Runs the collector's deferred replays as shared-factorization blocks
-  // (one factor per equal-topology group and step size) and patches the
-  // affected slots of `results` — model_far and friends on success, a failed
-  // Outcome for lanes whose replay faulted.  Group machinery failures fall
-  // back to per-lane scalar replays before failing anything.
-  void finalize_deferred(ReplayCollector& collector, const BatchOptions& options,
-                         std::vector<Outcome<Response>>& results);
 
   // The rungs.  Each stamps its own fidelity and tier; a coupled request is
   // served on its (Miller-decoupled) victim.
   //
-  // Tier A: the closed-form analytical screen (tier/analytical.h) — table
-  // lookups only, no fixed point, no transient.  The caller first estimates
-  // the served net alone (`served`, the decoupled victim for a coupled
-  // request), because that is all admission reads: the dispatch scores it
-  // before building anything, so a refused slot costs one estimate.  The
-  // answer is built around `served`, whose model is moved into the returned
-  // Response; a coupled victim adds its quiet-net pushout and noise bound.
+  // Tier A: the closed-form analytical screen (tier/analytical.h) — the
+  // 5-moment fast walk, the Eq 3 fit and a secant Ceff fixed point on the
+  // cell tables at a loose tolerance, no transient.  The caller first
+  // estimates the served net alone (`served`, the decoupled victim for a
+  // coupled request), because that is all admission reads: the dispatch
+  // scores it before building anything, so a refused slot costs one
+  // estimate.  The answer is built around `served`, whose model is moved
+  // into the returned Response; a coupled victim adds its quiet-net pushout
+  // and noise bound.
   Response analytical_response(const Request& request,
                                const charlib::CharacterizedDriver& driver,
                                tier::AnalyticalEstimate& served);

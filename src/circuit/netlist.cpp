@@ -81,12 +81,6 @@ void Netlist::add_mosfet(NodeId drain, NodeId gate, NodeId source,
   mosfets_.push_back({check(drain), check(gate), check(source), params, width, is_pmos});
 }
 
-void Netlist::set_vsource_waveform(std::size_t index, wave::Pwl voltage) {
-  ensure(index < vsources_.size(), "Netlist: vsource index out of range");
-  ensure(!voltage.empty(), "Netlist: voltage source needs a waveform");
-  vsources_[index].voltage = std::move(voltage);
-}
-
 double Netlist::total_capacitance() const {
   double total = 0.0;
   for (const Capacitor& c : capacitors_) total += c.capacitance;

@@ -90,10 +90,6 @@ public:
   const std::vector<VSource>& vsources() const { return vsources_; }
   const std::vector<Mosfet>& mosfets() const { return mosfets_; }
 
-  // Replaces the waveform of an existing voltage source (used to re-drive a
-  // characterized deck with a new stimulus).
-  void set_vsource_waveform(std::size_t index, wave::Pwl voltage);
-
   // Sum of all capacitance with at least one terminal not at ground is not
   // meaningful; this is the plain sum of capacitor values, which for loads
   // referenced to ground equals the total load capacitance.

@@ -11,16 +11,8 @@ namespace rlceff::core {
 
 namespace {
 
-EdgeMetrics measure_model_pwl(const DriverOutputModel& m, double vdd,
-                              double horizon) {
-  const wave::Waveform w = m.waveform.to_waveform(m.waveform.end_time() + horizon);
-  return measure_edge(w, vdd, 0.0);
-}
-
-// Per-net settle horizon, the single-net auto_t_stop formula (the shared
-// core::settle_time heuristic) with the net's attached coupling capacitance
-// added to the charge it must move.  The whole coupled deck shares the
-// longest net's horizon.
+// The whole coupled deck shares the longest net's settle_horizon, each net's
+// attached coupling capacitance added to the charge it must move.
 double auto_t_stop(const CoupledExperimentCase& c, const CoupledExperimentOptions& o) {
   double t_stop = 0.0;
   for (std::size_t k = 0; k < c.group.size(); ++k) {
@@ -33,9 +25,8 @@ double auto_t_stop(const CoupledExperimentCase& c, const CoupledExperimentOption
       driver_size = aggressor.driver_size;
       slew = aggressor.input_slew;
     }
-    const double settle = settle_time(driver_size, metrics,
-                                      c.group.coupling_capacitance_at(k));
-    t_stop = std::max(t_stop, o.deck.t_start + slew + std::max(1e-9, settle));
+    t_stop = std::max(t_stop, settle_horizon(o.deck.t_start, slew, driver_size, metrics,
+                                             c.group.coupling_capacitance_at(k)));
   }
   return t_stop;
 }
@@ -173,7 +164,7 @@ CoupledExperimentResult run_coupled_experiment(const tech::Technology& technolog
       library.ensure_driver(technology, scenario.driver_size, options.grid);
   out.model = model_driver_output(driver, scenario.input_slew, miller_net,
                                   options.model);
-  out.model_near = measure_model_pwl(out.model, technology.vdd, deck.t_stop);
+  out.model_near = measure_modeled_edge(out.model, technology.vdd);
 
   // Quiet-environment model for the pushout estimate.  When every factor is
   // 1 the Miller net *is* the quiet net: reuse the model instead of running
@@ -186,18 +177,14 @@ CoupledExperimentResult run_coupled_experiment(const tech::Technology& technolog
   } else {
     out.model_base = model_driver_output(driver, scenario.input_slew, quiet_net,
                                          options.model);
-    out.model_base_near =
-        measure_model_pwl(out.model_base, technology.vdd, deck.t_stop);
+    out.model_base_near = measure_modeled_edge(out.model_base, technology.vdd);
   }
   out.delay_pushout_model = out.model_near.delay - out.model_base_near.delay;
 
   if (options.include_far_end) {
-    // Replay the modeled waveform through the decoupled net in deck time.
-    std::vector<std::pair<double, double>> pts = out.model.waveform.points();
-    for (auto& [t, v] : pts) t += out.input_time_50;
-    const wave::Pwl absolute(std::move(pts));
-    const tech::NetSimResult replay =
-        tech::simulate_source_net(absolute, miller_net, measured);
+    // Replay the modeled waveform through the decoupled net.
+    const tech::NetSimResult replay = tech::simulate_source_net(
+        deck_time_source(out.model, out.input_time_50), miller_net, measured);
     const wave::Waveform& far = replay.leaves.at(victim_metrics.dominant_leaf);
     out.model_far = measure_edge(far, technology.vdd, out.input_time_50);
   }

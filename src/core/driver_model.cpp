@@ -79,19 +79,11 @@ wave::Pwl anchor_at_t50(const wave::Pwl& pwl, double vdd, double t50) {
   return wave::Pwl(std::move(pts));
 }
 
-// Everything the flow needs to know about the load, with the uniform-line
-// and tree front ends mapped onto one shape.
-struct LoadDescription {
-  util::Series admittance_series{moments::default_order};
-  double z0 = 0.0;
-  double tf = 0.0;
-  double line_resistance = 0.0;   // loss along the dominant path (Eq 9)
-  double line_capacitance = 0.0;  // line capacitance the load screen compares
-  double c_load = 0.0;            // external far-end load (Eq 9)
-};
-
+// The flow on the load's driving-point admittance series and its
+// dominant-path metrics.
 DriverOutputModel run_flow(const charlib::CharacterizedDriver& driver,
-                           double input_slew, const LoadDescription& net,
+                           double input_slew, const util::Series& admittance,
+                           const net::NetMetrics& metrics,
                            const DriverModelOptions& options) {
   ensure(input_slew > 0.0, "model_driver_output: input slew must be positive");
 
@@ -99,13 +91,13 @@ DriverOutputModel run_flow(const charlib::CharacterizedDriver& driver,
   m.vdd = driver.vdd();
 
   // Step 1: Eq-3 fit of the admittance moments.
-  m.admittance = moments::RationalAdmittance(net.admittance_series);
+  m.admittance = moments::RationalAdmittance(admittance);
   const ChargeModel load(m.admittance);
   const double c_total = m.admittance.total_capacitance();
 
   // Step 2: driver resistance and voltage breakpoint.
-  m.z0 = net.z0;
-  m.tf = net.tf;
+  m.z0 = metrics.z0;
+  m.tf = metrics.time_of_flight;
   m.rs = driver.driver_resistance(input_slew, c_total);
   m.f = breakpoint_fraction(m.z0, m.rs);
 
@@ -124,9 +116,9 @@ DriverOutputModel run_flow(const charlib::CharacterizedDriver& driver,
   }
 
   // Step 4: inductance criteria with the output-referred initial ramp.
-  m.criteria = evaluate_criteria(m.z0, m.tf, net.line_resistance,
-                                 net.line_capacitance, net.c_load, m.rs,
-                                 m.ceff1.ramp_time, options.criteria);
+  m.criteria = evaluate_criteria(m.z0, m.tf, metrics.path_resistance,
+                                 metrics.wire_capacitance, metrics.path_load, m.rs,
+                                 m.ceff1.ramp_time);
 
   const bool two_ramp = options.selection == ModelSelection::force_two_ramp ||
                         (options.selection == ModelSelection::automatic &&
@@ -221,14 +213,7 @@ DriverOutputModel model_driver_output(const charlib::CharacterizedDriver& driver
                                       double input_slew, const net::Net& net,
                                       const DriverModelOptions& options) {
   const net::NetMetrics metrics = net.metrics();
-  LoadDescription load;
-  load.admittance_series = moments::net_admittance(net);
-  load.z0 = metrics.z0;
-  load.tf = metrics.time_of_flight;
-  load.line_resistance = metrics.path_resistance;
-  load.line_capacitance = metrics.wire_capacitance;
-  load.c_load = metrics.path_load;
-  return run_flow(driver, input_slew, load, options);
+  return run_flow(driver, input_slew, moments::net_admittance(net), metrics, options);
 }
 
 DriverOutputModel model_driver_output(const charlib::CharacterizedDriver& driver,

@@ -2,23 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "util/error.h"
 #include "util/stats.h"
 
 namespace rlceff::core {
-
-namespace {
-
-// Sizes the horizon so even the slowest (weak driver, long line) case fully
-// completes its 90 % crossing with margin.
-double auto_t_stop(const ExperimentCase& c, const net::NetMetrics& metrics,
-                   const tech::DeckOptions& deck) {
-  return deck.t_start + c.input_slew +
-         std::max(1e-9, settle_time(c.driver_size, metrics));
-}
-
-}  // namespace
 
 double settle_time(double driver_size, const net::NetMetrics& metrics,
                    double extra_cap) {
@@ -27,6 +17,18 @@ double settle_time(double driver_size, const net::NetMetrics& metrics,
       metrics.wire_capacitance + metrics.load_capacitance + extra_cap;
   return 6.0 * (rs_estimate + metrics.path_resistance) * c_total +
          4.0 * metrics.time_of_flight;
+}
+
+double settle_horizon(double t_start, double input_slew, double driver_size,
+                      const net::NetMetrics& metrics, double extra_cap) {
+  return t_start + input_slew +
+         std::max(1e-9, settle_time(driver_size, metrics, extra_cap));
+}
+
+wave::Pwl deck_time_source(const DriverOutputModel& model, double input_time_50) {
+  std::vector<std::pair<double, double>> pts = model.waveform.points();
+  for (auto& [t, v] : pts) t += input_time_50;
+  return wave::Pwl(std::move(pts));
 }
 
 double pct_error(double model, double reference) {
@@ -38,6 +40,13 @@ EdgeMetrics measure_edge(const wave::Waveform& w, double vdd, double t_reference
   return {e.t50 - t_reference, e.transition_10_90()};
 }
 
+EdgeMetrics measure_modeled_edge(const DriverOutputModel& model, double vdd) {
+  // The PWL ends on its final value, so one flat sample past its last
+  // breakpoint adds no crossing: every edge level is found before it.
+  const wave::Waveform w = model.waveform.to_waveform(model.waveform.end_time() + 1e-12);
+  return measure_edge(w, vdd, 0.0);
+}
+
 ExperimentResult run_experiment(const tech::Technology& technology,
                                 charlib::CellLibrary& library,
                                 const ExperimentCase& scenario,
@@ -47,7 +56,8 @@ ExperimentResult run_experiment(const tech::Technology& technology,
 
   const net::NetMetrics metrics = scenario.net.metrics();
   tech::DeckOptions deck = options.deck;
-  deck.t_stop = auto_t_stop(scenario, metrics, options.deck);
+  deck.t_stop = settle_horizon(options.deck.t_start, scenario.input_slew,
+                               scenario.driver_size, metrics);
   // Both decks are only measured at their edges unless their waveforms are
   // kept: end each run at its last measured crossing.  Kept waveforms run
   // the full horizon, whatever the incoming deck asked for.
@@ -68,20 +78,12 @@ ExperimentResult run_experiment(const tech::Technology& technology,
       library.ensure_driver(technology, scenario.driver_size, options.grid);
   out.model =
       model_driver_output(driver, scenario.input_slew, scenario.net, options.model);
-  {
-    const wave::Waveform w = out.model.waveform.to_waveform(
-        out.model.waveform.end_time() + deck.t_stop);
-    out.model_near = measure_edge(w, technology.vdd, 0.0);
-  }
+  out.model_near = measure_modeled_edge(out.model, technology.vdd);
 
   if (options.include_far_end) {
-    // Replay the modeled waveform through the net in absolute deck time.
-    // Anchored waveforms begin at 0 V, as the DC operating point needs.
-    std::vector<std::pair<double, double>> pts = out.model.waveform.points();
-    for (auto& [t, v] : pts) t += ref.input_time_50;
-    const wave::Pwl absolute(std::move(pts));
-    const tech::NetSimResult replay =
-        tech::simulate_source_net(absolute, scenario.net, deck);
+    // Replay the modeled waveform through the net.
+    const tech::NetSimResult replay = tech::simulate_source_net(
+        deck_time_source(out.model, ref.input_time_50), scenario.net, deck);
     const wave::Waveform& replay_far = replay.leaves.at(metrics.dominant_leaf);
     out.model_far = measure_edge(replay_far, technology.vdd, ref.input_time_50);
     if (options.keep_waveforms) out.model_far_wave = replay_far;
@@ -95,9 +97,7 @@ ExperimentResult run_experiment(const tech::Technology& technology,
     one.shielding_tail = false;
     out.one_ramp =
         model_driver_output(driver, scenario.input_slew, scenario.net, one);
-    const wave::Waveform w = out.one_ramp.waveform.to_waveform(
-        out.one_ramp.waveform.end_time() + deck.t_stop);
-    out.one_near = measure_edge(w, technology.vdd, 0.0);
+    out.one_near = measure_modeled_edge(out.one_ramp, technology.vdd);
   }
 
   if (options.keep_waveforms) {

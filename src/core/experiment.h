@@ -89,6 +89,24 @@ double pct_error(double model, double reference);
 double settle_time(double driver_size, const net::NetMetrics& metrics,
                    double extra_cap = 0.0);
 
+// The horizon of a deck whose input edge starts at t_start: the edge plus
+// settle_time, at least 1 ns, so even the slowest (weak driver, long line)
+// case completes its 90 % crossing with margin.  run_experiment and the
+// Engine's far-end replay size their decks with it; run_coupled_experiment
+// takes the longest over its nets.
+double settle_horizon(double t_start, double input_slew, double driver_size,
+                      const net::NetMetrics& metrics, double extra_cap = 0.0);
+
+// The modeled driver output in absolute deck time, for replaying it through
+// the net: the model's t = 0 is the input's 50 % crossing, input_time_50 in
+// the deck.  Anchored waveforms begin at 0 V, as the DC operating point
+// needs.
+wave::Pwl deck_time_source(const DriverOutputModel& model, double input_time_50);
+
+// Delay (from the model's t = 0) and slew measured on the modeled PWL alone,
+// without a deck.
+EdgeMetrics measure_modeled_edge(const DriverOutputModel& model, double vdd);
+
 }  // namespace rlceff::core
 
 #endif  // RLCEFF_CORE_EXPERIMENT_H

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "core/criteria.h"
 #include "lint/diagnostic.h"
 #include "lint/structural.h"
 #include "net/coupled.h"
@@ -50,23 +49,12 @@ struct Options {
   // probe_missing errors.
   std::vector<std::string> require_probes;
 
-  // physicality thresholds
-  double mutual_margin = 0.05;       // warn when accumulated k > 1 - margin
-  double coupling_ratio_warn = 1.0;  // warn when a section's attached coupling
-                                     // C exceeds this multiple of its ground C
-
   // conditioning
   std::size_t segments = 120;        // discretization of the advisory deck
                                      // (tech::DeckOptions default)
-  double stiffness_warn = 1e8;       // max/min section RC time-constant ratio
-  double dynamic_range_warn = 1e9;   // max/min per-unit element-value ratio
 
   // model
   double moment_rel_tol = 1e-6;        // m1 vs Ctotal relative tolerance
-  double miller_coupling_ratio = 0.5;  // coupling / total cap bound for Miller
-  core::CriteriaOptions criteria;      // Eq 9 thresholds
-  double regime_margin = 0.10;         // convergence-risk band around Eq 9
-                                       // boundaries (relative)
 
   // Driver context for the Eq 9 screen.  Zero skips the screen (the lint
   // pass has no driver to reason about).  The Engine and CLI fill these from

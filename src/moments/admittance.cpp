@@ -106,42 +106,6 @@ Series net_admittance(const net::Net& net, std::size_t order) {
 
 namespace {
 
-// -m2 = sum over resistances of R_e * C_downstream(e)^2 (the shared-path
-// form of the double sum C_i C_j R_ij), accumulated post-order.  A lumped
-// section's C hangs at the far end of its R; a distributed section spreads
-// both along its length, so with downstream load C_d its exact contribution
-// is the integral R * (C_d^2 + C_d*C + C^2/3).  Returns the capacitance at
-// or below the branch; exact vs net_admittance's m2 for RC nets (inductance
-// first enters at m3) — verified in the tier unit tests.
-double walk_shield(const net::Branch& branch, double& m2_sum) {
-  double below = branch.c_load;
-  for (const net::Branch& child : branch.children) {
-    below += walk_shield(child, m2_sum);
-  }
-  for (auto it = branch.sections.rbegin(); it != branch.sections.rend(); ++it) {
-    if (it->kind == net::SectionKind::lumped) {
-      below += it->capacitance;
-      m2_sum += it->resistance * below * below;
-    } else {
-      m2_sum += it->resistance *
-                (below * below + below * it->capacitance +
-                 it->capacitance * it->capacitance / 3.0);
-      below += it->capacitance;
-    }
-  }
-  return below;
-}
-
-}  // namespace
-
-double shield_tau(const net::Net& net) {
-  double m2_sum = 0.0;
-  const double c_total = walk_shield(net.root(), m2_sum);
-  return c_total > 0.0 ? m2_sum / c_total : 0.0;
-}
-
-namespace {
-
 // The shield_pi walk needs the capacitance at or below every branch before
 // prefix voltages can flow down, so pass 1 stores subtree totals in
 // traversal order and pass 2 consumes them through a cursor.

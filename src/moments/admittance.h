@@ -70,15 +70,6 @@ util::Series distributed_section_admittance(double r_total, double l_total,
 // uniform-line expansion, branch points sum their children.
 util::Series net_admittance(const net::Net& net, std::size_t order = default_order);
 
-// Single-pole shield constant of the driving-point admittance: -m2/m1, the
-// time constant tau of the one-pole match Y(s) = s*Ctotal / (1 + s*tau).
-// Computed by a closed-form O(sections) walk — no series cascade: -m2 is
-// the sum over resistances of R_e * C_downstream(e)^2 (distributed sections
-// use the exact integral form).  Exact vs net_admittance's m2 for RC nets
-// (inductance first enters at m3), which is what the Tier-A closed-form
-// screen (tier/analytical.h) needs.  Returns 0 for resistance-free nets.
-double shield_tau(const net::Net& net);
-
 // O'Brien/Savarino-style pi reduction of the driving-point admittance: the
 // exact first three RC moments y1, y2, y3 (inductance first enters the
 // fourth) mapped onto c_near + r -> c_far, the smallest load template that
@@ -93,7 +84,7 @@ struct PiLoad {
   double c_near = 0.0;   // unshielded capacitance at the driving point [F]
   double c_far = 0.0;    // capacitance behind the shielding resistance [F]
   double r = 0.0;        // shielding resistance [ohm]
-  double tau = 0.0;      // single-pole constant -y2/y1 (shield_tau) [s]
+  double tau = 0.0;      // single-pole constant -y2/y1 [s]
 };
 PiLoad shield_pi(const net::Net& net);
 

@@ -26,6 +26,14 @@ using ckt::NodeId;
 
 constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
+// Newton on the driver decks: an iterate is accepted once no unknown moves
+// by more than kNewtonAbsTol + kNewtonRelTol * 1 V, each update is scaled
+// down to move no unknown by more than kNewtonDampingV, and a step whose
+// loop runs util::iter_defaults::newton iterations raises ConvergenceError.
+constexpr double kNewtonAbsTol = 1e-6;    // [V]
+constexpr double kNewtonRelTol = 1e-6;
+constexpr double kNewtonDampingV = 0.6;   // [V]
+
 // The lane count of the stepper sim::simulate runs, fixed at compile time.
 using OneLane = std::integral_constant<std::size_t, 1>;
 
@@ -329,7 +337,7 @@ private:
       held_h_ = h;
       held_gmin_ = gmin;
     }
-    for (int iter = 0; iter < opt_.max_newton; ++iter) {
+    for (int iter = 0; iter < util::iter_defaults::newton; ++iter) {
       if (opt_.budget) opt_.budget->check("transient newton");
       if (cached) {
         solver_->load_static();
@@ -351,13 +359,13 @@ private:
       for (std::size_t k = 0; k < m_; ++k) {
         max_dv = std::max(max_dv, std::abs(rhsb_[k] - xb_[k]));
       }
-      if (max_dv < opt_.v_abstol + opt_.rel_tol * 1.0) {
+      if (max_dv < kNewtonAbsTol + kNewtonRelTol * 1.0) {
         std::swap(xb_, rhsb_);
         return;
       }
 
       // Damped update keeps the MOSFET linearization inside its trust region.
-      const double scale = std::min(1.0, opt_.newton_damping_v / max_dv);
+      const double scale = std::min(1.0, kNewtonDampingV / max_dv);
       for (std::size_t k = 0; k < m_; ++k) xb_[k] += scale * (rhsb_[k] - xb_[k]);
     }
     throw ConvergenceError("transient: Newton failed to converge");

@@ -75,18 +75,12 @@ struct TransientOptions {
   double dt = 0.1e-12;      // fixed time step [s]
   Integrator integrator = Integrator::trapezoidal;
   double gmin = 1e-12;      // conductance to ground at every node [S]
-  double v_abstol = 1e-6;   // Newton voltage convergence [V]
-  double rel_tol = 1e-6;
-  // Newton ceiling: a step whose Newton loop runs out of iterations raises
-  // ConvergenceError.
-  int max_newton = util::iter_defaults::newton;
   // Cooperative execution budget (see util/budget.h): when set, the step
   // loop charges every accepted time step against max_transient_steps and
   // every step/Newton iteration checkpoints the deadline and cancel token,
   // raising DeadlineError/BudgetError promptly instead of running the
   // horizon out.  Null (default) costs one branch per checkpoint.
   util::ExecTracker* budget = nullptr;
-  double newton_damping_v = 0.6;  // max voltage change accepted per iteration [V]
   AssemblyMode assembly = AssemblyMode::cached;
   // Linear-solver override: `automatic` applies the selection heuristic (see
   // selected_solver); any other value forces that backend.

@@ -74,7 +74,6 @@ AnalyticalEstimate analytical_estimate(const charlib::CharacterizedDriver& drive
   const util::Series y = moments::fast_net_admittance(net);
   const moments::RationalAdmittance fit(y);
   const core::ChargeModel load(fit);
-  out.shield_tau = y[1] > 0.0 ? -y[2] / y[1] : 0.0;
 
   const double c_total = out.metrics.total_capacitance();
   const double rs = driver.driver_resistance(input_slew, c_total);

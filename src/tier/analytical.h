@@ -60,7 +60,6 @@ struct AnalyticalEstimate {
   double delay = 0.0;       // modeled 50 % crossing (gate delay) [s]
   double slew_10_90 = 0.0;  // modeled 10-90 transition [s]
 
-  double shield_tau = 0.0;  // single-pole constant -m2/m1 [s]
   double shielding = 1.0;   // Ceff1 / Ctotal in (0, 1]
 
   net::NetMetrics metrics;  // relaxed dominant-path metrics (z0 == 0 for RC)

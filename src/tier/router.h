@@ -7,13 +7,13 @@
 //   Tier A is refused when
 //     * the Eq 9 inductance criteria hold (transmission-line response needs
 //       the two-ramp flow; a single shielded capacitance misses the plateau),
-//     * shielding is deep (Ceff / Ctotal below min_shielding: when almost the
+//     * shielding is deep (Ceff / Ctotal below 0.05: when almost the
 //       whole load hides behind the shield, the screen's pure table read
 //       drifts from the simulated near-end waveform that defines Tier B;
 //       the floor is low because the screen shares Tier B's 5-moment charge
 //       model and tracks it well into heavy shielding),
-//     * a coupled victim's coupling fraction Cc / (Cc + Cg) exceeds
-//       max_coupling_fraction (Miller decoupling error grows with it).
+//     * a coupled victim's coupling fraction Cc / (Cc + Cg) exceeds 0.4
+//       (Miller decoupling error grows with it).
 //       Mutual inductance alone does not refuse: Tier A and Tier B model the
 //       same Miller-decoupled victim and both drop the mutual terms, so the
 //       escalation would buy nothing (see admit_group_analytical).
@@ -39,11 +39,6 @@ class CoupledGroup;
 
 namespace rlceff::tier {
 
-struct RouterOptions {
-  double min_shielding = 0.05;         // Ceff/Ctotal floor for Tier A
-  double max_coupling_fraction = 0.4;  // Cc/(Cc+Cg) ceiling for coupled Tier A
-};
-
 struct Admission {
   bool ok = true;
   // "" when admitted; otherwise a stable tag naming the failed predicate:
@@ -55,20 +50,17 @@ struct Admission {
 
 // Tier A screen on a computed estimate (single-net part; coupled requests
 // additionally pass the group screen below for the victim).
-Admission admit_analytical(const AnalyticalEstimate& estimate,
-                           const RouterOptions& options = {});
+Admission admit_analytical(const AnalyticalEstimate& estimate);
 
 // The coupled-group part of the Tier A screen for one victim.
-Admission admit_group_analytical(const net::CoupledGroup& group, std::size_t victim,
-                                 const RouterOptions& options = {});
+Admission admit_group_analytical(const net::CoupledGroup& group, std::size_t victim);
 
 // Table-free screen for static analysis: same predicates, with the input
 // slew standing in for the driver output transition (rs likewise an
 // estimate, e.g. lint::estimate_driver_resistance).  Pass
 // driver_resistance <= 0 to skip the criteria predicate (no driver context).
 Admission admit_analytical_static(const net::Net& net, double driver_resistance,
-                                  double input_slew,
-                                  const RouterOptions& options = {});
+                                  double input_slew);
 
 // The tier a policy routes to given the Tier A admission verdict.  Balanced
 // and fastest take analytical when admitted and ceff otherwise (balanced's

@@ -4,15 +4,17 @@
 // Ceff fixed point — let alone a transient — for every net.  The cascade
 // routes the common case to a closed-form screen and reserves the expensive
 // estimators for the nets that need them:
-//   * Tier A (analytical) — closed-form Elmore/single-pole shielding from
-//     the driving-point moments plus NLDM table lookups; microsecond-free
-//     (no fixed point, no waveform measurement).  See tier/analytical.h.
+//   * Tier A (analytical) — the shielded-Ceff screen: the 5-moment fast
+//     admittance walk, the Eq 3 fit, and a secant Ceff fixed point on the
+//     cell tables at a loose tolerance; no synthesized waveform, no
+//     crossing search, no transient.  See tier/analytical.h.
 //   * Tier B (ceff)       — the paper's moments/AWE + Ceff one/two-ramp
 //     model (core::model_driver_output): the existing production path.
 //   * Tier C (reference)  — the full (coupled) transient reference
 //     simulation (core::run_experiment / run_coupled_experiment).
 // tier/router.h decides which tier serves a request; tier/envelope.h holds
-// the offline-calibrated accuracy envelope each cheaper tier is held to.
+// the offline-calibrated accuracy envelope the test oracles hold each
+// cheaper tier to (the router does not consult it).
 //
 // This header is dependency-free on purpose: api/request.h and lint/lint.h
 // both embed the enums, and neither may drag the estimator code in.

@@ -16,11 +16,11 @@
 // checkpoints sit at loop granularity (one transient step, one Newton or
 // fixed-point iteration), each of which costs far more than a clock read.
 //
-// Iteration ceilings are per-call options, not budget dimensions: every
-// iterative loop runs at most its option's max_iter (defaults in
-// iter_defaults below), and running out keeps the loop's own semantics (a
-// converged = false result from the Ceff fixed points, ConvergenceError
-// from Newton).
+// Iteration ceilings are not budget dimensions: every iterative loop runs at
+// most its ceiling (iter_defaults below, the default of each max_iter
+// option; the transient's Newton loop has no option), and running out keeps
+// the loop's own semantics (a converged = false result from the Ceff fixed
+// points, ConvergenceError from Newton).
 //
 // Threading: one ExecTracker belongs to one slot and is checked from that
 // slot's worker thread only.  The CancelToken is the only cross-thread
@@ -97,7 +97,7 @@ private:
 namespace iter_defaults {
 inline constexpr int fixed_point = 100;  // util::FixedPointOptions::max_iter
 inline constexpr int ceff = 60;          // core::CeffIterationOptions::max_iter
-inline constexpr int newton = 100;       // sim::TransientOptions::max_newton
+inline constexpr int newton = 100;       // the transient's Newton loop
 }  // namespace iter_defaults
 
 // Declarative budget spec.  Zero / negative limits and a null token mean

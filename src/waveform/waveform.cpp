@@ -64,11 +64,6 @@ std::optional<double> Waveform::last_crossing(double level, bool rising) const {
   return result;
 }
 
-double Waveform::min_value() const {
-  ensure(!v_.empty(), "Waveform: empty");
-  return *std::min_element(v_.begin(), v_.end());
-}
-
 double Waveform::max_value() const {
   ensure(!v_.empty(), "Waveform: empty");
   return *std::max_element(v_.begin(), v_.end());

@@ -52,7 +52,6 @@ public:
   // Last time the waveform is at `level` moving in the given direction.
   std::optional<double> last_crossing(double level, bool rising = true) const;
 
-  double min_value() const;
   double max_value() const;
   double final_value() const { return v_.empty() ? 0.0 : v_.back(); }
 

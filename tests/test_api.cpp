@@ -737,5 +737,125 @@ TEST_F(EngineFixture, BatchedReplayIsolatesBudgetedSlot) {
   }
 }
 
+void expect_edge_bitwise(const core::EdgeMetrics& a, const core::EdgeMetrics& b,
+                         const char* what) {
+  EXPECT_EQ(api_dbits(a.delay), api_dbits(b.delay)) << what << " delay";
+  EXPECT_EQ(api_dbits(a.slew), api_dbits(b.slew)) << what << " slew";
+}
+
+TEST_F(EngineFixture, DeferredReplayMetersTheSlotBudgetExactly) {
+  // A deferred replay charges the tracker its slot's pass armed, one step
+  // per accepted step of its block lane, exactly as the inline replay
+  // charges it per scalar step: the smallest step budget at which
+  // Engine::model() answers the slot is the one at which the same slot,
+  // deferred into a block between two equal-topology mates, answers.  Kept
+  // waveforms run the full horizon (the middle lane ends on the block's tail
+  // step); dropped ones end at the measured-edge stop.
+  for (const bool keep : {true, false}) {
+    SCOPED_TRACE(keep ? "kept waveforms" : "edge stop");
+    std::vector<Request> requests = {replay_request("mate-60", 60 * ps),
+                                     replay_request("metered", 100 * ps),
+                                     replay_request("mate-160", 160 * ps)};
+    for (Request& r : requests) r.keep_waveforms = keep;
+    const auto with_budget = [&](std::int64_t steps) {
+      std::vector<Request> budgeted = requests;
+      budgeted[1].budget.max_transient_steps = steps;
+      return budgeted;
+    };
+    const auto answers = [&](std::int64_t steps) {
+      return engine_->model(with_budget(steps)[1], fast_options()).ok();
+    };
+
+    // Bisect for the smallest budget the inline replay answers at.
+    ASSERT_FALSE(answers(1));
+    std::int64_t lo = 1;
+    std::int64_t hi = 2;
+    while (!answers(hi)) {
+      lo = hi;
+      hi *= 2;
+      ASSERT_LT(hi, std::int64_t{1} << 24);
+    }
+    while (hi - lo > 1) {
+      const std::int64_t mid = lo + (hi - lo) / 2;
+      (answers(mid) ? hi : lo) = mid;
+    }
+    const Outcome<Response> inline_answer =
+        engine_->model(with_budget(hi)[1], fast_options());
+    ASSERT_TRUE(inline_answer.ok());
+    const Outcome<Response> inline_short =
+        engine_->model(with_budget(hi - 1)[1], fast_options());
+    ASSERT_FALSE(inline_short.ok());
+    EXPECT_EQ(ErrorCode::resource_exhausted, inline_short.error().code);
+
+    for (const unsigned workers : {1u, 4u}) {
+      SCOPED_TRACE(std::to_string(workers) + " worker(s)");
+      BatchOptions options = fast_options();
+      options.n_threads = workers;
+      const std::vector<Outcome<Response>> clean = engine_->run_batch(requests, options);
+      const std::vector<Outcome<Response>> at = engine_->run_batch(with_budget(hi), options);
+      const std::vector<Outcome<Response>> below =
+          engine_->run_batch(with_budget(hi - 1), options);
+
+      ASSERT_TRUE(at[1].ok()) << at[1].error().message;
+      expect_edge_bitwise(inline_answer.value().model_far, at[1].value().model_far,
+                          "model_far");
+      expect_wave_bitwise(inline_answer.value().model_far_wave,
+                          at[1].value().model_far_wave);
+      ASSERT_FALSE(below[1].ok());
+      EXPECT_EQ(ErrorCode::resource_exhausted, below[1].error().code);
+      for (std::size_t i : {std::size_t{0}, std::size_t{2}}) {
+        ASSERT_TRUE(clean[i].ok() && at[i].ok() && below[i].ok()) << requests[i].label;
+        for (const auto* run : {&at, &below}) {
+          expect_edge_bitwise(clean[i].value().model_far, (*run)[i].value().model_far,
+                              "mate model_far");
+          expect_wave_bitwise(clean[i].value().model_far_wave,
+                              (*run)[i].value().model_far_wave);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(EngineFixture, FarEndReplayEqualsTheTierCFarEnd) {
+  // One net, slew and cell, waveforms kept: a far_end_replay slot replays
+  // the same model through the same deck as the Tier-C harness's replay
+  // column (Request::reference), so every modeled number agrees bit for bit,
+  // per slot and batched (where a mate puts the replay into a block).
+  Request replay = replay_request("replay", 100 * ps);
+  Request reference = inductive_request("reference");
+  reference.reference = true;
+  reference.keep_waveforms = true;
+  const auto expect_same = [](const Response& a, const Response& b) {
+    EXPECT_EQ(api_dbits(a.model.t50), api_dbits(b.model.t50));
+    EXPECT_EQ(api_dbits(a.model.ceff1.ceff), api_dbits(b.model.ceff1.ceff));
+    EXPECT_EQ(api_dbits(a.model.ceff2.ceff), api_dbits(b.model.ceff2.ceff));
+    EXPECT_EQ(api_dbits(a.model.ceff3.ceff), api_dbits(b.model.ceff3.ceff));
+    expect_edge_bitwise(a.model_near, b.model_near, "model_near");
+    ASSERT_TRUE(a.has_model_far && b.has_model_far);
+    expect_edge_bitwise(a.model_far, b.model_far, "model_far");
+    EXPECT_EQ(api_dbits(a.input_time_50), api_dbits(b.input_time_50));
+    ASSERT_GT(a.model_far_wave.size(), 0u);
+    expect_wave_bitwise(a.model_far_wave, b.model_far_wave);
+  };
+
+  {
+    SCOPED_TRACE("per slot");
+    const Outcome<Response> a = engine_->model(replay, fast_options());
+    const Outcome<Response> b = engine_->model(reference, fast_options());
+    ASSERT_TRUE(a.ok() && b.ok());
+    expect_same(a.value(), b.value());
+  }
+  const std::vector<Request> requests = {replay, reference,
+                                         replay_request("mate", 160 * ps)};
+  for (const bool batch : {true, false}) {
+    SCOPED_TRACE(batch ? "batched" : "batch_scenarios off");
+    BatchOptions options = fast_options();
+    options.batch_scenarios = batch;
+    const std::vector<Outcome<Response>> results = engine_->run_batch(requests, options);
+    ASSERT_TRUE(results[0].ok() && results[1].ok());
+    expect_same(results[0].value(), results[1].value());
+  }
+}
+
 }  // namespace
 }  // namespace rlceff::api

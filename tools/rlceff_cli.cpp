@@ -78,9 +78,11 @@
 //                        when no slot has an error-severity finding, 2
 //                        otherwise (warn/info never fail the run)
 //     --tier <policy>    multi-fidelity cascade policy (tier/tier.h):
-//                        balanced (cheapest tier whose calibrated envelope
-//                        admits each net, escalating A->B->C), fastest (A
-//                        when admitted, B otherwise, never C), or a forced
+//                        balanced (A when its applicability screen admits
+//                        the net, B otherwise, and C only when a Tier-B
+//                        Ceff solve runs out of its iteration cap; no
+//                        error envelope is consulted), fastest (A when
+//                        admitted, B otherwise, never C), or a forced
 //                        tier a|b|c (force_analytical / force_ceff /
 //                        force_reference).  Default: no routing — requests
 //                        behave exactly as before the cascade existed.
