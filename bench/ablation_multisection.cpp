@@ -8,7 +8,7 @@
 // multi-section driving-point moments (exact per-section Telegrapher cascade)
 // while the reference simulates the compiled three-ladder deck, so the table
 // tracks how the single-Z0 two-ramp assumption degrades as the route turns
-// non-uniform.  Cases run in parallel through sim::run_sweep.
+// non-uniform.  Cases run in parallel through api::Engine::run_batch.
 #include <cstdio>
 
 #include <array>

@@ -41,14 +41,6 @@ std::size_t CellLibrary::size() const {
   return drivers_.size();
 }
 
-std::vector<double> CellLibrary::cell_sizes() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<double> sizes;
-  sizes.reserve(drivers_.size());
-  for (const CharacterizedDriver& d : drivers_) sizes.push_back(d.cell().size);
-  return sizes;
-}
-
 void CellLibrary::add(CharacterizedDriver driver) {
   const std::lock_guard<std::mutex> lock(mutex_);
   ensure(find_locked(driver.cell().size) == nullptr,

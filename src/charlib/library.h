@@ -35,8 +35,6 @@ public:
   CellLibrary& operator=(const CellLibrary&) = delete;
 
   std::size_t size() const;
-  // Snapshot of the characterized drive strengths, in insertion order.
-  std::vector<double> cell_sizes() const;
 
   void add(CharacterizedDriver driver);
 

@@ -36,8 +36,6 @@ public:
 
   // Unknown index of a node voltage; node must not be ground.
   std::size_t node_index(NodeId n) const;
-  // True when the node has an unknown (i.e. is not ground).
-  static bool has_unknown(NodeId n) { return n != ground; }
 
   std::size_t vsource_index(std::size_t k) const;
   std::size_t inductor_index(std::size_t k) const;

@@ -253,10 +253,10 @@ void check_net_model(const net::Net& net, const Options& options,
 
 // Predicts the tier the multi-fidelity cascade would route this net to under
 // the caller's policy — the static (table-free) version of the router's
-// screen, with the input slew standing in for the driver output transition.
-// A forced tier the screen would refuse is a warning: the pin will be
-// honored, but the calibrated envelope for that tier no longer covers the
-// result.
+// screen on Tier A's own load model, with the input slew standing in for the
+// driver output transition.  A forced tier the screen would refuse is a
+// warning: the pin will be honored, but the calibrated envelope for that
+// tier no longer covers the result.
 void check_net_tier(const net::Net& net, const Options& options,
                     std::vector<Diagnostic>& out) {
   using tier::TierPolicy;
@@ -354,10 +354,13 @@ Report lint_group(const net::CoupledGroup& group, const Options& options) {
   }
 
   // Member nets first, with a "net 'label'" path prefix; the group-level
-  // conditioning pass below replaces the per-net one.
+  // conditioning pass below replaces the per-net one.  No tier prediction:
+  // Tier A serves the victim's Miller-decoupled net, which depends on the
+  // request's aggressors, and a member is not the net it serves.
   Options member = options;
   member.require_probes.clear();
   member.conditioning = false;
+  member.tier_policy = tier::TierPolicy::reference;
   for (std::size_t k = 0; k < group.size(); ++k) {
     Report sub = lint_net(group.net_at(k), member);
     for (Diagnostic& d : sub.diagnostics) {

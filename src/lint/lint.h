@@ -64,12 +64,14 @@ struct Options {
   double driver_resistance = 0.0;  // Thevenin estimate [ohm]
   double input_slew = 0.0;         // Tr1 proxy [s]
 
-  // Tier routing prediction (model pass, needs the driver context above):
-  // emits tier_advisory with the tier the static screen
+  // Tier routing prediction (model pass, needs the driver context above),
+  // lint_net only: emits tier_advisory with the tier the static screen
   // (tier::admit_analytical_static) predicts the cascade would route this
   // net to under `tier_policy`, and tier_pinned_mismatch when a forced
   // policy pins a tier the screen would refuse.  The default policy
   // (reference) skips the prediction — no cascade, nothing to predict.
+  // lint_group predicts nothing: Tier A serves a coupled victim's
+  // Miller-decoupled net, which only the request's aggressors define.
   tier::TierPolicy tier_policy = tier::TierPolicy::reference;
 };
 
@@ -95,9 +97,9 @@ Report lint_branch(const net::Branch& root, const Options& options = {});
 Report lint_net(const net::Net& net, const Options& options = {});
 
 // Group analysis: every member net is linted (paths gain a "net 'label'"
-// prefix), then the coupling elements are screened (accumulated k vs 1,
-// coupling-vs-ground capacitance, Miller applicability) and the coupled
-// deck's conditioning is predicted.
+// prefix; no tier prediction), then the coupling elements are screened
+// (accumulated k vs 1, coupling-vs-ground capacitance, Miller
+// applicability) and the coupled deck's conditioning is predicted.
 Report lint_group(const net::CoupledGroup& group, const Options& options = {});
 
 // Compiled-deck analysis: node connectivity (unreachable / DC-floating

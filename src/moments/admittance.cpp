@@ -106,141 +106,6 @@ Series net_admittance(const net::Net& net, std::size_t order) {
 
 namespace {
 
-// The shield_pi walk needs the capacitance at or below every branch before
-// prefix voltages can flow down, so pass 1 stores subtree totals in
-// traversal order and pass 2 consumes them through a cursor.
-double collect_subtree_caps(const net::Branch& branch, std::vector<double>& caps) {
-  const std::size_t slot = caps.size();
-  caps.push_back(0.0);
-  double total = branch.c_load;
-  for (const net::Section& s : branch.sections) total += s.capacitance;
-  for (const net::Branch& child : branch.children) {
-    total += collect_subtree_caps(child, caps);
-  }
-  caps[slot] = total;
-  return total;
-}
-
-// Exact first three RC moments of the driving-point admittance, as one tree
-// walk.  With V = 1 at the root and node voltage expansions
-// v_i = 1 + s*a_i + s^2*b_i + ..., the admittance is
-//
-//   Y(s) = s*y1 + s^2*y2 + s^3*y3 + ...,   y1 = sum C_i,
-//   y2 = sum_i C_i a_i = -sum_e R_e Cdown(e)^2,
-//   y3 = sum_i C_i b_i = -sum_e R_e Cdown(e) Adown(e),
-//
-// where Adown(e) = sum of C_j a_j over the capacitance below edge e.  The
-// walk computes prefix a forward (root to leaves; needs only Cdown, from
-// pass 1), then folds Adown backward; distributed sections use the closed
-// polynomial integrals of a(x), Cdown(x) over the section length.
-struct PiWalker {
-  const std::vector<double>& caps;
-  std::size_t cursor = 0;
-  double y2_neg = 0.0;  // -y2 = sum R Cdown^2  (>= 0)
-  double y3 = 0.0;      // -sum R Cdown Adown   (>= 0)
-
-  // Enters `branch` with root-path prefix a0; returns sum C_j a_j over the
-  // branch's subtree.
-  double walk(const net::Branch& branch, double a0) {
-    const double subtree = caps[cursor++];
-
-    // Forward sweep: prefix a at each section entry.  A lumped section's C
-    // hangs at the far end of its R; a distributed section's exact far-end
-    // prefix drop is R*(E + C/2) for downstream load E.
-    const std::size_t n = branch.sections.size();
-    std::vector<double> a_entry(n);
-    double below = subtree;
-    double a = a0;
-    for (std::size_t k = 0; k < n; ++k) {
-      const net::Section& s = branch.sections[k];
-      a_entry[k] = a;
-      if (s.kind == net::SectionKind::lumped) {
-        a -= s.resistance * below;
-        below -= s.capacitance;
-      } else {
-        below -= s.capacitance;
-        a -= s.resistance * (below + 0.5 * s.capacitance);
-      }
-    }
-
-    // Children and the leaf load sit at the far end of the section chain.
-    double a_sum = branch.c_load * a;
-    for (const net::Branch& child : branch.children) a_sum += walk(child, a);
-
-    // Backward sweep: fold Adown up through the sections.
-    for (std::size_t k = n; k-- > 0;) {
-      const net::Section& s = branch.sections[k];
-      const double r = s.resistance;
-      const double c = s.capacitance;
-      if (s.kind == net::SectionKind::lumped) {
-        const double cdown = below + c;
-        const double a_node = a_entry[k] - r * cdown;
-        a_sum += c * a_node;
-        y2_neg += r * cdown * cdown;
-        y3 -= r * cdown * a_sum;
-        below = cdown;
-      } else {
-        // a(x) = a0 - P*x + Q*x^2 along the section (x in [0,1]), with
-        // P = R*(E + C), Q = R*C/2; S(x) = int_x^1 C*a dx' has polynomial
-        // coefficients s0..s3, and Cdown(x) = d0 + d1*x.
-        const double e_load = below;
-        const double p = r * (e_load + c);
-        const double q = 0.5 * r * c;
-        const double s0 = a_entry[k] - 0.5 * p + q / 3.0;
-        const double s1 = -a_entry[k];
-        const double s2 = 0.5 * p;
-        const double s3 = -q / 3.0;
-        const double d0 = e_load + c;
-        const double d1 = -c;
-        const double int_cd = e_load + 0.5 * c;  // int_0^1 Cdown dx
-        const double int_cd_s =
-            c * (d0 * (s0 + s1 / 2.0 + s2 / 3.0 + s3 / 4.0) +
-                 d1 * (s0 / 2.0 + s1 / 3.0 + s2 / 4.0 + s3 / 5.0));
-        y2_neg += r * (e_load * e_load + e_load * c + c * c / 3.0);
-        y3 -= r * (a_sum * int_cd + int_cd_s);
-        a_sum += c * s0;  // the section's own capacitance, at prefix a(x)
-        below = e_load + c;
-      }
-    }
-    return a_sum;
-  }
-};
-
-}  // namespace
-
-PiLoad shield_pi(const net::Net& net) {
-  std::vector<double> caps;
-  const double c_total = collect_subtree_caps(net.root(), caps);
-
-  PiWalker walker{caps};
-  (void)walker.walk(net.root(), 0.0);
-
-  PiLoad pi;
-  pi.c_total = c_total;
-  pi.tau = c_total > 0.0 ? walker.y2_neg / c_total : 0.0;
-  if (walker.y2_neg <= 0.0 || walker.y3 <= 0.0) {
-    // Resistance-free (or numerically degenerate) tree: no shielding.
-    pi.c_near = c_total;
-    return pi;
-  }
-  const double c_far = walker.y2_neg * walker.y2_neg / walker.y3;
-  if (c_far >= c_total) {
-    // Moment pattern outside the pi template; collapse to the single-pole
-    // model, which is always realizable.
-    pi.c_near = 0.0;
-    pi.c_far = c_total;
-    pi.r = pi.tau > 0.0 && c_total > 0.0 ? pi.tau / c_total : 0.0;
-    return pi;
-  }
-  pi.c_far = c_far;
-  pi.c_near = c_total - c_far;
-  pi.r = walker.y3 * walker.y3 /
-         (walker.y2_neg * walker.y2_neg * walker.y2_neg);
-  return pi;
-}
-
-namespace {
-
 // Flattened tree for the fast moment sweeps: node 0 is the driving point
 // (no edge), every other node hangs off parent[m] < m through a series
 // (r[m], l[m]) with shunt c[m] at its far end.
@@ -258,8 +123,10 @@ struct FlatNet {
   }
 };
 
-void flatten_branch(const net::Branch& branch, int entry, FlatNet& flat,
-                    std::size_t ladder_segments) {
+// Steps of the ladder each distributed section becomes.
+constexpr std::size_t kLadderSegments = 4;
+
+void flatten_branch(const net::Branch& branch, int entry, FlatNet& flat) {
   int node = entry;
   for (const net::Section& s : branch.sections) {
     if (s.kind == net::SectionKind::lumped) {
@@ -267,25 +134,22 @@ void flatten_branch(const net::Branch& branch, int entry, FlatNet& flat,
     } else {
       // Half end caps (pi segments): keeps the lumped moments within
       // O(1/n^2) of the exact distributed integrals.
-      const double n = static_cast<double>(ladder_segments);
+      const double n = static_cast<double>(kLadderSegments);
       flat.c[node] += 0.5 * s.capacitance / n;
-      for (std::size_t k = 0; k < ladder_segments; ++k) {
+      for (std::size_t k = 0; k < kLadderSegments; ++k) {
         const double shunt =
-            (k + 1 == ladder_segments ? 0.5 : 1.0) * s.capacitance / n;
+            (k + 1 == kLadderSegments ? 0.5 : 1.0) * s.capacitance / n;
         node = flat.add(node, s.resistance / n, s.inductance / n, shunt);
       }
     }
   }
   flat.c[node] += branch.c_load;
-  for (const net::Branch& child : branch.children) {
-    flatten_branch(child, node, flat, ladder_segments);
-  }
+  for (const net::Branch& child : branch.children) flatten_branch(child, node, flat);
 }
 
 }  // namespace
 
-util::Series fast_net_admittance(const net::Net& net, std::size_t ladder_segments) {
-  ensure(ladder_segments > 0, "fast_net_admittance: need at least one segment");
+util::Series fast_net_admittance(const net::Net& net) {
   // Scratch reused across calls: this runs once per Tier-A slot and fresh
   // vector allocations would dominate the sweeps themselves.
   thread_local FlatNet flat;
@@ -295,7 +159,7 @@ util::Series fast_net_admittance(const net::Net& net, std::size_t ladder_segment
   flat.l.clear();
   flat.c.clear();
   flat.add(-1, 0.0, 0.0, 0.0);  // driving point
-  flatten_branch(net.root(), 0, flat, ladder_segments);
+  flatten_branch(net.root(), 0, flat);
   const std::size_t n = flat.parent.size();
 
   // Voltage expansion v_i(s) = sum_k v^k_i s^k with v^0 = 1 everywhere and

@@ -70,33 +70,16 @@ util::Series distributed_section_admittance(double r_total, double l_total,
 // uniform-line expansion, branch points sum their children.
 util::Series net_admittance(const net::Net& net, std::size_t order = default_order);
 
-// O'Brien/Savarino-style pi reduction of the driving-point admittance: the
-// exact first three RC moments y1, y2, y3 (inductance first enters the
-// fourth) mapped onto c_near + r -> c_far, the smallest load template that
-// separates the unshielded near capacitance from the resistively shielded
-// tail.  Computed by two closed-form O(sections) tree walks (distributed
-// sections use exact polynomial integrals) — no series cascade — so the
-// Tier-A screen can afford it per slot.  Degenerate moment patterns
-// (resistance-free nets, or y2^2/y3 >= y1) collapse to a lone capacitor or
-// the single-pole model; c_near + c_far == y1 == Ctotal always holds.
-struct PiLoad {
-  double c_total = 0.0;  // y1 [F]
-  double c_near = 0.0;   // unshielded capacitance at the driving point [F]
-  double c_far = 0.0;    // capacitance behind the shielding resistance [F]
-  double r = 0.0;        // shielding resistance [ohm]
-  double tau = 0.0;      // single-pole constant -y2/y1 [s]
-};
-PiLoad shield_pi(const net::Net& net);
-
 // First five driving-point admittance moments (a Series with coefficients
 // s^0..s^5, s^0 == 0) via a flattened lumped-ladder walk: the tree is
 // flattened once into parent/r/l/c arrays (each distributed section becomes
-// a `ladder_segments`-step ladder with half end caps, exact to O(1/n^2) in
-// the moments), then each moment order is two linear array sweeps — no
-// Series arithmetic, no recursion, no per-section allocation.  This is the
-// Tier-A screen's input to the Eq 3 rational fit: ~20x cheaper than
-// net_admittance and within ~2 % of it on the moments that matter.
-util::Series fast_net_admittance(const net::Net& net, std::size_t ladder_segments = 4);
+// a four-step ladder with half end caps, exact to O(1/n^2) in the moments),
+// then each moment order is two linear array sweeps — no Series arithmetic,
+// no recursion, no per-section allocation.  This is Tier A's input to the
+// Eq 3 rational fit (tier::analytical_load), for the served estimate and
+// lint's static screen alike: ~20x cheaper than net_admittance and within
+// ~2 % of it on the moments that matter.
+util::Series fast_net_admittance(const net::Net& net);
 
 // An RLC tree branch: series (r, l) from the parent, shunt c at the far end
 // of the branch, then children hanging off that node.

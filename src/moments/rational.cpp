@@ -66,12 +66,6 @@ bool RationalAdmittance::complex_poles() const {
   return b2_ != 0.0 && b1_ * b1_ < 4.0 * b2_;
 }
 
-util::Complex RationalAdmittance::evaluate(util::Complex s) const {
-  const util::Complex num = s * (a1_ + s * (a2_ + s * a3_));
-  const util::Complex den = 1.0 + s * (b1_ + s * b2_);
-  return num / den;
-}
-
 util::Series RationalAdmittance::to_series(std::size_t order) const {
   const util::Series num({0.0, a1_, a2_, a3_}, order);
   const util::Series den({1.0, b1_, b2_}, order);

@@ -45,9 +45,6 @@ public:
   // True when pole_count() == 2 and the pair is complex (paper Eq 5/7 case).
   bool complex_poles() const;
 
-  // Y evaluated at a complex frequency (rational form).
-  util::Complex evaluate(util::Complex s) const;
-
   // Taylor re-expansion, for verifying the moment match.
   util::Series to_series(std::size_t order) const;
 

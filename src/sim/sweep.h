@@ -8,10 +8,10 @@
 // scheduling, every task is attempted even when earlier ones fail, and the
 // exception of the lowest failing index is the one rethrown.
 //
-// run_sweep_collect() is the failure-isolating variant the api::Engine batch
-// path uses: instead of rethrowing, every slot carries either its result or
-// the exception that task raised, so one bad scenario cannot abort the rest
-// of the batch.
+// run_indexed_sweep_collect() is the failure-isolating variant the
+// api::Engine batch path uses: instead of rethrowing, every slot carries the
+// exception its task raised (or none), so one bad scenario cannot abort the
+// rest of the batch.
 #ifndef RLCEFF_SIM_SWEEP_H
 #define RLCEFF_SIM_SWEEP_H
 
@@ -19,7 +19,6 @@
 #include <exception>
 #include <functional>
 #include <optional>
-#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -44,41 +43,6 @@ std::vector<std::exception_ptr> run_indexed_sweep_collect(
 void run_indexed_sweep(std::size_t n_tasks,
                        const std::function<void(std::size_t)>& task,
                        unsigned n_threads = 0);
-
-// One slot of run_sweep_collect: either the task's result or the exception
-// it raised.  Exactly one of the two is set.
-template <class Result>
-struct SweepSlot {
-  std::optional<Result> result;
-  std::exception_ptr error;
-
-  bool ok() const { return result.has_value(); }
-};
-
-// Maps `fn` over `scenarios` in parallel with per-slot failure isolation:
-// slots[i] holds fn(scenarios[i])'s result, or the exception it threw.
-template <class Scenario, class Fn>
-auto run_sweep_collect(std::span<const Scenario> scenarios, Fn&& fn,
-                       unsigned n_threads = 0)
-    -> std::vector<SweepSlot<std::decay_t<std::invoke_result_t<Fn&, const Scenario&>>>> {
-  using Result = std::decay_t<std::invoke_result_t<Fn&, const Scenario&>>;
-  std::vector<SweepSlot<Result>> slots(scenarios.size());
-  std::vector<std::exception_ptr> errors = run_indexed_sweep_collect(
-      scenarios.size(),
-      [&](std::size_t i) { slots[i].result.emplace(fn(scenarios[i])); },
-      n_threads);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    slots[i].error = std::move(errors[i]);
-  }
-  return slots;
-}
-
-template <class Scenario, class Fn>
-auto run_sweep_collect(const std::vector<Scenario>& scenarios, Fn&& fn,
-                       unsigned n_threads = 0) {
-  return run_sweep_collect(std::span<const Scenario>(scenarios),
-                           std::forward<Fn>(fn), n_threads);
-}
 
 // Maps `fn` over `scenarios` in parallel; results come back in input order.
 template <class Scenario, class Fn>

@@ -931,14 +931,6 @@ void check_nan_stamp_fault(const net::Net& net, Rng rng,
 
 namespace {
 
-// A horizon long enough for the slowest instance to finish its edges: the
-// experiment harness's settle heuristic.
-double settle_horizon(double input_slew, double cell_size, const net::Net& net,
-                      double extra_cap = 0.0) {
-  return 10 * ps + input_slew +
-         std::max(1 * ns, core::settle_time(cell_size, net.metrics(), extra_cap));
-}
-
 // True when `w` crosses all three rising-edge levels of [0, vdd].
 bool completes_edge(const wave::Waveform& w, double vdd) {
   for (double level : wave::rising_edge_levels(0.0, vdd)) {
@@ -1015,8 +1007,11 @@ void check_measured_edge_stop(const net::Net& net, Rng rng,
   const double vdd = technology.vdd;
   const double cell = rng.pick(kCells);
   const double input_slew = rng.uniform(25 * ps, 300 * ps);
-  const tech::DeckOptions deck =
-      equivalence_deck(options, settle_horizon(input_slew, cell, net));
+  // Horizons long enough for the slowest instance to finish its edges: the
+  // experiment harness's settle heuristic.
+  const net::NetMetrics metrics = net.metrics();
+  tech::DeckOptions deck = equivalence_deck(options, 0.0);
+  deck.t_stop = core::settle_horizon(deck.t_start, input_slew, cell, metrics);
   const wave::Pwl ramp = wave::ramp(deck.t_start, input_slew, 0.0, vdd);
 
   enum class Deck { driver, source, cap_load, block };
@@ -1035,8 +1030,9 @@ void check_measured_edge_stop(const net::Net& net, Rng rng,
     scenarios.reserve(lanes);
     for (std::size_t k = 0; k < lanes; ++k) {
       const double slew = rng.uniform(25 * ps, 300 * ps);
-      lane_decks[k].t_stop = k == short_lane ? deck.t_start + 0.5 * slew
-                                             : settle_horizon(slew, cell, net);
+      lane_decks[k].t_stop = k == short_lane
+                                 ? deck.t_start + 0.5 * slew
+                                 : core::settle_horizon(deck.t_start, slew, cell, metrics);
       lane_decks[k].sim.edge_stop.vdd = vdd;
       compiled.push_back(tech::compile_source_net(
           wave::ramp(deck.t_start, slew, 0.0, vdd), net, lane_decks[k]));
@@ -1101,6 +1097,7 @@ void check_measured_edge_stop(const net::CoupledGroup& group, Rng rng,
                               const OracleOptions& options) {
   const tech::Technology technology = tech::Technology::cmos180();
   const double vdd = technology.vdd;
+  const double t_start = tech::DeckOptions{}.t_start;
   double t_stop = 0.0;
   std::vector<tech::NetDrive> drives(group.size());
   for (std::size_t k = 0; k < group.size(); ++k) {
@@ -1109,9 +1106,10 @@ void check_measured_edge_stop(const net::CoupledGroup& group, Rng rng,
     const tech::DriveEdge edges[] = {tech::DriveEdge::rise, tech::DriveEdge::fall,
                                      tech::DriveEdge::hold_low};
     drives[k].edge = edges[rng.uniform_index(3)];
-    t_stop = std::max(t_stop, settle_horizon(drives[k].input_slew, drives[k].cell.size,
-                                             group.net_at(k),
-                                             group.coupling_capacitance_at(k)));
+    t_stop = std::max(t_stop, core::settle_horizon(t_start, drives[k].input_slew,
+                                                   drives[k].cell.size,
+                                                   group.net_at(k).metrics(),
+                                                   group.coupling_capacitance_at(k)));
   }
   drives[0].edge = tech::DriveEdge::rise;  // at least one watched net
 

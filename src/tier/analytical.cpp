@@ -9,14 +9,6 @@
 
 namespace rlceff::tier {
 
-double shield_factor(double x) {
-  if (!(x > 0.0)) return 0.0;
-  // Below ~1e-4 the direct form loses precision to cancellation; the series
-  // g(x) = x/2 - x^2/6 + ... is exact to double precision there.
-  if (x < 1e-4) return x * (0.5 - x / 6.0);
-  return 1.0 - (1.0 - std::exp(-x)) / x;
-}
-
 namespace {
 
 // Tier A's fixed-point solver: secant steps on the residual
@@ -62,18 +54,19 @@ core::CeffIteration solve_ceff(const charlib::CharacterizedDriver& driver,
 
 }  // namespace
 
-AnalyticalEstimate analytical_estimate(const charlib::CharacterizedDriver& driver,
-                                       double input_slew, const net::Net& net) {
-  AnalyticalEstimate out;
-  out.metrics = net.metrics_relaxed();
-
+core::ChargeModel analytical_load(const net::Net& net) {
   // The same 5-moment charge model the Ceff flow fits, but from the flattened
   // fast walk instead of the Series cascade.  Sharing the load model keeps
   // Tier A's shielded capacitances on top of Tier B's by construction; the
   // only divergence left is the ladder discretization of the moments.
-  const util::Series y = moments::fast_net_admittance(net);
-  const moments::RationalAdmittance fit(y);
-  const core::ChargeModel load(fit);
+  return core::ChargeModel(moments::RationalAdmittance(moments::fast_net_admittance(net)));
+}
+
+AnalyticalEstimate analytical_estimate(const charlib::CharacterizedDriver& driver,
+                                       double input_slew, const net::Net& net) {
+  AnalyticalEstimate out;
+  out.metrics = net.metrics_relaxed();
+  const core::ChargeModel load = analytical_load(net);
 
   const double c_total = out.metrics.total_capacitance();
   const double rs = driver.driver_resistance(input_slew, c_total);
@@ -140,7 +133,7 @@ AnalyticalEstimate analytical_estimate(const charlib::CharacterizedDriver& drive
   }
 
   m.f = f;
-  m.admittance = fit;
+  m.admittance = load.admittance();
   m.t50 = out.delay;
   if (f < 1.0) {
     m.kind = core::ModelKind::two_ramp;

@@ -41,6 +41,7 @@
 
 #include <cstddef>
 
+#include "core/charge.h"
 #include "core/driver_model.h"
 #include "moments/admittance.h"
 #include "net/net.h"
@@ -65,9 +66,17 @@ struct AnalyticalEstimate {
   net::NetMetrics metrics;  // relaxed dominant-path metrics (z0 == 0 for RC)
 };
 
+// Tier A's load model of a net: the fast-walk moments
+// (moments::fast_net_admittance), their Eq 3 rational fit, and its charge
+// model.  The estimate below and lint's static screen
+// (admit_analytical_static) both read shielding off this one model.  Throws
+// when the fit has no usable charge model (an unstable pole, or no
+// capacitance).
+core::ChargeModel analytical_load(const net::Net& net);
+
 // The closed-form estimate.  Uses net::Net::metrics_relaxed, so pure-RC nets
-// (the tier's best customers) are fine; throws only when the net is empty or
-// has no capacitance.  model.criteria is evaluated when the net has an L-C
+// (the tier's best customers) are fine; throws when the net is empty or
+// analytical_load throws.  model.criteria is evaluated when the net has an L-C
 // path and reports not-significant otherwise.
 AnalyticalEstimate analytical_estimate(const charlib::CharacterizedDriver& driver,
                                        double input_slew, const net::Net& net);
@@ -77,11 +86,6 @@ AnalyticalEstimate analytical_estimate(const charlib::CharacterizedDriver& drive
 // victim and Cg the victim net's own total capacitance.  Returns 0 for an
 // uncoupled victim.
 double noise_bound(const net::CoupledGroup& group, std::size_t victim, double vdd);
-
-// The shield factor g(x) = 1 - (1 - e^-x) / x in (0, 1), monotone in
-// x = T / tau (exposed for tests; g -> 1 as the window stretches, -> x/2 as
-// it sharpens).
-double shield_factor(double x);
 
 }  // namespace rlceff::tier
 

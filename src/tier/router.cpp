@@ -1,7 +1,8 @@
 #include "tier/router.h"
 
-#include "moments/admittance.h"
+#include "core/ceff.h"
 #include "net/coupled.h"
+#include "util/error.h"
 
 namespace rlceff::tier {
 
@@ -10,21 +11,23 @@ namespace {
 constexpr double kMinShielding = 0.05;        // Ceff/Ctotal floor for Tier A
 constexpr double kMaxCouplingFraction = 0.4;  // Cc/(Cc+Cg) ceiling, coupled Tier A
 
+// The single-net predicates of the Tier A screen, in their one order, for
+// the served screen and the static one alike.
+Admission screen(bool inductance_significant, bool converged, double shielding) {
+  if (inductance_significant) return {false, "inductance_significant"};
+  if (!converged) return {false, "fixed_point_stalled"};
+  if (shielding < kMinShielding) return {false, "deep_shielding"};
+  return {};
+}
+
 }  // namespace
 
 Admission admit_analytical(const AnalyticalEstimate& estimate) {
-  if (estimate.model.criteria.significant()) {
-    return {false, "inductance_significant"};
-  }
-  if (!estimate.model.ceff1.converged ||
-      (estimate.model.kind == core::ModelKind::two_ramp &&
-       !estimate.model.ceff2.converged)) {
-    return {false, "fixed_point_stalled"};
-  }
-  if (estimate.shielding < kMinShielding) {
-    return {false, "deep_shielding"};
-  }
-  return {};
+  const core::DriverOutputModel& m = estimate.model;
+  return screen(m.criteria.significant(),
+                m.ceff1.converged &&
+                    (m.kind != core::ModelKind::two_ramp || m.ceff2.converged),
+                estimate.shielding);
 }
 
 Admission admit_group_analytical(const net::CoupledGroup& group, std::size_t victim) {
@@ -48,24 +51,25 @@ Admission admit_group_analytical(const net::CoupledGroup& group, std::size_t vic
 Admission admit_analytical_static(const net::Net& net, double driver_resistance,
                                   double input_slew) {
   const net::NetMetrics metrics = net.metrics_relaxed();
-  if (metrics.time_of_flight > 0.0 && driver_resistance > 0.0 &&
-      input_slew > 0.0) {
-    const core::InductanceCriteria criteria = core::evaluate_criteria(
-        metrics.z0, metrics.time_of_flight, metrics.path_resistance,
-        metrics.wire_capacitance, metrics.path_load, driver_resistance,
-        input_slew);
-    if (criteria.significant()) return {false, "inductance_significant"};
+  const bool significant =
+      metrics.time_of_flight > 0.0 && driver_resistance > 0.0 && input_slew > 0.0 &&
+      core::evaluate_criteria(metrics.z0, metrics.time_of_flight,
+                              metrics.path_resistance, metrics.wire_capacitance,
+                              metrics.path_load, driver_resistance, input_slew)
+          .significant();
+  // Shielding over the whole transition, as Tier A's one-ramp solve reads
+  // it, with the input slew for the ramp time.  A fit the served screen
+  // could not use is refused as the Engine refuses it.
+  double shielding = 1.0;
+  if (!significant && input_slew > 0.0) {
+    try {
+      shielding = core::ceff_single(analytical_load(net), input_slew) /
+                  metrics.total_capacitance();
+    } catch (const Error&) {
+      return {false, "estimate_failed"};
+    }
   }
-  if (input_slew > 0.0) {
-    const moments::PiLoad pi = moments::shield_pi(net);
-    const double tau = pi.r * pi.c_far;
-    const double shielded =
-        tau > 0.0 ? pi.c_near + pi.c_far * shield_factor(input_slew / tau)
-                  : pi.c_total;
-    const double shielding = pi.c_total > 0.0 ? shielded / pi.c_total : 1.0;
-    if (shielding < kMinShielding) return {false, "deep_shielding"};
-  }
-  return {};
+  return screen(significant, true, shielding);
 }
 
 Tier route(TierPolicy policy, const Admission& admission, bool request_reference) {

@@ -7,6 +7,8 @@
 //   Tier A is refused when
 //     * the Eq 9 inductance criteria hold (transmission-line response needs
 //       the two-ramp flow; a single shielded capacitance misses the plateau),
+//     * the closed form throws (an Eq 3 fit with an unstable pole, a
+//       degenerate net): "estimate_failed",
 //     * shielding is deep (Ceff / Ctotal below 0.05: when almost the
 //       whole load hides behind the shield, the screen's pure table read
 //       drifts from the simulated near-end waveform that defines Tier B;
@@ -24,7 +26,12 @@
 // admit_analytical screens a computed estimate (the engine path);
 // admit_analytical_static screens from the topology plus the caller's driver
 // context alone — no cell tables — using the input slew as the transition
-// proxy, which is what lint::solver_advisory runs before any solve exists.
+// proxy.  It is lint's tier prediction (lint::Options::tier_policy), run
+// before any solve exists.  Both return through one predicate list, and the
+// static screen reads shielding off Tier A's own load model
+// (tier::analytical_load); lacking the cell tables, it takes the input slew
+// and an estimated Rs where the served screen has the converged ramp and
+// the table's Rs.
 #ifndef RLCEFF_TIER_ROUTER_H
 #define RLCEFF_TIER_ROUTER_H
 
@@ -43,8 +50,8 @@ struct Admission {
   bool ok = true;
   // "" when admitted; otherwise a stable tag naming the failed predicate:
   // "inductance_significant", "deep_shielding", "fixed_point_stalled",
-  // "coupling_heavy"; the engine adds "estimate_failed" when the closed
-  // form itself throws.
+  // "coupling_heavy", or "estimate_failed" when the closed form itself
+  // throws (the engine's screen and the static one alike).
   const char* reason = "";
 };
 
@@ -55,10 +62,14 @@ Admission admit_analytical(const AnalyticalEstimate& estimate);
 // The coupled-group part of the Tier A screen for one victim.
 Admission admit_group_analytical(const net::CoupledGroup& group, std::size_t victim);
 
-// Table-free screen for static analysis: same predicates, with the input
-// slew standing in for the driver output transition (rs likewise an
-// estimate, e.g. lint::estimate_driver_resistance).  Pass
-// driver_resistance <= 0 to skip the criteria predicate (no driver context).
+// Table-free screen for static analysis: the single-net predicates above,
+// in the same order, with the input slew standing in for the driver output
+// transition (rs likewise an estimate, e.g.
+// lint::estimate_driver_resistance).  Eq 9 comes first; then shielding is
+// core::ceff_single on tier::analytical_load over the input slew, and a load
+// model that throws refuses with "estimate_failed".  No fixed point runs, so
+// "fixed_point_stalled" never appears.  Pass driver_resistance <= 0 to skip
+// the criteria predicate (no driver context), input_slew <= 0 to skip both.
 Admission admit_analytical_static(const net::Net& net, double driver_resistance,
                                   double input_slew);
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/error.h"
-#include "util/linalg.h"
 
 namespace rlceff::util {
 
@@ -85,31 +84,6 @@ Complex polyval(std::span<const double> coeffs, Complex x) {
   Complex acc = 0.0;
   for (std::size_t k = coeffs.size(); k-- > 0;) acc = acc * x + coeffs[k];
   return acc;
-}
-
-std::vector<double> polyfit(std::span<const double> x, std::span<const double> y,
-                            int degree) {
-  ensure(degree >= 0, "polyfit: negative degree");
-  ensure(x.size() == y.size(), "polyfit: size mismatch");
-  const auto n = static_cast<std::size_t>(degree) + 1;
-  ensure(x.size() >= n, "polyfit: not enough samples");
-
-  DenseMatrix ata(n, n);
-  std::vector<double> atb(n, 0.0);
-  std::vector<double> powers(2 * n - 1, 0.0);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    double p = 1.0;
-    for (std::size_t k = 0; k < powers.size(); ++k) {
-      powers[k] = p;
-      p *= x[i];
-    }
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = 0; c < n; ++c) ata(r, c) += powers[r + c];
-      atb[r] += powers[r] * y[i];
-    }
-  }
-  LuFactors lu = lu_factor(ata);
-  return lu_solve(lu, atb);
 }
 
 }  // namespace rlceff::util

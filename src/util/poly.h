@@ -9,7 +9,6 @@
 #include <array>
 #include <complex>
 #include <span>
-#include <vector>
 
 namespace rlceff::util {
 
@@ -26,11 +25,6 @@ std::array<Complex, 3> cubic_roots(double a, double b, double c, double d);
 // Evaluate sum_k coeffs[k] * x^k.
 double polyval(std::span<const double> coeffs, double x);
 Complex polyval(std::span<const double> coeffs, Complex x);
-
-// Least-squares fit of a degree-`degree` polynomial to (x, y) samples via
-// normal equations (small degrees only).  Returns coefficients c[0..degree].
-std::vector<double> polyfit(std::span<const double> x, std::span<const double> y,
-                            int degree);
 
 }  // namespace rlceff::util
 

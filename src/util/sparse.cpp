@@ -61,15 +61,6 @@ std::size_t SparseMatrix::position(std::size_t r, std::size_t c) const {
   return static_cast<std::size_t>(it - row_ind_.begin());
 }
 
-double SparseMatrix::get(std::size_t r, std::size_t c) const {
-  ensure(r < n_ && c < n_, "SparseMatrix: position out of range");
-  const auto begin = row_ind_.begin() + static_cast<std::ptrdiff_t>(col_ptr_[c]);
-  const auto end = row_ind_.begin() + static_cast<std::ptrdiff_t>(col_ptr_[c + 1]);
-  const auto it = std::lower_bound(begin, end, r);
-  if (it == end || *it != r) return 0.0;
-  return values_[static_cast<std::size_t>(it - row_ind_.begin())];
-}
-
 void SparseMatrix::copy_values_from(const SparseMatrix& other) {
   ensure(n_ == other.n_ && row_ind_.size() == other.row_ind_.size(),
          "SparseMatrix::copy_values_from: pattern mismatch");

@@ -48,7 +48,6 @@ public:
 
   void set_zero();
   void add(std::size_t r, std::size_t c, double v) { values_[position(r, c)] += v; }
-  double get(std::size_t r, std::size_t c) const;
 
   // Flat index of (r, c) within values(); throws when outside the pattern.
   // Restamping hot paths resolve positions once and then write through them.
@@ -106,9 +105,6 @@ public:
   // afterwards; no budget checkpoints (the scenario-batching caller charges
   // per-lane step budgets instead).
   void solve_block(std::span<double> x, std::size_t lanes, std::size_t stride) const;
-
-  // Fill diagnostics (valid after factor): stored entries of L + U.
-  std::size_t factor_nnz() const { return li_.size() + ui_.size(); }
 
 private:
   template <class Lanes>

@@ -113,10 +113,4 @@ Pwl three_piece(double t0, double f, double tr1, double t_plateau, double tr2,
   return Pwl({{t0, 0.0}, {t_break, f * vdd}, {t_resume, f * vdd}, {t_final, vdd}});
 }
 
-Pwl falling_from_rising(const Pwl& rising, double vdd) {
-  std::vector<std::pair<double, double>> pts = rising.points();
-  for (auto& [t, v] : pts) v = vdd - v;
-  return Pwl(std::move(pts));
-}
-
 }  // namespace rlceff::wave

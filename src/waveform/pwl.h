@@ -52,9 +52,6 @@ Pwl two_ramp(double t0, double f, double tr1, double tr2, double vdd);
 Pwl three_piece(double t0, double f, double tr1, double t_plateau, double tr2,
                 double vdd);
 
-// Mirrors a rising PWL into the falling waveform vdd - V(t).
-Pwl falling_from_rising(const Pwl& rising, double vdd);
-
 }  // namespace rlceff::wave
 
 #endif  // RLCEFF_WAVEFORM_PWL_H

@@ -50,25 +50,6 @@ std::optional<double> Waveform::first_crossing(double level, bool rising) const 
   return std::nullopt;
 }
 
-std::optional<double> Waveform::last_crossing(double level, bool rising) const {
-  std::optional<double> result;
-  for (std::size_t i = 1; i < t_.size(); ++i) {
-    const double a = v_[i - 1];
-    const double b = v_[i];
-    const bool crossed = rising ? (a < level && b >= level) : (a > level && b <= level);
-    if (crossed) {
-      const double w = (level - a) / (b - a);
-      result = t_[i - 1] + w * (t_[i] - t_[i - 1]);
-    }
-  }
-  return result;
-}
-
-double Waveform::max_value() const {
-  ensure(!v_.empty(), "Waveform: empty");
-  return *std::max_element(v_.begin(), v_.end());
-}
-
 Waveform Waveform::shifted(double dt) const {
   std::vector<double> t = t_;
   for (double& x : t) x += dt;
@@ -93,25 +74,6 @@ EdgeTiming measure_rising_edge(const Waveform& w, double v_from, double v_to) {
   e.t50 = *t50;
   e.t90 = *t90;
   return e;
-}
-
-EdgeTiming measure_falling_edge(const Waveform& w, double v_from, double v_to) {
-  ensure(v_from > v_to, "measure_falling_edge: v_from must exceed v_to");
-  const double swing = v_from - v_to;
-  EdgeTiming e;
-  const auto t10 = w.first_crossing(v_from - 0.1 * swing, false);
-  const auto t50 = w.first_crossing(v_from - 0.5 * swing, false);
-  const auto t90 = w.first_crossing(v_from - 0.9 * swing, false);
-  ensure(t10.has_value() && t50.has_value() && t90.has_value(),
-         "measure_falling_edge: waveform does not complete the transition");
-  e.t10 = *t10;
-  e.t50 = *t50;
-  e.t90 = *t90;
-  return e;
-}
-
-double overshoot(const Waveform& w, double v_to) {
-  return std::max(0.0, w.max_value() - v_to);
 }
 
 }  // namespace rlceff::wave

@@ -1,9 +1,9 @@
 // Sampled voltage waveforms and timing measurements.
 //
 // A Waveform is a piecewise-linear interpolation of (time, value) samples
-// with strictly increasing time.  All timing metrics used in the paper —
-// 50 % delay, 10-90 % transition time, overshoot — are measured here with one
-// shared convention so model and "SPICE" numbers are always comparable.
+// with strictly increasing time.  The timing metrics used in the paper —
+// 50 % delay and 10-90 % transition time — are measured here with one shared
+// convention so model and "SPICE" numbers are always comparable.
 #ifndef RLCEFF_WAVEFORM_WAVEFORM_H
 #define RLCEFF_WAVEFORM_WAVEFORM_H
 
@@ -49,10 +49,6 @@ public:
   // (rising: from below to at-or-above).  nullopt when it never does.
   std::optional<double> first_crossing(double level, bool rising = true) const;
 
-  // Last time the waveform is at `level` moving in the given direction.
-  std::optional<double> last_crossing(double level, bool rising = true) const;
-
-  double max_value() const;
   double final_value() const { return v_.empty() ? 0.0 : v_.back(); }
 
   // New waveform shifted in time by dt.
@@ -63,7 +59,7 @@ private:
   std::vector<double> v_;
 };
 
-// Timing of one rising (or falling) edge between levels v_from and v_to.
+// Timing of one rising edge between levels v_from and v_to.
 struct EdgeTiming {
   double t10 = 0.0;   // first crossing of v_from + 0.10 * (v_to - v_from)
   double t50 = 0.0;   // first crossing of the midpoint
@@ -83,12 +79,6 @@ std::array<double, 3> rising_edge_levels(double v_from, double v_to);
 // Measures a rising edge from v_from to v_to; throws when the waveform never
 // reaches the 90 % level.
 EdgeTiming measure_rising_edge(const Waveform& w, double v_from, double v_to);
-
-// Measures a falling edge from v_from down to v_to.
-EdgeTiming measure_falling_edge(const Waveform& w, double v_from, double v_to);
-
-// Peak overshoot above v_to (0 when none).
-double overshoot(const Waveform& w, double v_to);
 
 }  // namespace rlceff::wave
 

@@ -26,6 +26,9 @@ TEST(Table2D, ExactOnGridPoints) {
   EXPECT_DOUBLE_EQ(1.0, t.lookup(1.0, 10.0));
   EXPECT_DOUBLE_EQ(3.0, t.lookup(1.0, 30.0));
   EXPECT_DOUBLE_EQ(6.0, t.lookup(2.0, 30.0));
+  // The raw grid read the characterization example prints.
+  EXPECT_EQ(4.0, t.at(1, 0));
+  EXPECT_THROW(t.at(2, 0), Error);
 }
 
 TEST(Table2D, BilinearInterior) {

@@ -407,6 +407,73 @@ TEST(LintModel, ConvergenceRiskNearRegimeBoundary) {
   EXPECT_FALSE(lint_net(net, away).has(Code::convergence_risk));
 }
 
+// -------------------------------------------------------------------- tier ---
+
+TEST(LintTier, NetPredictionNamesTheRoutedTier) {
+  // A pure-RC line is admitted to Tier A; Table 1's 5 mm / 1.6 um line behind
+  // 100X trips Eq 9 and routes to Tier B.
+  const tech::WireModel wires;
+  const net::Net line = tech::line_net(wires.extract({5.0 * mm, 1.6 * um}), 20 * ff);
+  const net::Net rc = net::Net::uniform_line(100.0, 0.0, 200 * ff, 20 * ff);
+  Options options;
+  options.driver_resistance = estimate_driver_resistance(cmos180(), 100.0);
+  options.input_slew = 100 * ps;
+  EXPECT_FALSE(lint_net(rc, options).has(Code::tier_advisory));  // reference: no cascade
+
+  options.tier_policy = tier::TierPolicy::fastest;
+  const Report easy = lint_net(rc, options);
+  ASSERT_TRUE(easy.has(Code::tier_advisory));
+  EXPECT_EQ(Severity::info, easy.find(Code::tier_advisory)->severity);
+  EXPECT_NE(std::string::npos,
+            easy.find(Code::tier_advisory)->message.find("tier a (analytical)"));
+  const Report inductive = lint_net(line, options);
+  ASSERT_TRUE(inductive.has(Code::tier_advisory));
+  const std::string& message = inductive.find(Code::tier_advisory)->message;
+  EXPECT_NE(std::string::npos, message.find("tier b (ceff)"));
+  EXPECT_NE(std::string::npos, message.find("inductance_significant"));
+  EXPECT_FALSE(inductive.has(Code::tier_pinned_mismatch));
+}
+
+TEST(LintTier, PinnedTierTheScreenRefusesWarns) {
+  const tech::WireModel wires;
+  const net::Net line = tech::line_net(wires.extract({5.0 * mm, 1.6 * um}), 20 * ff);
+  const net::Net rc = net::Net::uniform_line(100.0, 0.0, 200 * ff, 20 * ff);
+  Options pinned;
+  pinned.driver_resistance = estimate_driver_resistance(cmos180(), 100.0);
+  pinned.input_slew = 100 * ps;
+  pinned.tier_policy = tier::TierPolicy::force_analytical;
+  const Report report = lint_net(line, pinned);
+  ASSERT_TRUE(report.has(Code::tier_pinned_mismatch));
+  EXPECT_EQ(Severity::warn, report.find(Code::tier_pinned_mismatch)->severity);
+  EXPECT_TRUE(report.has(Code::tier_advisory));
+  // Near-miss: the same pin on a net the screen admits.
+  const Report fine = lint_net(rc, pinned);
+  EXPECT_TRUE(fine.has(Code::tier_advisory));
+  EXPECT_FALSE(fine.has(Code::tier_pinned_mismatch));
+}
+
+TEST(LintTier, GroupPredictsNoTier) {
+  // Tier A serves a coupled victim's Miller-decoupled net, which only the
+  // request's aggressors define, so no member carries a prediction — not
+  // even the inductive line a pinned Tier A would refuse on its own.
+  const tech::WireModel wires;
+  net::CoupledGroup group;
+  group.add_net(net::Net::uniform_line(100.0, 0.0, 200 * ff, 20 * ff), "victim");
+  group.add_net(tech::line_net(wires.extract({5.0 * mm, 1.6 * um}), 20 * ff), "aggr");
+  group.couple_capacitance({0, 0}, {1, 0}, 20 * ff);
+  for (tier::TierPolicy policy :
+       {tier::TierPolicy::fastest, tier::TierPolicy::force_analytical}) {
+    Options options;
+    options.driver_resistance = estimate_driver_resistance(cmos180(), 100.0);
+    options.input_slew = 100 * ps;
+    options.tier_policy = policy;
+    const Report report = lint_group(group, options);
+    EXPECT_FALSE(report.has(Code::tier_advisory)) << tier::to_string(policy);
+    EXPECT_FALSE(report.has(Code::tier_pinned_mismatch)) << tier::to_string(policy);
+    EXPECT_TRUE(report.has(Code::inductance_significant)) << tier::to_string(policy);
+  }
+}
+
 // --------------------------- consolidated construction-time validation ---
 
 TEST(LintConstruction, NetConstructionThrowsDiagnosticError) {

@@ -90,27 +90,5 @@ TEST(Polyval, HornerMatchesDirect) {
   EXPECT_NEAR(direct, polyval(c, x), 1e-12);
 }
 
-TEST(Polyfit, RecoversExactPolynomial) {
-  // y = 2 - 3x + 0.5 x^2 sampled at 7 points.
-  std::vector<double> xs;
-  std::vector<double> ys;
-  for (int i = 0; i < 7; ++i) {
-    const double x = -1.0 + 0.4 * i;
-    xs.push_back(x);
-    ys.push_back(2.0 - 3.0 * x + 0.5 * x * x);
-  }
-  const auto c = polyfit(xs, ys, 2);
-  ASSERT_EQ(3u, c.size());
-  EXPECT_NEAR(2.0, c[0], 1e-10);
-  EXPECT_NEAR(-3.0, c[1], 1e-10);
-  EXPECT_NEAR(0.5, c[2], 1e-10);
-}
-
-TEST(Polyfit, RejectsUnderdeterminedFit) {
-  const std::vector<double> xs{0.0, 1.0};
-  const std::vector<double> ys{0.0, 1.0};
-  EXPECT_THROW(polyfit(xs, ys, 2), Error);
-}
-
 }  // namespace
 }  // namespace rlceff::util

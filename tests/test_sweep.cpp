@@ -94,53 +94,47 @@ TEST(Sweep, LowestFailingIndexIsRethrown) {
 
 TEST(Sweep, CollectIsolatesFailuresPerSlot) {
   // Unlike run_sweep, the collect variant never throws: failing slots carry
-  // their own exception, every other slot carries its result.
-  std::vector<int> scenarios;
-  for (int k = 0; k < 20; ++k) scenarios.push_back(k);
+  // their own exception, every other slot ran its task.
   for (unsigned n_threads : {1u, 2u, 5u}) {
-    const auto slots = run_sweep_collect(
-        scenarios,
-        [](const int& s) {
-          if (s == 3 || s == 11) throw Error("task " + std::to_string(s) + " failed");
-          return 2 * s;
+    std::vector<int> results(20, -1);
+    const std::vector<std::exception_ptr> errors = run_indexed_sweep_collect(
+        results.size(),
+        [&](std::size_t i) {
+          if (i == 3 || i == 11) throw Error("task " + std::to_string(i) + " failed");
+          results[i] = 2 * static_cast<int>(i);
         },
         n_threads);
-    ASSERT_EQ(scenarios.size(), slots.size());
-    for (int k = 0; k < 20; ++k) {
-      const auto& slot = slots[static_cast<std::size_t>(k)];
+    ASSERT_EQ(results.size(), errors.size());
+    for (std::size_t k = 0; k < results.size(); ++k) {
       if (k == 3 || k == 11) {
-        EXPECT_FALSE(slot.ok());
-        ASSERT_TRUE(slot.error != nullptr);
+        ASSERT_TRUE(errors[k] != nullptr);
+        EXPECT_EQ(-1, results[k]);
         try {
-          std::rethrow_exception(slot.error);
+          std::rethrow_exception(errors[k]);
         } catch (const Error& e) {
           EXPECT_NE(std::string(e.what()).find("task " + std::to_string(k)),
                     std::string::npos)
               << e.what();
         }
       } else {
-        ASSERT_TRUE(slot.ok()) << "index " << k << " threads " << n_threads;
-        EXPECT_EQ(2 * k, *slot.result);
-        EXPECT_TRUE(slot.error == nullptr);
+        EXPECT_TRUE(errors[k] == nullptr) << "index " << k << " threads " << n_threads;
+        EXPECT_EQ(2 * static_cast<int>(k), results[k]);
       }
     }
   }
 }
 
 TEST(Sweep, CollectAllSuccessAndAllFailure) {
-  const std::vector<int> scenarios{1, 2, 3};
-  const auto ok = run_sweep_collect(scenarios, [](const int& s) { return s; }, 2);
-  for (const auto& slot : ok) EXPECT_TRUE(slot.ok());
+  const auto ok = run_indexed_sweep_collect(3, [](std::size_t) {}, 2);
+  ASSERT_EQ(3u, ok.size());
+  for (const std::exception_ptr& error : ok) EXPECT_TRUE(error == nullptr);
 
-  const auto bad = run_sweep_collect(
-      scenarios, [](const int&) -> int { throw Error("boom"); }, 2);
-  for (const auto& slot : bad) {
-    EXPECT_FALSE(slot.ok());
-    EXPECT_TRUE(slot.error != nullptr);
-  }
+  const auto bad =
+      run_indexed_sweep_collect(3, [](std::size_t) { throw Error("boom"); }, 2);
+  ASSERT_EQ(3u, bad.size());
+  for (const std::exception_ptr& error : bad) EXPECT_TRUE(error != nullptr);
 
-  const std::vector<int> none;
-  EXPECT_TRUE(run_sweep_collect(none, [](const int& s) { return s; }, 2).empty());
+  EXPECT_TRUE(run_indexed_sweep_collect(0, [](std::size_t) {}, 2).empty());
 }
 
 // End-to-end: a batch of independent transients gives identical waveform

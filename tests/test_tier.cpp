@@ -1,5 +1,5 @@
 // Tests for the multi-fidelity tier subsystem: the closed-form Tier A
-// estimate (shield factor, fast admittance walk, secant Ceff solve), the
+// estimate (its load model, fast admittance walk, secant Ceff solve), the
 // router's admission predicates and policy table, the calibrated envelope
 // semantics, and the engine's tier stamping/escalation accounting.
 //
@@ -16,9 +16,12 @@
 #include <string>
 
 #include "api/engine.h"
+#include "charlib/library.h"
+#include "core/ceff.h"
 #include "core/coupled_experiment.h"
 #include "core/driver_model.h"
 #include "core/experiment.h"
+#include "lint/lint.h"
 #include "moments/admittance.h"
 #include "net/coupled.h"
 #include "tech/wire.h"
@@ -29,6 +32,7 @@
 #include "tier/envelope.h"
 #include "tier/router.h"
 #include "util/budget.h"
+#include "util/error.h"
 #include "util/units.h"
 
 namespace rlceff::tier {
@@ -38,30 +42,28 @@ using namespace rlceff::units;
 using rlceff::testing::expect_rel_near;
 
 // ---------------------------------------------------------------------------
-// shield_factor
+// Tier A's load model
 
-TEST(TierAnalytical, ShieldFactorLimitsAndMonotonicity) {
-  EXPECT_EQ(shield_factor(0.0), 0.0);
-  EXPECT_EQ(shield_factor(-1.0), 0.0);
-  // g(x) = 1 - (1 - e^-x)/x rises from 0 toward 1.
-  double prev = 0.0;
-  for (double x : {1e-6, 1e-4, 1e-2, 0.1, 1.0, 10.0, 100.0}) {
-    const double g = shield_factor(x);
-    EXPECT_GT(g, prev) << "x=" << x;
-    EXPECT_LT(g, 1.0) << "x=" << x;
-    prev = g;
+// On an exact lumped pi (C1 at the driving point, then R to C2) the
+// one-ramp Ceff over a ramp of length T has the closed form
+// C1 + C2 * (1 - (1 - e^-x) / x), x = T / (R * C2): C1 charges with the ramp,
+// C2 lags it by R * C2.  Tier A's load model is exact on this load (its
+// moments are a geometric series, which the Eq 3 fit captures with one
+// pole), so core::ceff_single on it reproduces the formula.
+TEST(TierAnalytical, LoadModelReproducesLumpedPiShielding) {
+  const double c1 = 30 * ff;
+  const double c2 = 400 * ff;
+  for (double r : {100.0, 1e3, 1e4}) {
+    const net::Net pi = net::Net::multi_section(
+        {{0.0, 0.0, c1, net::SectionKind::lumped}, {r, 0.0, c2, net::SectionKind::lumped}},
+        0.0);
+    const core::ChargeModel load = analytical_load(pi);
+    for (double t : {20 * ps, 100 * ps, 500 * ps}) {
+      const double x = t / (r * c2);
+      const double expected = c1 + c2 * (1.0 - (1.0 - std::exp(-x)) / x);
+      expect_rel_near(expected, core::ceff_single(load, t), 1e-12);
+    }
   }
-  EXPECT_GT(shield_factor(1e4), 0.999);
-}
-
-TEST(TierAnalytical, ShieldFactorSeriesBranchIsContinuous) {
-  // The series branch below 1e-4 must meet the direct form without a jump:
-  // the difference across the switch is the real slope (~1/2) times dx, not
-  // a discontinuity.
-  const double below = shield_factor(0.99e-4);
-  const double above = shield_factor(1.01e-4);
-  EXPECT_NEAR(above - below, 0.5 * 0.02e-4, 1e-8);
-  expect_rel_near(0.5 * 0.99e-4, below, 1e-2);  // g(x) ~ x/2 for small x
 }
 
 // ---------------------------------------------------------------------------
@@ -183,6 +185,121 @@ TEST(TierRouter, GroupAdmissionScreensCouplingNotMutualInductance) {
   heavy.add_net(line(), "agg");
   heavy.couple_capacitance({0, 0}, {1, 0}, 400 * ff);
   EXPECT_STREQ(admit_group_analytical(heavy, 0).reason, "coupling_heavy");
+}
+
+// ---------------------------------------------------------------------------
+// the static screen (lint's tier prediction) against the served one
+
+// Net `index` of the randomized-fleet generator stream.
+api::Request fleet_request(std::size_t index) {
+  testkit::Rng rng(testkit::mix_seed(0x20030603ull, 0xF1EE7, index));
+  return testkit::random_request(rng);
+}
+
+// Both Tier A screens on one single net: the served one as api::Engine runs
+// it (the estimate's predicates; "estimate_failed" when the closed form
+// throws), and the static one lint predicts with (the input slew for the
+// ramp, the estimated Thevenin resistance for Rs).  Drivers come from the
+// standard characterization grid, as the Engine's default.
+class TierStaticScreen : public ::testing::Test {
+protected:
+  static void SetUpTestSuite() { library_ = new charlib::CellLibrary; }
+  static void TearDownTestSuite() {
+    delete library_;
+    library_ = nullptr;
+  }
+  static const tech::Technology& technology() {
+    static const tech::Technology cmos180 = tech::Technology::cmos180();
+    return cmos180;
+  }
+  static Admission served(double cell_size, double input_slew, const net::Net& net) {
+    const charlib::CharacterizedDriver& driver =
+        library_->ensure_driver(technology(), cell_size);
+    try {
+      return admit_analytical(analytical_estimate(driver, input_slew, net));
+    } catch (const Error&) {
+      return {false, "estimate_failed"};
+    }
+  }
+  static Admission predicted(double cell_size, double input_slew, const net::Net& net) {
+    return admit_analytical_static(
+        net, lint::estimate_driver_resistance(technology(), cell_size), input_slew);
+  }
+  static charlib::CellLibrary* library_;
+};
+
+charlib::CellLibrary* TierStaticScreen::library_ = nullptr;
+
+TEST_F(TierStaticScreen, DeepShieldingRefusedByBothScreens) {
+  // 2 fF at the driving point, then 20 kOhm to 1 pF: a strong driver's ramp
+  // sees almost nothing behind the resistor (shielding 0.002-0.005).
+  const net::Net shielded = net::Net::multi_section(
+      {{0.0, 0.0, 2 * ff, net::SectionKind::lumped},
+       {20e3, 0.0, 1 * pf, net::SectionKind::lumped}},
+      0.0);
+  for (double slew : {20 * ps, 50 * ps, 100 * ps}) {
+    EXPECT_STREQ(predicted(200.0, slew, shielded).reason, "deep_shielding") << slew;
+    EXPECT_STREQ(served(200.0, slew, shielded).reason, "deep_shielding") << slew;
+  }
+}
+
+TEST_F(TierStaticScreen, Table1InductiveLineRefusedForInductance) {
+  // Table 1's 5 mm / 1.6 um line behind a fast, strong driver: Eq 9 holds at
+  // the input-slew proxy as it does at the converged ramp.
+  const net::Net line = tech::line_net(*tech::find_paper_wire_case(5.0, 1.6), 20 * ff);
+  EXPECT_STREQ(predicted(100.0, 100 * ps, line).reason, "inductance_significant");
+  EXPECT_STREQ(served(100.0, 100 * ps, line).reason, "inductance_significant");
+}
+
+TEST_F(TierStaticScreen, PureRcNetAdmitted) {
+  const net::Net rc = net::Net::uniform_line(100.0, 0.0, 200 * ff, 20 * ff);
+  EXPECT_TRUE(predicted(100.0, 100 * ps, rc).ok);
+  EXPECT_TRUE(served(100.0, 100 * ps, rc).ok);
+}
+
+TEST_F(TierStaticScreen, UnusableFitRefusedByBothScreens) {
+  // Single nets of the randomized-fleet stream whose fast-walk Eq 3 fit has
+  // an unstable pole: Tier A's load model throws, so both screens refuse.
+  for (std::size_t index : {98u, 173u, 247u}) {
+    const api::Request r = fleet_request(index);
+    ASSERT_FALSE(r.coupled()) << index;
+    EXPECT_THROW(analytical_load(r.net), Error) << index;
+    EXPECT_STREQ(predicted(r.cell_size, r.input_slew, r.net).reason, "estimate_failed")
+        << index;
+    EXPECT_STREQ(served(r.cell_size, r.input_slew, r.net).reason, "estimate_failed")
+        << index;
+  }
+}
+
+TEST_F(TierStaticScreen, FleetStreamRefusalsAgree) {
+  // The single nets among the first 4096 of the randomized-fleet stream.
+  // Every net the served screen refuses for its closed form is refused
+  // statically too: for the same reason, or for Eq 9 first (net 588).  And
+  // the static screen refuses no net the served screen admits.  (The reverse
+  // does not hold: the served screen reads Eq 9 at the converged ramp, not
+  // at the input slew.)
+  std::size_t singles = 0;
+  std::size_t fit_refusals = 0;
+  for (std::size_t k = 0; k < 4096; ++k) {
+    const api::Request r = fleet_request(k);
+    if (r.coupled()) continue;
+    ++singles;
+    const Admission served_verdict = served(r.cell_size, r.input_slew, r.net);
+    const Admission static_verdict = predicted(r.cell_size, r.input_slew, r.net);
+    if (!static_verdict.ok) {
+      EXPECT_FALSE(served_verdict.ok)
+          << "net " << k << " refused statically: " << static_verdict.reason;
+    }
+    if (served_verdict.ok || std::string(served_verdict.reason) != "estimate_failed") {
+      continue;
+    }
+    ++fit_refusals;
+    const std::string reason = static_verdict.reason;
+    EXPECT_TRUE(reason == "estimate_failed" || reason == "inductance_significant")
+        << "net " << k << " static verdict '" << reason << "'";
+  }
+  EXPECT_EQ(singles, 3049u);
+  EXPECT_EQ(fit_refusals, 45u);
 }
 
 // ---------------------------------------------------------------------------
@@ -407,6 +524,41 @@ TEST_F(TierEngineFixture, ReferenceFlagIsIncompatibleWithTierPolicies) {
   EXPECT_EQ(out.error().code, api::ErrorCode::invalid_request);
 }
 
+TEST_F(TierEngineFixture, PinnedCoupledVictimIsNotJudgedByItsAggressor) {
+  // A short victim beside Table 1's 5 mm / 1.6 um aggressor, both behind
+  // 200X at 30 ps, the victim pinned to Tier A with the deep lint screen
+  // armed at warn.  Lint predicts no tier for a group's members, so the
+  // aggressor's own Eq 9 verdict does not reject the victim Tier A serves.
+  const tech::WireModel wires;
+  net::CoupledGroup group;
+  group.add_net(tech::line_net(wires.extract({0.5 * mm, 0.4 * um}), 10 * ff), "victim");
+  group.add_net(tech::line_net(wires.extract({5.0 * mm, 1.6 * um}), 20 * ff), "aggr");
+  group.couple_capacitance({0, 0}, {1, 0}, 20 * ff);
+  api::Request r;
+  r.label = "pinned-victim";
+  r.cell_size = 200.0;
+  r.input_slew = 30 * ps;
+  r.group = std::move(group);
+  r.victim = 0;
+  r.aggressors.push_back({1, 200.0, 30 * ps, core::AggressorSwitching::opposite});
+  r.tier = TierPolicy::force_analytical;
+  r.lint.screen = true;
+  r.lint.report = true;
+  r.lint.fail_at = lint::Severity::warn;
+  r.lint.checks = lint::Options{};
+  const api::Outcome<api::Response> out = engine_->model(r, fast_options());
+  ASSERT_TRUE(out.ok()) << out.error().message;
+  EXPECT_EQ(out.value().tier, Tier::analytical);
+  bool aggressor_inductive = false;
+  for (const lint::Diagnostic& d : out.value().diagnostics) {
+    EXPECT_STRNE(lint::family(d.code), "tier") << lint::format(d);
+    aggressor_inductive = aggressor_inductive ||
+                          (d.code == lint::Code::inductance_significant &&
+                           d.path == "net 'aggr'");
+  }
+  EXPECT_TRUE(aggressor_inductive);  // the member's model findings remain
+}
+
 TEST_F(TierEngineFixture, CoupledAnalyticalReportsNoiseBound) {
   auto line = [] {
     return net::Net::uniform_line(100.0, 0.0, 200 * ff, 20 * ff);
@@ -454,10 +606,6 @@ protected:
     opt.deck.segments = 8;
     opt.deck.dt = 4 * ps;
     return opt;
-  }
-  static api::Request fleet_net(std::size_t index) {
-    testkit::Rng rng(testkit::mix_seed(0x20030603ull, 0xF1EE7, index));
-    return testkit::random_request(rng);
   }
   // The accepted transient steps of the one Tier-C experiment the Engine
   // runs for `r` (the request's far-end and noise switches, no kept
@@ -511,7 +659,7 @@ TEST_P(TierFleetTail, BalancedAnswersAtTierBInsideItsEnvelope) {
   // One escalation (Tier A refuses the net) and a converged Tier B: with
   // the convergence gate on, every Ceff solve of the slot (for net 101 the
   // quiet baseline's too) converged, or it would have gone on to Tier C.
-  api::Request r = fleet_net(GetParam());
+  api::Request r = fleet_request(GetParam());
   r.tier = TierPolicy::balanced;
   r.degrade.enabled = true;
   const api::Outcome<api::Response> out = engine_->model(r, options());
@@ -528,7 +676,7 @@ TEST_P(TierFleetTail, BalancedAnswersAtTierBInsideItsEnvelope) {
   }
 
   // The Tier-B answer sits inside Tier B's envelope of the Tier-C edge.
-  api::Request c = fleet_net(GetParam());
+  api::Request c = fleet_request(GetParam());
   c.tier = TierPolicy::force_reference;
   const api::Outcome<api::Response> ref = engine_->model(c, options());
   ASSERT_TRUE(ref.ok()) << ref.error().message;
@@ -541,7 +689,7 @@ TEST_P(TierFleetTail, BalancedAnswersAtTierBInsideItsEnvelope) {
 }
 
 TEST_P(TierFleetTail, CappedTierBAnswersFromOneTierCExperiment) {
-  api::Request r = fleet_net(GetParam());
+  api::Request r = fleet_request(GetParam());
   r.tier = TierPolicy::balanced;
   r.model.iteration.max_iter = 0;
   r.degrade.enabled = true;
@@ -578,7 +726,7 @@ TEST_P(TierFleetTail, CappedTierBAnswersFromOneTierCExperiment) {
 }
 
 TEST_P(TierFleetTail, ForceReferenceKeepsTheConvergenceGate) {
-  api::Request r = fleet_net(GetParam());
+  api::Request r = fleet_request(GetParam());
   r.tier = TierPolicy::force_reference;
   r.model.iteration.max_iter = 0;
   const api::Outcome<api::Response> out = engine_->model(r, options());
@@ -597,7 +745,7 @@ INSTANTIATE_TEST_SUITE_P(FleetNets, TierFleetTail,
 class TierFleetStream : public TierFleetTail {};
 
 TEST_P(TierFleetStream, ForceCeffConverges) {
-  api::Request r = fleet_net(GetParam());
+  api::Request r = fleet_request(GetParam());
   r.tier = TierPolicy::force_ceff;
   ASSERT_TRUE(r.require_convergence);
   const api::Outcome<api::Response> out = engine_->model(r, options());

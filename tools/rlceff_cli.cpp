@@ -76,7 +76,12 @@
 //                        the diagnostics as structured records (code,
 //                        severity, family, path, message, hint).  Exit 0
 //                        when no slot has an error-severity finding, 2
-//                        otherwise (warn/info never fail the run)
+//                        otherwise (warn/info never fail the run).  With
+//                        --tier, each single-net slot also carries the
+//                        tier the policy would route it to (tier_advisory,
+//                        plus tier_pinned_mismatch under --tier a when the
+//                        Tier A screen refuses it); coupled victims carry
+//                        no prediction
 //     --tier <policy>    multi-fidelity cascade policy (tier/tier.h):
 //                        balanced (A when its applicability screen admits
 //                        the net, B otherwise, and C only when a Tier-B
@@ -952,6 +957,7 @@ int main(int argc, char** argv) {
         checks.driver_resistance = lint::estimate_driver_resistance(
             engine.technology(), requests[k].cell_size);
         checks.input_slew = requests[k].input_slew;
+        checks.tier_policy = cli.tier;
         reports[k] = requests[k].coupled()
                          ? lint::lint_group(requests[k].group, checks)
                          : lint::lint_net(requests[k].net, checks);
