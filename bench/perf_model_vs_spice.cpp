@@ -321,7 +321,8 @@ BENCHMARK(bm_ceff_iterations);
 void bm_full_model_flow(benchmark::State& state) {
   const charlib::CharacterizedDriver& driver = *bench::library().find(100.0);
   for (auto _ : state) {
-    const auto model = core::model_driver_output(driver, 100 * ps, wire(), 20 * ff);
+    const auto model =
+        core::model_driver_output(driver, 100 * ps, tech::line_net(wire(), 20 * ff));
     benchmark::DoNotOptimize(model.t50);
   }
 }
@@ -329,7 +330,8 @@ BENCHMARK(bm_full_model_flow);
 
 void bm_awe_far_end(benchmark::State& state) {
   const charlib::CharacterizedDriver& driver = *bench::library().find(100.0);
-  const auto model = core::model_driver_output(driver, 100 * ps, wire(), 20 * ff);
+  const auto model =
+      core::model_driver_output(driver, 100 * ps, tech::line_net(wire(), 20 * ff));
   const util::Series h = moments::distributed_transfer(
       wire().resistance, wire().inductance, wire().capacitance, 20 * ff);
   const moments::AweModel awe = moments::AweModel::make(h, 3);
@@ -355,7 +357,8 @@ BENCHMARK(bm_reference_transient)->Unit(benchmark::kMillisecond);
 
 void bm_far_end_replay_sim(benchmark::State& state) {
   const charlib::CharacterizedDriver& driver = *bench::library().find(100.0);
-  const auto model = core::model_driver_output(driver, 100 * ps, wire(), 20 * ff);
+  const auto model =
+      core::model_driver_output(driver, 100 * ps, tech::line_net(wire(), 20 * ff));
   tech::DeckOptions deck;
   deck.segments = 120;
   deck.dt = 0.25 * ps;

@@ -19,8 +19,8 @@ int main() {
   //    5 mm x 1.6 um global wire with a 20 fF receiver, described once as a
   //    net::Net — the IR every layer (deck compiler, moment engine,
   //    experiment harness) consumes.  WireModel plays the role of a field
-  //    solver; swap uniform_line for Net::multi_section or Net::from_tree
-  //    and nothing downstream changes.
+  //    solver; swap line_net for Net::multi_section or a net::Branch tree
+  //    of lumped sections and nothing downstream changes.
   api::Engine engine{tech::Technology::cmos180()};
   const tech::WireModel wires;
   const tech::WireParasitics wire = wires.extract({5 * mm, 1.6 * um});

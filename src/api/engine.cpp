@@ -38,12 +38,16 @@ struct ReplayJob {
 
 namespace {
 
+// The cell sizes and slews validate() accepts; a bare `x > 0` would let +inf
+// through to the cell characterization and the tables.
+bool positive_finite(double x) { return std::isfinite(x) && x > 0.0; }
+
 void validate(const Request& r) {
   auto reject = [&](const std::string& why) {
     throw InvalidRequestError("api::Engine: request '" + r.label + "': " + why);
   };
-  if (!(r.cell_size > 0.0)) reject("cell size must be positive");
-  if (!(r.input_slew > 0.0)) reject("input slew must be positive");
+  if (!positive_finite(r.cell_size)) reject("cell size must be positive and finite");
+  if (!positive_finite(r.input_slew)) reject("input slew must be positive and finite");
   if (r.coupled()) {
     if (!r.net.empty()) reject("both net and coupled group set");
     if (r.victim >= r.group.size()) {
@@ -60,8 +64,12 @@ void validate(const Request& r) {
         reject("duplicate aggressor for net '" + r.group.label_at(a.net) + "'");
       }
       seen[a.net] = true;
-      if (!(a.cell_size > 0.0)) reject("aggressor cell size must be positive");
-      if (!(a.input_slew > 0.0)) reject("aggressor input slew must be positive");
+      if (!positive_finite(a.cell_size)) {
+        reject("aggressor cell size must be positive and finite");
+      }
+      if (!positive_finite(a.input_slew)) {
+        reject("aggressor input slew must be positive and finite");
+      }
     }
   } else {
     if (!r.aggressors.empty()) reject("aggressors without a coupled group");
@@ -738,7 +746,8 @@ std::vector<Outcome<Response>> Engine::run_batch(std::span<const Request> reques
   // characterization grid just to hit the same exception again.
   std::vector<double> sizes;
   for (const Request& r : requests) {
-    if (r.cell_size <= 0.0) continue;
+    // validate() refuses the slot: nothing to characterize for it.
+    if (!positive_finite(r.cell_size) || !positive_finite(r.input_slew)) continue;
     const bool seen = std::any_of(sizes.begin(), sizes.end(), [&](double s) {
       return std::abs(s - r.cell_size) < 1e-9;
     });

@@ -16,7 +16,7 @@
 #ifndef RLCEFF_CORE_CRITERIA_H
 #define RLCEFF_CORE_CRITERIA_H
 
-#include "tech/wire.h"
+#include "net/net.h"
 
 namespace rlceff::core {
 
@@ -35,16 +35,12 @@ struct InductanceCriteria {
   }
 };
 
-// Evaluates Eq 9 for a uniform line with far-end load c_load, driver
-// resistance rs, and the converged first-ramp time tr1.
-InductanceCriteria evaluate_criteria(const tech::WireParasitics& wire, double c_load,
-                                     double rs, double tr1);
-
-// Explicit form for non-uniform loads (RLC trees): the caller supplies the
-// characteristic impedance and flight time of the dominant path plus the
-// line totals the loss/load screens compare against.
-InductanceCriteria evaluate_criteria(double z0, double tf, double line_resistance,
-                                     double line_capacitance, double c_load, double rs,
+// Evaluates Eq 9 on a net's dominant path (net::Net::metrics): its Z0 and
+// flight time, its series resistance for the loss screen, and its far-end
+// load against every wire capacitance of the net for the load screen, with
+// driver resistance rs and the first-ramp time tr1.  For a uniform line
+// these are the line's own R, C, Z0 and tf.
+InductanceCriteria evaluate_criteria(const net::NetMetrics& path, double rs,
                                      double tr1);
 
 }  // namespace rlceff::core

@@ -116,9 +116,7 @@ DriverOutputModel run_flow(const charlib::CharacterizedDriver& driver,
   }
 
   // Step 4: inductance criteria with the output-referred initial ramp.
-  m.criteria = evaluate_criteria(m.z0, m.tf, metrics.path_resistance,
-                                 metrics.wire_capacitance, metrics.path_load, m.rs,
-                                 m.ceff1.ramp_time);
+  m.criteria = evaluate_criteria(metrics, m.rs, m.ceff1.ramp_time);
 
   const bool two_ramp = options.selection == ModelSelection::force_two_ramp ||
                         (options.selection == ModelSelection::automatic &&
@@ -214,26 +212,6 @@ DriverOutputModel model_driver_output(const charlib::CharacterizedDriver& driver
                                       const DriverModelOptions& options) {
   const net::NetMetrics metrics = net.metrics();
   return run_flow(driver, input_slew, moments::net_admittance(net), metrics, options);
-}
-
-DriverOutputModel model_driver_output(const charlib::CharacterizedDriver& driver,
-                                      double input_slew,
-                                      const tech::WireParasitics& wire,
-                                      double c_load_far,
-                                      const DriverModelOptions& options) {
-  ensure(c_load_far >= 0.0, "model_driver_output: negative far-end load");
-  return model_driver_output(
-      driver, input_slew,
-      net::Net::uniform_line(wire.resistance, wire.inductance, wire.capacitance,
-                             c_load_far),
-      options);
-}
-
-DriverOutputModel model_driver_output(const charlib::CharacterizedDriver& driver,
-                                      double input_slew,
-                                      const moments::RlcBranch& tree,
-                                      const DriverModelOptions& options) {
-  return model_driver_output(driver, input_slew, net::Net::from_tree(tree), options);
 }
 
 DriverOutputModel estimate_driver_output_moments_only(

@@ -21,10 +21,8 @@
 #include "charlib/characterize.h"
 #include "core/ceff.h"
 #include "core/criteria.h"
-#include "moments/admittance.h"
 #include "moments/rational.h"
 #include "net/net.h"
-#include "tech/wire.h"
 #include "waveform/pwl.h"
 
 namespace rlceff::core {
@@ -89,26 +87,13 @@ struct DriverOutputModel {
   double t50 = 0.0;  // the waveform's 50 % crossing (the modeled gate delay)
 };
 
-// Runs the full flow for any net::Net (uniform lines, multi-section routes,
-// branched trees).  The breakpoint, plateau and criteria use the dominant
+// Runs the full flow for any net::Net: a uniform line (tech::line_net), a
+// multi-section route, or an RLC tree (a net::Branch tree of lumped
+// sections).  The breakpoint, plateau and criteria use the dominant
 // root-to-leaf path (net::Net::metrics); the admittance moments use the whole
 // net (moments::net_admittance).
 DriverOutputModel model_driver_output(const charlib::CharacterizedDriver& driver,
                                       double input_slew, const net::Net& net,
-                                      const DriverModelOptions& options = {});
-
-// Uniform line with a far-end load: adapter over the net::Net flow.
-DriverOutputModel model_driver_output(const charlib::CharacterizedDriver& driver,
-                                      double input_slew,
-                                      const tech::WireParasitics& wire,
-                                      double c_load_far,
-                                      const DriverModelOptions& options = {});
-
-// RLC tree (receiver capacitances folded into the leaf branches): adapter
-// over the net::Net flow via net::Net::from_tree.
-DriverOutputModel model_driver_output(const charlib::CharacterizedDriver& driver,
-                                      double input_slew,
-                                      const moments::RlcBranch& net,
                                       const DriverModelOptions& options = {});
 
 // Degraded floor of the api::Engine fidelity ladder: no moment fit, no

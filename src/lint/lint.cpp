@@ -195,9 +195,7 @@ void check_net_model(const net::Net& net, const Options& options,
 
   const double rs = options.driver_resistance;
   const double tr1 = options.input_slew;  // static proxy for the first ramp
-  const core::InductanceCriteria criteria = core::evaluate_criteria(
-      metrics.z0, metrics.time_of_flight, metrics.path_resistance,
-      metrics.wire_capacitance, metrics.path_load, rs, tr1);
+  const core::InductanceCriteria criteria = core::evaluate_criteria(metrics, rs, tr1);
 
   if (criteria.significant()) {
     out.push_back(make_diagnostic(
@@ -354,12 +352,17 @@ Report lint_group(const net::CoupledGroup& group, const Options& options) {
   }
 
   // Member nets first, with a "net 'label'" path prefix; the group-level
-  // conditioning pass below replaces the per-net one.  No tier prediction:
-  // Tier A serves the victim's Miller-decoupled net, which depends on the
-  // request's aggressors, and a member is not the net it serves.
+  // conditioning pass below replaces the per-net one.  No driver context and
+  // so no Eq 9 screen, convergence risk or tier prediction: a group has no
+  // per-member driver (the options carry the victim's Rs and slew), and
+  // Tier A/B serve the victim's Miller-decoupled net, which depends on the
+  // request's aggressors — a member is not the net they serve.  The
+  // driver-free "no L-C path" screen still runs.
   Options member = options;
   member.require_probes.clear();
   member.conditioning = false;
+  member.driver_resistance = 0.0;
+  member.input_slew = 0.0;
   member.tier_policy = tier::TierPolicy::reference;
   for (std::size_t k = 0; k < group.size(); ++k) {
     Report sub = lint_net(group.net_at(k), member);

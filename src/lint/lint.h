@@ -60,7 +60,8 @@ struct Options {
   // pass has no driver to reason about).  The Engine and CLI fill these from
   // the request: rs from estimate_driver_resistance, tr1 from the input slew
   // — a static proxy for the converged first-ramp time the dynamic flow
-  // iterates to (documented admission-time approximation).
+  // iterates to (documented admission-time approximation).  lint_net only:
+  // lint_group judges its members without it (see there).
   double driver_resistance = 0.0;  // Thevenin estimate [ohm]
   double input_slew = 0.0;         // Tr1 proxy [s]
 
@@ -97,7 +98,10 @@ Report lint_branch(const net::Branch& root, const Options& options = {});
 Report lint_net(const net::Net& net, const Options& options = {});
 
 // Group analysis: every member net is linted (paths gain a "net 'label'"
-// prefix; no tier prediction), then the coupling elements are screened
+// prefix) without the driver context — the options' Rs and slew belong to
+// the victim's driver, and a group has none per member — so members get no
+// Eq 9 screen, convergence risk or tier prediction, only the driver-free
+// "no L-C path" screen.  Then the coupling elements are screened
 // (accumulated k vs 1, coupling-vs-ground capacitance, Miller
 // applicability) and the coupled deck's conditioning is predicted.
 Report lint_group(const net::CoupledGroup& group, const Options& options = {});

@@ -1,6 +1,7 @@
 #include "moments/admittance.h"
 
-#include <cmath>
+#include <utility>
+#include <vector>
 
 #include "net/net.h"
 #include "util/error.h"
@@ -66,13 +67,6 @@ Series distributed_line_admittance(double r_total, double l_total, double c_tota
                                    double c_far, std::size_t order) {
   return distributed_section_admittance(r_total, l_total, c_total,
                                         Series({0.0, c_far}, order), order);
-}
-
-Series tree_admittance(const RlcBranch& root, std::size_t order) {
-  ensure(order >= 2, "tree_admittance: order too small");
-  Series y({0.0, root.capacitance}, order);
-  for (const RlcBranch& child : root.children) y += tree_admittance(child, order);
-  return through_series_impedance(y, root.resistance, root.inductance);
 }
 
 namespace {
@@ -185,43 +179,6 @@ util::Series fast_net_admittance(const net::Net& net) {
     std::swap(i_prev, i_cur);
   }
   return util::Series({0.0, y[1], y[2], y[3], y[4], y[5]}, order + 1);
-}
-
-namespace {
-
-struct PathAccumulator {
-  double r = 0.0;
-  double l = 0.0;
-  double c = 0.0;
-};
-
-void walk_paths(const RlcBranch& branch, PathAccumulator path, TreePathMetrics& out) {
-  path.r += branch.resistance;
-  path.l += branch.inductance;
-  path.c += branch.capacitance;
-  out.total_capacitance += branch.capacitance;
-  if (branch.children.empty()) {
-    if (path.l <= 0.0 || path.c <= 0.0) return;
-    const double tf = std::sqrt(path.l * path.c);
-    if (tf > out.time_of_flight) {
-      out.time_of_flight = tf;
-      out.z0 = std::sqrt(path.l / path.c);
-      out.path_resistance = path.r;
-    }
-    return;
-  }
-  for (const RlcBranch& child : branch.children) walk_paths(child, path, out);
-}
-
-}  // namespace
-
-TreePathMetrics tree_metrics(const RlcBranch& root) {
-  TreePathMetrics out;
-  walk_paths(root, {}, out);
-  ensure(out.total_capacitance > 0.0, "tree_metrics: tree has no capacitance");
-  ensure(out.time_of_flight > 0.0,
-         "tree_metrics: no root-to-leaf path with both L and C");
-  return out;
 }
 
 }  // namespace rlceff::moments

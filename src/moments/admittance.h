@@ -2,19 +2,19 @@
 //
 // The k-th moment of Y(s) is the k-th coefficient of its Taylor expansion
 // about s = 0.  For loads with no DC path to ground, Y(s) = m1 s + m2 s^2 +
-// ..., and m1 equals the total capacitance.  Three load descriptions are
+// ..., and m1 equals the total capacitance.  Two load descriptions are
 // supported:
 //   * discretized ladders mirroring ckt::append_rlc_ladder exactly,
-//   * general RLC trees (for nets with branches),
-//   * the exact distributed (Telegrapher's) uniform line via the analytic
-//     expansion of its ABCD parameters — the ladder moments converge to
-//     these as the segment count grows (validated in tests).
+//   * any net::Net: its distributed sections take the exact (Telegrapher's)
+//     uniform-line expansion of their ABCD parameters, its lumped sections
+//     the RLC-tree recursion (an RLC tree is a net::Branch tree of lumped
+//     sections).  The ladder moments converge to the distributed ones as
+//     the segment count grows (validated in tests).
 #ifndef RLCEFF_MOMENTS_ADMITTANCE_H
 #define RLCEFF_MOMENTS_ADMITTANCE_H
 
 #include <array>
 #include <cstddef>
-#include <vector>
 
 #include "util/series.h"
 
@@ -65,9 +65,10 @@ util::Series distributed_section_admittance(double r_total, double l_total,
                                             double c_total, const util::Series& load,
                                             std::size_t order = default_order);
 
-// Driving-point admittance series of a net::Net: lumped sections run the
-// RLC-tree recursion below, distributed sections cascade the exact
-// uniform-line expansion, branch points sum their children.
+// Driving-point admittance series of a net::Net: a lumped section is one
+// step of the RLC-tree recursion (Y' = (Y + sC) / (1 + (R + sL)(Y + sC))),
+// distributed sections cascade the exact uniform-line expansion, branch
+// points sum their children.
 util::Series net_admittance(const net::Net& net, std::size_t order = default_order);
 
 // First five driving-point admittance moments (a Series with coefficients
@@ -80,32 +81,6 @@ util::Series net_admittance(const net::Net& net, std::size_t order = default_ord
 // lint's static screen alike: ~20x cheaper than net_admittance and within
 // ~2 % of it on the moments that matter.
 util::Series fast_net_admittance(const net::Net& net);
-
-// An RLC tree branch: series (r, l) from the parent, shunt c at the far end
-// of the branch, then children hanging off that node.
-struct RlcBranch {
-  double resistance = 0.0;
-  double inductance = 0.0;
-  double capacitance = 0.0;
-  std::vector<RlcBranch> children;
-};
-
-// Admittance series looking into `root` (its series impedance included).
-util::Series tree_admittance(const RlcBranch& root, std::size_t order = default_order);
-
-// Transmission-line view of a tree used by the two-ramp flow: the dominant
-// root-to-leaf path (the one with the largest flight time) supplies the
-// characteristic impedance, time of flight, and loss resistance that Eq 1,
-// Eq 8 and Eq 9 need.  For a chain describing a uniform line these reduce to
-// the uniform-line values.
-struct TreePathMetrics {
-  double z0 = 0.0;                // sqrt(L_path / C_path) of the dominant path
-  double time_of_flight = 0.0;    // max over paths of sqrt(L_path * C_path)
-  double path_resistance = 0.0;   // series R along the dominant path
-  double total_capacitance = 0.0; // every capacitor in the tree
-};
-
-TreePathMetrics tree_metrics(const RlcBranch& root);
 
 }  // namespace rlceff::moments
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "lint/structural.h"
-#include "moments/admittance.h"
 #include "util/error.h"
 
 namespace rlceff::net {
@@ -57,20 +56,6 @@ void walk_metrics(const Branch& branch, PathState path, std::size_t& leaf_counte
   }
 }
 
-Branch branch_from_tree(const moments::RlcBranch& tree) {
-  Branch out;
-  // An all-zero branch is a pure structural junction: no section to stamp.
-  if (tree.resistance != 0.0 || tree.inductance != 0.0 || tree.capacitance != 0.0) {
-    out.sections.push_back(
-        {tree.resistance, tree.inductance, tree.capacitance, SectionKind::lumped});
-  }
-  out.children.reserve(tree.children.size());
-  for (const moments::RlcBranch& child : tree.children) {
-    out.children.push_back(branch_from_tree(child));
-  }
-  return out;
-}
-
 }  // namespace
 
 Net::Net(Branch root) : root_(std::move(root)) {
@@ -98,10 +83,6 @@ Net Net::multi_section(std::vector<Section> sections, double c_load_far,
   root.c_load = c_load_far;
   root.probe = std::move(probe);
   return Net(std::move(root));
-}
-
-Net Net::from_tree(const moments::RlcBranch& root) {
-  return Net(branch_from_tree(root));
 }
 
 const Branch& Net::root() const {

@@ -18,7 +18,10 @@
 //   * distributed — an ideal uniform RLC line; moments use the exact
 //     Telegrapher's expansion (what the paper's uniform-line flow does),
 //   * lumped — one series (R, L) element with the shunt C at its far end;
-//     moments use the RLC-tree recursion (what the tree flow does).
+//     moments use the RLC-tree recursion (what the tree flow does).  An RLC
+//     tree is a Branch tree with one lumped section per branch (receiver
+//     loads folded into the leaf capacitances, or set as c_load); a branch
+//     with R = L = C = 0 is a pure junction and carries no section.
 // Both are discretized into the same pi-section ladders when compiled into a
 // deck, so the simulated reference is identical either way.
 #ifndef RLCEFF_NET_NET_H
@@ -27,10 +30,6 @@
 #include <cstddef>
 #include <string>
 #include <vector>
-
-namespace rlceff::moments {
-struct RlcBranch;
-}
 
 namespace rlceff::net {
 
@@ -90,11 +89,6 @@ public:
   // receiver load.
   static Net multi_section(std::vector<Section> sections, double c_load_far,
                            std::string probe = "far");
-
-  // Adopts a moments::RlcBranch tree: each branch becomes one lumped section
-  // (receiver loads stay folded into the leaf capacitances, as the tree flow
-  // prescribes).
-  static Net from_tree(const moments::RlcBranch& root);
 
   bool empty() const { return root_.sections.empty() && root_.children.empty(); }
   const Branch& root() const;  // throws on an empty net

@@ -8,8 +8,8 @@
 //      output waveform to validate the sink responses, Fig 6).
 //
 // Decks 2 and 3 take any net::Net — uniform lines (tech::line_net),
-// multi-section routes, and branched trees (net::Net::from_tree) all compile
-// through ckt::append_net.
+// multi-section routes, and branched RLC trees (net::Branch trees of lumped
+// sections) all compile through ckt::append_net.
 //
 // The input stimulus is a falling saturated ramp (so the driver output
 // rises), starting after a short DC hold.  All waveforms are returned in

@@ -33,8 +33,8 @@ net::Branch random_tree_branch(Rng& rng, std::size_t depth, std::size_t fanout,
                                bool lumped, bool is_root) {
   net::Branch branch;
   if (lumped) {
-    // Tree-flow branches: one lumped RLC segment each (what Net::from_tree
-    // produces from a moments::RlcBranch).
+    // Tree-flow branches: one lumped RLC segment each, the way an RLC tree
+    // is written as a net::Net.
     branch.sections.push_back({rng.log_uniform(5.0, 200.0),
                                rng.log_uniform(0.05 * nh, 2 * nh),
                                rng.log_uniform(5 * ff, 200 * ff),

@@ -90,9 +90,7 @@ AnalyticalEstimate analytical_estimate(const charlib::CharacterizedDriver& drive
     const double f_bp = core::breakpoint_fraction(m.z0, rs);
     m.ceff1 = solve_ceff(driver, input_slew, c_total, 1e-3, c_total,
                          [&](double tr) { return core::ceff_first_ramp(load, f_bp, tr); });
-    m.criteria = core::evaluate_criteria(
-        m.z0, m.tf, out.metrics.path_resistance, out.metrics.wire_capacitance,
-        out.metrics.path_load, rs, m.ceff1.ramp_time);
+    m.criteria = core::evaluate_criteria(out.metrics, rs, m.ceff1.ramp_time);
     if (m.criteria.significant()) f = f_bp;
   }
   if (f >= 1.0) {

@@ -53,10 +53,7 @@ Admission admit_analytical_static(const net::Net& net, double driver_resistance,
   const net::NetMetrics metrics = net.metrics_relaxed();
   const bool significant =
       metrics.time_of_flight > 0.0 && driver_resistance > 0.0 && input_slew > 0.0 &&
-      core::evaluate_criteria(metrics.z0, metrics.time_of_flight,
-                              metrics.path_resistance, metrics.wire_capacitance,
-                              metrics.path_load, driver_resistance, input_slew)
-          .significant();
+      core::evaluate_criteria(metrics, driver_resistance, input_slew).significant();
   // Shielding over the whole transition, as Tier A's one-ramp solve reads
   // it, with the input slew for the ramp time.  A fit the served screen
   // could not use is refused as the Engine refuses it.

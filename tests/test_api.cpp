@@ -12,6 +12,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -481,6 +482,45 @@ TEST(EngineCache, CharacterizationFailureIsReportedPerSlot) {
   }
   EXPECT_EQ("a", results[0].error().scenario);
   EXPECT_EQ("b", results[1].error().scenario);
+  EXPECT_EQ(0u, engine.library().size());
+}
+
+TEST(EngineCache, InfiniteSizeAndSlewAreInvalidAndNeverCharacterized) {
+  // +inf passes a bare `> 0` test; it must fail validation like any other
+  // bad size or slew, and run_batch must not characterize a cell for it.
+  Engine engine{tech::Technology::cmos180()};
+  const double inf = std::numeric_limits<double>::infinity();
+  Request huge_cell = inductive_request("inf-size");
+  huge_cell.cell_size = inf;
+  Request slow_input = inductive_request("inf-slew");
+  slow_input.input_slew = inf;
+
+  const std::vector<Request> requests = {huge_cell, slow_input};
+  const std::vector<Outcome<Response>> results =
+      engine.run_batch(requests, fast_options());
+  ASSERT_EQ(2u, results.size());
+  for (std::size_t k = 0; k < results.size(); ++k) {
+    ASSERT_FALSE(results[k].ok()) << "slot " << k;
+    EXPECT_EQ(ErrorCode::invalid_request, results[k].error().code)
+        << results[k].error().message;
+  }
+  EXPECT_EQ(0u, engine.library().size());
+
+  // The same holds for an aggressor's size and slew.
+  Request coupled = inductive_request("inf-aggressor");
+  coupled.net = net::Net();
+  coupled.group.add_net(inductive_net(), "victim");
+  coupled.group.add_net(inductive_net(), "aggr");
+  coupled.group.couple_capacitance({0, 0}, {1, 0}, 150 * ff);
+  coupled.victim = 0;
+  coupled.aggressors = {{1, inf, 100 * ps, core::AggressorSwitching::opposite}};
+  const Outcome<Response> inf_aggressor_size = engine.model(coupled, fast_options());
+  coupled.aggressors = {{1, 100.0, inf, core::AggressorSwitching::opposite}};
+  const Outcome<Response> inf_aggressor_slew = engine.model(coupled, fast_options());
+  for (const Outcome<Response>* o : {&inf_aggressor_size, &inf_aggressor_slew}) {
+    ASSERT_FALSE(o->ok());
+    EXPECT_EQ(ErrorCode::invalid_request, o->error().code) << o->error().message;
+  }
   EXPECT_EQ(0u, engine.library().size());
 }
 

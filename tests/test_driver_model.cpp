@@ -8,6 +8,7 @@
 
 #include "charlib/library.h"
 #include "core/breakpoint.h"
+#include "tech/wire.h"
 #include "test_helpers.h"
 #include "util/units.h"
 
@@ -28,7 +29,7 @@ TEST(Criteria, AllFourConditions) {
   const double tf = wire.time_of_flight();
 
   // Nominal inductive case: all pass.
-  auto c = evaluate_criteria(wire, 20 * ff, 40.0, 1.5 * tf);
+  auto c = evaluate_criteria(tech::line_net(wire, 20 * ff).metrics(), 40.0, 1.5 * tf);
   EXPECT_TRUE(c.load_small);
   EXPECT_TRUE(c.line_low_loss);
   EXPECT_TRUE(c.driver_fast);
@@ -36,22 +37,22 @@ TEST(Criteria, AllFourConditions) {
   EXPECT_TRUE(c.significant());
 
   // Weak driver: Rs > Z0 fails.
-  c = evaluate_criteria(wire, 20 * ff, 120.0, 1.5 * tf);
+  c = evaluate_criteria(tech::line_net(wire, 20 * ff).metrics(), 120.0, 1.5 * tf);
   EXPECT_FALSE(c.driver_fast);
   EXPECT_FALSE(c.significant());
 
   // Slow output ramp: Tr1 > 2 tf fails.
-  c = evaluate_criteria(wire, 20 * ff, 40.0, 3.0 * tf);
+  c = evaluate_criteria(tech::line_net(wire, 20 * ff).metrics(), 40.0, 3.0 * tf);
   EXPECT_FALSE(c.ramp_beats_flight);
   EXPECT_FALSE(c.significant());
 
   // Heavy receiver: load test fails.
-  c = evaluate_criteria(wire, 0.5 * pf, 40.0, 1.5 * tf);
+  c = evaluate_criteria(tech::line_net(wire, 0.5 * pf).metrics(), 40.0, 1.5 * tf);
   EXPECT_FALSE(c.load_small);
 
   // Lossy line: R*l > 2*Z0 fails.
   const tech::WireParasitics lossy{300.0, 5.14 * nh, 1.10 * pf};
-  c = evaluate_criteria(lossy, 20 * ff, 40.0, 1.5 * tf);
+  c = evaluate_criteria(tech::line_net(lossy, 20 * ff).metrics(), 40.0, 1.5 * tf);
   EXPECT_FALSE(c.line_low_loss);
 }
 
@@ -79,6 +80,7 @@ protected:
   static const tech::WireParasitics inductive_wire() {
     return *tech::find_paper_wire_case(5.0, 1.6);
   }
+  static net::Net inductive_line() { return tech::line_net(inductive_wire(), 20 * ff); }
 
   static tech::Technology* technology_;
   static charlib::CellLibrary* library_;
@@ -88,7 +90,7 @@ tech::Technology* DriverModelFixture::technology_ = nullptr;
 charlib::CellLibrary* DriverModelFixture::library_ = nullptr;
 
 TEST_F(DriverModelFixture, StrongDriverClassifiedTwoRamp) {
-  const auto m = model_driver_output(strong(), 100 * ps, inductive_wire(), 20 * ff);
+  const auto m = model_driver_output(strong(), 100 * ps, inductive_line());
   EXPECT_EQ(ModelKind::two_ramp, m.kind);
   EXPECT_TRUE(m.criteria.significant());
   EXPECT_GT(m.f, 0.5);
@@ -98,15 +100,15 @@ TEST_F(DriverModelFixture, StrongDriverClassifiedTwoRamp) {
 }
 
 TEST_F(DriverModelFixture, WeakDriverClassifiedOneRamp) {
-  const auto m = model_driver_output(weak(), 100 * ps,
-                                     *tech::find_paper_wire_case(4.0, 1.6), 20 * ff);
+  const auto m = model_driver_output(
+      weak(), 100 * ps, tech::line_net(*tech::find_paper_wire_case(4.0, 1.6), 20 * ff));
   EXPECT_EQ(ModelKind::one_ramp, m.kind);
   EXPECT_FALSE(m.criteria.significant());
   EXPECT_DOUBLE_EQ(1.0, m.f);
 }
 
 TEST_F(DriverModelFixture, WaveformIsMonotoneAndReachesVdd) {
-  const auto m = model_driver_output(strong(), 100 * ps, inductive_wire(), 20 * ff);
+  const auto m = model_driver_output(strong(), 100 * ps, inductive_line());
   const auto& pts = m.waveform.points();
   ASSERT_GE(pts.size(), 3u);
   for (std::size_t k = 1; k < pts.size(); ++k) {
@@ -118,7 +120,7 @@ TEST_F(DriverModelFixture, WaveformIsMonotoneAndReachesVdd) {
 }
 
 TEST_F(DriverModelFixture, T50MatchesTableDelayAtCeff1) {
-  const auto m = model_driver_output(strong(), 100 * ps, inductive_wire(), 20 * ff);
+  const auto m = model_driver_output(strong(), 100 * ps, inductive_line());
   const double table_delay = strong().delay(100 * ps, m.ceff1.ceff);
   expect_rel_near(table_delay, m.t50, 1e-9);
   // And the waveform's own 50 % crossing is exactly there.
@@ -129,7 +131,7 @@ TEST_F(DriverModelFixture, T50MatchesTableDelayAtCeff1) {
 }
 
 TEST_F(DriverModelFixture, BreakpointConsistentWithEq1) {
-  const auto m = model_driver_output(strong(), 100 * ps, inductive_wire(), 20 * ff);
+  const auto m = model_driver_output(strong(), 100 * ps, inductive_line());
   expect_rel_near(breakpoint_fraction(m.z0, m.rs), m.f, 1e-12);
   expect_rel_near(inductive_wire().z0(), m.z0, 1e-12);
 }
@@ -137,7 +139,7 @@ TEST_F(DriverModelFixture, BreakpointConsistentWithEq1) {
 TEST_F(DriverModelFixture, Equation8StretchesSecondRamp) {
   DriverModelOptions opt;
   opt.plateau = PlateauHandling::modified_second_ramp;
-  const auto m = model_driver_output(strong(), 100 * ps, inductive_wire(), 20 * ff, opt);
+  const auto m = model_driver_output(strong(), 100 * ps, inductive_line(), opt);
   // Eq 8: tr2_new = tr2 + (2 tf - tr1) / (1 - f).
   const double expect =
       m.ceff2.ramp_time + std::max(0.0, 2.0 * m.tf - m.ceff1.ramp_time) / (1.0 - m.f);
@@ -153,9 +155,9 @@ TEST_F(DriverModelFixture, PlateauHandlingVariantsOrderEndTimes) {
   DriverModelOptions none;
   none.plateau = PlateauHandling::none;
 
-  const auto m_eq8 = model_driver_output(strong(), 100 * ps, inductive_wire(), 20 * ff, eq8);
-  const auto m_flat = model_driver_output(strong(), 100 * ps, inductive_wire(), 20 * ff, flat);
-  const auto m_none = model_driver_output(strong(), 100 * ps, inductive_wire(), 20 * ff, none);
+  const auto m_eq8 = model_driver_output(strong(), 100 * ps, inductive_line(), eq8);
+  const auto m_flat = model_driver_output(strong(), 100 * ps, inductive_line(), flat);
+  const auto m_none = model_driver_output(strong(), 100 * ps, inductive_line(), none);
 
   ASSERT_EQ(ModelKind::two_ramp, m_eq8.kind);
   // Ignoring the plateau finishes earliest; both corrections delay the end.
@@ -172,12 +174,12 @@ TEST_F(DriverModelFixture, PlateauHandlingVariantsOrderEndTimes) {
 TEST_F(DriverModelFixture, ForcedSelectionsOverrideCriteria) {
   DriverModelOptions force1;
   force1.selection = ModelSelection::force_one_ramp;
-  const auto m1 = model_driver_output(strong(), 100 * ps, inductive_wire(), 20 * ff, force1);
+  const auto m1 = model_driver_output(strong(), 100 * ps, inductive_line(), force1);
   EXPECT_EQ(ModelKind::one_ramp, m1.kind);
 
   DriverModelOptions force2;
   force2.selection = ModelSelection::force_two_ramp;
-  const auto m2 = model_driver_output(weak(), 100 * ps, inductive_wire(), 20 * ff, force2);
+  const auto m2 = model_driver_output(weak(), 100 * ps, inductive_line(), force2);
   EXPECT_NE(ModelKind::one_ramp, m2.kind);
 }
 
@@ -187,9 +189,9 @@ TEST_F(DriverModelFixture, RsAblationTracksLoadChoice) {
   DriverModelOptions at_ceff;
   at_ceff.rs_at_total_cap = false;
   const auto m_total =
-      model_driver_output(strong(), 100 * ps, inductive_wire(), 20 * ff, at_total);
+      model_driver_output(strong(), 100 * ps, inductive_line(), at_total);
   const auto m_ceff =
-      model_driver_output(strong(), 100 * ps, inductive_wire(), 20 * ff, at_ceff);
+      model_driver_output(strong(), 100 * ps, inductive_line(), at_ceff);
   // The paper's claim (Sec. 5): the breakpoint does not move enough to
   // change the model class (our Thevenin extraction is somewhat more load
   // sensitive than theirs, hence the generous band; the ablation bench
@@ -201,7 +203,7 @@ TEST_F(DriverModelFixture, RsAblationTracksLoadChoice) {
 TEST_F(DriverModelFixture, ThreeRampExtensionStaysMonotone) {
   DriverModelOptions opt;
   opt.three_ramp_extension = true;
-  const auto m = model_driver_output(strong(), 100 * ps, inductive_wire(), 20 * ff, opt);
+  const auto m = model_driver_output(strong(), 100 * ps, inductive_line(), opt);
   // With f ~ 0.66 the second step f2 clamps near the rail; either way the
   // waveform stays monotone and ends at Vdd.
   const auto& pts = m.waveform.points();
@@ -218,7 +220,7 @@ TEST_F(DriverModelFixture, ThreeRampExtensionStaysMonotone) {
 }
 
 TEST_F(DriverModelFixture, CeffOrderingMatchesTheory) {
-  const auto m = model_driver_output(strong(), 100 * ps, inductive_wire(), 20 * ff);
+  const auto m = model_driver_output(strong(), 100 * ps, inductive_line());
   const double c_total = m.admittance.total_capacitance();
   // Initial step sees a fraction of the line; the reflection window sees
   // more than the total.
@@ -227,8 +229,10 @@ TEST_F(DriverModelFixture, CeffOrderingMatchesTheory) {
 }
 
 TEST_F(DriverModelFixture, InputValidation) {
-  EXPECT_THROW(model_driver_output(strong(), 0.0, inductive_wire(), 20 * ff), Error);
-  EXPECT_THROW(model_driver_output(strong(), 100 * ps, inductive_wire(), -1e-15), Error);
+  EXPECT_THROW(model_driver_output(strong(), 0.0, inductive_line()), Error);
+  EXPECT_THROW(
+      model_driver_output(strong(), 100 * ps, tech::line_net(inductive_wire(), -1e-15)),
+      Error);
 }
 
 }  // namespace

@@ -6,6 +6,10 @@
 
 #include <cmath>
 #include <random>
+#include <utility>
+#include <vector>
+
+#include "net/net.h"
 
 namespace rlceff::testing {
 
@@ -27,6 +31,19 @@ inline std::mt19937& rng() {
 inline double uniform(double lo, double hi) {
   std::uniform_real_distribution<double> d(lo, hi);
   return d(rng());
+}
+
+// One branch of an RLC tree as a net::Branch: a lumped section with series
+// (r, l) from the parent and shunt c at its far end, then `children`.  An
+// all-zero branch is a pure junction and carries no section.
+inline net::Branch lumped_branch(double r, double l, double c,
+                                 std::vector<net::Branch> children = {}) {
+  net::Branch branch;
+  if (r != 0.0 || l != 0.0 || c != 0.0) {
+    branch.sections.push_back({r, l, c, net::SectionKind::lumped});
+  }
+  branch.children = std::move(children);
+  return branch;
 }
 
 }  // namespace rlceff::testing

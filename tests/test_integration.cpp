@@ -12,6 +12,7 @@
 
 #include <cmath>
 
+#include "tech/wire.h"
 #include "test_helpers.h"
 #include "util/units.h"
 

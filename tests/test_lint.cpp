@@ -455,7 +455,9 @@ TEST(LintTier, PinnedTierTheScreenRefusesWarns) {
 TEST(LintTier, GroupPredictsNoTier) {
   // Tier A serves a coupled victim's Miller-decoupled net, which only the
   // request's aggressors define, so no member carries a prediction — not
-  // even the inductive line a pinned Tier A would refuse on its own.
+  // even the inductive line a pinned Tier A would refuse on its own.  The
+  // driver context is the victim's, so no member gets an Eq 9 verdict from
+  // it either; the driver-free "no L-C path" screen still runs.
   const tech::WireModel wires;
   net::CoupledGroup group;
   group.add_net(net::Net::uniform_line(100.0, 0.0, 200 * ff, 20 * ff), "victim");
@@ -470,7 +472,11 @@ TEST(LintTier, GroupPredictsNoTier) {
     const Report report = lint_group(group, options);
     EXPECT_FALSE(report.has(Code::tier_advisory)) << tier::to_string(policy);
     EXPECT_FALSE(report.has(Code::tier_pinned_mismatch)) << tier::to_string(policy);
-    EXPECT_TRUE(report.has(Code::inductance_significant)) << tier::to_string(policy);
+    EXPECT_FALSE(report.has(Code::inductance_significant)) << tier::to_string(policy);
+    EXPECT_FALSE(report.has(Code::convergence_risk)) << tier::to_string(policy);
+    const Diagnostic* rc = report.find(Code::inductance_screened);
+    ASSERT_NE(nullptr, rc) << tier::to_string(policy);
+    EXPECT_EQ("net 'victim'", rc->path);
   }
 }
 

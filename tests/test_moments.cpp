@@ -8,6 +8,7 @@
 #include "moments/awe.h"
 #include "moments/pimodel.h"
 #include "moments/rational.h"
+#include "net/net.h"
 #include "tech/wire.h"
 #include "test_helpers.h"
 #include "util/error.h"
@@ -18,6 +19,7 @@ namespace {
 
 using namespace rlceff::units;
 using rlceff::testing::expect_rel_near;
+using rlceff::testing::lumped_branch;
 
 TEST(Admittance, FirstMomentIsTotalCapacitance) {
   const util::Series y = ladder_admittance(100.0, 5 * nh, 1 * pf, 30 * ff, 50);
@@ -61,12 +63,12 @@ TEST(Admittance, LadderConvergesToDistributed) {
 }
 
 TEST(Admittance, TreeChainMatchesSegmentedLine) {
-  // A chain of RlcBranch nodes is an L-section ladder; compare against the
+  // A chain of lumped branches is an L-section ladder; compare against the
   // same network expressed with nested children.
-  RlcBranch leaf{10.0, 0.5 * nh, 0.2 * pf, {}};
-  RlcBranch mid{10.0, 0.5 * nh, 0.2 * pf, {leaf}};
-  RlcBranch root{10.0, 0.5 * nh, 0.2 * pf, {mid}};
-  const util::Series y = tree_admittance(root);
+  const net::Branch leaf = lumped_branch(10.0, 0.5 * nh, 0.2 * pf);
+  const net::Branch mid = lumped_branch(10.0, 0.5 * nh, 0.2 * pf, {leaf});
+  const net::Net chain(lumped_branch(10.0, 0.5 * nh, 0.2 * pf, {mid}));
+  const util::Series y = net_admittance(chain);
   expect_rel_near(0.6e-12, y[1], 1e-9);  // total C
   // Driving-point m2 = -sum_{i,j} C_i C_j R_shared(i,j) (unlike the transfer
   // function's Elmore sum, both capacitor indices appear).  For the chain
@@ -75,14 +77,30 @@ TEST(Admittance, TreeChainMatchesSegmentedLine) {
 }
 
 TEST(Admittance, BranchedTreeSumsChildren) {
-  RlcBranch left{20.0, 0.0, 0.3 * pf, {}};
-  RlcBranch right{40.0, 0.0, 0.5 * pf, {}};
-  RlcBranch root{10.0, 0.0, 0.1 * pf, {left, right}};
-  const util::Series y = tree_admittance(root);
+  const net::Net tree(lumped_branch(
+      10.0, 0.0, 0.1 * pf,
+      {lumped_branch(20.0, 0.0, 0.3 * pf), lumped_branch(40.0, 0.0, 0.5 * pf)}));
+  const util::Series y = net_admittance(tree);
   expect_rel_near(0.9e-12, y[1], 1e-9);
   // m2 double sum with R_shared: (0,0)=10, (0,L)=(0,R)=(L,R)=10, (L,L)=30,
   // (R,R)=50 -> sum C_i C_j R_shared = 19.9e-24 ohm*F^2.
   expect_rel_near(-19.9e-24, y[2], 1e-9);
+}
+
+TEST(Admittance, LumpedSectionCarriesInductance) {
+  // One lumped section, Y = sC / (1 + (R + sL) sC): expanding the geometric
+  // series gives m1 = C, m2 = -R C^2, m3 = R^2 C^3 - L C^2 and
+  // m4 = 2 R L C^3 - R^3 C^4.  The L terms are what separate an RLC tree
+  // from an RC one.
+  const double r = 25.0;
+  const double l = 1.2 * nh;
+  const double c = 0.4 * pf;
+  const util::Series y = net_admittance(net::Net(lumped_branch(r, l, c)));
+  EXPECT_NEAR(0.0, y[0], 1e-30);
+  expect_rel_near(c, y[1], 1e-12);
+  expect_rel_near(-r * c * c, y[2], 1e-12);
+  expect_rel_near(r * r * c * c * c - l * c * c, y[3], 1e-12);
+  expect_rel_near(2.0 * r * l * c * c * c - r * r * r * c * c * c * c, y[4], 1e-12);
 }
 
 TEST(Rational, ReproducesMomentsOfPaperCase) {

@@ -25,8 +25,8 @@ namespace rlceff::net {
 namespace {
 
 using namespace rlceff::units;
-using moments::RlcBranch;
 using rlceff::testing::expect_rel_near;
+using rlceff::testing::lumped_branch;
 
 void expect_series_rel_near(const util::Series& a, const util::Series& b,
                             double rel_tol) {
@@ -163,20 +163,6 @@ TEST(NetMetrics, UniformLineMatchesWireParasitics) {
   expect_rel_near(w.capacitance + 20 * ff, m.total_capacitance(), 1e-12);
 }
 
-TEST(NetMetrics, FromTreeMatchesTreeMetrics) {
-  RlcBranch short_arm{20.0, 1 * nh, 0.3 * pf, {}};
-  RlcBranch long_arm{60.0, 4 * nh, 1.0 * pf, {}};
-  RlcBranch trunk{10.0, 0.5 * nh, 0.1 * pf, {short_arm, long_arm}};
-
-  const moments::TreePathMetrics ref = moments::tree_metrics(trunk);
-  const NetMetrics m = Net::from_tree(trunk).metrics();
-  expect_rel_near(ref.z0, m.z0, 1e-12);
-  expect_rel_near(ref.time_of_flight, m.time_of_flight, 1e-12);
-  expect_rel_near(ref.path_resistance, m.path_resistance, 1e-12);
-  expect_rel_near(ref.total_capacitance, m.total_capacitance(), 1e-12);
-  EXPECT_EQ(1u, m.dominant_leaf);  // depth-first: long arm is the second leaf
-}
-
 TEST(NetMetrics, MultiSectionAccumulatesAlongTheRoute) {
   const Net route = Net::multi_section(
       {{40.0, 2 * nh, 0.5 * pf, SectionKind::distributed},
@@ -200,29 +186,21 @@ TEST(NetMoments, UniformLineMatchesDistributedExpansion) {
   expect_series_rel_near(y_net, y_ref, 1e-12);
 }
 
-TEST(NetMoments, FromTreeMatchesTreeAdmittance) {
-  RlcBranch arm_a{30.0, 1.5 * nh, 0.4 * pf, {}};
-  RlcBranch arm_b{50.0, 2.5 * nh, 0.8 * pf, {}};
-  RlcBranch trunk{15.0, 0.8 * nh, 0.2 * pf, {arm_a, arm_b}};
-
-  const util::Series y_net = moments::net_admittance(Net::from_tree(trunk));
-  const util::Series y_ref = moments::tree_admittance(trunk);
-  expect_series_rel_near(y_net, y_ref, 1e-12);
-}
-
-TEST(NetMoments, UniformLineNetMatchesEquivalentRlcBranchChain) {
+TEST(NetMoments, UniformLineNetMatchesEquivalentLumpedChain) {
   // A uniform-line Net discretized as a lumped chain converges to the same
   // moments; at 60 sections the low-order moments agree to a fraction of a
   // percent (they drive Ceff1/Ceff2, so this pins the IR's two views of one
   // wire together).
   const tech::WireParasitics w = *tech::find_paper_wire_case(5.0, 1.6);
   const std::size_t n = 60;
-  RlcBranch chain{w.resistance / n, w.inductance / n, w.capacitance / n + 20 * ff, {}};
+  Branch chain =
+      lumped_branch(w.resistance / n, w.inductance / n, w.capacitance / n + 20 * ff);
   for (std::size_t k = 1; k < n; ++k) {
-    chain = RlcBranch{w.resistance / n, w.inductance / n, w.capacitance / n, {chain}};
+    chain = lumped_branch(w.resistance / n, w.inductance / n, w.capacitance / n,
+                          {std::move(chain)});
   }
   const util::Series y_line = moments::net_admittance(tech::line_net(w, 20 * ff));
-  const util::Series y_chain = moments::net_admittance(Net::from_tree(chain));
+  const util::Series y_chain = moments::net_admittance(Net(std::move(chain)));
   expect_rel_near(y_line[1], y_chain[1], 1e-9);  // total capacitance is exact
   // Higher moments converge as O(1/n) in the section count: a few percent at
   // n = 60.
@@ -282,35 +260,36 @@ TEST(NetDeck, UniformLineMatchesLegacyLadderDeck) {
 }
 
 // Replicates the legacy tree deck construction (testbench build_tree before
-// the IR refactor): each branch becomes a ladder, children hang off its far
-// end, capacitance-only branches become plain shunts.
-ckt::NodeId legacy_tree_branch(ckt::Netlist& nl, ckt::NodeId from,
-                               const RlcBranch& branch, std::size_t segments,
-                               std::vector<ckt::NodeId>& leaves) {
+// the IR refactor) on a tree of one-lumped-section branches: each branch
+// becomes a ladder, children hang off its far end, capacitance-only branches
+// become plain shunts.
+ckt::NodeId legacy_tree_branch(ckt::Netlist& nl, ckt::NodeId from, const Branch& branch,
+                               std::size_t segments, std::vector<ckt::NodeId>& leaves) {
   ckt::NodeId far = from;
-  if (branch.resistance > 0.0 && branch.capacitance > 0.0) {
-    far = ckt::append_rlc_ladder(nl, from, branch.resistance, branch.inductance,
-                                 branch.capacitance, segments)
+  const Section s = branch.sections.empty() ? Section{} : branch.sections.front();
+  if (s.resistance > 0.0 && s.capacitance > 0.0) {
+    far = ckt::append_rlc_ladder(nl, from, s.resistance, s.inductance, s.capacitance,
+                                 segments)
               .far_end;
-  } else if (branch.capacitance > 0.0) {
-    nl.add_capacitor(from, ckt::ground, branch.capacitance);
+  } else if (s.capacitance > 0.0) {
+    nl.add_capacitor(from, ckt::ground, s.capacitance);
   }
   if (branch.children.empty()) {
     leaves.push_back(far);
     return far;
   }
-  for (const RlcBranch& child : branch.children) {
+  for (const Branch& child : branch.children) {
     legacy_tree_branch(nl, far, child, segments, leaves);
   }
   return far;
 }
 
-TEST(NetDeck, FromTreeMatchesLegacyTreeDeck) {
-  RlcBranch arm_a{30.0, 1.5 * nh, 0.4 * pf, {}};
-  RlcBranch arm_b{50.0, 2.5 * nh, 0.8 * pf, {}};
-  RlcBranch cap_only{0.0, 0.0, 0.1 * pf, {}};
-  arm_b.children.push_back(cap_only);
-  RlcBranch trunk{15.0, 0.8 * nh, 0.2 * pf, {arm_a, arm_b}};
+TEST(NetDeck, LumpedTreeMatchesLegacyTreeDeck) {
+  const Branch cap_only = lumped_branch(0.0, 0.0, 0.1 * pf);
+  const Branch trunk =
+      lumped_branch(15.0, 0.8 * nh, 0.2 * pf,
+                    {lumped_branch(30.0, 1.5 * nh, 0.4 * pf),
+                     lumped_branch(50.0, 2.5 * nh, 0.8 * pf, {cap_only})});
   const wave::Pwl source({{5 * ps, 0.0}, {55 * ps, 1.8}});
   const std::size_t segments = 10;
 
@@ -328,7 +307,7 @@ TEST(NetDeck, FromTreeMatchesLegacyTreeDeck) {
   deck.t_stop = 0.6 * ns;
   deck.dt = 0.5 * ps;
   const tech::NetSimResult net_sim =
-      tech::simulate_source_net(source, Net::from_tree(trunk), deck);
+      tech::simulate_source_net(source, Net(trunk), deck);
 
   ASSERT_EQ(leaves.size(), net_sim.leaves.size());
   expect_waveforms_match(net_sim.near_end, ref.at(out), 1e-10);

@@ -527,8 +527,9 @@ TEST_F(TierEngineFixture, ReferenceFlagIsIncompatibleWithTierPolicies) {
 TEST_F(TierEngineFixture, PinnedCoupledVictimIsNotJudgedByItsAggressor) {
   // A short victim beside Table 1's 5 mm / 1.6 um aggressor, both behind
   // 200X at 30 ps, the victim pinned to Tier A with the deep lint screen
-  // armed at warn.  Lint predicts no tier for a group's members, so the
-  // aggressor's own Eq 9 verdict does not reject the victim Tier A serves.
+  // armed at warn.  Lint judges a group's members without the victim's
+  // driver, so neither a tier prediction nor an Eq 9 verdict computed from
+  // the victim's Rs and slew lands on the aggressor.
   const tech::WireModel wires;
   net::CoupledGroup group;
   group.add_net(tech::line_net(wires.extract({0.5 * mm, 0.4 * um}), 10 * ff), "victim");
@@ -556,7 +557,7 @@ TEST_F(TierEngineFixture, PinnedCoupledVictimIsNotJudgedByItsAggressor) {
                           (d.code == lint::Code::inductance_significant &&
                            d.path == "net 'aggr'");
   }
-  EXPECT_TRUE(aggressor_inductive);  // the member's model findings remain
+  EXPECT_FALSE(aggressor_inductive);  // no Eq 9 verdict from the victim's driver
 }
 
 TEST_F(TierEngineFixture, CoupledAnalyticalReportsNoiseBound) {

@@ -5,7 +5,7 @@
 
 #include "charlib/library.h"
 #include "core/driver_model.h"
-#include "moments/admittance.h"
+#include "net/net.h"
 #include "tech/testbench.h"
 #include "tech/wire.h"
 #include "test_helpers.h"
@@ -16,48 +16,51 @@ namespace rlceff::core {
 namespace {
 
 using namespace rlceff::units;
-using moments::RlcBranch;
 using rlceff::testing::expect_rel_near;
+using rlceff::testing::lumped_branch;
 
 // A uniform line expressed as a chain of lumped branches.
-RlcBranch chain_for_wire(const tech::WireParasitics& w, std::size_t sections,
-                         double c_leaf) {
+net::Net chain_for_wire(const tech::WireParasitics& w, std::size_t sections,
+                        double c_leaf) {
   const double n = static_cast<double>(sections);
-  RlcBranch leaf{w.resistance / n, w.inductance / n, w.capacitance / n + c_leaf, {}};
-  RlcBranch node = leaf;
+  net::Branch node =
+      lumped_branch(w.resistance / n, w.inductance / n, w.capacitance / n + c_leaf);
   for (std::size_t k = 1; k < sections; ++k) {
-    RlcBranch parent{w.resistance / n, w.inductance / n, w.capacitance / n, {node}};
-    node = parent;
+    node = lumped_branch(w.resistance / n, w.inductance / n, w.capacitance / n,
+                         {std::move(node)});
   }
-  return node;
+  return net::Net(std::move(node));
 }
 
 TEST(TreeMetrics, ChainMatchesUniformLine) {
   const tech::WireParasitics w = *tech::find_paper_wire_case(5.0, 1.6);
-  const RlcBranch chain = chain_for_wire(w, 20, 0.0);
-  const moments::TreePathMetrics m = moments::tree_metrics(chain);
+  const net::NetMetrics m = chain_for_wire(w, 20, 0.0).metrics();
   expect_rel_near(w.z0(), m.z0, 1e-9);
   expect_rel_near(w.time_of_flight(), m.time_of_flight, 1e-9);
   expect_rel_near(w.resistance, m.path_resistance, 1e-9);
-  expect_rel_near(w.capacitance, m.total_capacitance, 1e-9);
+  expect_rel_near(w.capacitance, m.total_capacitance(), 1e-9);
 }
 
 TEST(TreeMetrics, PicksDominantPath) {
   // Two asymmetric arms: the long arm defines the flight time.
-  RlcBranch short_arm{20.0, 1 * nh, 0.3 * pf, {}};
-  RlcBranch long_arm{60.0, 4 * nh, 1.0 * pf, {}};
-  RlcBranch trunk{10.0, 0.5 * nh, 0.1 * pf, {short_arm, long_arm}};
-  const moments::TreePathMetrics m = moments::tree_metrics(trunk);
+  const net::Net trunk(lumped_branch(10.0, 0.5 * nh, 0.1 * pf,
+                                     {lumped_branch(20.0, 1 * nh, 0.3 * pf),
+                                      lumped_branch(60.0, 4 * nh, 1.0 * pf)}));
+  const net::NetMetrics m = trunk.metrics();
   const double l_path = 0.5 * nh + 4 * nh;
   const double c_path = 0.1 * pf + 1.0 * pf;
   expect_rel_near(std::sqrt(l_path * c_path), m.time_of_flight, 1e-9);
+  expect_rel_near(std::sqrt(l_path / c_path), m.z0, 1e-9);
   expect_rel_near(70.0, m.path_resistance, 1e-9);
-  expect_rel_near(1.4 * pf, m.total_capacitance, 1e-9);
+  expect_rel_near(1.4 * pf, m.total_capacitance(), 1e-9);
+  EXPECT_EQ(1u, m.dominant_leaf);  // depth-first: long arm is the second leaf
 }
 
 TEST(TreeMetrics, RejectsDegenerateTrees) {
-  RlcBranch no_c{10.0, 1 * nh, 0.0, {}};
-  EXPECT_THROW(moments::tree_metrics(no_c), Error);
+  EXPECT_THROW(net::Net(lumped_branch(10.0, 1 * nh, 0.0)), Error);
+  // Capacitance but no inductance on any path: no flight time to report.
+  const net::Net rc(lumped_branch(10.0, 0.0, 1 * pf));
+  EXPECT_THROW(rc.metrics(), Error);
 }
 
 class TreeModelFixture : public ::testing::Test {
@@ -90,9 +93,9 @@ TEST_F(TreeModelFixture, ChainTreeReproducesWireModel) {
   const charlib::CharacterizedDriver& driver = *library_->find(100.0);
 
   const DriverOutputModel via_wire =
-      model_driver_output(driver, 100 * ps, w, 20 * ff);
-  const RlcBranch chain = chain_for_wire(w, 40, 20 * ff);
-  const DriverOutputModel via_tree = model_driver_output(driver, 100 * ps, chain);
+      model_driver_output(driver, 100 * ps, tech::line_net(w, 20 * ff));
+  const DriverOutputModel via_tree =
+      model_driver_output(driver, 100 * ps, chain_for_wire(w, 40, 20 * ff));
 
   EXPECT_EQ(via_wire.kind, via_tree.kind);
   // Lumped 40-section moments vs exact distributed moments: a few percent
@@ -108,10 +111,10 @@ TEST_F(TreeModelFixture, BranchedNetEndToEnd) {
   const tech::WireModel wires;
   const tech::WireParasitics trunk_w = wires.extract({2 * mm, 1.6 * um});
   const tech::WireParasitics arm_w = wires.extract({2.5 * mm, 1.2 * um});
-  RlcBranch arm_a{arm_w.resistance, arm_w.inductance, arm_w.capacitance + 20 * ff, {}};
-  RlcBranch arm_b = arm_a;
-  RlcBranch net{trunk_w.resistance, trunk_w.inductance, trunk_w.capacitance,
-                {arm_a, arm_b}};
+  const net::Branch arm =
+      lumped_branch(arm_w.resistance, arm_w.inductance, arm_w.capacitance + 20 * ff);
+  const net::Net net(lumped_branch(trunk_w.resistance, trunk_w.inductance,
+                                   trunk_w.capacitance, {arm, arm}));
 
   const charlib::CharacterizedDriver& driver = *library_->find(100.0);
   const DriverOutputModel model = model_driver_output(driver, 100 * ps, net);
@@ -124,7 +127,7 @@ TEST_F(TreeModelFixture, BranchedNetEndToEnd) {
   deck.t_stop = 2 * ns;
   deck.segments = 30;
   const tech::NetSimResult sim = tech::simulate_driver_net(
-      *technology_, tech::Inverter{100.0}, 100 * ps, net::Net::from_tree(net), deck);
+      *technology_, tech::Inverter{100.0}, 100 * ps, net, deck);
   ASSERT_EQ(2u, sim.leaves.size());
 
   const auto near = wave::measure_rising_edge(sim.near_end, 0.0, technology_->vdd);
@@ -146,18 +149,18 @@ TEST_F(TreeModelFixture, ReplayThroughTreeMatchesSinkDelay) {
   const tech::WireModel wires;
   const tech::WireParasitics trunk_w = wires.extract({2 * mm, 2.0 * um});
   const tech::WireParasitics arm_w = wires.extract({2 * mm, 1.2 * um});
-  RlcBranch arm{arm_w.resistance, arm_w.inductance, arm_w.capacitance + 20 * ff, {}};
-  RlcBranch net{trunk_w.resistance, trunk_w.inductance, trunk_w.capacitance,
-                {arm, arm}};
+  const net::Branch arm =
+      lumped_branch(arm_w.resistance, arm_w.inductance, arm_w.capacitance + 20 * ff);
+  const net::Net tree(lumped_branch(trunk_w.resistance, trunk_w.inductance,
+                                    trunk_w.capacitance, {arm, arm}));
 
   const charlib::CharacterizedDriver& driver = *library_->find(100.0);
-  const DriverOutputModel model = model_driver_output(driver, 100 * ps, net);
+  const DriverOutputModel model = model_driver_output(driver, 100 * ps, tree);
 
   tech::DeckOptions deck;
   deck.dt = 0.5 * ps;
   deck.t_stop = 2 * ns;
   deck.segments = 30;
-  const net::Net tree = net::Net::from_tree(net);
   const auto ref = tech::simulate_driver_net(*technology_, tech::Inverter{100.0},
                                              100 * ps, tree, deck);
   // Replay the modeled waveform (shifted to deck time) through the tree.
@@ -179,7 +182,8 @@ TEST_F(TreeModelFixture, ShieldingTailActivatesForWeakDriverLongLine) {
 
   DriverModelOptions with_tail;
   with_tail.shielding_tail = true;
-  const DriverOutputModel m = model_driver_output(driver, 100 * ps, w, 20 * ff, with_tail);
+  const DriverOutputModel m =
+      model_driver_output(driver, 100 * ps, tech::line_net(w, 20 * ff), with_tail);
   ASSERT_EQ(ModelKind::one_ramp, m.kind);
   EXPECT_TRUE(m.has_shielding_tail);
   EXPECT_GT(m.tail_tau, 0.0);
@@ -188,7 +192,7 @@ TEST_F(TreeModelFixture, ShieldingTailActivatesForWeakDriverLongLine) {
   DriverModelOptions no_tail = with_tail;
   no_tail.shielding_tail = false;
   const DriverOutputModel plain =
-      model_driver_output(driver, 100 * ps, w, 20 * ff, no_tail);
+      model_driver_output(driver, 100 * ps, tech::line_net(w, 20 * ff), no_tail);
   EXPECT_FALSE(plain.has_shielding_tail);
   expect_rel_near(plain.t50, m.t50, 1e-9);
 
@@ -207,16 +211,17 @@ TEST_F(TreeModelFixture, ShieldingTailImprovesSlewAccuracy) {
   deck.segments = 60;
   deck.dt = 0.5 * ps;
   deck.t_stop = 4 * ns;
+  const net::Net line = tech::line_net(w, 20 * ff);
   const auto sim = tech::simulate_driver_net(*technology_, tech::Inverter{25.0},
-                                             100 * ps, tech::line_net(w, 20 * ff), deck);
+                                             100 * ps, line, deck);
   const auto ref = wave::measure_rising_edge(sim.near_end, 0.0, technology_->vdd);
 
   DriverModelOptions with_tail;
   with_tail.shielding_tail = true;
   DriverModelOptions no_tail;
   no_tail.shielding_tail = false;
-  const auto m_tail = model_driver_output(driver, 100 * ps, w, 20 * ff, with_tail);
-  const auto m_plain = model_driver_output(driver, 100 * ps, w, 20 * ff, no_tail);
+  const auto m_tail = model_driver_output(driver, 100 * ps, line, with_tail);
+  const auto m_plain = model_driver_output(driver, 100 * ps, line, no_tail);
 
   const auto e_tail = wave::measure_rising_edge(
       m_tail.waveform.to_waveform(m_tail.waveform.end_time() + 1 * ns), 0.0,

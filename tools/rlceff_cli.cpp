@@ -52,7 +52,8 @@
 //                        re-characterization)
 //     --grid small       use a small characterization grid (CI/smoke runs)
 //     --reference        also run the transient reference and print errors
-//     --threads <n>      sweep pool width (default: hardware concurrency)
+//     --threads <n>      sweep pool width (default, and 0: hardware
+//                        concurrency)
 //     --json             machine-readable output (per-net delay/slew/noise
 //                        and error slots) instead of the text table
 //     --solver <kind>    linear-solver backend for reference transients:
@@ -120,6 +121,7 @@
 //                        value here is catching the simulatable-but-
 //                        suspicious decks — near-limit coupling, extreme
 //                        stiffness — before they burn a solve.)
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -127,6 +129,7 @@
 
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -175,6 +178,7 @@ void usage(const char* argv0) {
 }
 
 bool parse_number(const std::string& token, double& out);
+bool parse_integer(const std::string& token, long long& out);
 
 bool parse_args(int argc, char** argv, CliOptions& opt) {
   for (int k = 1; k < argc; ++k) {
@@ -199,8 +203,15 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
       opt.json = true;
     } else if (arg == "--threads") {
       const char* v = next();
-      if (v == nullptr) return false;
-      opt.n_threads = static_cast<unsigned>(std::atoi(v));
+      long long n = 0;
+      if (v == nullptr || !parse_integer(v, n) || n < 0 ||
+          n > std::numeric_limits<unsigned>::max()) {
+        std::fprintf(stderr,
+                     "--threads needs a non-negative integer (0: hardware "
+                     "concurrency)\n");
+        return false;
+      }
+      opt.n_threads = static_cast<unsigned>(n);
     } else if (arg == "--solver") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -218,9 +229,7 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
       }
     } else if (arg == "--max-steps") {
       const char* v = next();
-      if (v == nullptr) return false;
-      opt.max_steps = std::atoll(v);
-      if (opt.max_steps <= 0) {
+      if (v == nullptr || !parse_integer(v, opt.max_steps) || opt.max_steps <= 0) {
         std::fprintf(stderr, "--max-steps needs a positive integer\n");
         return false;
       }
@@ -353,6 +362,15 @@ bool parse_number(const std::string& token, double& out) {
   char* end = nullptr;
   out = std::strtod(token.c_str(), &end);
   return end != token.c_str() && *end == '\0';
+}
+
+// Strict base-10 integer token parse: "12abc" is a typo, not 12, and an
+// out-of-range value is refused rather than saturated.
+bool parse_integer(const std::string& token, long long& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtoll(token.c_str(), &end, 10);
+  return end != token.c_str() && *end == '\0' && errno == 0;
 }
 
 // Strict field extraction for the explicit-parasitics stanzas: a whole
@@ -659,6 +677,25 @@ void print_lint_json(const CliOptions& cli, const std::vector<DeckNet>& slots,
   std::printf("\n  ],\n  \"failed\": %zu\n}\n", failed);
 }
 
+// Answered slots per serving tier, and the escalations they took, for the
+// summary line of a tiered run.
+struct TierSummary {
+  std::size_t served[3] = {0, 0, 0};  // indexed by tier::Tier
+  std::size_t escalations = 0;
+
+  std::size_t at(tier::Tier t) const { return served[static_cast<std::size_t>(t)]; }
+};
+
+TierSummary summarize_tiers(const std::vector<api::Outcome<api::Response>>& results) {
+  TierSummary summary;
+  for (const api::Outcome<api::Response>& outcome : results) {
+    if (!outcome.ok()) continue;
+    ++summary.served[static_cast<std::size_t>(outcome.value().tier)];
+    summary.escalations += outcome.value().tier_escalations;
+  }
+  return summary;
+}
+
 void print_json(const CliOptions& cli, const std::vector<DeckNet>& slots,
                 const std::vector<std::string>& build_errors,
                 const std::vector<api::Outcome<api::Response>>& results,
@@ -717,20 +754,12 @@ void print_json(const CliOptions& cli, const std::vector<DeckNet>& slots,
   }
   std::printf("\n  ],\n  \"failed\": %zu", failed);
   if (cli.tier != tier::TierPolicy::reference) {
-    std::size_t served[3] = {0, 0, 0};
-    std::size_t escalations = 0;
-    for (const api::Outcome<api::Response>& outcome : results) {
-      if (!outcome.ok()) continue;
-      ++served[static_cast<std::size_t>(outcome.value().tier)];
-      escalations += outcome.value().tier_escalations;
-    }
+    const TierSummary tiers = summarize_tiers(results);
     std::printf(",\n  \"tier_policy\": \"%s\",\n  \"tiers\": "
                 "{\"a\": %zu, \"b\": %zu, \"c\": %zu, \"escalations\": %zu}",
-                tier::to_string(cli.tier),
-                served[static_cast<std::size_t>(tier::Tier::analytical)],
-                served[static_cast<std::size_t>(tier::Tier::ceff)],
-                served[static_cast<std::size_t>(tier::Tier::reference)],
-                escalations);
+                tier::to_string(cli.tier), tiers.at(tier::Tier::analytical),
+                tiers.at(tier::Tier::ceff), tiers.at(tier::Tier::reference),
+                tiers.escalations);
   }
   std::printf("\n}\n");
 }
@@ -1044,19 +1073,11 @@ int main(int argc, char** argv) {
       }
     }
     if (cli.tier != tier::TierPolicy::reference) {
-      std::size_t served[3] = {0, 0, 0};
-      std::size_t escalations = 0;
-      for (const api::Outcome<api::Response>& outcome : results) {
-        if (!outcome.ok()) continue;
-        ++served[static_cast<std::size_t>(outcome.value().tier)];
-        escalations += outcome.value().tier_escalations;
-      }
+      const TierSummary tiers = summarize_tiers(results);
       std::printf("# tiers served (%s): a=%zu b=%zu c=%zu, %zu escalation(s)\n",
-                  tier::to_string(cli.tier),
-                  served[static_cast<std::size_t>(tier::Tier::analytical)],
-                  served[static_cast<std::size_t>(tier::Tier::ceff)],
-                  served[static_cast<std::size_t>(tier::Tier::reference)],
-                  escalations);
+                  tier::to_string(cli.tier), tiers.at(tier::Tier::analytical),
+                  tiers.at(tier::Tier::ceff), tiers.at(tier::Tier::reference),
+                  tiers.escalations);
     }
     std::printf("# %zu net(s), %zu failed\n", results.size(), failed);
   }
