@@ -54,16 +54,16 @@ void validate(const Request& r) {
       reject("victim index " + std::to_string(r.victim) + " out of range (group has " +
              std::to_string(r.group.size()) + " nets)");
     }
-    std::vector<bool> seen(r.group.size(), false);
-    for (const Aggressor& a : r.aggressors) {
+    for (auto it = r.aggressors.begin(); it != r.aggressors.end(); ++it) {
+      const Aggressor& a = *it;
       if (a.net >= r.group.size()) {
         reject("aggressor net index " + std::to_string(a.net) + " out of range");
       }
       if (a.net == r.victim) reject("the victim cannot be its own aggressor");
-      if (seen[a.net]) {
+      if (std::any_of(r.aggressors.begin(), it,
+                      [&](const Aggressor& b) { return b.net == a.net; })) {
         reject("duplicate aggressor for net '" + r.group.label_at(a.net) + "'");
       }
-      seen[a.net] = true;
       if (!positive_finite(a.cell_size)) {
         reject("aggressor cell size must be positive and finite");
       }
@@ -97,6 +97,16 @@ void validate(const Request& r) {
   if (r.tier != tier::TierPolicy::reference && r.reference) {
     reject("the reference flag is incompatible with a tier policy; use "
            "TierPolicy::force_reference to pin Tier C");
+  }
+}
+
+// validate() as a test: whether it accepts the request.
+bool valid(const Request& r) {
+  try {
+    validate(r);
+    return true;
+  } catch (const InvalidRequestError&) {
+    return false;
   }
 }
 
@@ -747,7 +757,7 @@ std::vector<Outcome<Response>> Engine::run_batch(std::span<const Request> reques
   std::vector<double> sizes;
   for (const Request& r : requests) {
     // validate() refuses the slot: nothing to characterize for it.
-    if (!positive_finite(r.cell_size) || !positive_finite(r.input_slew)) continue;
+    if (!valid(r)) continue;
     const bool seen = std::any_of(sizes.begin(), sizes.end(), [&](double s) {
       return std::abs(s - r.cell_size) < 1e-9;
     });

@@ -18,12 +18,16 @@ void write_values(std::ostream& out, std::span<const double> values) {
   out << '\n';
 }
 
+// Reads the values one at a time, so a corrupt count fails on the missing
+// values instead of sizing a vector from it.
 std::vector<double> read_values(std::istream& in, const char* what) {
   std::size_t n = 0;
   ensure(static_cast<bool>(in >> n), std::string("CellLibrary: bad count for ") + what);
-  std::vector<double> v(n);
-  for (double& x : v) {
+  std::vector<double> v;
+  for (std::size_t k = 0; k < n; ++k) {
+    double x = 0.0;
     ensure(static_cast<bool>(in >> x), std::string("CellLibrary: bad value in ") + what);
+    v.push_back(x);
   }
   return v;
 }
@@ -114,6 +118,9 @@ void CellLibrary::load(std::istream& in) {
   std::size_t count = 0;
   ensure(static_cast<bool>(in >> count), "CellLibrary: bad cell count");
 
+  // Every cell is read before any is merged, so a stream that turns out
+  // corrupt leaves the library as it was.
+  std::vector<CharacterizedDriver> read;
   for (std::size_t k = 0; k < count; ++k) {
     expect_token(in, "cell");
     double size = 0.0;
@@ -130,12 +137,14 @@ void CellLibrary::load(std::istream& in) {
     expect_token(in, "resistance");
     std::vector<double> resistance = read_values(in, "resistance");
 
-    CharacterizedDriver driver(tech::Inverter{size}, vdd,
-                               Table2D(slews, loads, std::move(delay)),
-                               Table2D(slews, loads, std::move(transition)),
-                               Table2D(slews, loads, std::move(resistance)));
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (find_locked(size) == nullptr) drivers_.push_back(std::move(driver));
+    read.emplace_back(tech::Inverter{size}, vdd,
+                      Table2D(slews, loads, std::move(delay)),
+                      Table2D(slews, loads, std::move(transition)),
+                      Table2D(slews, loads, std::move(resistance)));
+  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (CharacterizedDriver& driver : read) {
+    if (find_locked(driver.cell().size) == nullptr) drivers_.push_back(std::move(driver));
   }
 }
 

@@ -48,7 +48,8 @@ public:
 
   // Plain-text serialization.  load() merges the stream's cells into this
   // library; sizes that are already characterized are skipped, so merging a
-  // stale cache into a warm library is a no-op for the overlap.
+  // stale cache into a warm library is a no-op for the overlap.  A corrupt
+  // stream throws Error and merges nothing.
   void save(std::ostream& out) const;
   void save_file(const std::string& path) const;
   void load(std::istream& in);

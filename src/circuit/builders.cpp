@@ -31,7 +31,6 @@ LadderNodes append_rlc_ladder(Netlist& netlist, NodeId from, double r_total,
       const NodeId mid = netlist.add_node();
       netlist.add_resistor(prev, mid, r_seg);
       netlist.add_inductor(mid, next, l_seg);
-      out.internal.push_back(mid);
     } else {
       netlist.add_resistor(prev, next, r_seg);
     }
@@ -40,7 +39,6 @@ LadderNodes append_rlc_ladder(Netlist& netlist, NodeId from, double r_total,
     const double shunt = (k + 1 == segments) ? 0.5 * c_seg : c_seg;
     netlist.add_capacitor(next, ground, shunt);
     out.taps.push_back(next);
-    if (k + 1 < segments) out.internal.push_back(next);
     prev = next;
   }
   out.far_end = prev;

@@ -20,7 +20,6 @@ namespace rlceff::ckt {
 struct LadderNodes {
   NodeId near_end = ground;
   NodeId far_end = ground;
-  std::vector<NodeId> internal;  // intermediate nodes, near to far
   std::vector<NodeId> taps;      // shunt-capacitor nodes, near to far (N + 1)
 };
 

@@ -108,6 +108,9 @@ double ceff_second_ramp_numeric(const ChargeModel& load, double f, double tr1,
 
 namespace {
 
+// Stop once a pass moves Ceff by less than this fraction of its value.
+constexpr double kCeffRelTol = 1e-6;
+
 // The one Ceff <-> cell-table fixed point: c -> (table) ramp time -> Ceff,
 // from c = Ctotal, with the iterate clamped to [1e-4, upper] * Ctotal.  A
 // template over the window's Ceff so a pass makes one indirect call, the
@@ -120,7 +123,7 @@ CeffIteration run_iteration(const ChargeModel& load, const TransitionFn& transit
                             double upper) {
   const double c_total = load.admittance().total_capacitance();
   util::FixedPointOptions fp;
-  fp.rel_tol = options.rel_tol;
+  fp.rel_tol = kCeffRelTol;
   fp.max_iter = options.max_iter;
   fp.budget = options.budget;
   fp.lower = 1e-4 * c_total;

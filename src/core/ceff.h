@@ -61,13 +61,13 @@ struct CeffIteration {
   bool converged = false;
 };
 
-// The solver makes at most max_iter table passes.  Running out returns
-// converged = false for the service boundary (api::Engine's convergence
-// gate) to judge; max_iter = 0 returns Ctotal and its ramp time,
-// unconverged.  `budget` is checkpointed before every pass (deadline and
-// cancellation, util/budget.h).
+// The solver stops once a pass moves Ceff by less than 1e-6 of its value,
+// after at most max_iter table passes.  Running out returns converged =
+// false for the service boundary (api::Engine's convergence gate) to judge;
+// max_iter = 0 returns Ctotal and its ramp time, unconverged.  `budget` is
+// checkpointed before every pass (deadline and cancellation,
+// util/budget.h).
 struct CeffIterationOptions {
-  double rel_tol = 1e-6;
   int max_iter = util::iter_defaults::ceff;
   // Ignored: the solver has no damping.  Declared so code that sets it
   // still compiles.

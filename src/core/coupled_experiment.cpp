@@ -63,6 +63,17 @@ std::vector<tech::NetDrive> build_drives(const CoupledExperimentCase& c,
   return drives;
 }
 
+// Per-net Miller factors for a case (1.0 for the victim and for nets beyond
+// the aggressor list).
+std::vector<double> miller_factors(const CoupledExperimentCase& scenario) {
+  std::vector<double> factors(scenario.group.size(), 1.0);
+  for (std::size_t k = 0; k < scenario.group.size(); ++k) {
+    if (k == scenario.victim || k >= scenario.aggressors.size()) continue;
+    factors[k] = miller_factor(scenario.aggressors[k].switching);
+  }
+  return factors;
+}
+
 }  // namespace
 
 double miller_factor(AggressorSwitching switching) {
@@ -77,15 +88,6 @@ double miller_factor(AggressorSwitching switching) {
   return 2.0;
 }
 
-std::vector<double> miller_factors(const CoupledExperimentCase& scenario) {
-  std::vector<double> factors(scenario.group.size(), 1.0);
-  for (std::size_t k = 0; k < scenario.group.size(); ++k) {
-    if (k == scenario.victim || k >= scenario.aggressors.size()) continue;
-    factors[k] = miller_factor(scenario.aggressors[k].switching);
-  }
-  return factors;
-}
-
 CoupledExperimentResult run_coupled_experiment(const tech::Technology& technology,
                                                charlib::CellLibrary& library,
                                                const CoupledExperimentCase& scenario,
@@ -95,7 +97,6 @@ CoupledExperimentResult run_coupled_experiment(const tech::Technology& technolog
          "run_coupled_experiment: victim index out of range");
 
   CoupledExperimentResult out;
-  out.scenario = scenario;
 
   const net::NetMetrics victim_metrics =
       scenario.group.net_at(scenario.victim).metrics();

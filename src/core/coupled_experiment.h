@@ -38,7 +38,8 @@ enum class AggressorSwitching {
 double miller_factor(AggressorSwitching switching);
 
 // Defaults to a quiet neighbor so a scenario whose aggressor list is shorter
-// than the group simulates exactly what miller_factors assumes (1x).
+// than the group simulates exactly what the decoupled model assumes for the
+// missing nets (1x).
 struct AggressorDrive {
   double driver_size = 75.0;
   double input_slew = 100e-12;
@@ -69,8 +70,6 @@ struct CoupledExperimentOptions {
 };
 
 struct CoupledExperimentResult {
-  CoupledExperimentCase scenario;
-
   EdgeMetrics ref_near;   // victim driver output in the coupled simulation
   EdgeMetrics ref_far;    // victim dominant-path leaf in the coupled simulation
   EdgeMetrics base_near;  // quiet-environment (1x) simulated baseline
@@ -96,10 +95,6 @@ struct CoupledExperimentResult {
   // Backend that factored the coupled reference deck (never `automatic`).
   sim::SolverKind solver = sim::SolverKind::automatic;
 };
-
-// Per-net Miller factors for a case (1.0 for the victim and for nets beyond
-// the aggressor list).
-std::vector<double> miller_factors(const CoupledExperimentCase& scenario);
 
 // Runs the coupled reference, the quiet baseline, the noise view, and the
 // Miller-decoupled model for one case.  The library caches driver

@@ -52,7 +52,6 @@ ExperimentResult run_experiment(const tech::Technology& technology,
                                 const ExperimentCase& scenario,
                                 const ExperimentOptions& options) {
   ExperimentResult out;
-  out.scenario = scenario;
 
   const net::NetMetrics metrics = scenario.net.metrics();
   tech::DeckOptions deck = options.deck;

@@ -51,8 +51,6 @@ struct ExperimentOptions {
 };
 
 struct ExperimentResult {
-  ExperimentCase scenario;
-
   EdgeMetrics ref_near;   // simulated driver output
   EdgeMetrics ref_far;    // simulated far end
   EdgeMetrics model_near; // measured on the modeled PWL

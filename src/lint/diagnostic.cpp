@@ -18,9 +18,6 @@ constexpr std::array<CodeInfo, code_count> kCodeTable = {{
     {Code::empty_branch, "empty_branch", "connectivity", Severity::error},
     {Code::zero_section, "zero_section", "connectivity", Severity::error},
     {Code::duplicate_probe, "duplicate_probe", "connectivity", Severity::error},
-    {Code::probe_missing, "probe_missing", "connectivity", Severity::error},
-    {Code::floating_node, "floating_node", "connectivity", Severity::warn},
-    {Code::unreachable_node, "unreachable_node", "connectivity", Severity::error},
     {Code::nonfinite_value, "nonfinite_value", "physicality", Severity::error},
     {Code::nonpositive_resistance, "nonpositive_resistance", "physicality",
      Severity::error},

@@ -1,17 +1,17 @@
 // Structured static diagnostics.
 //
-// A lint::Diagnostic is one finding about a net, coupled group, netlist, or
-// parsed deck: a stable machine code, a severity, the element path (the same
+// A lint::Diagnostic is one finding about a net, coupled group, or parsed
+// deck: a stable machine code, a severity, the element path (the same
 // "section K of branch 'root/1'" naming the construction-time validation
 // errors use), a human message, and an actionable fix hint.  The taxonomy is
 // shared between the two reporting modes:
 //   * throw-on-construct — net::Net / net::CoupledGroup / ckt validation
 //     raises DiagnosticError carrying the first error-severity Diagnostic,
-//   * lint-report — lint::lint_net / lint_group / lint_netlist collect every
-//     finding into a lint::Report without throwing (and without simulating).
-// Codes are append-only: tools and CI greps key on the spelled enum name
-// (to_string), so renaming or reordering an existing code is a breaking
-// change.
+//   * lint-report — lint::lint_net / lint_group collect every finding into a
+//     lint::Report without throwing (and without simulating).
+// Tools and CI greps key on the spelled enum name (to_string), so a code
+// that some check emits is never renamed or reordered; new codes are
+// appended.  A code no check can emit any more is deleted.
 #ifndef RLCEFF_LINT_DIAGNOSTIC_H
 #define RLCEFF_LINT_DIAGNOSTIC_H
 
@@ -36,9 +36,6 @@ enum class Code {
   empty_branch,       // a branch with no sections, children, or load
   zero_section,       // lumped section with R = L = C = 0
   duplicate_probe,    // two branches claim the same probe name
-  probe_missing,      // a required probe target does not exist
-  floating_node,      // netlist node with no conductive path to ground
-  unreachable_node,   // netlist node no element connects to at all
   // physicality — element values outside the passive/physical range
   nonfinite_value,         // NaN/Inf parasitics
   nonpositive_resistance,  // distributed R <= 0 (or lumped R < 0)

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <limits>
 #include <map>
-#include <numeric>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -32,33 +30,13 @@ constexpr double kDynamicRangeWarn = 1e9;     // max/min per-unit element-value 
 constexpr double kMillerCouplingRatio = 0.5;  // coupling / total C bound for Miller
 constexpr double kRegimeMargin = 0.10;        // convergence-risk band around the Eq 9
                                               // boundaries (relative)
+constexpr std::size_t kAdvisorySegments = 120;  // per section of the advisory deck
+                                                // (tech::DeckOptions default)
 
 std::string fmt(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%g", v);
   return buf;
-}
-
-// --------------------------------------------------------------- report ---
-
-void collect_probes(const net::Branch& branch, std::set<std::string>& names) {
-  if (!branch.probe.empty()) names.insert(branch.probe);
-  for (const net::Branch& child : branch.children) collect_probes(child, names);
-}
-
-void check_probes(const net::Branch& root, const Options& options,
-                  std::vector<Diagnostic>& out) {
-  if (options.require_probes.empty()) return;
-  std::set<std::string> names;
-  collect_probes(root, names);
-  for (const std::string& wanted : options.require_probes) {
-    if (!names.count(wanted)) {
-      out.push_back(make_diagnostic(
-          Code::probe_missing, "probe '" + wanted + "'",
-          "no branch carries this probe name",
-          "name a branch far end '" + wanted + "' or drop it from the request"));
-    }
-  }
 }
 
 // Visits every section depth-first: a branch's own sections near to far,
@@ -146,11 +124,10 @@ void advisory_for(const ckt::Netlist& netlist, std::vector<Diagnostic>& out) {
           " pattern nonzeros -> " + sim::to_string(kind) + " solver"));
 }
 
-void check_net_conditioning(const net::Net& net, const Options& options,
-                            std::vector<Diagnostic>& out) {
+void check_net_conditioning(const net::Net& net, std::vector<Diagnostic>& out) {
   ckt::Netlist netlist;
   const ckt::NodeId in = netlist.node("in");
-  (void)ckt::append_net(netlist, in, net, options.segments);
+  (void)ckt::append_net(netlist, in, net, kAdvisorySegments);
   advisory_for(netlist, out);
 }
 
@@ -308,10 +285,9 @@ Severity Report::worst() const {
   return w;
 }
 
-Report lint_branch(const net::Branch& root, const Options& options) {
+Report lint_branch(const net::Branch& root) {
   Report report;
   check_branch_tree(root, report.diagnostics);
-  check_probes(root, options, report.diagnostics);
   return report;
 }
 
@@ -324,7 +300,6 @@ Report lint_net(const net::Net& net, const Options& options) {
     return report;
   }
   check_branch_tree(net.root(), report.diagnostics);
-  check_probes(net.root(), options, report.diagnostics);
   if (has_error(report.diagnostics)) return report;
 
   if (options.conditioning) {
@@ -333,7 +308,7 @@ Report lint_net(const net::Net& net, const Options& options) {
     collect_sections(net.root(), sections);
     collect_loads(net.root(), loads);
     check_value_spread(sections, loads, report.diagnostics);
-    check_net_conditioning(net, options, report.diagnostics);
+    check_net_conditioning(net, report.diagnostics);
   }
   if (options.model) {
     check_net_model(net, options, report.diagnostics);
@@ -359,7 +334,6 @@ Report lint_group(const net::CoupledGroup& group, const Options& options) {
   // request's aggressors — a member is not the net they serve.  The
   // driver-free "no L-C path" screen still runs.
   Options member = options;
-  member.require_probes.clear();
   member.conditioning = false;
   member.driver_resistance = 0.0;
   member.input_slew = 0.0;
@@ -370,22 +344,6 @@ Report lint_group(const net::CoupledGroup& group, const Options& options) {
       const std::string prefix = "net '" + group.label_at(k) + "'";
       d.path = d.path.empty() ? prefix : prefix + ", " + d.path;
       report.diagnostics.push_back(std::move(d));
-    }
-  }
-
-  // Probe targets may live on any member.
-  if (!options.require_probes.empty()) {
-    std::set<std::string> names;
-    for (std::size_t k = 0; k < group.size(); ++k) {
-      collect_probes(group.net_at(k).root(), names);
-    }
-    for (const std::string& wanted : options.require_probes) {
-      if (!names.count(wanted)) {
-        report.diagnostics.push_back(make_diagnostic(
-            Code::probe_missing, "probe '" + wanted + "'",
-            "no net in the group carries this probe name",
-            "name a branch far end '" + wanted + "' or drop it from the request"));
-      }
     }
   }
 
@@ -489,84 +447,7 @@ Report lint_group(const net::CoupledGroup& group, const Options& options) {
     for (std::size_t k = 0; k < group.size(); ++k) {
       from.push_back(netlist.node("in_" + group.label_at(k)));
     }
-    (void)ckt::append_coupled_group(netlist, from, group, options.segments);
-    advisory_for(netlist, report.diagnostics);
-  }
-  return report;
-}
-
-Report lint_netlist(const ckt::Netlist& netlist, const Options& options) {
-  Report report;
-  const std::size_t n = netlist.node_count();
-
-  // Union-find over two views of the element graph: every element (is the
-  // node attached to anything at all?) and the DC-conductive subset (does a
-  // bias current have a path to ground, or does only gmin hold the node?).
-  struct UnionFind {
-    std::vector<std::size_t> parent;
-    explicit UnionFind(std::size_t n) : parent(n) {
-      std::iota(parent.begin(), parent.end(), std::size_t{0});
-    }
-    std::size_t find(std::size_t x) {
-      while (parent[x] != x) x = parent[x] = parent[parent[x]];
-      return x;
-    }
-    void unite(std::size_t a, std::size_t b) { parent[find(a)] = find(b); }
-  };
-  UnionFind all(n), conductive(n);
-  std::vector<std::size_t> degree(n, 0);
-  auto attach = [&](ckt::NodeId a, ckt::NodeId b, bool conducts) {
-    ++degree[a];
-    ++degree[b];
-    all.unite(a, b);
-    if (conducts) conductive.unite(a, b);
-  };
-  for (const auto& r : netlist.resistors()) attach(r.a, r.b, true);
-  for (const auto& l : netlist.inductors()) attach(l.a, l.b, true);
-  for (const auto& c : netlist.capacitors()) attach(c.a, c.b, false);
-  for (const auto& v : netlist.vsources()) attach(v.pos, v.neg, true);
-  for (const auto& m : netlist.mosfets()) {
-    attach(m.drain, m.source, true);  // the channel conducts
-    attach(m.gate, m.drain, false);   // the gate only couples capacitively
-  }
-
-  const std::size_t ground_all = all.find(ckt::ground);
-  const std::size_t ground_conductive = conductive.find(ckt::ground);
-  for (std::size_t node = 1; node < n; ++node) {
-    const std::string where = "node " + std::to_string(node);
-    if (degree[node] == 0) {
-      report.diagnostics.push_back(make_diagnostic(
-          Code::unreachable_node, where, "has no elements attached",
-          "remove the node or wire it into the deck"));
-    } else if (all.find(node) != ground_all) {
-      report.diagnostics.push_back(make_diagnostic(
-          Code::unreachable_node, where,
-          "is disconnected from ground (isolated subcircuit)",
-          "every subcircuit needs a reference connection"));
-    } else if (conductive.find(node) != ground_conductive) {
-      report.diagnostics.push_back(make_diagnostic(
-          Code::floating_node, where,
-          "has no DC path to ground (capacitive-only node)",
-          "its operating point rests on gmin; add a leakage path if this is "
-          "not intended"));
-    }
-  }
-
-  if (options.conditioning) {
-    std::vector<double> rs, ls, cs;
-    for (const auto& r : netlist.resistors()) rs.push_back(r.resistance);
-    for (const auto& l : netlist.inductors()) ls.push_back(l.inductance);
-    for (const auto& c : netlist.capacitors()) cs.push_back(c.capacitance);
-    const double spread =
-        std::max({value_range(rs), value_range(ls), value_range(cs)});
-    if (spread > kDynamicRangeWarn) {
-      report.diagnostics.push_back(make_diagnostic(
-          Code::extreme_dynamic_range, "",
-          "element values span a " + fmt(spread) + "x ratio (warn threshold " +
-              fmt(kDynamicRangeWarn) + "x)",
-          "values this far apart risk pivot-threshold trouble in the LU; "
-          "check the extraction for unit mistakes"));
-    }
+    (void)ckt::append_coupled_group(netlist, from, group, kAdvisorySegments);
     advisory_for(netlist, report.diagnostics);
   }
   return report;

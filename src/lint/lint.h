@@ -1,14 +1,15 @@
-// Static analysis over nets, coupled groups, and netlists — every check the
-// stack can run before (instead of) a single transient solve.
+// Static analysis over nets and coupled groups — every check the stack can
+// run before (instead of) a single transient solve.
 //
 // Four check families (see diagnostic.h for the code taxonomy):
 //   * connectivity / physicality — the structural core (structural.h): a
 //     pure branch-tree walk costing nanoseconds per net.  This is the only
 //     part the Engine admission screen runs, which is what keeps screening a
 //     batch under 1% of its model-only runtime.
-//   * conditioning — opt-in: compiles the net into a pattern-only deck and
-//     reports the unknown count, RCM half-bandwidth, pattern nonzeros, and
-//     the solver-selection heuristic's verdict (sim::selected_solver), plus
+//   * conditioning — opt-in: compiles the net into a pattern-only deck (120
+//     segments per section, the tech::DeckOptions default) and reports the
+//     unknown count, RCM half-bandwidth, pattern nonzeros, and the
+//     solver-selection heuristic's verdict (sim::selected_solver), plus
 //     RC-stiffness and element-dynamic-range screens.
 //   * model — opt-in: the paper's Eq 9 inductance-screening criteria from
 //     NetMetrics (with a static driver-resistance / input-slew proxy for the
@@ -20,7 +21,6 @@
 #ifndef RLCEFF_LINT_LINT_H
 #define RLCEFF_LINT_LINT_H
 
-#include <string>
 #include <vector>
 
 #include "lint/diagnostic.h"
@@ -29,9 +29,6 @@
 #include "net/net.h"
 #include "tier/tier.h"
 
-namespace rlceff::ckt {
-class Netlist;
-}
 namespace rlceff::tech {
 struct Technology;
 }
@@ -44,14 +41,6 @@ struct Options {
   // moments and therefore cost microseconds instead of nanoseconds.
   bool conditioning = true;
   bool model = true;
-
-  // Probe names the caller will read waveforms from; absent ones are
-  // probe_missing errors.
-  std::vector<std::string> require_probes;
-
-  // conditioning
-  std::size_t segments = 120;        // discretization of the advisory deck
-                                     // (tech::DeckOptions default)
 
   // model
   double moment_rel_tol = 1e-6;        // m1 vs Ctotal relative tolerance
@@ -91,7 +80,7 @@ struct Report {
 // Lints a raw branch tree (structural core only; the tree may be one
 // net::Net would refuse to construct — this is what the mutation oracles
 // lint).
-Report lint_branch(const net::Branch& root, const Options& options = {});
+Report lint_branch(const net::Branch& root);
 
 // Full per-net analysis.  The deeper passes run only when the structural
 // core found no errors (metrics/moments on a broken net are meaningless).
@@ -105,10 +94,6 @@ Report lint_net(const net::Net& net, const Options& options = {});
 // (accumulated k vs 1, coupling-vs-ground capacitance, Miller
 // applicability) and the coupled deck's conditioning is predicted.
 Report lint_group(const net::CoupledGroup& group, const Options& options = {});
-
-// Compiled-deck analysis: node connectivity (unreachable / DC-floating
-// nodes) and conditioning of an arbitrary ckt::Netlist.
-Report lint_netlist(const ckt::Netlist& netlist, const Options& options = {});
 
 // Static Thevenin resistance of a size-X inverter driver: vdd / (2 Idsat)
 // with Idsat from the alpha-power NMOS at vgs = vds = vdd.  The admission

@@ -20,27 +20,9 @@ Series through_series_impedance(const Series& y, double r, double l) {
   return y / (Series::constant(1.0, n) + z * y);
 }
 
-}  // namespace
-
-Series ladder_admittance(double r_total, double l_total, double c_total, double c_far,
-                         std::size_t segments, std::size_t order) {
-  ensure(segments > 0, "ladder_admittance: need at least one segment");
-  ensure(order >= 2, "ladder_admittance: order too small");
-  const double n = static_cast<double>(segments);
-  const double r_seg = r_total / n;
-  const double l_seg = l_total / n;
-  const double c_seg = c_total / n;
-
-  // Far-end node: half segment cap plus the external load.
-  Series y({0.0, c_far + 0.5 * c_seg}, order);  // (c_far + c/2N) * s
-  for (std::size_t k = 0; k < segments; ++k) {
-    y = through_series_impedance(y, r_seg, l_seg);
-    const double shunt = (k + 1 == segments) ? 0.5 * c_seg : c_seg;
-    y += Series({0.0, shunt}, order);
-  }
-  return y;
-}
-
+// The exact uniform-line expansion terminated by an arbitrary load
+// admittance series (the cascade step for multi-section routes and net::Net
+// branches).  `load` must have the same truncation order.
 Series distributed_section_admittance(double r_total, double l_total, double c_total,
                                       const Series& load, std::size_t order) {
   ensure(order >= 2, "distributed_section_admittance: order too small");
@@ -61,6 +43,27 @@ Series distributed_section_admittance(double r_total, double l_total, double c_t
   const Series z0_sinh = r_plus_sl * sinhc_u;
 
   return (y0_sinh + cosh_x * load) / (cosh_x + z0_sinh * load);
+}
+
+}  // namespace
+
+Series ladder_admittance(double r_total, double l_total, double c_total, double c_far,
+                         std::size_t segments, std::size_t order) {
+  ensure(segments > 0, "ladder_admittance: need at least one segment");
+  ensure(order >= 2, "ladder_admittance: order too small");
+  const double n = static_cast<double>(segments);
+  const double r_seg = r_total / n;
+  const double l_seg = l_total / n;
+  const double c_seg = c_total / n;
+
+  // Far-end node: half segment cap plus the external load.
+  Series y({0.0, c_far + 0.5 * c_seg}, order);  // (c_far + c/2N) * s
+  for (std::size_t k = 0; k < segments; ++k) {
+    y = through_series_impedance(y, r_seg, l_seg);
+    const double shunt = (k + 1 == segments) ? 0.5 * c_seg : c_seg;
+    y += Series({0.0, shunt}, order);
+  }
+  return y;
 }
 
 Series distributed_line_admittance(double r_total, double l_total, double c_total,

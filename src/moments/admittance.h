@@ -58,13 +58,6 @@ util::Series distributed_line_admittance(double r_total, double l_total,
                                          double c_total, double c_far,
                                          std::size_t order = default_order);
 
-// Same expansion terminated by an arbitrary load admittance series (the
-// cascade step for multi-section routes and net::Net branches).  `load` must
-// have the same truncation order.
-util::Series distributed_section_admittance(double r_total, double l_total,
-                                            double c_total, const util::Series& load,
-                                            std::size_t order = default_order);
-
 // Driving-point admittance series of a net::Net: a lumped section is one
 // step of the RLC-tree recursion (Y' = (Y + sC) / (1 + (R + sL)(Y + sC))),
 // distributed sections cascade the exact uniform-line expansion, branch

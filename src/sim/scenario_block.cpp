@@ -68,8 +68,6 @@ std::uint64_t scenario_group_hash(const Netlist& netlist,
   f.mix(static_cast<std::uint64_t>(netlist.mosfets().size()));
 
   f.mix(options.dt);
-  f.mix(options.gmin);
-  f.mix(static_cast<std::uint64_t>(options.integrator));
   f.mix(static_cast<std::uint64_t>(options.assembly));
   f.mix(static_cast<std::uint64_t>(options.solver));
   f.mix(options.debug_cached_stamp_skew);
@@ -125,8 +123,7 @@ bool scenario_group_equal(const Netlist& a, const Netlist& b) {
 }
 
 bool scenario_options_equal(const TransientOptions& a, const TransientOptions& b) {
-  return same_bits(a.dt, b.dt) && same_bits(a.gmin, b.gmin) &&
-         a.integrator == b.integrator && a.assembly == b.assembly && a.solver == b.solver &&
+  return same_bits(a.dt, b.dt) && a.assembly == b.assembly && a.solver == b.solver &&
          same_bits(a.debug_cached_stamp_skew, b.debug_cached_stamp_skew) &&
          a.debug_cached_stamp_nan == b.debug_cached_stamp_nan &&
          same_bits(a.edge_stop.vdd, b.edge_stop.vdd) &&

@@ -67,9 +67,9 @@ struct BlockOutcome {
 
 // Bucket key for grouping: hashes the netlist topology and element values
 // (every double at full bit precision) and the matrix-shaping simulation
-// options (dt, gmin, integrator, solver, assembly, debug hooks — not
-// t_stop, not the budget) — everything the factored matrix depends on,
-// nothing the RHS alone depends on (source waveforms are excluded).
+// options (dt, solver, assembly, debug hooks — not t_stop, not the budget)
+// — everything the factored matrix depends on, nothing the RHS alone
+// depends on (source waveforms are excluded).
 std::uint64_t scenario_group_hash(const ckt::Netlist& netlist,
                                   const TransientOptions& options);
 

@@ -76,7 +76,6 @@ void assemble_static_stamps(LinearSolver& solver, const ckt::Netlist& nl,
                             double gmin, const TransientOptions& opt,
                             bool cached_path) {
   const bool dc = h <= 0.0;
-  const bool trap = opt.integrator == Integrator::trapezoidal;
 
   for (NodeId n = 1; n < nl.node_count(); ++n) {
     solver.add(structure.node_index(n), structure.node_index(n), gmin);
@@ -93,7 +92,7 @@ void assemble_static_stamps(LinearSolver& solver, const ckt::Netlist& nl,
     const double skew = cached_path ? 1.0 + opt.debug_cached_stamp_skew : 1.0;
     bool first_cap = true;
     for (const ckt::Capacitor& c : nl.capacitors()) {
-      double g = skew * (trap ? 2.0 : 1.0) * c.capacitance / h;
+      double g = skew * 2.0 * c.capacitance / h;
       if (first_cap && cached_path && opt.debug_cached_stamp_nan) {
         g = std::numeric_limits<double>::quiet_NaN();
       }
@@ -105,7 +104,7 @@ void assemble_static_stamps(LinearSolver& solver, const ckt::Netlist& nl,
   for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
     const ckt::Inductor& l = nl.inductors()[k];
     const std::size_t j = structure.inductor_index(k);
-    const double req = dc ? 0.0 : (trap ? 2.0 : 1.0) * l.inductance / h;
+    const double req = dc ? 0.0 : 2.0 * l.inductance / h;
     // Branch equation: (va - vb) - req * i = e_n.
     if (l.a != ground) {
       solver.add(j, structure.node_index(l.a), 1.0);
@@ -123,7 +122,7 @@ void assemble_static_stamps(LinearSolver& solver, const ckt::Netlist& nl,
   // DC both inductors are shorts and the mutual contributes nothing.
   if (!dc) {
     for (const ckt::MutualInductor& m : nl.mutual_inductors()) {
-      const double req = (trap ? 2.0 : 1.0) * m.mutual / h;
+      const double req = 2.0 * m.mutual / h;
       const std::size_t ja = structure.inductor_index(m.la);
       const std::size_t jb = structure.inductor_index(m.lb);
       solver.add(ja, jb, -req);

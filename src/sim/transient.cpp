@@ -34,6 +34,10 @@ constexpr double kNewtonAbsTol = 1e-6;    // [V]
 constexpr double kNewtonRelTol = 1e-6;
 constexpr double kNewtonDampingV = 0.6;   // [V]
 
+// Conductance to ground at every node [S]; the DC point's gmin stepping
+// walks down to it.
+constexpr double kGmin = 1e-12;
+
 // The lane count of the stepper sim::simulate runs, fixed at compile time.
 using OneLane = std::integral_constant<std::size_t, 1>;
 
@@ -178,11 +182,11 @@ public:
     probe_vals_.assign(probes_.size(), 0.0);
     const std::size_t a = lane_slot_.size();
     try {
-      solve(0.0, 0.0, opt_.gmin, a);
+      solve(0.0, 0.0, kGmin, a);
     } catch (const ConvergenceError&) {
       // gmin stepping: solve a heavily damped system first and walk gmin down.
-      for (double gmin = 1e-3; gmin >= opt_.gmin; gmin *= 1e-2) solve(0.0, 0.0, gmin, a);
-      solve(0.0, 0.0, opt_.gmin, a);
+      for (double gmin = 1e-3; gmin >= kGmin; gmin *= 1e-2) solve(0.0, 0.0, gmin, a);
+      solve(0.0, 0.0, kGmin, a);
     }
     return xb_;
   }
@@ -243,7 +247,7 @@ public:
       if (a == 0) break;
 
       const double t_next = t + h;
-      solve(t_next, h, opt_.gmin, a);
+      solve(t_next, h, kGmin, a);
       // Periodic (cheap, amortized) non-finite guard: a NaN/Inf stamp (or a
       // numerically destroyed factorization) propagates through the whole
       // solution, and the factor-once path has no convergence check of its
@@ -411,17 +415,16 @@ private:
     std::fill(rhsb_.begin(), rhsb_.end(), 0.0);
     double* rhs = rhsb_.data() + j0;
     const bool dc = h <= 0.0;
-    const bool trap = opt_.integrator == Integrator::trapezoidal;
 
     if (!dc) {
       for (std::size_t k = 0; k < cap_pos_.size(); ++k) {
-        const double geq = (trap ? 2.0 : 1.0) * nl0_.capacitors()[k].capacitance / h;
+        const double geq = 2.0 * nl0_.capacitors()[k].capacitance / h;
         const auto [pa, pb] = cap_pos_[k];
         const double* sv = cap_v_.data() + k * w_ + j0;
         const double* si = cap_i_.data() + k * w_ + j0;
         for (std::size_t j = 0; j < lanes; ++j) {
           // Norton companion: device current = geq * v - ieq, flowing b -> a.
-          const double ieq = geq * sv[j] + (trap ? si[j] : 0.0);
+          const double ieq = geq * sv[j] + si[j];
           if (pb != npos) rhs[pb * w_ + j] -= ieq;
           if (pa != npos) rhs[pa * w_ + j] += ieq;
         }
@@ -429,19 +432,19 @@ private:
     }
 
     for (std::size_t k = 0; k < ind_pos_.size(); ++k) {
-      const double req = dc ? 0.0 : (trap ? 2.0 : 1.0) * nl0_.inductors()[k].inductance / h;
+      const double req = dc ? 0.0 : 2.0 * nl0_.inductors()[k].inductance / h;
       const double* sv = ind_v_.data() + k * w_ + j0;
       const double* si = ind_i_.data() + k * w_ + j0;
       double* row = rhs + ind_pos_[k] * w_;
       for (std::size_t j = 0; j < lanes; ++j) {
-        row[j] = dc ? 0.0 : (trap ? -sv[j] - req * si[j] : -req * si[j]);
+        row[j] = dc ? 0.0 : -sv[j] - req * si[j];
       }
     }
 
     if (!dc) {
       // History term of the mutual coupling, mirroring the matrix stamp.
       for (const ckt::MutualInductor& m : nl0_.mutual_inductors()) {
-        const double req = (trap ? 2.0 : 1.0) * m.mutual / h;
+        const double req = 2.0 * m.mutual / h;
         double* rowa = rhs + ind_pos_[m.la] * w_;
         double* rowb = rhs + ind_pos_[m.lb] * w_;
         const double* ia = ind_i_.data() + m.la * w_ + j0;
@@ -484,9 +487,8 @@ private:
   // Advances the companion-model state to the solution just accepted.
   void advance_state(double h, std::size_t a) {
     const Lanes n = lanes(a);
-    const bool trap = opt_.integrator == Integrator::trapezoidal;
     for (std::size_t k = 0; k < cap_pos_.size(); ++k) {
-      const double geq = (trap ? 2.0 : 1.0) * nl0_.capacitors()[k].capacitance / h;
+      const double geq = 2.0 * nl0_.capacitors()[k].capacitance / h;
       const auto [pa, pb] = cap_pos_[k];
       double* sv = cap_v_.data() + k * w_;
       double* si = cap_i_.data() + k * w_;
@@ -494,8 +496,7 @@ private:
         const double va = pa == npos ? 0.0 : xb_[pa * w_ + j];
         const double vb = pb == npos ? 0.0 : xb_[pb * w_ + j];
         const double v_new = va - vb;
-        const double i_new =
-            trap ? geq * (v_new - sv[j]) - si[j] : geq * (v_new - sv[j]);
+        const double i_new = geq * (v_new - sv[j]) - si[j];
         sv[j] = v_new;
         si[j] = i_new;
       }
@@ -554,7 +555,7 @@ private:
       if (lane_budget_[j]) lane_budget_[j]->charge_transient_steps(1, "transient");
       const double h = lane_tstop_[j] - t;
       if (!tail_) tail_ = detail::make_solver(structure_, opt_);
-      refactor(*tail_, h, opt_.gmin);
+      refactor(*tail_, h, kGmin);
       assemble_rhs(t + h, h, j, OneLane{});
       tail_->solve_block(std::span<double>(rhsb_).subspan(j), 1, w_);
       for (std::size_t i = 0; i < m_; ++i) xb_[i * w_ + j] = rhsb_[i * w_ + j];

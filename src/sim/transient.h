@@ -1,8 +1,8 @@
 // Transient circuit simulation (the reproduction's HSPICE substitute).
 //
-// Fixed-step MNA integration with trapezoidal (default) or backward-Euler
-// companion models, Newton-Raphson for the MOSFET driver, and a DC operating
-// point with gmin stepping.  The Jacobian is factored by one of three
+// Fixed-step MNA integration with trapezoidal companion models,
+// Newton-Raphson for the MOSFET driver, and a DC operating point with gmin
+// stepping (1e-12 S from every node to ground).  The Jacobian is factored by one of three
 // interchangeable backends (SolverKind): a banded LU after reverse
 // Cuthill-McKee ordering (discretized lines are nearly tridiagonal), a
 // compressed-sparse LU with fill-reducing ordering for large trees and wide
@@ -21,8 +21,6 @@
 #include "waveform/waveform.h"
 
 namespace rlceff::sim {
-
-enum class Integrator { trapezoidal, backward_euler };
 
 // The linear-solver backend behind the MNA factorization.  `automatic` (the
 // default everywhere) resolves per netlist via selected_solver(): banded when
@@ -73,8 +71,6 @@ struct EdgeStop {
 struct TransientOptions {
   double t_stop = 1e-9;     // simulation end time [s]
   double dt = 0.1e-12;      // fixed time step [s]
-  Integrator integrator = Integrator::trapezoidal;
-  double gmin = 1e-12;      // conductance to ground at every node [S]
   // Cooperative execution budget (see util/budget.h): when set, the step
   // loop charges every accepted time step against max_transient_steps and
   // every step/Newton iteration checkpoints the deadline and cancel token,

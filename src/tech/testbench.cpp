@@ -48,17 +48,26 @@ NetSimResult collect_net_result(const sim::TransientResult& res, ckt::NodeId out
   return result;
 }
 
-NetSimResult run_net_deck(ckt::Netlist& nl, ckt::NodeId out,
-                          const ckt::NetDeckNodes& nodes, double input_time_50,
-                          const DeckOptions& options) {
-  std::vector<ckt::NodeId> probes;
-  add_net_probes(probes, out, nodes);
-  sim::TransientOptions so = sim_options(options);
-  watch_rising_net(so, out, nodes);
-  const sim::TransientResult res = sim::simulate(nl, so, probes);
-  NetSimResult result = collect_net_result(res, out, nodes, input_time_50);
-  result.solver = sim::selected_solver(nl, so);
+// Extracts the NetSimResult (waveforms + the source's 50 % crossing) from a
+// finished simulation of a compiled source deck.  Does not fill
+// NetSimResult::solver — the caller knows which backend actually ran.
+NetSimResult collect_source_result(const SourceNetDeck& deck,
+                                   const sim::TransientResult& res,
+                                   const wave::Pwl& source) {
+  NetSimResult result = collect_net_result(res, deck.out, deck.nodes, 0.0);
+  // For an ideal source the "input" and near end coincide; report the source
+  // 50 % crossing so sink delays have a reference.
+  const double v_final = source.final_value();
+  result.input_time_50 =
+      result.near_end.first_crossing(0.5 * v_final, v_final > 0.0)
+          .value_or(source.start_time());
   return result;
+}
+
+// Falling input ramp (Vdd -> 0) with full-swing transition time input_slew.
+wave::Pwl falling_input(const Technology& tech, double t_start, double input_slew) {
+  ensure(input_slew > 0.0, "falling_input: slew must be positive");
+  return wave::Pwl({{t_start, tech.vdd}, {t_start + input_slew, 0.0}});
 }
 
 }  // namespace
@@ -88,29 +97,11 @@ SourceNetDeck compile_source_net(const wave::Pwl& source, const net::Net& net,
   return deck;
 }
 
-NetSimResult collect_source_result(const SourceNetDeck& deck,
-                                   const sim::TransientResult& res,
-                                   const wave::Pwl& source) {
-  NetSimResult result = collect_net_result(res, deck.out, deck.nodes, 0.0);
-  // For an ideal source the "input" and near end coincide; report the source
-  // 50 % crossing so sink delays have a reference.
-  const double v_final = source.final_value();
-  result.input_time_50 =
-      result.near_end.first_crossing(0.5 * v_final, v_final > 0.0)
-          .value_or(source.start_time());
-  return result;
-}
-
 const wave::Waveform& NetSimResult::probe(std::string_view name) const {
   for (const auto& [probe_name, waveform] : probes) {
     if (probe_name == name) return waveform;
   }
   throw Error("NetSimResult: no probe named '" + std::string(name) + "'");
-}
-
-wave::Pwl falling_input(const Technology& tech, double t_start, double input_slew) {
-  ensure(input_slew > 0.0, "falling_input: slew must be positive");
-  return wave::Pwl({{t_start, tech.vdd}, {t_start + input_slew, 0.0}});
 }
 
 wave::Waveform simulate_driver_cap_load(const Technology& tech, const Inverter& cell,
@@ -134,13 +125,9 @@ wave::Waveform simulate_driver_cap_load(const Technology& tech, const Inverter& 
 NetSimResult simulate_driver_net(const Technology& tech, const Inverter& cell,
                                  double input_slew, const net::Net& net,
                                  const DeckOptions& options) {
-  ckt::Netlist nl;
-  const ckt::NodeId in = nl.node("in");
-  const ckt::NodeId out = nl.node("out");
-  nl.add_vsource(in, ckt::ground, falling_input(tech, options.t_start, input_slew));
-  add_inverter(nl, tech, cell, in, out);
-  const ckt::NetDeckNodes nodes = ckt::append_net(nl, out, net, options.segments);
-  return run_net_deck(nl, out, nodes, options.t_start + 0.5 * input_slew, options);
+  const std::array<NetDrive, 1> drive{NetDrive{cell, input_slew, DriveEdge::rise}};
+  return std::move(
+      simulate_coupled_group(tech, drive, net::CoupledGroup::single(net), options).nets[0]);
 }
 
 NetSimResult simulate_source_net(const wave::Pwl& source, const net::Net& net,

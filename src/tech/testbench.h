@@ -64,9 +64,6 @@ struct NetSimResult {
   const wave::Waveform& probe(std::string_view name) const;
 };
 
-// Falling input ramp (Vdd -> 0) with full-swing transition time input_slew.
-wave::Pwl falling_input(const Technology& tech, double t_start, double input_slew);
-
 // Deck 1: driver into a lumped capacitor.  Returns the output waveform and
 // the input 50 % time via the out-parameter.
 wave::Waveform simulate_driver_cap_load(const Technology& tech, const Inverter& cell,
@@ -74,7 +71,8 @@ wave::Waveform simulate_driver_cap_load(const Technology& tech, const Inverter& 
                                         const DeckOptions& options,
                                         double* input_time_50 = nullptr);
 
-// Deck 2: driver into a discretized net::Net.
+// Deck 2: driver into a discretized net::Net — the one-net instance of
+// deck 4 (simulate_coupled_group), which builds the identical deck.
 NetSimResult simulate_driver_net(const Technology& tech, const Inverter& cell,
                                  double input_slew, const net::Net& net,
                                  const DeckOptions& options);
@@ -85,11 +83,11 @@ NetSimResult simulate_source_net(const wave::Pwl& source, const net::Net& net,
                                  const DeckOptions& options);
 
 // ---- compiled source-net decks -------------------------------------------
-// Deck 3 split into compile / simulate / collect so the scenario-batching
+// Deck 3's compile step and simulation options, so the scenario-batching
 // engine can group compiled decks by topology and run them as one
-// shared-factorization block while reusing exactly the code path
+// shared-factorization block while reusing exactly the deck
 // simulate_source_net runs per slot (same netlist build order, same probe
-// list, same measurement extraction — the bitwise-parity prerequisite).
+// list — the bitwise-parity prerequisite).
 
 struct SourceNetDeck {
   ckt::Netlist netlist;
@@ -112,13 +110,6 @@ sim::TransientOptions sim_options(const DeckOptions& options,
 // then the discretized net) without running it.
 SourceNetDeck compile_source_net(const wave::Pwl& source, const net::Net& net,
                                  const DeckOptions& options);
-
-// Extracts the NetSimResult (waveforms + the source's 50 % crossing) from a
-// finished simulation of a compiled deck.  Does not fill NetSimResult::solver
-// — the caller knows which backend actually ran.
-NetSimResult collect_source_result(const SourceNetDeck& deck,
-                                   const sim::TransientResult& res,
-                                   const wave::Pwl& source);
 
 // ---- coupled decks -------------------------------------------------------
 
@@ -143,7 +134,7 @@ struct CoupledSimResult {
 // coupled "HSPICE" reference.  All switching inputs share the same t_start,
 // so aggressor and victim edges are aligned; each net's input_time_50 is its
 // own input's 50 % crossing (held inputs report t_start).  A group of one
-// net with DriveEdge::rise builds the exact deck simulate_driver_net builds.
+// net with DriveEdge::rise is simulate_driver_net.
 CoupledSimResult simulate_coupled_group(const Technology& tech,
                                         std::span<const NetDrive> drives,
                                         const net::CoupledGroup& group,

@@ -122,10 +122,6 @@ void check_cached_vs_naive(const net::Net& net, Rng rng, const OracleOptions& op
   tech::DeckOptions naive = cached;
   naive.sim.assembly = sim::AssemblyMode::naive;
   naive.sim.debug_cached_stamp_skew = 0.0;
-  if (rng.chance(0.5)) {
-    // Backward Euler exercises the other companion-model branch.
-    cached.sim.integrator = naive.sim.integrator = sim::Integrator::backward_euler;
-  }
 
   tech::NetSimResult fast, ref;
   if (rng.chance(0.5)) {

@@ -65,17 +65,17 @@ core::ChargeModel analytical_load(const net::Net& net) {
 AnalyticalEstimate analytical_estimate(const charlib::CharacterizedDriver& driver,
                                        double input_slew, const net::Net& net) {
   AnalyticalEstimate out;
-  out.metrics = net.metrics_relaxed();
+  const net::NetMetrics metrics = net.metrics_relaxed();
   const core::ChargeModel load = analytical_load(net);
 
-  const double c_total = out.metrics.total_capacitance();
+  const double c_total = metrics.total_capacitance();
   const double rs = driver.driver_resistance(input_slew, c_total);
 
   core::DriverOutputModel& m = out.model;
   m.vdd = driver.vdd();
   m.rs = rs;
-  m.z0 = out.metrics.z0;
-  m.tf = out.metrics.time_of_flight;
+  m.z0 = metrics.z0;
+  m.tf = metrics.time_of_flight;
 
   // Model selection mirrors the Ceff flow step for step: solve the Eq 1
   // breakpoint window first when the net has a flight time, evaluate the
@@ -90,7 +90,7 @@ AnalyticalEstimate analytical_estimate(const charlib::CharacterizedDriver& drive
     const double f_bp = core::breakpoint_fraction(m.z0, rs);
     m.ceff1 = solve_ceff(driver, input_slew, c_total, 1e-3, c_total,
                          [&](double tr) { return core::ceff_first_ramp(load, f_bp, tr); });
-    m.criteria = core::evaluate_criteria(out.metrics, rs, m.ceff1.ramp_time);
+    m.criteria = core::evaluate_criteria(metrics, rs, m.ceff1.ramp_time);
     if (m.criteria.significant()) f = f_bp;
   }
   if (f >= 1.0) {

@@ -62,8 +62,6 @@ struct AnalyticalEstimate {
   double slew_10_90 = 0.0;  // modeled 10-90 transition [s]
 
   double shielding = 1.0;   // Ceff1 / Ctotal in (0, 1]
-
-  net::NetMetrics metrics;  // relaxed dominant-path metrics (z0 == 0 for RC)
 };
 
 // Tier A's load model of a net: the fast-walk moments

@@ -120,18 +120,22 @@ public:
   ExecTracker() = default;  // unlimited: every checkpoint is one branch
   explicit ExecTracker(const ExecBudget& spec) { arm(spec); }
 
-  // (Re)arms the spec with the deadline measured from now.
+  // (Re)arms the spec with the deadline measured from now.  A wall limit
+  // past the clock's range (+inf, or beyond about 292 years from now) arms
+  // no deadline: converting it would overflow, and no run outlives it.
   void arm(const ExecBudget& spec) {
     spec_ = spec;
     limited_ = spec.limited();
     steps_used_ = 0;
+    has_deadline_ = false;
     if (spec_.wall_limit_s > 0.0) {
-      deadline_ = std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(spec_.wall_limit_s));
-      has_deadline_ = true;
-    } else {
-      has_deadline_ = false;
+      using Clock = std::chrono::steady_clock;
+      const Clock::time_point now = Clock::now();
+      const std::chrono::duration<double> limit(spec_.wall_limit_s);
+      if (limit < Clock::time_point::max() - now) {
+        deadline_ = now + std::chrono::duration_cast<Clock::duration>(limit);
+        has_deadline_ = true;
+      }
     }
   }
 

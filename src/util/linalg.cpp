@@ -56,12 +56,6 @@ DenseMatrix::DenseMatrix(std::size_t rows, std::size_t cols)
 
 void DenseMatrix::set_zero() { std::fill(a_.begin(), a_.end(), 0.0); }
 
-LuFactors lu_factor(const DenseMatrix& a) {
-  LuFactors f;
-  lu_factor_into(a, f);
-  return f;
-}
-
 void lu_factor_into(const DenseMatrix& a, LuFactors& f) {
   ensure(a.rows() == a.cols(), "lu_factor: matrix must be square");
   const std::size_t n = a.rows();
@@ -83,7 +77,7 @@ void lu_factor_into(const DenseMatrix& a, LuFactors& f) {
     f.perm[k] = prow;
     if (prow != k) {
       // Swap only the active columns: the stored multipliers are per-step
-      // elimination records, and lu_solve replays swap-then-eliminate in the
+      // elimination records, and lu_substitute replays swap-then-eliminate in the
       // same order.  Swapping the L part too would break that replay.
       for (std::size_t j = k; j < n; ++j) std::swap(lu(k, j), lu(prow, j));
     }
@@ -95,13 +89,6 @@ void lu_factor_into(const DenseMatrix& a, LuFactors& f) {
       for (std::size_t j = k + 1; j < n; ++j) lu(i, j) -= m * lu(k, j);
     }
   }
-}
-
-std::vector<double> lu_solve(const LuFactors& f, std::span<const double> b) {
-  ensure(b.size() == f.lu.rows(), "lu_solve: rhs size mismatch");
-  std::vector<double> x(b.begin(), b.end());
-  lu_solve_into(f, x);
-  return x;
 }
 
 void lu_solve_into(const LuFactors& f, std::span<double> x) {
@@ -118,7 +105,11 @@ void lu_solve_block(const LuFactors& f, std::span<double> x, std::size_t lanes,
 }
 
 std::vector<double> solve_dense(const DenseMatrix& a, std::span<const double> b) {
-  return lu_solve(lu_factor(a), b);
+  LuFactors f;
+  lu_factor_into(a, f);
+  std::vector<double> x(b.begin(), b.end());
+  lu_solve_into(f, x);
+  return x;
 }
 
 BandedMatrix::BandedMatrix(std::size_t n, std::size_t lower, std::size_t upper)
@@ -268,13 +259,6 @@ void BandedMatrix::factor_from(std::size_t first) {
     u_count_[k] = static_cast<std::uint16_t>(nu);
   }
   factored_ = n_;
-}
-
-std::vector<double> BandedMatrix::solve(std::span<const double> b) const {
-  ensure(b.size() == n_, "BandedMatrix: rhs size mismatch");
-  std::vector<double> x(b.begin(), b.end());
-  solve_into(x);
-  return x;
 }
 
 // One kernel for both solves, like lu_substitute, sweeping the packed lists

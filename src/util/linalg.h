@@ -45,16 +45,11 @@ struct LuFactors {
   std::vector<std::size_t> perm;
 };
 
-// Factors a square matrix; throws SingularMatrixError when a pivot vanishes.
-LuFactors lu_factor(const DenseMatrix& a);
-
-// Factors into a caller-owned workspace.  When `f` was already sized for an
-// n x n system no memory is allocated, so a transient engine can refactor
+// Factors a square matrix into a caller-owned workspace; throws
+// SingularMatrixError when a pivot vanishes.  When `f` was already sized for
+// an n x n system no memory is allocated, so a transient engine can refactor
 // every Newton iteration without touching the heap.
 void lu_factor_into(const DenseMatrix& a, LuFactors& f);
-
-// Solves A x = b given the factorization of A.
-std::vector<double> lu_solve(const LuFactors& f, std::span<const double> b);
 
 // In-place solve: x holds b on entry and the solution on exit.  Allocates
 // nothing.
@@ -124,9 +119,6 @@ public:
   // a column's factors depend only on its own values and the columns before
   // it (see the kernel in linalg.cpp).
   void factor_from(std::size_t first);
-
-  // Solves A x = b with the factored matrix.
-  std::vector<double> solve(std::span<const double> b) const;
 
   // In-place solve: x holds b on entry and the solution on exit.  Allocates
   // nothing, so the per-step cost of a pre-factored system is one

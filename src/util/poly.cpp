@@ -74,12 +74,6 @@ std::array<Complex, 3> cubic_roots(double a, double b, double c, double d) {
   return roots;
 }
 
-double polyval(std::span<const double> coeffs, double x) {
-  double acc = 0.0;
-  for (std::size_t k = coeffs.size(); k-- > 0;) acc = acc * x + coeffs[k];
-  return acc;
-}
-
 Complex polyval(std::span<const double> coeffs, Complex x) {
   Complex acc = 0.0;
   for (std::size_t k = coeffs.size(); k-- > 0;) acc = acc * x + coeffs[k];

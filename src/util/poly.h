@@ -23,7 +23,6 @@ std::array<Complex, 2> quadratic_roots(double a, double b, double c);
 std::array<Complex, 3> cubic_roots(double a, double b, double c, double d);
 
 // Evaluate sum_k coeffs[k] * x^k.
-double polyval(std::span<const double> coeffs, double x);
 Complex polyval(std::span<const double> coeffs, Complex x);
 
 }  // namespace rlceff::util

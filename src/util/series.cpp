@@ -26,13 +26,6 @@ Series Series::constant(double c, std::size_t n) {
   return out;
 }
 
-Series Series::variable(std::size_t n) {
-  ensure(n >= 2, "variable needs at least two terms");
-  Series out(n);
-  out.c_[1] = 1.0;
-  return out;
-}
-
 Series Series::operator-() const {
   Series out = *this;
   for (std::size_t k = 0; k < n_; ++k) out.c_[k] = -out.c_[k];
@@ -77,27 +70,6 @@ Series operator/(const Series& lhs, const Series& rhs) {
     double acc = lhs.c_[k];
     for (std::size_t j = 0; j < k; ++j) acc -= out.c_[j] * rhs.c_[k - j];
     out.c_[k] = acc / rhs.c_[0];
-  }
-  return out;
-}
-
-Series Series::shifted(std::size_t k) const {
-  Series out(size());
-  for (std::size_t i = 0; i + k < size(); ++i) out.c_[i + k] = c_[i];
-  return out;
-}
-
-Series Series::sqrt() const {
-  ensure(c_[0] > 0.0, "series sqrt requires positive leading coefficient");
-  const std::size_t n = size();
-  Series out(n);
-  out.c_[0] = std::sqrt(c_[0]);
-  // out[k] from (out*out)[k] == c[k]:
-  // 2*out[0]*out[k] = c[k] - sum_{0<j<k} out[j]*out[k-j].
-  for (std::size_t k = 1; k < n; ++k) {
-    double acc = c_[k];
-    for (std::size_t j = 1; j < k; ++j) acc -= out.c_[j] * out.c_[k - j];
-    out.c_[k] = acc / (2.0 * out.c_[0]);
   }
   return out;
 }

@@ -7,7 +7,7 @@
 // the k-th series coefficient of Y(s).
 //
 // All binary operations require equal truncation orders (moment computations
-// pick one order up front).  Division and sqrt require an invertible leading
+// pick one order up front).  Division requires an invertible leading
 // coefficient.
 //
 // The coefficients live inline, up to Series::capacity terms, so series
@@ -39,8 +39,6 @@ public:
 
   // Constant c + O(s^n).
   static Series constant(double c, std::size_t n);
-  // The monomial s + O(s^n); n must be >= 2.
-  static Series variable(std::size_t n);
 
   std::size_t size() const { return n_; }
   double operator[](std::size_t k) const { return c_[k]; }
@@ -61,12 +59,6 @@ public:
   friend Series operator*(const Series& lhs, const Series& rhs);
   // Series division; rhs[0] must be nonzero.
   friend Series operator/(const Series& lhs, const Series& rhs);
-
-  // Multiply by s^k (shift coefficients up, dropping overflow).
-  Series shifted(std::size_t k) const;
-
-  // sqrt(f) with f[0] > 0.
-  Series sqrt() const;
 
   // Substitute: returns outer(inner(s)) where outer's "variable" is inner.
   // inner must have inner[0] == 0 (valuation >= 1) so the composition is a

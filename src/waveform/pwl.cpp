@@ -1,7 +1,6 @@
 #include "waveform/pwl.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -61,18 +60,6 @@ double Pwl::end_time() const {
 double Pwl::final_value() const {
   ensure(!points_.empty(), "Pwl: empty");
   return points_.back().second;
-}
-
-Waveform Pwl::sample(double t_begin, double t_end, double dt) const {
-  ensure(t_end > t_begin && dt > 0.0, "Pwl::sample: bad range");
-  Waveform w;
-  const auto steps = static_cast<std::size_t>(std::ceil((t_end - t_begin) / dt));
-  for (std::size_t i = 0; i <= steps; ++i) {
-    const double t = std::min(t_begin + static_cast<double>(i) * dt, t_end);
-    w.append(t, value_at(t));
-    if (t >= t_end) break;
-  }
-  return w;
 }
 
 Waveform Pwl::to_waveform(double t_end) const {

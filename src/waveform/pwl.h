@@ -30,8 +30,6 @@ public:
   double end_time() const;
   double final_value() const;
 
-  // Samples the description onto a uniform grid covering [t_begin, t_end].
-  Waveform sample(double t_begin, double t_end, double dt) const;
   // Samples exactly at the breakpoints (plus flat extensions) — lossless.
   Waveform to_waveform(double t_end) const;
 

@@ -487,18 +487,31 @@ TEST(EngineCache, CharacterizationFailureIsReportedPerSlot) {
 
 TEST(EngineCache, InfiniteSizeAndSlewAreInvalidAndNeverCharacterized) {
   // +inf passes a bare `> 0` test; it must fail validation like any other
-  // bad size or slew, and run_batch must not characterize a cell for it.
+  // bad size or slew, and run_batch must not characterize a cell for it —
+  // nor for a slot validate() refuses for any other reason, whatever its
+  // size and slew.
   Engine engine{tech::Technology::cmos180()};
   const double inf = std::numeric_limits<double>::infinity();
   Request huge_cell = inductive_request("inf-size");
   huge_cell.cell_size = inf;
   Request slow_input = inductive_request("inf-slew");
   slow_input.input_slew = inf;
+  Request empty_net = inductive_request("empty-net");
+  empty_net.net = net::Net();
+  Request lost_victim = inductive_request("lost-victim");
+  lost_victim.net = net::Net();
+  lost_victim.group.add_net(inductive_net(), "victim");
+  lost_victim.group.add_net(inductive_net(), "aggr");
+  lost_victim.group.couple_capacitance({0, 0}, {1, 0}, 150 * ff);
+  lost_victim.victim = 2;
+  Request stray_aggressor = inductive_request("stray-aggressor");
+  stray_aggressor.aggressors = {{1, 100.0, 100 * ps, core::AggressorSwitching::opposite}};
 
-  const std::vector<Request> requests = {huge_cell, slow_input};
+  const std::vector<Request> requests = {huge_cell, slow_input, empty_net, lost_victim,
+                                         stray_aggressor};
   const std::vector<Outcome<Response>> results =
       engine.run_batch(requests, fast_options());
-  ASSERT_EQ(2u, results.size());
+  ASSERT_EQ(5u, results.size());
   for (std::size_t k = 0; k < results.size(); ++k) {
     ASSERT_FALSE(results[k].ok()) << "slot " << k;
     EXPECT_EQ(ErrorCode::invalid_request, results[k].error().code)
@@ -522,6 +535,34 @@ TEST(EngineCache, InfiniteSizeAndSlewAreInvalidAndNeverCharacterized) {
     EXPECT_EQ(ErrorCode::invalid_request, o->error().code) << o->error().message;
   }
   EXPECT_EQ(0u, engine.library().size());
+}
+
+TEST(EngineCache, RefusedSlotsLeaveOnlyTheirValidBatchmatesCharacterized) {
+  // Refused slots of other sizes sit on both sides of a valid one: the
+  // batch characterizes the valid slot's size alone and answers it.
+  Engine engine{tech::Technology::cmos180()};
+  Request empty_net = inductive_request("empty-net");
+  empty_net.cell_size = 75.0;
+  empty_net.net = net::Net();
+  Request valid = inductive_request("valid");
+  valid.cell_size = 50.0;
+  Request stray_aggressor = inductive_request("stray-aggressor");
+  stray_aggressor.cell_size = 25.0;
+  stray_aggressor.aggressors = {{1, 100.0, 100 * ps, core::AggressorSwitching::opposite}};
+
+  const std::vector<Request> requests = {empty_net, valid, stray_aggressor};
+  const std::vector<Outcome<Response>> results =
+      engine.run_batch(requests, fast_options());
+  ASSERT_EQ(3u, results.size());
+  ASSERT_TRUE(results[1].ok()) << results[1].error().message;
+  EXPECT_EQ("valid", results[1].value().label);
+  for (const std::size_t k : {std::size_t{0}, std::size_t{2}}) {
+    ASSERT_FALSE(results[k].ok()) << "slot " << k;
+    EXPECT_EQ(ErrorCode::invalid_request, results[k].error().code)
+        << results[k].error().message;
+  }
+  EXPECT_EQ(1u, engine.library().size());
+  EXPECT_NE(nullptr, engine.library().find(50.0));
 }
 
 TEST(EngineCache, WarmCacheAndLibraryRoundTrip) {

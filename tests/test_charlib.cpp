@@ -142,6 +142,28 @@ TEST_F(CharacterizedDriverFixture, LoadRejectsCorruptStream) {
   std::stringstream buffer("not_a_library 1");
   CellLibrary lib;
   EXPECT_THROW(lib.load(buffer), Error);
+
+  // A value count no memory can hold fails on the missing values (an
+  // Error, not std::bad_alloc) and leaves the library as it was — also when
+  // a readable cell precedes the corrupt one.
+  lib.add(*driver_);
+  const CharacterizedDriver* before = lib.find(75.0);
+  const std::string corrupt_cell = "cell 25 1.8\nslew_axis 999999999999999999 1\n";
+  std::stringstream huge("rlceff_cell_library 1\ncells 1\n" + corrupt_cell);
+  EXPECT_THROW(lib.load(huge), Error);
+  CellLibrary other;
+  other.add(*driver_);
+  std::stringstream saved;
+  other.save(saved);
+  std::string text = saved.str();  // one readable cell, renamed 50X
+  text.replace(text.find("cells 1"), 7, "cells 2");
+  text.replace(text.find("cell 75 "), 8, "cell 50 ");
+  std::stringstream readable_then_huge(text + corrupt_cell);
+  EXPECT_THROW(lib.load(readable_then_huge), Error);
+  EXPECT_EQ(1u, lib.size());
+  EXPECT_EQ(before, lib.find(75.0));
+  EXPECT_EQ(nullptr, lib.find(25.0));
+  EXPECT_EQ(nullptr, lib.find(50.0));
 }
 
 TEST_F(CharacterizedDriverFixture, LoadMergesAndSkipsExistingSizes) {

@@ -336,33 +336,29 @@ TEST(MutualInductance, NetlistValidatesKElements) {
 // A linear source-driven coupled deck: cached and naive assembly must stamp
 // the same system, mutual inductors included.
 TEST(MutualInductance, CachedAndNaiveAssemblyAgreeBitwise) {
-  for (const sim::Integrator integrator :
-       {sim::Integrator::trapezoidal, sim::Integrator::backward_euler}) {
-    const CoupledGroup group = two_lines(60 * ff, 0.5);
-    ckt::Netlist nl;
-    const ckt::NodeId a = nl.node("a");
-    const ckt::NodeId b = nl.node("b");
-    nl.add_vsource(a, ckt::ground, wave::Pwl({{10 * ps, 0.0}, {110 * ps, 1.8}}));
-    nl.add_vsource(b, ckt::ground, wave::Pwl({{0.0, 0.0}}));
-    const std::array<ckt::NodeId, 2> froms{a, b};
-    const ckt::CoupledDeckNodes deck = ckt::append_coupled_group(nl, froms, group, 8);
-    ASSERT_FALSE(nl.mutual_inductors().empty());
+  const CoupledGroup group = two_lines(60 * ff, 0.5);
+  ckt::Netlist nl;
+  const ckt::NodeId a = nl.node("a");
+  const ckt::NodeId b = nl.node("b");
+  nl.add_vsource(a, ckt::ground, wave::Pwl({{10 * ps, 0.0}, {110 * ps, 1.8}}));
+  nl.add_vsource(b, ckt::ground, wave::Pwl({{0.0, 0.0}}));
+  const std::array<ckt::NodeId, 2> froms{a, b};
+  const ckt::CoupledDeckNodes deck = ckt::append_coupled_group(nl, froms, group, 8);
+  ASSERT_FALSE(nl.mutual_inductors().empty());
 
-    sim::TransientOptions options;
-    options.t_stop = 0.6e-9;
-    options.dt = 2 * ps;
-    options.integrator = integrator;
-    const std::array<ckt::NodeId, 2> probes{deck.nets[0].leaves[0],
-                                            deck.nets[1].leaves[0]};
+  sim::TransientOptions options;
+  options.t_stop = 0.6e-9;
+  options.dt = 2 * ps;
+  const std::array<ckt::NodeId, 2> probes{deck.nets[0].leaves[0],
+                                          deck.nets[1].leaves[0]};
 
-    options.assembly = sim::AssemblyMode::cached;
-    const sim::TransientResult cached = sim::simulate(nl, options, probes);
-    options.assembly = sim::AssemblyMode::naive;
-    const sim::TransientResult naive = sim::simulate(nl, options, probes);
+  options.assembly = sim::AssemblyMode::cached;
+  const sim::TransientResult cached = sim::simulate(nl, options, probes);
+  options.assembly = sim::AssemblyMode::naive;
+  const sim::TransientResult naive = sim::simulate(nl, options, probes);
 
-    for (const ckt::NodeId p : probes) {
-      expect_same_waveform(cached.at(p), naive.at(p));
-    }
+  for (const ckt::NodeId p : probes) {
+    expect_same_waveform(cached.at(p), naive.at(p));
   }
 }
 

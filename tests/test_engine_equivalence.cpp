@@ -86,27 +86,6 @@ TEST(EngineEquivalence, LinearRlcLineMatchesNaive) {
   expect_waveforms_match(fast.at(far_a), ref.at(far_b));
 }
 
-TEST(EngineEquivalence, LinearLineBackwardEulerMatchesNaive) {
-  TransientOptions cached;
-  cached.t_stop = 0.3 * ns;
-  cached.dt = 1 * ps;
-  cached.integrator = Integrator::backward_euler;
-  cached.assembly = AssemblyMode::cached;
-  TransientOptions naive = cached;
-  naive.assembly = AssemblyMode::naive;
-
-  Netlist nl_a, nl_b;
-  NodeId near_a, far_a, near_b, far_b;
-  build_linear_line(nl_a, near_a, far_a);
-  build_linear_line(nl_b, near_b, far_b);
-
-  const std::array<NodeId, 1> probes_a{far_a};
-  const std::array<NodeId, 1> probes_b{far_b};
-  const TransientResult fast = simulate(nl_a, cached, probes_a);
-  const TransientResult ref = simulate(nl_b, naive, probes_b);
-  expect_waveforms_match(fast.at(far_a), ref.at(far_b));
-}
-
 // A shortened final step forces the engine to refactor for the new h; the
 // cached path must handle the step-size change transparently.
 TEST(EngineEquivalence, PartialFinalStepMatchesNaive) {

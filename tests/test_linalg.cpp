@@ -24,6 +24,12 @@ namespace {
 using rlceff::testing::expect_rel_near;
 using rlceff::testing::uniform;
 
+// Solves A x = b with a factored band matrix, into a copy of b.
+std::vector<double> solved(const BandedMatrix& a, std::vector<double> x) {
+  a.solve_into(x);
+  return x;
+}
+
 TEST(DenseLu, SolvesKnownSystem) {
   DenseMatrix a(2, 2);
   a(0, 0) = 2.0;
@@ -97,7 +103,7 @@ TEST(BandedLu, MatchesDenseOnRandomBandedSystems) {
     for (double& v : b) v = uniform(-2.0, 2.0);
     const auto x_dense = solve_dense(dense, b);
     banded.factor();
-    const auto x_band = banded.solve(b);
+    const auto x_band = solved(banded, b);
     for (std::size_t k = 0; k < m; ++k) EXPECT_NEAR(x_dense[k], x_band[k], 1e-9);
   }
 }
@@ -122,8 +128,10 @@ TEST(DenseLu, FactorIntoReusesWorkspaceAndMatchesOneShot) {
   }
 }
 
+// solve_into, the compile-time one-lane substitution, against one lane of a
+// block solve at a wider stride: the same kernel, bit for bit.
 TEST(BandedLu, SolveIntoMatchesSolve) {
-  const std::size_t m = 9;
+  const std::size_t m = 9, stride = 3;
   BandedMatrix a(m, 2, 2);
   for (std::size_t r = 0; r < m; ++r) {
     for (std::size_t c = 0; c < m; ++c) {
@@ -135,10 +143,12 @@ TEST(BandedLu, SolveIntoMatchesSolve) {
   for (double& v : b) v = uniform(-2.0, 2.0);
 
   a.factor();
-  const auto x_ref = a.solve(b);
+  std::vector<double> block(m * stride, 0.0);
+  for (std::size_t k = 0; k < m; ++k) block[k * stride] = b[k];
+  a.solve_block(block, 1, stride);
   std::vector<double> x = b;
   a.solve_into(x);
-  for (std::size_t k = 0; k < m; ++k) EXPECT_EQ(x_ref[k], x[k]);
+  for (std::size_t k = 0; k < m; ++k) EXPECT_EQ(block[k * stride], x[k]);
 }
 
 TEST(BandedLu, CopyValuesFromRestoresAndRefactors) {
@@ -165,7 +175,7 @@ TEST(BandedLu, CopyValuesFromRestoresAndRefactors) {
     work.copy_values_from(image);
     work.add(0, 0, extra);  // "restamped" dynamic entry
     work.factor();
-    const auto x = work.solve(b);
+    const auto x = solved(work, b);
 
     DenseMatrix dense = dense_base;
     dense(0, 0) += extra;
@@ -212,7 +222,7 @@ TEST(BandedLu, PivotingWithinBandWorks) {
   }
   std::vector<double> b(m, 1.0);
   a.factor();
-  const auto x_band = a.solve(b);
+  const auto x_band = solved(a, b);
   const auto x_dense = solve_dense(d, b);
   for (std::size_t k = 0; k < m; ++k) expect_rel_near(x_dense[k], x_band[k], 1e-9);
 }
@@ -339,7 +349,7 @@ bool factors(RightLookingBand& ref) {
 }
 
 // Every stored entry (the band plus the pivoting fill), bitwise, and solves
-// against the reference: solve() and the lanes of one solve_block call at a
+// against the reference: solve_into() and the lanes of one solve_block call at a
 // stride wider than the lane count.  Lane 0 is a random right-hand side,
 // lane 1 the same with planted +0.0 entries, lane 2 with planted -0.0 and
 // +0.0 entries.  The first two must match bit for bit.  With -0.0 in the
@@ -357,7 +367,7 @@ void expect_factors_equal(const BandedMatrix& a, RightLookingBand& ref) {
   std::vector<double> b(n);
   for (double& v : b) v = draw(-2.0, 2.0);
   const std::vector<double> x_ref = ref.solve(b);
-  const std::vector<double> x = a.solve(b);
+  const std::vector<double> x = solved(a, b);
   for (std::size_t k = 0; k < n; ++k) ASSERT_EQ(bits(x_ref[k]), bits(x[k])) << k;
 
   constexpr std::size_t lanes = 3, stride = 5;
@@ -373,7 +383,7 @@ void expect_factors_equal(const BandedMatrix& a, RightLookingBand& ref) {
   a.solve_block(block, lanes, stride);
   for (std::size_t s = 0; s < lanes; ++s) {
     const std::vector<double> lane_ref = ref.solve(rhs[s]);
-    const std::vector<double> lane_one = a.solve(rhs[s]);
+    const std::vector<double> lane_one = solved(a, rhs[s]);
     for (std::size_t k = 0; k < n; ++k) {
       const double got = block[k * stride + s];
       ASSERT_EQ(bits(lane_one[k]), bits(got)) << "lane " << s << " unknown " << k;

@@ -1,9 +1,11 @@
-// Unit tests for quadrature, the fixed-point iteration, and statistics
-// helpers.
+// Unit tests for quadrature, the fixed-point iteration, statistics helpers,
+// and the execution budget's wall limit.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <functional>
+#include <limits>
 
 #include "test_helpers.h"
 #include "util/budget.h"
@@ -164,6 +166,28 @@ TEST(FixedPoint, ChecksTheBudgetOncePerEvaluation) {
     }
     EXPECT_EQ(k, calls);
   }
+}
+
+// A wall limit the steady clock cannot represent from now (+inf, or past
+// about 292 years) arms no deadline: the tracker stays limited, and no
+// checkpoint ever reports the deadline exceeded.  A short finite limit
+// still fires.
+TEST(ExecTracker, WallLimitPastTheClockRangeArmsNoDeadline) {
+  for (const double limit_s : {std::numeric_limits<double>::infinity(), 1e300}) {
+    ExecBudget spec;
+    spec.wall_limit_s = limit_s;
+    ExecTracker tracker(spec);
+    EXPECT_TRUE(tracker.limited()) << limit_s;
+    EXPECT_NO_THROW(tracker.check("test")) << limit_s;
+    EXPECT_NO_THROW(tracker.charge_transient_steps(1000, "test")) << limit_s;
+  }
+  ExecBudget spec;
+  spec.wall_limit_s = 1e-9;
+  ExecTracker tracker(spec);
+  const auto start = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() - start < std::chrono::microseconds(10)) {
+  }
+  EXPECT_THROW(tracker.check("test"), DeadlineError);
 }
 
 TEST(FixedPoint, RespectsClamps) {

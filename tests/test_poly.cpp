@@ -87,7 +87,9 @@ TEST(Polyval, HornerMatchesDirect) {
   const std::array<double, 4> c{1.0, -2.0, 0.5, 3.0};
   const double x = 1.7;
   const double direct = 1.0 - 2.0 * x + 0.5 * x * x + 3.0 * x * x * x;
-  EXPECT_NEAR(direct, polyval(c, x), 1e-12);
+  const Complex horner = polyval(c, Complex(x, 0.0));
+  EXPECT_NEAR(direct, horner.real(), 1e-12);
+  EXPECT_EQ(0.0, horner.imag());
 }
 
 }  // namespace

@@ -59,7 +59,8 @@ TEST(SolveBlock, DenseLanesBitwiseMatchSingleRhs) {
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) m(i, j) = a[i][j];
   }
-  const util::LuFactors f = util::lu_factor(m);
+  util::LuFactors f;
+  util::lu_factor_into(m, f);
 
   for (const std::size_t lanes : {std::size_t{5}, std::size_t{1}}) {
     std::vector<std::vector<double>> rhs;

@@ -26,9 +26,11 @@ TEST(Series, ConstantAndVariable) {
   EXPECT_DOUBLE_EQ(3.5, c[0]);
   for (std::size_t k = 1; k < n; ++k) EXPECT_DOUBLE_EQ(0.0, c[k]);
 
-  const Series s = Series::variable(n);
+  // The variable s, from its coefficients: zero-padded to n terms.
+  const Series s({0.0, 1.0}, n);
   EXPECT_DOUBLE_EQ(0.0, s[0]);
   EXPECT_DOUBLE_EQ(1.0, s[1]);
+  for (std::size_t k = 2; k < n; ++k) EXPECT_DOUBLE_EQ(0.0, s[k]);
 }
 
 TEST(Series, AdditionSubtraction) {
@@ -80,10 +82,20 @@ TEST(Series, OrderAboveCapacityThrows) {
 }
 
 TEST(Series, SqrtRoundTrip) {
+  // sqrt(a) = sqrt(a0) * (1 + u)^(1/2) with u = a / a0 - 1, the binomial
+  // series composed with u; squared, it gives a back.
+  std::vector<double> half_power(n);
+  half_power[0] = 1.0;
+  for (std::size_t k = 1; k < n; ++k) {
+    const double j = static_cast<double>(k);
+    half_power[k] = half_power[k - 1] * (0.5 - (j - 1.0)) / j;
+  }
   for (int trial = 0; trial < 20; ++trial) {
     Series a = random_series(1.0, true);
-    if (a[0] <= 0.0) a[0] = 1.0 + std::abs(a[0]);
-    const Series r = a.sqrt();
+    a[0] = 1.0 + std::abs(a[0]);
+    Series u = a * (1.0 / a[0]);
+    u[0] = 0.0;
+    const Series r = std::sqrt(a[0]) * Series::compose(half_power, u);
     EXPECT_TRUE((r * r).almost_equal(a, 1e-10)) << "trial " << trial;
   }
 }
@@ -98,13 +110,21 @@ TEST(Series, MulDivRoundTripProperty) {
 }
 
 TEST(Series, ShiftedMultipliesByPowerOfS) {
+  // The product with s^2 shifts every coefficient up two places, and the
+  // truncation drops the two that pass s^(n-1).
+  const Series s2({0.0, 0.0, 1.0}, n);
   const Series a({1.0, 2.0, 3.0}, n);
-  const Series shifted = a.shifted(2);
+  const Series shifted = a * s2;
   EXPECT_DOUBLE_EQ(0.0, shifted[0]);
   EXPECT_DOUBLE_EQ(0.0, shifted[1]);
   EXPECT_DOUBLE_EQ(1.0, shifted[2]);
   EXPECT_DOUBLE_EQ(2.0, shifted[3]);
   EXPECT_DOUBLE_EQ(3.0, shifted[4]);
+  for (std::size_t k = 5; k < n; ++k) EXPECT_DOUBLE_EQ(0.0, shifted[k]);
+
+  const Series full = random_series(1.0, false);
+  const Series dropped = full * s2;
+  for (std::size_t k = 0; k + 2 < n; ++k) EXPECT_EQ(full[k], dropped[k + 2]) << k;
 }
 
 TEST(Series, ComposeExpOfLinear) {

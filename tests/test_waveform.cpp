@@ -113,15 +113,6 @@ TEST(Pwl, ThreePieceWithZeroPlateauIsTwoRamp) {
   }
 }
 
-TEST(Pwl, SampleAndToWaveformAgree) {
-  const Pwl w = two_ramp(10.0, 0.6, 50.0, 200.0, 1.8);
-  const Waveform exact = w.to_waveform(300.0);
-  const Waveform sampled = w.sample(0.0, 300.0, 1.0);
-  for (double t = 0.0; t <= 300.0; t += 13.0) {
-    EXPECT_NEAR(exact.value_at(t), sampled.value_at(t), 1e-9) << "t=" << t;
-  }
-}
-
 // Edge cases the property generator's decks hit: empty descriptions,
 // single-point (DC) sources, duplicate timestamps from collapsed plateaus,
 // and outright non-monotone input.

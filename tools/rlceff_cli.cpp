@@ -61,8 +61,9 @@
 //                        the deck's size and sparsity), or an explicit
 //                        dense|banded|sparse to force one.  --json reports
 //                        the backend per reference-backed net
-//     --deadline-ms <t>  per-net wall-clock budget; a net that exceeds it
-//                        fails with error code deadline_exceeded (exit 2)
+//     --deadline-ms <t>  per-net wall-clock budget (positive and finite); a
+//                        net that exceeds it fails with error code
+//                        deadline_exceeded (exit 2)
 //     --max-steps <n>    per-net transient step budget (reference runs);
 //                        exhaustion fails the net with resource_exhausted
 //     --degrade          instead of failing, budget-exhausted nets fall down
@@ -223,8 +224,9 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
       }
     } else if (arg == "--deadline-ms") {
       const char* v = next();
-      if (v == nullptr || !parse_number(v, opt.deadline_ms) || opt.deadline_ms <= 0.0) {
-        std::fprintf(stderr, "--deadline-ms needs a positive number\n");
+      if (v == nullptr || !parse_number(v, opt.deadline_ms) ||
+          !std::isfinite(opt.deadline_ms) || opt.deadline_ms <= 0.0) {
+        std::fprintf(stderr, "--deadline-ms needs a positive finite number\n");
         return false;
       }
     } else if (arg == "--max-steps") {
@@ -373,9 +375,9 @@ bool parse_integer(const std::string& token, long long& out) {
   return end != token.c_str() && *end == '\0' && errno == 0;
 }
 
-// Strict field extraction for the explicit-parasitics stanzas: a whole
-// whitespace-delimited token must parse as a number ("20.5.5" is a typo,
-// not a 20.5 followed by ignorable junk).
+// Strict field extraction for every deck line's numeric fields: a whole
+// whitespace-delimited token must parse as a number ("20abc" is a typo, not
+// a 20 followed by ignorable junk).
 bool next_number(std::istringstream& fields, double& out) {
   std::string token;
   return (fields >> token) && parse_number(token, out);
@@ -411,7 +413,7 @@ int read_deck(const std::string& path, Deck& deck) {
 
     if (head == "couple") {
       DeckCouple couple;
-      if (!(fields >> couple.a >> couple.b >> couple.cc_ff)) {
+      if (!(fields >> couple.a >> couple.b) || !next_number(fields, couple.cc_ff)) {
         std::fprintf(stderr,
                      "%s:%zu: expected 'couple netA netB cc_ff [k [secA secB]]'\n",
                      path.c_str(), line_no);
@@ -538,7 +540,7 @@ int read_deck(const std::string& path, Deck& deck) {
     if (head == "aggressor") {
       std::string label, mode;
       if (!(fields >> label >> mode) ||
-          (mode != "rise" && mode != "fall" && mode != "quiet")) {
+          (mode != "rise" && mode != "fall" && mode != "quiet") || !at_line_end(fields)) {
         std::fprintf(stderr, "%s:%zu: expected 'aggressor net rise|fall|quiet'\n",
                      path.c_str(), line_no);
         return 1;
@@ -554,8 +556,9 @@ int read_deck(const std::string& path, Deck& deck) {
 
     DeckNet net;
     net.label = std::move(head);
-    if (!(fields >> net.driver_size >> net.slew_ps >> net.length_mm >>
-          net.width_um >> net.cload_ff)) {
+    if (!next_number(fields, net.driver_size) || !next_number(fields, net.slew_ps) ||
+        !next_number(fields, net.length_mm) || !next_number(fields, net.width_um) ||
+        !next_number(fields, net.cload_ff) || !at_line_end(fields)) {
       std::fprintf(stderr, "%s:%zu: expected 'label size slew_ps length_mm "
                            "width_um cload_ff'\n",
                    path.c_str(), line_no);
