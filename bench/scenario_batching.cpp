@@ -84,6 +84,16 @@ double time_batch(api::Engine& engine, const std::vector<api::Request>& requests
   return best_s;
 }
 
+// Time steps the batched replays advanced, summed over lanes: each recorded
+// far-end waveform holds its DC sample plus one sample per step.
+std::size_t lane_steps(const std::vector<api::Response>& responses) {
+  std::size_t steps = 0;
+  for (const api::Response& r : responses) {
+    if (r.model_far_wave.size() > 0) steps += r.model_far_wave.size() - 1;
+  }
+  return steps;
+}
+
 // Counts slots whose far-end answer differs in any bit between the two runs.
 std::size_t bitwise_mismatches(const std::vector<api::Response>& batched,
                                const std::vector<api::Response>& per_slot) {
@@ -124,7 +134,7 @@ int main(int argc, char** argv) {
     bench::list_metrics("scenario_batching",
                         {"grid_scenarios", "grid_topologies", "per_slot_s",
                          "batched_s", "fig7_grid_speedup",
-                         "bitwise_mismatches"});
+                         "bitwise_mismatches", "block_ns_per_lane_step"});
     return 0;
   }
 
@@ -143,12 +153,16 @@ int main(int argc, char** argv) {
 
   const std::size_t mismatches = bitwise_mismatches(batched, per_slot);
   const double speedup = per_slot_s / batched_s;
+  // The whole batch (model passes, deck compiles and grouping included) per
+  // lane-step: an upper bound on the block stepper's own cost per lane-step.
+  const double ns_per_lane_step = batched_s * 1e9 / static_cast<double>(lane_steps(batched));
 
   std::printf("== scenario batching (Fig-7 grid, %zu scenarios, 4 groups) ==\n",
               requests.size());
   std::printf("  per-slot replays:             %8.3f s\n", per_slot_s);
   std::printf("  shared-factorization batched: %8.3f s\n", batched_s);
   std::printf("  speedup: %.2fx   bitwise mismatches: %zu\n", speedup, mismatches);
+  std::printf("  batched time per lane-step:   %8.1f ns\n", ns_per_lane_step);
 
   bench::update_bench_json(
       "BENCH_perf.json", "perf", "scenario_batching",
@@ -157,7 +171,8 @@ int main(int argc, char** argv) {
        {"per_slot_s", per_slot_s, "s"},
        {"batched_s", batched_s, "s"},
        {"fig7_grid_speedup", speedup, "x"},
-       {"bitwise_mismatches", static_cast<double>(mismatches), "count"}});
+       {"bitwise_mismatches", static_cast<double>(mismatches), "count"},
+       {"block_ns_per_lane_step", ns_per_lane_step, "ns"}});
   std::printf("(merged into BENCH_perf.json under \"scenario_batching.\")\n");
   return mismatches == 0 ? 0 : 1;
 }

@@ -383,7 +383,6 @@ void run_deferred_replays(const tech::Technology& technology,
       }
     }
 
-    const sim::SolverKind solver = sim::selected_solver(decks[head].netlist, so);
     const double elapsed_share =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count() /
@@ -399,7 +398,8 @@ void run_deferred_replays(const tech::Technology& technology,
         Response& response = results[job.slot].value();
         record_far_end(response, job.plan,
                        outcomes[k].result->at(decks[i].nodes.leaves.at(job.plan.dominant_leaf)),
-                       solver, technology.vdd, requests[job.slot].keep_waveforms);
+                       outcomes[k].result->solver(), technology.vdd,
+                       requests[job.slot].keep_waveforms);
         response.elapsed_s += elapsed_share;
       } catch (...) {
         fail_slot(job.slot, std::current_exception(), elapsed_share);

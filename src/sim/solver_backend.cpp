@@ -57,15 +57,20 @@ SolverKind resolve_solver_kind(std::size_t n, std::size_t bw, std::size_t nnz,
   return SolverKind::dense;
 }
 
+SolverKind resolve_solver_kind(const ckt::MnaStructure& structure,
+                               const TransientOptions& options) {
+  return resolve_solver_kind(structure.unknown_count(), structure.bandwidth(),
+                             structure.pattern_nonzeros(), options);
+}
+
 std::unique_ptr<LinearSolver> make_solver(const ckt::MnaStructure& structure,
-                                          const TransientOptions& options) {
+                                          SolverKind kind, util::ExecTracker* budget) {
   const std::size_t n = structure.unknown_count();
-  switch (resolve_solver_kind(n, structure.bandwidth(), structure.pattern_nonzeros(),
-                              options)) {
+  switch (kind) {
     case SolverKind::banded:
       return std::make_unique<BandedSolver>(n, structure.bandwidth());
     case SolverKind::sparse:
-      return std::make_unique<SparseSolver>(structure, options.budget);
+      return std::make_unique<SparseSolver>(structure, budget);
     default:
       return std::make_unique<DenseSolver>(n);
   }

@@ -165,8 +165,14 @@ private:
 SolverKind resolve_solver_kind(std::size_t n, std::size_t bw, std::size_t nnz,
                                const TransientOptions& options);
 
+// The backend options.solver selects for this structure.
+SolverKind resolve_solver_kind(const ckt::MnaStructure& structure,
+                               const TransientOptions& options);
+
+// A backend of a resolved kind (not automatic).  `budget` reaches the
+// sparse factor and solve (see SparseSolver).
 std::unique_ptr<LinearSolver> make_solver(const ckt::MnaStructure& structure,
-                                          const TransientOptions& options);
+                                          SolverKind kind, util::ExecTracker* budget);
 
 // Stamps every matrix entry that depends only on (h, gmin): gmin loading,
 // resistors, companion conductances, and the branch incidence rows of

@@ -14,6 +14,7 @@
 #include "sim/scenario_block.h"
 #include "sim/solver_backend.h"
 #include "util/error.h"
+#include "util/lanes.h"
 
 namespace rlceff::sim {
 
@@ -39,7 +40,11 @@ constexpr double kNewtonDampingV = 0.6;   // [V]
 constexpr double kGmin = 1e-12;
 
 // The lane count of the stepper sim::simulate runs, fixed at compile time.
-using OneLane = std::integral_constant<std::size_t, 1>;
+using util::OneLane;
+
+// The lanes a block's sweeps run for `a` active lanes: a rounded up to even,
+// so the lane loops are whole vector pairs.
+constexpr std::size_t padded(std::size_t a) { return (a + 1) & ~std::size_t{1}; }
 
 // The measured-edge stop's crossing tracker (see sim::EdgeStop):
 // Waveform::first_crossing run incrementally.  Fed each recorded sample of
@@ -97,13 +102,23 @@ private:
 // so a single deck costs what a dedicated scalar engine would, and a
 // batched lane equals its per-slot run by construction.
 //
-// All per-lane data is SoA with a fixed stride W (the initial lane count):
-// value of unknown/device i for lane j lives at [i * W + j].  Active lanes
-// occupy columns 0..A-1; lanes retire from the tail (they are added by
-// descending t_stop, so the shortest runs sit at the end), while faulted
-// lanes and lanes the measured-edge stop ends are removed by a stable left
-// shift of the columns behind them (at most once per lane, O(n * k)), which
-// preserves the descending order the tail scan relies on.
+// All per-lane data is SoA with a fixed stride W (the initial lane count,
+// rounded up to even in a block): value of unknown/device i for lane j lives
+// at [i * W + j].  Active lanes occupy columns 0..A-1; lanes retire from the
+// tail (they are added by descending t_stop, so the shortest runs sit at the
+// end), while faulted lanes and lanes the measured-edge stop ends are
+// removed by a stable left shift of the columns behind them (at most once
+// per lane, O(n * k)), which preserves the descending order the tail scan
+// relies on.  Columns A..W-1 hold zeros (remove_lane zeroes the column it
+// vacates): a block's RHS assembly, solve and state advance run A rounded
+// up to even lanes, as a fixed width up to util::kMaxWidth (at_width), so
+// every lane loop is whole vector pairs, and the extra column's zero state
+// and zero sources solve to zeros.
+//
+// Each device's rows are resolved before its lane loop (a ground terminal
+// reads one shared all-zero row and is never written), and the companion
+// coefficients 2C/h, 2L/h and 2M/h are computed once per step size, so a
+// lane loop holds only the lane's arithmetic.
 //
 // Linear decks under cached assembly solve a step with one factorization
 // per (step size, gmin) and a substitution sweep.  MOSFET decks and
@@ -121,7 +136,8 @@ public:
         structure_(netlist),
         m_(structure_.unknown_count()),
         newton_(!netlist.mosfets().empty() || options.assembly == AssemblyMode::naive),
-        solver_(detail::make_solver(structure_, options)),
+        kind_(detail::resolve_solver_kind(structure_, options)),
+        solver_(detail::make_solver(structure_, kind_, options.budget)),
         probes_(probes.begin(), probes.end()) {
     // Resolve every unknown index once so the per-step loops are pure array
     // indexing (node_index() revalidates its arguments on every call).
@@ -146,6 +162,9 @@ public:
       first_mos_col_ = std::min({first_mos_col_, mos_pos_.back().drain,
                                  mos_pos_.back().gate, mos_pos_.back().source});
     }
+    cap_geq_.resize(cap_pos_.size());
+    ind_req_.resize(ind_pos_.size());
+    mut_req_.resize(nl0_.mutual_inductors().size());
     for (NodeId p : probes_) probe_pos_.push_back(pos(p));
     if (options.edge_stop.enabled()) {
       for (NodeId n : options.edge_stop.watch) {
@@ -172,13 +191,14 @@ public:
   // (sources at t = 0, capacitors open, inductors shorted) into the
   // solution block, which it returns.
   std::span<const double> solve_dc() {
-    if constexpr (!kOneLane) w_ = lane_slot_.size();
+    if constexpr (!kOneLane) w_ = padded(lane_slot_.size());
     xb_.assign(m_ * w_, 0.0);
     rhsb_.assign(m_ * w_, 0.0);
     cap_v_.assign(cap_pos_.size() * w_, 0.0);
     cap_i_.assign(cap_pos_.size() * w_, 0.0);
     ind_i_.assign(ind_pos_.size() * w_, 0.0);
     ind_v_.assign(ind_pos_.size() * w_, 0.0);
+    zero_row_.assign(w_, 0.0);
     probe_vals_.assign(probes_.size(), 0.0);
     const std::size_t a = lane_slot_.size();
     try {
@@ -199,7 +219,7 @@ public:
     std::size_t a = lane_slot_.size();
     if (a == 0) return;
     for (double t_stop : lane_tstop_) {
-      results_.emplace_back(probes_, static_cast<std::size_t>(t_stop / opt_.dt) + 2);
+      results_.emplace_back(probes_, static_cast<std::size_t>(t_stop / opt_.dt) + 2, kind_);
     }
     solve_dc();
     seed_state(a);
@@ -263,7 +283,7 @@ public:
         }
         if (a == 0) break;
       }
-      advance_state(h, a);
+      at_width(a, [&](auto width) { advance_state(h, width); });
       t = t_next;
       record(t, a);
       retire_measured(a);
@@ -291,7 +311,46 @@ private:
     }
   }
 
+  // Calls fn with the width a step's arithmetic sweeps run at: one lane in
+  // the one-lane instance; in a block, the active count rounded up to even
+  // (columns past the active lanes hold zeros), as a fixed width up to
+  // util::kMaxWidth lanes.
+  template <class Fn>
+  static void at_width(std::size_t a, Fn&& fn) {
+    if constexpr (kOneLane) {
+      fn(OneLane{});
+    } else {
+      const std::size_t w = padded(a);
+      if (w > util::kMaxWidth) {
+        fn(w);
+      } else {
+        util::with_width<2>(w, fn);
+      }
+    }
+  }
+
   bool holds(double h, double gmin) const { return h == held_h_ && gmin == held_gmin_; }
+
+  // Row `pos` of the solution block, or the all-zero row for ground.
+  const double* node_row(std::size_t pos) const {
+    return pos == npos ? zero_row_.data() : xb_.data() + pos * w_;
+  }
+
+  // The companion coefficients of step size h, by the expressions
+  // assemble_static_stamps uses, so they are the matrix's bits.
+  void set_companions(double h) {
+    if (h == coef_h_) return;
+    coef_h_ = h;
+    for (std::size_t k = 0; k < cap_geq_.size(); ++k) {
+      cap_geq_[k] = 2.0 * nl0_.capacitors()[k].capacitance / h;
+    }
+    for (std::size_t k = 0; k < ind_req_.size(); ++k) {
+      ind_req_[k] = 2.0 * nl0_.inductors()[k].inductance / h;
+    }
+    for (std::size_t k = 0; k < mut_req_.size(); ++k) {
+      mut_req_[k] = 2.0 * nl0_.mutual_inductors()[k].mutual / h;
+    }
+  }
 
   void refactor(detail::LinearSolver& solver, double h, double gmin) {
     solver.clear();
@@ -316,11 +375,11 @@ private:
       held_h_ = h;
       held_gmin_ = gmin;
     }
-    assemble_rhs(t, h, 0, lanes(a));
+    at_width(a, [&](auto width) { assemble_rhs(t, h, 0, width); });
     if constexpr (kOneLane) {
       solver_->solve_into(rhsb_);
     } else {
-      solver_->solve_block(rhsb_, a, w_);
+      solver_->solve_block(rhsb_, padded(a), w_);
     }
     std::swap(xb_, rhsb_);
   }
@@ -411,54 +470,71 @@ private:
   // Device-outer, lane-inner, with the same operation sequence in every
   // lane's column.
   template <class L>
-  void assemble_rhs(double t, double h, std::size_t j0, L lanes) {
+  void assemble_rhs(double t, double h, std::size_t j0, L width) {
+    const std::size_t lanes = width;  // a constant for a fixed width
     std::fill(rhsb_.begin(), rhsb_.end(), 0.0);
     double* rhs = rhsb_.data() + j0;
-    const bool dc = h <= 0.0;
 
-    if (!dc) {
+    // DC: capacitors are open and the inductor and mutual rows stay zero.
+    if (h > 0.0) {
+      set_companions(h);
       for (std::size_t k = 0; k < cap_pos_.size(); ++k) {
-        const double geq = 2.0 * nl0_.capacitors()[k].capacitance / h;
+        const double geq = cap_geq_[k];
         const auto [pa, pb] = cap_pos_[k];
-        const double* sv = cap_v_.data() + k * w_ + j0;
-        const double* si = cap_i_.data() + k * w_ + j0;
-        for (std::size_t j = 0; j < lanes; ++j) {
-          // Norton companion: device current = geq * v - ieq, flowing b -> a.
-          const double ieq = geq * sv[j] + si[j];
-          if (pb != npos) rhs[pb * w_ + j] -= ieq;
-          if (pa != npos) rhs[pa * w_ + j] += ieq;
+        const double* __restrict sv = cap_v_.data() + k * w_ + j0;
+        const double* __restrict si = cap_i_.data() + k * w_ + j0;
+        double* ra = pa == npos ? nullptr : rhs + pa * w_;
+        double* rb = pb == npos ? nullptr : rhs + pb * w_;
+        // Norton companion: device current = geq * v - ieq, flowing b -> a.
+        // A ground terminal takes no write; the branch is per device.
+        const auto stamp = [&](auto to_a, auto to_b) {
+          #pragma GCC unroll 16
+          for (std::size_t j = 0; j < lanes; ++j) {
+            const double ieq = geq * sv[j] + si[j];
+            if constexpr (to_b) rb[j] -= ieq;
+            if constexpr (to_a) ra[j] += ieq;
+          }
+        };
+        if (ra != nullptr && rb != nullptr) {
+          stamp(std::true_type{}, std::true_type{});
+        } else if (rb != nullptr) {
+          stamp(std::false_type{}, std::true_type{});
+        } else if (ra != nullptr) {
+          stamp(std::true_type{}, std::false_type{});
         }
       }
-    }
 
-    for (std::size_t k = 0; k < ind_pos_.size(); ++k) {
-      const double req = dc ? 0.0 : 2.0 * nl0_.inductors()[k].inductance / h;
-      const double* sv = ind_v_.data() + k * w_ + j0;
-      const double* si = ind_i_.data() + k * w_ + j0;
-      double* row = rhs + ind_pos_[k] * w_;
-      for (std::size_t j = 0; j < lanes; ++j) {
-        row[j] = dc ? 0.0 : -sv[j] - req * si[j];
+      for (std::size_t k = 0; k < ind_pos_.size(); ++k) {
+        const double req = ind_req_[k];
+        const double* __restrict sv = ind_v_.data() + k * w_ + j0;
+        const double* __restrict si = ind_i_.data() + k * w_ + j0;
+        double* __restrict row = rhs + ind_pos_[k] * w_;
+        #pragma GCC unroll 16
+        for (std::size_t j = 0; j < lanes; ++j) row[j] = -sv[j] - req * si[j];
       }
-    }
 
-    if (!dc) {
       // History term of the mutual coupling, mirroring the matrix stamp.
-      for (const ckt::MutualInductor& m : nl0_.mutual_inductors()) {
-        const double req = 2.0 * m.mutual / h;
-        double* rowa = rhs + ind_pos_[m.la] * w_;
-        double* rowb = rhs + ind_pos_[m.lb] * w_;
-        const double* ia = ind_i_.data() + m.la * w_ + j0;
-        const double* ib = ind_i_.data() + m.lb * w_ + j0;
+      const std::vector<ckt::MutualInductor>& mutuals = nl0_.mutual_inductors();
+      for (std::size_t k = 0; k < mutuals.size(); ++k) {
+        const double req = mut_req_[k];
+        double* rowa = rhs + ind_pos_[mutuals[k].la] * w_;
+        double* rowb = rhs + ind_pos_[mutuals[k].lb] * w_;
+        const double* ia = ind_i_.data() + mutuals[k].la * w_ + j0;
+        const double* ib = ind_i_.data() + mutuals[k].lb * w_ + j0;
+        #pragma GCC unroll 16
         for (std::size_t j = 0; j < lanes; ++j) rowa[j] -= req * ib[j];
+        #pragma GCC unroll 16
         for (std::size_t j = 0; j < lanes; ++j) rowb[j] -= req * ia[j];
       }
     }
 
     // The only lane-divergent input: each lane evaluates its own source
-    // waveforms (the matrix never sees them).
+    // waveforms (the matrix never sees them).  A padding column has no
+    // lane and no sources: its rows stay zero.
+    const std::size_t sourced = std::min<std::size_t>(lanes, lane_net_.size() - j0);
     for (std::size_t k = 0; k < vsrc_pos_.size(); ++k) {
       double* row = rhs + vsrc_pos_[k] * w_;
-      for (std::size_t j = 0; j < lanes; ++j) {
+      for (std::size_t j = 0; j < sourced; ++j) {
         row[j] = lane_net_[j0 + j]->vsources()[k].voltage.value_at(t);
       }
     }
@@ -467,50 +543,51 @@ private:
   // Seeds device state from the operating point (capacitor currents and
   // inductor voltages are zero in steady state).
   void seed_state(std::size_t a) {
-    const Lanes n = lanes(a);
+    const std::size_t n = lanes(a);
     for (std::size_t k = 0; k < cap_pos_.size(); ++k) {
-      const auto [pa, pb] = cap_pos_[k];
-      double* sv = cap_v_.data() + k * w_;
-      for (std::size_t j = 0; j < n; ++j) {
-        const double va = pa == npos ? 0.0 : xb_[pa * w_ + j];
-        const double vb = pb == npos ? 0.0 : xb_[pb * w_ + j];
-        sv[j] = va - vb;
-      }
+      const double* __restrict va = node_row(cap_pos_[k].a);
+      const double* __restrict vb = node_row(cap_pos_[k].b);
+      double* __restrict sv = cap_v_.data() + k * w_;
+      #pragma GCC unroll 16
+      for (std::size_t j = 0; j < n; ++j) sv[j] = va[j] - vb[j];
     }
     for (std::size_t k = 0; k < ind_pos_.size(); ++k) {
-      double* si = ind_i_.data() + k * w_;
-      const double* row = xb_.data() + ind_pos_[k] * w_;
+      double* __restrict si = ind_i_.data() + k * w_;
+      const double* __restrict row = xb_.data() + ind_pos_[k] * w_;
+      #pragma GCC unroll 16
       for (std::size_t j = 0; j < n; ++j) si[j] = row[j];
     }
   }
 
   // Advances the companion-model state to the solution just accepted.
-  void advance_state(double h, std::size_t a) {
-    const Lanes n = lanes(a);
+  template <class L>
+  void advance_state(double h, L width) {
+    const std::size_t n = width;  // a constant for a fixed width
+    set_companions(h);
     for (std::size_t k = 0; k < cap_pos_.size(); ++k) {
-      const double geq = 2.0 * nl0_.capacitors()[k].capacitance / h;
-      const auto [pa, pb] = cap_pos_[k];
-      double* sv = cap_v_.data() + k * w_;
-      double* si = cap_i_.data() + k * w_;
+      const double geq = cap_geq_[k];
+      const double* __restrict va = node_row(cap_pos_[k].a);
+      const double* __restrict vb = node_row(cap_pos_[k].b);
+      double* __restrict sv = cap_v_.data() + k * w_;
+      double* __restrict si = cap_i_.data() + k * w_;
+      #pragma GCC unroll 16
       for (std::size_t j = 0; j < n; ++j) {
-        const double va = pa == npos ? 0.0 : xb_[pa * w_ + j];
-        const double vb = pb == npos ? 0.0 : xb_[pb * w_ + j];
-        const double v_new = va - vb;
+        const double v_new = va[j] - vb[j];
         const double i_new = geq * (v_new - sv[j]) - si[j];
         sv[j] = v_new;
         si[j] = i_new;
       }
     }
     for (std::size_t k = 0; k < ind_pos_.size(); ++k) {
-      const auto [pa, pb] = ind_nodes_[k];
-      double* si = ind_i_.data() + k * w_;
-      double* sv = ind_v_.data() + k * w_;
-      const double* row = xb_.data() + ind_pos_[k] * w_;
+      const double* __restrict va = node_row(ind_nodes_[k].a);
+      const double* __restrict vb = node_row(ind_nodes_[k].b);
+      double* __restrict si = ind_i_.data() + k * w_;
+      double* __restrict sv = ind_v_.data() + k * w_;
+      const double* __restrict row = xb_.data() + ind_pos_[k] * w_;
+      #pragma GCC unroll 16
       for (std::size_t j = 0; j < n; ++j) {
         si[j] = row[j];
-        const double va = pa == npos ? 0.0 : xb_[pa * w_ + j];
-        const double vb = pb == npos ? 0.0 : xb_[pb * w_ + j];
-        sv[j] = va - vb;
+        sv[j] = va[j] - vb[j];
       }
     }
   }
@@ -554,7 +631,7 @@ private:
     try {
       if (lane_budget_[j]) lane_budget_[j]->charge_transient_steps(1, "transient");
       const double h = lane_tstop_[j] - t;
-      if (!tail_) tail_ = detail::make_solver(structure_, opt_);
+      if (!tail_) tail_ = detail::make_solver(structure_, kind_, opt_.budget);
       refactor(*tail_, h, kGmin);
       assemble_rhs(t + h, h, j, OneLane{});
       tail_->solve_block(std::span<double>(rhsb_).subspan(j), 1, w_);
@@ -589,21 +666,21 @@ private:
 
   // Removes active lane j: shifts the columns behind it left so the
   // descending-t_stop order (and every lane's column index) stays
-  // consistent.  The tail lane shifts nothing.
+  // consistent, and zeroes the column it vacates.  The tail lane shifts
+  // nothing.
   void remove_lane(std::size_t j, std::size_t& a) {
     auto shift = [&](std::vector<double>& arr, std::size_t rows) {
       for (std::size_t i = 0; i < rows; ++i) {
         double* row = arr.data() + i * w_;
         for (std::size_t c = j; c + 1 < a; ++c) row[c] = row[c + 1];
+        row[a - 1] = 0.0;
       }
     };
-    if (j + 1 < a) {
-      shift(xb_, m_);
-      shift(cap_v_, cap_pos_.size());
-      shift(cap_i_, cap_pos_.size());
-      shift(ind_i_, ind_pos_.size());
-      shift(ind_v_, ind_pos_.size());
-    }
+    shift(xb_, m_);
+    shift(cap_v_, cap_pos_.size());
+    shift(cap_i_, cap_pos_.size());
+    shift(ind_i_, ind_pos_.size());
+    shift(ind_v_, ind_pos_.size());
     const auto at = static_cast<std::ptrdiff_t>(j);
     lane_slot_.erase(lane_slot_.begin() + at);
     lane_net_.erase(lane_net_.begin() + at);
@@ -619,6 +696,7 @@ private:
   MnaStructure structure_;
   std::size_t m_;
   bool newton_;
+  SolverKind kind_;  // the backend every solve of this run factors with
   std::unique_ptr<detail::LinearSolver> solver_;
   std::unique_ptr<detail::LinearSolver> tail_;
   std::vector<NodeId> probes_;
@@ -651,7 +729,14 @@ private:
   std::vector<double> cap_i_;
   std::vector<double> ind_i_;
   std::vector<double> ind_v_;
+  std::vector<double> zero_row_;  // a ground terminal's row: w_ zeros
   std::vector<double> probe_vals_;
+
+  // Companion coefficients per device at step size coef_h_.
+  std::vector<double> cap_geq_;  // 2C/h
+  std::vector<double> ind_req_;  // 2L/h
+  std::vector<double> mut_req_;  // 2M/h
+  double coef_h_ = std::numeric_limits<double>::quiet_NaN();
 
   // (h, gmin) of the matrix the solver holds: the factored matrix on the
   // factor-once path, the saved static image on the cached Newton path.
@@ -686,13 +771,12 @@ SolverKind solver_kind_from_string(std::string_view name) {
 
 SolverKind selected_solver(const ckt::Netlist& netlist,
                            const TransientOptions& options) {
-  const MnaStructure structure(netlist);
-  return detail::resolve_solver_kind(structure.unknown_count(), structure.bandwidth(),
-                                     structure.pattern_nonzeros(), options);
+  return detail::resolve_solver_kind(MnaStructure(netlist), options);
 }
 
-TransientResult::TransientResult(std::vector<ckt::NodeId> probes, std::size_t reserve_steps)
-    : probes_(std::move(probes)), waves_(probes_.size()) {
+TransientResult::TransientResult(std::vector<ckt::NodeId> probes, std::size_t reserve_steps,
+                                 SolverKind solver)
+    : probes_(std::move(probes)), waves_(probes_.size()), solver_(solver) {
   for (wave::Waveform& w : waves_) w.reserve(reserve_steps);
 }
 

@@ -99,13 +99,19 @@ struct TransientOptions {
   bool debug_cached_stamp_nan = false;
 };
 
-// Simulation output: one sampled waveform per probed node.
+// Simulation output: one sampled waveform per probed node, and the backend
+// that factored the run.
 class TransientResult {
 public:
-  TransientResult(std::vector<ckt::NodeId> probes, std::size_t reserve_steps);
+  TransientResult(std::vector<ckt::NodeId> probes, std::size_t reserve_steps,
+                  SolverKind solver);
 
   const std::vector<ckt::NodeId>& probes() const { return probes_; }
   const wave::Waveform& at(ckt::NodeId node) const;
+
+  // The backend the run factored with: selected_solver's answer for the
+  // deck, known without rebuilding the MNA structure.  Never automatic.
+  SolverKind solver() const { return solver_; }
 
   // Appends one sample: `per_probe` holds one value per probes() entry, in
   // probe order.
@@ -114,6 +120,7 @@ public:
 private:
   std::vector<ckt::NodeId> probes_;
   std::vector<wave::Waveform> waves_;
+  SolverKind solver_;
 };
 
 // DC operating point: node voltages indexed by NodeId (ground included as 0)

@@ -136,7 +136,7 @@ NetSimResult simulate_source_net(const wave::Pwl& source, const net::Net& net,
   const sim::TransientOptions so = sim_options(options, deck);
   const sim::TransientResult res = sim::simulate(deck.netlist, so, deck.probes);
   NetSimResult result = collect_source_result(deck, res, source);
-  result.solver = sim::selected_solver(deck.netlist, so);
+  result.solver = res.solver();
   return result;
 }
 
@@ -188,14 +188,13 @@ CoupledSimResult simulate_coupled_group(const Technology& tech,
     if (drives[k].edge == DriveEdge::rise) watch_rising_net(so, outs[k], decks.nets[k]);
   }
   const sim::TransientResult res = sim::simulate(nl, so, probes);
-  const sim::SolverKind solver = sim::selected_solver(nl, so);
 
   CoupledSimResult result;
   result.nets.reserve(group.size());
   for (std::size_t k = 0; k < group.size(); ++k) {
     result.nets.push_back(
         collect_net_result(res, outs[k], decks.nets[k], input_t50[k]));
-    result.nets.back().solver = solver;
+    result.nets.back().solver = res.solver();
   }
   return result;
 }

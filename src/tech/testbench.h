@@ -55,7 +55,8 @@ struct NetSimResult {
   std::vector<wave::Waveform> leaves;                        // depth-first leaf order
   std::vector<std::pair<std::string, wave::Waveform>> probes;  // named probes
   double input_time_50 = 0.0;  // 50 % crossing of the input stimulus
-  // The backend that factored this deck (sim::selected_solver over the
+  // The backend that factored this deck (the run's
+  // sim::TransientResult::solver, which is sim::selected_solver over the
   // compiled netlist — never `automatic`); reported up through
   // core::ExperimentResult and api::Response.
   sim::SolverKind solver = sim::SolverKind::automatic;

@@ -1,8 +1,8 @@
 // Heap-allocation counting for tests and benches.
 //
 // Including this header replaces the global operator new and delete of the
-// executable: every new (array forms included) bumps a per-thread counter
-// and forwards to malloc.  The replacements are ordinary (non-inline)
+// executable: every new (array and nothrow forms included) bumps a
+// per-thread counter and forwards to malloc.  The replacements are ordinary (non-inline)
 // definitions, so include the header in exactly one translation unit of a
 // test or bench executable, and never from the library itself.
 //
@@ -41,9 +41,20 @@ std::uint64_t count_allocations(Fn&& fn) {
   throw std::bad_alloc();
 }
 [[gnu::noinline]] void* operator new[](std::size_t size) { return ::operator new(size); }
+// The nothrow forms too (std::stable_sort's buffer takes one), so every new
+// is counted and pairs with the free below.
+[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++rlceff::testkit::heap_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+[[gnu::noinline]] void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 #endif  // RLCEFF_TESTKIT_ALLOC_COUNT_H

@@ -6,6 +6,7 @@
 #include <type_traits>
 
 #include "util/error.h"
+#include "util/lanes.h"
 
 namespace rlceff::util {
 
@@ -266,34 +267,118 @@ void BandedMatrix::factor_from(std::size_t first) {
 // turned x_i == -0.0 into +0.0, so without a -0.0 in the right-hand side
 // the sweep is the full-band one bit for bit, and with one only the sign of
 // an exactly-zero result can differ, which no measurement reads.
-template <class Lanes>
-void BandedMatrix::substitute(double* x, Lanes lanes, Lanes stride) const {
+//
+// OneLane with a unit stride is solve_into's instance; solve_block runs
+// Width<1>..Width<kMaxWidth>, or the std::size_t instance for a wider block.
+// At a fixed width every lane loop is unrolled in full (the pragmas' 16 is
+// kMaxWidth) into straight-line vector code, and the row being updated
+// lives in registers, so a row costs its multiply-adds and divisions
+// instead of loop control.  Each sweep is a chain through neighbouring
+// rows, which bounds a narrow block, so up to 8 lanes the row the next step
+// reads first stays in registers too: in the forward sweep row k + 1 after
+// its update from row k, in the backward sweep row k + 1's solution.  A
+// block wider than kMaxWidth, whose cost is its divisions rather than that
+// chain, works on its rows in place.  Every lane runs the one-lane
+// operation sequence: the same subtractions, of the same values, in the
+// same order.
+template <class Lanes, class Stride>
+void BandedMatrix::substitute(double* x, Lanes width, Stride stride) const {
+  const std::size_t lanes = width;  // a constant at a fixed width
+  constexpr bool fixed = !std::is_same_v<Lanes, std::size_t>;
+  constexpr std::size_t regs = [] {
+    if constexpr (fixed) {
+      return Lanes::value;
+    } else {
+      return std::size_t{1};
+    }
+  }();
+  // Up to 8 lanes the held row fits the SSE registers beside the row being
+  // updated; at 16 the two would fill all sixteen and spill.
+  constexpr bool forward = fixed && regs <= 8;
+  double next[forward ? regs : 1] = {};  // row k + 1 as row k's update left it
+  bool held = false;                     // next holds row k + 1
   for (std::size_t k = 0; k < n_; ++k) {
     const std::size_t p = pivot_[k];
     double* __restrict xk = x + k * stride;
     if (p != k) {
       double* __restrict xp = x + p * stride;
+      #pragma GCC unroll 16
       for (std::size_t s = 0; s < lanes; ++s) std::swap(xk[s], xp[s]);
+      held = false;
     }
     const double* const mult = &at(k, k);
     const std::uint16_t* const l_off = l_off_.data() + k * lw_;
-    for (std::size_t t = 0, nl = l_count_[k]; t < nl; ++t) {
-      const double m = mult[l_off[t]];
-      double* __restrict xi = xk + l_off[t] * stride;
-      for (std::size_t s = 0; s < lanes; ++s) xi[s] -= m * xk[s];
+    const std::size_t nl = l_count_[k];
+    // v: row k, final once its earlier rows updated it.
+    const auto update = [&](const auto& v) {
+      std::size_t t = 0;
+      if (forward && held) {
+        const double m = mult[1];
+        double* __restrict xi = xk + stride;
+        #pragma GCC unroll 16
+        for (std::size_t s = 0; s < lanes; ++s) xi[s] = next[s] = xi[s] - m * v[s];
+        t = 1;
+      }
+      for (; t < nl; ++t) {
+        const double m = mult[l_off[t]];
+        double* __restrict xi = xk + l_off[t] * stride;
+        #pragma GCC unroll 16
+        for (std::size_t s = 0; s < lanes; ++s) xi[s] -= m * v[s];
+      }
+    };
+    if constexpr (fixed) {
+      double v[regs];
+      #pragma GCC unroll 16
+      for (std::size_t s = 0; s < lanes; ++s) {
+        if constexpr (forward) {
+          v[s] = held ? next[s] : xk[s];
+        } else {
+          v[s] = xk[s];
+        }
+      }
+      held = forward && nl > 0 && l_off[0] == 1;  // offsets ascend: only the first is 1
+      update(v);
+    } else {
+      update(xk);
     }
   }
+  double prev[forward ? regs : 1] = {};  // row k + 1's solution
   for (std::size_t k = n_; k-- > 0;) {
     double* __restrict xk = x + k * stride;
     const std::uint16_t* const u_off = u_off_.data() + k * uw_;
     const double* const u_val = u_val_.data() + k * uw_;
-    for (std::size_t t = 0, nu = u_count_[k]; t < nu; ++t) {
-      const double m = u_val[t];
-      const double* __restrict xj = xk + u_off[t] * stride;
-      for (std::size_t s = 0; s < lanes; ++s) xk[s] -= m * xj[s];
-    }
+    const std::size_t nu = u_count_[k];
     const double d = at(k, k);
-    for (std::size_t s = 0; s < lanes; ++s) xk[s] /= d;
+    // acc: row k while it is solved.
+    const auto solve_row = [&](auto& acc) {
+      std::size_t t = 0;
+      if (forward && nu > 0 && u_off[0] == 1) {
+        const double m = u_val[0];
+        #pragma GCC unroll 16
+        for (std::size_t s = 0; s < lanes; ++s) acc[s] -= m * prev[s];
+        t = 1;
+      }
+      for (; t < nu; ++t) {
+        const double m = u_val[t];
+        const double* __restrict xj = xk + u_off[t] * stride;
+        #pragma GCC unroll 16
+        for (std::size_t s = 0; s < lanes; ++s) acc[s] -= m * xj[s];
+      }
+      #pragma GCC unroll 16
+      for (std::size_t s = 0; s < lanes; ++s) xk[s] = acc[s] / d;
+    };
+    if constexpr (fixed) {
+      double acc[regs];
+      #pragma GCC unroll 16
+      for (std::size_t s = 0; s < lanes; ++s) acc[s] = xk[s];
+      solve_row(acc);
+      if constexpr (forward) {
+        #pragma GCC unroll 16
+        for (std::size_t s = 0; s < lanes; ++s) prev[s] = xk[s];
+      }
+    } else {
+      solve_row(xk);
+    }
   }
 }
 
@@ -309,7 +394,13 @@ void BandedMatrix::solve_block(std::span<double> x, std::size_t lanes,
   ensure(lanes > 0 && lanes <= stride, "BandedMatrix: bad lane count");
   ensure(x.size() >= n_ * stride - (stride - lanes),
          "BandedMatrix: rhs block size mismatch");
-  substitute(x.data(), lanes, stride);
+  // The instance of exactly `lanes` lanes, so no instance touches a column
+  // past the block's last lane.
+  if (lanes > kMaxWidth) {
+    substitute(x.data(), lanes, stride);
+  } else {
+    with_width<1>(lanes, [&](auto width) { substitute(x.data(), width, stride); });
+  }
 }
 
 }  // namespace rlceff::util

@@ -127,12 +127,16 @@ public:
 
   // Blocked multi-RHS solve (see lu_solve_block): `lanes` right-hand sides in
   // an n x stride row-major block, each lane bitwise-identical to solve_into
-  // on that lane alone (both run one substitution kernel).
+  // on that lane alone (both run one substitution kernel).  Up to
+  // util::kMaxWidth lanes run the kernel instance of exactly that width, a
+  // wider block its runtime-width instance; no instance touches a column
+  // past the last lane.  A caller whose block holds a zero column beside an
+  // odd lane count may solve it too: an even width is all vector pairs.
   void solve_block(std::span<double> x, std::size_t lanes, std::size_t stride) const;
 
 private:
-  template <class Lanes>
-  void substitute(double* x, Lanes lanes, Lanes stride) const;
+  template <class Lanes, class Stride>
+  void substitute(double* x, Lanes lanes, Stride stride) const;
 
   double& at(std::size_t r, std::size_t c);
   const double& at(std::size_t r, std::size_t c) const;

@@ -2,8 +2,9 @@
 //
 // The moment cascade, the Ceff fixed points, the cell-table lookup and the
 // structural lint screen run once or more per net on every Tier A/B slot;
-// the banded LU refactors and solves once or more per transient step.  None
-// of them may touch the heap.  This binary replaces the global operator new
+// the banded LU refactors and solves once or more per transient step, and
+// the transient stepper's time loop runs once per step.  None of them may
+// touch the heap.  This binary replaces the global operator new
 // (testkit/alloc_count.h), so it builds on its own instead of inside
 // rlceff_tests, and every count below is exact and deterministic.
 #include "testkit/alloc_count.h"
@@ -15,14 +16,18 @@
 #include <vector>
 
 #include "charlib/table.h"
+#include "circuit/netlist.h"
 #include "core/ceff.h"
 #include "core/charge.h"
 #include "lint/lint.h"
 #include "moments/admittance.h"
 #include "moments/rational.h"
 #include "net/net.h"
+#include "sim/scenario_block.h"
+#include "sim/transient.h"
 #include "util/linalg.h"
 #include "util/units.h"
+#include "waveform/pwl.h"
 
 namespace rlceff {
 namespace {
@@ -173,6 +178,68 @@ TEST(Allocations, BandedRefactorAndSolvesAllocateNothingAfterTheFirstFactor) {
   EXPECT_EQ(0u, count_allocations([&] { a.factor(); }));
   EXPECT_TRUE(std::isfinite(x[0]));
   EXPECT_TRUE(std::isfinite(block[0]));
+}
+
+// An RLC ladder driven by a ramp: the replay decks' shape.
+ckt::Netlist ramp_line_deck(double slew, std::size_t segments) {
+  ckt::Netlist nl;
+  const ckt::NodeId in = nl.node("in");
+  nl.add_vsource(in, ckt::ground, wave::Pwl({{10 * ps, 0.0}, {10 * ps + slew, 1.0}}));
+  ckt::NodeId prev = in;
+  for (std::size_t k = 0; k < segments; ++k) {
+    const ckt::NodeId mid = nl.add_node();
+    const ckt::NodeId next = nl.add_node();
+    nl.add_resistor(prev, mid, 2.0);
+    nl.add_inductor(mid, next, 5e-12);
+    nl.add_capacitor(next, ckt::ground, 3 * ff);
+    prev = next;
+  }
+  nl.add_capacitor(prev, ckt::ground, 20 * ff);
+  return nl;
+}
+
+// The time loop never allocates: a run over twice the horizon makes exactly
+// as many allocations as one over the horizon.  The step is a power of two,
+// so both horizons are exact multiples of it and every lane ends on a full
+// step; the measured-edge stop is off, so every run steps to its horizon.
+struct TimeLoopDecks {
+  static constexpr std::size_t segments = 10;
+  std::vector<ckt::Netlist> decks;
+  std::vector<ckt::NodeId> probes{1, static_cast<ckt::NodeId>(1 + 2 * segments)};
+  sim::TransientOptions opt;
+  double horizon;
+
+  TimeLoopDecks() {
+    for (double slew : {20 * ps, 60 * ps, 110 * ps}) decks.push_back(ramp_line_deck(slew, segments));
+    opt.dt = std::ldexp(1.0, -40);  // about 0.9 ps
+    horizon = 256 * opt.dt;
+  }
+};
+
+TEST(Allocations, BlockTimeLoopAllocatesNothing) {
+  const TimeLoopDecks d;
+  auto allocations = [&](double t_stop) {
+    std::vector<sim::BlockScenario> lanes;
+    for (const ckt::Netlist& deck : d.decks) lanes.push_back({&deck, t_stop, nullptr});
+    return count_allocations([&] {
+      const std::vector<sim::BlockOutcome> out = sim::simulate_block(lanes, d.opt, d.probes);
+      for (const sim::BlockOutcome& o : out) EXPECT_TRUE(o.result.has_value());
+    });
+  };
+  EXPECT_EQ(allocations(d.horizon), allocations(2 * d.horizon));
+}
+
+TEST(Allocations, OneLaneTimeLoopAllocatesNothing) {
+  const TimeLoopDecks d;
+  auto allocations = [&](double t_stop) {
+    sim::TransientOptions opt = d.opt;
+    opt.t_stop = t_stop;
+    return count_allocations([&] {
+      const sim::TransientResult r = sim::simulate(d.decks[0], opt, d.probes);
+      EXPECT_EQ(static_cast<std::size_t>(t_stop / opt.dt) + 1, r.at(d.probes[1]).size());
+    });
+  };
+  EXPECT_EQ(allocations(d.horizon), allocations(2 * d.horizon));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -28,6 +29,20 @@ using rlceff::testing::uniform;
 std::vector<double> solved(const BandedMatrix& a, std::vector<double> x) {
   a.solve_into(x);
   return x;
+}
+
+// An ensure message names its source file from the checkout root (the build
+// maps the source directory away), so two builds of one commit print the
+// same text wherever they were built.
+TEST(Ensure, MessageNamesTheSourceFileFromTheCheckoutRoot) {
+  try {
+    BandedMatrix empty(0, 1, 1);
+    FAIL() << "an empty BandedMatrix was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(0u, what.rfind("src/util/linalg.cpp:", 0)) << what;
+    EXPECT_NE(std::string::npos, what.find(": BandedMatrix: empty matrix")) << what;
+  }
 }
 
 TEST(DenseLu, SolvesKnownSystem) {

@@ -49,11 +49,68 @@ std::vector<double> random_rhs(std::mt19937_64& rng, std::size_t n) {
   return b;
 }
 
-// Each solve test runs a multi-lane block and a one-lane block (lane count
-// 1 at a runtime stride, against the compile-time one-lane solve_into).
+// Checks a backend's block solve against its one-lane solve: every lane
+// count from 1 to 17 (the fixed-width kernel instances, one past the widest
+// and its 16-lane chunking) at an even and an odd stride, right-hand sides
+// holding +0.0 and -0.0 entries, columns past the lanes left untouched, and
+// a one-lane solve that starts at the block's last column, where the span
+// ends at that lane's last entry.
+template <class SolveInto, class SolveBlock>
+void expect_block_matches_single(std::mt19937_64& rng, std::size_t n,
+                                 SolveInto solve_into, SolveBlock solve_block) {
+  constexpr double kUntouched = 0.25;
+  auto rhs_with_zeros = [&](std::size_t s) {
+    std::vector<double> b = random_rhs(rng, n);
+    b[s % n] = 0.0;
+    b[(s + 5) % n] = -0.0;
+    return b;
+  };
+  auto expect_lane = [&](const std::vector<double>& block, std::size_t col,
+                         std::size_t stride, std::vector<double> x, const char* what) {
+    solve_into(x);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(dbits(x[i]), dbits(block[i * stride + col]))
+          << what << ", stride " << stride << ", lane " << col << ", row " << i;
+    }
+  };
+  auto expect_untouched = [&](const std::vector<double>& block, std::size_t stride,
+                              std::size_t first, std::size_t last) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t s = first; s < last; ++s) {
+        ASSERT_EQ(dbits(kUntouched), dbits(block[i * stride + s]))
+            << "stride " << stride << ", column " << s << " was written";
+      }
+    }
+  };
+
+  for (const std::size_t stride : {std::size_t{18}, std::size_t{19}}) {
+    for (std::size_t lanes = 1; lanes <= 17; ++lanes) {
+      std::vector<std::vector<double>> rhs;
+      for (std::size_t s = 0; s < lanes; ++s) rhs.push_back(rhs_with_zeros(s));
+      std::vector<double> block(n * stride, kUntouched);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t s = 0; s < lanes; ++s) block[i * stride + s] = rhs[s][i];
+      }
+      solve_block(std::span<double>(block), lanes, stride);
+      for (std::size_t s = 0; s < lanes; ++s) {
+        expect_lane(block, s, stride, rhs[s], "block");
+      }
+      expect_untouched(block, stride, lanes, stride);
+    }
+
+    const std::size_t last = stride - 1;
+    const std::vector<double> rhs = rhs_with_zeros(last);
+    std::vector<double> block(n * stride, kUntouched);
+    for (std::size_t i = 0; i < n; ++i) block[i * stride + last] = rhs[i];
+    solve_block(std::span<double>(block).subspan(last), 1, stride);
+    expect_lane(block, last, stride, rhs, "last-column lane");
+    expect_untouched(block, stride, 0, last);
+  }
+}
+
 TEST(SolveBlock, DenseLanesBitwiseMatchSingleRhs) {
   std::mt19937_64 rng(0x51ab10c1u);
-  const std::size_t n = 37, stride = 7;
+  const std::size_t n = 37;
   const auto a = random_matrix(rng, n, n);
   util::DenseMatrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -61,37 +118,20 @@ TEST(SolveBlock, DenseLanesBitwiseMatchSingleRhs) {
   }
   util::LuFactors f;
   util::lu_factor_into(m, f);
-
-  for (const std::size_t lanes : {std::size_t{5}, std::size_t{1}}) {
-    std::vector<std::vector<double>> rhs;
-    for (std::size_t s = 0; s < lanes; ++s) rhs.push_back(random_rhs(rng, n));
-
-    std::vector<double> block(n * stride, 0.25);  // padding columns must survive
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t s = 0; s < lanes; ++s) block[i * stride + s] = rhs[s][i];
-    }
-    util::lu_solve_block(f, block, lanes, stride);
-
-    for (std::size_t s = 0; s < lanes; ++s) {
-      std::vector<double> x = rhs[s];
-      util::lu_solve_into(f, x);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(dbits(x[i]), dbits(block[i * stride + s]))
-            << lanes << " lanes, lane " << s;
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t s = lanes; s < stride; ++s) {
-        EXPECT_EQ(block[i * stride + s], 0.25);
-      }
-    }
-  }
+  expect_block_matches_single(
+      rng, n, [&](std::vector<double>& x) { util::lu_solve_into(f, x); },
+      [&](std::span<double> x, std::size_t lanes, std::size_t stride) {
+        util::lu_solve_block(f, x, lanes, stride);
+      });
 }
 
 TEST(SolveBlock, BandedLanesBitwiseMatchSingleRhs) {
   std::mt19937_64 rng(0xba4dedu);
-  const std::size_t n = 41, bw = 3, stride = 6;
-  const auto a = random_matrix(rng, n, bw);
+  const std::size_t n = 41, bw = 3;
+  auto a = random_matrix(rng, n, bw);
+  // Weak diagonals on every third row make the factorization pivot, so the
+  // sweeps' row swaps run too.
+  for (std::size_t i = 0; i < n; i += 3) a[i][i] -= 4.0;
   util::BandedMatrix m(n, bw, bw);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -99,30 +139,16 @@ TEST(SolveBlock, BandedLanesBitwiseMatchSingleRhs) {
     }
   }
   m.factor();
-
-  for (const std::size_t lanes : {std::size_t{6}, std::size_t{1}}) {
-    std::vector<std::vector<double>> rhs;
-    for (std::size_t s = 0; s < lanes; ++s) rhs.push_back(random_rhs(rng, n));
-    std::vector<double> block(n * stride, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t s = 0; s < lanes; ++s) block[i * stride + s] = rhs[s][i];
-    }
-    m.solve_block(block, lanes, stride);
-
-    for (std::size_t s = 0; s < lanes; ++s) {
-      std::vector<double> x = rhs[s];
-      m.solve_into(x);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(dbits(x[i]), dbits(block[i * stride + s]))
-            << lanes << " lanes, lane " << s;
-      }
-    }
-  }
+  expect_block_matches_single(
+      rng, n, [&](std::vector<double>& x) { m.solve_into(x); },
+      [&](std::span<double> x, std::size_t lanes, std::size_t stride) {
+        m.solve_block(x, lanes, stride);
+      });
 }
 
 TEST(SolveBlock, SparseLanesBitwiseMatchSingleRhs) {
   std::mt19937_64 rng(0x5a2c3e11u);
-  const std::size_t n = 53, bw = 4, stride = 5;
+  const std::size_t n = 53, bw = 4;
   const auto a = random_matrix(rng, n, bw);
   std::vector<std::pair<std::size_t, std::size_t>> positions;
   for (std::size_t i = 0; i < n; ++i) {
@@ -139,25 +165,11 @@ TEST(SolveBlock, SparseLanesBitwiseMatchSingleRhs) {
   util::SparseLu lu;
   lu.analyze(m);
   lu.factor(m);
-
-  for (const std::size_t lanes : {std::size_t{4}, std::size_t{1}}) {
-    std::vector<std::vector<double>> rhs;
-    for (std::size_t s = 0; s < lanes; ++s) rhs.push_back(random_rhs(rng, n));
-    std::vector<double> block(n * stride, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t s = 0; s < lanes; ++s) block[i * stride + s] = rhs[s][i];
-    }
-    lu.solve_block(block, lanes, stride);
-
-    for (std::size_t s = 0; s < lanes; ++s) {
-      std::vector<double> x = rhs[s];
-      lu.solve_into(x);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(dbits(x[i]), dbits(block[i * stride + s]))
-            << lanes << " lanes, lane " << s;
-      }
-    }
-  }
+  expect_block_matches_single(
+      rng, n, [&](std::vector<double>& x) { lu.solve_into(x); },
+      [&](std::span<double> x, std::size_t lanes, std::size_t stride) {
+        lu.solve_block(x, lanes, stride);
+      });
 }
 
 // ---- grouping ------------------------------------------------------------
@@ -276,6 +288,59 @@ TEST_P(BlockVsScalar, LanesBitwiseMatchPerSlotRuns) {
       expect_bitwise(alone[0].result->at(p), ref.at(p), "one-lane probe");
     }
   }
+}
+
+// A group whose lanes retire one at a time, each at its own step, so every
+// active lane count from the group's size down to 1 runs: 16 lanes (a
+// Fig-7 group) and 49 (the bench/scenario_batching group, wider than the
+// widest fixed-width kernel).
+TEST_P(BlockVsScalar, LanesRetiringOneAtATimeMatchPerSlotRuns) {
+  const std::size_t segments = 8;
+  const std::vector<ckt::NodeId> probes{1, far_node(segments)};
+  sim::TransientOptions opt;
+  opt.dt = 1e-12;
+  opt.solver = GetParam();
+
+  for (const std::size_t lanes : {std::size_t{16}, std::size_t{49}}) {
+    std::vector<ckt::Netlist> decks;
+    std::vector<sim::BlockScenario> scenarios;
+    for (std::size_t k = 0; k < lanes; ++k) {
+      decks.push_back(make_line_deck((15.0 + 4.0 * static_cast<double>(k)) * 1e-12, segments));
+    }
+    for (std::size_t k = 0; k < lanes; ++k) {
+      // 1.37 steps apart: every lane ends at its own step, most mid-step.
+      scenarios.push_back({&decks[k], (40.0 + 1.37 * static_cast<double>(k)) * 1e-12, nullptr});
+    }
+    const std::vector<sim::BlockOutcome> block =
+        sim::simulate_block(scenarios, opt, probes);
+    for (std::size_t k = 0; k < lanes; ++k) {
+      ASSERT_TRUE(block[k].result.has_value()) << lanes << " lanes, lane " << k;
+      sim::TransientOptions scalar_opt = opt;
+      scalar_opt.t_stop = scenarios[k].t_stop;
+      const sim::TransientResult ref = sim::simulate(decks[k], scalar_opt, probes);
+      for (ckt::NodeId p : probes) {
+        expect_bitwise(block[k].result->at(p), ref.at(p), "retiring lane");
+      }
+    }
+  }
+}
+
+// The result names the backend its run factored with, which is the one
+// sim::selected_solver reports for the deck.
+TEST_P(BlockVsScalar, ResultNamesTheSelectedBackend) {
+  const ckt::Netlist deck = make_line_deck(50e-12, 6);
+  const std::vector<ckt::NodeId> probes{far_node(6)};
+  sim::TransientOptions opt;
+  opt.dt = 1e-12;
+  opt.t_stop = 50e-12;
+  opt.solver = GetParam();
+  EXPECT_EQ(GetParam(), sim::selected_solver(deck, opt));
+  EXPECT_EQ(GetParam(), sim::simulate(deck, opt, probes).solver());
+  const sim::BlockScenario lane{&deck, opt.t_stop, nullptr};
+  const std::vector<sim::BlockOutcome> block =
+      sim::simulate_block(std::span<const sim::BlockScenario>(&lane, 1), opt, probes);
+  ASSERT_TRUE(block[0].result.has_value());
+  EXPECT_EQ(GetParam(), block[0].result->solver());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BlockVsScalar,
