@@ -49,18 +49,13 @@ void stamp_conductance(LinearSolver& solver, const ckt::MnaStructure& structure,
 
 }  // namespace
 
-SolverKind resolve_solver_kind(std::size_t n, std::size_t bw, std::size_t nnz,
-                               const TransientOptions& options) {
-  if (options.solver != SolverKind::automatic) return options.solver;
-  if (bandwidth_is_narrow(n, bw)) return SolverKind::banded;
-  if (sparse_is_cheaper(n, nnz)) return SolverKind::sparse;
-  return SolverKind::dense;
-}
-
 SolverKind resolve_solver_kind(const ckt::MnaStructure& structure,
                                const TransientOptions& options) {
-  return resolve_solver_kind(structure.unknown_count(), structure.bandwidth(),
-                             structure.pattern_nonzeros(), options);
+  if (options.solver != SolverKind::automatic) return options.solver;
+  const std::size_t n = structure.unknown_count();
+  if (bandwidth_is_narrow(n, structure.bandwidth())) return SolverKind::banded;
+  if (sparse_is_cheaper(n, structure.pattern_nonzeros())) return SolverKind::sparse;
+  return SolverKind::dense;
 }
 
 std::unique_ptr<LinearSolver> make_solver(const ckt::MnaStructure& structure,

@@ -160,12 +160,8 @@ private:
   util::ExecTracker* budget_;
 };
 
-// The selection heuristic behind SolverKind::automatic (see
-// sim::selected_solver for the contract).
-SolverKind resolve_solver_kind(std::size_t n, std::size_t bw, std::size_t nnz,
-                               const TransientOptions& options);
-
-// The backend options.solver selects for this structure.
+// The backend options.solver selects for this structure, by the heuristic
+// behind SolverKind::automatic (see sim::selected_solver for the contract).
 SolverKind resolve_solver_kind(const ckt::MnaStructure& structure,
                                const TransientOptions& options);
 

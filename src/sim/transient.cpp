@@ -14,7 +14,6 @@
 #include "sim/scenario_block.h"
 #include "sim/solver_backend.h"
 #include "util/error.h"
-#include "util/lanes.h"
 
 namespace rlceff::sim {
 
@@ -40,11 +39,7 @@ constexpr double kNewtonDampingV = 0.6;   // [V]
 constexpr double kGmin = 1e-12;
 
 // The lane count of the stepper sim::simulate runs, fixed at compile time.
-using util::OneLane;
-
-// The lanes a block's sweeps run for `a` active lanes: a rounded up to even,
-// so the lane loops are whole vector pairs.
-constexpr std::size_t padded(std::size_t a) { return (a + 1) & ~std::size_t{1}; }
+using OneLane = std::integral_constant<std::size_t, 1>;
 
 // The measured-edge stop's crossing tracker (see sim::EdgeStop):
 // Waveform::first_crossing run incrementally.  Fed each recorded sample of
@@ -102,18 +97,13 @@ private:
 // so a single deck costs what a dedicated scalar engine would, and a
 // batched lane equals its per-slot run by construction.
 //
-// All per-lane data is SoA with a fixed stride W (the initial lane count,
-// rounded up to even in a block): value of unknown/device i for lane j lives
-// at [i * W + j].  Active lanes occupy columns 0..A-1; lanes retire from the
-// tail (they are added by descending t_stop, so the shortest runs sit at the
-// end), while faulted lanes and lanes the measured-edge stop ends are
-// removed by a stable left shift of the columns behind them (at most once
-// per lane, O(n * k)), which preserves the descending order the tail scan
-// relies on.  Columns A..W-1 hold zeros (remove_lane zeroes the column it
-// vacates): a block's RHS assembly, solve and state advance run A rounded
-// up to even lanes, as a fixed width up to util::kMaxWidth (at_width), so
-// every lane loop is whole vector pairs, and the extra column's zero state
-// and zero sources solve to zeros.
+// All per-lane data is SoA with a fixed stride W (the initial lane count):
+// value of unknown/device i for lane j lives at [i * W + j].  Active lanes
+// occupy columns 0..A-1; lanes retire from the tail (they are added by
+// descending t_stop, so the shortest runs sit at the end), while faulted
+// lanes and lanes the measured-edge stop ends are removed by a stable left
+// shift of the columns behind them (at most once per lane, O(n * k)), which
+// preserves the descending order the tail scan relies on.
 //
 // Each device's rows are resolved before its lane loop (a ground terminal
 // reads one shared all-zero row and is never written), and the companion
@@ -191,7 +181,7 @@ public:
   // (sources at t = 0, capacitors open, inductors shorted) into the
   // solution block, which it returns.
   std::span<const double> solve_dc() {
-    if constexpr (!kOneLane) w_ = padded(lane_slot_.size());
+    if constexpr (!kOneLane) w_ = lane_slot_.size();
     xb_.assign(m_ * w_, 0.0);
     rhsb_.assign(m_ * w_, 0.0);
     cap_v_.assign(cap_pos_.size() * w_, 0.0);
@@ -283,7 +273,7 @@ public:
         }
         if (a == 0) break;
       }
-      at_width(a, [&](auto width) { advance_state(h, width); });
+      advance_state(h, a);
       t = t_next;
       record(t, a);
       retire_measured(a);
@@ -308,24 +298,6 @@ private:
       return {};
     } else {
       return a;
-    }
-  }
-
-  // Calls fn with the width a step's arithmetic sweeps run at: one lane in
-  // the one-lane instance; in a block, the active count rounded up to even
-  // (columns past the active lanes hold zeros), as a fixed width up to
-  // util::kMaxWidth lanes.
-  template <class Fn>
-  static void at_width(std::size_t a, Fn&& fn) {
-    if constexpr (kOneLane) {
-      fn(OneLane{});
-    } else {
-      const std::size_t w = padded(a);
-      if (w > util::kMaxWidth) {
-        fn(w);
-      } else {
-        util::with_width<2>(w, fn);
-      }
     }
   }
 
@@ -375,11 +347,11 @@ private:
       held_h_ = h;
       held_gmin_ = gmin;
     }
-    at_width(a, [&](auto width) { assemble_rhs(t, h, 0, width); });
+    assemble_rhs(t, h, 0, lanes(a));
     if constexpr (kOneLane) {
       solver_->solve_into(rhsb_);
     } else {
-      solver_->solve_block(rhsb_, padded(a), w_);
+      solver_->solve_block(rhsb_, a, w_);
     }
     std::swap(xb_, rhsb_);
   }
@@ -470,8 +442,7 @@ private:
   // Device-outer, lane-inner, with the same operation sequence in every
   // lane's column.
   template <class L>
-  void assemble_rhs(double t, double h, std::size_t j0, L width) {
-    const std::size_t lanes = width;  // a constant for a fixed width
+  void assemble_rhs(double t, double h, std::size_t j0, L lanes) {
     std::fill(rhsb_.begin(), rhsb_.end(), 0.0);
     double* rhs = rhsb_.data() + j0;
 
@@ -488,7 +459,6 @@ private:
         // Norton companion: device current = geq * v - ieq, flowing b -> a.
         // A ground terminal takes no write; the branch is per device.
         const auto stamp = [&](auto to_a, auto to_b) {
-          #pragma GCC unroll 16
           for (std::size_t j = 0; j < lanes; ++j) {
             const double ieq = geq * sv[j] + si[j];
             if constexpr (to_b) rb[j] -= ieq;
@@ -509,7 +479,6 @@ private:
         const double* __restrict sv = ind_v_.data() + k * w_ + j0;
         const double* __restrict si = ind_i_.data() + k * w_ + j0;
         double* __restrict row = rhs + ind_pos_[k] * w_;
-        #pragma GCC unroll 16
         for (std::size_t j = 0; j < lanes; ++j) row[j] = -sv[j] - req * si[j];
       }
 
@@ -521,20 +490,16 @@ private:
         double* rowb = rhs + ind_pos_[mutuals[k].lb] * w_;
         const double* ia = ind_i_.data() + mutuals[k].la * w_ + j0;
         const double* ib = ind_i_.data() + mutuals[k].lb * w_ + j0;
-        #pragma GCC unroll 16
         for (std::size_t j = 0; j < lanes; ++j) rowa[j] -= req * ib[j];
-        #pragma GCC unroll 16
         for (std::size_t j = 0; j < lanes; ++j) rowb[j] -= req * ia[j];
       }
     }
 
     // The only lane-divergent input: each lane evaluates its own source
-    // waveforms (the matrix never sees them).  A padding column has no
-    // lane and no sources: its rows stay zero.
-    const std::size_t sourced = std::min<std::size_t>(lanes, lane_net_.size() - j0);
+    // waveforms (the matrix never sees them).
     for (std::size_t k = 0; k < vsrc_pos_.size(); ++k) {
       double* row = rhs + vsrc_pos_[k] * w_;
-      for (std::size_t j = 0; j < sourced; ++j) {
+      for (std::size_t j = 0; j < lanes; ++j) {
         row[j] = lane_net_[j0 + j]->vsources()[k].voltage.value_at(t);
       }
     }
@@ -543,26 +508,23 @@ private:
   // Seeds device state from the operating point (capacitor currents and
   // inductor voltages are zero in steady state).
   void seed_state(std::size_t a) {
-    const std::size_t n = lanes(a);
+    const Lanes n = lanes(a);
     for (std::size_t k = 0; k < cap_pos_.size(); ++k) {
       const double* __restrict va = node_row(cap_pos_[k].a);
       const double* __restrict vb = node_row(cap_pos_[k].b);
       double* __restrict sv = cap_v_.data() + k * w_;
-      #pragma GCC unroll 16
       for (std::size_t j = 0; j < n; ++j) sv[j] = va[j] - vb[j];
     }
     for (std::size_t k = 0; k < ind_pos_.size(); ++k) {
       double* __restrict si = ind_i_.data() + k * w_;
       const double* __restrict row = xb_.data() + ind_pos_[k] * w_;
-      #pragma GCC unroll 16
       for (std::size_t j = 0; j < n; ++j) si[j] = row[j];
     }
   }
 
   // Advances the companion-model state to the solution just accepted.
-  template <class L>
-  void advance_state(double h, L width) {
-    const std::size_t n = width;  // a constant for a fixed width
+  void advance_state(double h, std::size_t a) {
+    const Lanes n = lanes(a);
     set_companions(h);
     for (std::size_t k = 0; k < cap_pos_.size(); ++k) {
       const double geq = cap_geq_[k];
@@ -570,7 +532,6 @@ private:
       const double* __restrict vb = node_row(cap_pos_[k].b);
       double* __restrict sv = cap_v_.data() + k * w_;
       double* __restrict si = cap_i_.data() + k * w_;
-      #pragma GCC unroll 16
       for (std::size_t j = 0; j < n; ++j) {
         const double v_new = va[j] - vb[j];
         const double i_new = geq * (v_new - sv[j]) - si[j];
@@ -584,7 +545,6 @@ private:
       double* __restrict si = ind_i_.data() + k * w_;
       double* __restrict sv = ind_v_.data() + k * w_;
       const double* __restrict row = xb_.data() + ind_pos_[k] * w_;
-      #pragma GCC unroll 16
       for (std::size_t j = 0; j < n; ++j) {
         si[j] = row[j];
         sv[j] = va[j] - vb[j];
@@ -666,21 +626,21 @@ private:
 
   // Removes active lane j: shifts the columns behind it left so the
   // descending-t_stop order (and every lane's column index) stays
-  // consistent, and zeroes the column it vacates.  The tail lane shifts
-  // nothing.
+  // consistent.  The tail lane shifts nothing.
   void remove_lane(std::size_t j, std::size_t& a) {
     auto shift = [&](std::vector<double>& arr, std::size_t rows) {
       for (std::size_t i = 0; i < rows; ++i) {
         double* row = arr.data() + i * w_;
         for (std::size_t c = j; c + 1 < a; ++c) row[c] = row[c + 1];
-        row[a - 1] = 0.0;
       }
     };
-    shift(xb_, m_);
-    shift(cap_v_, cap_pos_.size());
-    shift(cap_i_, cap_pos_.size());
-    shift(ind_i_, ind_pos_.size());
-    shift(ind_v_, ind_pos_.size());
+    if (j + 1 < a) {
+      shift(xb_, m_);
+      shift(cap_v_, cap_pos_.size());
+      shift(cap_i_, cap_pos_.size());
+      shift(ind_i_, ind_pos_.size());
+      shift(ind_v_, ind_pos_.size());
+    }
     const auto at = static_cast<std::ptrdiff_t>(j);
     lane_slot_.erase(lane_slot_.begin() + at);
     lane_net_.erase(lane_net_.begin() + at);

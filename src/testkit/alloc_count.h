@@ -2,9 +2,10 @@
 //
 // Including this header replaces the global operator new and delete of the
 // executable: every new (array and nothrow forms included) bumps a
-// per-thread counter and forwards to malloc.  The replacements are ordinary (non-inline)
-// definitions, so include the header in exactly one translation unit of a
-// test or bench executable, and never from the library itself.
+// per-thread counter and forwards to malloc.  The replacements are ordinary
+// (non-inline) definitions, so include the header in exactly one
+// translation unit of a test or bench executable, and never from the
+// library itself.
 //
 // The counter is per thread: a count brackets work that runs on the calling
 // thread, such as api::Engine::run_batch with one worker.

@@ -4,9 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <type_traits>
+#include <utility>
 
 #include "util/error.h"
-#include "util/lanes.h"
 
 namespace rlceff::util {
 
@@ -14,6 +14,17 @@ namespace {
 constexpr double pivot_floor = 1e-300;
 
 using OneLane = std::integral_constant<std::size_t, 1>;
+
+// The widest block BandedMatrix::solve_block runs at a compile-time lane
+// count; the banded substitution's `#pragma GCC unroll 16` spells it.
+constexpr std::size_t kMaxWidth = 16;
+
+// Calls fn(std::integral_constant<std::size_t, lanes>{}), lanes in
+// [1, sizeof...(W)].
+template <class Fn, std::size_t... W>
+void with_width(std::size_t lanes, Fn& fn, std::index_sequence<W...>) {
+  (void)((lanes == W + 1 && (fn(std::integral_constant<std::size_t, W + 1>{}), true)) || ...);
+}
 
 // The one substitution sweep behind lu_solve_into and lu_solve_block: lane s
 // of unknown i lives at x[i * stride + s].  `Lanes` is std::size_t for
@@ -268,35 +279,19 @@ void BandedMatrix::factor_from(std::size_t first) {
 // the sweep is the full-band one bit for bit, and with one only the sign of
 // an exactly-zero result can differ, which no measurement reads.
 //
-// OneLane with a unit stride is solve_into's instance; solve_block runs
-// Width<1>..Width<kMaxWidth>, or the std::size_t instance for a wider block.
-// At a fixed width every lane loop is unrolled in full (the pragmas' 16 is
-// kMaxWidth) into straight-line vector code, and the row being updated
-// lives in registers, so a row costs its multiply-adds and divisions
-// instead of loop control.  Each sweep is a chain through neighbouring
-// rows, which bounds a narrow block, so up to 8 lanes the row the next step
-// reads first stays in registers too: in the forward sweep row k + 1 after
-// its update from row k, in the backward sweep row k + 1's solution.  A
-// block wider than kMaxWidth, whose cost is its divisions rather than that
-// chain, works on its rows in place.  Every lane runs the one-lane
-// operation sequence: the same subtractions, of the same values, in the
-// same order.
+// OneLane with a unit stride is solve_into's instance; solve_block runs the
+// compile-time instance of its lane count up to kMaxWidth, or the
+// std::size_t instance for a wider block.  At a fixed width every lane loop
+// is unrolled in full (the pragmas' 16 is kMaxWidth) into straight-line
+// vector code, and the row being updated lives in registers, so a row costs
+// its multiply-adds and divisions instead of loop control.  A block wider
+// than kMaxWidth, whose cost is its divisions, works on its rows in place.
+// Every lane runs the one-lane operation sequence: the same subtractions, of
+// the same values, in the same order.
 template <class Lanes, class Stride>
 void BandedMatrix::substitute(double* x, Lanes width, Stride stride) const {
   const std::size_t lanes = width;  // a constant at a fixed width
   constexpr bool fixed = !std::is_same_v<Lanes, std::size_t>;
-  constexpr std::size_t regs = [] {
-    if constexpr (fixed) {
-      return Lanes::value;
-    } else {
-      return std::size_t{1};
-    }
-  }();
-  // Up to 8 lanes the held row fits the SSE registers beside the row being
-  // updated; at 16 the two would fill all sixteen and spill.
-  constexpr bool forward = fixed && regs <= 8;
-  double next[forward ? regs : 1] = {};  // row k + 1 as row k's update left it
-  bool held = false;                     // next holds row k + 1
   for (std::size_t k = 0; k < n_; ++k) {
     const std::size_t p = pivot_[k];
     double* __restrict xk = x + k * stride;
@@ -304,22 +299,12 @@ void BandedMatrix::substitute(double* x, Lanes width, Stride stride) const {
       double* __restrict xp = x + p * stride;
       #pragma GCC unroll 16
       for (std::size_t s = 0; s < lanes; ++s) std::swap(xk[s], xp[s]);
-      held = false;
     }
     const double* const mult = &at(k, k);
     const std::uint16_t* const l_off = l_off_.data() + k * lw_;
-    const std::size_t nl = l_count_[k];
     // v: row k, final once its earlier rows updated it.
     const auto update = [&](const auto& v) {
-      std::size_t t = 0;
-      if (forward && held) {
-        const double m = mult[1];
-        double* __restrict xi = xk + stride;
-        #pragma GCC unroll 16
-        for (std::size_t s = 0; s < lanes; ++s) xi[s] = next[s] = xi[s] - m * v[s];
-        t = 1;
-      }
-      for (; t < nl; ++t) {
+      for (std::size_t t = 0, nl = l_count_[k]; t < nl; ++t) {
         const double m = mult[l_off[t]];
         double* __restrict xi = xk + l_off[t] * stride;
         #pragma GCC unroll 16
@@ -327,38 +312,22 @@ void BandedMatrix::substitute(double* x, Lanes width, Stride stride) const {
       }
     };
     if constexpr (fixed) {
-      double v[regs];
+      double v[Lanes::value];
       #pragma GCC unroll 16
-      for (std::size_t s = 0; s < lanes; ++s) {
-        if constexpr (forward) {
-          v[s] = held ? next[s] : xk[s];
-        } else {
-          v[s] = xk[s];
-        }
-      }
-      held = forward && nl > 0 && l_off[0] == 1;  // offsets ascend: only the first is 1
+      for (std::size_t s = 0; s < lanes; ++s) v[s] = xk[s];
       update(v);
     } else {
       update(xk);
     }
   }
-  double prev[forward ? regs : 1] = {};  // row k + 1's solution
   for (std::size_t k = n_; k-- > 0;) {
     double* __restrict xk = x + k * stride;
     const std::uint16_t* const u_off = u_off_.data() + k * uw_;
     const double* const u_val = u_val_.data() + k * uw_;
-    const std::size_t nu = u_count_[k];
     const double d = at(k, k);
     // acc: row k while it is solved.
     const auto solve_row = [&](auto& acc) {
-      std::size_t t = 0;
-      if (forward && nu > 0 && u_off[0] == 1) {
-        const double m = u_val[0];
-        #pragma GCC unroll 16
-        for (std::size_t s = 0; s < lanes; ++s) acc[s] -= m * prev[s];
-        t = 1;
-      }
-      for (; t < nu; ++t) {
+      for (std::size_t t = 0, nu = u_count_[k]; t < nu; ++t) {
         const double m = u_val[t];
         const double* __restrict xj = xk + u_off[t] * stride;
         #pragma GCC unroll 16
@@ -368,14 +337,10 @@ void BandedMatrix::substitute(double* x, Lanes width, Stride stride) const {
       for (std::size_t s = 0; s < lanes; ++s) xk[s] = acc[s] / d;
     };
     if constexpr (fixed) {
-      double acc[regs];
+      double acc[Lanes::value];
       #pragma GCC unroll 16
       for (std::size_t s = 0; s < lanes; ++s) acc[s] = xk[s];
       solve_row(acc);
-      if constexpr (forward) {
-        #pragma GCC unroll 16
-        for (std::size_t s = 0; s < lanes; ++s) prev[s] = xk[s];
-      }
     } else {
       solve_row(xk);
     }
@@ -396,10 +361,11 @@ void BandedMatrix::solve_block(std::span<double> x, std::size_t lanes,
          "BandedMatrix: rhs block size mismatch");
   // The instance of exactly `lanes` lanes, so no instance touches a column
   // past the block's last lane.
+  const auto run = [&](auto width) { substitute(x.data(), width, stride); };
   if (lanes > kMaxWidth) {
-    substitute(x.data(), lanes, stride);
+    run(lanes);
   } else {
-    with_width<1>(lanes, [&](auto width) { substitute(x.data(), width, stride); });
+    with_width(lanes, run, std::make_index_sequence<kMaxWidth>{});
   }
 }
 

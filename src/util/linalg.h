@@ -127,11 +127,9 @@ public:
 
   // Blocked multi-RHS solve (see lu_solve_block): `lanes` right-hand sides in
   // an n x stride row-major block, each lane bitwise-identical to solve_into
-  // on that lane alone (both run one substitution kernel).  Up to
-  // util::kMaxWidth lanes run the kernel instance of exactly that width, a
-  // wider block its runtime-width instance; no instance touches a column
-  // past the last lane.  A caller whose block holds a zero column beside an
-  // odd lane count may solve it too: an even width is all vector pairs.
+  // on that lane alone (both run one substitution kernel).  Up to 16 lanes
+  // run the kernel instance of exactly that width, a wider block its
+  // runtime-width instance; no instance touches a column past the last lane.
   void solve_block(std::span<double> x, std::size_t lanes, std::size_t stride) const;
 
 private:

@@ -50,8 +50,8 @@ std::vector<double> random_rhs(std::mt19937_64& rng, std::size_t n) {
 }
 
 // Checks a backend's block solve against its one-lane solve: every lane
-// count from 1 to 17 (the fixed-width kernel instances, one past the widest
-// and its 16-lane chunking) at an even and an odd stride, right-hand sides
+// count from 1 to 17 (the fixed-width kernel instances and, at 17, the
+// runtime-width instance) at an even and an odd stride, right-hand sides
 // holding +0.0 and -0.0 entries, columns past the lanes left untouched, and
 // a one-lane solve that starts at the block's last column, where the span
 // ends at that lane's last entry.
