@@ -47,9 +47,9 @@ const tech::WireParasitics& wire() {
 //
 // The driver line puts the inverter back: a MOSFET deck, so both engines
 // run Newton iterations.  The cached engine restores the static image and
-// refactors only the columns from the first MOSFET terminal on (the last
-// few after RCM); the naive engine rebuilds and refactors the whole matrix
-// every iteration.
+// refactors only the columns from the first MOSFET terminal on (the driver
+// output, the last column after RCM); the naive engine rebuilds and
+// refactors the whole matrix every iteration.
 
 struct TransientTiming {
   double ns_per_step = 0.0;
@@ -172,6 +172,50 @@ CoupledTiming time_coupled_driver() {
   return out;
 }
 
+// Exact structural counts, the same on every runner (CI bars them by
+// equality).  The characterization deck (an inverter into a capacitor, its
+// output watched) keeps one unknown: its input and rail nodes are held by
+// grounded sources.  On the driver line (the inverter into the 120-segment
+// line) a cached Newton iteration refactors only the columns from the first
+// MOSFET terminal on, which RCM places last: the driver output.  The run
+// stops at its measured edge, so its last factorization is a regular step's
+// Newton iteration.
+struct StructuralCounts {
+  std::size_t characterization_unknowns = 0;
+  std::size_t driver_refactored_columns = 0;
+};
+
+StructuralCounts structural_counts() {
+  const tech::Technology technology = tech::Technology::cmos180();
+  StructuralCounts counts;
+  {
+    ckt::Netlist nl;
+    const ckt::NodeId in = nl.node("in");
+    const ckt::NodeId out = nl.node("out");
+    nl.add_vsource(in, ckt::ground, wave::Pwl({{0.0, technology.vdd}}));
+    tech::add_inverter(nl, technology, tech::Inverter{100.0}, in, out);
+    nl.add_capacitor(out, ckt::ground, 100 * ff);
+    const std::array<ckt::NodeId, 1> watched{out};
+    counts.characterization_unknowns = ckt::MnaStructure(nl, watched).unknown_count();
+  }
+  ckt::Netlist nl;
+  const ckt::NodeId in = nl.node("in");
+  const ckt::NodeId out = nl.node("out");
+  nl.add_vsource(in, ckt::ground,
+                 wave::Pwl({{10 * ps, technology.vdd}, {110 * ps, 0.0}}));
+  tech::add_inverter(nl, technology, tech::Inverter{75.0}, in, out);
+  const ckt::NetDeckNodes line =
+      ckt::append_net(nl, out, tech::line_net(wire(), 20 * ff), 120);
+  sim::TransientOptions opt;
+  opt.t_stop = 1.0 * ns;
+  opt.dt = 0.25 * ps;
+  opt.edge_stop.vdd = technology.vdd;
+  opt.edge_stop.watch = {out, line.leaves.front()};
+  const std::array<ckt::NodeId, 1> probes{out};
+  counts.driver_refactored_columns = sim::simulate(nl, opt, probes).factored_columns();
+  return counts;
+}
+
 // Engine batch throughput: the Fig-7 sweep grid (7 lengths x 7 widths x 4
 // slews, one driver) evaluated model-only through api::Engine::run_batch —
 // the "library-based static timing engine" workload the facade serves.  A
@@ -247,6 +291,7 @@ void emit_perf_json() {
   const TransientTiming driver_naive = time_driver_line(sim::AssemblyMode::naive);
   const double refactor_speedup = driver_naive.ns_per_step / driver_cached.ns_per_step;
   const CoupledTiming coupled = time_coupled_driver();
+  const StructuralCounts counts = structural_counts();
   const BatchTiming batch = time_engine_batch();
 
   // Bench name "perf": BENCH_perf.json is shared with large_topology, which
@@ -264,6 +309,10 @@ void emit_perf_json() {
        {"driver_line_cached_ns_per_step", driver_cached.ns_per_step, "ns/step"},
        {"driver_line_naive_ns_per_step", driver_naive.ns_per_step, "ns/step"},
        {"driver_line_refactor_speedup", refactor_speedup, "x"},
+       {"driver_line_refactored_columns",
+        static_cast<double>(counts.driver_refactored_columns), "count"},
+       {"characterization_deck_unknowns",
+        static_cast<double>(counts.characterization_unknowns), "count"},
        {"coupled_driver_unknowns", static_cast<double>(coupled.timing.unknowns), "count"},
        {"coupled_driver_bandwidth", static_cast<double>(coupled.bandwidth), "count"},
        {"coupled_driver_cached_ns_per_step", coupled.timing.ns_per_step, "ns/step"},
@@ -283,7 +332,10 @@ void emit_perf_json() {
               driver_cached.steps);
   std::printf("  cached (MOSFET columns):   %8.1f ns/step\n", driver_cached.ns_per_step);
   std::printf("  naive (full refactor):     %8.1f ns/step\n", driver_naive.ns_per_step);
-  std::printf("  speedup: %.2fx\n", refactor_speedup);
+  std::printf("  speedup: %.2fx   columns a cached iteration refactors: %zu\n",
+              refactor_speedup, counts.driver_refactored_columns);
+  std::printf("  characterization deck (inverter into a capacitor): %zu unknown(s)\n",
+              counts.characterization_unknowns);
   std::printf("== Newton transient (coupled deck of fleet net 141, %zu unknowns, "
               "half-bandwidth %zu, %zu steps) ==\n",
               coupled.timing.unknowns, coupled.bandwidth, coupled.timing.steps);
@@ -383,6 +435,7 @@ int main(int argc, char** argv) {
              "linear_line_naive_ns_per_step", "linear_line_naive_steps_per_s",
              "linear_line_factor_once_speedup", "driver_line_cached_ns_per_step",
              "driver_line_naive_ns_per_step", "driver_line_refactor_speedup",
+             "driver_line_refactored_columns", "characterization_deck_unknowns",
              "coupled_driver_unknowns", "coupled_driver_bandwidth",
              "coupled_driver_cached_ns_per_step", "engine_batch_nets",
              "engine_batch_nets_per_s",

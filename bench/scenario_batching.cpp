@@ -22,6 +22,9 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "circuit/mna.h"
+#include "sim/solver_backend.h"
+#include "tech/testbench.h"
 #include "tech/wire.h"
 #include "util/units.h"
 
@@ -125,6 +128,32 @@ std::size_t bitwise_mismatches(const std::vector<api::Response>& batched,
   return mismatches;
 }
 
+// Exact structural counts of the replay deck rlcbench's fig7_replay runs (a
+// paper wire case at 40 segments and 1 ps), the same on every runner (CI
+// bars them by equality): its unknowns, and the row swaps of the banded LU
+// of its step matrix, stamped by the stepper's own static assembly.
+struct ReplayDeckCounts {
+  std::size_t unknowns = 0;
+  std::size_t row_swaps = 0;
+};
+
+ReplayDeckCounts replay_deck_counts() {
+  tech::DeckOptions deck_opt;
+  deck_opt.segments = 40;
+  deck_opt.dt = 1 * ps;
+  const tech::SourceNetDeck deck = tech::compile_source_net(
+      wave::Pwl({{10 * ps, 0.0}, {110 * ps, 1.8}}),
+      tech::line_net(*tech::find_paper_wire_case(5.0, 1.6), 20 * ff), deck_opt);
+  // The probes (driving point and leaves) are also the watched nodes.
+  const ckt::MnaStructure structure(deck.netlist, deck.probes);
+  sim::detail::BandedSolver solver(structure.unknown_count(), structure.bandwidth());
+  sim::detail::assemble_static_stamps(solver, deck.netlist, structure, deck_opt.dt,
+                                      1e-12, tech::sim_options(deck_opt, deck),
+                                      /*cached_path=*/true);
+  solver.factor();
+  return {structure.unknown_count(), solver.row_swaps()};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -134,7 +163,8 @@ int main(int argc, char** argv) {
     bench::list_metrics("scenario_batching",
                         {"grid_scenarios", "grid_topologies", "per_slot_s",
                          "batched_s", "fig7_grid_speedup",
-                         "bitwise_mismatches", "block_ns_per_lane_step"});
+                         "bitwise_mismatches", "block_ns_per_lane_step",
+                         "replay_deck_unknowns", "replay_deck_row_swaps"});
     return 0;
   }
 
@@ -163,6 +193,9 @@ int main(int argc, char** argv) {
   std::printf("  shared-factorization batched: %8.3f s\n", batched_s);
   std::printf("  speedup: %.2fx   bitwise mismatches: %zu\n", speedup, mismatches);
   std::printf("  batched time per lane-step:   %8.1f ns\n", ns_per_lane_step);
+  const ReplayDeckCounts replay = replay_deck_counts();
+  std::printf("  40-segment replay deck: %zu unknowns, %zu row swaps per factorization\n",
+              replay.unknowns, replay.row_swaps);
 
   bench::update_bench_json(
       "BENCH_perf.json", "perf", "scenario_batching",
@@ -172,7 +205,9 @@ int main(int argc, char** argv) {
        {"batched_s", batched_s, "s"},
        {"fig7_grid_speedup", speedup, "x"},
        {"bitwise_mismatches", static_cast<double>(mismatches), "count"},
-       {"block_ns_per_lane_step", ns_per_lane_step, "ns"}});
+       {"block_ns_per_lane_step", ns_per_lane_step, "ns"},
+       {"replay_deck_unknowns", static_cast<double>(replay.unknowns), "count"},
+       {"replay_deck_row_swaps", static_cast<double>(replay.row_swaps), "count"}});
   std::printf("(merged into BENCH_perf.json under \"scenario_batching.\")\n");
   return mismatches == 0 ? 0 : 1;
 }

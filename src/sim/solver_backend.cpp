@@ -33,17 +33,17 @@ bool sparse_is_cheaper(std::size_t n, std::size_t nnz) {
   return n >= 128 && 8 * nnz < n * n / 2;
 }
 
-void stamp_conductance(LinearSolver& solver, const ckt::MnaStructure& structure,
-                       NodeId a, NodeId b, double g) {
-  if (a != ground) {
-    const std::size_t ia = structure.node_index(a);
-    solver.add(ia, ia, g);
-    if (b != ground) solver.add(ia, structure.node_index(b), -g);
+// Accumulates g between solution rows a and b: rows and columns past the
+// unknowns (ground, known nodes) take no matrix entry.
+void stamp_conductance(LinearSolver& solver, std::size_t n, std::size_t a,
+                       std::size_t b, double g) {
+  if (a < n) {
+    solver.add(a, a, g);
+    if (b < n) solver.add(a, b, -g);
   }
-  if (b != ground) {
-    const std::size_t ib = structure.node_index(b);
-    solver.add(ib, ib, g);
-    if (a != ground) solver.add(ib, structure.node_index(a), -g);
+  if (b < n) {
+    solver.add(b, b, g);
+    if (a < n) solver.add(b, a, -g);
   }
 }
 
@@ -76,43 +76,63 @@ void assemble_static_stamps(LinearSolver& solver, const ckt::Netlist& nl,
                             double gmin, const TransientOptions& opt,
                             bool cached_path) {
   const bool dc = h <= 0.0;
+  const std::size_t n = structure.unknown_count();
+  const auto row = [&](NodeId node) {
+    return node == ground ? ckt::MnaStructure::npos : structure.node_index(node);
+  };
 
-  for (NodeId n = 1; n < nl.node_count(); ++n) {
-    solver.add(structure.node_index(n), structure.node_index(n), gmin);
+  for (NodeId node = 1; node < nl.node_count(); ++node) {
+    const std::size_t i = row(node);
+    if (i < n) solver.add(i, i, gmin);
   }
 
-  for (const ckt::Resistor& r : nl.resistors()) {
-    stamp_conductance(solver, structure, r.a, r.b, 1.0 / r.resistance);
+  for (std::size_t k = 0; k < nl.resistors().size(); ++k) {
+    if (structure.resistor_folded(k)) continue;
+    const ckt::Resistor& r = nl.resistors()[k];
+    stamp_conductance(solver, n, row(r.a), row(r.b), 1.0 / r.resistance);
   }
 
   if (!dc) {
     // Property-harness fault injection: skew the cached-path capacitor
     // stamps so the cached-vs-naive oracle must fire (see
-    // TransientOptions).  skew == 0 leaves the stamps bit-identical.
+    // TransientOptions).  skew == 0 leaves the stamps bit-identical.  The
+    // NaN poisons the first capacitor that stamps the matrix (one on a
+    // known node stamps nothing).
     const double skew = cached_path ? 1.0 + opt.debug_cached_stamp_skew : 1.0;
-    bool first_cap = true;
+    bool poison = cached_path && opt.debug_cached_stamp_nan;
     for (const ckt::Capacitor& c : nl.capacitors()) {
+      const std::size_t a = row(c.a);
+      const std::size_t b = row(c.b);
       double g = skew * 2.0 * c.capacitance / h;
-      if (first_cap && cached_path && opt.debug_cached_stamp_nan) {
+      if (poison && (a < n || b < n)) {
         g = std::numeric_limits<double>::quiet_NaN();
+        poison = false;
       }
-      first_cap = false;
-      stamp_conductance(solver, structure, c.a, c.b, g);
+      stamp_conductance(solver, n, a, b, g);
     }
   }
 
+  // Folded series R-L branches: the trapezoidal companion conductance
+  // 1/(R + 2L/h); in DC the inductor is a short.
+  for (const ckt::MnaStructure::FoldedBranch& b : structure.folded_branches()) {
+    const double r = nl.resistors()[b.resistor].resistance;
+    const double req = dc ? 0.0 : 2.0 * nl.inductors()[b.inductor].inductance / h;
+    stamp_conductance(solver, n, row(b.from), row(b.to), 1.0 / (r + req));
+  }
+
   for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
-    const ckt::Inductor& l = nl.inductors()[k];
     const std::size_t j = structure.inductor_index(k);
+    if (j == ckt::MnaStructure::npos) continue;
+    const ckt::Inductor& l = nl.inductors()[k];
     const double req = dc ? 0.0 : 2.0 * l.inductance / h;
     // Branch equation: (va - vb) - req * i = e_n.
-    if (l.a != ground) {
-      solver.add(j, structure.node_index(l.a), 1.0);
-      solver.add(structure.node_index(l.a), j, 1.0);
+    if (const std::size_t a = row(l.a); a < n) {
+      solver.add(j, a, 1.0);
+      solver.add(a, j, 1.0);
     }
-    if (l.b != ground) {
-      solver.add(j, structure.node_index(l.b), -1.0);
-      solver.add(structure.node_index(l.b), j, -1.0);
+    if (const std::size_t b = row(l.b); b < n) {
+      solver.add(j, b, -1.0);
+      solver.add(b, j, -1.0);
     }
     solver.add(j, j, -req);
   }
@@ -130,16 +150,19 @@ void assemble_static_stamps(LinearSolver& solver, const ckt::Netlist& nl,
     }
   }
 
+  // Sources that keep a branch row (a source that holds a known node has
+  // none: its node's value is on the right-hand side).
   for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
-    const ckt::VSource& v = nl.vsources()[k];
     const std::size_t j = structure.vsource_index(k);
-    if (v.pos != ground) {
-      solver.add(j, structure.node_index(v.pos), 1.0);
-      solver.add(structure.node_index(v.pos), j, 1.0);
+    if (j == ckt::MnaStructure::npos) continue;
+    const ckt::VSource& v = nl.vsources()[k];
+    if (const std::size_t p = row(v.pos); p < n) {
+      solver.add(j, p, 1.0);
+      solver.add(p, j, 1.0);
     }
-    if (v.neg != ground) {
-      solver.add(j, structure.node_index(v.neg), -1.0);
-      solver.add(structure.node_index(v.neg), j, -1.0);
+    if (const std::size_t q = row(v.neg); q < n) {
+      solver.add(j, q, -1.0);
+      solver.add(q, j, -1.0);
     }
   }
 }

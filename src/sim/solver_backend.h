@@ -34,8 +34,9 @@ namespace rlceff::sim::detail {
 // The engine assembles into a "working" matrix.  save_static()/load_static()
 // snapshot and restore the working values (a memcpy, never an allocation),
 // so the linear-device stamps survive across Newton iterations and time
-// steps.  factor() destroys the working values in place; solve_into() then
-// runs the substitution sweeps on a caller-owned buffer with zero heap
+// steps.  factor() destroys the working values in place and returns how
+// many columns it factored (all n, or the kept tail below); solve_into()
+// then runs the substitution sweeps on a caller-owned buffer with zero heap
 // traffic.  solve_block() does the same for `lanes` right-hand sides stored
 // as an n x stride row-major block, with every lane's operation sequence
 // identical to solve_into on that lane alone.
@@ -54,7 +55,7 @@ public:
   virtual void add(std::size_t r, std::size_t c, double v) = 0;
   virtual void save_static(std::size_t first) = 0;
   virtual void load_static() = 0;
-  virtual void factor() = 0;
+  virtual std::size_t factor() = 0;
   // x holds the rhs on entry and the solution on exit.
   virtual void solve_into(std::span<double> x) = 0;
   // Blocked multi-RHS variant; lane s of unknown i lives at x[i * stride + s].
@@ -81,15 +82,18 @@ public:
     a_.copy_values_from(*static_image_, kept_ ? first_ : 0);
     loaded_ = true;
   }
-  void factor() override {
-    a_.factor_from(kept_ ? first_ : 0);
+  std::size_t factor() override {
+    const std::size_t first = kept_ ? first_ : 0;
+    a_.factor_from(first);
     kept_ = loaded_;
+    return n_ - first;
   }
   void solve_into(std::span<double> x) override { a_.solve_into(x); }
   void solve_block(std::span<double> x, std::size_t lanes,
                    std::size_t stride) override {
     a_.solve_block(x, lanes, stride);
   }
+  std::size_t row_swaps() const { return a_.row_swaps(); }
 
 private:
   std::size_t n_;
@@ -103,12 +107,15 @@ private:
 
 class DenseSolver final : public LinearSolver {
 public:
-  explicit DenseSolver(std::size_t n) : a_(n, n) {}
+  explicit DenseSolver(std::size_t n) : n_(n), a_(n, n) {}
   void clear() override { a_.set_zero(); }
   void add(std::size_t r, std::size_t c, double v) override { a_(r, c) += v; }
   void save_static(std::size_t /*first*/) override { static_image_ = a_; }
   void load_static() override { a_ = static_image_; }
-  void factor() override { util::lu_factor_into(a_, f_); }
+  std::size_t factor() override {
+    util::lu_factor_into(a_, f_);
+    return n_;
+  }
   void solve_into(std::span<double> x) override { util::lu_solve_into(f_, x); }
   void solve_block(std::span<double> x, std::size_t lanes,
                    std::size_t stride) override {
@@ -116,6 +123,7 @@ public:
   }
 
 private:
+  std::size_t n_;
   util::DenseMatrix a_;
   util::DenseMatrix static_image_;
   util::LuFactors f_;
@@ -146,7 +154,10 @@ public:
     }
   }
   void load_static() override { a_.copy_values_from(*static_image_); }
-  void factor() override { lu_.factor(a_, budget_); }
+  std::size_t factor() override {
+    lu_.factor(a_, budget_);
+    return a_.size();
+  }
   void solve_into(std::span<double> x) override { lu_.solve_into(x, budget_); }
   void solve_block(std::span<double> x, std::size_t lanes,
                    std::size_t stride) override {
@@ -170,10 +181,13 @@ SolverKind resolve_solver_kind(const ckt::MnaStructure& structure,
 std::unique_ptr<LinearSolver> make_solver(const ckt::MnaStructure& structure,
                                           SolverKind kind, util::ExecTracker* budget);
 
-// Stamps every matrix entry that depends only on (h, gmin): gmin loading,
-// resistors, companion conductances, and the branch incidence rows of
-// inductors and voltage sources.  h <= 0 selects DC (capacitors open,
-// inductors shorted).  `cached_path` gates the property-harness fault hooks
+// Stamps every matrix entry of the reduced system (ckt::MnaStructure) that
+// depends only on (h, gmin): gmin loading of the unknown nodes, resistors,
+// companion conductances of capacitors and folded R-L branches, and the
+// branch incidence rows of the inductors and voltage sources that keep one.
+// An entry whose row or column is a known node is not stamped: the stepper
+// moves its known term to the right-hand side.  h <= 0 selects DC
+// (capacitors open, inductors shorted).  `cached_path` gates the property-harness fault hooks
 // (TransientOptions::debug_cached_stamp_*), which poison only the cached
 // assembly path.
 void assemble_static_stamps(LinearSolver& solver, const ckt::Netlist& nl,

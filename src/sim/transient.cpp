@@ -97,8 +97,17 @@ private:
 // so a single deck costs what a dedicated scalar engine would, and a
 // batched lane equals its per-slot run by construction.
 //
+// The system is the reduced one of ckt::MnaStructure.  The solution block
+// holds the m_ unknowns and, after them, one known row per source-held
+// node, which assemble_rhs fills from each lane's source at the step's time;
+// probes, the edge watch and the device sweeps read a known row like any
+// other.  A folded R-L branch carries its own state (current and inductor
+// voltage) and stamps as a companion conductance plus a history current.  A
+// deck with no unknowns left still steps: each step only fills its known
+// rows and advances the branch state.
+//
 // All per-lane data is SoA with a fixed stride W (the initial lane count):
-// value of unknown/device i for lane j lives at [i * W + j].  Active lanes
+// value of row/device i for lane j lives at [i * W + j].  Active lanes
 // occupy columns 0..A-1; lanes retire from the tail (they are added by
 // descending t_stop, so the shortest runs sit at the end), while faulted
 // lanes and lanes the measured-edge stop ends are removed by a stable left
@@ -107,8 +116,8 @@ private:
 //
 // Each device's rows are resolved before its lane loop (a ground terminal
 // reads one shared all-zero row and is never written), and the companion
-// coefficients 2C/h, 2L/h and 2M/h are computed once per step size, so a
-// lane loop holds only the lane's arithmetic.
+// coefficients are computed once per step size, so a lane loop holds only
+// the lane's arithmetic.
 //
 // Linear decks under cached assembly solve a step with one factorization
 // per (step size, gmin) and a substitution sweep.  MOSFET decks and
@@ -123,44 +132,93 @@ public:
           std::span<const NodeId> probes)
       : opt_(options),
         nl0_(netlist),
-        structure_(netlist),
+        structure_(netlist, kept_nodes(netlist, options, probes)),
         m_(structure_.unknown_count()),
+        rows_(m_ + structure_.known_count()),
         newton_(!netlist.mosfets().empty() || options.assembly == AssemblyMode::naive),
         kind_(detail::resolve_solver_kind(structure_, options)),
-        solver_(detail::make_solver(structure_, kind_, options.budget)),
+        solver_(m_ > 0 ? detail::make_solver(structure_, kind_, options.budget) : nullptr),
         probes_(probes.begin(), probes.end()) {
-    // Resolve every unknown index once so the per-step loops are pure array
-    // indexing (node_index() revalidates its arguments on every call).
+    // Resolve every row once so the per-step loops are pure array indexing
+    // (node_index() revalidates its arguments on every call).
     std::vector<std::size_t> node_pos(nl0_.node_count(), npos);
     for (NodeId n = 1; n < nl0_.node_count(); ++n) {
       node_pos[n] = structure_.node_index(n);
     }
     auto pos = [&](NodeId n) { return n == ground ? npos : node_pos[n]; };
-    for (const ckt::Capacitor& c : nl0_.capacitors()) {
-      cap_pos_.push_back({pos(c.a), pos(c.b)});
+    auto unknown = [&](std::size_t p) { return p < m_; };
+    // A stamp A[row][col] whose column is a known node: its term moves to
+    // the right-hand side.
+    auto couple = [&](std::size_t row, std::size_t col, Term::Of of, std::size_t dev,
+                      double a) {
+      if (unknown(row) && col != npos && !unknown(col)) {
+        known_terms_.push_back({row, col, of, dev, a});
+      }
+    };
+    auto couple_pair = [&](Pair p, Term::Of of, std::size_t dev, double a) {
+      couple(p.a, p.b, of, dev, a);
+      couple(p.b, p.a, of, dev, a);
+    };
+
+    for (std::size_t k = 0; k < nl0_.resistors().size(); ++k) {
+      if (structure_.resistor_folded(k)) continue;
+      const ckt::Resistor& r = nl0_.resistors()[k];
+      couple_pair({pos(r.a), pos(r.b)}, Term::Of::fixed, 0, -1.0 / r.resistance);
     }
+    // A capacitor with no unknown terminal stamps nothing and drops out.
+    for (const ckt::Capacitor& c : nl0_.capacitors()) {
+      const Pair p{pos(c.a), pos(c.b)};
+      if (!unknown(p.a) && !unknown(p.b)) continue;
+      couple_pair(p, Term::Of::capacitor, cap_pos_.size(), 0.0);
+      cap_pos_.push_back(p);
+      cap_c_.push_back(c.capacitance);
+    }
+    for (const ckt::MnaStructure::FoldedBranch& b : structure_.folded_branches()) {
+      const Pair p{pos(b.from), pos(b.to)};
+      couple_pair(p, Term::Of::branch, br_pos_.size(), 0.0);
+      br_pos_.push_back(p);
+      br_r_.push_back(nl0_.resistors()[b.resistor].resistance);
+      br_l_.push_back(nl0_.inductors()[b.inductor].inductance);
+    }
+    std::vector<std::size_t> ind_slot(nl0_.inductors().size(), npos);
     for (std::size_t k = 0; k < nl0_.inductors().size(); ++k) {
+      const std::size_t j = structure_.inductor_index(k);
+      if (j == ckt::MnaStructure::npos) continue;
       const ckt::Inductor& l = nl0_.inductors()[k];
-      ind_pos_.push_back(structure_.inductor_index(k));
+      ind_slot[k] = ind_pos_.size();
+      ind_pos_.push_back(j);
       ind_nodes_.push_back({pos(l.a), pos(l.b)});
+      ind_l_.push_back(l.inductance);
+      couple(j, pos(l.a), Term::Of::fixed, 0, 1.0);
+      couple(j, pos(l.b), Term::Of::fixed, 0, -1.0);
+    }
+    for (const ckt::MutualInductor& mi : nl0_.mutual_inductors()) {
+      mut_.push_back({ind_slot[mi.la], ind_slot[mi.lb], mi.mutual});
     }
     for (std::size_t k = 0; k < nl0_.vsources().size(); ++k) {
-      vsrc_pos_.push_back(structure_.vsource_index(k));
+      const std::size_t j = structure_.vsource_index(k);
+      if (j == ckt::MnaStructure::npos) continue;
+      const ckt::VSource& v = nl0_.vsources()[k];
+      vsrc_pos_.push_back(j);
+      vsrc_dev_.push_back(k);
+      couple(j, pos(v.pos), Term::Of::fixed, 0, 1.0);
+      couple(j, pos(v.neg), Term::Of::fixed, 0, -1.0);
     }
     for (const ckt::Mosfet& mos : nl0_.mosfets()) {
       mos_pos_.push_back({pos(mos.drain), pos(mos.gate), pos(mos.source)});
-      first_mos_col_ = std::min({first_mos_col_, mos_pos_.back().drain,
-                                 mos_pos_.back().gate, mos_pos_.back().source});
+      for (std::size_t p : {pos(mos.drain), pos(mos.gate), pos(mos.source)}) {
+        if (unknown(p)) first_mos_col_ = std::min(first_mos_col_, p);
+      }
     }
     cap_geq_.resize(cap_pos_.size());
+    for (double c : cap_c_) cap_geq_dt_.push_back(2.0 * c / options.dt);
+    br_req_.resize(br_pos_.size());
+    br_g_.resize(br_pos_.size());
     ind_req_.resize(ind_pos_.size());
-    mut_req_.resize(nl0_.mutual_inductors().size());
+    mut_req_.resize(mut_.size());
     for (NodeId p : probes_) probe_pos_.push_back(pos(p));
     if (options.edge_stop.enabled()) {
-      for (NodeId n : options.edge_stop.watch) {
-        ensure(n < nl0_.node_count(), "simulate: watched node out of range");
-        watch_pos_.push_back(pos(n));
-      }
+      for (NodeId n : options.edge_stop.watch) watch_pos_.push_back(pos(n));
     }
   }
 
@@ -182,10 +240,12 @@ public:
   // solution block, which it returns.
   std::span<const double> solve_dc() {
     if constexpr (!kOneLane) w_ = lane_slot_.size();
-    xb_.assign(m_ * w_, 0.0);
-    rhsb_.assign(m_ * w_, 0.0);
-    cap_v_.assign(cap_pos_.size() * w_, 0.0);
-    cap_i_.assign(cap_pos_.size() * w_, 0.0);
+    xb_.assign(rows_ * w_, 0.0);
+    rhsb_.assign(rows_ * w_, 0.0);
+    if (newton_) rhs_lin_.assign(rows_, 0.0);
+    cap_hist_.assign(cap_pos_.size() * w_, 0.0);
+    br_i_.assign(br_pos_.size() * w_, 0.0);
+    br_v_.assign(br_pos_.size() * w_, 0.0);
     ind_i_.assign(ind_pos_.size() * w_, 0.0);
     ind_v_.assign(ind_pos_.size() * w_, 0.0);
     zero_row_.assign(w_, 0.0);
@@ -273,7 +333,9 @@ public:
         }
         if (a == 0) break;
       }
-      advance_state(h, a);
+      // A shortened step is its lane's last, so only a regular one advances
+      // the companion state.
+      if (h == dt) advance_state(a);
       t = t_next;
       record(t, a);
       retire_measured(a);
@@ -292,6 +354,41 @@ private:
     std::size_t source;
   };
 
+  struct Mutual {
+    std::size_t a;  // slots of the two coupled inductors
+    std::size_t b;
+    double m;
+  };
+
+  // A stamp A[row][known] of the reduced system whose column is a known
+  // node: the right-hand side takes -a * v_known instead.  `a` is fixed for
+  // resistors and incidence rows, and follows the step size for the
+  // companion conductances of capacitor or branch `dev`.
+  struct Term {
+    std::size_t row;
+    std::size_t known;
+    enum class Of { fixed, capacitor, branch } of;
+    std::size_t dev;
+    double a;
+  };
+
+  // The nodes the reduction must keep: probes, and the watched nodes when
+  // the measured-edge stop is on.
+  static std::vector<NodeId> kept_nodes(const Netlist& netlist,
+                                        const TransientOptions& options,
+                                        std::span<const NodeId> probes) {
+    std::vector<NodeId> keep(probes.begin(), probes.end());
+    for (NodeId n : keep) ensure(n < netlist.node_count(), "simulate: probe out of range");
+    if (options.edge_stop.enabled()) {
+      const std::vector<NodeId>& watch = options.edge_stop.watch;
+      for (NodeId n : watch) {
+        ensure(n < netlist.node_count(), "simulate: watched node out of range");
+      }
+      keep.insert(keep.end(), watch.begin(), watch.end());
+    }
+    return keep;
+  }
+
   // The active lane count as the stepper's lane type.
   static Lanes lanes(std::size_t a) {
     if constexpr (kOneLane) {
@@ -308,19 +405,28 @@ private:
     return pos == npos ? zero_row_.data() : xb_.data() + pos * w_;
   }
 
-  // The companion coefficients of step size h, by the expressions
-  // assemble_static_stamps uses, so they are the matrix's bits.
+  // The companion coefficients of step size h (h <= 0: DC), by the
+  // expressions assemble_static_stamps uses, so they are the matrix's bits.
   void set_companions(double h) {
     if (h == coef_h_) return;
     coef_h_ = h;
+    const bool dc = h <= 0.0;
     for (std::size_t k = 0; k < cap_geq_.size(); ++k) {
-      cap_geq_[k] = 2.0 * nl0_.capacitors()[k].capacitance / h;
+      cap_geq_[k] = dc ? 0.0 : 2.0 * cap_c_[k] / h;
+    }
+    for (std::size_t k = 0; k < br_g_.size(); ++k) {
+      br_req_[k] = dc ? 0.0 : 2.0 * br_l_[k] / h;
+      br_g_[k] = 1.0 / (br_r_[k] + br_req_[k]);
     }
     for (std::size_t k = 0; k < ind_req_.size(); ++k) {
-      ind_req_[k] = 2.0 * nl0_.inductors()[k].inductance / h;
+      ind_req_[k] = dc ? 0.0 : 2.0 * ind_l_[k] / h;
     }
     for (std::size_t k = 0; k < mut_req_.size(); ++k) {
-      mut_req_[k] = 2.0 * nl0_.mutual_inductors()[k].mutual / h;
+      mut_req_[k] = dc ? 0.0 : 2.0 * mut_[k].m / h;
+    }
+    for (Term& term : known_terms_) {
+      if (term.of == Term::Of::capacitor) term.a = -cap_geq_[term.dev];
+      if (term.of == Term::Of::branch) term.a = -br_g_[term.dev];
     }
   }
 
@@ -328,7 +434,7 @@ private:
     solver.clear();
     detail::assemble_static_stamps(solver, nl0_, structure_, h, gmin, opt_,
                                    /*cached_path=*/true);
-    solver.factor();
+    factored_columns_ = solver.factor();
   }
 
   // Solves one step's system at time t with step h (h <= 0: DC) for the
@@ -336,6 +442,11 @@ private:
   // refactors only when (h, gmin) changes: once for DC, once for the regular
   // step, and once more for a shortened final step.
   void solve(double t, double h, double gmin, std::size_t a) {
+    if (m_ == 0) {
+      assemble_rhs(t, h, 0, lanes(a));
+      std::swap(xb_, rhsb_);
+      return;
+    }
     if constexpr (kOneLane) {
       if (newton_) {
         newton(t, h, gmin);
@@ -349,7 +460,7 @@ private:
     }
     assemble_rhs(t, h, 0, lanes(a));
     if constexpr (kOneLane) {
-      solver_->solve_into(rhsb_);
+      solver_->solve_into(std::span<double>(rhsb_).first(m_));
     } else {
       solver_->solve_block(rhsb_, a, w_);
     }
@@ -357,11 +468,13 @@ private:
   }
 
   // Newton-Raphson on the one lane's step system, xb_ holding the iterate
-  // (also the initial guess).  Cached assembly restores the linear stamps
-  // from the static image each iteration and restamps only the MOSFETs, so
-  // only columns from first_mos_col_ on change and the banded backend
-  // refactors just those; naive assembly rebuilds and refactors the full
-  // matrix.
+  // (also the initial guess).  The linear right-hand side is the same in
+  // every iteration, so it is assembled once, before them, from the last
+  // accepted solution; the iterate takes the known nodes' values at t.
+  // Cached assembly restores the linear stamps from the static image each
+  // iteration and restamps only the MOSFETs, so only columns from
+  // first_mos_col_ on change and the banded backend refactors just those;
+  // naive assembly rebuilds and refactors the full matrix.
   void newton(double t, double h, double gmin) {
     const bool cached = opt_.assembly == AssemblyMode::cached;
     if (cached && !holds(h, gmin)) {
@@ -372,6 +485,10 @@ private:
       held_h_ = h;
       held_gmin_ = gmin;
     }
+    assemble_rhs(t, h, 0, OneLane{});
+    std::copy(rhsb_.begin(), rhsb_.end(), rhs_lin_.begin());
+    std::copy(rhsb_.begin() + static_cast<std::ptrdiff_t>(m_), rhsb_.end(),
+              xb_.begin() + static_cast<std::ptrdiff_t>(m_));
     for (int iter = 0; iter < util::iter_defaults::newton; ++iter) {
       if (opt_.budget) opt_.budget->check("transient newton");
       if (cached) {
@@ -381,10 +498,10 @@ private:
         detail::assemble_static_stamps(*solver_, nl0_, structure_, h, gmin, opt_,
                                        /*cached_path=*/false);
       }
-      assemble_rhs(t, h, 0, OneLane{});
+      std::copy(rhs_lin_.begin(), rhs_lin_.end(), rhsb_.begin());
       stamp_mosfets();
-      solver_->factor();
-      solver_->solve_into(rhsb_);
+      factored_columns_ = solver_->factor();
+      solver_->solve_into(std::span<double>(rhsb_).first(m_));
       if (mos_pos_.empty()) {
         std::swap(xb_, rhsb_);
         return;
@@ -407,8 +524,17 @@ private:
   }
 
   // MOSFET linearization around the current Newton iterate: the only stamps
-  // that change between iterations (matrix and RHS).
+  // that change between iterations (matrix and RHS).  A known terminal's
+  // column moves to the right-hand side; its row is not in the system.
   void stamp_mosfets() {
+    const auto stamp = [&](std::size_t r, std::size_t c, double a) {
+      if (r >= m_) return;
+      if (c < m_) {
+        solver_->add(r, c, a);
+      } else if (c != npos) {
+        rhsb_[r] -= a * xb_[c];
+      }
+    };
     for (std::size_t k = 0; k < mos_pos_.size(); ++k) {
       const ckt::Mosfet& mos = nl0_.mosfets()[k];
       const auto [pd, pg, ps] = mos_pos_[k];
@@ -421,57 +547,77 @@ private:
       // Linearized channel current (drain -> source):
       //   i = ieq + gm * vgs + gds * vds.
       const double ieq = e.id - e.gm * (vg - vs) - e.gds * (vd - vs);
-      if (pd != npos) {
-        solver_->add(pd, pd, e.gds);
-        if (pg != npos) solver_->add(pd, pg, e.gm);
-        if (ps != npos) solver_->add(pd, ps, -(e.gm + e.gds));
-      }
-      if (ps != npos) {
-        solver_->add(ps, ps, e.gm + e.gds);
-        if (pg != npos) solver_->add(ps, pg, -e.gm);
-        if (pd != npos) solver_->add(ps, pd, -e.gds);
-      }
+      stamp(pd, pd, e.gds);
+      stamp(pd, pg, e.gm);
+      stamp(pd, ps, -(e.gm + e.gds));
+      stamp(ps, ps, e.gm + e.gds);
+      stamp(ps, pg, -e.gm);
+      stamp(ps, pd, -e.gds);
       // Companion current flows drain -> source.
-      if (pd != npos) rhsb_[pd] -= ieq;
-      if (ps != npos) rhsb_[ps] += ieq;
+      if (pd < m_) rhsb_[pd] -= ieq;
+      if (ps < m_) rhsb_[ps] += ieq;
     }
   }
 
-  // Right-hand side of lanes [j0, j0 + lanes): companion currents and
-  // source values.  Changes every step, never touches the matrix.
-  // Device-outer, lane-inner, with the same operation sequence in every
-  // lane's column.
+  // Right-hand side of lanes [j0, j0 + lanes): known rows, source values,
+  // companion currents and known terms.  Changes every step, never touches
+  // the matrix.  Device-outer, lane-inner, with the same operation sequence
+  // in every lane's column.
   template <class L>
   void assemble_rhs(double t, double h, std::size_t j0, L lanes) {
     std::fill(rhsb_.begin(), rhsb_.end(), 0.0);
     double* rhs = rhsb_.data() + j0;
 
-    // DC: capacitors are open and the inductor and mutual rows stay zero.
+    // The only lane-divergent input: each lane evaluates its own source
+    // waveforms (the matrix never sees them), into the known rows and the
+    // branch rows of the sources that keep one.
+    for (std::size_t q = 0; q < rows_ - m_; ++q) {
+      const std::size_t src = structure_.known_source(q);
+      double* row = rhs + (m_ + q) * w_;
+      for (std::size_t j = 0; j < lanes; ++j) {
+        row[j] = lane_net_[j0 + j]->vsources()[src].voltage.value_at(t);
+      }
+    }
+    for (std::size_t k = 0; k < vsrc_pos_.size(); ++k) {
+      double* row = rhs + vsrc_pos_[k] * w_;
+      for (std::size_t j = 0; j < lanes; ++j) {
+        row[j] = lane_net_[j0 + j]->vsources()[vsrc_dev_[k]].voltage.value_at(t);
+      }
+    }
+
+    set_companions(h);
+    // DC: capacitors are open, and the branch, inductor and mutual history
+    // terms are zero.
     if (h > 0.0) {
-      set_companions(h);
+      // Norton companion: device current = geq * v - ieq, flowing b -> a.
+      // The state holds ieq = geq * v + i at the regular step dt; a step of
+      // another size derives its own from it and the last accepted solution,
+      // geq' * v + i = ieq + (geq' - geq) * v.
+      const bool regular = h == opt_.dt;
       for (std::size_t k = 0; k < cap_pos_.size(); ++k) {
-        const double geq = cap_geq_[k];
         const auto [pa, pb] = cap_pos_[k];
-        const double* __restrict sv = cap_v_.data() + k * w_ + j0;
-        const double* __restrict si = cap_i_.data() + k * w_ + j0;
-        double* ra = pa == npos ? nullptr : rhs + pa * w_;
-        double* rb = pb == npos ? nullptr : rhs + pb * w_;
-        // Norton companion: device current = geq * v - ieq, flowing b -> a.
-        // A ground terminal takes no write; the branch is per device.
-        const auto stamp = [&](auto to_a, auto to_b) {
-          for (std::size_t j = 0; j < lanes; ++j) {
-            const double ieq = geq * sv[j] + si[j];
-            if constexpr (to_b) rb[j] -= ieq;
-            if constexpr (to_a) ra[j] += ieq;
-          }
-        };
-        if (ra != nullptr && rb != nullptr) {
-          stamp(std::true_type{}, std::true_type{});
-        } else if (rb != nullptr) {
-          stamp(std::false_type{}, std::true_type{});
-        } else if (ra != nullptr) {
-          stamp(std::true_type{}, std::false_type{});
+        const double* __restrict sh = cap_hist_.data() + k * w_ + j0;
+        if (regular) {
+          stamp_history(pa, pb, rhs, lanes, [&](std::size_t j) { return sh[j]; });
+          continue;
         }
+        const double dg = cap_geq_[k] - cap_geq_dt_[k];
+        const double* __restrict va = node_row(pa) + j0;
+        const double* __restrict vb = node_row(pb) + j0;
+        stamp_history(pa, pb, rhs, lanes,
+                      [&](std::size_t j) { return sh[j] + dg * (va[j] - vb[j]); });
+      }
+
+      // Folded branch: current G * (v + e) from `from` to `to`, with the
+      // history voltage e = v_L + req * i.
+      for (std::size_t k = 0; k < br_pos_.size(); ++k) {
+        const double g = br_g_[k];
+        const double req = br_req_[k];
+        const auto [pf, pt] = br_pos_[k];
+        const double* __restrict si = br_i_.data() + k * w_ + j0;
+        const double* __restrict sv = br_v_.data() + k * w_ + j0;
+        stamp_history(pt, pf, rhs, lanes,
+                      [&](std::size_t j) { return g * (sv[j] + req * si[j]); });
       }
 
       for (std::size_t k = 0; k < ind_pos_.size(); ++k) {
@@ -483,37 +629,66 @@ private:
       }
 
       // History term of the mutual coupling, mirroring the matrix stamp.
-      const std::vector<ckt::MutualInductor>& mutuals = nl0_.mutual_inductors();
-      for (std::size_t k = 0; k < mutuals.size(); ++k) {
+      for (std::size_t k = 0; k < mut_.size(); ++k) {
         const double req = mut_req_[k];
-        double* rowa = rhs + ind_pos_[mutuals[k].la] * w_;
-        double* rowb = rhs + ind_pos_[mutuals[k].lb] * w_;
-        const double* ia = ind_i_.data() + mutuals[k].la * w_ + j0;
-        const double* ib = ind_i_.data() + mutuals[k].lb * w_ + j0;
+        double* rowa = rhs + ind_pos_[mut_[k].a] * w_;
+        double* rowb = rhs + ind_pos_[mut_[k].b] * w_;
+        const double* ia = ind_i_.data() + mut_[k].a * w_ + j0;
+        const double* ib = ind_i_.data() + mut_[k].b * w_ + j0;
         for (std::size_t j = 0; j < lanes; ++j) rowa[j] -= req * ib[j];
         for (std::size_t j = 0; j < lanes; ++j) rowb[j] -= req * ia[j];
       }
     }
 
-    // The only lane-divergent input: each lane evaluates its own source
-    // waveforms (the matrix never sees them).
-    for (std::size_t k = 0; k < vsrc_pos_.size(); ++k) {
-      double* row = rhs + vsrc_pos_[k] * w_;
-      for (std::size_t j = 0; j < lanes; ++j) {
-        row[j] = lane_net_[j0 + j]->vsources()[k].voltage.value_at(t);
-      }
+    for (const Term& term : known_terms_) {
+      const double a = term.a;
+      double* __restrict row = rhs + term.row * w_;
+      const double* __restrict v = rhs + term.known * w_;
+      for (std::size_t j = 0; j < lanes; ++j) row[j] -= a * v[j];
     }
   }
 
-  // Seeds device state from the operating point (capacitor currents and
-  // inductor voltages are zero in steady state).
+  // Adds a history current `ieq(j)` that flows into row `in` and out of row
+  // `out` (each skipped unless it is an unknown); the branch on the
+  // terminals is per device, not per lane.
+  template <class L, class Ieq>
+  void stamp_history(std::size_t in, std::size_t out, double* rhs, L lanes, Ieq ieq) {
+    double* ra = in < m_ ? rhs + in * w_ : nullptr;
+    double* rb = out < m_ ? rhs + out * w_ : nullptr;
+    const auto stamp = [&](auto to_a, auto to_b) {
+      for (std::size_t j = 0; j < lanes; ++j) {
+        const double i = ieq(j);
+        if constexpr (to_b) rb[j] -= i;
+        if constexpr (to_a) ra[j] += i;
+      }
+    };
+    if (ra != nullptr && rb != nullptr) {
+      stamp(std::true_type{}, std::true_type{});
+    } else if (rb != nullptr) {
+      stamp(std::false_type{}, std::true_type{});
+    } else if (ra != nullptr) {
+      stamp(std::true_type{}, std::false_type{});
+    }
+  }
+
+  // Seeds device state from the operating point: capacitor currents and
+  // inductor voltages are zero in steady state, and a folded branch's
+  // inductor is a short, so its current is its voltage over R.
   void seed_state(std::size_t a) {
     const Lanes n = lanes(a);
     for (std::size_t k = 0; k < cap_pos_.size(); ++k) {
+      const double geq = cap_geq_dt_[k];
       const double* __restrict va = node_row(cap_pos_[k].a);
       const double* __restrict vb = node_row(cap_pos_[k].b);
-      double* __restrict sv = cap_v_.data() + k * w_;
-      for (std::size_t j = 0; j < n; ++j) sv[j] = va[j] - vb[j];
+      double* __restrict sh = cap_hist_.data() + k * w_;
+      for (std::size_t j = 0; j < n; ++j) sh[j] = geq * (va[j] - vb[j]);
+    }
+    for (std::size_t k = 0; k < br_pos_.size(); ++k) {
+      const double r = br_r_[k];
+      const double* __restrict vf = node_row(br_pos_[k].a);
+      const double* __restrict vt = node_row(br_pos_[k].b);
+      double* __restrict si = br_i_.data() + k * w_;
+      for (std::size_t j = 0; j < n; ++j) si[j] = (vf[j] - vt[j]) / r;
     }
     for (std::size_t k = 0; k < ind_pos_.size(); ++k) {
       double* __restrict si = ind_i_.data() + k * w_;
@@ -522,21 +697,32 @@ private:
     }
   }
 
-  // Advances the companion-model state to the solution just accepted.
-  void advance_state(double h, std::size_t a) {
+  // Advances the companion-model state to the solution a regular step (of
+  // size dt) just accepted.  A capacitor's history becomes
+  // geq * v' + i' = 2 * geq * v' - ieq.
+  void advance_state(std::size_t a) {
     const Lanes n = lanes(a);
-    set_companions(h);
+    set_companions(opt_.dt);
     for (std::size_t k = 0; k < cap_pos_.size(); ++k) {
-      const double geq = cap_geq_[k];
+      const double geq2 = 2.0 * cap_geq_dt_[k];
       const double* __restrict va = node_row(cap_pos_[k].a);
       const double* __restrict vb = node_row(cap_pos_[k].b);
-      double* __restrict sv = cap_v_.data() + k * w_;
-      double* __restrict si = cap_i_.data() + k * w_;
+      double* __restrict sh = cap_hist_.data() + k * w_;
+      for (std::size_t j = 0; j < n; ++j) sh[j] = geq2 * (va[j] - vb[j]) - sh[j];
+    }
+    for (std::size_t k = 0; k < br_pos_.size(); ++k) {
+      const double g = br_g_[k];
+      const double req = br_req_[k];
+      const double r = br_r_[k];
+      const double* __restrict vf = node_row(br_pos_[k].a);
+      const double* __restrict vt = node_row(br_pos_[k].b);
+      double* __restrict si = br_i_.data() + k * w_;
+      double* __restrict sv = br_v_.data() + k * w_;
       for (std::size_t j = 0; j < n; ++j) {
-        const double v_new = va[j] - vb[j];
-        const double i_new = geq * (v_new - sv[j]) - si[j];
-        sv[j] = v_new;
+        const double v = vf[j] - vt[j];
+        const double i_new = g * (v + (sv[j] + req * si[j]));
         si[j] = i_new;
+        sv[j] = v - r * i_new;
       }
     }
     for (std::size_t k = 0; k < ind_pos_.size(); ++k) {
@@ -591,11 +777,13 @@ private:
     try {
       if (lane_budget_[j]) lane_budget_[j]->charge_transient_steps(1, "transient");
       const double h = lane_tstop_[j] - t;
-      if (!tail_) tail_ = detail::make_solver(structure_, kind_, opt_.budget);
-      refactor(*tail_, h, kGmin);
       assemble_rhs(t + h, h, j, OneLane{});
-      tail_->solve_block(std::span<double>(rhsb_).subspan(j), 1, w_);
-      for (std::size_t i = 0; i < m_; ++i) xb_[i * w_ + j] = rhsb_[i * w_ + j];
+      if (m_ > 0) {
+        if (!tail_) tail_ = detail::make_solver(structure_, kind_, opt_.budget);
+        refactor(*tail_, h, kGmin);
+        tail_->solve_block(std::span<double>(rhsb_).subspan(j), 1, w_);
+      }
+      for (std::size_t i = 0; i < rows_; ++i) xb_[i * w_ + j] = rhsb_[i * w_ + j];
       record_lane(j, t + h);
       finalize(j);
     } catch (...) {
@@ -604,7 +792,7 @@ private:
   }
 
   bool lane_finite(std::size_t j) const {
-    for (std::size_t i = 0; i < m_; ++i) {
+    for (std::size_t i = 0; i < rows_; ++i) {
       if (!std::isfinite(xb_[i * w_ + j])) return false;
     }
     return true;
@@ -621,6 +809,7 @@ private:
       fail_nonfinite(j);
       return;
     }
+    results_[j].set_factored_columns(factored_columns_);
     out_[lane_slot_[j]].result = std::move(results_[j]);
   }
 
@@ -635,9 +824,10 @@ private:
       }
     };
     if (j + 1 < a) {
-      shift(xb_, m_);
-      shift(cap_v_, cap_pos_.size());
-      shift(cap_i_, cap_pos_.size());
+      shift(xb_, rows_);
+      shift(cap_hist_, cap_pos_.size());
+      shift(br_i_, br_pos_.size());
+      shift(br_v_, br_pos_.size());
       shift(ind_i_, ind_pos_.size());
       shift(ind_v_, ind_pos_.size());
     }
@@ -654,21 +844,31 @@ private:
   const TransientOptions& opt_;
   const Netlist& nl0_;
   MnaStructure structure_;
-  std::size_t m_;
+  std::size_t m_;     // unknowns
+  std::size_t rows_;  // solution-block rows: the unknowns, then the known rows
   bool newton_;
   SolverKind kind_;  // the backend every solve of this run factors with
-  std::unique_ptr<detail::LinearSolver> solver_;
+  std::unique_ptr<detail::LinearSolver> solver_;  // null without unknowns
   std::unique_ptr<detail::LinearSolver> tail_;
   std::vector<NodeId> probes_;
   std::span<BlockOutcome> out_;
 
-  // Unknown indices resolved once at construction (npos = ground).
-  std::vector<Pair> cap_pos_;
-  std::vector<std::size_t> ind_pos_;
+  // Rows resolved once at construction (npos = ground), and the device
+  // values the companion coefficients are computed from.
+  std::vector<Pair> cap_pos_;  // capacitors with an unknown terminal
+  std::vector<double> cap_c_;
+  std::vector<Pair> br_pos_;   // folded branches: {from, to}
+  std::vector<double> br_r_;
+  std::vector<double> br_l_;
+  std::vector<std::size_t> ind_pos_;  // inductors that keep a branch row
   std::vector<Pair> ind_nodes_;
-  std::vector<std::size_t> vsrc_pos_;
+  std::vector<double> ind_l_;
+  std::vector<Mutual> mut_;
+  std::vector<std::size_t> vsrc_pos_;  // sources that keep a branch row
+  std::vector<std::size_t> vsrc_dev_;
+  std::vector<Term> known_terms_;
   std::vector<MosPos> mos_pos_;
-  std::size_t first_mos_col_ = npos;  // smallest MOSFET terminal position
+  std::size_t first_mos_col_ = npos;  // smallest unknown MOSFET terminal row
   std::vector<std::size_t> probe_pos_;
   std::vector<std::size_t> watch_pos_;  // measured-edge stop nodes
 
@@ -685,15 +885,20 @@ private:
   [[no_unique_address]] Lanes w_{};
   std::vector<double> xb_;    // solution (the Newton iterate on that path)
   std::vector<double> rhsb_;  // right-hand side, solved in place
-  std::vector<double> cap_v_;
-  std::vector<double> cap_i_;
+  std::vector<double> rhs_lin_;  // a Newton step's linear right-hand side
+  std::vector<double> cap_hist_;  // capacitor history geq * v + i at dt
+  std::vector<double> br_i_;  // folded branch current
+  std::vector<double> br_v_;  // folded branch inductor voltage
   std::vector<double> ind_i_;
   std::vector<double> ind_v_;
   std::vector<double> zero_row_;  // a ground terminal's row: w_ zeros
   std::vector<double> probe_vals_;
 
   // Companion coefficients per device at step size coef_h_.
-  std::vector<double> cap_geq_;  // 2C/h
+  std::vector<double> cap_geq_;     // 2C/h
+  std::vector<double> cap_geq_dt_;  // 2C/dt, the history's coefficient
+  std::vector<double> br_req_;   // 2L/h
+  std::vector<double> br_g_;     // 1/(R + 2L/h)
   std::vector<double> ind_req_;  // 2L/h
   std::vector<double> mut_req_;  // 2M/h
   double coef_h_ = std::numeric_limits<double>::quiet_NaN();
@@ -702,6 +907,7 @@ private:
   // factor-once path, the saved static image on the cached Newton path.
   double held_h_ = std::numeric_limits<double>::quiet_NaN();
   double held_gmin_ = std::numeric_limits<double>::quiet_NaN();
+  std::size_t factored_columns_ = 0;  // columns of the last factorization
 };
 
 }  // namespace
@@ -731,7 +937,10 @@ SolverKind solver_kind_from_string(std::string_view name) {
 
 SolverKind selected_solver(const ckt::Netlist& netlist,
                            const TransientOptions& options) {
-  return detail::resolve_solver_kind(MnaStructure(netlist), options);
+  const std::span<const NodeId> watch =
+      options.edge_stop.enabled() ? std::span<const NodeId>(options.edge_stop.watch)
+                                  : std::span<const NodeId>();
+  return detail::resolve_solver_kind(MnaStructure(netlist, watch), options);
 }
 
 TransientResult::TransientResult(std::vector<ckt::NodeId> probes, std::size_t reserve_steps,
@@ -764,15 +973,14 @@ OperatingPoint dc_operating_point(const ckt::Netlist& netlist,
   OperatingPoint op;
   op.node_voltage.resize(netlist.node_count(), 0.0);
   for (ckt::NodeId n = 1; n < netlist.node_count(); ++n) {
-    op.node_voltage[n] = x[structure.node_index(n)];
+    const std::size_t row = structure.node_index(n);
+    if (row != MnaStructure::npos) op.node_voltage[n] = x[row];
   }
-  op.inductor_current.resize(netlist.inductors().size());
-  for (std::size_t k = 0; k < netlist.inductors().size(); ++k) {
-    op.inductor_current[k] = x[structure.inductor_index(k)];
-  }
-  op.vsource_current.resize(netlist.vsources().size());
-  for (std::size_t k = 0; k < netlist.vsources().size(); ++k) {
-    op.vsource_current[k] = x[structure.vsource_index(k)];
+  // A folded node sits across its branch's inductor, a short in DC, from the
+  // branch's `to` end (whose row the loop above has read).
+  for (const MnaStructure::FoldedBranch& b : structure.folded_branches()) {
+    const ckt::Resistor& r = netlist.resistors()[b.resistor];
+    op.node_voltage[r.a == b.from ? r.b : r.a] = op.node_voltage[b.to];
   }
   return op;
 }

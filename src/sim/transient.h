@@ -1,8 +1,10 @@
 // Transient circuit simulation (the reproduction's HSPICE substitute).
 //
-// Fixed-step MNA integration with trapezoidal companion models,
-// Newton-Raphson for the MOSFET driver, and a DC operating point with gmin
-// stepping (1e-12 S from every node to ground).  The Jacobian is factored by one of three
+// Fixed-step MNA integration with trapezoidal companion models on the
+// reduced system of ckt::MnaStructure (series R-L pairs folded into companion
+// branches, source-held nodes on the right-hand side), Newton-Raphson for the
+// MOSFET driver, and a DC operating point with gmin stepping (1e-12 S from
+// every unknown node to ground).  The Jacobian is factored by one of three
 // interchangeable backends (SolverKind): a banded LU after reverse
 // Cuthill-McKee ordering (discretized lines are nearly tridiagonal), a
 // compressed-sparse LU with fill-reducing ordering for large trees and wide
@@ -91,10 +93,11 @@ struct TransientOptions {
   //   by (1 + skew) in the *cached* assembly path only, so any nonzero value
   //   breaks the cached==naive contract and must be caught by the
   //   equivalence oracles.
-  //   debug_cached_stamp_nan poisons the first capacitor's cached-path stamp
-  //   with NaN; the chaos oracles prove the simulator surfaces this as a
-  //   classified failure (the non-finite solution guard below) instead of a
-  //   hang or a silently-NaN waveform.
+  //   debug_cached_stamp_nan poisons with NaN the cached-path stamp of the
+  //   first capacitor that stamps the matrix (one whose terminals are all
+  //   ground or source-held nodes stamps nothing); the chaos oracles prove
+  //   the simulator surfaces this as a classified failure (the non-finite
+  //   solution guard below) instead of a hang or a silently-NaN waveform.
   double debug_cached_stamp_skew = 0.0;
   bool debug_cached_stamp_nan = false;
 };
@@ -113,6 +116,13 @@ public:
   // deck, known without rebuilding the MNA structure.  Never automatic.
   SolverKind solver() const { return solver_; }
 
+  // Columns the run's last factorization factored: every unknown on a full
+  // factorization, only the columns from the first MOSFET terminal on when
+  // a cached Newton iteration refactors its dynamic tail, 0 when the deck
+  // has no unknowns.  A work count, the same on every host.
+  std::size_t factored_columns() const { return factored_columns_; }
+  void set_factored_columns(std::size_t columns) { factored_columns_ = columns; }
+
   // Appends one sample: `per_probe` holds one value per probes() entry, in
   // probe order.
   void record_probe_values(double time, std::span<const double> per_probe);
@@ -121,21 +131,23 @@ private:
   std::vector<ckt::NodeId> probes_;
   std::vector<wave::Waveform> waves_;
   SolverKind solver_;
+  std::size_t factored_columns_ = 0;
 };
 
-// DC operating point: node voltages indexed by NodeId (ground included as 0)
-// plus inductor branch currents in netlist order.
+// DC operating point: node voltages indexed by NodeId (ground included as
+// 0).  A node the reduced system folds away reads its branch's inductor end.
 struct OperatingPoint {
   std::vector<double> node_voltage;
-  std::vector<double> inductor_current;
-  std::vector<double> vsource_current;
 };
 
 // The backend simulate() will factor this netlist with: the explicit
 // override when `options.solver` is not automatic, otherwise the heuristic —
 // banded while RCM keeps the band narrow, else sparse when the unknown count
 // is large enough that the estimated sparse LU work beats the dense factor,
-// else dense.  Never returns SolverKind::automatic.
+// else dense.  Never returns SolverKind::automatic.  It sees the watched
+// nodes of options.edge_stop but no probes, so a probe on a node the
+// reduction would fold (which keeps it) can make a run's system larger than
+// the one judged here.
 SolverKind selected_solver(const ckt::Netlist& netlist,
                            const TransientOptions& options = {});
 

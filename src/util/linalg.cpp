@@ -353,6 +353,12 @@ void BandedMatrix::solve_into(std::span<double> x) const {
   substitute(x.data(), OneLane{}, OneLane{});
 }
 
+std::size_t BandedMatrix::row_swaps() const {
+  std::size_t swaps = 0;
+  for (std::size_t k = 0; k < factored_; ++k) swaps += pivot_[k] != k ? 1 : 0;
+  return swaps;
+}
+
 void BandedMatrix::solve_block(std::span<double> x, std::size_t lanes,
                                std::size_t stride) const {
   ensure(factored_ == n_, "BandedMatrix: solve before factor");

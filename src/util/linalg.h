@@ -132,6 +132,10 @@ public:
   // runtime-width instance; no instance touches a column past the last lane.
   void solve_block(std::span<double> x, std::size_t lanes, std::size_t stride) const;
 
+  // Elimination steps of the current factorization whose pivot came from a
+  // row below the diagonal: 0 for a diagonally dominant matrix.
+  std::size_t row_swaps() const;
+
 private:
   template <class Lanes, class Stride>
   void substitute(double* x, Lanes lanes, Stride stride) const;

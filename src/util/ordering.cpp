@@ -26,9 +26,12 @@ std::vector<std::size_t> reverse_cuthill_mckee(const SparsityGraph& g) {
   order.reserve(n);
 
   // Vertices sorted by degree; used both to seed components and to break ties.
+  // Stable sorts break equal degrees by vertex index, so the ordering is the
+  // same on every standard library, and a driver deck's output (the lowest
+  // index of its line's two degree-1 ends) seeds the search and lands last.
   std::vector<std::size_t> by_degree(n);
   for (std::size_t v = 0; v < n; ++v) by_degree[v] = v;
-  std::sort(by_degree.begin(), by_degree.end(), [&](std::size_t a, std::size_t b) {
+  std::stable_sort(by_degree.begin(), by_degree.end(), [&](std::size_t a, std::size_t b) {
     return g.neighbors(a).size() < g.neighbors(b).size();
   });
 
@@ -48,7 +51,7 @@ std::vector<std::size_t> reverse_cuthill_mckee(const SparsityGraph& g) {
           next.push_back(w);
         }
       }
-      std::sort(next.begin(), next.end(), [&](std::size_t a, std::size_t b) {
+      std::stable_sort(next.begin(), next.end(), [&](std::size_t a, std::size_t b) {
         return g.neighbors(a).size() < g.neighbors(b).size();
       });
       for (std::size_t w : next) frontier.push(w);

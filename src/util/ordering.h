@@ -27,7 +27,8 @@ private:
 
 // Returns perm such that new_index = perm[old_index].  Starts each component
 // from a minimum-degree vertex, performs Cuthill-McKee BFS with neighbors
-// visited in increasing degree, and reverses the result.
+// visited in increasing degree, and reverses the result.  Equal degrees go
+// by ascending vertex index.
 std::vector<std::size_t> reverse_cuthill_mckee(const SparsityGraph& g);
 
 // Fill-reducing elimination ordering for the sparse LU (AMD-style greedy

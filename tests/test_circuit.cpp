@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "circuit/builders.h"
 #include "circuit/mna.h"
 #include "test_helpers.h"
@@ -92,36 +94,43 @@ TEST(MnaStructure, CountsUnknowns) {
   nl.add_resistor(a, b, 10.0);
   nl.add_inductor(b, ground, 1e-9);
   const MnaStructure s(nl);
-  // Two node voltages + one source current + one inductor current.
-  EXPECT_EQ(4u, s.unknown_count());
+  // The source holds a, and b folds with its R-L pair into one branch from
+  // a to ground: nothing is left to solve.
+  EXPECT_EQ(0u, s.unknown_count());
+  EXPECT_EQ(1u, s.known_count());
+  EXPECT_EQ(0u, s.node_index(a));  // the first known row
+  EXPECT_EQ(MnaStructure::npos, s.node_index(b));
+  EXPECT_EQ(MnaStructure::npos, s.vsource_index(0));
+  EXPECT_EQ(MnaStructure::npos, s.inductor_index(0));
+  ASSERT_EQ(1u, s.folded_branches().size());
+  EXPECT_EQ(a, s.folded_branches()[0].from);
+  EXPECT_EQ(ground, s.folded_branches()[0].to);
 }
 
 TEST(MnaStructure, IndicesAreDistinctAndInRange) {
   Netlist nl;
   const NodeId in = nl.node("in");
   nl.add_vsource(in, ground, wave::Pwl({{0.0, 1.0}}));
-  append_rlc_ladder(nl, in, 10.0, 1e-9, 1e-12, 5);
+  const LadderNodes ladder = append_rlc_ladder(nl, in, 10.0, 1e-9, 1e-12, 5);
   const MnaStructure s(nl);
 
+  // The five tap voltages are the unknowns; the source node is the one
+  // known row, and every mid node and inductor current folds away.
+  ASSERT_EQ(5u, s.unknown_count());
+  EXPECT_EQ(5u, s.node_index(in));
   std::vector<bool> used(s.unknown_count(), false);
-  for (NodeId n = 1; n < nl.node_count(); ++n) {
-    const std::size_t idx = s.node_index(n);
+  for (std::size_t k = 1; k < ladder.taps.size(); ++k) {
+    const std::size_t idx = s.node_index(ladder.taps[k]);
     ASSERT_LT(idx, s.unknown_count());
     EXPECT_FALSE(used[idx]);
     used[idx] = true;
   }
-  for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
-    const std::size_t idx = s.vsource_index(k);
-    ASSERT_LT(idx, s.unknown_count());
-    EXPECT_FALSE(used[idx]);
-    used[idx] = true;
-  }
+  for (const Inductor& l : nl.inductors()) EXPECT_EQ(MnaStructure::npos, s.node_index(l.a));
   for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
-    const std::size_t idx = s.inductor_index(k);
-    ASSERT_LT(idx, s.unknown_count());
-    EXPECT_FALSE(used[idx]);
-    used[idx] = true;
+    EXPECT_EQ(MnaStructure::npos, s.inductor_index(k));
   }
+  EXPECT_EQ(MnaStructure::npos, s.vsource_index(0));
+  EXPECT_EQ(5u, s.folded_branches().size());
 }
 
 TEST(MnaStructure, LadderBandwidthIsSmallAfterRcm) {
@@ -130,9 +139,84 @@ TEST(MnaStructure, LadderBandwidthIsSmallAfterRcm) {
   nl.add_vsource(in, ground, wave::Pwl({{0.0, 1.0}}));
   append_rlc_ladder(nl, in, 100.0, 5e-9, 1e-12, 100);
   const MnaStructure s(nl);
-  // A 100-segment RLC ladder has ~300 unknowns; RCM must keep the band tiny.
-  EXPECT_GT(s.unknown_count(), 300u);
-  EXPECT_LE(s.bandwidth(), 4u);
+  // A 100-segment RLC ladder reduces to its 100 tap voltages, a chain.
+  EXPECT_EQ(100u, s.unknown_count());
+  EXPECT_EQ(1u, s.bandwidth());
+}
+
+TEST(MnaStructure, ProbedMidNodeStays) {
+  Netlist nl;
+  const NodeId in = nl.node("in");
+  nl.add_vsource(in, ground, wave::Pwl({{0.0, 1.0}}));
+  append_rlc_ladder(nl, in, 10.0, 1e-9, 1e-12, 5);
+  const std::array<NodeId, 1> keep{nl.inductors()[2].a};
+  const MnaStructure s(nl, keep);
+  // The kept mid node and its inductor's branch current join the 5 taps.
+  EXPECT_EQ(7u, s.unknown_count());
+  EXPECT_LT(s.node_index(keep[0]), s.unknown_count());
+  EXPECT_LT(s.inductor_index(2), s.unknown_count());
+  EXPECT_EQ(4u, s.folded_branches().size());
+}
+
+// Two R-L-C sections: a -R- m -L- b with C on a and b.
+struct Section {
+  NodeId a, m, b;
+};
+Section add_section(Netlist& nl) {
+  Section s{nl.add_node(), nl.add_node(), nl.add_node()};
+  nl.add_capacitor(s.a, ground, 1e-15);
+  nl.add_resistor(s.a, s.m, 10.0);
+  nl.add_inductor(s.m, s.b, 1e-9);
+  nl.add_capacitor(s.b, ground, 1e-15);
+  return s;
+}
+
+TEST(MnaStructure, MutuallyCoupledInductorKeepsItsRow) {
+  Netlist nl;
+  add_section(nl);
+  add_section(nl);
+  EXPECT_EQ(4u, MnaStructure(nl).unknown_count());  // a and b of each
+  nl.add_mutual_inductor(0, 1, 0.3e-9);
+  const MnaStructure s(nl);
+  // Each coupled section keeps its mid node and its branch current.
+  EXPECT_EQ(8u, s.unknown_count());
+  EXPECT_TRUE(s.folded_branches().empty());
+}
+
+TEST(MnaStructure, PureInductorSectionKeepsItsRow) {
+  Netlist nl;
+  const NodeId a = nl.add_node();
+  const NodeId b = nl.add_node();
+  nl.add_capacitor(a, ground, 1e-15);
+  nl.add_inductor(a, b, 1e-9);
+  nl.add_capacitor(b, ground, 1e-15);
+  const MnaStructure s(nl);
+  EXPECT_EQ(3u, s.unknown_count());
+  EXPECT_LT(s.inductor_index(0), s.unknown_count());
+}
+
+TEST(MnaStructure, MidNodeWithCapacitorStays) {
+  Netlist nl;
+  const Section sec = add_section(nl);
+  nl.add_capacitor(sec.m, ground, 1e-15);
+  const MnaStructure s(nl);
+  // a, m, b and the inductor current.
+  EXPECT_EQ(4u, s.unknown_count());
+  EXPECT_LT(s.node_index(sec.m), s.unknown_count());
+}
+
+TEST(MnaStructure, FloatingSourceKeepsItsRow) {
+  Netlist nl;
+  const NodeId a = nl.node("a");
+  const NodeId b = nl.node("b");
+  nl.add_vsource(a, b, wave::Pwl({{0.0, 1.0}}));
+  nl.add_resistor(a, ground, 10.0);
+  nl.add_resistor(b, ground, 10.0);
+  const MnaStructure s(nl);
+  // Both node voltages and the source's branch current.
+  EXPECT_EQ(3u, s.unknown_count());
+  EXPECT_EQ(0u, s.known_count());
+  EXPECT_LT(s.vsource_index(0), s.unknown_count());
 }
 
 TEST(MnaStructure, GroundHasNoUnknown) {
