@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "charlib/characterize.h"
 #include "circuit/builders.h"
 #include "circuit/mna.h"
 #include "core/ceff.h"
@@ -216,6 +217,36 @@ StructuralCounts structural_counts() {
   return counts;
 }
 
+// Exact work counts of one cell's characterization: the 100X cell on the
+// standard grid (77 decks), each deck run as characterize_driver runs it,
+// one after another.  Time steps per cell, Newton iterations per step (DC
+// points included) and MOSFET gate-term evaluations per iteration, summed
+// over the decks: counts, the same on every runner.
+struct CharacterizationCounts {
+  std::uint64_t steps = 0;
+  double newton_iterations_per_step = 0.0;
+  double gate_evaluations_per_iteration = 0.0;
+};
+
+CharacterizationCounts characterization_counts() {
+  const tech::Technology technology = tech::Technology::cmos180();
+  const tech::Inverter cell{100.0};
+  const charlib::CharacterizationGrid grid = charlib::CharacterizationGrid::standard();
+  std::uint64_t steps = 0, iterations = 0, gate_evaluations = 0;
+  for (double slew : grid.input_slews) {
+    for (double c_load : grid.loads) {
+      const sim::TransientResult run = tech::run_driver_cap_load(
+          technology, cell, slew, c_load,
+          charlib::characterization_deck(technology, cell, slew, c_load));
+      steps += run.at(run.probes()[0]).size() - 1;
+      iterations += run.newton_iterations();
+      gate_evaluations += run.gate_evaluations();
+    }
+  }
+  return {steps, static_cast<double>(iterations) / static_cast<double>(steps),
+          static_cast<double>(gate_evaluations) / static_cast<double>(iterations)};
+}
+
 // Engine batch throughput: the Fig-7 sweep grid (7 lengths x 7 widths x 4
 // slews, one driver) evaluated model-only through api::Engine::run_batch —
 // the "library-based static timing engine" workload the facade serves.  A
@@ -292,6 +323,7 @@ void emit_perf_json() {
   const double refactor_speedup = driver_naive.ns_per_step / driver_cached.ns_per_step;
   const CoupledTiming coupled = time_coupled_driver();
   const StructuralCounts counts = structural_counts();
+  const CharacterizationCounts characterization = characterization_counts();
   const BatchTiming batch = time_engine_batch();
 
   // Bench name "perf": BENCH_perf.json is shared with large_topology, which
@@ -313,6 +345,12 @@ void emit_perf_json() {
         static_cast<double>(counts.driver_refactored_columns), "count"},
        {"characterization_deck_unknowns",
         static_cast<double>(counts.characterization_unknowns), "count"},
+       {"characterization_steps_per_cell", static_cast<double>(characterization.steps),
+        "count"},
+       {"characterization_newton_iterations_per_step",
+        characterization.newton_iterations_per_step, "count"},
+       {"characterization_gate_evaluations_per_iteration",
+        characterization.gate_evaluations_per_iteration, "count"},
        {"coupled_driver_unknowns", static_cast<double>(coupled.timing.unknowns), "count"},
        {"coupled_driver_bandwidth", static_cast<double>(coupled.bandwidth), "count"},
        {"coupled_driver_cached_ns_per_step", coupled.timing.ns_per_step, "ns/step"},
@@ -336,6 +374,11 @@ void emit_perf_json() {
               refactor_speedup, counts.driver_refactored_columns);
   std::printf("  characterization deck (inverter into a capacitor): %zu unknown(s)\n",
               counts.characterization_unknowns);
+  std::printf("  100X cell, standard grid: %llu steps, %.3f Newton iterations per step, "
+              "%.3f gate-term evaluations per iteration\n",
+              static_cast<unsigned long long>(characterization.steps),
+              characterization.newton_iterations_per_step,
+              characterization.gate_evaluations_per_iteration);
   std::printf("== Newton transient (coupled deck of fleet net 141, %zu unknowns, "
               "half-bandwidth %zu, %zu steps) ==\n",
               coupled.timing.unknowns, coupled.bandwidth, coupled.timing.steps);
@@ -436,6 +479,9 @@ int main(int argc, char** argv) {
              "linear_line_factor_once_speedup", "driver_line_cached_ns_per_step",
              "driver_line_naive_ns_per_step", "driver_line_refactor_speedup",
              "driver_line_refactored_columns", "characterization_deck_unknowns",
+             "characterization_steps_per_cell",
+             "characterization_newton_iterations_per_step",
+             "characterization_gate_evaluations_per_iteration",
              "coupled_driver_unknowns", "coupled_driver_bandwidth",
              "coupled_driver_cached_ns_per_step", "engine_batch_nets",
              "engine_batch_nets_per_s",

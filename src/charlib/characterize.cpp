@@ -40,6 +40,21 @@ double CharacterizedDriver::driver_resistance(double input_slew, double c_load) 
   return resistance_.lookup(input_slew, c_load);
 }
 
+tech::DeckOptions characterization_deck(const tech::Technology& technology,
+                                        const tech::Inverter& cell, double input_slew,
+                                        double c_load) {
+  // Rough RC estimate used only to size the simulation horizon.
+  const double rs_estimate = 3.7e3 / cell.size;
+  tech::DeckOptions deck;
+  deck.t_start = 10 * ps;
+  const double settle = 6.0 * rs_estimate * (c_load + cell.output_capacitance(technology));
+  deck.t_stop = deck.t_start + input_slew + std::max(300 * ps, settle);
+  deck.dt = 0.25 * ps;
+  // Only the output edge is measured: end the run at its 90 % crossing.
+  deck.sim.edge_stop.vdd = technology.vdd;
+  return deck;
+}
+
 CharacterizedDriver characterize_driver(const tech::Technology& technology,
                                         const tech::Inverter& cell,
                                         const CharacterizationGrid& grid) {
@@ -52,24 +67,13 @@ CharacterizedDriver characterize_driver(const tech::Technology& technology,
   std::vector<double> tran_vals(n_slew * n_load);
   std::vector<double> rs_vals(n_slew * n_load);
 
-  // Rough RC estimate used only to size the simulation horizon.
-  const double rs_estimate = 3.7e3 / cell.size;
-
   // Every grid point is an independent deck; run them on the sweep pool.
   sim::run_indexed_sweep(
       n_slew * n_load,
       [&](std::size_t k) {
         const double slew = grid.input_slews[k / n_load];
         const double c_load = grid.loads[k % n_load];
-
-        tech::DeckOptions deck;
-        deck.t_start = 10 * ps;
-        const double settle =
-            6.0 * rs_estimate * (c_load + cell.output_capacitance(technology));
-        deck.t_stop = deck.t_start + slew + std::max(300 * ps, settle);
-        deck.dt = 0.25 * ps;
-        // Only the output edge is measured: end the run at its 90 % crossing.
-        deck.sim.edge_stop.vdd = technology.vdd;
+        const tech::DeckOptions deck = characterization_deck(technology, cell, slew, c_load);
 
         double input_t50 = 0.0;
         const wave::Waveform out = tech::simulate_driver_cap_load(

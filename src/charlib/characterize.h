@@ -62,6 +62,13 @@ private:
   Table2D resistance_;
 };
 
+// The options of grid point (input_slew, c_load)'s deck, an inverter into a
+// capacitor (tech::simulate_driver_cap_load): 0.25 ps steps to a horizon
+// sized from a rough RC estimate, ended at the output's measured edge.
+tech::DeckOptions characterization_deck(const tech::Technology& technology,
+                                        const tech::Inverter& cell, double input_slew,
+                                        double c_load);
+
 // Runs the characterization grid with the simulator.
 CharacterizedDriver characterize_driver(const tech::Technology& technology,
                                         const tech::Inverter& cell,

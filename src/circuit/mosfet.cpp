@@ -4,59 +4,45 @@
 
 namespace rlceff::ckt {
 
-namespace {
+MosfetGateTerms gate_terms(const MosfetParams& p, double width, double vgt) {
+  MosfetGateTerms g;
+  g.vgt = vgt;
+  g.idsat = width * p.k_sat * std::pow(vgt, p.alpha);
+  g.didsat_dvgt = p.alpha * g.idsat / vgt;
+  g.vdsat = p.kv * std::pow(vgt, 0.5 * p.alpha);
+  g.dvdsat_dvgt = 0.5 * p.alpha * g.vdsat / vgt;
+  return g;
+}
 
-// Forward evaluation assuming vds >= 0.
-MosfetEval eval_forward(const MosfetParams& p, double width, double vgs, double vds) {
+MosfetEval drain_terms(const MosfetParams& p, const MosfetGateTerms& gate, double vds) {
   MosfetEval e;
-  const double vgt = vgs - p.vth;
-  if (vgt <= 0.0) return e;  // off; gmin in the stamps keeps Newton regular
-
-  const double idsat = width * p.k_sat * std::pow(vgt, p.alpha);
-  const double didsat_dvgt = p.alpha * idsat / vgt;
-  const double vdsat = p.kv * std::pow(vgt, 0.5 * p.alpha);
-  const double dvdsat_dvgt = 0.5 * p.alpha * vdsat / vgt;
   const double clm = 1.0 + p.lambda * vds;
 
-  if (vds >= vdsat) {
-    e.id = idsat * clm;
-    e.gm = didsat_dvgt * clm;
-    e.gds = idsat * p.lambda;
+  if (vds >= gate.vdsat) {
+    e.id = gate.idsat * clm;
+    e.gm = gate.didsat_dvgt * clm;
+    e.gds = gate.idsat * p.lambda;
     return e;
   }
 
   // Triode: quadratic interpolation that is C1-continuous at vds = vdsat.
-  const double u = vds / vdsat;
+  const double u = vds / gate.vdsat;
   const double shape = u * (2.0 - u);
-  const double du_dvgt = -u * dvdsat_dvgt / vdsat;
-  e.id = idsat * shape * clm;
-  e.gds = idsat * ((2.0 - 2.0 * u) / vdsat * clm + shape * p.lambda);
-  e.gm = (didsat_dvgt * shape + idsat * (2.0 - 2.0 * u) * du_dvgt) * clm;
+  const double du_dvgt = -u * gate.dvdsat_dvgt / gate.vdsat;
+  e.id = gate.idsat * shape * clm;
+  e.gds = gate.idsat * ((2.0 - 2.0 * u) / gate.vdsat * clm + shape * p.lambda);
+  e.gm = (gate.didsat_dvgt * shape + gate.idsat * (2.0 - 2.0 * u) * du_dvgt) * clm;
   return e;
 }
 
-}  // namespace
-
 MosfetEval eval_nmos(const MosfetParams& p, double width, double vgs, double vds) {
-  if (vds >= 0.0) return eval_forward(p, width, vgs, vds);
-  // Drain and source exchange roles: evaluate with the true source (terminal
-  // "d") as reference and map the derivatives back.
-  const MosfetEval r = eval_forward(p, width, vgs - vds, -vds);
-  MosfetEval e;
-  e.id = -r.id;
-  e.gm = -r.gm;
-  e.gds = r.gm + r.gds;
-  return e;
+  return eval_mosfet(p, false, vgs, vds,
+                     [&](double vgt) { return gate_terms(p, width, vgt); });
 }
 
 MosfetEval eval_pmos(const MosfetParams& p, double width, double vgs, double vds) {
-  // A P device is an N device with every polarity reversed.
-  const MosfetEval r = eval_nmos(p, width, -vgs, -vds);
-  MosfetEval e;
-  e.id = -r.id;
-  e.gm = r.gm;
-  e.gds = r.gds;
-  return e;
+  return eval_mosfet(p, true, vgs, vds,
+                     [&](double vgt) { return gate_terms(p, width, vgt); });
 }
 
 }  // namespace rlceff::ckt

@@ -10,8 +10,17 @@
 // N-type device and its derivatives.  Negative Vds is handled by the
 // source/drain symmetry swap; P-type devices are evaluated by polarity
 // reversal.  Current is proportional to drawn gate width.
+//
+// An evaluation is the composition of two parts.  The gate terms depend on
+// the forward device's gate overdrive vgt = vgs - vth alone and hold both
+// std::pow calls; the drain terms combine them with vds.  A caller that
+// evaluates one device repeatedly (the transient stepper's Newton loop) can
+// keep the gate terms and reuse them while vgt repeats bit for bit: equal
+// inputs give equal outputs, so the result stays the one-shot evaluation's.
 #ifndef RLCEFF_CIRCUIT_MOSFET_H
 #define RLCEFF_CIRCUIT_MOSFET_H
+
+#include <limits>
 
 namespace rlceff::ckt {
 
@@ -28,6 +37,47 @@ struct MosfetEval {
   double gm = 0.0;    // d id / d vgs [S]
   double gds = 0.0;   // d id / d vds [S]
 };
+
+// The gate terms of a forward evaluation (N polarity, vds >= 0) at overdrive
+// `vgt`.  A default record holds NaN there, which no overdrive equals.
+struct MosfetGateTerms {
+  double vgt = std::numeric_limits<double>::quiet_NaN();  // [V]
+  double idsat = 0.0;        // saturation current [A]
+  double didsat_dvgt = 0.0;  // [S]
+  double vdsat = 0.0;        // saturation voltage [V]
+  double dvdsat_dvgt = 0.0;
+};
+
+// Gate terms of an on device (vgt > 0).
+MosfetGateTerms gate_terms(const MosfetParams& p, double width, double vgt);
+
+// Drain terms: the forward evaluation at vds >= 0 from its gate terms.
+MosfetEval drain_terms(const MosfetParams& p, const MosfetGateTerms& gate, double vds);
+
+// An evaluation of either polarity (eval_pmos's operands when `pmos`,
+// eval_nmos's otherwise) composed from the two parts.  The polarity reversal
+// and the symmetry swap give the forward device's overdrive vgt.  An off
+// device (vgt <= 0) returns zeros; an on one takes its gate terms from
+// gate_of(vgt), called once, which must return gate_terms(p, width, vgt) or
+// an equal record.
+template <class GateOf>
+MosfetEval eval_mosfet(const MosfetParams& p, bool pmos, double vgs, double vds,
+                       GateOf&& gate_of) {
+  // A P device is an N device with every polarity reversed.
+  if (pmos) {
+    vgs = -vgs;
+    vds = -vds;
+  }
+  // With vds < 0 drain and source exchange roles: the forward device takes
+  // the true source (terminal "d") as reference.
+  const bool forward = vds >= 0.0;
+  const double vgt = (forward ? vgs : vgs - vds) - p.vth;
+  MosfetEval e;  // off: zero; gmin in the stamps keeps Newton regular
+  if (!(vgt <= 0.0)) e = drain_terms(p, gate_of(vgt), forward ? vds : -vds);
+  if (!forward) e = {-e.id, -e.gm, e.gm + e.gds};
+  if (pmos) e.id = -e.id;
+  return e;
+}
 
 // N-type evaluation for arbitrary vds (symmetry swap applied internally).
 MosfetEval eval_nmos(const MosfetParams& p, double width, double vgs, double vds);

@@ -41,6 +41,11 @@ namespace rlceff::sim::detail {
 // as an n x stride row-major block, with every lane's operation sequence
 // identical to solve_into on that lane alone.
 //
+// entry(r, c) resolves working entry (r, c) once, for the stamps a Newton
+// loop repeats every iteration: accumulating through the pointer equals
+// add(r, c, v), and it stays valid across clear(), load_static() and
+// factor() for the solver's lifetime.
+//
 // save_static(first) also promises that between load_static() and factor()
 // only columns first..n-1 change.  A backend may then, once it has factored
 // a matrix restored from that image in full, restore and refactor only
@@ -53,6 +58,7 @@ public:
   virtual ~LinearSolver() = default;
   virtual void clear() = 0;
   virtual void add(std::size_t r, std::size_t c, double v) = 0;
+  virtual double* entry(std::size_t r, std::size_t c) = 0;
   virtual void save_static(std::size_t first) = 0;
   virtual void load_static() = 0;
   virtual std::size_t factor() = 0;
@@ -71,6 +77,7 @@ public:
     loaded_ = kept_ = false;
   }
   void add(std::size_t r, std::size_t c, double v) override { a_.add(r, c, v); }
+  double* entry(std::size_t r, std::size_t c) override { return a_.entry(r, c); }
   void save_static(std::size_t first) override {
     // Lazy: only the nonlinear cached path pays for the second matrix.
     if (!static_image_) static_image_.emplace(n_, bw_, bw_);
@@ -110,6 +117,8 @@ public:
   explicit DenseSolver(std::size_t n) : n_(n), a_(n, n) {}
   void clear() override { a_.set_zero(); }
   void add(std::size_t r, std::size_t c, double v) override { a_(r, c) += v; }
+  // load_static's copy assignment keeps a_'s storage: the sizes are equal.
+  double* entry(std::size_t r, std::size_t c) override { return &a_(r, c); }
   void save_static(std::size_t /*first*/) override { static_image_ = a_; }
   void load_static() override { a_ = static_image_; }
   std::size_t factor() override {
@@ -146,6 +155,9 @@ public:
   }
   void clear() override { a_.set_zero(); }
   void add(std::size_t r, std::size_t c, double v) override { a_.add(r, c, v); }
+  double* entry(std::size_t r, std::size_t c) override {
+    return &a_.values()[a_.position(r, c)];
+  }
   void save_static(std::size_t /*first*/) override {
     if (!static_image_) {
       static_image_.emplace(a_);

@@ -204,12 +204,22 @@ public:
       couple(j, pos(v.pos), Term::Of::fixed, 0, 1.0);
       couple(j, pos(v.neg), Term::Of::fixed, 0, -1.0);
     }
+    // A MOSFET stamp whose row and column are both unknowns accumulates into
+    // the matrix entry resolved here; a known column moves to the RHS.
     for (const ckt::Mosfet& mos : nl0_.mosfets()) {
-      mos_pos_.push_back({pos(mos.drain), pos(mos.gate), pos(mos.source)});
-      for (std::size_t p : {pos(mos.drain), pos(mos.gate), pos(mos.source)}) {
-        if (unknown(p)) first_mos_col_ = std::min(first_mos_col_, p);
+      const MosPos p{pos(mos.drain), pos(mos.gate), pos(mos.source)};
+      mos_pos_.push_back(p);
+      for (std::size_t q : {p.drain, p.gate, p.source}) {
+        if (unknown(q)) first_mos_col_ = std::min(first_mos_col_, q);
       }
+      const auto entry = [&](std::size_t r, std::size_t c) {
+        return unknown(r) && unknown(c) ? solver_->entry(r, c) : nullptr;
+      };
+      mos_entry_.push_back({entry(p.drain, p.drain), entry(p.drain, p.gate),
+                            entry(p.drain, p.source), entry(p.source, p.source),
+                            entry(p.source, p.gate), entry(p.source, p.drain)});
     }
+    gate_.resize(mos_pos_.size());
     cap_geq_.resize(cap_pos_.size());
     for (double c : cap_c_) cap_geq_dt_.push_back(2.0 * c / options.dt);
     br_req_.resize(br_pos_.size());
@@ -242,7 +252,10 @@ public:
     if constexpr (!kOneLane) w_ = lane_slot_.size();
     xb_.assign(rows_ * w_, 0.0);
     rhsb_.assign(rows_ * w_, 0.0);
-    if (newton_) rhs_lin_.assign(rows_, 0.0);
+    if (newton_) {
+      rhs_lin_.assign(rows_, 0.0);
+      x_last_.assign(m_, 0.0);
+    }
     cap_hist_.assign(cap_pos_.size() * w_, 0.0);
     br_i_.assign(br_pos_.size() * w_, 0.0);
     br_v_.assign(br_pos_.size() * w_, 0.0);
@@ -353,6 +366,10 @@ private:
     std::size_t gate;
     std::size_t source;
   };
+
+  // A MOSFET's matrix entries in stamp order (dd, dg, ds, ss, sg, sd); null
+  // where the row or the column is not an unknown.
+  using MosEntries = std::array<double*, 6>;
 
   struct Mutual {
     std::size_t a;  // slots of the two coupled inductors
@@ -467,10 +484,11 @@ private:
     std::swap(xb_, rhsb_);
   }
 
-  // Newton-Raphson on the one lane's step system, xb_ holding the iterate
-  // (also the initial guess).  The linear right-hand side is the same in
-  // every iteration, so it is assembled once, before them, from the last
-  // accepted solution; the iterate takes the known nodes' values at t.
+  // Newton-Raphson on the one lane's step system, xb_ holding the iterate.
+  // The linear right-hand side is the same in every iteration, so it is
+  // assembled once, before them, from the last accepted solution; the
+  // iterate then takes the known nodes' values at t, and a time step after
+  // the run's first starts its unknowns from the predictor (predict).
   // Cached assembly restores the linear stamps from the static image each
   // iteration and restamps only the MOSFETs, so only columns from
   // first_mos_col_ on change and the banded backend refactors just those;
@@ -489,8 +507,10 @@ private:
     std::copy(rhsb_.begin(), rhsb_.end(), rhs_lin_.begin());
     std::copy(rhsb_.begin() + static_cast<std::ptrdiff_t>(m_), rhsb_.end(),
               xb_.begin() + static_cast<std::ptrdiff_t>(m_));
+    if (h > 0.0) predict(h);
     for (int iter = 0; iter < util::iter_defaults::newton; ++iter) {
       if (opt_.budget) opt_.budget->check("transient newton");
+      ++newton_iterations_;
       if (cached) {
         solver_->load_static();
       } else {
@@ -499,7 +519,7 @@ private:
                                        /*cached_path=*/false);
       }
       std::copy(rhs_lin_.begin(), rhs_lin_.end(), rhsb_.begin());
-      stamp_mosfets();
+      stamp_mosfets(cached);
       factored_columns_ = solver_->factor();
       solver_->solve_into(std::span<double>(rhsb_).first(m_));
       if (mos_pos_.empty()) {
@@ -523,36 +543,64 @@ private:
     throw ConvergenceError("transient: Newton failed to converge");
   }
 
+  // First-order predictor: the unknowns of the step from t_n to t_n + h
+  // start at x_n + (h / h_prev) * (x_n - x_{n-1}), extrapolated from the
+  // last two accepted solutions, and x_n becomes the next step's x_{n-1}.
+  // The run's first time step has no x_{n-1} and starts at x_n.
+  void predict(double h) {
+    if (h_last_ > 0.0) {
+      const double r = h / h_last_;
+      for (std::size_t k = 0; k < m_; ++k) {
+        const double x = xb_[k];
+        xb_[k] = x + r * (x - x_last_[k]);
+        x_last_[k] = x;
+      }
+    } else {
+      std::copy(xb_.begin(), xb_.begin() + static_cast<std::ptrdiff_t>(m_), x_last_.begin());
+    }
+    h_last_ = h;
+  }
+
   // MOSFET linearization around the current Newton iterate: the only stamps
   // that change between iterations (matrix and RHS).  A known terminal's
   // column moves to the right-hand side; its row is not in the system.
-  void stamp_mosfets() {
-    const auto stamp = [&](std::size_t r, std::size_t c, double a) {
-      if (r >= m_) return;
-      if (c < m_) {
-        solver_->add(r, c, a);
-      } else if (c != npos) {
-        rhsb_[r] -= a * xb_[c];
-      }
-    };
+  // Each device keeps the gate terms of its last on evaluation and reuses
+  // them while its forward overdrive repeats bit for bit (`reuse`, the
+  // cached path); naive assembly evaluates every device from scratch.
+  void stamp_mosfets(bool reuse) {
     for (std::size_t k = 0; k < mos_pos_.size(); ++k) {
       const ckt::Mosfet& mos = nl0_.mosfets()[k];
       const auto [pd, pg, ps] = mos_pos_[k];
+      const MosEntries& entry = mos_entry_[k];
+      const auto stamp = [&](double* a_rc, std::size_t r, std::size_t c, double a) {
+        if (a_rc != nullptr) {
+          *a_rc += a;
+        } else if (r < m_ && c != npos) {
+          rhsb_[r] -= a * xb_[c];
+        }
+      };
       const double vd = pd == npos ? 0.0 : xb_[pd];
       const double vg = pg == npos ? 0.0 : xb_[pg];
       const double vs = ps == npos ? 0.0 : xb_[ps];
       const ckt::MosfetEval e =
-          mos.is_pmos ? ckt::eval_pmos(mos.params, mos.width, vg - vs, vd - vs)
-                      : ckt::eval_nmos(mos.params, mos.width, vg - vs, vd - vs);
+          ckt::eval_mosfet(mos.params, mos.is_pmos, vg - vs, vd - vs,
+                           [&](double vgt) -> const ckt::MosfetGateTerms& {
+                             ckt::MosfetGateTerms& gate = gate_[k];
+                             if (!reuse || vgt != gate.vgt) {
+                               gate = ckt::gate_terms(mos.params, mos.width, vgt);
+                               ++gate_evaluations_;
+                             }
+                             return gate;
+                           });
       // Linearized channel current (drain -> source):
       //   i = ieq + gm * vgs + gds * vds.
       const double ieq = e.id - e.gm * (vg - vs) - e.gds * (vd - vs);
-      stamp(pd, pd, e.gds);
-      stamp(pd, pg, e.gm);
-      stamp(pd, ps, -(e.gm + e.gds));
-      stamp(ps, ps, e.gm + e.gds);
-      stamp(ps, pg, -e.gm);
-      stamp(ps, pd, -e.gds);
+      stamp(entry[0], pd, pd, e.gds);
+      stamp(entry[1], pd, pg, e.gm);
+      stamp(entry[2], pd, ps, -(e.gm + e.gds));
+      stamp(entry[3], ps, ps, e.gm + e.gds);
+      stamp(entry[4], ps, pg, -e.gm);
+      stamp(entry[5], ps, pd, -e.gds);
       // Companion current flows drain -> source.
       if (pd < m_) rhsb_[pd] -= ieq;
       if (ps < m_) rhsb_[ps] += ieq;
@@ -809,7 +857,7 @@ private:
       fail_nonfinite(j);
       return;
     }
-    results_[j].set_factored_columns(factored_columns_);
+    results_[j].set_work(factored_columns_, newton_iterations_, gate_evaluations_);
     out_[lane_slot_[j]].result = std::move(results_[j]);
   }
 
@@ -908,6 +956,16 @@ private:
   double held_h_ = std::numeric_limits<double>::quiet_NaN();
   double held_gmin_ = std::numeric_limits<double>::quiet_NaN();
   std::size_t factored_columns_ = 0;  // columns of the last factorization
+
+  // The one-lane Newton path's per-device matrix entries and gate terms, its
+  // predictor state (the last accepted unknowns and the step that reached
+  // them) and its work counts.
+  std::vector<MosEntries> mos_entry_;
+  std::vector<ckt::MosfetGateTerms> gate_;
+  std::vector<double> x_last_;
+  double h_last_ = 0.0;
+  std::uint64_t newton_iterations_ = 0;
+  std::uint64_t gate_evaluations_ = 0;
 };
 
 }  // namespace

@@ -13,6 +13,7 @@
 #ifndef RLCEFF_SIM_TRANSIENT_H
 #define RLCEFF_SIM_TRANSIENT_H
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -121,7 +122,22 @@ public:
   // a cached Newton iteration refactors its dynamic tail, 0 when the deck
   // has no unknowns.  A work count, the same on every host.
   std::size_t factored_columns() const { return factored_columns_; }
-  void set_factored_columns(std::size_t columns) { factored_columns_ = columns; }
+
+  // Newton iterations over the whole run, its DC operating point's
+  // included, and the MOSFET gate-term evaluations among them: an on device
+  // whose forward overdrive repeats its last one bit for bit reuses its gate
+  // terms under cached assembly.  Both 0 on a linear deck under cached
+  // assembly, which solves without Newton.  Work counts, the same on every
+  // host.
+  std::uint64_t newton_iterations() const { return newton_iterations_; }
+  std::uint64_t gate_evaluations() const { return gate_evaluations_; }
+
+  void set_work(std::size_t factored_columns, std::uint64_t newton_iterations,
+                std::uint64_t gate_evaluations) {
+    factored_columns_ = factored_columns;
+    newton_iterations_ = newton_iterations;
+    gate_evaluations_ = gate_evaluations;
+  }
 
   // Appends one sample: `per_probe` holds one value per probes() entry, in
   // probe order.
@@ -132,6 +148,8 @@ private:
   std::vector<wave::Waveform> waves_;
   SolverKind solver_;
   std::size_t factored_columns_ = 0;
+  std::uint64_t newton_iterations_ = 0;
+  std::uint64_t gate_evaluations_ = 0;
 };
 
 // DC operating point: node voltages indexed by NodeId (ground included as

@@ -108,6 +108,14 @@ wave::Waveform simulate_driver_cap_load(const Technology& tech, const Inverter& 
                                         double input_slew, double c_load,
                                         const DeckOptions& options,
                                         double* input_time_50) {
+  if (input_time_50 != nullptr) *input_time_50 = options.t_start + 0.5 * input_slew;
+  const sim::TransientResult run = run_driver_cap_load(tech, cell, input_slew, c_load, options);
+  return run.at(run.probes()[0]);
+}
+
+sim::TransientResult run_driver_cap_load(const Technology& tech, const Inverter& cell,
+                                         double input_slew, double c_load,
+                                         const DeckOptions& options) {
   ckt::Netlist nl;
   const ckt::NodeId in = nl.node("in");
   const ckt::NodeId out = nl.node("out");
@@ -115,11 +123,10 @@ wave::Waveform simulate_driver_cap_load(const Technology& tech, const Inverter& 
   add_inverter(nl, tech, cell, in, out);
   nl.add_capacitor(out, ckt::ground, c_load);
 
-  if (input_time_50 != nullptr) *input_time_50 = options.t_start + 0.5 * input_slew;
   const std::array<ckt::NodeId, 1> probes{out};
   sim::TransientOptions so = sim_options(options);
   so.edge_stop.watch.push_back(out);
-  return sim::simulate(nl, so, probes).at(out);
+  return sim::simulate(nl, so, probes);
 }
 
 NetSimResult simulate_driver_net(const Technology& tech, const Inverter& cell,

@@ -72,6 +72,12 @@ wave::Waveform simulate_driver_cap_load(const Technology& tech, const Inverter& 
                                         const DeckOptions& options,
                                         double* input_time_50 = nullptr);
 
+// The same run whole: its one probe is the output, and it carries the run's
+// work counts (time steps, Newton iterations, MOSFET gate-term evaluations).
+sim::TransientResult run_driver_cap_load(const Technology& tech, const Inverter& cell,
+                                         double input_slew, double c_load,
+                                         const DeckOptions& options);
+
 // Deck 2: driver into a discretized net::Net — the one-net instance of
 // deck 4 (simulate_coupled_group), which builds the identical deck.
 NetSimResult simulate_driver_net(const Technology& tech, const Inverter& cell,

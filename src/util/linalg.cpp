@@ -159,6 +159,11 @@ void BandedMatrix::add(std::size_t r, std::size_t c, double v) {
   at(r, c) += v;
 }
 
+double* BandedMatrix::entry(std::size_t r, std::size_t c) {
+  ensure(in_band(r, c), "BandedMatrix: entry outside declared band");
+  return &at(r, c);
+}
+
 double BandedMatrix::get(std::size_t r, std::size_t c) const {
   if (r >= c ? (r - c > kl_) : (c - r > ku_tot_)) return 0.0;
   return at(r, c);

@@ -90,6 +90,11 @@ public:
 
   // In-band accumulate; throws if (r, c) is outside the band.
   void add(std::size_t r, std::size_t c, double v);
+  // The stored entry (r, c), for restamping hot paths that resolve an entry
+  // once and then accumulate through it: it stays valid for the matrix's
+  // lifetime, and a write through it skips add()'s checks, so its column
+  // must not be factored.  Throws if (r, c) is outside the band.
+  double* entry(std::size_t r, std::size_t c);
   double get(std::size_t r, std::size_t c) const;
   bool in_band(std::size_t r, std::size_t c) const;
 

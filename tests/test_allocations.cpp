@@ -25,6 +25,8 @@
 #include "net/net.h"
 #include "sim/scenario_block.h"
 #include "sim/transient.h"
+#include "tech/inverter.h"
+#include "tech/technology.h"
 #include "util/linalg.h"
 #include "util/units.h"
 #include "waveform/pwl.h"
@@ -240,6 +242,34 @@ TEST(Allocations, OneLaneTimeLoopAllocatesNothing) {
     });
   };
   EXPECT_EQ(allocations(d.horizon), allocations(2 * d.horizon));
+}
+
+// The Newton time loop (gate-term records, predictor state, work counts)
+// never allocates either: the characterization deck, an inverter into a
+// capacitor whose input falls mid-run, over one horizon and over two, with
+// the measured-edge stop off.
+TEST(Allocations, NewtonTimeLoopAllocatesNothing) {
+  const tech::Technology technology = tech::Technology::cmos180();
+  ckt::Netlist nl;
+  const ckt::NodeId in = nl.node("in");
+  const ckt::NodeId out = nl.node("out");
+  sim::TransientOptions opt;
+  opt.dt = std::ldexp(1.0, -42);  // about 0.23 ps
+  const double horizon = 256 * opt.dt;
+  nl.add_vsource(in, ckt::ground,
+                 wave::Pwl({{0.25 * horizon, technology.vdd}, {0.75 * horizon, 0.0}}));
+  tech::add_inverter(nl, technology, tech::Inverter{50.0}, in, out);
+  nl.add_capacitor(out, ckt::ground, 100 * ff);
+  const std::vector<ckt::NodeId> probes{out};
+  auto allocations = [&](double t_stop) {
+    opt.t_stop = t_stop;
+    return count_allocations([&] {
+      const sim::TransientResult r = sim::simulate(nl, opt, probes);
+      EXPECT_EQ(static_cast<std::size_t>(t_stop / opt.dt) + 1, r.at(out).size());
+      EXPECT_GT(r.newton_iterations(), r.at(out).size());
+    });
+  };
+  EXPECT_EQ(allocations(horizon), allocations(2 * horizon));
 }
 
 }  // namespace

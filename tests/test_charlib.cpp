@@ -11,6 +11,7 @@
 
 #include "charlib/library.h"
 #include "sim/sweep.h"
+#include "sim/transient.h"
 #include "test_helpers.h"
 #include "util/error.h"
 #include "util/units.h"
@@ -250,6 +251,30 @@ TEST(Characterize, StrongerDriverIsFasterAndStiffer) {
                        strong.driver_resistance(100 * ps, 1 * pf);
   EXPECT_GT(ratio, 2.5);
   EXPECT_LT(ratio, 6.0);
+}
+
+// Each Newton step of a characterization deck starts from the first-order
+// predictor, so many steps converge in their first iteration: over a cell's
+// standard grid the decks stay under the 1.5 Newton iterations per step CI
+// bars (1.965 when every step started at the last solution).  Per deck it
+// reads from 1.0, into the largest loads, to 1.9, for the fastest edges
+// into a few hundred fF.
+TEST(Characterize, CellTakesUnderOneAndAHalfNewtonIterationsPerStep) {
+  const tech::Technology t = tech::Technology::cmos180();
+  const tech::Inverter cell{100.0};
+  const CharacterizationGrid grid = CharacterizationGrid::standard();
+  double steps = 0.0;
+  double iterations = 0.0;
+  for (const double slew : grid.input_slews) {
+    for (const double c_load : grid.loads) {
+      const sim::TransientResult run = tech::run_driver_cap_load(
+          t, cell, slew, c_load, characterization_deck(t, cell, slew, c_load));
+      EXPECT_GT(run.gate_evaluations(), 0u);
+      steps += static_cast<double>(run.at(run.probes()[0]).size() - 1);
+      iterations += static_cast<double>(run.newton_iterations());
+    }
+  }
+  EXPECT_LT(iterations / steps, 1.5);
 }
 
 }  // namespace

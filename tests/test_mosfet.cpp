@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "test_helpers.h"
 
@@ -145,6 +148,62 @@ TEST(Mosfet, MonotonicInVgsAndVds) {
     const double id = eval_nmos(p, 1e-6, 1.8, vds).id;
     EXPECT_GE(id, prev);
     prev = id;
+  }
+}
+
+std::array<std::uint64_t, 3> bits(const MosfetEval& e) {
+  return {std::bit_cast<std::uint64_t>(e.id), std::bit_cast<std::uint64_t>(e.gm),
+          std::bit_cast<std::uint64_t>(e.gds)};
+}
+
+// The gate terms and the drain terms compose to the one-shot evaluation bit
+// for bit, in every region and for both polarities; gate terms kept from one
+// evaluation serve every vds at the same overdrive.
+TEST(Mosfet, GateTermsComposeBitwise) {
+  const auto p = nominal();
+  const double w = 1e-6;
+  // N-device (vgs, vds): vdsat is about 0.97 V at vgs = 1.8 and about 0.93 V
+  // at the reverse cases' forward overdrive of 1.25 V.
+  struct Bias {
+    double vgs, vds;
+    bool on;
+  };
+  const Bias biases[] = {
+      {0.3, 1.0, false},   // off
+      {-1.0, -0.3, false},  // reverse, off
+      {1.8, 1.6, true},    // saturation
+      {1.8, 0.2, true},    // triode
+      {1.8, 0.0, true},    // triode at vds = 0
+      {0.5, -1.2, true},   // reverse saturation
+      {1.0, -0.7, true},   // reverse triode
+  };
+  for (const Bias& b : biases) {
+    for (const bool pmos : {false, true}) {
+      // A P device conducts at the mirrored bias.
+      const double vgs = pmos ? -b.vgs : b.vgs;
+      const double vds = pmos ? -b.vds : b.vds;
+      const MosfetEval one_shot = pmos ? eval_pmos(p, w, vgs, vds) : eval_nmos(p, w, vgs, vds);
+      int gate_calls = 0;
+      const MosfetEval composed = eval_mosfet(p, pmos, vgs, vds, [&](double vgt) {
+        ++gate_calls;
+        return gate_terms(p, w, vgt);
+      });
+      EXPECT_EQ(bits(one_shot), bits(composed)) << "vgs " << vgs << " vds " << vds;
+      EXPECT_EQ(b.on ? 1 : 0, gate_calls);
+      EXPECT_EQ(b.on, one_shot.id != 0.0 || one_shot.gds != 0.0);
+    }
+  }
+
+  // Gate terms computed once, reused across saturation and triode.
+  const double vgs = 1.4;
+  const MosfetGateTerms kept = gate_terms(p, w, vgs - p.vth);
+  for (const double vds : {0.0, 0.1, 0.4, 0.9, 1.5}) {
+    EXPECT_EQ(bits(eval_nmos(p, w, vgs, vds)), bits(drain_terms(p, kept, vds)));
+    const MosfetEval reused = eval_mosfet(p, true, -vgs, -vds, [&](double vgt) {
+      EXPECT_EQ(kept.vgt, vgt);
+      return kept;
+    });
+    EXPECT_EQ(bits(eval_pmos(p, w, -vgs, -vds)), bits(reused));
   }
 }
 

@@ -16,6 +16,8 @@
 #include "circuit/mna.h"
 #include "sim/scenario_block.h"
 #include "sim/solver_backend.h"
+#include "tech/inverter.h"
+#include "tech/technology.h"
 #include "test_helpers.h"
 #include "util/error.h"
 #include "util/units.h"
@@ -456,6 +458,34 @@ TEST(Transient, ShortenedFinalStepLandsOnTheResponse) {
     ASSERT_DOUBLE_EQ(301.3 * ps, w.time(w.size() - 1));
     EXPECT_NEAR(longer.at(n).value_at(301.3 * ps), w.value(w.size() - 1), 1e-5);
   }
+}
+
+// The Newton counterpart: an inverter into a capacitor that ends mid-step,
+// mid-edge, whose shortened final step starts from the predictor scaled to
+// the shorter step.  Its final sample must sit on the response a longer run
+// samples around it, to within the Newton tolerance and linear
+// interpolation over 0.25 ps.
+TEST(Transient, ShortenedNewtonStepLandsOnTheResponse) {
+  const tech::Technology technology = tech::Technology::cmos180();
+  Netlist nl;
+  const NodeId in = nl.node("in");
+  const NodeId out = nl.node("out");
+  nl.add_vsource(in, ground, wave::Pwl({{10 * ps, technology.vdd}, {60 * ps, 0.0}}));
+  tech::add_inverter(nl, technology, tech::Inverter{50.0}, in, out);
+  nl.add_capacitor(out, ground, 200 * ff);
+  const std::array<NodeId, 1> probes{out};
+  TransientOptions opt;
+  opt.dt = 0.25 * ps;
+  opt.t_stop = 70.1 * ps;
+  const TransientResult shortened = simulate(nl, opt, probes);
+  opt.t_stop = 72 * ps;
+  const TransientResult longer = simulate(nl, opt, probes);
+  const wave::Waveform& w = shortened.at(out);
+  ASSERT_DOUBLE_EQ(70.1 * ps, w.time(w.size() - 1));
+  const double v = w.value(w.size() - 1);
+  EXPECT_GT(v, 0.1 * technology.vdd);  // mid-edge
+  EXPECT_LT(v, 0.9 * technology.vdd);
+  EXPECT_NEAR(longer.at(out).value_at(70.1 * ps), v, 1e-5);
 }
 
 // A source, a series R-L pair to ground and nothing else: the source holds
