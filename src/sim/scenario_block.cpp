@@ -15,16 +15,16 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 bool same_bits(double a, double b) { return bits(a) == bits(b); }
 
-// FNV-1a over 64-bit words, bytewise.  Collisions are harmless (the
-// exhaustive confirms decide), so this only needs to spread well enough
-// that unrelated topologies rarely share a bucket.
+// FNV-1a over whole 64-bit words: one xor and one multiply per word.
+// Collisions are harmless (the exhaustive confirms decide), so this only
+// needs to spread well enough that unrelated topologies rarely share a
+// bucket; the xor-shift folds each word's high bits into the low ones the
+// multiply mixes upward.
 struct Fnv64 {
   std::uint64_t h = 1469598103934665603ull;
   void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
+    h ^= v ^ (v >> 32);
+    h *= 1099511628211ull;
   }
   void mix(double v) { mix(bits(v)); }
 };

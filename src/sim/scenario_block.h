@@ -1,23 +1,18 @@
-// Shared-factorization multi-RHS scenario batching.
+// Scenario batching by superposition.
 //
 // A characterization sweep runs the same linear replay deck hundreds of
-// times with only the source waveform (slew) and stop time changing: the
-// MNA matrix — a function of topology, element values, and the step size —
-// is identical across those runs, so per-slot simulation refactors the same
-// matrix and re-walks the same substitution sweeps once per scenario.
-// simulate_block() instead factors the static image once per (group, step
-// size) and advances all scenarios in lockstep, one blocked n x k solve per
-// time step, with SoA state/waveform storage so the per-step inner loops
-// run contiguously across lanes and vectorize.
+// times with only the source waveform (slew) and stop time changing.  Such a
+// deck is linear in its one source, so simulate_block() steps the shared
+// matrix once per time step for the whole group, as the basis response to a
+// unit step on that source, and takes every scenario's samples as weighted
+// sums over that response (see sim::simulate).
 //
-// Bitwise contract: simulate_block and sim::simulate run one transient
-// stepper (sim/transient.cpp), sim::simulate being its compile-time one-lane
-// instance — same stamp order, same factorization (of the same matrix), the
-// same substitution kernel per backend (templated on the lane count, with
-// even the value-dependent skips taken per lane), same time accumulation and
-// record points.  Batched waveforms are therefore bitwise-identical to
-// per-slot waveforms by construction, not merely close; the equivalence and
-// property suites assert that across all three backends.
+// Bitwise contract: one basis, one superposition.  simulate_block and
+// sim::simulate run the same code on a superposable deck, and each sample is
+// a fixed-order function of the basis prefix and the lane's own source, so
+// batched waveforms are bitwise-identical to per-slot waveforms by
+// construction; the equivalence and property suites assert that across all
+// three backends.  A group of any other deck runs sim::simulate per lane.
 //
 // Grouping safety: callers decide which scenarios may share a factorization
 // with scenario_group_hash() (a cheap bucket key) confirmed by
@@ -85,9 +80,9 @@ bool scenario_group_equal(const ckt::Netlist& a, const ckt::Netlist& b);
 // excluded — those are per-lane).
 bool scenario_options_equal(const TransientOptions& a, const TransientOptions& b);
 
-// Runs every scenario from its DC operating point to its own t_stop with
-// one shared factorization per step size, recording `probes` (shared by the
-// group; node ids are identical across group-equal netlists).  With
+// Runs every scenario from its DC operating point to its own t_stop from one
+// superposition basis, recording `probes` (shared by the group; node ids are
+// identical across group-equal netlists).  With
 // options.edge_stop on, each lane also ends at its own measured-edge stop,
 // at the sample where sim::simulate would stop it alone.
 //

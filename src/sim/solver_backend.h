@@ -3,11 +3,8 @@
 //
 // This is the factor-once contract in one place: a LinearSolver assembles a
 // "working" matrix, snapshots/restores it at memcpy cost, factors it in
-// place, and then runs allocation-free substitution sweeps — either one RHS
-// at a time (solve_into) or a whole n x k scenario block (solve_block).
-// Each backend runs both through one substitution kernel templated on the
-// lane count, solve_into being its compile-time one-lane instance, so a
-// lane's result does not depend on how many lanes shared the sweep.
+// place, and then runs allocation-free substitution sweeps, one right-hand
+// side at a time (solve_into).
 //
 // Not installed API: everything here lives in sim::detail and may change
 // freely; callers outside src/sim use sim/transient.h and
@@ -37,9 +34,7 @@ namespace rlceff::sim::detail {
 // steps.  factor() destroys the working values in place and returns how
 // many columns it factored (all n, or the kept tail below); solve_into()
 // then runs the substitution sweeps on a caller-owned buffer with zero heap
-// traffic.  solve_block() does the same for `lanes` right-hand sides stored
-// as an n x stride row-major block, with every lane's operation sequence
-// identical to solve_into on that lane alone.
+// traffic.
 //
 // entry(r, c) resolves working entry (r, c) once, for the stamps a Newton
 // loop repeats every iteration: accumulating through the pointer equals
@@ -64,9 +59,6 @@ public:
   virtual std::size_t factor() = 0;
   // x holds the rhs on entry and the solution on exit.
   virtual void solve_into(std::span<double> x) = 0;
-  // Blocked multi-RHS variant; lane s of unknown i lives at x[i * stride + s].
-  virtual void solve_block(std::span<double> x, std::size_t lanes,
-                           std::size_t stride) = 0;
 };
 
 class BandedSolver final : public LinearSolver {
@@ -96,10 +88,6 @@ public:
     return n_ - first;
   }
   void solve_into(std::span<double> x) override { a_.solve_into(x); }
-  void solve_block(std::span<double> x, std::size_t lanes,
-                   std::size_t stride) override {
-    a_.solve_block(x, lanes, stride);
-  }
   std::size_t row_swaps() const { return a_.row_swaps(); }
 
 private:
@@ -126,10 +114,6 @@ public:
     return n_;
   }
   void solve_into(std::span<double> x) override { util::lu_solve_into(f_, x); }
-  void solve_block(std::span<double> x, std::size_t lanes,
-                   std::size_t stride) override {
-    util::lu_solve_block(f_, x, lanes, stride);
-  }
 
 private:
   std::size_t n_;
@@ -171,10 +155,6 @@ public:
     return a_.size();
   }
   void solve_into(std::span<double> x) override { lu_.solve_into(x, budget_); }
-  void solve_block(std::span<double> x, std::size_t lanes,
-                   std::size_t stride) override {
-    lu_.solve_block(x, lanes, stride);
-  }
 
 private:
   util::SparseMatrix a_;

@@ -7,8 +7,7 @@
 #include <exception>
 #include <limits>
 #include <memory>
-#include <numeric>
-#include <type_traits>
+#include <optional>
 
 #include "circuit/mna.h"
 #include "sim/scenario_block.h"
@@ -37,9 +36,6 @@ constexpr double kNewtonDampingV = 0.6;   // [V]
 // Conductance to ground at every node [S]; the DC point's gmin stepping
 // walks down to it.
 constexpr double kGmin = 1e-12;
-
-// The lane count of the stepper sim::simulate runs, fixed at compile time.
-using OneLane = std::integral_constant<std::size_t, 1>;
 
 // The measured-edge stop's crossing tracker (see sim::EdgeStop):
 // Waveform::first_crossing run incrementally.  Fed each recorded sample of
@@ -86,48 +82,63 @@ private:
   bool primed_ = false;
 };
 
+// Pwl::value_at at non-decreasing times, its breakpoint search replaced by
+// a cursor that only moves forward: the same clamps and the same
+// interpolation arithmetic, so the same bits.
+class PwlCursor {
+public:
+  explicit PwlCursor(const wave::Pwl& pwl) : pts_(pwl.points()) {
+    ensure(!pts_.empty(), "Pwl: empty");
+  }
+
+  double value_at(double time) {
+    if (time <= pts_.front().first) return pts_.front().second;
+    if (time >= pts_.back().first) return pts_.back().second;
+    while (pts_[next_].first <= time) ++next_;  // upper_bound's answer
+    const std::pair<double, double>& hi = pts_[next_];
+    const std::pair<double, double>& lo = pts_[next_ - 1];
+    const double w = (time - lo.first) / (hi.first - lo.first);
+    return lo.second + w * (hi.second - lo.second);
+  }
+
+private:
+  std::span<const std::pair<double, double>> pts_;
+  std::size_t next_ = 0;
+};
+
+SingularMatrixError nonfinite_error() {
+  return SingularMatrixError("transient: non-finite solution (singular or NaN-stamped system)");
+}
+
 // The one transient stepper behind sim::simulate, simulate_block and
-// dc_operating_point.  It advances lanes — scenarios of one netlist topology
-// that differ only in their source waveforms and horizons — in lockstep from
-// their shared DC operating point.
+// dc_operating_point.  It advances one lane of a deck from its DC operating
+// point, driven by one of three sources:
+//   - netlist: the deck's own source waveforms (a stepped run, and the DC
+//     point);
+//   - basis: the superposition basis of a one-source linear deck, its
+//     source at 1 in the DC point and 0 at every step after it;
+//   - held: one value, for a superposed lane's shortened final step.
 //
-// `Lanes` is std::size_t for scenario blocks, or OneLane for sim::simulate
-// and dc_operating_point: there every lane loop collapses to scalar code and
-// the substitution is the backend's one-lane kernel instance (solve_into),
-// so a single deck costs what a dedicated scalar engine would, and a
-// batched lane equals its per-slot run by construction.
+// The system is the reduced one of ckt::MnaStructure.  The solution holds
+// the m_ unknowns and, after them, one known row per source-held node,
+// which assemble_rhs fills from the source at the step's time; probes, the
+// edge watch and the device sweeps read a known row like any other.  A
+// folded R-L branch carries its own state (current and inductor voltage)
+// and stamps as a companion conductance plus a history current.  A deck
+// with no unknowns left still steps: each step only fills its known rows
+// and advances the branch state.
 //
-// The system is the reduced one of ckt::MnaStructure.  The solution block
-// holds the m_ unknowns and, after them, one known row per source-held
-// node, which assemble_rhs fills from each lane's source at the step's time;
-// probes, the edge watch and the device sweeps read a known row like any
-// other.  A folded R-L branch carries its own state (current and inductor
-// voltage) and stamps as a companion conductance plus a history current.  A
-// deck with no unknowns left still steps: each step only fills its known
-// rows and advances the branch state.
-//
-// All per-lane data is SoA with a fixed stride W (the initial lane count):
-// value of row/device i for lane j lives at [i * W + j].  Active lanes
-// occupy columns 0..A-1; lanes retire from the tail (they are added by
-// descending t_stop, so the shortest runs sit at the end), while faulted
-// lanes and lanes the measured-edge stop ends are removed by a stable left
-// shift of the columns behind them (at most once per lane, O(n * k)), which
-// preserves the descending order the tail scan relies on.
-//
-// Each device's rows are resolved before its lane loop (a ground terminal
-// reads one shared all-zero row and is never written), and the companion
-// coefficients are computed once per step size, so a lane loop holds only
-// the lane's arithmetic.
+// Each device's rows are resolved once, at construction (a ground terminal
+// reads the solution's zero row, one past its last), and the companion
+// coefficients are computed once per step size, so the device sweeps hold
+// only the devices' arithmetic.
 //
 // Linear decks under cached assembly solve a step with one factorization
-// per (step size, gmin) and a substitution sweep.  MOSFET decks and
-// AssemblyMode::naive (one lane only) replace that factor-and-substitute
-// with their Newton loop; everything else is shared.
-template <class Lanes>
+// per (step size, gmin) and a substitution.  MOSFET decks and
+// AssemblyMode::naive replace that factor-and-substitute with their Newton
+// loop; everything else is shared.
 class Stepper {
 public:
-  static constexpr bool kOneLane = std::is_same_v<Lanes, OneLane>;
-
   Stepper(const Netlist& netlist, const TransientOptions& options,
           std::span<const NodeId> probes)
       : opt_(options),
@@ -147,6 +158,8 @@ public:
     }
     auto pos = [&](NodeId n) { return n == ground ? npos : node_pos[n]; };
     auto unknown = [&](std::size_t p) { return p < m_; };
+    // Device terminals read ground from the solution's zero row.
+    auto row = [&](std::size_t p) { return p == npos ? rows_ : p; };
     // A stamp A[row][col] whose column is a known node: its term moves to
     // the right-hand side.
     auto couple = [&](std::size_t row, std::size_t col, Term::Of of, std::size_t dev,
@@ -170,13 +183,13 @@ public:
       const Pair p{pos(c.a), pos(c.b)};
       if (!unknown(p.a) && !unknown(p.b)) continue;
       couple_pair(p, Term::Of::capacitor, cap_pos_.size(), 0.0);
-      cap_pos_.push_back(p);
+      cap_pos_.push_back({row(p.a), row(p.b)});
       cap_c_.push_back(c.capacitance);
     }
     for (const ckt::MnaStructure::FoldedBranch& b : structure_.folded_branches()) {
       const Pair p{pos(b.from), pos(b.to)};
       couple_pair(p, Term::Of::branch, br_pos_.size(), 0.0);
-      br_pos_.push_back(p);
+      br_pos_.push_back({row(p.a), row(p.b)});
       br_r_.push_back(nl0_.resistors()[b.resistor].resistance);
       br_l_.push_back(nl0_.inductors()[b.inductor].inductance);
     }
@@ -187,7 +200,7 @@ public:
       const ckt::Inductor& l = nl0_.inductors()[k];
       ind_slot[k] = ind_pos_.size();
       ind_pos_.push_back(j);
-      ind_nodes_.push_back({pos(l.a), pos(l.b)});
+      ind_nodes_.push_back({row(pos(l.a)), row(pos(l.b))});
       ind_l_.push_back(l.inductance);
       couple(j, pos(l.a), Term::Of::fixed, 0, 1.0);
       couple(j, pos(l.b), Term::Of::fixed, 0, -1.0);
@@ -226,136 +239,174 @@ public:
     br_g_.resize(br_pos_.size());
     ind_req_.resize(ind_pos_.size());
     mut_req_.resize(mut_.size());
-    for (NodeId p : probes_) probe_pos_.push_back(pos(p));
+    for (NodeId p : probes) probe_pos_.push_back(pos(p));
     if (options.edge_stop.enabled()) {
       for (NodeId n : options.edge_stop.watch) watch_pos_.push_back(pos(n));
     }
   }
 
   const MnaStructure& structure() const { return structure_; }
+  SolverKind kind() const { return kind_; }
+  const std::vector<NodeId>& probes() const { return probes_; }
+  const std::vector<std::size_t>& probe_pos() const { return probe_pos_; }
+  const std::vector<std::size_t>& watch_pos() const { return watch_pos_; }
 
-  // Appends one lane; lanes must arrive in descending t_stop order.  The
-  // tracker is charged one transient step per accepted step of this lane.
-  void add_lane(std::size_t slot, const Netlist* netlist, double t_stop,
-                util::ExecTracker* budget) {
-    lane_slot_.push_back(slot);
-    lane_net_.push_back(netlist);
-    lane_tstop_.push_back(t_stop);
-    lane_budget_.push_back(budget);
-    if (!watch_pos_.empty()) lane_watch_.emplace_back(opt_.edge_stop);
-  }
+  // Drives the deck's one source as the superposition basis (see Drive).
+  void drive_basis() { drive_ = Drive::basis; }
 
-  // Sizes the lane blocks and solves every lane's DC operating point
-  // (sources at t = 0, capacitors open, inductors shorted) into the
-  // solution block, which it returns.
+  // Solves the DC operating point (sources at t = 0, capacitors open,
+  // inductors shorted) into the solution, which it returns, with the device
+  // state zeroed.
   std::span<const double> solve_dc() {
-    if constexpr (!kOneLane) w_ = lane_slot_.size();
-    xb_.assign(rows_ * w_, 0.0);
-    rhsb_.assign(rows_ * w_, 0.0);
+    xb_.assign(rows_ + 1, 0.0);
+    rhsb_.assign(rows_ + 1, 0.0);
     if (newton_) {
-      rhs_lin_.assign(rows_, 0.0);
+      rhs_lin_.assign(rows_ + 1, 0.0);
       x_last_.assign(m_, 0.0);
     }
-    cap_hist_.assign(cap_pos_.size() * w_, 0.0);
-    br_i_.assign(br_pos_.size() * w_, 0.0);
-    br_v_.assign(br_pos_.size() * w_, 0.0);
-    ind_i_.assign(ind_pos_.size() * w_, 0.0);
-    ind_v_.assign(ind_pos_.size() * w_, 0.0);
-    zero_row_.assign(w_, 0.0);
-    probe_vals_.assign(probes_.size(), 0.0);
-    const std::size_t a = lane_slot_.size();
+    hist_.assign(hist_size(), 0.0);
     try {
-      solve(0.0, 0.0, kGmin, a);
+      solve(0.0, 0.0, kGmin);
     } catch (const ConvergenceError&) {
       // gmin stepping: solve a heavily damped system first and walk gmin down.
-      for (double gmin = 1e-3; gmin >= kGmin; gmin *= 1e-2) solve(0.0, 0.0, gmin, a);
-      solve(0.0, 0.0, kGmin, a);
+      for (double gmin = 1e-3; gmin >= kGmin; gmin *= 1e-2) solve(0.0, 0.0, gmin);
+      solve(0.0, 0.0, kGmin);
     }
     return xb_;
   }
 
-  // Runs every lane to its t_stop or its measured-edge stop, leaving each
-  // lane's result or error in out[slot].  Failures of the shared machinery
-  // (a singular group matrix, a Newton failure) throw instead.
-  void run(std::span<BlockOutcome> out) {
-    out_ = out;
-    std::size_t a = lane_slot_.size();
-    if (a == 0) return;
-    for (double t_stop : lane_tstop_) {
-      results_.emplace_back(probes_, static_cast<std::size_t>(t_stop / opt_.dt) + 2, kind_);
+  // Seeds device state from the operating point: capacitor currents and
+  // inductor voltages are zero in steady state, and a folded branch's
+  // inductor is a short, so its current is its voltage over R.
+  void seed_state() {
+    const double* x = xb_.data();
+    double* sh = cap_hist();
+    for (std::size_t k = 0; k < cap_pos_.size(); ++k) {
+      sh[k] = cap_geq_dt_[k] * (x[cap_pos_[k].a] - x[cap_pos_[k].b]);
     }
+    double* si = br_i();
+    for (std::size_t k = 0; k < br_pos_.size(); ++k) {
+      si[k] = (x[br_pos_[k].a] - x[br_pos_[k].b]) / br_r_[k];
+    }
+    double* ii = ind_i();
+    for (std::size_t k = 0; k < ind_pos_.size(); ++k) ii[k] = xb_[ind_pos_[k]];
+  }
+
+  // A stepped run: from the DC operating point to t_stop or the
+  // measured-edge stop.  `budget` is charged one step per accepted step.
+  TransientResult run(double t_stop, util::ExecTracker* budget) {
+    TransientResult result(probes_, static_cast<std::size_t>(t_stop / opt_.dt) + 2, kind_);
+    std::optional<EdgeWatch> watch;
+    if (!watch_pos_.empty()) watch.emplace(opt_.edge_stop);
+    const auto sample = [&](double t) {
+      result.record(t, [&](std::size_t k) { return node(probe_pos_[k]); });
+      return watch && watch->observe([&](std::size_t k) { return node(watch_pos_[k]); });
+    };
     solve_dc();
-    seed_state(a);
-    record(0.0, a);
-    retire_measured(a);
+    seed_state();
+    bool done = sample(0.0);
 
     const double dt = opt_.dt;
     double t = 0.0;
-    std::int64_t step = 0;
-    while (a > 0) {
-      // Tail scan: finished lanes retire; a lane within one step of its
-      // horizon takes its shortened final step, on the tail solver while
-      // other lanes keep integrating, in place when it is the last lane.
-      double h = dt;
-      while (a > 0) {
-        const std::size_t j = a - 1;
-        if (t >= lane_tstop_[j] - 1e-21) {
-          finalize(j);
-          remove_lane(j, a);
-          continue;
-        }
-        if (lane_tstop_[j] - t >= dt) break;
-        if (a == 1) {
-          h = lane_tstop_[j] - t;
-          break;
-        }
-        tail_step(j, t);
-        remove_lane(j, a);
-      }
-      if (a == 0) break;
-
-      // Per-lane step accounting, with failures confined to the lane.
-      for (std::size_t j = 0; j < a;) {
-        if (lane_budget_[j]) {
-          try {
-            lane_budget_[j]->charge_transient_steps(1, "transient");
-          } catch (...) {
-            out_[lane_slot_[j]].error = std::current_exception();
-            remove_lane(j, a);
-            continue;
-          }
-        }
-        ++j;
-      }
-      if (a == 0) break;
-
+    std::uint64_t steps = 0;
+    while (!done && t < t_stop - 1e-21) {
+      // A step within dt of the horizon is the run's last, shortened to end
+      // on it.
+      const double h = t_stop - t >= dt ? dt : t_stop - t;
+      if (budget) budget->charge_transient_steps(1, "transient");
       const double t_next = t + h;
-      solve(t_next, h, kGmin, a);
+      solve(t_next, h, kGmin);
       // Periodic (cheap, amortized) non-finite guard: a NaN/Inf stamp (or a
       // numerically destroyed factorization) propagates through the whole
       // solution, and the factor-once path has no convergence check of its
       // own.
-      if ((++step & 63) == 0) {
-        for (std::size_t j = 0; j < a;) {
-          if (lane_finite(j)) {
-            ++j;
-            continue;
-          }
-          fail_nonfinite(j);
-          remove_lane(j, a);
-        }
-        if (a == 0) break;
-      }
-      // A shortened step is its lane's last, so only a regular one advances
+      if ((++steps & 63) == 0 && !finite()) throw nonfinite_error();
+      // A shortened step is the run's last, so only a regular one advances
       // the companion state.
-      if (h == dt) advance_state(a);
+      if (h == dt) advance_state();
       t = t_next;
-      record(t, a);
-      retire_measured(a);
+      done = sample(t);
     }
+    if (!finite()) throw nonfinite_error();
+    TransientResult::Work work = this->work();
+    work.solved_steps = steps;
+    result.set_work(work);
+    return result;
+  }
+
+  // One regular step of the basis, to t_next.
+  void step(double t_next) {
+    solve(t_next, opt_.dt, kGmin);
+    advance_state();
+  }
+
+  // Solution row `pos`, 0 for ground.
+  double node(std::size_t pos) const { return pos == npos ? 0.0 : xb_[pos]; }
+
+  bool finite() const {
+    for (double v : xb_) {
+      if (!std::isfinite(v)) return false;
+    }
+    return true;
+  }
+
+  // The full state: the solution rows, then the device histories.
+  std::size_t state_size() const { return rows_ + hist_size(); }
+  void copy_state(double* out) const {
+    std::copy(xb_.begin(), xb_.begin() + static_cast<std::ptrdiff_t>(rows_), out);
+    std::copy(hist_.begin(), hist_.end(), out + rows_);
+  }
+  void add_state(double* acc) const {
+    for (std::size_t i = 0; i < rows_; ++i) acc[i] += xb_[i];
+    for (std::size_t i = 0; i < hist_.size(); ++i) acc[rows_ + i] += hist_[i];
+  }
+
+  // The shortened final step (h < dt, ending at t + h) of a superposed lane
+  // from its full state `state` at t, with its source at `u` at t + h.  It
+  // runs on a tail solver of its own and leaves the basis's state and
+  // factorization as they were: the identical stamps and factorization
+  // algorithm give the factors an in-place step would.  Returns the step's
+  // solution, valid until the next solve.
+  std::span<const double> tail_step(std::span<const double> state, double u, double t,
+                                    double h) {
+    tail_x_.assign(state.begin(), state.begin() + static_cast<std::ptrdiff_t>(rows_));
+    tail_x_.push_back(0.0);  // the zero row
+    tail_hist_.assign(state.begin() + static_cast<std::ptrdiff_t>(rows_), state.end());
+    std::swap(xb_, tail_x_);
+    std::swap(hist_, tail_hist_);
+    const Drive drive = drive_;
+    drive_ = Drive::held;
+    held_u_ = u;
+    try {
+      assemble_rhs(t + h, h);
+      if (m_ > 0) {
+        if (!tail_) tail_ = detail::make_solver(structure_, kind_, opt_.budget);
+        refactor(*tail_, h, kGmin);
+        tail_->solve_into(std::span<double>(rhsb_).first(m_));
+      }
+    } catch (...) {
+      drive_ = drive;
+      std::swap(xb_, tail_x_);
+      std::swap(hist_, tail_hist_);
+      throw;
+    }
+    drive_ = drive;
+    std::swap(xb_, tail_x_);
+    std::swap(hist_, tail_hist_);
+    return rhsb_;
+  }
+
+  TransientResult::Work work() const {
+    TransientResult::Work w;
+    w.factored_columns = factored_columns_;
+    w.newton_iterations = newton_iterations_;
+    w.gate_evaluations = gate_evaluations_;
+    return w;
   }
 
 private:
+  enum class Drive { netlist, basis, held };
+
   struct Pair {
     std::size_t a;
     std::size_t b;
@@ -406,21 +457,32 @@ private:
     return keep;
   }
 
-  // The active lane count as the stepper's lane type.
-  static Lanes lanes(std::size_t a) {
-    if constexpr (kOneLane) {
-      return {};
-    } else {
-      return a;
+  // The device histories, one contiguous block: capacitor histories, folded
+  // branch currents and inductor voltages, branch-row inductor currents and
+  // voltages.
+  std::size_t hist_size() const {
+    return cap_pos_.size() + 2 * br_pos_.size() + 2 * ind_pos_.size();
+  }
+  double* cap_hist() { return hist_.data(); }
+  double* br_i() { return cap_hist() + cap_pos_.size(); }
+  double* br_v() { return br_i() + br_pos_.size(); }
+  double* ind_i() { return br_v() + br_pos_.size(); }
+  double* ind_v() { return ind_i() + ind_pos_.size(); }
+
+  // The value of voltage source k at time t of a step of size h (h <= 0:
+  // the DC point).
+  double source_value(std::size_t k, double t, double h) const {
+    switch (drive_) {
+      case Drive::basis:
+        return h > 0.0 ? 0.0 : 1.0;
+      case Drive::held:
+        return held_u_;
+      default:
+        return nl0_.vsources()[k].voltage.value_at(t);
     }
   }
 
   bool holds(double h, double gmin) const { return h == held_h_ && gmin == held_gmin_; }
-
-  // Row `pos` of the solution block, or the all-zero row for ground.
-  const double* node_row(std::size_t pos) const {
-    return pos == npos ? zero_row_.data() : xb_.data() + pos * w_;
-  }
 
   // The companion coefficients of step size h (h <= 0: DC), by the
   // expressions assemble_static_stamps uses, so they are the matrix's bits.
@@ -447,52 +509,48 @@ private:
     }
   }
 
+  // Assembles and factors the static matrix of (h, gmin).  Naive assembly
+  // stamps as its Newton loop does, which only the fault hooks tell apart.
   void refactor(detail::LinearSolver& solver, double h, double gmin) {
     solver.clear();
     detail::assemble_static_stamps(solver, nl0_, structure_, h, gmin, opt_,
-                                   /*cached_path=*/true);
+                                   opt_.assembly == AssemblyMode::cached);
     factored_columns_ = solver.factor();
   }
 
-  // Solves one step's system at time t with step h (h <= 0: DC) for the
-  // active lanes and leaves the solution in xb_.  The factor-once path
-  // refactors only when (h, gmin) changes: once for DC, once for the regular
-  // step, and once more for a shortened final step.
-  void solve(double t, double h, double gmin, std::size_t a) {
+  // Solves one step's system at time t with step h (h <= 0: DC) and leaves
+  // the solution in xb_.  The factor-once path refactors only when (h, gmin)
+  // changes: once for DC, once for the regular step, and once more for a
+  // shortened final step.
+  void solve(double t, double h, double gmin) {
     if (m_ == 0) {
-      assemble_rhs(t, h, 0, lanes(a));
+      assemble_rhs(t, h);
       std::swap(xb_, rhsb_);
       return;
     }
-    if constexpr (kOneLane) {
-      if (newton_) {
-        newton(t, h, gmin);
-        return;
-      }
+    if (newton_) {
+      newton(t, h, gmin);
+      return;
     }
     if (!holds(h, gmin)) {
       refactor(*solver_, h, gmin);
       held_h_ = h;
       held_gmin_ = gmin;
     }
-    assemble_rhs(t, h, 0, lanes(a));
-    if constexpr (kOneLane) {
-      solver_->solve_into(std::span<double>(rhsb_).first(m_));
-    } else {
-      solver_->solve_block(rhsb_, a, w_);
-    }
+    assemble_rhs(t, h);
+    solver_->solve_into(std::span<double>(rhsb_).first(m_));
     std::swap(xb_, rhsb_);
   }
 
-  // Newton-Raphson on the one lane's step system, xb_ holding the iterate.
-  // The linear right-hand side is the same in every iteration, so it is
-  // assembled once, before them, from the last accepted solution; the
-  // iterate then takes the known nodes' values at t, and a time step after
-  // the run's first starts its unknowns from the predictor (predict).
-  // Cached assembly restores the linear stamps from the static image each
-  // iteration and restamps only the MOSFETs, so only columns from
-  // first_mos_col_ on change and the banded backend refactors just those;
-  // naive assembly rebuilds and refactors the full matrix.
+  // Newton-Raphson on the step system, xb_ holding the iterate.  The linear
+  // right-hand side is the same in every iteration, so it is assembled once,
+  // before them, from the last accepted solution; the iterate then takes the
+  // known nodes' values at t, and a time step after the run's first starts
+  // its unknowns from the predictor (predict).  Cached assembly restores the
+  // linear stamps from the static image each iteration and restamps only the
+  // MOSFETs, so only columns from first_mos_col_ on change and the banded
+  // backend refactors just those; naive assembly rebuilds and refactors the
+  // full matrix.
   void newton(double t, double h, double gmin) {
     const bool cached = opt_.assembly == AssemblyMode::cached;
     if (cached && !holds(h, gmin)) {
@@ -503,7 +561,7 @@ private:
       held_h_ = h;
       held_gmin_ = gmin;
     }
-    assemble_rhs(t, h, 0, OneLane{});
+    assemble_rhs(t, h);
     std::copy(rhsb_.begin(), rhsb_.end(), rhs_lin_.begin());
     std::copy(rhsb_.begin() + static_cast<std::ptrdiff_t>(m_), rhsb_.end(),
               xb_.begin() + static_cast<std::ptrdiff_t>(m_));
@@ -579,9 +637,9 @@ private:
           rhsb_[r] -= a * xb_[c];
         }
       };
-      const double vd = pd == npos ? 0.0 : xb_[pd];
-      const double vg = pg == npos ? 0.0 : xb_[pg];
-      const double vs = ps == npos ? 0.0 : xb_[ps];
+      const double vd = node(pd);
+      const double vg = node(pg);
+      const double vs = node(ps);
       const ckt::MosfetEval e =
           ckt::eval_mosfet(mos.params, mos.is_pmos, vg - vs, vd - vs,
                            [&](double vgt) -> const ckt::MosfetGateTerms& {
@@ -607,30 +665,17 @@ private:
     }
   }
 
-  // Right-hand side of lanes [j0, j0 + lanes): known rows, source values,
-  // companion currents and known terms.  Changes every step, never touches
-  // the matrix.  Device-outer, lane-inner, with the same operation sequence
-  // in every lane's column.
-  template <class L>
-  void assemble_rhs(double t, double h, std::size_t j0, L lanes) {
+  // Right-hand side of the step to time t of size h: known rows, source
+  // values, companion currents and known terms.  Changes every step, never
+  // touches the matrix.
+  void assemble_rhs(double t, double h) {
     std::fill(rhsb_.begin(), rhsb_.end(), 0.0);
-    double* rhs = rhsb_.data() + j0;
-
-    // The only lane-divergent input: each lane evaluates its own source
-    // waveforms (the matrix never sees them), into the known rows and the
-    // branch rows of the sources that keep one.
+    double* __restrict rhs = rhsb_.data();
     for (std::size_t q = 0; q < rows_ - m_; ++q) {
-      const std::size_t src = structure_.known_source(q);
-      double* row = rhs + (m_ + q) * w_;
-      for (std::size_t j = 0; j < lanes; ++j) {
-        row[j] = lane_net_[j0 + j]->vsources()[src].voltage.value_at(t);
-      }
+      rhs[m_ + q] = source_value(structure_.known_source(q), t, h);
     }
     for (std::size_t k = 0; k < vsrc_pos_.size(); ++k) {
-      double* row = rhs + vsrc_pos_[k] * w_;
-      for (std::size_t j = 0; j < lanes; ++j) {
-        row[j] = lane_net_[j0 + j]->vsources()[vsrc_dev_[k]].voltage.value_at(t);
-      }
+      rhs[vsrc_pos_[k]] = source_value(vsrc_dev_[k], t, h);
     }
 
     set_companions(h);
@@ -642,267 +687,99 @@ private:
       // another size derives its own from it and the last accepted solution,
       // geq' * v + i = ieq + (geq' - geq) * v.
       const bool regular = h == opt_.dt;
+      const double* __restrict x = xb_.data();
+      const double* __restrict sh = cap_hist();
+      const Pair* __restrict cp = cap_pos_.data();
       for (std::size_t k = 0; k < cap_pos_.size(); ++k) {
-        const auto [pa, pb] = cap_pos_[k];
-        const double* __restrict sh = cap_hist_.data() + k * w_ + j0;
-        if (regular) {
-          stamp_history(pa, pb, rhs, lanes, [&](std::size_t j) { return sh[j]; });
-          continue;
-        }
-        const double dg = cap_geq_[k] - cap_geq_dt_[k];
-        const double* __restrict va = node_row(pa) + j0;
-        const double* __restrict vb = node_row(pb) + j0;
-        stamp_history(pa, pb, rhs, lanes,
-                      [&](std::size_t j) { return sh[j] + dg * (va[j] - vb[j]); });
+        const double ieq =
+            regular ? sh[k]
+                    : sh[k] + (cap_geq_[k] - cap_geq_dt_[k]) * (x[cp[k].a] - x[cp[k].b]);
+        stamp_history(rhs, cp[k].a, cp[k].b, ieq);
       }
 
       // Folded branch: current G * (v + e) from `from` to `to`, with the
       // history voltage e = v_L + req * i.
+      const double* __restrict si = br_i();
+      const double* __restrict sv = br_v();
+      const double* __restrict g = br_g_.data();
+      const double* __restrict req = br_req_.data();
+      const Pair* __restrict bp = br_pos_.data();
       for (std::size_t k = 0; k < br_pos_.size(); ++k) {
-        const double g = br_g_[k];
-        const double req = br_req_[k];
-        const auto [pf, pt] = br_pos_[k];
-        const double* __restrict si = br_i_.data() + k * w_ + j0;
-        const double* __restrict sv = br_v_.data() + k * w_ + j0;
-        stamp_history(pt, pf, rhs, lanes,
-                      [&](std::size_t j) { return g * (sv[j] + req * si[j]); });
+        stamp_history(rhs, bp[k].b, bp[k].a, g[k] * (sv[k] + req[k] * si[k]));
       }
 
+      const double* ii = ind_i();
+      const double* iv = ind_v();
       for (std::size_t k = 0; k < ind_pos_.size(); ++k) {
-        const double req = ind_req_[k];
-        const double* __restrict sv = ind_v_.data() + k * w_ + j0;
-        const double* __restrict si = ind_i_.data() + k * w_ + j0;
-        double* __restrict row = rhs + ind_pos_[k] * w_;
-        for (std::size_t j = 0; j < lanes; ++j) row[j] = -sv[j] - req * si[j];
+        rhs[ind_pos_[k]] = -iv[k] - ind_req_[k] * ii[k];
       }
 
       // History term of the mutual coupling, mirroring the matrix stamp.
       for (std::size_t k = 0; k < mut_.size(); ++k) {
-        const double req = mut_req_[k];
-        double* rowa = rhs + ind_pos_[mut_[k].a] * w_;
-        double* rowb = rhs + ind_pos_[mut_[k].b] * w_;
-        const double* ia = ind_i_.data() + mut_[k].a * w_ + j0;
-        const double* ib = ind_i_.data() + mut_[k].b * w_ + j0;
-        for (std::size_t j = 0; j < lanes; ++j) rowa[j] -= req * ib[j];
-        for (std::size_t j = 0; j < lanes; ++j) rowb[j] -= req * ia[j];
+        const double mreq = mut_req_[k];
+        rhs[ind_pos_[mut_[k].a]] -= mreq * ii[mut_[k].b];
+        rhs[ind_pos_[mut_[k].b]] -= mreq * ii[mut_[k].a];
       }
     }
 
-    for (const Term& term : known_terms_) {
-      const double a = term.a;
-      double* __restrict row = rhs + term.row * w_;
-      const double* __restrict v = rhs + term.known * w_;
-      for (std::size_t j = 0; j < lanes; ++j) row[j] -= a * v[j];
-    }
+    for (const Term& term : known_terms_) rhs[term.row] -= term.a * rhs[term.known];
   }
 
-  // Adds a history current `ieq(j)` that flows into row `in` and out of row
-  // `out` (each skipped unless it is an unknown); the branch on the
-  // terminals is per device, not per lane.
-  template <class L, class Ieq>
-  void stamp_history(std::size_t in, std::size_t out, double* rhs, L lanes, Ieq ieq) {
-    double* ra = in < m_ ? rhs + in * w_ : nullptr;
-    double* rb = out < m_ ? rhs + out * w_ : nullptr;
-    const auto stamp = [&](auto to_a, auto to_b) {
-      for (std::size_t j = 0; j < lanes; ++j) {
-        const double i = ieq(j);
-        if constexpr (to_b) rb[j] -= i;
-        if constexpr (to_a) ra[j] += i;
-      }
-    };
-    if (ra != nullptr && rb != nullptr) {
-      stamp(std::true_type{}, std::true_type{});
-    } else if (rb != nullptr) {
-      stamp(std::false_type{}, std::true_type{});
-    } else if (ra != nullptr) {
-      stamp(std::true_type{}, std::false_type{});
-    }
-  }
-
-  // Seeds device state from the operating point: capacitor currents and
-  // inductor voltages are zero in steady state, and a folded branch's
-  // inductor is a short, so its current is its voltage over R.
-  void seed_state(std::size_t a) {
-    const Lanes n = lanes(a);
-    for (std::size_t k = 0; k < cap_pos_.size(); ++k) {
-      const double geq = cap_geq_dt_[k];
-      const double* __restrict va = node_row(cap_pos_[k].a);
-      const double* __restrict vb = node_row(cap_pos_[k].b);
-      double* __restrict sh = cap_hist_.data() + k * w_;
-      for (std::size_t j = 0; j < n; ++j) sh[j] = geq * (va[j] - vb[j]);
-    }
-    for (std::size_t k = 0; k < br_pos_.size(); ++k) {
-      const double r = br_r_[k];
-      const double* __restrict vf = node_row(br_pos_[k].a);
-      const double* __restrict vt = node_row(br_pos_[k].b);
-      double* __restrict si = br_i_.data() + k * w_;
-      for (std::size_t j = 0; j < n; ++j) si[j] = (vf[j] - vt[j]) / r;
-    }
-    for (std::size_t k = 0; k < ind_pos_.size(); ++k) {
-      double* __restrict si = ind_i_.data() + k * w_;
-      const double* __restrict row = xb_.data() + ind_pos_[k] * w_;
-      for (std::size_t j = 0; j < n; ++j) si[j] = row[j];
-    }
+  // Adds a history current `ieq` that flows into row `in` and out of row
+  // `out`, each skipped unless it is an unknown.
+  void stamp_history(double* rhs, std::size_t in, std::size_t out, double ieq) const {
+    if (out < m_) rhs[out] -= ieq;
+    if (in < m_) rhs[in] += ieq;
   }
 
   // Advances the companion-model state to the solution a regular step (of
   // size dt) just accepted.  A capacitor's history becomes
   // geq * v' + i' = 2 * geq * v' - ieq.
-  void advance_state(std::size_t a) {
-    const Lanes n = lanes(a);
+  void advance_state() {
     set_companions(opt_.dt);
+    const double* __restrict x = xb_.data();
+    double* __restrict sh = cap_hist();
+    const Pair* __restrict cp = cap_pos_.data();
+    const double* __restrict geq = cap_geq_dt_.data();
     for (std::size_t k = 0; k < cap_pos_.size(); ++k) {
-      const double geq2 = 2.0 * cap_geq_dt_[k];
-      const double* __restrict va = node_row(cap_pos_[k].a);
-      const double* __restrict vb = node_row(cap_pos_[k].b);
-      double* __restrict sh = cap_hist_.data() + k * w_;
-      for (std::size_t j = 0; j < n; ++j) sh[j] = geq2 * (va[j] - vb[j]) - sh[j];
+      sh[k] = 2.0 * geq[k] * (x[cp[k].a] - x[cp[k].b]) - sh[k];
     }
+    double* __restrict si = br_i();
+    double* __restrict sv = br_v();
+    const Pair* __restrict bp = br_pos_.data();
+    const double* __restrict g = br_g_.data();
+    const double* __restrict req = br_req_.data();
+    const double* __restrict r = br_r_.data();
     for (std::size_t k = 0; k < br_pos_.size(); ++k) {
-      const double g = br_g_[k];
-      const double req = br_req_[k];
-      const double r = br_r_[k];
-      const double* __restrict vf = node_row(br_pos_[k].a);
-      const double* __restrict vt = node_row(br_pos_[k].b);
-      double* __restrict si = br_i_.data() + k * w_;
-      double* __restrict sv = br_v_.data() + k * w_;
-      for (std::size_t j = 0; j < n; ++j) {
-        const double v = vf[j] - vt[j];
-        const double i_new = g * (v + (sv[j] + req * si[j]));
-        si[j] = i_new;
-        sv[j] = v - r * i_new;
-      }
+      const double v = x[bp[k].a] - x[bp[k].b];
+      const double i_new = g[k] * (v + (sv[k] + req[k] * si[k]));
+      si[k] = i_new;
+      sv[k] = v - r[k] * i_new;
     }
+    double* ii = ind_i();
+    double* iv = ind_v();
     for (std::size_t k = 0; k < ind_pos_.size(); ++k) {
-      const double* __restrict va = node_row(ind_nodes_[k].a);
-      const double* __restrict vb = node_row(ind_nodes_[k].b);
-      double* __restrict si = ind_i_.data() + k * w_;
-      double* __restrict sv = ind_v_.data() + k * w_;
-      const double* __restrict row = xb_.data() + ind_pos_[k] * w_;
-      for (std::size_t j = 0; j < n; ++j) {
-        si[j] = row[j];
-        sv[j] = va[j] - vb[j];
-      }
+      ii[k] = x[ind_pos_[k]];
+      iv[k] = x[ind_nodes_[k].a] - x[ind_nodes_[k].b];
     }
-  }
-
-  void record_lane(std::size_t j, double t) {
-    for (std::size_t p = 0; p < probe_pos_.size(); ++p) {
-      probe_vals_[p] = probe_pos_[p] == npos ? 0.0 : xb_[probe_pos_[p] * w_ + j];
-    }
-    results_[j].record_probe_values(t, probe_vals_);
-  }
-
-  void record(double t, std::size_t a) {
-    const Lanes n = lanes(a);
-    for (std::size_t j = 0; j < n; ++j) record_lane(j, t);
-  }
-
-  // Measured-edge stop, decided per lane on the sample just recorded: a lane
-  // whose watched nodes completed their edges ends here, final finiteness
-  // guard included.
-  void retire_measured(std::size_t& a) {
-    if (lane_watch_.empty()) return;
-    for (std::size_t j = 0; j < a;) {
-      const bool done = lane_watch_[j].observe([&](std::size_t k) {
-        return watch_pos_[k] == npos ? 0.0 : xb_[watch_pos_[k] * w_ + j];
-      });
-      if (!done) {
-        ++j;
-        continue;
-      }
-      finalize(j);
-      remove_lane(j, a);
-    }
-  }
-
-  // Shortened final step (h = t_stop - t < dt) of lane j while other lanes
-  // keep integrating, run on a dedicated tail solver: identical stamps and
-  // the identical factorization algorithm produce the factor an in-place
-  // refactor would, so the lane's last sample is bitwise-identical to a lone
-  // run's.  The solution lands in rhsb_'s column j and is copied into xb_.
-  void tail_step(std::size_t j, double t) {
-    try {
-      if (lane_budget_[j]) lane_budget_[j]->charge_transient_steps(1, "transient");
-      const double h = lane_tstop_[j] - t;
-      assemble_rhs(t + h, h, j, OneLane{});
-      if (m_ > 0) {
-        if (!tail_) tail_ = detail::make_solver(structure_, kind_, opt_.budget);
-        refactor(*tail_, h, kGmin);
-        tail_->solve_block(std::span<double>(rhsb_).subspan(j), 1, w_);
-      }
-      for (std::size_t i = 0; i < rows_; ++i) xb_[i * w_ + j] = rhsb_[i * w_ + j];
-      record_lane(j, t + h);
-      finalize(j);
-    } catch (...) {
-      out_[lane_slot_[j]].error = std::current_exception();
-    }
-  }
-
-  bool lane_finite(std::size_t j) const {
-    for (std::size_t i = 0; i < rows_; ++i) {
-      if (!std::isfinite(xb_[i * w_ + j])) return false;
-    }
-    return true;
-  }
-
-  void fail_nonfinite(std::size_t j) {
-    out_[lane_slot_[j]].error = std::make_exception_ptr(SingularMatrixError(
-        "transient: non-finite solution (singular or NaN-stamped system)"));
-  }
-
-  // A lane that ended: its result, unless the final finiteness guard fails.
-  void finalize(std::size_t j) {
-    if (!lane_finite(j)) {
-      fail_nonfinite(j);
-      return;
-    }
-    results_[j].set_work(factored_columns_, newton_iterations_, gate_evaluations_);
-    out_[lane_slot_[j]].result = std::move(results_[j]);
-  }
-
-  // Removes active lane j: shifts the columns behind it left so the
-  // descending-t_stop order (and every lane's column index) stays
-  // consistent.  The tail lane shifts nothing.
-  void remove_lane(std::size_t j, std::size_t& a) {
-    auto shift = [&](std::vector<double>& arr, std::size_t rows) {
-      for (std::size_t i = 0; i < rows; ++i) {
-        double* row = arr.data() + i * w_;
-        for (std::size_t c = j; c + 1 < a; ++c) row[c] = row[c + 1];
-      }
-    };
-    if (j + 1 < a) {
-      shift(xb_, rows_);
-      shift(cap_hist_, cap_pos_.size());
-      shift(br_i_, br_pos_.size());
-      shift(br_v_, br_pos_.size());
-      shift(ind_i_, ind_pos_.size());
-      shift(ind_v_, ind_pos_.size());
-    }
-    const auto at = static_cast<std::ptrdiff_t>(j);
-    lane_slot_.erase(lane_slot_.begin() + at);
-    lane_net_.erase(lane_net_.begin() + at);
-    lane_tstop_.erase(lane_tstop_.begin() + at);
-    lane_budget_.erase(lane_budget_.begin() + at);
-    results_.erase(results_.begin() + at);
-    if (!lane_watch_.empty()) lane_watch_.erase(lane_watch_.begin() + at);
-    --a;
   }
 
   const TransientOptions& opt_;
   const Netlist& nl0_;
   MnaStructure structure_;
   std::size_t m_;     // unknowns
-  std::size_t rows_;  // solution-block rows: the unknowns, then the known rows
+  std::size_t rows_;  // solution rows: the unknowns, then the known rows
   bool newton_;
   SolverKind kind_;  // the backend every solve of this run factors with
   std::unique_ptr<detail::LinearSolver> solver_;  // null without unknowns
-  std::unique_ptr<detail::LinearSolver> tail_;
+  std::unique_ptr<detail::LinearSolver> tail_;    // a superposed lane's last step
   std::vector<NodeId> probes_;
-  std::span<BlockOutcome> out_;
+  Drive drive_ = Drive::netlist;
+  double held_u_ = 0.0;
 
-  // Rows resolved once at construction (npos = ground), and the device
-  // values the companion coefficients are computed from.
+  // Rows resolved once at construction (ground: rows_ for the linear
+  // devices' terminals, npos elsewhere), and the device values the companion
+  // coefficients are computed from.
   std::vector<Pair> cap_pos_;  // capacitors with an unknown terminal
   std::vector<double> cap_c_;
   std::vector<Pair> br_pos_;   // folded branches: {from, to}
@@ -920,27 +797,14 @@ private:
   std::vector<std::size_t> probe_pos_;
   std::vector<std::size_t> watch_pos_;  // measured-edge stop nodes
 
-  // Active-lane bookkeeping, sorted by descending t_stop.
-  std::vector<std::size_t> lane_slot_;
-  std::vector<const Netlist*> lane_net_;
-  std::vector<double> lane_tstop_;
-  std::vector<util::ExecTracker*> lane_budget_;
-  std::vector<TransientResult> results_;
-  std::vector<EdgeWatch> lane_watch_;  // empty when the stop is off
-
-  // SoA blocks with fixed stride w_ (lane j of row i at [i * w_ + j]).
   // Preallocated: the time-step loop never allocates.
-  [[no_unique_address]] Lanes w_{};
-  std::vector<double> xb_;    // solution (the Newton iterate on that path)
-  std::vector<double> rhsb_;  // right-hand side, solved in place
+  std::vector<double> xb_;       // solution (the Newton iterate on that path),
+                                 // then the zero row
+  std::vector<double> rhsb_;     // right-hand side, solved in place
   std::vector<double> rhs_lin_;  // a Newton step's linear right-hand side
-  std::vector<double> cap_hist_;  // capacitor history geq * v + i at dt
-  std::vector<double> br_i_;  // folded branch current
-  std::vector<double> br_v_;  // folded branch inductor voltage
-  std::vector<double> ind_i_;
-  std::vector<double> ind_v_;
-  std::vector<double> zero_row_;  // a ground terminal's row: w_ zeros
-  std::vector<double> probe_vals_;
+  std::vector<double> hist_;     // device histories (see cap_hist)
+  std::vector<double> tail_x_;   // tail_step's swap space
+  std::vector<double> tail_hist_;
 
   // Companion coefficients per device at step size coef_h_.
   std::vector<double> cap_geq_;     // 2C/h
@@ -957,7 +821,7 @@ private:
   double held_gmin_ = std::numeric_limits<double>::quiet_NaN();
   std::size_t factored_columns_ = 0;  // columns of the last factorization
 
-  // The one-lane Newton path's per-device matrix entries and gate terms, its
+  // The Newton path's per-device matrix entries and gate terms, its
   // predictor state (the last accepted unknowns and the step that reached
   // them) and its work counts.
   std::vector<MosEntries> mos_entry_;
@@ -966,6 +830,365 @@ private:
   double h_last_ = 0.0;
   std::uint64_t newton_iterations_ = 0;
   std::uint64_t gate_evaluations_ = 0;
+};
+
+// True for the decks sim::simulate and simulate_block solve by
+// superposition: linear (no MOSFET) and driven by exactly one source.
+bool superposable(const Netlist& netlist) {
+  return netlist.mosfets().empty() && netlist.vsources().size() == 1;
+}
+
+// Solves the lanes of one superposable deck, scenarios that differ only in
+// their source waveform and horizon, from one basis.
+//
+// The basis is the stepper driven by the unit step down: the source at 1 in
+// the DC point (whose solution is the unit DC solution d) and at 0 at every
+// step after it, so its response g_q (g_0 = d) decays to 0 and its prefix
+// sums G_q = g_1 + ... + g_q stay bounded.  A deck is linear and time
+// invariant in its source, so a lane whose source reads u_k at the grid
+// times t_k, with increments du_j = u_j - u_(j-1), has
+//   y_n = d * u_n - sum_(j=1..n) du_j * g_(n-j+1).
+// A PWL source has slope s_0 just after t = 0 and changes slope by c_i at
+// each later breakpoint tau_i, which the grid first reaches at step m_i
+// (t_(m_i) >= tau_i), delta_i = t_(m_i) - tau_i past it.  Its increments
+// are du_j = slope * dt, plus c_i * delta_i at step m_i, so
+//   y_n = d * u_n - s_0 * dt * G_n
+//         - sum_(i: m_i <= n) c_i * (delta_i * g_(n-m_i+1) + dt * G_(n-m_i)),
+// with u_n the lane's own value_at(t_n): a fixed-order sum, in breakpoint
+// order, over the basis prefix and the lane's own source, whatever the
+// horizon, group or lane count.  It holds for every row of the solution
+// and every device history alike.  The basis records g and G at the rows
+// the lanes read (probes and watched nodes; a source-held node reads u_n
+// itself), and each lane records, watches, charges its budget and guards
+// its samples as a stepped run does.
+//
+// A lane whose horizon ends mid-step takes its shortened final step from
+// its full state at its last grid time n, built by the same sum from the
+// basis's full state at the steps n - m_i + 1 and its prefix sums at
+// n - m_i and n: snapshots taken as the basis passes those steps, known in
+// advance from the grid.
+class Superposition {
+public:
+  Superposition(const Netlist& netlist, const TransientOptions& options,
+                std::span<const NodeId> probes)
+      : opt_(options), basis_(netlist, options, probes) {
+    const std::size_t m = basis_.structure().unknown_count();
+    // value slots: 0 reads ground, 1 the lane's source, 2 + s basis row s.
+    const auto slot = [&](std::size_t pos) -> std::size_t {
+      if (pos == npos) return 0;
+      if (pos >= m) return 1;
+      const auto it = std::find(rows_.begin(), rows_.end(), pos);
+      if (it != rows_.end()) return 2 + static_cast<std::size_t>(it - rows_.begin());
+      rows_.push_back(pos);
+      return 1 + rows_.size();
+    };
+    for (std::size_t p : basis_.probe_pos()) probe_slot_.push_back(slot(p));
+    for (std::size_t p : basis_.watch_pos()) watch_slot_.push_back(slot(p));
+    vals_.assign(2 + rows_.size(), 0.0);
+  }
+
+  void add_lane(std::size_t slot, const Netlist* netlist, double t_stop,
+                util::ExecTracker* budget) {
+    lanes_.push_back(Lane{slot, netlist->vsources()[0].voltage, t_stop, budget,
+                          TransientResult(basis_.probes(),
+                                          static_cast<std::size_t>(t_stop / opt_.dt) + 2,
+                                          basis_.kind())});
+    if (!watch_slot_.empty()) lanes_.back().watch.emplace(opt_.edge_stop);
+  }
+
+  // Runs every lane to its t_stop or its measured-edge stop, leaving each
+  // lane's result or error in out[slot].  Failures of the shared machinery
+  // (a singular matrix) throw instead.
+  void run(std::span<BlockOutcome> out) {
+    if (lanes_.empty()) return;
+    plan();
+    const std::size_t r = rows_.size();
+
+    basis_.drive_basis();
+    basis_.solve_dc();
+    basis_.seed_state();
+    for (std::size_t s = 0; s < r; ++s) g_[s] = basis_.node(rows_[s]);
+    if (track_state_) take_snapshot();
+    for (Lane& lane : lanes_) {
+      sample(lane, 0);
+      if (record(lane, 0.0)) finish(lane);
+    }
+
+    double t = 0.0;
+    std::size_t n = 0;
+    std::uint64_t steps = 0;
+    for (;;) {
+      // Each lane ends, takes its shortened final step, or is charged for
+      // the next regular one.
+      bool stepping = false;
+      for (Lane& lane : lanes_) {
+        if (lane.state != Lane::State::active) continue;
+        if (n == lane.n_final) {
+          if (lane.shortened) tail_step(lane, t, n);
+          if (lane.state == Lane::State::active) finish(lane);
+          continue;
+        }
+        if (lane.budget) {
+          try {
+            lane.budget->charge_transient_steps(1, "transient");
+          } catch (...) {
+            fail(lane, std::current_exception());
+            continue;
+          }
+        }
+        stepping = true;
+      }
+      if (!stepping) break;
+
+      const double t_next = grid_[n + 1];
+      basis_.step(t_next);
+      ++n;
+      t = t_next;
+      double* g = g_.data() + n * r;
+      double* sum = sums_.data() + n * r;
+      const double* sum_prev = sum - r;
+      for (std::size_t s = 0; s < r; ++s) {
+        g[s] = basis_.node(rows_[s]);
+        sum[s] = sum_prev[s] + g[s];
+      }
+      if (track_state_) {
+        basis_.add_state(state_sum_.data());
+        if (next_snap_ < snap_steps_.size() && snap_steps_[next_snap_] == n) take_snapshot();
+      }
+      // Periodic (cheap, amortized) non-finite guard, as a stepped run's.
+      const bool guard = (++steps & 63) == 0;
+      const bool basis_finite = !guard || basis_.finite();
+      for (Lane& lane : lanes_) {
+        if (lane.state != Lane::State::active) continue;
+        sample(lane, n);
+        ++lane.superposed;
+        if (guard && !(basis_finite && lane.finite)) {
+          fail(lane, std::make_exception_ptr(nonfinite_error()));
+          continue;
+        }
+        if (record(lane, t)) finish(lane);
+      }
+    }
+
+    TransientResult::Work work = basis_.work();
+    work.basis_steps = n;
+    for (Lane& lane : lanes_) {
+      if (lane.state == Lane::State::failed) {
+        out[lane.slot].error = lane.error;
+        continue;
+      }
+      work.solved_steps = lane.shortened && lane.tail_taken ? 1 : 0;
+      work.superposed_samples = lane.superposed;
+      lane.result.set_work(work);
+      out[lane.slot].result = std::move(lane.result);
+    }
+  }
+
+private:
+  // A slope change of a lane's source after t = 0: c_i * delta_i and
+  // c_i * dt, and the step m_i that reaches it.
+  struct Kink {
+    std::size_t m;
+    double a;
+    double b;
+  };
+
+  struct Lane {
+    std::size_t slot;
+    const wave::Pwl& source;
+    double t_stop;
+    util::ExecTracker* budget;
+    TransientResult result;
+    std::optional<EdgeWatch> watch{};
+    PwlCursor cursor{source};
+    std::vector<Kink> kinks{};
+    std::size_t passed = 0;   // kinks the grid has reached
+    double s0_dt = 0.0;       // s_0 * dt
+    std::size_t n_final = 0;  // the grid step it ends or shortens its step at
+    bool shortened = false;   // its horizon ends mid-step
+    bool tail_taken = false;
+    double u = 0.0;           // the source at its last grid sample
+    bool finite = true;       // every sample so far finite
+    std::uint64_t superposed = 0;
+    enum class State { active, done, failed } state = State::active;
+    std::exception_ptr error{};
+  };
+
+  // The time grid the stepper walks (t_(k+1) = t_k + dt, the stepped run's
+  // accumulation), each lane's last grid step and kinks, and the basis
+  // snapshots the lanes' shortened steps read.
+  void plan() {
+    const double dt = opt_.dt;
+    double t_max = 0.0;
+    for (const Lane& lane : lanes_) t_max = std::max(t_max, lane.t_stop);
+    const auto ends = [&](double t, double t_stop) {
+      return t >= t_stop - 1e-21 || t_stop - t < dt;
+    };
+    grid_.reserve(static_cast<std::size_t>(t_max / dt) + 3);
+    grid_.push_back(0.0);
+    for (double t = 0.0; !ends(t, t_max);) {
+      t = t + dt;
+      grid_.push_back(t);
+    }
+    const std::size_t r = rows_.size();
+    g_.assign(grid_.size() * r, 0.0);
+    sums_.assign(grid_.size() * r, 0.0);
+
+    for (Lane& lane : lanes_) {
+      lane.n_final = static_cast<std::size_t>(
+          std::partition_point(grid_.begin(), grid_.end(),
+                               [&](double t) { return !ends(t, lane.t_stop); }) -
+          grid_.begin());
+      lane.shortened = grid_[lane.n_final] < lane.t_stop - 1e-21;
+
+      const std::vector<std::pair<double, double>>& pts = lane.source.points();
+      const auto slope = [&](std::size_t i) {  // of the segment ending at point i
+        return i == 0 || i == pts.size()
+                   ? 0.0
+                   : (pts[i].second - pts[i - 1].second) / (pts[i].first - pts[i - 1].first);
+      };
+      std::size_t first = 0;  // the first breakpoint after t = 0
+      while (first < pts.size() && pts[first].first <= 0.0) ++first;
+      lane.s0_dt = slope(first) * dt;
+      for (std::size_t i = first; i < pts.size(); ++i) {
+        const double tau = pts[i].first;
+        const auto at = std::lower_bound(grid_.begin() + 1, grid_.end(), tau);
+        const auto m = static_cast<std::size_t>(at - grid_.begin());
+        if (m > lane.n_final) break;
+        const double c = slope(i + 1) - slope(i);
+        lane.kinks.push_back({m, c * (grid_[m] - tau), c * dt});
+        if (lane.shortened) {
+          snap_steps_.push_back(lane.n_final - m + 1);
+          snap_steps_.push_back(lane.n_final - m);
+        }
+      }
+      track_state_ = track_state_ || lane.shortened;
+    }
+    if (track_state_) {
+      std::sort(snap_steps_.begin(), snap_steps_.end());
+      snap_steps_.erase(std::unique(snap_steps_.begin(), snap_steps_.end()), snap_steps_.end());
+      if (snap_steps_.empty() || snap_steps_.front() != 0) snap_steps_.insert(snap_steps_.begin(), 0);
+      const std::size_t size = basis_.state_size();
+      snaps_.assign(snap_steps_.size() * 2 * size, 0.0);
+      state_sum_.assign(size, 0.0);
+      lane_state_.assign(size, 0.0);
+    }
+  }
+
+  // Keeps the basis's full state at step q and its prefix sum.
+  void take_snapshot() {
+    const std::size_t size = basis_.state_size();
+    double* snap = snaps_.data() + next_snap_ * 2 * size;
+    basis_.copy_state(snap);
+    std::copy(state_sum_.begin(), state_sum_.end(), snap + size);
+    ++next_snap_;
+  }
+
+  const double* snapshot(std::size_t q) const {
+    const auto it = std::lower_bound(snap_steps_.begin(), snap_steps_.end(), q);
+    return snaps_.data() +
+           static_cast<std::size_t>(it - snap_steps_.begin()) * 2 * basis_.state_size();
+  }
+
+  // The lane's superposed values at grid step n into vals_, and the source's
+  // value at t_n.
+  void sample(Lane& lane, std::size_t n) {
+    const std::size_t r = rows_.size();
+    const double u = lane.cursor.value_at(grid_[n]);
+    lane.u = u;
+    while (lane.passed < lane.kinks.size() && lane.kinks[lane.passed].m <= n) ++lane.passed;
+    vals_[1] = u;
+    double* v = vals_.data() + 2;
+    const double* d = g_.data();
+    for (std::size_t s = 0; s < r; ++s) v[s] = d[s] * u;
+    if (lane.s0_dt != 0.0) {
+      const double* sum = sums_.data() + n * r;
+      for (std::size_t s = 0; s < r; ++s) v[s] -= lane.s0_dt * sum[s];
+    }
+    for (std::size_t i = 0; i < lane.passed; ++i) {
+      const Kink& k = lane.kinks[i];
+      const double* g = g_.data() + (n - k.m + 1) * r;
+      const double* sum = sums_.data() + (n - k.m) * r;
+      for (std::size_t s = 0; s < r; ++s) v[s] -= k.a * g[s] + k.b * sum[s];
+    }
+    bool finite = std::isfinite(u);
+    for (std::size_t s = 0; s < r; ++s) finite = finite && std::isfinite(v[s]);
+    lane.finite = lane.finite && finite;
+  }
+
+  // Records vals_ at time t and feeds the edge watch; true once the lane's
+  // watched edges are complete.
+  bool record(Lane& lane, double t) {
+    lane.result.record(t, [&](std::size_t k) { return vals_[probe_slot_[k]]; });
+    return lane.watch &&
+           lane.watch->observe([&](std::size_t k) { return vals_[watch_slot_[k]]; });
+  }
+
+  // The lane's shortened final step, from its superposed full state at grid
+  // step n (time t).
+  void tail_step(Lane& lane, double t, std::size_t n) {
+    try {
+      if (lane.budget) lane.budget->charge_transient_steps(1, "transient");
+      const std::size_t size = basis_.state_size();
+      const double* dc = snapshot(0);
+      for (std::size_t j = 0; j < size; ++j) lane_state_[j] = dc[j] * lane.u;
+      if (lane.s0_dt != 0.0) {
+        for (std::size_t j = 0; j < size; ++j) lane_state_[j] -= lane.s0_dt * state_sum_[j];
+      }
+      for (std::size_t i = 0; i < lane.passed; ++i) {
+        const Kink& k = lane.kinks[i];
+        const double* g = snapshot(n - k.m + 1);
+        const double* sum = snapshot(n - k.m) + size;
+        for (std::size_t j = 0; j < size; ++j) lane_state_[j] -= k.a * g[j] + k.b * sum[j];
+      }
+      const double h = lane.t_stop - t;
+      const double t_next = t + h;
+      const std::span<const double> x =
+          basis_.tail_step(lane_state_, lane.cursor.value_at(t_next), t, h);
+      lane.tail_taken = true;
+      bool finite = true;
+      for (double v : x) finite = finite && std::isfinite(v);
+      const auto value = [&](std::size_t pos) { return pos == npos ? 0.0 : x[pos]; };
+      lane.result.record(t_next,
+                         [&](std::size_t k) { return value(basis_.probe_pos()[k]); });
+      if (!finite) fail(lane, std::make_exception_ptr(nonfinite_error()));
+    } catch (...) {
+      fail(lane, std::current_exception());
+    }
+  }
+
+  void finish(Lane& lane) {
+    if (!(lane.finite && basis_.finite())) {
+      fail(lane, std::make_exception_ptr(nonfinite_error()));
+      return;
+    }
+    lane.state = Lane::State::done;
+  }
+
+  void fail(Lane& lane, std::exception_ptr e) {
+    lane.state = Lane::State::failed;
+    lane.error = std::move(e);
+  }
+
+  const TransientOptions& opt_;
+  Stepper basis_;
+  std::vector<std::size_t> rows_;        // basis rows the lanes read
+  std::vector<std::size_t> probe_slot_;  // vals_ slot of each probe
+  std::vector<std::size_t> watch_slot_;  // vals_ slot of each watched node
+  std::vector<double> vals_;             // a lane's values at one sample
+  std::vector<Lane> lanes_;
+
+  std::vector<double> grid_;  // t_k
+  std::vector<double> g_;     // g_q at rows_, q-major (g_0: the unit DC solution)
+  std::vector<double> sums_;  // G_q at rows_ (G_0 = 0)
+
+  // Full-state tracking for shortened final steps.
+  bool track_state_ = false;
+  std::vector<double> state_sum_;   // G over the full state, to the current step
+  std::vector<std::size_t> snap_steps_;
+  std::size_t next_snap_ = 0;
+  std::vector<double> snaps_;       // per snapshot step: full state, then its G
+  std::vector<double> lane_state_;  // a lane's full state before its tail step
 };
 
 }  // namespace
@@ -1014,17 +1237,9 @@ const wave::Waveform& TransientResult::at(ckt::NodeId node) const {
   throw Error("TransientResult: node was not probed");
 }
 
-void TransientResult::record_probe_values(double time,
-                                          std::span<const double> per_probe) {
-  for (std::size_t k = 0; k < probes_.size(); ++k) {
-    waves_[k].append(time, per_probe[k]);
-  }
-}
-
 OperatingPoint dc_operating_point(const ckt::Netlist& netlist,
                                   const TransientOptions& options) {
-  Stepper<OneLane> stepper(netlist, options, {});
-  stepper.add_lane(0, &netlist, options.t_stop, options.budget);
+  Stepper stepper(netlist, options, {});
   const std::span<const double> x = stepper.solve_dc();
   const MnaStructure& structure = stepper.structure();
 
@@ -1046,10 +1261,13 @@ OperatingPoint dc_operating_point(const ckt::Netlist& netlist,
 TransientResult simulate(const ckt::Netlist& netlist, const TransientOptions& options,
                          std::span<const ckt::NodeId> probes) {
   ensure(options.t_stop > 0.0 && options.dt > 0.0, "simulate: bad time range");
-  Stepper<OneLane> stepper(netlist, options, probes);
-  stepper.add_lane(0, &netlist, options.t_stop, options.budget);
+  if (!superposable(netlist)) {
+    return Stepper(netlist, options, probes).run(options.t_stop, options.budget);
+  }
+  Superposition superposition(netlist, options, probes);
+  superposition.add_lane(0, &netlist, options.t_stop, options.budget);
   BlockOutcome out;
-  stepper.run(std::span<BlockOutcome>(&out, 1));
+  superposition.run(std::span<BlockOutcome>(&out, 1));
   if (!out.result) std::rethrow_exception(out.error);
   return std::move(*out.result);
 }
@@ -1072,27 +1290,25 @@ std::vector<BlockOutcome> simulate_block(std::span<const BlockScenario> scenario
            "simulate_block: scenarios must be group-equal");
   }
 
-  Stepper<std::size_t> stepper(nl0, options, probes);
-  // Longest-running lanes first, stable so equal t_stops keep input order.
-  std::vector<std::size_t> order(scenarios.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return scenarios[a].t_stop > scenarios[b].t_stop;
-  });
-  for (std::size_t slot : order) {
+  // Lanes of any other deck run sim::simulate one by one.
+  std::optional<Superposition> superposition;
+  if (superposable(nl0)) superposition.emplace(nl0, options, probes);
+  for (std::size_t slot = 0; slot < scenarios.size(); ++slot) {
     const BlockScenario& s = scenarios[slot];
-    if (s.t_stop > 0.0) {
-      stepper.add_lane(slot, s.netlist, s.t_stop, s.budget);
+    if (s.t_stop > 0.0 && superposition) {
+      superposition->add_lane(slot, s.netlist, s.t_stop, s.budget);
       continue;
     }
-    // sim::simulate's precondition, confined to this lane.
     try {
-      ensure(false, "simulate: bad time range");
+      TransientOptions lane = options;
+      lane.t_stop = s.t_stop;
+      lane.budget = s.budget;
+      out[slot].result = simulate(*s.netlist, lane, probes);
     } catch (...) {
       out[slot].error = std::current_exception();
     }
   }
-  stepper.run(out);
+  if (superposition) superposition->run(out);
   return out;
 }
 

@@ -121,7 +121,7 @@ public:
   // factorization, only the columns from the first MOSFET terminal on when
   // a cached Newton iteration refactors its dynamic tail, 0 when the deck
   // has no unknowns.  A work count, the same on every host.
-  std::size_t factored_columns() const { return factored_columns_; }
+  std::size_t factored_columns() const { return work_.factored_columns; }
 
   // Newton iterations over the whole run, its DC operating point's
   // included, and the MOSFET gate-term evaluations among them: an on device
@@ -129,27 +129,42 @@ public:
   // terms under cached assembly.  Both 0 on a linear deck under cached
   // assembly, which solves without Newton.  Work counts, the same on every
   // host.
-  std::uint64_t newton_iterations() const { return newton_iterations_; }
-  std::uint64_t gate_evaluations() const { return gate_evaluations_; }
+  std::uint64_t newton_iterations() const { return work_.newton_iterations; }
+  std::uint64_t gate_evaluations() const { return work_.gate_evaluations; }
 
-  void set_work(std::size_t factored_columns, std::uint64_t newton_iterations,
-                std::uint64_t gate_evaluations) {
-    factored_columns_ = factored_columns;
-    newton_iterations_ = newton_iterations;
-    gate_evaluations_ = gate_evaluations;
-  }
+  // How the samples were made (see simulate).  A stepped run solves its
+  // system once per sample after t = 0 (solved_steps) and superposes none.
+  // A superposed run reports the steps of the unit-step basis it was
+  // superposed from (basis_steps: the whole call's, shared by every lane of
+  // a simulate_block call), the samples it took from that basis after t = 0
+  // (superposed_samples) and its own solved steps: 1 when its horizon ends
+  // mid-step, else 0.  Work counts, the same on every host.
+  std::uint64_t basis_steps() const { return work_.basis_steps; }
+  std::uint64_t solved_steps() const { return work_.solved_steps; }
+  std::uint64_t superposed_samples() const { return work_.superposed_samples; }
 
-  // Appends one sample: `per_probe` holds one value per probes() entry, in
+  struct Work {
+    std::size_t factored_columns = 0;
+    std::uint64_t newton_iterations = 0;
+    std::uint64_t gate_evaluations = 0;
+    std::uint64_t basis_steps = 0;
+    std::uint64_t solved_steps = 0;
+    std::uint64_t superposed_samples = 0;
+  };
+  void set_work(const Work& work) { work_ = work; }
+
+  // Appends one sample at `time`: value_of(k) is probe k's value, for k in
   // probe order.
-  void record_probe_values(double time, std::span<const double> per_probe);
+  template <class ValueOf>
+  void record(double time, ValueOf value_of) {
+    for (std::size_t k = 0; k < waves_.size(); ++k) waves_[k].append(time, value_of(k));
+  }
 
 private:
   std::vector<ckt::NodeId> probes_;
   std::vector<wave::Waveform> waves_;
   SolverKind solver_;
-  std::size_t factored_columns_ = 0;
-  std::uint64_t newton_iterations_ = 0;
-  std::uint64_t gate_evaluations_ = 0;
+  Work work_;
 };
 
 // DC operating point: node voltages indexed by NodeId (ground included as
@@ -175,10 +190,15 @@ OperatingPoint dc_operating_point(const ckt::Netlist& netlist,
                                   const TransientOptions& options = {});
 
 // Runs a transient from the DC operating point, recording the probed nodes,
-// to options.t_stop or to the measured-edge stop (options.edge_stop).  This
-// is the one-lane instance of the stepper simulate_block runs
-// (sim/scenario_block.h): the same RHS assembly, state advance, recording
-// and guards, with the lane count fixed at one at compile time.
+// to options.t_stop or to the measured-edge stop (options.edge_stop).
+//
+// A deck with no MOSFET and exactly one voltage source is linear in that
+// source, and is solved by superposition, as simulate_block solves a group
+// of such decks (sim/scenario_block.h): the stepper runs one basis lane, the
+// unit step on that source, and each recorded sample is a fixed-order sum
+// over the basis response weighted by the source's own PWL segments.  Every
+// other deck is stepped directly, one Newton or substitution solve per
+// step.  Both paths assemble, factor and guard alike.
 TransientResult simulate(const ckt::Netlist& netlist, const TransientOptions& options,
                          std::span<const ckt::NodeId> probes);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <type_traits>
 #include <utility>
 
 #include "util/error.h"
@@ -12,54 +11,6 @@ namespace rlceff::util {
 
 namespace {
 constexpr double pivot_floor = 1e-300;
-
-using OneLane = std::integral_constant<std::size_t, 1>;
-
-// The widest block BandedMatrix::solve_block runs at a compile-time lane
-// count; the banded substitution's `#pragma GCC unroll 16` spells it.
-constexpr std::size_t kMaxWidth = 16;
-
-// Calls fn(std::integral_constant<std::size_t, lanes>{}), lanes in
-// [1, sizeof...(W)].
-template <class Fn, std::size_t... W>
-void with_width(std::size_t lanes, Fn& fn, std::index_sequence<W...>) {
-  (void)((lanes == W + 1 && (fn(std::integral_constant<std::size_t, W + 1>{}), true)) || ...);
-}
-
-// The one substitution sweep behind lu_solve_into and lu_solve_block: lane s
-// of unknown i lives at x[i * stride + s].  `Lanes` is std::size_t for
-// blocks or OneLane, the compile-time one-lane instance lu_solve_into runs,
-// whose lane loops collapse to scalar code.  Every lane executes the same
-// operation sequence, so a lane's result is bitwise-identical whichever
-// instance solved it; the __restrict row pointers (distinct rows of x are
-// disjoint) let the block instance's lane loops vectorize.
-template <class Lanes>
-void lu_substitute(const LuFactors& f, double* x, Lanes lanes, Lanes stride) {
-  const std::size_t n = f.lu.rows();
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t p = f.perm[k];
-    double* __restrict xk = x + k * stride;
-    if (p != k) {
-      double* __restrict xp = x + p * stride;
-      for (std::size_t s = 0; s < lanes; ++s) std::swap(xk[s], xp[s]);
-    }
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double m = f.lu(i, k);
-      double* __restrict xi = x + i * stride;
-      for (std::size_t s = 0; s < lanes; ++s) xi[s] -= m * xk[s];
-    }
-  }
-  for (std::size_t k = n; k-- > 0;) {
-    double* __restrict xk = x + k * stride;
-    for (std::size_t j = k + 1; j < n; ++j) {
-      const double m = f.lu(k, j);
-      const double* __restrict xj = x + j * stride;
-      for (std::size_t s = 0; s < lanes; ++s) xk[s] -= m * xj[s];
-    }
-    const double d = f.lu(k, k);
-    for (std::size_t s = 0; s < lanes; ++s) xk[s] /= d;
-  }
-}
 
 }  // namespace
 
@@ -89,8 +40,8 @@ void lu_factor_into(const DenseMatrix& a, LuFactors& f) {
     f.perm[k] = prow;
     if (prow != k) {
       // Swap only the active columns: the stored multipliers are per-step
-      // elimination records, and lu_substitute replays swap-then-eliminate in the
-      // same order.  Swapping the L part too would break that replay.
+      // elimination records, and lu_solve_into replays swap-then-eliminate in
+      // the same order.  Swapping the L part too would break that replay.
       for (std::size_t j = k; j < n; ++j) std::swap(lu(k, j), lu(prow, j));
     }
     const double inv = 1.0 / lu(k, k);
@@ -105,15 +56,16 @@ void lu_factor_into(const DenseMatrix& a, LuFactors& f) {
 
 void lu_solve_into(const LuFactors& f, std::span<double> x) {
   ensure(x.size() == f.lu.rows(), "lu_solve: rhs size mismatch");
-  lu_substitute(f, x.data(), OneLane{}, OneLane{});
-}
-
-void lu_solve_block(const LuFactors& f, std::span<double> x, std::size_t lanes,
-                    std::size_t stride) {
-  ensure(lanes > 0 && lanes <= stride, "lu_solve_block: bad lane count");
-  ensure(x.size() >= f.lu.rows() * stride - (stride - lanes),
-         "lu_solve_block: rhs block size mismatch");
-  lu_substitute(f, x.data(), lanes, stride);
+  const std::size_t n = f.lu.rows();
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t p = f.perm[k];
+    if (p != k) std::swap(x[k], x[p]);
+    for (std::size_t i = k + 1; i < n; ++i) x[i] -= f.lu(i, k) * x[k];
+  }
+  for (std::size_t k = n; k-- > 0;) {
+    for (std::size_t j = k + 1; j < n; ++j) x[k] -= f.lu(k, j) * x[j];
+    x[k] /= f.lu(k, k);
+  }
 }
 
 std::vector<double> solve_dense(const DenseMatrix& a, std::span<const double> b) {
@@ -278,106 +230,62 @@ void BandedMatrix::factor_from(std::size_t first) {
   factored_ = n_;
 }
 
-// One kernel for both solves, like lu_substitute, sweeping the packed lists
-// of factor_from.  A skipped x_i -= m * x_k with m == 0 could only have
-// turned x_i == -0.0 into +0.0, so without a -0.0 in the right-hand side
-// the sweep is the full-band one bit for bit, and with one only the sign of
-// an exactly-zero result can differ, which no measurement reads.
+// The substitution sweeps over the packed lists of factor_from.  A skipped
+// x_i -= m * x_k with m == 0 could only have turned x_i == -0.0 into +0.0,
+// so without a -0.0 in the right-hand side the sweep is the full-band one
+// bit for bit, and with one only the sign of an exactly-zero result can
+// differ, which no measurement reads.
 //
-// OneLane with a unit stride is solve_into's instance; solve_block runs the
-// compile-time instance of its lane count up to kMaxWidth, or the
-// std::size_t instance for a wider block.  At a fixed width every lane loop
-// is unrolled in full (the pragmas' 16 is kMaxWidth) into straight-line
-// vector code, and the row being updated lives in registers, so a row costs
-// its multiply-adds and divisions instead of loop control.  A block wider
-// than kMaxWidth, whose cost is its divisions, works on its rows in place.
-// Every lane runs the one-lane operation sequence: the same subtractions, of
-// the same values, in the same order.
-template <class Lanes, class Stride>
-void BandedMatrix::substitute(double* x, Lanes width, Stride stride) const {
-  const std::size_t lanes = width;  // a constant at a fixed width
-  constexpr bool fixed = !std::is_same_v<Lanes, std::size_t>;
-  for (std::size_t k = 0; k < n_; ++k) {
-    const std::size_t p = pivot_[k];
-    double* __restrict xk = x + k * stride;
-    if (p != k) {
-      double* __restrict xp = x + p * stride;
-      #pragma GCC unroll 16
-      for (std::size_t s = 0; s < lanes; ++s) std::swap(xk[s], xp[s]);
-    }
-    const double* const mult = &at(k, k);
-    const std::uint16_t* const l_off = l_off_.data() + k * lw_;
-    // v: row k, final once its earlier rows updated it.
-    const auto update = [&](const auto& v) {
-      for (std::size_t t = 0, nl = l_count_[k]; t < nl; ++t) {
-        const double m = mult[l_off[t]];
-        double* __restrict xi = xk + l_off[t] * stride;
-        #pragma GCC unroll 16
-        for (std::size_t s = 0; s < lanes; ++s) xi[s] -= m * v[s];
-      }
-    };
-    if constexpr (fixed) {
-      double v[Lanes::value];
-      #pragma GCC unroll 16
-      for (std::size_t s = 0; s < lanes; ++s) v[s] = xk[s];
-      update(v);
-    } else {
-      update(xk);
-    }
-  }
-  for (std::size_t k = n_; k-- > 0;) {
-    double* __restrict xk = x + k * stride;
-    const std::uint16_t* const u_off = u_off_.data() + k * uw_;
-    const double* const u_val = u_val_.data() + k * uw_;
-    const double d = at(k, k);
-    // acc: row k while it is solved.
-    const auto solve_row = [&](auto& acc) {
-      for (std::size_t t = 0, nu = u_count_[k]; t < nu; ++t) {
-        const double m = u_val[t];
-        const double* __restrict xj = xk + u_off[t] * stride;
-        #pragma GCC unroll 16
-        for (std::size_t s = 0; s < lanes; ++s) acc[s] -= m * xj[s];
-      }
-      #pragma GCC unroll 16
-      for (std::size_t s = 0; s < lanes; ++s) xk[s] = acc[s] / d;
-    };
-    if constexpr (fixed) {
-      double acc[Lanes::value];
-      #pragma GCC unroll 16
-      for (std::size_t s = 0; s < lanes; ++s) acc[s] = xk[s];
-      solve_row(acc);
-    } else {
-      solve_row(xk);
-    }
-  }
-}
-
+// Each sweep is a dependent chain down the rows, so the neighbouring row
+// stays in a register: the forward sweep carries row k + 1, updated by row
+// k, into the next step, and the backward sweep reads row k + 1 from the
+// step that solved it, instead of a store and a reload per row.  Every row
+// still receives the same subtractions of the same values in the same order.
 void BandedMatrix::solve_into(std::span<double> x) const {
   ensure(factored_ == n_, "BandedMatrix: solve before factor");
   ensure(x.size() == n_, "BandedMatrix: rhs size mismatch");
-  substitute(x.data(), OneLane{}, OneLane{});
+  double* const xs = x.data();
+  double v = xs[0];  // row k, final once the rows above it updated it
+  for (std::size_t k = 0; k < n_; ++k) {
+    if (const std::size_t p = pivot_[k]; p != k) {
+      xs[k] = v;
+      std::swap(xs[k], xs[p]);
+      v = xs[k];
+    }
+    xs[k] = v;
+    const double* const mult = &at(k, k);
+    const std::uint16_t* const l_off = l_off_.data() + k * lw_;
+    const std::size_t nl = l_count_[k];
+    std::size_t t = 0;
+    double next = k + 1 < n_ ? xs[k + 1] : 0.0;
+    if (nl > 0 && l_off[0] == 1) {
+      next -= mult[1] * v;
+      t = 1;
+    }
+    for (; t < nl; ++t) xs[k + l_off[t]] -= mult[l_off[t]] * v;
+    v = next;
+  }
+  double prev = 0.0;  // row k + 1, solved
+  for (std::size_t k = n_; k-- > 0;) {
+    const std::uint16_t* const u_off = u_off_.data() + k * uw_;
+    const double* const u_val = u_val_.data() + k * uw_;
+    const std::size_t nu = u_count_[k];
+    double acc = xs[k];
+    std::size_t t = 0;
+    if (nu > 0 && u_off[0] == 1) {
+      acc -= u_val[0] * prev;
+      t = 1;
+    }
+    for (; t < nu; ++t) acc -= u_val[t] * xs[k + u_off[t]];
+    prev = acc / at(k, k);
+    xs[k] = prev;
+  }
 }
 
 std::size_t BandedMatrix::row_swaps() const {
   std::size_t swaps = 0;
   for (std::size_t k = 0; k < factored_; ++k) swaps += pivot_[k] != k ? 1 : 0;
   return swaps;
-}
-
-void BandedMatrix::solve_block(std::span<double> x, std::size_t lanes,
-                               std::size_t stride) const {
-  ensure(factored_ == n_, "BandedMatrix: solve before factor");
-  ensure(lanes > 0 && lanes <= stride, "BandedMatrix: bad lane count");
-  ensure(x.size() >= n_ * stride - (stride - lanes),
-         "BandedMatrix: rhs block size mismatch");
-  // The instance of exactly `lanes` lanes, so no instance touches a column
-  // past the block's last lane.
-  const auto run = [&](auto width) { substitute(x.data(), width, stride); };
-  if (lanes > kMaxWidth) {
-    run(lanes);
-  } else {
-    with_width(lanes, run, std::make_index_sequence<kMaxWidth>{});
-  }
 }
 
 }  // namespace rlceff::util

@@ -55,16 +55,6 @@ void lu_factor_into(const DenseMatrix& a, LuFactors& f);
 // nothing.
 void lu_solve_into(const LuFactors& f, std::span<double> x);
 
-// Blocked multi-RHS solve over one factorization.  `x` is an n x stride
-// row-major block holding `lanes` right-hand sides: lane s of unknown i lives
-// at x[i * stride + s] (lanes <= stride; the extra columns are untouched, and
-// x may start at any column of a wider block).  lu_solve_into is the
-// one-lane instance of the same substitution kernel, so every lane's result
-// is bitwise-identical to an independent single-RHS solve, while the inner
-// loops run contiguously across lanes and vectorize.
-void lu_solve_block(const LuFactors& f, std::span<double> x, std::size_t lanes,
-                    std::size_t stride);
-
 // Convenience: factor and solve in one call.
 std::vector<double> solve_dense(const DenseMatrix& a, std::span<const double> b);
 
@@ -130,21 +120,11 @@ public:
   // substitution sweep over the stored nonzeros of L and U.
   void solve_into(std::span<double> x) const;
 
-  // Blocked multi-RHS solve (see lu_solve_block): `lanes` right-hand sides in
-  // an n x stride row-major block, each lane bitwise-identical to solve_into
-  // on that lane alone (both run one substitution kernel).  Up to 16 lanes
-  // run the kernel instance of exactly that width, a wider block its
-  // runtime-width instance; no instance touches a column past the last lane.
-  void solve_block(std::span<double> x, std::size_t lanes, std::size_t stride) const;
-
   // Elimination steps of the current factorization whose pivot came from a
   // row below the diagonal: 0 for a diagonally dominant matrix.
   std::size_t row_swaps() const;
 
 private:
-  template <class Lanes, class Stride>
-  void substitute(double* x, Lanes lanes, Stride stride) const;
-
   double& at(std::size_t r, std::size_t c);
   const double& at(std::size_t r, std::size_t c) const;
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <string>
-#include <type_traits>
 
 #include "util/error.h"
 #include "util/ordering.h"
@@ -13,8 +12,6 @@ namespace rlceff::util {
 
 namespace {
 constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-using OneLane = std::integral_constant<std::size_t, 1>;
 
 // Diagonal-preference threshold for pivoting: the natural diagonal wins
 // whenever it is within this factor of the column's largest candidate.
@@ -223,67 +220,27 @@ void SparseLu::factor(const SparseMatrix& a, ExecTracker* budget) {
   factored_ = true;
 }
 
-// The one substitution sweep behind solve_into and solve_block: lane s of
-// unknown i lives at x[i * stride + s].  `Lanes` is std::size_t for blocks
-// or the compile-time one-lane instance solve_into runs, whose lane loops
-// collapse to scalar code.  The zero-value skips are taken per lane:
-// skipping an update is not bitwise-neutral in IEEE arithmetic
-// (-0 - -0 == +0), so the lane loop sits outside the column scatter and every
-// lane runs exactly the one-lane operation sequence.  The budget is
-// checkpointed every 4096 rows of the forward sweep.
-template <class Lanes>
-void SparseLu::substitute(double* x, Lanes lanes, Lanes stride,
-                          ExecTracker* budget) const {
-  if (work_.size() < n_ * stride) work_.resize(n_ * stride);
-  double* w = work_.data();
-
-  for (std::size_t i = 0; i < n_; ++i) {
-    const double* xi = x + i * stride;
-    double* wi = w + pinv_[i] * stride;
-    for (std::size_t s = 0; s < lanes; ++s) wi[s] = xi[s];
-  }
-  for (std::size_t k = 0; k < n_; ++k) {
-    if (budget != nullptr && (k & 4095) == 0) budget->check("sparse solve");
-    const double* wk = w + k * stride;
-    for (std::size_t s = 0; s < lanes; ++s) {
-      const double v = wk[s];
-      if (v == 0.0) continue;
-      for (std::size_t p = lp_[k] + 1; p < lp_[k + 1]; ++p) {
-        w[li_[p] * stride + s] -= lx_[p] * v;
-      }
-    }
-  }
-  for (std::size_t k = n_; k-- > 0;) {
-    const double d = ux_[up_[k + 1] - 1];
-    double* wk = w + k * stride;
-    for (std::size_t s = 0; s < lanes; ++s) {
-      const double v = (wk[s] /= d);
-      if (v == 0.0) continue;
-      for (std::size_t p = up_[k]; p + 1 < up_[k + 1]; ++p) {
-        w[ui_[p] * stride + s] -= ux_[p] * v;
-      }
-    }
-  }
-  for (std::size_t k = 0; k < n_; ++k) {
-    const double* wk = w + k * stride;
-    double* xq = x + q_[k] * stride;
-    for (std::size_t s = 0; s < lanes; ++s) xq[s] = wk[s];
-  }
-}
-
+// The substitution sweeps, through the permuted workspace.  A zero entry
+// skips its column's updates (skipping an update is not bitwise-neutral in
+// IEEE arithmetic, -0 - -0 == +0, so the skip is part of the contract).
+// The budget is checkpointed every 4096 rows of the forward sweep.
 void SparseLu::solve_into(std::span<double> x, ExecTracker* budget) const {
   ensure(factored_, "SparseLu::solve_into: factor() first");
   ensure(x.size() == n_, "SparseLu::solve_into: size mismatch");
-  substitute(x.data(), OneLane{}, OneLane{}, budget);
-}
-
-void SparseLu::solve_block(std::span<double> x, std::size_t lanes,
-                           std::size_t stride) const {
-  ensure(factored_, "SparseLu::solve_block: factor() first");
-  ensure(lanes > 0 && lanes <= stride, "SparseLu::solve_block: bad lane count");
-  ensure(x.size() >= n_ * stride - (stride - lanes),
-         "SparseLu::solve_block: size mismatch");
-  substitute(x.data(), lanes, stride, nullptr);
+  double* w = work_.data();
+  for (std::size_t i = 0; i < n_; ++i) w[pinv_[i]] = x[i];
+  for (std::size_t k = 0; k < n_; ++k) {
+    if (budget != nullptr && (k & 4095) == 0) budget->check("sparse solve");
+    const double v = w[k];
+    if (v == 0.0) continue;
+    for (std::size_t p = lp_[k] + 1; p < lp_[k + 1]; ++p) w[li_[p]] -= lx_[p] * v;
+  }
+  for (std::size_t k = n_; k-- > 0;) {
+    const double v = (w[k] /= ux_[up_[k + 1] - 1]);
+    if (v == 0.0) continue;
+    for (std::size_t p = up_[k]; p + 1 < up_[k + 1]; ++p) w[ui_[p]] -= ux_[p] * v;
+  }
+  for (std::size_t k = 0; k < n_; ++k) x[q_[k]] = w[k];
 }
 
 }  // namespace rlceff::util

@@ -96,20 +96,7 @@ public:
   // Allocates nothing.
   void solve_into(std::span<double> x, ExecTracker* budget = nullptr) const;
 
-  // Blocked multi-RHS solve: `lanes` right-hand sides in an n x stride
-  // row-major block (lane s of unknown i at x[i * stride + s]; x may start at
-  // any column of a wider block).  solve_into is the one-lane instance of the
-  // same substitution kernel — its skip of zero-valued pivot entries is taken
-  // per lane — so lane results are bitwise-identical to independent
-  // single-RHS solves.  Grows the scratch on first use, allocation-free
-  // afterwards; no budget checkpoints (the scenario-batching caller charges
-  // per-lane step budgets instead).
-  void solve_block(std::span<double> x, std::size_t lanes, std::size_t stride) const;
-
 private:
-  template <class Lanes>
-  void substitute(double* x, Lanes lanes, Lanes stride, ExecTracker* budget) const;
-
   std::size_t n_ = 0;
   std::vector<std::size_t> q_;     // column order: factor column k is A column q_[k]
   std::vector<std::size_t> pinv_;  // row i of A is pivot row pinv_[i]
@@ -124,7 +111,7 @@ private:
   std::vector<std::size_t> xi_;            // reach pattern (topological order)
   std::vector<std::size_t> mark_;          // DFS visit stamps
   std::vector<std::size_t> dfs_stack_, dfs_ptr_;
-  mutable std::vector<double> work_;       // permuted rhs (block) during solve
+  mutable std::vector<double> work_;       // permuted rhs during solve
   std::size_t stamp_ = 0;
   bool factored_ = false;
 };

@@ -143,29 +143,6 @@ TEST(DenseLu, FactorIntoReusesWorkspaceAndMatchesOneShot) {
   }
 }
 
-// solve_into, the compile-time one-lane substitution, against one lane of a
-// block solve at a wider stride: the same kernel, bit for bit.
-TEST(BandedLu, SolveIntoMatchesSolve) {
-  const std::size_t m = 9, stride = 3;
-  BandedMatrix a(m, 2, 2);
-  for (std::size_t r = 0; r < m; ++r) {
-    for (std::size_t c = 0; c < m; ++c) {
-      if (!a.in_band(r, c)) continue;
-      a.add(r, c, uniform(-1.0, 1.0) + (r == c ? 4.0 : 0.0));
-    }
-  }
-  std::vector<double> b(m);
-  for (double& v : b) v = uniform(-2.0, 2.0);
-
-  a.factor();
-  std::vector<double> block(m * stride, 0.0);
-  for (std::size_t k = 0; k < m; ++k) block[k * stride] = b[k];
-  a.solve_block(block, 1, stride);
-  std::vector<double> x = b;
-  a.solve_into(x);
-  for (std::size_t k = 0; k < m; ++k) EXPECT_EQ(block[k * stride], x[k]);
-}
-
 TEST(BandedLu, CopyValuesFromRestoresAndRefactors) {
   // The transient engine's cached-static pattern: keep an unfactored image,
   // restore it into the working matrix, perturb, factor, solve — repeatedly.
@@ -364,13 +341,12 @@ bool factors(RightLookingBand& ref) {
 }
 
 // Every stored entry (the band plus the pivoting fill), bitwise, and solves
-// against the reference: solve_into() and the lanes of one solve_block call at a
-// stride wider than the lane count.  Lane 0 is a random right-hand side,
-// lane 1 the same with planted +0.0 entries, lane 2 with planted -0.0 and
-// +0.0 entries.  The first two must match bit for bit.  With -0.0 in the
-// right-hand side the packed sweep may differ only in the sign of an exactly
-// zero result (see BandedMatrix::substitute), so lane 2 compares under ==
-// and bitwise on every nonzero.
+// against the reference: a random right-hand side, the same with planted
+// +0.0 entries, and with planted -0.0 and +0.0 entries.  The first two must
+// match bit for bit.  With -0.0 in the right-hand side the packed sweep may
+// differ only in the sign of an exactly zero result (see
+// BandedMatrix::solve_into), so the third compares under == and bitwise on
+// every nonzero.
 void expect_factors_equal(const BandedMatrix& a, RightLookingBand& ref) {
   const std::size_t n = a.size();
   for (std::size_t c = 0; c < n; ++c) {
@@ -381,36 +357,20 @@ void expect_factors_equal(const BandedMatrix& a, RightLookingBand& ref) {
   }
   std::vector<double> b(n);
   for (double& v : b) v = draw(-2.0, 2.0);
-  const std::vector<double> x_ref = ref.solve(b);
-  const std::vector<double> x = solved(a, b);
-  for (std::size_t k = 0; k < n; ++k) ASSERT_EQ(bits(x_ref[k]), bits(x[k])) << k;
-
-  constexpr std::size_t lanes = 3, stride = 5;
-  std::vector<std::vector<double>> rhs(lanes, b);
+  constexpr std::size_t kinds = 3;
+  std::vector<std::vector<double>> rhs(kinds, b);
   for (std::size_t i = 0; i < n; ++i) {
     if (i % 3 == 1) rhs[1][i] = 0.0;
     if (i % 3 != 0) rhs[2][i] = i % 3 == 1 ? -0.0 : 0.0;
   }
-  std::vector<double> block(n * stride, 0.25);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t s = 0; s < lanes; ++s) block[i * stride + s] = rhs[s][i];
-  }
-  a.solve_block(block, lanes, stride);
-  for (std::size_t s = 0; s < lanes; ++s) {
-    const std::vector<double> lane_ref = ref.solve(rhs[s]);
-    const std::vector<double> lane_one = solved(a, rhs[s]);
+  for (std::size_t s = 0; s < kinds; ++s) {
+    const std::vector<double> x_ref = ref.solve(rhs[s]);
+    const std::vector<double> x = solved(a, rhs[s]);
     for (std::size_t k = 0; k < n; ++k) {
-      const double got = block[k * stride + s];
-      ASSERT_EQ(bits(lane_one[k]), bits(got)) << "lane " << s << " unknown " << k;
-      if (s == 2 && got == 0.0) {
-        ASSERT_EQ(0.0, lane_ref[k]) << "lane " << s << " unknown " << k;
+      if (s == 2 && x[k] == 0.0) {
+        ASSERT_EQ(0.0, x_ref[k]) << "rhs " << s << " unknown " << k;
       } else {
-        ASSERT_EQ(bits(lane_ref[k]), bits(got)) << "lane " << s << " unknown " << k;
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t pad = lanes; pad < stride; ++pad) {
-        ASSERT_EQ(0.25, block[i * stride + pad]);
+        ASSERT_EQ(bits(x_ref[k]), bits(x[k])) << "rhs " << s << " unknown " << k;
       }
     }
   }

@@ -1,6 +1,5 @@
-// Shared-factorization scenario batching (sim/scenario_block.h): blocked
-// multi-RHS solves, grouping hash/confirm, and the lockstep block engine's
-// bitwise-equivalence and per-lane isolation contracts.
+// Scenario batching (sim/scenario_block.h): grouping hash/confirm, and the
+// block engine's bitwise-equivalence and per-lane isolation contracts.
 #include "sim/scenario_block.h"
 
 #include <gtest/gtest.h>
@@ -8,7 +7,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <random>
 #include <span>
 #include <utility>
 #include <vector>
@@ -17,160 +15,12 @@
 #include "sim/transient.h"
 #include "util/budget.h"
 #include "util/error.h"
-#include "util/linalg.h"
-#include "util/sparse.h"
 #include "waveform/pwl.h"
 
 namespace rlceff {
 namespace {
 
 std::uint64_t dbits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-// ---- blocked multi-RHS solves -------------------------------------------
-
-// Random diagonally-loaded matrix with a banded nonzero pattern.
-std::vector<std::vector<double>> random_matrix(std::mt19937_64& rng, std::size_t n,
-                                               std::size_t bw) {
-  std::uniform_real_distribution<double> coef(-1.0, 1.0);
-  std::vector<std::vector<double>> a(n, std::vector<double>(n, 0.0));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if ((i >= j ? i - j : j - i) <= bw) a[i][j] = coef(rng);
-    }
-    a[i][i] += 4.0;
-  }
-  return a;
-}
-
-std::vector<double> random_rhs(std::mt19937_64& rng, std::size_t n) {
-  std::uniform_real_distribution<double> coef(-2.0, 2.0);
-  std::vector<double> b(n);
-  for (double& v : b) v = coef(rng);
-  return b;
-}
-
-// Checks a backend's block solve against its one-lane solve: every lane
-// count from 1 to 17 (the fixed-width kernel instances and, at 17, the
-// runtime-width instance) at an even and an odd stride, right-hand sides
-// holding +0.0 and -0.0 entries, columns past the lanes left untouched, and
-// a one-lane solve that starts at the block's last column, where the span
-// ends at that lane's last entry.
-template <class SolveInto, class SolveBlock>
-void expect_block_matches_single(std::mt19937_64& rng, std::size_t n,
-                                 SolveInto solve_into, SolveBlock solve_block) {
-  constexpr double kUntouched = 0.25;
-  auto rhs_with_zeros = [&](std::size_t s) {
-    std::vector<double> b = random_rhs(rng, n);
-    b[s % n] = 0.0;
-    b[(s + 5) % n] = -0.0;
-    return b;
-  };
-  auto expect_lane = [&](const std::vector<double>& block, std::size_t col,
-                         std::size_t stride, std::vector<double> x, const char* what) {
-    solve_into(x);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(dbits(x[i]), dbits(block[i * stride + col]))
-          << what << ", stride " << stride << ", lane " << col << ", row " << i;
-    }
-  };
-  auto expect_untouched = [&](const std::vector<double>& block, std::size_t stride,
-                              std::size_t first, std::size_t last) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t s = first; s < last; ++s) {
-        ASSERT_EQ(dbits(kUntouched), dbits(block[i * stride + s]))
-            << "stride " << stride << ", column " << s << " was written";
-      }
-    }
-  };
-
-  for (const std::size_t stride : {std::size_t{18}, std::size_t{19}}) {
-    for (std::size_t lanes = 1; lanes <= 17; ++lanes) {
-      std::vector<std::vector<double>> rhs;
-      for (std::size_t s = 0; s < lanes; ++s) rhs.push_back(rhs_with_zeros(s));
-      std::vector<double> block(n * stride, kUntouched);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t s = 0; s < lanes; ++s) block[i * stride + s] = rhs[s][i];
-      }
-      solve_block(std::span<double>(block), lanes, stride);
-      for (std::size_t s = 0; s < lanes; ++s) {
-        expect_lane(block, s, stride, rhs[s], "block");
-      }
-      expect_untouched(block, stride, lanes, stride);
-    }
-
-    const std::size_t last = stride - 1;
-    const std::vector<double> rhs = rhs_with_zeros(last);
-    std::vector<double> block(n * stride, kUntouched);
-    for (std::size_t i = 0; i < n; ++i) block[i * stride + last] = rhs[i];
-    solve_block(std::span<double>(block).subspan(last), 1, stride);
-    expect_lane(block, last, stride, rhs, "last-column lane");
-    expect_untouched(block, stride, 0, last);
-  }
-}
-
-TEST(SolveBlock, DenseLanesBitwiseMatchSingleRhs) {
-  std::mt19937_64 rng(0x51ab10c1u);
-  const std::size_t n = 37;
-  const auto a = random_matrix(rng, n, n);
-  util::DenseMatrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) m(i, j) = a[i][j];
-  }
-  util::LuFactors f;
-  util::lu_factor_into(m, f);
-  expect_block_matches_single(
-      rng, n, [&](std::vector<double>& x) { util::lu_solve_into(f, x); },
-      [&](std::span<double> x, std::size_t lanes, std::size_t stride) {
-        util::lu_solve_block(f, x, lanes, stride);
-      });
-}
-
-TEST(SolveBlock, BandedLanesBitwiseMatchSingleRhs) {
-  std::mt19937_64 rng(0xba4dedu);
-  const std::size_t n = 41, bw = 3;
-  auto a = random_matrix(rng, n, bw);
-  // Weak diagonals on every third row make the factorization pivot, so the
-  // sweeps' row swaps run too.
-  for (std::size_t i = 0; i < n; i += 3) a[i][i] -= 4.0;
-  util::BandedMatrix m(n, bw, bw);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (a[i][j] != 0.0) m.add(i, j, a[i][j]);
-    }
-  }
-  m.factor();
-  expect_block_matches_single(
-      rng, n, [&](std::vector<double>& x) { m.solve_into(x); },
-      [&](std::span<double> x, std::size_t lanes, std::size_t stride) {
-        m.solve_block(x, lanes, stride);
-      });
-}
-
-TEST(SolveBlock, SparseLanesBitwiseMatchSingleRhs) {
-  std::mt19937_64 rng(0x5a2c3e11u);
-  const std::size_t n = 53, bw = 4;
-  const auto a = random_matrix(rng, n, bw);
-  std::vector<std::pair<std::size_t, std::size_t>> positions;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if ((i >= j ? i - j : j - i) <= bw) positions.emplace_back(i, j);
-    }
-  }
-  util::SparseMatrix m(n, positions);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (a[i][j] != 0.0) m.add(i, j, a[i][j]);
-    }
-  }
-  util::SparseLu lu;
-  lu.analyze(m);
-  lu.factor(m);
-  expect_block_matches_single(
-      rng, n, [&](std::vector<double>& x) { lu.solve_into(x); },
-      [&](std::span<double> x, std::size_t lanes, std::size_t stride) {
-        lu.solve_block(x, lanes, stride);
-      });
-}
 
 // ---- grouping ------------------------------------------------------------
 
