@@ -3,9 +3,9 @@
 // api::Engine::run_batch as model-only far-end replays, batched vs per-slot.
 //
 // With batching on, the engine groups the 49 equal-topology replays of each
-// wire case, factors the companion matrix once per group, and advances all
-// lanes per step as one blocked multi-RHS solve; with batching off every
-// slot runs its own scalar replay.  Both paths must produce bitwise-
+// wire case and solves each group from one superposition basis, stepping
+// the companion matrix once per time step for all 49 lanes; with batching
+// off every slot runs its own replay, basis included.  Both paths must produce bitwise-
 // identical far-end waveforms — the bench verifies that on every slot and
 // fails loudly on the first mismatch, so the speedup number can never be
 // bought with accuracy.
@@ -24,6 +24,8 @@
 
 #include "bench_common.h"
 #include "circuit/mna.h"
+#include "core/experiment.h"
+#include "sim/scenario_block.h"
 #include "sim/solver_backend.h"
 #include "tech/testbench.h"
 #include "tech/wire.h"
@@ -94,6 +96,67 @@ std::size_t lane_steps(const std::vector<api::Response>& responses) {
   return steps;
 }
 
+// Exact work counts of the batch's replays: the steps their groups solved
+// their systems for (each group's basis steps plus its lanes' shortened
+// final steps) and the lane samples taken by superposition.  They come from
+// sim::simulate_block run on the batch's own replay decks, rebuilt from
+// each response as the engine builds them (the settle horizon, the modeled
+// waveform at the input's 50 % time, the full horizon of a kept waveform);
+// `replica_mismatches` counts far ends that differ from the engine's.
+struct ReplayWork {
+  std::size_t stepped_steps = 0;
+  std::size_t recorded_samples = 0;
+  std::size_t replica_mismatches = 0;
+};
+
+ReplayWork replay_work(const std::vector<api::Request>& requests,
+                       const std::vector<api::Response>& responses,
+                       const api::BatchOptions& opt, std::size_t group_size) {
+  ReplayWork work;
+  for (std::size_t head = 0; head < requests.size(); head += group_size) {
+    const std::size_t end = std::min(requests.size(), head + group_size);
+    std::vector<tech::SourceNetDeck> decks;
+    std::vector<tech::DeckOptions> deck_opts;
+    std::vector<sim::BlockScenario> lanes;
+    for (std::size_t i = head; i < end; ++i) {
+      const api::Request& r = requests[i];
+      tech::DeckOptions d = opt.deck;
+      d.t_stop = core::settle_horizon(d.t_start, r.input_slew, r.cell_size, r.net.metrics());
+      d.sim.budget = nullptr;
+      d.sim.solver = r.solver;
+      d.sim.edge_stop.vdd = 0.0;  // kept waveforms run the full horizon
+      decks.push_back(tech::compile_source_net(
+          core::deck_time_source(responses[i].model, responses[i].input_time_50), r.net, d));
+      deck_opts.push_back(d);
+    }
+    for (std::size_t k = 0; k < decks.size(); ++k) {
+      lanes.push_back({&decks[k].netlist, deck_opts[k].t_stop, nullptr});
+    }
+    const std::vector<sim::BlockOutcome> out = sim::simulate_block(
+        lanes, tech::sim_options(deck_opts[0], decks[0]), decks[0].probes);
+    work.stepped_steps += out[0].result->basis_steps();
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      const sim::TransientResult& r = *out[k].result;
+      work.stepped_steps += r.solved_steps();
+      work.recorded_samples += r.superposed_samples();
+      const std::size_t leaf = requests[head + k].net.metrics().dominant_leaf;
+      const wave::Waveform& far = r.at(decks[k].nodes.leaves.at(leaf));
+      const wave::Waveform& want = responses[head + k].model_far_wave;
+      bool same = far.size() == want.size();
+      for (std::size_t j = 0; same && j < far.size(); ++j) {
+        same = dbits(far.time(j)) == dbits(want.time(j)) &&
+               dbits(far.value(j)) == dbits(want.value(j));
+      }
+      if (!same) {
+        std::fprintf(stderr, "scenario_batching: slot %zu's rebuilt replay differs\n",
+                     head + k);
+        ++work.replica_mismatches;
+      }
+    }
+  }
+  return work;
+}
+
 // Counts slots whose far-end answer differs in any bit between the two runs.
 std::size_t bitwise_mismatches(const std::vector<api::Response>& batched,
                                const std::vector<api::Response>& per_slot) {
@@ -161,7 +224,8 @@ int main(int argc, char** argv) {
                         {"grid_scenarios", "grid_topologies", "per_slot_s",
                          "batched_s", "fig7_grid_speedup",
                          "bitwise_mismatches", "block_ns_per_lane_step",
-                         "replay_deck_unknowns", "replay_deck_row_swaps"});
+                         "replay_deck_unknowns", "replay_deck_row_swaps",
+                         "stepped_steps", "recorded_samples"});
     return 0;
   }
 
@@ -190,7 +254,8 @@ int main(int argc, char** argv) {
     per_slot_s = std::min(per_slot_s, time_batch(engine, requests, per_slot_opt, per_slot));
   }
 
-  const std::size_t mismatches = bitwise_mismatches(batched, per_slot);
+  const ReplayWork work = replay_work(requests, batched, opt, 49);
+  const std::size_t mismatches = bitwise_mismatches(batched, per_slot) + work.replica_mismatches;
   const double speedup = per_slot_s / batched_s;
   // The whole batch (model passes, deck compiles and grouping included) per
   // lane-step: an upper bound on the block stepper's own cost per lane-step.
@@ -205,6 +270,8 @@ int main(int argc, char** argv) {
   const ReplayDeckCounts replay = replay_deck_counts();
   std::printf("  40-segment replay deck: %zu unknowns, %zu row swaps per factorization\n",
               replay.unknowns, replay.row_swaps);
+  std::printf("  replay work: %zu steps solved, %zu lane samples superposed\n",
+              work.stepped_steps, work.recorded_samples);
 
   bench::update_bench_json(
       "BENCH_perf.json", "perf", "scenario_batching",
@@ -216,7 +283,9 @@ int main(int argc, char** argv) {
        {"bitwise_mismatches", static_cast<double>(mismatches), "count"},
        {"block_ns_per_lane_step", ns_per_lane_step, "ns"},
        {"replay_deck_unknowns", static_cast<double>(replay.unknowns), "count"},
-       {"replay_deck_row_swaps", static_cast<double>(replay.row_swaps), "count"}});
+       {"replay_deck_row_swaps", static_cast<double>(replay.row_swaps), "count"},
+       {"stepped_steps", static_cast<double>(work.stepped_steps), "count"},
+       {"recorded_samples", static_cast<double>(work.recorded_samples), "count"}});
   std::printf("(merged into BENCH_perf.json under \"scenario_batching.\")\n");
   return mismatches == 0 ? 0 : 1;
 }
