@@ -977,7 +977,7 @@ public:
         out[lane.slot].error = lane.error;
         continue;
       }
-      work.solved_steps = lane.shortened && lane.tail_taken ? 1 : 0;
+      work.solved_steps = lane.tail_taken ? 1 : 0;
       work.superposed_samples = lane.superposed;
       lane.result.set_work(work);
       out[lane.slot].result = std::move(lane.result);
@@ -1006,7 +1006,7 @@ private:
     double s0_dt = 0.0;       // s_0 * dt
     std::size_t n_final = 0;  // the grid step it ends or shortens its step at
     bool shortened = false;   // its horizon ends mid-step
-    bool tail_taken = false;
+    bool tail_taken = false;  // it solved that step
     double u = 0.0;           // the source at its last grid sample
     bool finite = true;       // every sample so far finite
     std::uint64_t superposed = 0;
