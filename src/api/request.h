@@ -282,11 +282,11 @@ struct BatchOptions {
   charlib::CharacterizationGrid grid = charlib::CharacterizationGrid::standard();
   // Sweep pool width for run_batch (0 = one worker per hardware thread).
   unsigned n_threads = 0;
-  // Shared-factorization scenario batching (sim/scenario_block.h): run_batch
-  // defers far_end_replay transients, groups slots whose compiled decks are
+  // Scenario batching (sim/scenario_block.h): run_batch defers
+  // far_end_replay transients, groups slots whose compiled decks are
   // scenario_group_equal (same topology and element values at full bit
-  // precision — a one-ULP difference never aliases), and advances each group
-  // as one blocked multi-RHS solve.  Waveforms and measurements are
+  // precision — a one-ULP difference never aliases), and solves each group
+  // from one superposition basis.  Waveforms and measurements are
   // bitwise-identical to the per-slot path (`off`), just faster; per-slot
   // isolation is preserved (a faulted lane never perturbs its group-mates).
   // Slots with a wall-clock limit or an enabled degrade policy never defer.

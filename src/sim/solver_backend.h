@@ -1,5 +1,5 @@
 // Internal solver backends of the transient stepper (sim/transient.cpp),
-// which runs both sim::simulate and the blocked sim::simulate_block.
+// which runs sim::simulate, sim::simulate_block and their superposition basis.
 //
 // This is the factor-once contract in one place: a LinearSolver assembles a
 // "working" matrix, snapshots/restores it at memcpy cost, factors it in

@@ -163,7 +163,7 @@ void check_chaos_batch(api::Engine& engine, std::uint64_t seed,
 // metrics, solver, the full far-end waveform; error codes for failed slots)
 // at independently drawn thread counts.  `solver` pins every replay deck to
 // one backend, so forcing each explicit kind in turn marches the whole
-// random-topology family through all three blocked substitution paths.
+// random-topology family through all three backends' superposition bases.
 // keep_waveforms is drawn per seed: without it every replay ends at its last
 // measured crossing (sim::EdgeStop), and the batched slots must also match a
 // full-horizon per-slot run's edges bitwise.
