@@ -116,7 +116,8 @@ SingularMatrixError nonfinite_error() {
 //   - netlist: the deck's own source waveforms (a stepped run, and the DC
 //     point);
 //   - basis: the superposition basis of a one-source linear deck, its
-//     source at 1 in the DC point and 0 at every step after it;
+//     source held at 1 (the unit DC solution, then the unit step response
+//     from the zero state);
 //   - held: one value, for a superposed lane's shortened final step.
 //
 // The system is the reduced one of ckt::MnaStructure.  The solution holds
@@ -254,6 +255,13 @@ public:
   // Drives the deck's one source as the superposition basis (see Drive).
   void drive_basis() { drive_ = Drive::basis; }
 
+  // The DC operating point of every source at 0 on a linear deck: the
+  // solution and the device state all zero.
+  void zero_state() {
+    std::fill(xb_.begin(), xb_.end(), 0.0);
+    std::fill(hist_.begin(), hist_.end(), 0.0);
+  }
+
   // Solves the DC operating point (sources at t = 0, capacitors open,
   // inductors shorted) into the solution, which it returns, with the device
   // state zeroed.
@@ -355,10 +363,6 @@ public:
   void copy_state(double* out) const {
     std::copy(xb_.begin(), xb_.begin() + static_cast<std::ptrdiff_t>(rows_), out);
     std::copy(hist_.begin(), hist_.end(), out + rows_);
-  }
-  void add_state(double* acc) const {
-    for (std::size_t i = 0; i < rows_; ++i) acc[i] += xb_[i];
-    for (std::size_t i = 0; i < hist_.size(); ++i) acc[rows_ + i] += hist_[i];
   }
 
   // The shortened final step (h < dt, ending at t + h) of a superposed lane
@@ -469,12 +473,11 @@ private:
   double* ind_i() { return br_v() + br_pos_.size(); }
   double* ind_v() { return ind_i() + ind_pos_.size(); }
 
-  // The value of voltage source k at time t of a step of size h (h <= 0:
-  // the DC point).
-  double source_value(std::size_t k, double t, double h) const {
+  // The value of voltage source k at time t.
+  double source_value(std::size_t k, double t) const {
     switch (drive_) {
       case Drive::basis:
-        return h > 0.0 ? 0.0 : 1.0;
+        return 1.0;
       case Drive::held:
         return held_u_;
       default:
@@ -672,10 +675,10 @@ private:
     std::fill(rhsb_.begin(), rhsb_.end(), 0.0);
     double* __restrict rhs = rhsb_.data();
     for (std::size_t q = 0; q < rows_ - m_; ++q) {
-      rhs[m_ + q] = source_value(structure_.known_source(q), t, h);
+      rhs[m_ + q] = source_value(structure_.known_source(q), t);
     }
     for (std::size_t k = 0; k < vsrc_pos_.size(); ++k) {
-      rhs[vsrc_pos_[k]] = source_value(vsrc_dev_[k], t, h);
+      rhs[vsrc_pos_[k]] = source_value(vsrc_dev_[k], t);
     }
 
     set_companions(h);
@@ -841,10 +844,14 @@ bool superposable(const Netlist& netlist) {
 // Solves the lanes of one superposable deck, scenarios that differ only in
 // their source waveform and horizon, from one basis.
 //
-// The basis is the stepper driven by the unit step down: the source at 1 in
-// the DC point (whose solution is the unit DC solution d) and at 0 at every
-// step after it, so its response g_q (g_0 = d) decays to 0 and its prefix
-// sums G_q = g_1 + ... + g_q stay bounded.  A deck is linear and time
+// The basis is the stepper with the source held at 1: its DC point is the
+// unit DC solution d, and its steps, started from the zero state, give the
+// unit step response r_q.  The lanes read g_q = d - r_q (g_0 = d), the
+// response to the unit step down, which decays to 0, so its prefix sums
+// G_q = g_1 + ... + g_q stay bounded.  Stepped down from d itself, every row
+// would carry d's rounding through each step and drift by about 1e-13 of d
+// before the edge reaches it; r, like a lane's own stepped run, stays 0
+// there.  A deck is linear and time
 // invariant in its source, so a lane whose source reads u_k at the grid
 // times t_k, with increments du_j = u_j - u_(j-1), has
 //   y_n = d * u_n - sum_(j=1..n) du_j * g_(n-j+1).
@@ -863,10 +870,10 @@ bool superposable(const Netlist& netlist) {
 // its samples as a stepped run does.
 //
 // A lane whose horizon ends mid-step takes its shortened final step from
-// its full state at its last grid time n, built by the same sum from the
-// basis's full state at the steps n - m_i + 1 and its prefix sums at
-// n - m_i and n: snapshots taken as the basis passes those steps, known in
-// advance from the grid.
+// its full state at its last grid time n, built by the same sum from g over
+// the full state at the steps n - m_i + 1 and its prefix sums at n - m_i
+// and n: snapshots taken as the basis passes those steps, known in advance
+// from the grid.
 class Superposition {
 public:
   Superposition(const Netlist& netlist, const TransientOptions& options,
@@ -908,7 +915,12 @@ public:
     basis_.solve_dc();
     basis_.seed_state();
     for (std::size_t s = 0; s < r; ++s) g_[s] = basis_.node(rows_[s]);
-    if (track_state_) take_snapshot();
+    if (track_state_) {
+      basis_.copy_state(dc_state_.data());
+      g_state_ = dc_state_;
+      take_snapshot();
+    }
+    basis_.zero_state();
     for (Lane& lane : lanes_) {
       sample(lane, 0);
       if (record(lane, 0.0)) finish(lane);
@@ -948,11 +960,15 @@ public:
       double* sum = sums_.data() + n * r;
       const double* sum_prev = sum - r;
       for (std::size_t s = 0; s < r; ++s) {
-        g[s] = basis_.node(rows_[s]);
+        g[s] = g_[s] - basis_.node(rows_[s]);
         sum[s] = sum_prev[s] + g[s];
       }
       if (track_state_) {
-        basis_.add_state(state_sum_.data());
+        basis_.copy_state(g_state_.data());
+        for (std::size_t j = 0; j < g_state_.size(); ++j) {
+          g_state_[j] = dc_state_[j] - g_state_[j];
+          state_sum_[j] += g_state_[j];
+        }
         if (next_snap_ < snap_steps_.size() && snap_steps_[next_snap_] == n) take_snapshot();
       }
       // Periodic (cheap, amortized) non-finite guard, as a stepped run's.
@@ -1070,17 +1086,18 @@ private:
       if (snap_steps_.empty() || snap_steps_.front() != 0) snap_steps_.insert(snap_steps_.begin(), 0);
       const std::size_t size = basis_.state_size();
       snaps_.assign(snap_steps_.size() * 2 * size, 0.0);
+      dc_state_.assign(size, 0.0);
+      g_state_.assign(size, 0.0);
       state_sum_.assign(size, 0.0);
       lane_state_.assign(size, 0.0);
     }
   }
 
-  // Keeps the basis's full state at step q and its prefix sum.
+  // Keeps g over the full state at the current step, and its prefix sum.
   void take_snapshot() {
-    const std::size_t size = basis_.state_size();
-    double* snap = snaps_.data() + next_snap_ * 2 * size;
-    basis_.copy_state(snap);
-    std::copy(state_sum_.begin(), state_sum_.end(), snap + size);
+    double* snap = snaps_.data() + next_snap_ * 2 * g_state_.size();
+    std::copy(g_state_.begin(), g_state_.end(), snap);
+    std::copy(state_sum_.begin(), state_sum_.end(), snap + g_state_.size());
     ++next_snap_;
   }
 
@@ -1184,7 +1201,9 @@ private:
 
   // Full-state tracking for shortened final steps.
   bool track_state_ = false;
-  std::vector<double> state_sum_;   // G over the full state, to the current step
+  std::vector<double> dc_state_;    // the unit DC solution's full state
+  std::vector<double> g_state_;     // g over the full state at the current step
+  std::vector<double> state_sum_;   // its prefix sum G
   std::vector<std::size_t> snap_steps_;
   std::size_t next_snap_ = 0;
   std::vector<double> snaps_;       // per snapshot step: full state, then its G
