@@ -1085,7 +1085,9 @@ private:
       snap_steps_.erase(std::unique(snap_steps_.begin(), snap_steps_.end()), snap_steps_.end());
       if (snap_steps_.empty() || snap_steps_.front() != 0) snap_steps_.insert(snap_steps_.begin(), 0);
       const std::size_t size = basis_.state_size();
-      snaps_.assign(snap_steps_.size() * 2 * size, 0.0);
+      // Reserved, not filled: a lane that stops on its edge first never
+      // reads its snapshots, and the basis often stops before them.
+      snaps_.reserve(snap_steps_.size() * 2 * size);
       dc_state_.assign(size, 0.0);
       g_state_.assign(size, 0.0);
       state_sum_.assign(size, 0.0);
@@ -1095,9 +1097,8 @@ private:
 
   // Keeps g over the full state at the current step, and its prefix sum.
   void take_snapshot() {
-    double* snap = snaps_.data() + next_snap_ * 2 * g_state_.size();
-    std::copy(g_state_.begin(), g_state_.end(), snap);
-    std::copy(state_sum_.begin(), state_sum_.end(), snap + g_state_.size());
+    snaps_.insert(snaps_.end(), g_state_.begin(), g_state_.end());
+    snaps_.insert(snaps_.end(), state_sum_.begin(), state_sum_.end());
     ++next_snap_;
   }
 
