@@ -199,8 +199,8 @@ INSTANTIATE_TEST_SUITE_P(
 // A rising edge from 0 V on the 40-segment line: stepped directly, every row
 // the edge has not reached yet stays 0, and the basis must not put the DC
 // point's rounding there either.  A basis stepped down from the unit DC
-// solution drifted the far end by 2.2e-13 V on this deck; stepped up from
-// the zero state it stays within 5e-15 V.
+// solution does: 2.2e-13 V on this deck, against 4.4e-15 V for the step up
+// from the zero state.
 TEST(SuperposedRise, TracksDirectSteppingWithin2e14Volt) {
   const DeckPair d = make_decks(Load::fig7_line, wave::two_ramp(12 * ps, 0.4, 35 * ps, 90 * ps, 1.0));
   sim::TransientOptions opt;
