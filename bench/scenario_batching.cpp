@@ -5,14 +5,14 @@
 // With batching on, the engine groups the 49 equal-topology replays of each
 // wire case and solves each group from one superposition basis, stepping
 // the companion matrix once per time step for all 49 lanes; with batching
-// off every slot runs its own replay, basis included.  Both paths must produce bitwise-
-// identical far-end waveforms — the bench verifies that on every slot and
-// fails loudly on the first mismatch, so the speedup number can never be
-// bought with accuracy.
+// off every slot runs its own replay, basis included.  Both paths must
+// produce bitwise-identical far-end waveforms — the bench verifies that on
+// every slot and fails loudly on the first mismatch, so the speedup number
+// can never be bought with accuracy.
 //
 // Pinned to one worker for the same reason as engine_batch_nets_per_s: the
-// speedup is an algorithmic claim (shared factorization + blocked
-// substitution), not a core-count one.
+// speedup is an algorithmic claim (one basis per group instead of one per
+// slot), not a core-count one.
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -258,7 +258,7 @@ int main(int argc, char** argv) {
   const std::size_t mismatches = bitwise_mismatches(batched, per_slot) + work.replica_mismatches;
   const double speedup = per_slot_s / batched_s;
   // The whole batch (model passes, deck compiles and grouping included) per
-  // lane-step: an upper bound on the block stepper's own cost per lane-step.
+  // lane-step: an upper bound on the replays' own cost per lane sample.
   const double ns_per_lane_step = batched_s * 1e9 / static_cast<double>(lane_steps(batched));
 
   std::printf("== scenario batching (Fig-7 grid, %zu scenarios, 4 groups) ==\n",
